@@ -8,6 +8,8 @@
 #ifndef OSD_BENCH_BENCH_UTIL_H_
 #define OSD_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -99,6 +101,17 @@ inline void PrintRow(const char* label, const double values[5]) {
   std::printf("%-12s", label);
   for (int i = 0; i < 5; ++i) std::printf(" %12.1f", values[i]);
   std::printf("\n");
+}
+
+/// Nearest-rank percentile, p in [0, 1]: the smallest sample that at least
+/// a p share of the samples do not exceed. Sorts `v`; 0 when it is empty.
+inline double Percentile(std::vector<double>& v, double p) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  // The epsilon keeps p * n from rounding up past an exact integer rank.
+  const double rank = std::ceil(p * static_cast<double>(v.size()) - 1e-9);
+  const size_t idx = rank < 1.0 ? 0 : static_cast<size_t>(rank) - 1;
+  return v[std::min(idx, v.size() - 1)];
 }
 
 }  // namespace bench

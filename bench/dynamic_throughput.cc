@@ -90,13 +90,6 @@ Config ParseArgs(int argc, char** argv) {
   return cfg;
 }
 
-double Percentile(std::vector<double>& v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  size_t idx = static_cast<size_t>(p * (v.size() - 1));
-  return v[idx];
-}
-
 /// A fresh far-region object: 1-3 instances ~1e6 away from the synthetic
 /// data, so reader candidate sets are untouched by the write stream.
 std::shared_ptr<const UncertainObject> FarObject(int id, int dim,

@@ -11,7 +11,6 @@
 
 #include "common/rng.h"
 #include "core/dominance_oracle.h"
-#include "core/profile_scratch.h"
 #include "datagen/generators.h"
 #include "geom/kernels.h"
 
@@ -47,14 +46,13 @@ void Prewarm(ObjectProfile& p) {
 }
 
 // Matrix materialization per profile (the dominant cost of brute-force
-// checks): one fresh profile per iteration, recycled through a scratch
-// arena exactly like NncSearch::Run does.
+// checks): one fresh profile per iteration, exactly like NncSearch::Run
+// builds one per examined object.
 void BM_ProfileBuild(benchmark::State& state, bool scalar) {
   const int m = static_cast<int>(state.range(0));
   const Fixture f = MakeFixture(m, 42);
   const QueryContext ctx(f.query);
   kernels::SetScalarFallback(scalar);
-  ProfileScratch scratch;
   for (auto _ : state) {
     ObjectProfile pu(f.u, ctx, nullptr);
     benchmark::DoNotOptimize(pu.Dist(0, 0));
@@ -71,7 +69,6 @@ void BM_ProfileStats(benchmark::State& state, bool scalar) {
   const Fixture f = MakeFixture(m, 42);
   const QueryContext ctx(f.query);
   kernels::SetScalarFallback(scalar);
-  ProfileScratch scratch;
   for (auto _ : state) {
     ObjectProfile pu(f.u, ctx, nullptr);
     benchmark::DoNotOptimize(pu.MinAll());

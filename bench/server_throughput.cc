@@ -92,13 +92,6 @@ struct ClientStats {
   long errors = 0;
 };
 
-double Percentile(std::vector<double>& v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const size_t idx = static_cast<size_t>(p * (v.size() - 1) + 0.5);
-  return v[std::min(idx, v.size() - 1)];
-}
-
 void RunClient(int port, const std::string& op, int first, int count,
                int objects, ClientStats* stats) {
   OsdClient client;

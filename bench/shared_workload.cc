@@ -95,12 +95,6 @@ Config ParseArgs(int argc, char** argv) {
   return cfg;
 }
 
-double Percentile(std::vector<double>& v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  return v[static_cast<size_t>(p * (v.size() - 1))];
-}
-
 /// Cumulative Zipf weights over ranks 1..k: weight(r) = r^-s.
 std::vector<double> ZipfCdf(int k, double s) {
   std::vector<double> cdf(k);

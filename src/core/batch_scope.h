@@ -24,7 +24,7 @@
 //
 // Ownership/threading: a context belongs to one engine worker executing
 // one batch. It installs itself thread-locally (same RAII save/restore
-// idiom as ProfileScratch); NncSearch::Run consults Current() for its
+// idiom as obs::Trace); NncSearch::Run consults Current() for its
 // frontier keys. The members run sequentially on the worker with
 // SetActiveSlot() selecting whose lane the memo answers.
 

@@ -10,7 +10,6 @@
 #include "common/memory_budget.h"
 #include "core/batch_scope.h"
 #include "core/profile_cache.h"
-#include "core/profile_scratch.h"
 
 namespace osd {
 
@@ -91,20 +90,17 @@ NncResult NncSearch::Run(
   };
   if (snapshot_ != nullptr) result.epoch = snapshot_->epoch();
 
-  // Scratch arena for profile buffers, installed thread-locally like the
-  // trace and budget scopes. Declared before `members` so the profiles are
-  // destroyed first and can donate their buffers back to the pool.
-  ProfileScratch scratch;
-
-  // Cross-query cache session (engine-managed; inert when no cache is
-  // configured). Declared before `members` so destroyed profiles can still
-  // publish their freshly built views through it.
-  ProfileCacheSession cache_session(
-      options_.profile_cache,
-      options_.profile_cache != nullptr
-          ? ComputeQuerySignature(query, options_.metric)
-          : 0,
-      result.epoch);
+  // Cross-query cache binding handed to every profile (null when no cache
+  // is configured). Declared before `members` so destroyed profiles can
+  // still publish their freshly built views through it.
+  ProfileCacheBinding cache_binding;
+  const ProfileCacheBinding* cache = nullptr;
+  if (options_.profile_cache != nullptr) {
+    cache_binding = {options_.profile_cache,
+                     ComputeQuerySignature(query, options_.metric),
+                     result.epoch};
+    cache = &cache_binding;
+  }
 
   // Batched-traversal distance memo: when the engine grouped this query
   // into a multi-query batch it installed a BatchDistContext on this
@@ -247,8 +243,8 @@ NncResult NncSearch::Run(
         OSD_FAILPOINT("nnc.object_examine");
         const UncertainObject& candidate = object_at(item.id);
         ++result.objects_examined;
-        auto profile =
-            std::make_unique<ObjectProfile>(candidate, ctx, &result.stats);
+        auto profile = std::make_unique<ObjectProfile>(candidate, ctx,
+                                                       &result.stats, cache);
         int dominators = 0;
         for (Member& m : members) {
           if (oracle.Dominates(options_.op, *m.profile, *profile)) {
@@ -384,13 +380,11 @@ NncResult NncSearch::Run(
   if (const memory::QueryBudgetScope* scope = memory::CurrentScope()) {
     result.mem_peak_bytes = scope->peak_bytes();
   }
-  result.mem_scratch_reuse_bytes = scratch.reuse_bytes();
   if (options_.trace != nullptr) {
     options_.trace->SetSummary(
         result.stats, result.objects_examined, result.entries_pruned,
         static_cast<long>(result.candidates.size()),
-        TerminationName(result.termination), result.mem_peak_bytes,
-        result.mem_scratch_reuse_bytes);
+        TerminationName(result.termination), result.mem_peak_bytes);
   }
   return result;
 }

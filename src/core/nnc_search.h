@@ -90,10 +90,11 @@ struct NncOptions {
   /// spans into it; null — the default — disables recording for this query.
   obs::Trace* trace = nullptr;
   /// Engine-managed cross-query artifact cache (core/profile_cache.h); not
-  /// owned, may be null (the default — no sharing). When set, Run installs
-  /// a ProfileCacheSession keyed by the query's signature and the pinned
-  /// snapshot epoch, so ObjectProfiles adopt cached views on hits and
-  /// publish fresh ones on misses. Results are bit-identical either way.
+  /// owned, may be null (the default — no sharing). When set, Run passes a
+  /// ProfileCacheBinding (the cache, the query's signature and the pinned
+  /// snapshot epoch) to each ObjectProfile it constructs, so profiles adopt
+  /// cached views on hits and publish fresh ones on misses. Results are
+  /// bit-identical either way.
   ProfileCache* profile_cache = nullptr;
   /// Anytime mode: when the traversal stops early (deadline, cancel, or a
   /// memory-budget breach), append every object still reachable from the
@@ -147,10 +148,6 @@ struct NncResult {
   /// Peak bytes charged against the query's memory budget scope; 0 when no
   /// scope was installed (accounting off).
   long mem_peak_bytes = 0;
-  /// Bytes of profile-buffer allocation avoided by the per-query scratch
-  /// arena (core/profile_scratch.h); the pooled bytes themselves stay
-  /// charged against the memory budget while parked.
-  long mem_scratch_reuse_bytes = 0;
   /// Epoch of the VersionedDataset snapshot this query ran against; 0 when
   /// the search was constructed over a plain (unversioned) Dataset.
   uint64_t epoch = 0;

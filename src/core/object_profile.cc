@@ -8,59 +8,48 @@
 #include "common/check.h"
 #include "common/failpoint.h"
 #include "common/memory_budget.h"
-#include "core/profile_scratch.h"
 #include "geom/kernels.h"
 
 namespace osd {
 
 ObjectProfile::ObjectProfile(const UncertainObject& object,
-                             const QueryContext& ctx, FilterStats* stats)
-    : object_(&object), ctx_(&ctx), stats_(stats) {
+                             const QueryContext& ctx, FilterStats* stats,
+                             const ProfileCacheBinding* cache)
+    : object_(&object), ctx_(&ctx), stats_(stats), cache_(cache) {
   OSD_CHECK(object.dim() == ctx.query().dim());
 }
 
 ObjectProfile::~ObjectProfile() {
   // Publish before releasing: the freshly built vectors move into the
-  // shared entry (the cache charges them to the engine budget itself);
-  // whatever publication leaves behind is recycled as before.
+  // shared entry (the cache charges them to the engine budget itself).
   PublishToCache();
   memory::Release(charged_bytes_);
-  // Donate reusable buffers to the query's scratch arena (Recycle re-charges
-  // their capacity, so the bytes stay budget-visible while parked).
-  RecycleBuffer(std::move(matrix_));
-  RecycleBuffer(std::move(sorted_values_));
-  RecycleBuffer(std::move(sorted_probs_));
-  RecycleBuffer(std::move(min_q_));
-  RecycleBuffer(std::move(mean_q_));
-  RecycleBuffer(std::move(max_q_));
 }
 
 void ObjectProfile::MaybeLookupCache() {
   if (cache_checked_) return;
   cache_checked_ = true;
-  ProfileCacheSession* session = ProfileCacheSession::Current();
-  if (session == nullptr || session->cache() == nullptr) return;
-  cache_session_ = session;
-  cached_ = session->cache()->Lookup(object_->id(), session->signature(),
-                                     session->epoch());
-  if (cached_ != nullptr && cached_->epoch != session->epoch()) {
+  if (cache_ == nullptr) return;
+  cached_ = cache_->cache->Lookup(object_->id(), cache_->signature,
+                                  cache_->epoch);
+  if (cached_ != nullptr && cached_->epoch != cache_->epoch) {
     // Defense in depth: Lookup filters by epoch, so this can never fire —
     // but a stale bound would silently corrupt pruning, so the guard (and
     // the chaos assertion that its counter stays zero) is cheap insurance.
-    session->cache()->NoteStaleServeAverted();
+    cache_->cache->NoteStaleServeAverted();
     cached_ = nullptr;
   }
 }
 
 void ObjectProfile::PublishToCache() noexcept {
-  if (cache_session_ == nullptr) return;
+  if (cache_ == nullptr) return;
   if (!built_matrix_ && !built_stats_ && !built_sorted_all_ &&
       !built_sorted_per_q_ && !built_distribution_) {
     return;
   }
   try {
     auto artifacts = std::make_shared<ProfileArtifacts>();
-    artifacts->epoch = cache_session_->epoch();
+    artifacts->epoch = cache_->epoch;
     if (cached_ != nullptr) {
       // Carry adopted views forward so the published entry supersedes the
       // one we found (Publish replaces same-epoch entries only by bigger —
@@ -102,21 +91,11 @@ void ObjectProfile::PublishToCache() noexcept {
           std::move(distribution_));
     }
     artifacts->bytes = ProfileArtifactsBytes(*artifacts);
-    cache_session_->cache()->Publish(
-        object_->id(), cache_session_->signature(), std::move(artifacts));
+    cache_->cache->Publish(object_->id(), cache_->signature,
+                           std::move(artifacts));
   } catch (...) {
     // Publication is best-effort; the query's own answer is already done.
   }
-}
-
-std::vector<double> ObjectProfile::AcquireBuffer(size_t n) {
-  ProfileScratch* scratch = ProfileScratch::Current();
-  return scratch != nullptr ? scratch->Acquire(n) : std::vector<double>{};
-}
-
-void ObjectProfile::RecycleBuffer(std::vector<double>&& buf) noexcept {
-  ProfileScratch* scratch = ProfileScratch::Current();
-  if (scratch != nullptr) scratch->Recycle(std::move(buf));
 }
 
 void ObjectProfile::ChargeView(long bytes, const char* what_label) {
@@ -149,15 +128,9 @@ void ObjectProfile::EnsureMatrix() {
     }
     return;
   }
-  std::vector<double> buf = AcquireBuffer(total);
-  try {
-    ChargeView(static_cast<long>(total) * static_cast<long>(sizeof(double)),
-               "profile.matrix");
-  } catch (...) {
-    RecycleBuffer(std::move(buf));
-    throw;
-  }
-  buf.resize(total);
+  ChargeView(static_cast<long>(total) * static_cast<long>(sizeof(double)),
+             "profile.matrix");
+  std::vector<double> buf(total);
   // The matrix stays row-major with stride m (no padding): the flattened
   // pair-index tie-break in EnsureSortedAll depends on that layout.
   if (kernels::ScalarFallback()) {
@@ -208,20 +181,10 @@ void ObjectProfile::EnsureStats() {
     have_stats_ = true;
     return;
   }
-  std::vector<double> mn = AcquireBuffer(nq);
-  std::vector<double> mean = AcquireBuffer(nq);
-  std::vector<double> mx = AcquireBuffer(nq);
-  try {
-    ChargeView(3L * nq * static_cast<long>(sizeof(double)), "profile.stats");
-  } catch (...) {
-    RecycleBuffer(std::move(mn));
-    RecycleBuffer(std::move(mean));
-    RecycleBuffer(std::move(mx));
-    throw;
-  }
-  mn.assign(nq, std::numeric_limits<double>::infinity());
-  mx.assign(nq, 0.0);
-  mean.assign(nq, 0.0);
+  ChargeView(3L * nq * static_cast<long>(sizeof(double)), "profile.stats");
+  std::vector<double> mn(nq, std::numeric_limits<double>::infinity());
+  std::vector<double> mean(nq, 0.0);
+  std::vector<double> mx(nq, 0.0);
   min_all_ = std::numeric_limits<double>::infinity();
   max_all_ = 0.0;
   mean_all_ = 0.0;
@@ -301,16 +264,8 @@ void ObjectProfile::EnsureSortedAll() {
     have_sorted_all_ = true;
     return;
   }
-  std::vector<double> values = AcquireBuffer(total);
-  std::vector<double> probs = AcquireBuffer(total);
-  try {
-    ChargeView(2L * static_cast<long>(total) * sizeof(double),
-               "profile.sorted_all");
-  } catch (...) {
-    RecycleBuffer(std::move(values));
-    RecycleBuffer(std::move(probs));
-    throw;
-  }
+  ChargeView(2L * static_cast<long>(total) * sizeof(double),
+             "profile.sorted_all");
   // The order scratch is transient: charged for the duration of the sort,
   // released when this function returns.
   memory::ScopedCharge order_mem("profile.sort_scratch");
@@ -325,8 +280,8 @@ void ObjectProfile::EnsureSortedAll() {
     return matrix_data_[a] != matrix_data_[b] ? matrix_data_[a] < matrix_data_[b]
                                               : a < b;
   });
-  values.resize(total);
-  probs.resize(total);
+  std::vector<double> values(total);
+  std::vector<double> probs(total);
   for (size_t k = 0; k < total; ++k) {
     const int idx = order[k];
     const int qi = idx / m;

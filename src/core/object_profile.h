@@ -14,13 +14,12 @@
 // QueryContext (geom/kernels.h) over the object's padded SoA coordinate
 // block, and the statistics use the fused one-pass kernel: a profile that
 // only ever answers statistic pruning never materializes — or charges the
-// memory budget for — the full matrix. Buffers are drawn from / returned
-// to the per-query ProfileScratch arena when one is installed
-// (core/profile_scratch.h).
+// memory budget for — the full matrix.
 //
-// Cross-query sharing: when a ProfileCacheSession is installed
-// (core/profile_cache.h), the first Ensure* call looks the (object, query
-// signature, epoch) key up in the engine-wide cache. A hit adopts pinned
+// Cross-query sharing: when constructed with a ProfileCacheBinding
+// (core/profile_cache.h) — a constructor argument, not a thread-local
+// session — the first Ensure* call looks the (object, query signature,
+// epoch) key up in the engine-wide cache. A hit adopts pinned
 // immutable views with zero rebuild — but charges the same bytes under the
 // same labels and advances the same FilterStats counters as a fresh build,
 // so results and instrumentation stay bit-identical to the uncached path.
@@ -54,8 +53,12 @@ namespace osd {
 /// shared_ptr pins — never the profile object).
 class ObjectProfile {
  public:
+  /// `cache` binds the profile to the engine-wide cache for one query
+  /// (not owned; must outlive the profile, which publishes through it on
+  /// destruction). Null — the default — builds every view locally.
   ObjectProfile(const UncertainObject& object, const QueryContext& ctx,
-                FilterStats* stats);
+                FilterStats* stats,
+                const ProfileCacheBinding* cache = nullptr);
   /// Returns every byte the lazy views charged against the active memory
   /// budget scope (see common/memory_budget.h). A profile must be
   /// destroyed on the thread — and within the scope — that ran its query,
@@ -161,22 +164,15 @@ class ObjectProfile {
   void EnsureSortedAll();
   void EnsureSortedPerQ();
 
-  /// One-shot lookup in the installed ProfileCacheSession's cache (if
-  /// any), pinning a hit entry for the profile's lifetime. Called by the
-  /// first Ensure* that runs, so the cache's hit/miss counts reflect
-  /// profiles that actually materialize views.
+  /// One-shot lookup in the bound cache (if any), pinning a hit entry for
+  /// the profile's lifetime. Called by the first Ensure* that runs, so the
+  /// cache's hit/miss counts reflect profiles that actually materialize
+  /// views.
   void MaybeLookupCache();
   /// Publishes freshly built views to the cache (best-effort, from the
   /// destructor). Views adopted from an existing entry are carried over so
   /// the published entry is a superset of what was found.
   void PublishToCache() noexcept;
-
-  /// Pulls a buffer for n doubles from the installed ProfileScratch arena
-  /// (empty vector if none / no fit). The caller charges its view bytes
-  /// before resizing, preserving charge-before-allocate.
-  static std::vector<double> AcquireBuffer(size_t n);
-  /// Hands a buffer back to the arena (no-op without one). Never throws.
-  static void RecycleBuffer(std::vector<double>&& buf) noexcept;
 
   /// Charges `bytes` against the active budget scope (throws
   /// MemoryExceeded on breach, before any state changes) and remembers it
@@ -191,7 +187,7 @@ class ObjectProfile {
   // Cross-query cache state. `cached_` pins the hit entry (if any) so its
   // views outlive every adopted span below; the built_* flags mark views
   // constructed locally, i.e. the ones the destructor publishes.
-  ProfileCacheSession* cache_session_ = nullptr;
+  const ProfileCacheBinding* cache_;
   std::shared_ptr<const ProfileArtifacts> cached_;
   bool cache_checked_ = false;
   bool built_matrix_ = false, built_stats_ = false, built_sorted_all_ = false,

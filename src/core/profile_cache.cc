@@ -219,27 +219,4 @@ ProfileCache::Counters ProfileCache::GetCounters() const {
   return c;
 }
 
-namespace {
-// Function-local thread_local slot, same idiom as ProfileScratch /
-// obs::Trace: cheap cross-TU access, save/restore nesting.
-ProfileCacheSession*& CurrentSessionSlot() {
-  thread_local ProfileCacheSession* slot = nullptr;
-  return slot;
-}
-}  // namespace
-
-ProfileCacheSession::ProfileCacheSession(ProfileCache* cache,
-                                         uint64_t signature, uint64_t epoch)
-    : cache_(cache), signature_(signature), epoch_(epoch) {
-  ProfileCacheSession*& slot = CurrentSessionSlot();
-  prev_ = slot;
-  slot = this;
-}
-
-ProfileCacheSession::~ProfileCacheSession() { CurrentSessionSlot() = prev_; }
-
-ProfileCacheSession* ProfileCacheSession::Current() {
-  return CurrentSessionSlot();
-}
-
 }  // namespace osd

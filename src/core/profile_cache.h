@@ -213,31 +213,14 @@ class ProfileCache {
   obs::Gauge* bytes_gauge_ = nullptr;
 };
 
-/// Thread-local cache session installed by NncSearch::Run around one query
-/// execution (same save/restore RAII idiom as ProfileScratch / obs::Trace):
-/// it carries the cache pointer, the query's signature, and the pinned
-/// snapshot epoch to every ObjectProfile the run constructs, with no
-/// per-profile plumbing. A null `cache` makes the session inert.
-class ProfileCacheSession {
- public:
-  ProfileCacheSession(ProfileCache* cache, uint64_t signature,
-                      uint64_t epoch);
-  ~ProfileCacheSession();
-  ProfileCacheSession(const ProfileCacheSession&) = delete;
-  ProfileCacheSession& operator=(const ProfileCacheSession&) = delete;
-
-  /// The session installed on this thread, or null outside a Run.
-  static ProfileCacheSession* Current();
-
-  ProfileCache* cache() const { return cache_; }
-  uint64_t signature() const { return signature_; }
-  uint64_t epoch() const { return epoch_; }
-
- private:
-  ProfileCache* cache_;
-  uint64_t signature_;
-  uint64_t epoch_;
-  ProfileCacheSession* prev_;  // outer session restored at destruction
+/// Binds one query execution to the cache: the cache, the query's
+/// signature, and the pinned snapshot epoch. NncSearch::Run builds one per
+/// query and passes its address to every ObjectProfile it constructs; a
+/// profile without a binding neither looks up nor publishes.
+struct ProfileCacheBinding {
+  ProfileCache* cache = nullptr;
+  uint64_t signature = 0;
+  uint64_t epoch = 0;
 };
 
 }  // namespace osd

@@ -133,11 +133,9 @@ std::string EngineStats::ToJson() const {
   Append(&out,
          ",\"memory\":{\"breaches\":%ld,\"admission_rejected\":%ld,"
          "\"bad_allocs\":%ld,\"current_bytes\":%ld,\"peak_bytes\":%ld,"
-         "\"engine_cap_bytes\":%ld,\"per_query_cap_bytes\":%ld,"
-         "\"scratch_reuse_bytes\":%ld}",
+         "\"engine_cap_bytes\":%ld,\"per_query_cap_bytes\":%ld}",
          mem_breaches, mem_admission_rejected, bad_allocs, mem_current_bytes,
-         mem_peak_bytes, mem_engine_cap_bytes, mem_per_query_cap_bytes,
-         mem_scratch_reuse_bytes);
+         mem_peak_bytes, mem_engine_cap_bytes, mem_per_query_cap_bytes);
   Append(&out,
          ",\"profile_cache\":{\"hits\":%ld,\"misses\":%ld,\"evictions\":%ld,"
          "\"stale_evictions\":%ld,\"stale_serves_averted\":%ld,"

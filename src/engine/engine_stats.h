@@ -123,9 +123,6 @@ struct EngineStats {
   long mem_peak_bytes = 0;     ///< engine-wide peak charged bytes
   long mem_engine_cap_bytes = 0;     ///< configured cap; 0 = unlimited
   long mem_per_query_cap_bytes = 0;  ///< configured per-query cap; 0 = none
-  /// Bytes of profile-buffer allocation avoided by the per-query scratch
-  /// arenas, summed across completed queries.
-  long mem_scratch_reuse_bytes = 0;
 
   // Cross-query profile cache (core/profile_cache.h); all zero when the
   // cache is disabled (profile_cache_cap_bytes == 0).

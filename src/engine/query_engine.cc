@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <random>
 #include <stdexcept>
@@ -69,14 +68,6 @@ double MbrDiagonal(const Mbr& box) {
     sum += e * e;
   }
   return std::sqrt(sum);
-}
-
-/// The operational kill switch for both work-sharing layers: set
-/// OSD_SHARED_CACHE=0 to force profile_cache_bytes=0 and max_batch=1 no
-/// matter what the options say. Any other value (or unset) changes nothing.
-bool SharedCacheDisabledByEnv() {
-  const char* v = std::getenv("OSD_SHARED_CACHE");
-  return v != nullptr && v[0] == '0' && v[1] == '\0';
 }
 
 }  // namespace
@@ -144,9 +135,6 @@ QueryEngine::QueryEngine(Dataset dataset, EngineOptions options)
   hot_.frontier_objects = &registry_.GetCounter(
       "osd_frontier_objects_total",
       "Frontier objects returned unrefined in degraded answers");
-  hot_.mem_scratch_reuse = &registry_.GetCounter(
-      "osd_mem_scratch_reuse_bytes_total",
-      "Profile-buffer bytes recycled by the per-query scratch arena");
   hot_.threads =
       &registry_.GetGauge("osd_engine_threads", "Worker thread count");
   hot_.threads->Set(pool_.num_threads());
@@ -164,10 +152,6 @@ QueryEngine::QueryEngine(Dataset dataset, EngineOptions options)
   hot_.mem_peak = &registry_.GetGauge(
       "osd_mem_engine_peak_bytes",
       "Peak engine-wide charged query memory (bytes)");
-  if (SharedCacheDisabledByEnv()) {
-    options_.profile_cache_bytes = 0;
-    options_.max_batch = 1;
-  }
   if (options_.profile_cache_bytes > 0) {
     profile_cache_ = std::make_unique<ProfileCache>(
         options_.profile_cache_bytes, &mem_budget_);
@@ -818,7 +802,6 @@ bool QueryEngine::Complete(const std::shared_ptr<QueryTicket>& ticket,
       objects_examined_ += result.objects_examined;
       entries_pruned_ += result.entries_pruned;
       frontier_objects_ += result.frontier_objects;
-      mem_scratch_reuse_bytes_ += result.mem_scratch_reuse_bytes;
       OperatorStats& per_op = per_operator_[static_cast<int>(op)];
       ++per_op.queries;
       per_op.candidates += static_cast<long>(result.candidates.size());
@@ -841,7 +824,6 @@ bool QueryEngine::Complete(const std::shared_ptr<QueryTicket>& ticket,
     hot_.objects_examined->Increment(result.objects_examined);
     hot_.entries_pruned->Increment(result.entries_pruned);
     hot_.frontier_objects->Increment(result.frontier_objects);
-    hot_.mem_scratch_reuse->Increment(result.mem_scratch_reuse_bytes);
   }
   if (slow_log_.ShouldRecord(latency)) {
     char buf[160];
@@ -905,7 +887,6 @@ EngineStats QueryEngine::Snapshot() const {
   s.entries_pruned = entries_pruned_;
   s.frontier_objects = frontier_objects_;
   s.mem_breaches = mem_breaches_;
-  s.mem_scratch_reuse_bytes = mem_scratch_reuse_bytes_;
   s.mem_admission_rejected = mem_admission_rejected_;
   s.bad_allocs = bad_allocs_;
   s.mem_current_bytes = mem_budget_.current_bytes();

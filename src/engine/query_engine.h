@@ -123,9 +123,8 @@ struct EngineOptions {
   /// Cross-query work sharing (see core/profile_cache.h and DESIGN.md §15).
   /// Both layers are bit-identical to the unshared path by construction —
   /// candidate sets, filter counters, and termination reasons do not change
-  /// with sharing on — and both are force-disabled at construction when the
-  /// environment variable OSD_SHARED_CACHE is set to "0" (operational
-  /// rollback lever; also how A/B tests pin the baseline).
+  /// with sharing on. profile_cache_bytes = 0 and max_batch = 1 (the
+  /// defaults) turn both off.
   ///
   /// Capacity of the engine-wide profile artifact cache, bytes; <= 0
   /// disables it. Resident entries are charged against the engine memory
@@ -372,8 +371,8 @@ class QueryEngine {
   ThreadPool pool_;
 
   /// Cross-query profile cache; null when EngineOptions::profile_cache_bytes
-  /// <= 0 (or OSD_SHARED_CACHE=0). Declared after mem_budget_ — resident
-  /// entries are charged against it — and before the batching state.
+  /// <= 0. Declared after mem_budget_ — resident entries are charged
+  /// against it — and before the batching state.
   std::unique_ptr<ProfileCache> profile_cache_;
 
   /// Batch-formation state; the batcher thread exists only when
@@ -401,7 +400,6 @@ class QueryEngine {
     obs::Counter* objects_examined = nullptr;
     obs::Counter* entries_pruned = nullptr;
     obs::Counter* frontier_objects = nullptr;
-    obs::Counter* mem_scratch_reuse = nullptr;
     obs::Gauge* threads = nullptr;
     obs::Counter* mem_breaches = nullptr;
     obs::Counter* mem_admission_rejected = nullptr;
@@ -439,7 +437,6 @@ class QueryEngine {
   long workers_poisoned_ = 0;
   long retries_ = 0;
   long frontier_objects_ = 0;
-  long mem_scratch_reuse_bytes_ = 0;
   long mem_breaches_ = 0;
   long mem_admission_rejected_ = 0;
   long bad_allocs_ = 0;

@@ -85,8 +85,7 @@ void Trace::AddBytes(long bytes) {
 
 void Trace::SetSummary(const FilterStats& filters, long objects_examined,
                        long entries_pruned, long candidates,
-                       const char* termination, long mem_peak_bytes,
-                       long mem_scratch_reuse_bytes) {
+                       const char* termination, long mem_peak_bytes) {
   have_summary_ = true;
   filters_ = filters;
   objects_examined_ = objects_examined;
@@ -94,7 +93,6 @@ void Trace::SetSummary(const FilterStats& filters, long objects_examined,
   candidates_ = candidates;
   termination_ = termination;
   mem_peak_bytes_ = mem_peak_bytes;
-  mem_scratch_reuse_bytes_ = mem_scratch_reuse_bytes;
 }
 
 std::string Trace::ToJson() const {
@@ -109,14 +107,13 @@ std::string Trace::ToJson() const {
            "\"node_ops\":%ld,\"flow_runs\":%ld,\"stat_prunes\":%ld,"
            "\"cover_prunes\":%ld,\"level_decisions\":%ld,"
            "\"mbr_validations\":%ld,\"exact_checks\":%ld,"
-           "\"mem_peak_bytes\":%ld,\"mem_scratch_reuse_bytes\":%ld}",
+           "\"mem_peak_bytes\":%ld}",
            termination_, candidates_, objects_examined_, entries_pruned_,
            filters_.dominance_checks, filters_.InstanceComparisons(),
            filters_.dist_evals, filters_.pair_tests, filters_.scan_steps,
            filters_.node_ops, filters_.flow_runs, filters_.stat_prunes,
            filters_.cover_prunes, filters_.level_decisions,
-           filters_.mbr_validations, filters_.exact_checks, mem_peak_bytes_,
-           mem_scratch_reuse_bytes_);
+           filters_.mbr_validations, filters_.exact_checks, mem_peak_bytes_);
   }
   out += ",\"aggregates\":{";
   bool first = true;

@@ -108,8 +108,7 @@ class Trace {
   /// Query summary, filled by NncSearch::Run before it returns.
   void SetSummary(const FilterStats& filters, long objects_examined,
                   long entries_pruned, long candidates,
-                  const char* termination, long mem_peak_bytes = 0,
-                  long mem_scratch_reuse_bytes = 0);
+                  const char* termination, long mem_peak_bytes = 0);
 
   /// Single-line JSON object: label, summary, per-kind aggregates, the
   /// recorded span tree.
@@ -130,7 +129,6 @@ class Trace {
   long dropped_ = 0;
   long total_bytes_ = 0;
   long mem_peak_bytes_ = 0;
-  long mem_scratch_reuse_bytes_ = 0;
   bool have_summary_ = false;
   FilterStats filters_{};
   long objects_examined_ = 0;

@@ -19,8 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "core/nnc_search.h"
-#include "core/object_profile.h"
-#include "core/profile_scratch.h"
 #include "core/query_context.h"
 #include "datagen/generators.h"
 #include "datagen/workload.h"
@@ -186,74 +184,6 @@ TEST(KernelsTest, StridedSetKernelsBitExactAgainstScalarSetDistances) {
       EXPECT_EQ(MaxDistanceToSet(q, set), ref_max) << "dim=" << dim;
     }
   }
-}
-
-// --- Scratch arena ---------------------------------------------------------
-
-TEST(ProfileScratchTest, AcquireReusesRecycledBuffersBestFit) {
-  ProfileScratch scratch;
-  ASSERT_EQ(ProfileScratch::Current(), &scratch);
-
-  std::vector<double> small(16), large(1024);
-  const double* small_data = small.data();
-  const double* large_data = large.data();
-  scratch.Recycle(std::move(small));
-  scratch.Recycle(std::move(large));
-  EXPECT_EQ(scratch.pooled_bytes(),
-            static_cast<long>((16 + 1024) * sizeof(double)));
-
-  // A small request must take the small buffer, not burn the large one.
-  std::vector<double> got = scratch.Acquire(10);
-  EXPECT_EQ(got.data(), small_data);
-  EXPECT_EQ(scratch.reuse_bytes(), static_cast<long>(10 * sizeof(double)));
-
-  std::vector<double> got2 = scratch.Acquire(1000);
-  EXPECT_EQ(got2.data(), large_data);
-
-  // Pool exhausted: a fresh (empty) vector comes back, no reuse counted.
-  const long reuse_before = scratch.reuse_bytes();
-  std::vector<double> got3 = scratch.Acquire(8);
-  EXPECT_EQ(got3.capacity(), 0u);
-  EXPECT_EQ(scratch.reuse_bytes(), reuse_before);
-  EXPECT_EQ(scratch.pooled_bytes(), 0);
-}
-
-TEST(ProfileScratchTest, InstallIsThreadLocalAndNests) {
-  EXPECT_EQ(ProfileScratch::Current(), nullptr);
-  {
-    ProfileScratch outer;
-    EXPECT_EQ(ProfileScratch::Current(), &outer);
-    {
-      ProfileScratch inner;
-      EXPECT_EQ(ProfileScratch::Current(), &inner);
-    }
-    EXPECT_EQ(ProfileScratch::Current(), &outer);
-    std::thread other([] { EXPECT_EQ(ProfileScratch::Current(), nullptr); });
-    other.join();
-  }
-  EXPECT_EQ(ProfileScratch::Current(), nullptr);
-}
-
-TEST(ProfileScratchTest, ProfilesRecycleThroughTheArena) {
-  std::mt19937_64 rng(6);
-  const UncertainObject query = RandomObject(0, 3, 4, rng);
-  const UncertainObject a = RandomObject(1, 3, 50, rng);
-  const UncertainObject b = RandomObject(2, 3, 50, rng);
-  QueryContext ctx(query);
-
-  ProfileScratch scratch;
-  {
-    ObjectProfile pa(a, ctx, nullptr);
-    (void)pa.Dist(0, 0);
-    (void)pa.MinAll();
-  }
-  EXPECT_GT(scratch.pooled_bytes(), 0) << "destroyed profile donates buffers";
-  {
-    ObjectProfile pb(b, ctx, nullptr);
-    (void)pb.Dist(0, 0);
-    (void)pb.MinAll();
-  }
-  EXPECT_GT(scratch.reuse_bytes(), 0) << "second profile adopts them";
 }
 
 // --- End-to-end bit-identity ----------------------------------------------

@@ -257,23 +257,6 @@ TEST_F(MemBudgetTest, StatisticOnlyProfileNeverChargesMatrix) {
   EXPECT_EQ(scope.charged_bytes(), 0);
 }
 
-TEST_F(MemBudgetTest, ScratchArenaReuseIsAccountedAndReported) {
-  const Dataset dataset = SmallDataset();
-  const QueryWorkloadEntry entry = OneQuery(dataset);
-  NncOptions options;
-  options.op = Operator::kPSd;  // matrix-heavy: plenty of profile churn
-  options.exclude_id = entry.seeded_from;
-  NncResult result;
-  {
-    memory::QueryBudgetScope scope(64L << 20, nullptr);
-    result = NncSearch(dataset, options).Run(entry.query);
-    EXPECT_EQ(scope.charged_bytes(), 0)
-        << "pooled scratch bytes must be released when the arena dies";
-  }
-  EXPECT_GT(result.mem_scratch_reuse_bytes, 0)
-      << "recycled profile buffers should be visible in the result";
-}
-
 // --- Search-layer breach behaviour ---------------------------------------
 
 TEST_F(MemBudgetTest, BudgetBreachYieldsSupersetForEveryOperator) {
@@ -500,9 +483,7 @@ TEST_F(MemBudgetTest, InjectedBadAllocIsContainedAtTheWorkerBoundary) {
 
   // One bad_alloc somewhere in the concurrent batch, injected at the
   // frontier-heap charge inside the traversal — a site whose exception
-  // must reach the worker boundary (the generic mem.charge site is no
-  // longer suitable: ProfileScratch::Recycle charges through it and is
-  // contractually allowed to absorb the failure). Exactly one query dies
+  // must reach the worker boundary. Exactly one query dies
   // with a clean error; which one is scheduling-dependent, but every
   // surviving query must be bit-identical to serial, and the pool must
   // survive to run more queries.

@@ -10,7 +10,6 @@
 // tests pin the epoch-invalidation and memory-governance contracts the
 // chaos soak then hammers concurrently.
 
-#include <cstdlib>
 #include <memory>
 #include <set>
 #include <vector>
@@ -18,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "common/memory_budget.h"
+#include "core/nnc_search.h"
 #include "core/profile_cache.h"
 #include "datagen/generators.h"
 #include "datagen/workload.h"
@@ -344,26 +344,42 @@ TEST(SharedCacheEngineTest, DrainReleasesEveryCachedByte) {
   EXPECT_EQ(engine.memory_budget().current_bytes(), 0);
 }
 
-// The operational kill switch: OSD_SHARED_CACHE=0 force-disables both
-// layers no matter what the options request.
-TEST(SharedCacheEngineTest, EnvKillSwitchDisablesSharing) {
-  ::setenv("OSD_SHARED_CACHE", "0", 1);
-  EngineOptions options;
-  options.num_threads = 1;
-  options.profile_cache_bytes = 64 << 20;
-  options.max_batch = 8;
-  QueryEngine engine(SmallDataset(100), options);
-  ::unsetenv("OSD_SHARED_CACHE");
-  const auto workload = SmallWorkload(engine.dataset(), 1);
-  QuerySpec spec;
-  spec.query = workload[0].query;
-  spec.options.op = Operator::kPSd;
-  spec.options.exclude_id = workload[0].seeded_from;
-  EXPECT_EQ(engine.Submit(std::move(spec))->Wait(), QueryStatus::kOk);
-  engine.Drain();
-  const EngineStats stats = engine.Snapshot();
-  EXPECT_EQ(stats.profile_cache_cap_bytes, 0);
-  EXPECT_EQ(stats.profile_cache_hits + stats.profile_cache_misses, 0);
+// The budget half of the sharing contract: a query charges the same peak
+// bytes against its QueryBudgetScope with no cache, a cold cache and a
+// warm one, so a per-query cap breaches at the same point either way.
+TEST(SharedCacheBudgetTest, PeakChargeIsIdenticalWithCacheOffColdAndWarm) {
+  const Dataset dataset = SmallDataset();
+  const auto workload = SmallWorkload(dataset, 6);
+  for (Operator op : {Operator::kSSd, Operator::kSsSd, Operator::kPSd,
+                      Operator::kFSd, Operator::kFPlusSd}) {
+    SCOPED_TRACE(OperatorName(op));
+    auto peak = [&](const QueryWorkloadEntry& entry, ProfileCache* cache) {
+      NncOptions options;
+      options.op = op;
+      options.exclude_id = entry.seeded_from;
+      options.profile_cache = cache;
+      memory::QueryBudgetScope scope(64L << 20, nullptr);
+      return NncSearch(dataset, options).Run(entry.query).mem_peak_bytes;
+    };
+    // First-use LocalTree builds charge whichever run comes first; run
+    // every query once so none of the compared runs pays for them.
+    for (const QueryWorkloadEntry& entry : workload) peak(entry, nullptr);
+    // The cache key has no operator, so each operator starts cold.
+    ProfileCache cache(64 << 20, nullptr);
+    for (size_t i = 0; i < workload.size(); ++i) {
+      SCOPED_TRACE("query " + std::to_string(i));
+      const long off = peak(workload[i], nullptr);
+      const long cold = peak(workload[i], &cache);
+      const long warm = peak(workload[i], &cache);
+      EXPECT_GT(off, 0);
+      EXPECT_EQ(cold, off);
+      EXPECT_EQ(warm, off);
+    }
+    // F+SD decides on MBRs alone and never builds a profile view.
+    if (op != Operator::kFPlusSd) {
+      EXPECT_GT(cache.GetCounters().hits, 0) << "the warm runs must hit";
+    }
+  }
 }
 
 // Mixed-shape submissions must still batch safely: incompatible members

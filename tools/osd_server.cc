@@ -38,8 +38,7 @@
 //   [--batch-window-us X]            how long an open batch waits for more
 //                                    members before dispatching (default
 //                                    200). Results are bit-identical with
-//                                    sharing on or off; OSD_SHARED_CACHE=0
-//                                    in the environment force-disables both.
+//                                    sharing on or off.
 //   [--fold-interval-s X]            background fold: merge the mutation
 //                                    delta into a fresh base every X s
 //   [--fold-delta N]                 background fold: merge once the delta
