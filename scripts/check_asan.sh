@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Builds the project with AddressSanitizer + UndefinedBehaviorSanitizer and
-# runs the robustness suites (the tests labeled `asan`): fault injection,
-# hostile-input ingestion, and degraded-mode correctness. A clean run is a
+# runs the robustness suites (the tests labeled `asan`): the core operator
+# and Algorithm 1 correctness suites, fault injection, hostile-input
+# ingestion, and degraded-mode correctness. A clean run is a
 # merge gate for changes touching src/io/, src/common/failpoint.*, or the
 # engine's failure paths.
 #
@@ -14,7 +15,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build-asan}"
-TARGETS="failpoint_test io_hardening_test io_test degraded_mode_test \
+TARGETS="dominance_test nnc_test \
+  failpoint_test io_hardening_test io_test degraded_mode_test \
   engine_resilience_test obs_test mem_budget_test kernels_test \
   net_protocol_test net_hardening_test net_server_test \
   versioned_dataset_test durability_test shared_cache_test"

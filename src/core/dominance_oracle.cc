@@ -225,20 +225,16 @@ bool DominanceOracle::InstanceLeq(const double* u_matrix, int u_m, int ui,
 bool DominanceOracle::FSd(ObjectProfile& u, ObjectProfile& v) {
   if (config_.cover_rules && CoverValidates(u, v)) return true;
   if (config_.level_by_level) {
-    // Branch-and-bound farthest/nearest searches over the local R-trees
-    // avoid materializing the distance matrices. Only hull query points
-    // need checking: the q-region where U fully dominates V is an
-    // intersection of half-spaces, hence convex.
+    // Farthest/nearest distances from the local R-trees' branch-and-bound
+    // avoid materializing the distance matrices; each profile memoizes its
+    // own, so a bound is searched once per object, not once per pair. Only
+    // hull query points need checking: the q-region where U fully
+    // dominates V is an intersection of half-spaces, hence convex.
+    // node_ops still meters the two bounds of every tested q.
     OSD_TRACE_SPAN(obs::SpanKind::kLevelFilter);
-    const RTree& tu = u.object().LocalTree();
-    const RTree& tv = v.object().LocalTree();
     for (int qi : QIdx()) {
-      const Point& q = ctx_->points()[qi];
       if (stats_ != nullptr) stats_->node_ops += 2;
-      if (tu.MaxDist(q, ctx_->metric()) >
-          tv.MinDist(q, ctx_->metric()) + kEps) {
-        return false;
-      }
+      if (u.TreeMaxDist(qi) > v.TreeMinDist(qi) + kEps) return false;
     }
     return DistributionsDiffer(u, v);
   }

@@ -337,6 +337,23 @@ void ObjectProfile::EnsureSortedPerQ() {
   built_sorted_per_q_ = true;
 }
 
+void ObjectProfile::FillTreeDist(int qi, bool farthest) {
+  if (tree_min_.empty()) {
+    const int nq = ctx_->num_instances();
+    ChargeView(2L * nq * static_cast<long>(sizeof(double)),
+               "profile.tree_dist");
+    tree_min_.assign(nq, std::numeric_limits<double>::quiet_NaN());
+    tree_max_.assign(nq, std::numeric_limits<double>::quiet_NaN());
+  }
+  const RTree& tree = object_->LocalTree();
+  const Point& q = ctx_->points()[qi];
+  if (farthest) {
+    tree_max_[qi] = tree.MaxDist(q, ctx_->metric());
+  } else {
+    tree_min_[qi] = tree.MinDist(q, ctx_->metric());
+  }
+}
+
 const DiscreteDistribution& ObjectProfile::Distribution() {
   if (!have_distribution_) {
     EnsureSortedAll();

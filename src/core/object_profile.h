@@ -26,10 +26,23 @@
 // A miss builds as before and the destructor publishes the freshly built
 // views (the mutable profile itself is never shared — only the finished,
 // immutable artifacts are).
+//
+// Tree-distance view: TreeMinDist / TreeMaxDist memoize, per query
+// instance, the nearest and farthest local-R-tree distances that the F-SD
+// level filter compares. Those bounds depend on one object only, yet a
+// query checks each object against hundreds of others, so they live on the
+// profile (filled per qi on first use) rather than being recomputed per
+// pair. They come from the tree's branch-and-bound, not from the kernel
+// matrix statistics (MinQs / MaxQs): the two can differ in the last ulp at
+// a tolerance boundary, and reading the matrix would materialize it and
+// move dist_evals and the budget charges. The memo is per-query scratch —
+// charged under "profile.tree_dist" identically with the cache on or off,
+// and never published to the ProfileCache.
 
 #ifndef OSD_CORE_OBJECT_PROFILE_H_
 #define OSD_CORE_OBJECT_PROFILE_H_
 
+#include <cmath>
 #include <memory>
 #include <span>
 #include <vector>
@@ -158,11 +171,30 @@ class ObjectProfile {
   /// (used for the U_Q != V_Q side condition and by the public API).
   const DiscreteDistribution& Distribution();
 
+  /// Nearest / farthest distance from query instance qi to the object's
+  /// instances: exactly object().LocalTree().MinDist / MaxDist at
+  /// ctx.points()[qi], memoized per qi on first use (F-SD level filter).
+  double TreeMinDist(int qi) {
+    if (tree_min_.empty() || std::isnan(tree_min_[qi])) {
+      FillTreeDist(qi, /*farthest=*/false);
+    }
+    return tree_min_[qi];
+  }
+  double TreeMaxDist(int qi) {
+    if (tree_max_.empty() || std::isnan(tree_max_[qi])) {
+      FillTreeDist(qi, /*farthest=*/true);
+    }
+    return tree_max_[qi];
+  }
+
  private:
   void EnsureMatrix();
   void EnsureStats();
   void EnsureSortedAll();
   void EnsureSortedPerQ();
+  /// Computes one tree-distance memo entry (allocating and charging both
+  /// |Q|-long memo vectors on the first call).
+  void FillTreeDist(int qi, bool farthest);
 
   /// One-shot lookup in the bound cache (if any), pinning a hit entry for
   /// the profile's lifetime. Called by the first Ensure* that runs, so the
@@ -213,6 +245,8 @@ class ObjectProfile {
   bool have_distribution_ = false;
   DiscreteDistribution distribution_;
   const DiscreteDistribution* distribution_view_ = nullptr;
+  // Local-tree distance memo, NaN = not yet computed; never cached.
+  std::vector<double> tree_min_, tree_max_;
 };
 
 }  // namespace osd

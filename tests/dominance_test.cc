@@ -4,6 +4,7 @@
 // Theorem 3, MBR validation (Theorem 4), transitivity (Theorem 9), and the
 // statistic conditions (Theorem 11).
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -224,6 +225,72 @@ TEST(DominanceWeighted, NonUniformProbabilitiesAgreeWithBruteForce) {
     }
   }
   EXPECT_GT(positives, 10);
+}
+
+// One oracle and one profile per object, every ordered pair checked with
+// the same profiles in both roles — the reuse pattern of NncSearch::Run,
+// where an object's memoized local-tree distances (TreeMinDist as the
+// dominated side, TreeMaxDist as the dominating side) are filled by one
+// check and read by the next. L2 tests only hull query points; L1 tests
+// all of them, and so does geometric = false.
+TEST(DominanceProfileReuse, FSdAgreesWithBruteForceAcrossAllPairs) {
+  Rng rng(1515);
+  int positives = 0;
+  for (Metric metric : {Metric::kL2, Metric::kL1}) {
+    for (bool geometric : {true, false}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const UncertainObject q = RandomObject(-1, 2, 6, 10.0, 3.0, rng);
+        // Objects at assorted distances from the query, so that F-SD
+        // both holds and fails among them.
+        std::vector<UncertainObject> objects;
+        for (int i = 0; i < 12; ++i) {
+          const int m = 1 + static_cast<int>(rng.UniformInt(0, 11));
+          std::vector<double> coords;
+          const double cx = q.mbr().Center(0) + rng.Uniform(-25.0, 25.0);
+          const double cy = q.mbr().Center(1) + rng.Uniform(-25.0, 25.0);
+          for (int k = 0; k < m; ++k) {
+            coords.push_back(cx + rng.Uniform(-1.5, 1.5));
+            coords.push_back(cy + rng.Uniform(-1.5, 1.5));
+          }
+          objects.push_back(UncertainObject::Uniform(i, 2, std::move(coords)));
+        }
+        QueryContext ctx(q, metric);
+        FilterConfig cfg = FilterConfig::All();
+        cfg.geometric = geometric;
+        FilterStats stats;
+        DominanceOracle oracle(ctx, cfg, &stats);
+        std::vector<std::unique_ptr<ObjectProfile>> profiles;
+        for (const UncertainObject& o : objects) {
+          profiles.push_back(std::make_unique<ObjectProfile>(o, ctx, &stats));
+        }
+        for (int i = 0; i < 12; ++i) {
+          for (int j = 0; j < 12; ++j) {
+            if (i == j) continue;
+            const bool expected =
+                test::BruteFSdUnder(objects[i], objects[j], q, metric);
+            positives += expected;
+            EXPECT_EQ(oracle.Dominates(Operator::kFSd, *profiles[i],
+                                       *profiles[j]),
+                      expected)
+                << "L1=" << (metric == Metric::kL1)
+                << " geometric=" << geometric << " trial " << trial
+                << " pair " << i << "," << j;
+          }
+        }
+        // The memo is the tree search itself, bit for bit, at every q —
+        // hull entries already filled by the checks above, the rest fresh.
+        for (int i = 0; i < 12; ++i) {
+          const RTree& tree = objects[i].LocalTree();
+          for (int qi = 0; qi < ctx.num_instances(); ++qi) {
+            const Point& qp = ctx.points()[qi];
+            EXPECT_EQ(profiles[i]->TreeMinDist(qi), tree.MinDist(qp, metric));
+            EXPECT_EQ(profiles[i]->TreeMaxDist(qi), tree.MaxDist(qp, metric));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(positives, 200);
 }
 
 // ---------------------------------------------------------------------------

@@ -128,23 +128,7 @@ bool BruteSsSdL1(const UncertainObject& u, const UncertainObject& v,
 
 bool BruteFSdL1(const UncertainObject& u, const UncertainObject& v,
                 const UncertainObject& q) {
-  if (DiscreteDistribution::ApproxEqual(
-          DistanceDistribution(u, q, Metric::kL1),
-          DistanceDistribution(v, q, Metric::kL1))) {
-    return false;
-  }
-  for (int qi = 0; qi < q.num_instances(); ++qi) {
-    const Point qp = q.Instance(qi);
-    for (int i = 0; i < u.num_instances(); ++i) {
-      for (int j = 0; j < v.num_instances(); ++j) {
-        if (PointDistance(qp, u.Instance(i), Metric::kL1) >
-            PointDistance(qp, v.Instance(j), Metric::kL1) + 1e-12) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
+  return test::BruteFSdUnder(u, v, q, Metric::kL1);
 }
 
 // Hall-condition P-SD under L1 admissibility.

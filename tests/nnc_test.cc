@@ -292,5 +292,43 @@ TEST(NncSearchTest, BruteForceConfigDoesMoreInstanceWork) {
   EXPECT_LE(r_all.stats.scan_steps, r_bf.stats.scan_steps);
 }
 
+// Counter pin for F-SD under the default filters: the candidate set and
+// every FilterStats counter of one seeded run. The level filter reads
+// per-profile memoized local-tree bounds, and node_ops meters them as if
+// each pair searched both trees. Reuse may change how often a bound is
+// computed, never what the search decides or how it is metered: a moved
+// counter means the meaning of a Fig. 12/16 statistic moved with it.
+TEST(NncSearchTest, FSdCountersArePinned) {
+  Rng rng(2024);
+  std::vector<UncertainObject> objects;
+  for (int i = 0; i < 400; ++i) {
+    const int m = 4 + static_cast<int>(rng.UniformInt(0, 20));
+    objects.push_back(RandomObject(i, 2, m, 100.0, 5.0, rng));
+  }
+  const Dataset dataset(std::move(objects));
+  const UncertainObject query = RandomObject(-1, 2, 6, 100.0, 8.0, rng);
+  NncOptions options;
+  options.op = Operator::kFSd;
+  const NncResult r = NncSearch(dataset, options).Run(query);
+  EXPECT_EQ(r.candidates, (std::vector<int>{50, 283, 61, 220, 133, 145, 1,
+                                             186, 73, 327, 368, 105, 34,
+                                             343}));
+  EXPECT_EQ(r.termination, NncTermination::kComplete);
+  EXPECT_EQ(r.objects_examined, 102);
+  EXPECT_EQ(r.entries_pruned, 3);
+  const FilterStats& s = r.stats;
+  EXPECT_EQ(s.dist_evals, 1440);
+  EXPECT_EQ(s.scan_steps, 0);
+  EXPECT_EQ(s.pair_tests, 0);
+  EXPECT_EQ(s.node_ops, 305);
+  EXPECT_EQ(s.flow_runs, 0);
+  EXPECT_EQ(s.mbr_validations, 85);
+  EXPECT_EQ(s.stat_prunes, 0);
+  EXPECT_EQ(s.cover_prunes, 0);
+  EXPECT_EQ(s.level_decisions, 0);
+  EXPECT_EQ(s.exact_checks, 0);
+  EXPECT_EQ(s.dominance_checks, 186);
+}
+
 }  // namespace
 }  // namespace osd

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "geom/metric.h"
 #include "nnfun/n1_functions.h"
 #include "object/dataset.h"
 #include "object/uncertain_object.h"
@@ -23,9 +24,10 @@ namespace test {
 
 inline bool DistributionsEqual(const UncertainObject& u,
                                const UncertainObject& v,
-                               const UncertainObject& q) {
-  return DiscreteDistribution::ApproxEqual(DistanceDistribution(u, q),
-                                           DistanceDistribution(v, q));
+                               const UncertainObject& q,
+                               Metric metric = Metric::kL2) {
+  return DiscreteDistribution::ApproxEqual(DistanceDistribution(u, q, metric),
+                                           DistanceDistribution(v, q, metric));
 }
 
 // CDF-definition stochastic order on merged distributions.
@@ -59,21 +61,28 @@ inline bool BruteSsSd(const UncertainObject& u, const UncertainObject& v,
   return true;
 }
 
-inline bool BruteFSd(const UncertainObject& u, const UncertainObject& v,
-                     const UncertainObject& q) {
-  if (DistributionsEqual(u, v, q)) return false;
+// F-SD under any metric. A separate name (not a defaulted parameter) so
+// that BruteFSd stays usable as a three-argument dominance callback.
+inline bool BruteFSdUnder(const UncertainObject& u, const UncertainObject& v,
+                          const UncertainObject& q, Metric metric) {
+  if (DistributionsEqual(u, v, q, metric)) return false;
   for (int qi = 0; qi < q.num_instances(); ++qi) {
     const Point qp = q.Instance(qi);
     for (int ui = 0; ui < u.num_instances(); ++ui) {
       for (int vj = 0; vj < v.num_instances(); ++vj) {
-        if (Distance(qp, u.Instance(ui)) >
-            Distance(qp, v.Instance(vj)) + 1e-12) {
+        if (PointDistance(qp, u.Instance(ui), metric) >
+            PointDistance(qp, v.Instance(vj), metric) + 1e-12) {
           return false;
         }
       }
     }
   }
   return true;
+}
+
+inline bool BruteFSd(const UncertainObject& u, const UncertainObject& v,
+                     const UncertainObject& q) {
+  return BruteFSdUnder(u, v, q, Metric::kL2);
 }
 
 // P-SD via the Hall condition on the admissible-pair bipartite graph:
