@@ -11,7 +11,8 @@
 #
 # The service tier gets its own pass: server_throughput pushes queries
 # through a real OsdServer on loopback and writes BENCH_server.json
-# (QPS, latency percentiles, time-to-first-candidate per concurrency).
+# (QPS, latency percentiles, time-to-first-candidate per concurrency),
+# stamped with the same machine and commit metadata.
 #
 # The epoch-snapshot store gets a third pass: dynamic_throughput measures
 # read QPS/latency under concurrent write rates plus Fold() latency vs.
@@ -47,6 +48,38 @@ OUT=BENCH_kernels.json
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
+# Prepends the machine and commit metadata to the JSON object in $1;
+# fields the file already has under "meta" are kept after them.
+stamp_meta() {
+  python3 - "$1" <<'PY'
+import json, subprocess, sys
+
+def sh(cmd):
+    return subprocess.run(cmd, shell=True, capture_output=True,
+                          text=True).stdout.strip()
+
+path = sys.argv[1]
+with open(path) as f:
+    doc = json.load(f)
+meta = {
+    "generated_by": "scripts/run_benches.sh",
+    "date_utc": sh("date -u +%Y-%m-%dT%H:%M:%SZ"),
+    "commit": sh("git rev-parse --short HEAD"),
+    "git_dirty": bool(sh("git status --porcelain")),
+    "machine": {
+        "uname": sh("uname -srm"),
+        "cpus": int(sh("nproc") or 0),
+        "cpu_model": sh("grep -m1 'model name' /proc/cpuinfo | cut -d: -f2"),
+        "compiler": sh("c++ --version | head -1"),
+    },
+}
+meta.update(doc.pop("meta", {}))
+with open(path, "w") as f:
+    json.dump({"meta": meta, **doc}, f, indent=1)
+    f.write("\n")
+PY
+}
+
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target micro_dominance micro_substrates fig12_time_datasets \
@@ -57,6 +90,7 @@ echo "== server_throughput (service tier -> BENCH_server.json) =="
   --queries "${OSD_BENCH_SERVER_QUERIES:-128}" \
   --clients "${OSD_BENCH_SERVER_CLIENTS:-1,2,4}" \
   --out BENCH_server.json
+stamp_meta BENCH_server.json
 
 echo "== dynamic_throughput (epoch store -> BENCH_dynamic.json) =="
 "$BUILD_DIR/bench/dynamic_throughput" \
@@ -90,13 +124,9 @@ for r in $(seq 1 "$FIG12_REPS"); do
 done
 
 python3 - "$TMP" "$OUT" <<'PY'
-import glob, json, re, subprocess, sys
+import glob, json, os, re, sys
 
 tmp, out = sys.argv[1], sys.argv[2]
-
-def sh(cmd):
-    return subprocess.run(cmd, shell=True, capture_output=True,
-                          text=True).stdout.strip()
 
 def load_gbench(path):
     with open(path) as f:
@@ -176,20 +206,9 @@ for ds, row in fig_kern.items():
 
 doc = {
     "meta": {
-        "generated_by": "scripts/run_benches.sh",
-        "date_utc": sh("date -u +%Y-%m-%dT%H:%M:%SZ"),
-        "commit": sh("git rev-parse --short HEAD"),
-        "git_dirty": bool(sh("git status --porcelain")),
-        "machine": {
-            "uname": sh("uname -srm"),
-            "cpus": int(sh("nproc") or 0),
-            "cpu_model": sh(
-                "grep -m1 'model name' /proc/cpuinfo | cut -d: -f2"),
-            "compiler": sh("c++ --version | head -1"),
-        },
         "build_type": "Release",
-        "benchmark_min_time_s": float(sh("echo ${MIN_TIME:-0.1}") or 0.1),
-        "fig12_reps_min_of": int(sh("echo ${FIG12_REPS:-3}") or 3),
+        "benchmark_min_time_s": float(os.environ["MIN_TIME"]),
+        "fig12_reps_min_of": int(os.environ["FIG12_REPS"]),
     },
     "kernel_speedup": {
         "comment": "scalar_time / kernel_time from micro_dominance, "
@@ -219,3 +238,4 @@ print(f"\nwrote {out}")
 print(f"  matrix-build speedup: {bld}")
 print(f"  worst fig12 kernel regression: {worst['pct']}% ({worst['cell']})")
 PY
+stamp_meta "$OUT"

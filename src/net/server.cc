@@ -447,6 +447,7 @@ void OsdServer::AcceptNew() {
       hot_.disconnects->Increment();
       continue;
     }
+    SetNoDelay(fd);
     conns_.push_back(std::make_shared<Connection>(Socket(fd)));
     conns_.back()->decoder = FrameDecoder(options_.max_frame_bytes);
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);

@@ -56,6 +56,11 @@ bool SetNonBlocking(int fd, std::string* error) {
   return true;
 }
 
+void SetNoDelay(int fd) {
+  const int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 bool ListenTcp(const std::string& host, int port, Socket* out,
                std::string* error) {
   sockaddr_in addr;
@@ -103,8 +108,7 @@ bool ConnectTcp(const std::string& host, int port, Socket* out,
     }
     return false;
   }
-  const int one = 1;
-  setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  SetNoDelay(sock.fd());
   *out = std::move(sock);
   return true;
 }

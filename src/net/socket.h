@@ -66,6 +66,12 @@ int LocalPort(const Socket& socket);
 /// Switches an fd to non-blocking mode.
 bool SetNonBlocking(int fd, std::string* error);
 
+/// Turns off Nagle on a connected TCP socket. Both ends of every wire
+/// connection call this: streamed frames are small back-to-back writes,
+/// and under Nagle each one after the first waits out the peer's delayed
+/// ACK (~40 ms on Linux). Best effort — a failure only costs latency.
+void SetNoDelay(int fd);
+
 /// Blocking write of the whole buffer (retries EINTR and partial writes).
 bool SendAll(int fd, const char* data, size_t size, std::string* error);
 

@@ -2,8 +2,10 @@
 // streaming bit-identical to an embedded NncSearch::Run, cancellation,
 // tenant isolation under mid-query disconnects and injected read faults,
 // per-tenant governance (inflight caps, memory budgets, labeled metrics),
-// and graceful drain with zero leaked tickets.
+// graceful drain with zero leaked tickets, and streamed frames that never
+// wait out a delayed ACK.
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -180,6 +182,41 @@ TEST_F(NetServerTest, StreamedQueryMatchesEmbeddedRunBitIdentically) {
     }
     EXPECT_EQ(got.streamed, truth_stream);
   }
+}
+
+// Every streamed query writes at least two small frames back to back (a
+// candidate, then the result). With Nagle on the server's socket the second
+// one waits for the client's delayed ACK, ~40 ms on Linux, so every query
+// would take at least that long however fast the search is.
+TEST_F(NetServerTest, StreamedQueriesDoNotWaitForDelayedAck) {
+  StartServer({.num_threads = 2}, {});
+  OsdClient client = Connect("default");
+
+  constexpr int kQueries = 21;
+  std::vector<double> elapsed_ms;
+  for (int i = 0; i < kQueries; ++i) {
+    SubmitParams params;
+    params.id = i + 1;
+    params.object_id = i * 19;
+    params.op = "ssd";
+    params.k = 1;
+    SCOPED_TRACE(params.object_id);
+    std::string error;
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.Send(BuildSubmitMessage(params), &error)) << error;
+    const StreamedQuery got = ReadUntilTerminal(client, params.id);
+    elapsed_ms.push_back(std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+    ASSERT_TRUE(got.got_result);
+    EXPECT_EQ(got.status, "OK");
+    // A second small write always follows the first.
+    EXPECT_GE(got.streamed.size(), 1u);
+  }
+  std::nth_element(elapsed_ms.begin(), elapsed_ms.begin() + kQueries / 2,
+                   elapsed_ms.end());
+  EXPECT_LT(elapsed_ms[kQueries / 2], 20.0)
+      << "median send-to-terminal time sits at the delayed-ACK floor";
 }
 
 TEST_F(NetServerTest, CancelMidQueryDeliversConsistentTerminalFrame) {
