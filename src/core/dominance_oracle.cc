@@ -17,44 +17,18 @@ namespace osd {
 namespace {
 constexpr double kEps = 1e-9;
 
-// Builds the bipartite feasibility network of Theorem 12 and reports
-// whether a full match exists. `u_mass` / `v_mass` are the probability
-// masses scaled to integers summing to kProbScale.
-//
-// Feasibility is accepted with a slack of (nu + nv) flow units: the
-// largest-remainder rounding perturbs each terminal capacity by less than
-// one unit, and (by total unimodularity) the integral max-flow differs
-// from the exact-probability optimum by less than the summed perturbation.
-// Genuine Hall violations of rational probability vectors are at least
-// kProbScale / (nu * nv) units -- orders of magnitude above the slack --
-// so the decision matches exact arithmetic.
+// Theorem 12's feasibility test (flow/max_flow.h); flow_runs counts the
+// networks that reached Dinic.
 bool MatchFeasible(int nu, int nv,
                    const std::vector<std::pair<int, int>>& edges,
                    const std::vector<int64_t>& u_mass,
                    const std::vector<int64_t>& v_mass, FilterStats* stats) {
-  // Quick exits: a V unit with no admissible U unit can never be covered.
-  std::vector<char> v_covered(nv, 0);
-  for (const auto& [i, j] : edges) v_covered[j] = 1;
-  for (int j = 0; j < nv; ++j) {
-    if (!v_covered[j]) return false;
+  const FeasibilityVerdict verdict =
+      BipartiteFeasible(nu, nv, edges, u_mass, v_mass);
+  if (verdict.exit == FeasibilityExit::kMaxFlow && stats != nullptr) {
+    ++stats->flow_runs;
   }
-  if (static_cast<long>(edges.size()) == static_cast<long>(nu) * nv) {
-    return true;  // complete bipartite graphs are always feasible
-  }
-  const int source = nu + nv;
-  const int sink = nu + nv + 1;
-  MaxFlow flow(nu + nv + 2);
-  int64_t total = 0;
-  for (int i = 0; i < nu; ++i) {
-    flow.AddEdge(source, i, u_mass[i]);
-    total += u_mass[i];
-  }
-  for (int j = 0; j < nv; ++j) flow.AddEdge(nu + j, sink, v_mass[j]);
-  for (const auto& [i, j] : edges) flow.AddEdge(i, nu + j, total);
-  if (stats != nullptr) ++stats->flow_runs;
-  OSD_TRACE_SPAN(obs::SpanKind::kFlowRun);
-  const int64_t slack = nu + nv;
-  return flow.Compute(source, sink) >= total - slack;
+  return verdict.feasible;
 }
 
 }  // namespace
@@ -113,8 +87,16 @@ bool DominanceOracle::SsSdOrderHolds(ObjectProfile& u, ObjectProfile& v) {
 
 bool DominanceOracle::DistributionsDiffer(ObjectProfile& u,
                                           ObjectProfile& v) {
+  // The merged distribution's first and last atoms are bit-equal to
+  // MinAll / MaxAll (DESIGN §10), and ApproxEqual compares atoms with the
+  // same tolerance, so differing extremes settle the question without
+  // sorting the |Q| * m all-pairs distances.
+  if (std::abs(u.MinAll() - v.MinAll()) > kEps ||
+      std::abs(u.MaxAll() - v.MaxAll()) > kEps) {
+    return true;
+  }
   return !DiscreteDistribution::ApproxEqual(u.Distribution(),
-                                            v.Distribution());
+                                            v.Distribution(), kEps);
 }
 
 bool DominanceOracle::CoverValidates(ObjectProfile& u, ObjectProfile& v) {
@@ -353,15 +335,18 @@ bool DominanceOracle::PSdExactOrder(ObjectProfile& u, ObjectProfile& v) {
 
 bool DominanceOracle::PSd(ObjectProfile& u, ObjectProfile& v) {
   if (config_.cover_rules && CoverValidates(u, v)) return true;
+  // P-SD implies SS-SD implies S-SD implies the min/mean/max order
+  // (Theorem 11), so the O(|Q|) statistic gate may refute before the
+  // node-level flow refinement spends any networks on the pair.
+  if (config_.stat_pruning &&
+      (StatRefutesAll(u, v) || StatRefutesPerQ(u, v))) {
+    return false;
+  }
   if (config_.level_by_level) {
     OSD_TRACE_SPAN(obs::SpanKind::kLevelFilter);
     const Tri d = PSdLevel(u, v);
     if (d == Tri::kTrue) return true;
     if (d == Tri::kFalse) return false;
-  }
-  if (config_.stat_pruning &&
-      (StatRefutesAll(u, v) || StatRefutesPerQ(u, v))) {
-    return false;
   }
   if (config_.cover_rules) {
     // Cover-based pruning: not SS-SD implies not P-SD (Theorem 2),

@@ -50,6 +50,10 @@ class DominanceOracle {
   /// F+-SD needs no instance data at all.
   bool FPlusSd(const UncertainObject& u, const UncertainObject& v) const;
 
+  /// The U_Q != V_Q side condition: the all-pairs distance distributions
+  /// differ beyond the 1e-9 tolerance of DiscreteDistribution::ApproxEqual.
+  static bool DistributionsDiffer(ObjectProfile& u, ObjectProfile& v);
+
   const QueryContext& ctx() const { return *ctx_; }
   const FilterConfig& config() const { return config_; }
 
@@ -65,9 +69,6 @@ class DominanceOracle {
 
   /// Exact SS-SD order (without the distribution-inequality condition).
   bool SsSdOrderHolds(ObjectProfile& u, ObjectProfile& v);
-
-  /// The U_Q != V_Q side condition.
-  bool DistributionsDiffer(ObjectProfile& u, ObjectProfile& v);
 
   /// Cover-based validation (Theorem 4): u's MBR strictly dominates v's,
   /// so u dominates v under every operator. Counts one MBR validation.

@@ -52,7 +52,7 @@ struct FilterStats {
   long scan_steps = 0;        ///< CDF merge-scan steps
   long pair_tests = 0;        ///< u <=_Q v instance-pair tests
   long node_ops = 0;          ///< node-level MBR bound computations
-  long flow_runs = 0;         ///< max-flow invocations
+  long flow_runs = 0;         ///< Dinic runs (networks no certificate decided)
   long mbr_validations = 0;   ///< dominance validated from MBRs alone
   long stat_prunes = 0;       ///< refuted by min/mean/max statistics
   long cover_prunes = 0;      ///< refuted via a covering operator

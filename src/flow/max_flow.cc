@@ -10,6 +10,7 @@
 #include "common/failpoint.h"
 #include "common/interrupt.h"
 #include "common/memory_budget.h"
+#include "obs/trace.h"
 
 namespace osd {
 
@@ -138,6 +139,64 @@ std::vector<int64_t> ScaleProbabilities(std::span<const double> probs,
   OSD_CHECK(leftover >= 0 && leftover <= n);
   for (int k = 0; k < leftover; ++k) scaled[remainders[k].second] += 1;
   return scaled;
+}
+
+FeasibilityVerdict BipartiteFeasible(
+    int nu, int nv, std::span<const std::pair<int, int>> edges,
+    std::span<const int64_t> u_mass, std::span<const int64_t> v_mass) {
+  OSD_CHECK(static_cast<int>(u_mass.size()) == nu);
+  OSD_CHECK(static_cast<int>(v_mass.size()) == nv);
+  const int64_t total = std::accumulate(u_mass.begin(), u_mass.end(),
+                                        int64_t{0});
+  OSD_CHECK(std::accumulate(v_mass.begin(), v_mass.end(), int64_t{0}) ==
+            total);
+  std::vector<char> v_covered(nv, 0);
+  for (const auto& [i, j] : edges) v_covered[j] = 1;
+  for (int j = 0; j < nv; ++j) {
+    if (!v_covered[j]) return {false, FeasibilityExit::kUncoveredDemand};
+  }
+  if (static_cast<long>(edges.size()) == static_cast<long>(nu) * nv) {
+    return {true, FeasibilityExit::kComplete};
+  }
+  const int64_t slack = nu + nv;
+
+  std::vector<int64_t> u_left(u_mass.begin(), u_mass.end());
+  std::vector<int64_t> v_left(v_mass.begin(), v_mass.end());
+  int64_t routed = 0;
+  for (const auto& [i, j] : edges) {
+    const int64_t pushed = std::min(u_left[i], v_left[j]);
+    u_left[i] -= pushed;
+    v_left[j] -= pushed;
+    routed += pushed;
+  }
+  if (routed >= total - slack) return {true, FeasibilityExit::kGreedy};
+
+  std::vector<int64_t> u_reach(nu, 0);
+  std::vector<int64_t> v_reach(nv, 0);
+  for (const auto& [i, j] : edges) {
+    u_reach[i] += v_mass[j];
+    v_reach[j] += u_mass[i];
+  }
+  for (int i = 0; i < nu; ++i) {
+    if (u_mass[i] - u_reach[i] > slack) {
+      return {false, FeasibilityExit::kHallDeficit};
+    }
+  }
+  for (int j = 0; j < nv; ++j) {
+    if (v_mass[j] - v_reach[j] > slack) {
+      return {false, FeasibilityExit::kHallDeficit};
+    }
+  }
+
+  const int source = nu + nv;
+  const int sink = nu + nv + 1;
+  MaxFlow flow(nu + nv + 2);
+  for (int i = 0; i < nu; ++i) flow.AddEdge(source, i, u_mass[i]);
+  for (int j = 0; j < nv; ++j) flow.AddEdge(nu + j, sink, v_mass[j]);
+  for (const auto& [i, j] : edges) flow.AddEdge(i, nu + j, total);
+  OSD_TRACE_SPAN(obs::SpanKind::kFlowRun);
+  return {flow.Compute(source, sink) >= total - slack,
+          FeasibilityExit::kMaxFlow};
 }
 
 }  // namespace osd

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace osd {
@@ -66,6 +67,42 @@ std::vector<int64_t> ScaleProbabilities(std::span<const double> probs,
 
 /// Default probability scale: 2^40 leaves ample headroom in int64 sums.
 inline constexpr int64_t kProbScale = int64_t{1} << 40;
+
+/// The test that decided a BipartiteFeasible call, cheapest first.
+enum class FeasibilityExit {
+  kUncoveredDemand,  ///< some V vertex has no edge: infeasible
+  kComplete,         ///< every (u, v) pair is an edge: feasible
+  kGreedy,           ///< a greedy flow routes total - slack: feasible
+  kHallDeficit,      ///< one vertex's demand exceeds its reach: infeasible
+  kMaxFlow,          ///< decided by Dinic
+};
+
+struct FeasibilityVerdict {
+  bool feasible;
+  FeasibilityExit exit;
+};
+
+/// Decides the bipartite transportation problem of Theorem 12: can the
+/// supplies `u_mass` (U side, `nu` vertices) be routed along `edges`
+/// ((u, v) index pairs) to meet the demands `v_mass` (V side, `nv`
+/// vertices)? Both sides must sum to the same total, and the answer is
+/// "feasible" iff the max flow reaches total - (nu + nv).
+///
+/// The slack absorbs the largest-remainder rounding of ScaleProbabilities:
+/// it perturbs each terminal capacity by less than one unit, and (by total
+/// unimodularity) the integral max flow differs from the exact-probability
+/// optimum by less than the summed perturbation. Genuine Hall violations of
+/// rational probability vectors are at least kProbScale / (nu * nv) units,
+/// orders of magnitude above the slack, so the verdict matches exact
+/// arithmetic. A V vertex without edges is infeasible whatever its mass.
+///
+/// Dinic runs only when two linear-time certificates leave the answer
+/// open. A greedy flow along the edges is a valid flow, so it bounds the
+/// max flow from below. All flow through one vertex w crosses w's edges, so
+/// the max flow is at most total - (mass(w) - mass of w's neighbours).
+FeasibilityVerdict BipartiteFeasible(
+    int nu, int nv, std::span<const std::pair<int, int>> edges,
+    std::span<const int64_t> u_mass, std::span<const int64_t> v_mass);
 
 }  // namespace osd
 

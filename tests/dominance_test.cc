@@ -25,6 +25,7 @@ using test::BruteSSd;
 using test::BruteSsSd;
 using test::RandomObject;
 using test::RandomWeightedObject;
+using test::ScopedScalarFallback;
 
 bool Check(Operator op, const UncertainObject& u, const UncertainObject& v,
            const UncertainObject& q,
@@ -491,6 +492,85 @@ TEST(FPlusSd, ImpliesInstanceLevelFSd) {
     }
   }
   EXPECT_GT(fired, 10);
+}
+
+// ---------------------------------------------------------------------------
+// U_Q != V_Q without a sort: DistributionsDiffer settles differing extremes
+// from MinAll / MaxAll, which is exact only if those are bit-equal to the
+// sorted distribution's first and last atoms on every build path.
+// ---------------------------------------------------------------------------
+
+TEST(DistributionExtremes, StatsAreBitEqualToSortedExtremes) {
+  for (const bool scalar : {false, true}) {
+    const ScopedScalarFallback mode(scalar);
+    Rng rng(scalar ? 71 : 70);
+    for (int trial = 0; trial < 100; ++trial) {
+      const int dim = 1 + static_cast<int>(rng.UniformInt(0, 3));
+      const int m = 1 + static_cast<int>(rng.UniformInt(0, 40));
+      const UncertainObject q = RandomObject(-1, dim, 5, 10.0, 4.0, rng);
+      const UncertainObject u =
+          trial % 2 == 0 ? RandomObject(0, dim, m, 10.0, 6.0, rng)
+                         : RandomWeightedObject(0, dim, m, 10.0, 6.0, rng);
+      const QueryContext ctx(q);
+      // Stats first: the fused kernel (or scalar fold) computes them
+      // without a matrix; the distribution then builds the matrix.
+      ObjectProfile stats_first(u, ctx, nullptr);
+      const double min_before = stats_first.MinAll();
+      const double max_before = stats_first.MaxAll();
+      EXPECT_EQ(min_before, stats_first.Distribution().Min()) << trial;
+      EXPECT_EQ(max_before, stats_first.Distribution().Max()) << trial;
+      // Matrix first: the stats then fold over the built matrix.
+      ObjectProfile matrix_first(u, ctx, nullptr);
+      const double min_sorted = matrix_first.Distribution().Min();
+      const double max_sorted = matrix_first.Distribution().Max();
+      EXPECT_EQ(matrix_first.MinAll(), min_sorted) << trial;
+      EXPECT_EQ(matrix_first.MaxAll(), max_sorted) << trial;
+    }
+  }
+}
+
+TEST(DistributionExtremes, DistributionsDifferMatchesApproxEqual) {
+  Rng rng(72);
+  int same = 0;       // copies: equal distributions, slow path says equal
+  int same_ends = 0;  // equal extremes, different middles: slow path
+  for (int trial = 0; trial < 300; ++trial) {
+    const int m = 3 + static_cast<int>(rng.UniformInt(0, 8));
+    const UncertainObject q = RandomObject(-1, 2, 3, 10.0, 2.0, rng);
+    const UncertainObject u = RandomObject(0, 2, m, 10.0, 4.0, rng);
+    std::vector<UncertainObject> others;
+    others.push_back(UncertainObject(u));  // an exact copy
+    others.push_back(RandomObject(1, 2, m, 10.0, 4.0, rng));
+    // u with one instance pulled toward the object's centre: usually the
+    // same nearest and farthest distances, never the same distribution.
+    std::vector<double> coords;
+    double centre[2] = {0.0, 0.0};
+    for (int i = 0; i < m; ++i) {
+      for (int d = 0; d < 2; ++d) centre[d] += u.Instance(i)[d] / m;
+    }
+    const int moved = static_cast<int>(rng.UniformInt(0, m - 1));
+    for (int i = 0; i < m; ++i) {
+      for (int d = 0; d < 2; ++d) {
+        const double x = u.Instance(i)[d];
+        coords.push_back(i == moved ? x + 0.25 * (centre[d] - x) : x);
+      }
+    }
+    others.push_back(UncertainObject::Uniform(2, 2, std::move(coords)));
+
+    const QueryContext ctx(q);
+    for (const UncertainObject& v : others) {
+      ObjectProfile pu(u, ctx, nullptr);
+      ObjectProfile pv(v, ctx, nullptr);
+      const bool ends_equal =
+          pu.MinAll() == pv.MinAll() && pu.MaxAll() == pv.MaxAll();
+      const bool differ = DominanceOracle::DistributionsDiffer(pu, pv);
+      EXPECT_EQ(differ, !DiscreteDistribution::ApproxEqual(
+                            pu.Distribution(), pv.Distribution()))
+          << trial;
+      if (ends_equal) ++(differ ? same_ends : same);
+    }
+  }
+  EXPECT_EQ(same, 300);
+  EXPECT_GT(same_ends, 30);
 }
 
 }  // namespace

@@ -79,10 +79,29 @@ bool HallFeasible(const std::vector<int64_t>& supply,
   return true;
 }
 
+// BipartiteFeasible accepts a flow within nu + nv units of the total.
+// Masses are multiples of kUnit, so any Hall violation is at least kUnit,
+// far above that slack, and its verdict must equal the exact condition.
+constexpr int64_t kUnit = 1000;
+
+std::vector<int64_t> Scaled(std::vector<int64_t> masses) {
+  for (int64_t& m : masses) m *= kUnit;
+  return masses;
+}
+
+FeasibilityVerdict Feasible(const std::vector<int64_t>& supply,
+                            const std::vector<int64_t>& demand,
+                            const std::vector<std::pair<int, int>>& edges) {
+  return BipartiteFeasible(static_cast<int>(supply.size()),
+                           static_cast<int>(demand.size()), edges, supply,
+                           demand);
+}
+
 class BipartiteFeasibilityProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(BipartiteFeasibilityProperty, DinicMatchesHallCondition) {
   Rng rng(GetParam());
+  int exits[5] = {0, 0, 0, 0, 0};
   for (int trial = 0; trial < 200; ++trial) {
     const int nu = 1 + static_cast<int>(rng.UniformInt(0, 5));
     const int nv = 1 + static_cast<int>(rng.UniformInt(0, 5));
@@ -106,6 +125,7 @@ TEST_P(BipartiteFeasibilityProperty, DinicMatchesHallCondition) {
         if (rng.Flip(0.45)) edges.emplace_back(i, j);
       }
     }
+    const bool hall = HallFeasible(supply, demand, edges);
     // Max-flow verdict.
     MaxFlow flow(nu + nv + 2);
     const int s = nu + nv;
@@ -114,13 +134,73 @@ TEST_P(BipartiteFeasibilityProperty, DinicMatchesHallCondition) {
     for (int j = 0; j < nv; ++j) flow.AddEdge(nu + j, t, demand[j]);
     for (const auto& [i, j] : edges) flow.AddEdge(i, nu + j, total);
     const bool dinic_feasible = flow.Compute(s, t) == total;
-    EXPECT_EQ(dinic_feasible, HallFeasible(supply, demand, edges))
-        << "trial " << trial;
+    EXPECT_EQ(dinic_feasible, hall) << "trial " << trial;
+    // Certificate-first verdict, whichever exit decides it.
+    const FeasibilityVerdict verdict =
+        Feasible(Scaled(supply), Scaled(demand), edges);
+    EXPECT_EQ(verdict.feasible, hall)
+        << "trial " << trial << " exit " << static_cast<int>(verdict.exit);
+    ++exits[static_cast<int>(verdict.exit)];
   }
+  // Random instances of this size reach every exit.
+  for (int e = 0; e < 5; ++e) EXPECT_GT(exits[e], 0) << "exit " << e;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BipartiteFeasibilityProperty,
                          ::testing::Values(1, 2, 3, 4));
+
+// One hand-built network per exit, each checked against the brute force.
+TEST(BipartiteFeasibleTest, EveryExitAgreesWithHallCondition) {
+  struct Case {
+    const char* name;
+    std::vector<int64_t> supply, demand;
+    std::vector<std::pair<int, int>> edges;
+    FeasibilityExit exit;
+  };
+  const std::vector<Case> cases = {
+      {"v1 has no edge", {1, 1}, {1, 1}, {{0, 0}, {1, 0}},
+       FeasibilityExit::kUncoveredDemand},
+      {"complete", {2, 1}, {1, 2}, {{0, 0}, {0, 1}, {1, 0}, {1, 1}},
+       FeasibilityExit::kComplete},
+      {"greedy routes a perfect matching", {1, 1}, {1, 1}, {{0, 0}, {1, 1}},
+       FeasibilityExit::kGreedy},
+      {"u1 reaches nothing", {1, 1}, {1, 1}, {{0, 0}, {0, 1}},
+       FeasibilityExit::kHallDeficit},
+      {"v0 outweighs its only neighbour", {1, 2}, {2, 1}, {{0, 0}, {1, 1},
+       {0, 1}}, FeasibilityExit::kHallDeficit},
+      // Greedy saturates u0 on v0 and strands u1; only the augmenting
+      // path u0 -> v1, u1 -> v0 routes everything.
+      {"feasible only by augmenting", {1, 1}, {1, 1}, {{0, 0}, {0, 1},
+       {1, 0}}, FeasibilityExit::kMaxFlow},
+      // v0 and v1 share their one neighbour u0: a two-vertex Hall
+      // violation that no single vertex shows.
+      {"infeasible by a pair", {1, 1, 1}, {1, 1, 1},
+       {{0, 0}, {0, 1}, {1, 2}, {2, 2}}, FeasibilityExit::kMaxFlow},
+  };
+  for (const Case& c : cases) {
+    const FeasibilityVerdict verdict =
+        Feasible(Scaled(c.supply), Scaled(c.demand), c.edges);
+    EXPECT_EQ(verdict.exit, c.exit) << c.name;
+    EXPECT_EQ(verdict.feasible, HallFeasible(c.supply, c.demand, c.edges))
+        << c.name;
+  }
+}
+
+// The slack tolerates rounding-sized shortfalls on every path: a flow
+// short by less than nu + nv units is still feasible.
+TEST(BipartiteFeasibleTest, SlackAcceptsRoundingShortfall) {
+  // u1 can reach nothing, but its one unit is inside the slack of 4.
+  const FeasibilityVerdict hall = Feasible({kUnit, 1}, {kUnit, 1}, {{0, 0},
+                                                             {0, 1}});
+  EXPECT_TRUE(hall.feasible);
+  EXPECT_EQ(hall.exit, FeasibilityExit::kGreedy);
+  // Same shortfall, but greedy strands it too: Dinic decides.
+  const FeasibilityVerdict dinic = Feasible(
+      {kUnit, kUnit, 1}, {kUnit, kUnit, 1},
+      {{0, 0}, {0, 1}, {1, 0}, {0, 2}});
+  EXPECT_TRUE(dinic.feasible);
+  EXPECT_EQ(dinic.exit, FeasibilityExit::kMaxFlow);
+}
 
 TEST(ScaleProbabilitiesTest, ExactTotalAndProportionality) {
   const std::vector<double> probs = {0.5, 0.3, 0.2};

@@ -26,21 +26,12 @@
 #include "geom/metric.h"
 #include "geom/point.h"
 #include "object/uncertain_object.h"
+#include "test_util.h"
 
 namespace osd {
 namespace {
 
-// Restores the scalar-fallback flag even if an assertion fails out.
-class ScopedScalarFallback {
- public:
-  explicit ScopedScalarFallback(bool on) : prev_(kernels::ScalarFallback()) {
-    kernels::SetScalarFallback(on);
-  }
-  ~ScopedScalarFallback() { kernels::SetScalarFallback(prev_); }
-
- private:
-  bool prev_;
-};
+using test::ScopedScalarFallback;
 
 // Ragged and aligned instance counts: below / at / above the pad granule,
 // plus multi-chunk sizes straddling the fused-pass chunk boundary.

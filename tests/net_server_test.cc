@@ -424,8 +424,9 @@ TEST_F(NetServerTest, WatchdogTerminatesStalledQueryWithinTwiceDeadline) {
   SubmitParams params;
   params.id = 1;
   params.object_id = 0;
-  params.op = "psd";  // runs MaxFlow on every candidate (no cheaper filter
-                      // can decide kPSd), so flow.augment is guaranteed hit
+  // P-SD sends the networks its flow certificates cannot settle to Dinic;
+  // on object 0 some do, which the FireCount check below confirms.
+  params.op = "psd";
   params.k = 2;
   params.deadline_ms = kDeadlineMs;
   const auto start = std::chrono::steady_clock::now();
@@ -440,6 +441,8 @@ TEST_F(NetServerTest, WatchdogTerminatesStalledQueryWithinTwiceDeadline) {
   EXPECT_EQ(got.termination, "deadline");
   EXPECT_LT(elapsed_ms, 2 * kDeadlineMs)
       << "watchdog must terminate a wedged query within 2x its deadline";
+  EXPECT_GE(failpoint::FireCount("flow.augment"), 1)
+      << "the query never reached Dinic, so nothing wedged it";
 
   // Complete() (which delivered the terminal frame) returns before
   // FailStalled poisons the wedged worker, so poll briefly.

@@ -292,6 +292,23 @@ TEST(NncSearchTest, BruteForceConfigDoesMoreInstanceWork) {
   EXPECT_LE(r_all.stats.scan_steps, r_bf.stats.scan_steps);
 }
 
+// One seeded run under the default filters: 400 objects of 4..23
+// instances whose extents (`edge`) decide how often pairs overlap and so
+// how deep the filter cascade goes.
+NncResult PinnedRun(Operator op, double edge) {
+  Rng rng(2024);
+  std::vector<UncertainObject> objects;
+  for (int i = 0; i < 400; ++i) {
+    const int m = 4 + static_cast<int>(rng.UniformInt(0, 20));
+    objects.push_back(RandomObject(i, 2, m, 100.0, edge, rng));
+  }
+  const Dataset dataset(std::move(objects));
+  const UncertainObject query = RandomObject(-1, 2, 6, 100.0, 8.0, rng);
+  NncOptions options;
+  options.op = op;
+  return NncSearch(dataset, options).Run(query);
+}
+
 // Counter pin for F-SD under the default filters: the candidate set and
 // every FilterStats counter of one seeded run. The level filter reads
 // per-profile memoized local-tree bounds, and node_ops meters them as if
@@ -299,17 +316,7 @@ TEST(NncSearchTest, BruteForceConfigDoesMoreInstanceWork) {
 // computed, never what the search decides or how it is metered: a moved
 // counter means the meaning of a Fig. 12/16 statistic moved with it.
 TEST(NncSearchTest, FSdCountersArePinned) {
-  Rng rng(2024);
-  std::vector<UncertainObject> objects;
-  for (int i = 0; i < 400; ++i) {
-    const int m = 4 + static_cast<int>(rng.UniformInt(0, 20));
-    objects.push_back(RandomObject(i, 2, m, 100.0, 5.0, rng));
-  }
-  const Dataset dataset(std::move(objects));
-  const UncertainObject query = RandomObject(-1, 2, 6, 100.0, 8.0, rng);
-  NncOptions options;
-  options.op = Operator::kFSd;
-  const NncResult r = NncSearch(dataset, options).Run(query);
+  const NncResult r = PinnedRun(Operator::kFSd, 5.0);
   EXPECT_EQ(r.candidates, (std::vector<int>{50, 283, 61, 220, 133, 145, 1,
                                              186, 73, 327, 368, 105, 34,
                                              343}));
@@ -328,6 +335,77 @@ TEST(NncSearchTest, FSdCountersArePinned) {
   EXPECT_EQ(s.level_decisions, 0);
   EXPECT_EQ(s.exact_checks, 0);
   EXPECT_EQ(s.dominance_checks, 186);
+}
+
+// The same pin for P-SD, SS-SD and S-SD, on wider objects so that every
+// stage of their filter cascades (stat, level, exact, flow) decides some
+// pairs. Candidates and termination may never move; a counter may move
+// only with a deliberate change to the cascade's order or metering.
+TEST(NncSearchTest, PSdCountersArePinned) {
+  // The exact stage sees exactly the pairs no cheaper test decides, so
+  // pair_tests and exact_checks hold under any order of those tests;
+  // stat_prunes, level_decisions, node_ops and dist_evals record the
+  // order (stat gate first), flow_runs the networks the certificates
+  // leave to Dinic.
+  const NncResult r = PinnedRun(Operator::kPSd, 10.0);
+  EXPECT_EQ(r.candidates, (std::vector<int>{145, 283, 1, 133, 220, 186, 50,
+                                             61, 73, 327, 34}));
+  EXPECT_EQ(r.termination, NncTermination::kComplete);
+  EXPECT_EQ(r.objects_examined, 102);
+  EXPECT_EQ(r.entries_pruned, 3);
+  const FilterStats& s = r.stats;
+  EXPECT_EQ(s.dist_evals, 8160);
+  EXPECT_EQ(s.scan_steps, 0);
+  EXPECT_EQ(s.pair_tests, 27310);
+  EXPECT_EQ(s.node_ops, 10355);
+  EXPECT_EQ(s.flow_runs, 36);
+  EXPECT_EQ(s.mbr_validations, 38);
+  EXPECT_EQ(s.stat_prunes, 89);
+  EXPECT_EQ(s.cover_prunes, 0);
+  EXPECT_EQ(s.level_decisions, 24);
+  EXPECT_EQ(s.exact_checks, 49);
+  EXPECT_EQ(s.dominance_checks, 198);
+}
+
+TEST(NncSearchTest, SsSdCountersArePinned) {
+  const NncResult r = PinnedRun(Operator::kSsSd, 10.0);
+  EXPECT_EQ(r.candidates,
+            (std::vector<int>{145, 283, 133, 220, 186, 50, 61, 73, 327}));
+  EXPECT_EQ(r.termination, NncTermination::kComplete);
+  EXPECT_EQ(r.objects_examined, 102);
+  EXPECT_EQ(r.entries_pruned, 3);
+  const FilterStats& s = r.stats;
+  EXPECT_EQ(s.dist_evals, 9734);
+  EXPECT_EQ(s.scan_steps, 6014);
+  EXPECT_EQ(s.pair_tests, 0);
+  EXPECT_EQ(s.node_ops, 25765);
+  EXPECT_EQ(s.flow_runs, 0);
+  EXPECT_EQ(s.mbr_validations, 38);
+  EXPECT_EQ(s.stat_prunes, 45);
+  EXPECT_EQ(s.cover_prunes, 0);
+  EXPECT_EQ(s.level_decisions, 70);
+  EXPECT_EQ(s.exact_checks, 47);
+  EXPECT_EQ(s.dominance_checks, 187);
+}
+
+TEST(NncSearchTest, SSdCountersArePinned) {
+  const NncResult r = PinnedRun(Operator::kSSd, 10.0);
+  EXPECT_EQ(r.candidates, (std::vector<int>{145, 133, 220, 50, 61}));
+  EXPECT_EQ(r.termination, NncTermination::kComplete);
+  EXPECT_EQ(r.objects_examined, 102);
+  EXPECT_EQ(r.entries_pruned, 3);
+  const FilterStats& s = r.stats;
+  EXPECT_EQ(s.dist_evals, 11604);
+  EXPECT_EQ(s.scan_steps, 5541);
+  EXPECT_EQ(s.pair_tests, 0);
+  EXPECT_EQ(s.node_ops, 10472);
+  EXPECT_EQ(s.flow_runs, 0);
+  EXPECT_EQ(s.mbr_validations, 38);
+  EXPECT_EQ(s.stat_prunes, 30);
+  EXPECT_EQ(s.cover_prunes, 0);
+  EXPECT_EQ(s.level_decisions, 28);
+  EXPECT_EQ(s.exact_checks, 42);
+  EXPECT_EQ(s.dominance_checks, 138);
 }
 
 }  // namespace

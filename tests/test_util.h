@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "geom/kernels.h"
 #include "geom/metric.h"
 #include "nnfun/n1_functions.h"
 #include "object/dataset.h"
@@ -21,6 +22,18 @@
 
 namespace osd {
 namespace test {
+
+// Restores the scalar-fallback flag even if an assertion fails out.
+class ScopedScalarFallback {
+ public:
+  explicit ScopedScalarFallback(bool on) : prev_(kernels::ScalarFallback()) {
+    kernels::SetScalarFallback(on);
+  }
+  ~ScopedScalarFallback() { kernels::SetScalarFallback(prev_); }
+
+ private:
+  bool prev_;
+};
 
 inline bool DistributionsEqual(const UncertainObject& u,
                                const UncertainObject& v,
