@@ -1,5 +1,6 @@
 // Micro-benchmarks of the substrates: R-tree bulk load and queries,
-// stochastic-order scans, max-flow feasibility and EMD min-cost flow.
+// stochastic-order scans, P-SD network rows, max-flow feasibility and
+// EMD min-cost flow.
 
 #include <benchmark/benchmark.h>
 
@@ -7,6 +8,9 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/dominance_oracle.h"
+#include "core/object_profile.h"
+#include "core/query_context.h"
 #include "flow/max_flow.h"
 #include "index/rtree.h"
 #include "nnfun/n3_functions.h"
@@ -71,25 +75,56 @@ BENCHMARK(BM_StochasticOrderScan)->Range(1 << 6, 1 << 14);
 void BM_MaxFlowFeasibility(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   Rng rng(13);
-  // A random bipartite feasibility instance like a P-SD check.
-  std::vector<std::pair<int, int>> edges;
+  // A random bipartite feasibility instance like a P-SD check, as the
+  // bit rows the checker hands to the flow (flow/max_flow.h).
+  const int words = RowWords(m);
+  std::vector<uint64_t> rows(static_cast<size_t>(m) * words, 0);
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < m; ++j) {
-      if (rng.Flip(0.4)) edges.emplace_back(i, j);
+      if (rng.Flip(0.4)) {
+        rows[static_cast<size_t>(j) * words + i / 64] |= uint64_t{1}
+                                                        << (i % 64);
+      }
     }
   }
   const std::vector<double> probs(m, 1.0 / m);
   const auto mass = ScaleProbabilities(probs, kProbScale);
   for (auto _ : state) {
     MaxFlow flow(2 * m + 2);
-    const int s = 2 * m, t = 2 * m + 1;
-    for (int i = 0; i < m; ++i) flow.AddEdge(s, i, mass[i]);
-    for (int j = 0; j < m; ++j) flow.AddEdge(m + j, t, mass[j]);
-    for (const auto& [i, j] : edges) flow.AddEdge(i, m + j, kProbScale);
-    benchmark::DoNotOptimize(flow.Compute(s, t));
+    flow.LoadBipartite(m, m, rows, mass, mass, kProbScale);
+    benchmark::DoNotOptimize(flow.Compute(2 * m, 2 * m + 1));
   }
 }
 BENCHMARK(BM_MaxFlowFeasibility)->RangeMultiplier(2)->Range(8, 128);
+
+// Builds the exact P-SD network rows of one (u, v) pair with m instances
+// each against a 30-instance query, as the exact check does once the rank
+// views of u are memoized.
+void BM_PSdRows(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  Rng rng(17);
+  auto object = [&](int id, int count, double cx, double spread) {
+    std::vector<double> coords;
+    for (int k = 0; k < count; ++k) {
+      coords.push_back(cx + rng.Uniform(-spread, spread));
+      coords.push_back(rng.Uniform(-spread, spread));
+    }
+    return UncertainObject::Uniform(id, 2, std::move(coords));
+  };
+  const UncertainObject q = object(-1, 30, 0.0, 5.0);
+  const UncertainObject u = object(0, m, 20.0, 4.0);
+  const UncertainObject v = object(1, m, 24.0, 4.0);
+  const QueryContext ctx(q);
+  DominanceOracle oracle(ctx, FilterConfig::All(), nullptr);
+  ObjectProfile pu(u, ctx, nullptr);
+  ObjectProfile pv(v, ctx, nullptr);
+  std::vector<uint64_t> rows;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(oracle.PSdRows(pu, pv, &rows));
+  }
+  state.SetItemsProcessed(state.iterations() * m);
+}
+BENCHMARK(BM_PSdRows)->RangeMultiplier(2)->Range(8, 128);
 
 void BM_RankEngine(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

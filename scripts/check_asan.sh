@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the project with AddressSanitizer + UndefinedBehaviorSanitizer and
-# runs the robustness suites (the tests labeled `asan`): the core operator
-# and Algorithm 1 correctness suites, fault injection, hostile-input
+# runs the robustness suites (the tests labeled `asan`): the core operator,
+# flow and Algorithm 1 correctness suites, fault injection, hostile-input
 # ingestion, and degraded-mode correctness. A clean run is a
 # merge gate for changes touching src/io/, src/common/failpoint.*, or the
 # engine's failure paths.
@@ -15,7 +15,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build-asan}"
-TARGETS="dominance_test nnc_test \
+TARGETS="dominance_test nnc_test flow_test \
   failpoint_test io_hardening_test io_test degraded_mode_test \
   engine_resilience_test obs_test mem_budget_test kernels_test \
   net_protocol_test net_hardening_test net_server_test \

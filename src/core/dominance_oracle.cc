@@ -16,21 +16,6 @@ namespace osd {
 
 namespace {
 constexpr double kEps = 1e-9;
-
-// Theorem 12's feasibility test (flow/max_flow.h); flow_runs counts the
-// networks that reached Dinic.
-bool MatchFeasible(int nu, int nv,
-                   const std::vector<std::pair<int, int>>& edges,
-                   const std::vector<int64_t>& u_mass,
-                   const std::vector<int64_t>& v_mass, FilterStats* stats) {
-  const FeasibilityVerdict verdict =
-      BipartiteFeasible(nu, nv, edges, u_mass, v_mass);
-  if (verdict.exit == FeasibilityExit::kMaxFlow && stats != nullptr) {
-    ++stats->flow_runs;
-  }
-  return verdict.feasible;
-}
-
 }  // namespace
 
 DominanceOracle::DominanceOracle(const QueryContext& ctx, FilterConfig config,
@@ -188,22 +173,6 @@ bool DominanceOracle::SsSd(ObjectProfile& u, ObjectProfile& v) {
   return DistributionsDiffer(u, v);
 }
 
-bool DominanceOracle::InstanceLeq(const double* u_matrix, int u_m, int ui,
-                                  const double* v_matrix, int v_m, int vj) {
-  long comparisons = 0;
-  bool leq = true;
-  for (int qi : QIdx()) {
-    ++comparisons;
-    if (u_matrix[static_cast<size_t>(qi) * u_m + ui] >
-        v_matrix[static_cast<size_t>(qi) * v_m + vj] + kEps) {
-      leq = false;
-      break;
-    }
-  }
-  if (stats_ != nullptr) stats_->pair_tests += comparisons;
-  return leq;
-}
-
 bool DominanceOracle::FSd(ObjectProfile& u, ObjectProfile& v) {
   if (config_.cover_rules && CoverValidates(u, v)) return true;
   if (config_.level_by_level) {
@@ -247,37 +216,44 @@ DominanceOracle::Tri DominanceOracle::PSdLevel(ObjectProfile& u,
     return ScaleProbabilities(w, kProbScale);
   };
 
+  std::vector<uint64_t> sure_rows;
+  std::vector<uint64_t> possible_rows;
   while (true) {
     const int nu = static_cast<int>(fu.size());
     const int nv = static_cast<int>(fv.size());
+    const int words = RowWords(nu);
     // G-: validation network. An edge certifies that every instance under
     // the U node is strictly closer than every instance under the V node
     // for every possible query instance position.
-    std::vector<std::pair<int, int>> sure_edges;
+    sure_rows.assign(static_cast<size_t>(nv) * words, 0);
     // G+: pruning network. An edge remains possible unless the V node
     // strictly dominates the U node (then no u <=_Q v pair can exist).
-    std::vector<std::pair<int, int>> possible_edges;
-    for (int i = 0; i < nu; ++i) {
-      const Mbr& bu = tu.nodes()[fu[i]].box;
-      for (int j = 0; j < nv; ++j) {
-        const Mbr& bv = tv.nodes()[fv[j]].box;
+    possible_rows.assign(static_cast<size_t>(nv) * words, 0);
+    for (int j = 0; j < nv; ++j) {
+      const Mbr& bv = tv.nodes()[fv[j]].box;
+      uint64_t* sure = sure_rows.data() + static_cast<size_t>(j) * words;
+      uint64_t* possible =
+          possible_rows.data() + static_cast<size_t>(j) * words;
+      for (int i = 0; i < nu; ++i) {
+        const Mbr& bu = tu.nodes()[fu[i]].box;
+        const uint64_t bit = uint64_t{1} << (i % 64);
         if (stats_ != nullptr) stats_->node_ops += 2;
         if (MbrStrictlyDominatesM(bu, bv, ctx_->mbr(), ctx_->metric())) {
-          sure_edges.emplace_back(i, j);
-          possible_edges.emplace_back(i, j);
+          sure[i / 64] |= bit;
+          possible[i / 64] |= bit;
         } else if (!MbrStrictlyDominatesM(bv, bu, ctx_->mbr(),
                                           ctx_->metric())) {
-          possible_edges.emplace_back(i, j);
+          possible[i / 64] |= bit;
         }
       }
     }
     const std::vector<int64_t> mu = masses(tu, fu);
     const std::vector<int64_t> mv = masses(tv, fv);
-    if (MatchFeasible(nu, nv, sure_edges, mu, mv, stats_)) {
+    if (RowsFeasible(nu, nv, sure_rows, mu, mv)) {
       if (stats_ != nullptr) ++stats_->level_decisions;
       return Tri::kTrue;
     }
-    if (!MatchFeasible(nu, nv, possible_edges, mu, mv, stats_)) {
+    if (!RowsFeasible(nu, nv, possible_rows, mu, mv)) {
       if (stats_ != nullptr) ++stats_->level_decisions;
       return Tri::kFalse;
     }
@@ -307,30 +283,60 @@ DominanceOracle::Tri DominanceOracle::PSdLevel(ObjectProfile& u,
   }
 }
 
-bool DominanceOracle::PSdExactOrder(ObjectProfile& u, ObjectProfile& v) {
+bool DominanceOracle::RowsFeasible(int nu, int nv,
+                                   std::span<const uint64_t> rows,
+                                   std::span<const int64_t> u_mass,
+                                   std::span<const int64_t> v_mass) {
+  const FeasibilityVerdict verdict =
+      BipartiteFeasible(nu, nv, rows, u_mass, v_mass);
+  if (verdict.exit == FeasibilityExit::kMaxFlow && stats_ != nullptr) {
+    ++stats_->flow_runs;
+  }
+  return verdict.feasible;
+}
+
+bool DominanceOracle::PSdRows(ObjectProfile& u, ObjectProfile& v,
+                              std::vector<uint64_t>* rows) {
+  const std::vector<int>& qidx = QIdx();
   const int nu = u.num_instances();
   const int nv = v.num_instances();
-  // One matrix materialization branch per profile, hoisted out of the
-  // O(nu * nv * |Q|) pair loops below.
-  const double* um = u.MatrixData();
+  const int words = RowWords(nu);
+  // One rank lookup per query instance and one matrix materialization
+  // branch, hoisted out of the O(nv * |Q|) row loop below.
+  std::vector<ObjectProfile::RankView> ranks;
+  ranks.reserve(qidx.size());
+  for (int qi : qidx) ranks.push_back(u.Ranks(qi));
   const double* vm = v.MatrixData();
-  std::vector<std::pair<int, int>> edges;
-  edges.reserve(static_cast<size_t>(nu) * nv / 4);
-  for (int j = 0; j < nv; ++j) {
-    bool covered = false;
-    for (int i = 0; i < nu; ++i) {
-      if (InstanceLeq(um, nu, i, vm, nv, j)) {
-        edges.emplace_back(i, j);
-        covered = true;
+  rows->assign(static_cast<size_t>(nv) * words, ~uint64_t{0});
+  long mask_tests = 0;
+  bool covered = true;
+  for (int j = 0; j < nv && covered; ++j) {
+    uint64_t* row = rows->data() + static_cast<size_t>(j) * words;
+    row[words - 1] = LastWordMask(nu);
+    // u_i <=_Q v_j iff !(d(u_i, q) > d(v_j, q) + kEps) at every q, and for
+    // non-NaN distances that is d(u_i, q) <= d(v_j, q) + kEps: the rank
+    // prefix Within() returns, evaluated at the same double threshold.
+    for (size_t k = 0; k < qidx.size(); ++k) {
+      ++mask_tests;
+      const uint64_t* within = ranks[k].Within(
+          vm[static_cast<size_t>(qidx[k]) * nv + j] + kEps);
+      uint64_t any = 0;
+      for (int w = 0; w < words; ++w) any |= (row[w] &= within[w]);
+      if (any == 0) {
+        covered = false;  // v_j can never be matched
+        break;
       }
     }
-    if (!covered) return false;  // v_j can never be matched
   }
-  const std::vector<int64_t> mu =
-      ScaleProbabilities(u.object().probs(), kProbScale);
-  const std::vector<int64_t> mv =
-      ScaleProbabilities(v.object().probs(), kProbScale);
-  return MatchFeasible(nu, nv, edges, mu, mv, stats_);
+  if (stats_ != nullptr) stats_->pair_tests += mask_tests;
+  return covered;
+}
+
+bool DominanceOracle::PSdExactOrder(ObjectProfile& u, ObjectProfile& v) {
+  std::vector<uint64_t> rows;
+  if (!PSdRows(u, v, &rows)) return false;
+  return RowsFeasible(u.num_instances(), v.num_instances(), rows,
+                      u.ScaledProbs(), v.ScaledProbs());
 }
 
 bool DominanceOracle::PSd(ObjectProfile& u, ObjectProfile& v) {

@@ -20,6 +20,10 @@
 #ifndef OSD_CORE_DOMINANCE_ORACLE_H_
 #define OSD_CORE_DOMINANCE_ORACLE_H_
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "core/filter_config.h"
 #include "core/object_profile.h"
 #include "core/query_context.h"
@@ -49,6 +53,15 @@ class DominanceOracle {
 
   /// F+-SD needs no instance data at all.
   bool FPlusSd(const UncertainObject& u, const UncertainObject& v) const;
+
+  /// Fills `rows` with the exact P-SD network of (u, v): RowWords(nu)
+  /// words per V instance, and bit i of row j set iff u_i <=_Q v_j, i.e.
+  /// u_i is within d(v_j, q) + 1e-9 of every query instance q in QIdx().
+  /// Row j is the AND over q of u's rank prefix Within(d(v_j, q) + 1e-9).
+  /// Counts one pair test per (v_j, q) mask tested. Returns false, with
+  /// the rows after j unfilled, as soon as a row j comes out empty.
+  bool PSdRows(ObjectProfile& u, ObjectProfile& v,
+               std::vector<uint64_t>* rows);
 
   /// The U_Q != V_Q side condition: the all-pairs distance distributions
   /// differ beyond the 1e-9 tolerance of DiscreteDistribution::ApproxEqual.
@@ -81,15 +94,14 @@ class DominanceOracle {
   /// Per-query-instance statistic pruning (SS-SD / P-SD / F-SD).
   bool StatRefutesPerQ(ObjectProfile& u, ObjectProfile& v);
 
-  /// u_i <=_Q v_j: u_i is at least as close as v_j to every query instance
-  /// in QIdx(). Counts one pair test. Operates on hoisted matrix base
-  /// pointers (row-major, strides u_m / v_m) so the per-element lazy-init
-  /// branch of ObjectProfile::Dist stays out of the inner loop.
-  bool InstanceLeq(const double* u_matrix, int u_m, int ui,
-                   const double* v_matrix, int v_m, int vj);
-
   /// Level-by-level P-SD over node networks; kUnknown falls to exact.
   Tri PSdLevel(ObjectProfile& u, ObjectProfile& v);
+
+  /// Theorem 12's feasibility test (flow/max_flow.h) on bit rows; counts
+  /// the networks that reach Dinic in flow_runs.
+  bool RowsFeasible(int nu, int nv, std::span<const uint64_t> rows,
+                    std::span<const int64_t> u_mass,
+                    std::span<const int64_t> v_mass);
 
   /// Exact P-SD via the admissible-pair max-flow (Theorem 12), without the
   /// distribution-inequality condition.

@@ -50,7 +50,7 @@ struct FilterConfig {
 struct FilterStats {
   long dist_evals = 0;        ///< instance-to-instance distance evaluations
   long scan_steps = 0;        ///< CDF merge-scan steps
-  long pair_tests = 0;        ///< u <=_Q v instance-pair tests
+  long pair_tests = 0;        ///< P-SD (v_j, q) rank-mask tests
   long node_ops = 0;          ///< node-level MBR bound computations
   long flow_runs = 0;         ///< Dinic runs (networks no certificate decided)
   long mbr_validations = 0;   ///< dominance validated from MBRs alone

@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "common/failpoint.h"
 #include "common/memory_budget.h"
+#include "flow/max_flow.h"
 #include "geom/kernels.h"
 
 namespace osd {
@@ -352,6 +353,46 @@ void ObjectProfile::FillTreeDist(int qi, bool farthest) {
   } else {
     tree_min_[qi] = tree.MinDist(q, ctx_->metric());
   }
+}
+
+void ObjectProfile::FillRanks(int qi) {
+  const int m = num_instances();
+  if (ranks_.empty()) {
+    const int nq = ctx_->num_instances();
+    ChargeView(nq * static_cast<long>(sizeof(RankEntry)), "profile.ranks");
+    ranks_.resize(nq);
+    rank_words_ = RowWords(m);
+  }
+  const double* row = MatrixData() + static_cast<size_t>(qi) * m;
+  ChargeView(m * static_cast<long>(sizeof(double)) +
+                 (m + 1L) * rank_words_ * static_cast<long>(sizeof(uint64_t)),
+             "profile.ranks");
+  std::vector<int> order(m);
+  std::iota(order.begin(), order.end(), 0);
+  // Same tie-break as EnsureSortedPerQ: equal distances rank by index.
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    return row[a] != row[b] ? row[a] < row[b] : a < b;
+  });
+  RankEntry& e = ranks_[qi];
+  std::vector<uint64_t> prefix((m + 1L) * rank_words_, 0);
+  for (int r = 0; r < m; ++r) {
+    uint64_t* next = prefix.data() + (r + 1L) * rank_words_;
+    std::copy_n(next - rank_words_, rank_words_, next);
+    next[order[r] / 64] |= uint64_t{1} << (order[r] % 64);
+  }
+  std::vector<double> sorted(m);
+  for (int r = 0; r < m; ++r) sorted[r] = row[order[r]];
+  e.prefix = std::move(prefix);
+  e.sorted = std::move(sorted);
+}
+
+std::span<const int64_t> ObjectProfile::ScaledProbs() {
+  if (scaled_probs_.empty()) {
+    ChargeView(num_instances() * static_cast<long>(sizeof(int64_t)),
+               "profile.ranks");
+    scaled_probs_ = ScaleProbabilities(object_->probs(), kProbScale);
+  }
+  return scaled_probs_;
 }
 
 const DiscreteDistribution& ObjectProfile::Distribution() {

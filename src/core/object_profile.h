@@ -38,11 +38,22 @@
 // move dist_evals and the budget charges. The memo is per-query scratch —
 // charged under "profile.tree_dist" identically with the cache on or off,
 // and never published to the ProfileCache.
+//
+// Rank view: Ranks(qi) memoizes, per query instance, the object's
+// distances to ctx.points()[qi] sorted ascending and the prefix bit rows
+// "the r nearest instances" for r = 0..m. The P-SD exact check reads the
+// set {i : Dist(qi, i) <= d} off it with one binary search instead of m
+// comparisons. Like the tree-distance memo it is per-query scratch,
+// charged under "profile.ranks" with the cache on or off and never
+// published; ScaledProbs() memoizes the object's integer flow masses the
+// same way.
 
 #ifndef OSD_CORE_OBJECT_PROFILE_H_
 #define OSD_CORE_OBJECT_PROFILE_H_
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -82,6 +93,22 @@ class ObjectProfile {
 
   const UncertainObject& object() const { return *object_; }
   int num_instances() const { return object_->num_instances(); }
+
+  /// The object's instances ranked by distance to one query instance.
+  struct RankView {
+    std::span<const double> sorted;  ///< the m distances, ascending
+    const uint64_t* prefix;  ///< row r (words long): the r nearest instances
+    int words;               ///< RowWords(m) (flow/max_flow.h)
+
+    /// Bit row of the instances i with Dist(qi, i) <= d. The sorted order
+    /// breaks distance ties by instance index, and tied distances are all
+    /// <= d or all > d, so the set is exactly a prefix of that order.
+    const uint64_t* Within(double d) const {
+      const auto r =
+          std::upper_bound(sorted.begin(), sorted.end(), d) - sorted.begin();
+      return prefix + r * words;
+    }
+  };
 
   /// delta(q_i, u_j); materializes the full matrix on first call.
   double Dist(int qi, int ui) {
@@ -187,6 +214,16 @@ class ObjectProfile {
     return tree_max_[qi];
   }
 
+  /// Rank view at query instance qi, built from the matrix on first use.
+  RankView Ranks(int qi) {
+    if (ranks_.empty() || ranks_[qi].sorted.empty()) FillRanks(qi);
+    const RankEntry& e = ranks_[qi];
+    return {e.sorted, e.prefix.data(), rank_words_};
+  }
+
+  /// ScaleProbabilities(object().probs(), kProbScale), memoized.
+  std::span<const int64_t> ScaledProbs();
+
  private:
   void EnsureMatrix();
   void EnsureStats();
@@ -195,6 +232,9 @@ class ObjectProfile {
   /// Computes one tree-distance memo entry (allocating and charging both
   /// |Q|-long memo vectors on the first call).
   void FillTreeDist(int qi, bool farthest);
+  /// Builds one rank-view entry (allocating and charging the |Q|-long
+  /// entry table on the first call).
+  void FillRanks(int qi);
 
   /// One-shot lookup in the bound cache (if any), pinning a hit entry for
   /// the profile's lifetime. Called by the first Ensure* that runs, so the
@@ -247,6 +287,15 @@ class ObjectProfile {
   const DiscreteDistribution* distribution_view_ = nullptr;
   // Local-tree distance memo, NaN = not yet computed; never cached.
   std::vector<double> tree_min_, tree_max_;
+  // Rank-view memo, one entry per query instance (empty = not yet built),
+  // and the scaled masses; never cached.
+  struct RankEntry {
+    std::vector<double> sorted;
+    std::vector<uint64_t> prefix;  // (m + 1) rows of rank_words_ words
+  };
+  std::vector<RankEntry> ranks_;
+  int rank_words_ = 0;
+  std::vector<int64_t> scaled_probs_;
 };
 
 }  // namespace osd

@@ -4,7 +4,10 @@
 // Theorem 3, MBR validation (Theorem 4), transitivity (Theorem 9), and the
 // statistic conditions (Theorem 11).
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "core/filter_config.h"
 #include "core/object_profile.h"
 #include "core/query_context.h"
+#include "flow/max_flow.h"
 #include "test_util.h"
 
 namespace osd {
@@ -23,6 +27,7 @@ using test::BruteFSd;
 using test::BrutePSd;
 using test::BruteSSd;
 using test::BruteSsSd;
+using test::LatticeObject;
 using test::RandomObject;
 using test::RandomWeightedObject;
 using test::ScopedScalarFallback;
@@ -571,6 +576,158 @@ TEST(DistributionExtremes, DistributionsDifferMatchesApproxEqual) {
   }
   EXPECT_EQ(same, 300);
   EXPECT_GT(same_ends, 30);
+}
+
+// ---------------------------------------------------------------------------
+// P-SD bit rows: every row PSdRows builds from the rank prefixes equals the
+// scalar predicate u_iq <= v_jq + 1e-9 at every q in the checked indices.
+// ---------------------------------------------------------------------------
+
+struct RowTally {
+  long boundary = 0;  // (i, j, q) with u_iq == v_jq + 1e-9 exactly
+  long edges = 0;
+  long rows = 0;
+};
+
+void ExpectRowsMatchScalar(const UncertainObject& u, const UncertainObject& v,
+                           const UncertainObject& q, Metric metric,
+                           bool geometric, RowTally* tally) {
+  const QueryContext ctx(q, metric);
+  FilterConfig cfg = FilterConfig::All();
+  cfg.geometric = geometric;
+  FilterStats stats;
+  DominanceOracle oracle(ctx, cfg, &stats);
+  ObjectProfile pu(u, ctx, &stats);
+  ObjectProfile pv(v, ctx, &stats);
+  std::vector<uint64_t> rows;
+  const bool covered = oracle.PSdRows(pu, pv, &rows);
+  const std::vector<int>& qidx =
+      geometric ? ctx.pruning_indices() : ctx.all_indices();
+  const int nu = u.num_instances();
+  const int nv = v.num_instances();
+  const int words = RowWords(nu);
+  ASSERT_EQ(rows.size(), static_cast<size_t>(nv) * words);
+  bool all_rows_nonempty = true;
+  for (int j = 0; j < nv && all_rows_nonempty; ++j) {
+    ++tally->rows;
+    bool any = false;
+    for (int i = 0; i < nu; ++i) {
+      bool leq = true;
+      for (int qi : qidx) {
+        const double threshold = pv.Dist(qi, j) + 1e-9;
+        if (pu.Dist(qi, i) == threshold) ++tally->boundary;
+        leq = leq && pu.Dist(qi, i) <= threshold;
+      }
+      const bool bit =
+          (rows[static_cast<size_t>(j) * words + i / 64] >> (i % 64)) & 1;
+      EXPECT_EQ(bit, leq) << "u" << i << " v" << j << " nu " << nu;
+      any = any || leq;
+      tally->edges += leq;
+    }
+    for (int i = nu; i < words * 64; ++i) {
+      EXPECT_FALSE(
+          (rows[static_cast<size_t>(j) * words + i / 64] >> (i % 64)) & 1)
+          << "padding bit " << i;
+    }
+    all_rows_nonempty = any;
+  }
+  EXPECT_EQ(covered, all_rows_nonempty);
+  EXPECT_GT(stats.pair_tests, 0);
+}
+
+TEST(PSdRows, LatticeTiesMatchScalarPredicate) {
+  Rng rng(91);
+  RowTally tally;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int dim = 1 + trial % 2;
+    const int span = 3 + static_cast<int>(rng.UniformInt(0, 3));
+    const int nu = trial % 4 == 0 ? 63 + static_cast<int>(rng.UniformInt(0, 2))
+                                  : 1 + static_cast<int>(rng.UniformInt(0, 7));
+    const UncertainObject u = LatticeObject(0, dim, nu, span, rng);
+    const UncertainObject v = LatticeObject(1, dim, 6, span, rng);
+    const UncertainObject q = LatticeObject(-1, dim, 4, span, rng);
+    ExpectRowsMatchScalar(u, v, q, Metric::kL2, /*geometric=*/true, &tally);
+    ExpectRowsMatchScalar(u, v, q, Metric::kL1, /*geometric=*/false,
+                          &tally);
+  }
+  EXPECT_GT(tally.edges, 0);
+  EXPECT_LT(tally.edges, tally.rows * 64);
+}
+
+TEST(PSdRows, WordEdgesMatchScalarPredicate) {
+  Rng rng(92);
+  RowTally tally;
+  for (const int nu : {63, 64, 65, 129}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const UncertainObject q = RandomObject(-1, 2, 7, 10.0, 3.0, rng);
+      const UncertainObject u = RandomObject(0, 2, nu, 10.0, 8.0, rng);
+      const UncertainObject v = RandomWeightedObject(1, 2, 5, 10.0, 8.0, rng);
+      ExpectRowsMatchScalar(u, v, q, Metric::kL2, /*geometric=*/true,
+                            &tally);
+      ExpectRowsMatchScalar(u, v, q, Metric::kL1, /*geometric=*/false,
+                            &tally);
+    }
+  }
+  EXPECT_GT(tally.edges, 0);
+}
+
+// Distances on both sides of the 1e-9 tolerance, to the last bit: with the
+// query instance at the origin of a 1-d space, an instance at x is at
+// distance exactly |x|, so u instances at t = d_v + 1e-9 and one ulp
+// either side of t land on, inside and outside the threshold.
+TEST(PSdRows, ToleranceBoundaryToTheUlp) {
+  Rng rng(93);
+  RowTally tally;
+  for (const int nu : {63, 64, 65}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<double> vx;
+      for (int j = 0; j < 4; ++j) vx.push_back(rng.Uniform(1.0, 9.0));
+      std::vector<double> ux;
+      for (int i = 0; i < nu; ++i) {
+        const double t = vx[i % vx.size()] + 1e-9;
+        switch (i % 3) {
+          case 0:
+            ux.push_back(t);
+            break;
+          case 1:
+            ux.push_back(std::nextafter(t, 0.0));
+            break;
+          default:
+            ux.push_back(std::nextafter(t, 100.0));
+            break;
+        }
+      }
+      const UncertainObject u = Obj1D(0, ux);
+      const UncertainObject v = Obj1D(1, vx);
+      for (const std::vector<double>& qx :
+           {std::vector<double>{0.0}, std::vector<double>{0.0, -50.0}}) {
+        const UncertainObject q = Obj1D(-1, qx);
+        ExpectRowsMatchScalar(u, v, q, Metric::kL2, /*geometric=*/true,
+                              &tally);
+        ExpectRowsMatchScalar(u, v, q, Metric::kL1, /*geometric=*/false,
+                              &tally);
+      }
+    }
+  }
+  EXPECT_GT(tally.boundary, 0);
+}
+
+TEST(PSdRows, ScaledProbsAreBitEqual) {
+  Rng rng(94);
+  const UncertainObject q = RandomObject(-1, 2, 3, 10.0, 2.0, rng);
+  const QueryContext ctx(q);
+  for (int trial = 0; trial < 50; ++trial) {
+    const int m = 1 + static_cast<int>(rng.UniformInt(0, 80));
+    const UncertainObject u = RandomWeightedObject(0, 2, m, 10.0, 4.0, rng);
+    ObjectProfile pu(u, ctx, nullptr);
+    const std::vector<int64_t> expected =
+        ScaleProbabilities(u.probs(), kProbScale);
+    const std::span<const int64_t> got = pu.ScaledProbs();
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin(),
+                           expected.end()))
+        << trial;
+    EXPECT_EQ(pu.ScaledProbs().data(), got.data()) << "memoized";
+  }
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -51,28 +53,64 @@ TEST(MaxFlowTest, FlowOnEdges) {
   EXPECT_EQ(flow.FlowOn(b), 2);
 }
 
+TEST(MaxFlowTest, VertexEdgesSplitAcrossAddEdgeCalls) {
+  // Vertex 0's out-edges arrive interleaved with other vertices' edges, so
+  // the CSR layout has to gather them into one run and FlowOn has to map
+  // every edge index back to its own arc.
+  MaxFlow flow(5);
+  const int a = flow.AddEdge(0, 1, 4);
+  const int c = flow.AddEdge(1, 4, 3);
+  const int b = flow.AddEdge(0, 2, 5);
+  const int d = flow.AddEdge(2, 4, 2);
+  const int e = flow.AddEdge(0, 3, 1);
+  const int f = flow.AddEdge(2, 3, 6);
+  const int g = flow.AddEdge(3, 4, 2);
+  EXPECT_EQ(flow.Compute(0, 4), 7);
+  EXPECT_EQ(flow.FlowOn(a), 3);
+  EXPECT_EQ(flow.FlowOn(c), 3);
+  EXPECT_EQ(flow.FlowOn(d), 2);
+  EXPECT_EQ(flow.FlowOn(g), 2);
+  // How 0's other 4 units split over b, e and f is Dinic's choice, but
+  // flow is conserved at 0, 2 and 3.
+  EXPECT_EQ(flow.FlowOn(b) + flow.FlowOn(e), 4);
+  EXPECT_EQ(flow.FlowOn(b), 2 + flow.FlowOn(f));
+  EXPECT_EQ(flow.FlowOn(e) + flow.FlowOn(f), 2);
+}
+
+// Bit rows for an nu x nv bipartite edge list (flow/max_flow.h layout).
+std::vector<uint64_t> Rows(int nu, int nv,
+                           const std::vector<std::pair<int, int>>& edges) {
+  const int words = RowWords(nu);
+  std::vector<uint64_t> rows(static_cast<size_t>(nv) * words, 0);
+  for (const auto& [i, j] : edges) {
+    rows[static_cast<size_t>(j) * words + i / 64] |= uint64_t{1} << (i % 64);
+  }
+  return rows;
+}
+
 // Brute-force feasibility of a bipartite transportation instance via the
 // Hall-type condition: a full match exists iff for every subset T of the
 // demand side, demand(T) <= supply(N(T)).
 bool HallFeasible(const std::vector<int64_t>& supply,
                   const std::vector<int64_t>& demand,
-                  const std::vector<std::pair<int, int>>& edges) {
+                  const std::vector<uint64_t>& rows) {
   const int nu = static_cast<int>(supply.size());
   const int nv = static_cast<int>(demand.size());
-  std::vector<uint32_t> neighbors(nv, 0);
-  for (const auto& [i, j] : edges) neighbors[j] |= (1u << i);
+  const int words = RowWords(nu);
   for (uint32_t mask = 1; mask < (1u << nv); ++mask) {
     int64_t dem = 0;
-    uint32_t nbr = 0;
+    std::vector<uint64_t> nbr(words, 0);
     for (int j = 0; j < nv; ++j) {
       if (mask & (1u << j)) {
         dem += demand[j];
-        nbr |= neighbors[j];
+        for (int w = 0; w < words; ++w) {
+          nbr[w] |= rows[static_cast<size_t>(j) * words + w];
+        }
       }
     }
     int64_t sup = 0;
     for (int i = 0; i < nu; ++i) {
-      if (nbr & (1u << i)) sup += supply[i];
+      if ((nbr[i / 64] >> (i % 64)) & 1) sup += supply[i];
     }
     if (dem > sup) return false;
   }
@@ -91,63 +129,131 @@ std::vector<int64_t> Scaled(std::vector<int64_t> masses) {
 
 FeasibilityVerdict Feasible(const std::vector<int64_t>& supply,
                             const std::vector<int64_t>& demand,
-                            const std::vector<std::pair<int, int>>& edges) {
+                            const std::vector<uint64_t>& rows) {
   return BipartiteFeasible(static_cast<int>(supply.size()),
-                           static_cast<int>(demand.size()), edges, supply,
+                           static_cast<int>(demand.size()), rows, supply,
                            demand);
 }
 
-class BipartiteFeasibilityProperty : public ::testing::TestWithParam<int> {};
+// Splits `total` into out.size() positive integer parts.
+void Split(int64_t total, std::vector<int64_t>& out, Rng& rng) {
+  int64_t left = total;
+  for (size_t k = 0; k + 1 < out.size(); ++k) {
+    out[k] = rng.UniformInt(1, left - static_cast<int64_t>(out.size()) +
+                                   static_cast<int64_t>(k) + 1);
+    left -= out[k];
+  }
+  out.back() = left;
+}
+
+struct Instance {
+  std::vector<int64_t> supply, demand;
+  std::vector<std::pair<int, int>> edges;
+};
+
+// Random masses, random edges (density 0.45); nu, nv in [1, 6].
+Instance SmallInstance(Rng& rng) {
+  const int nu = 1 + static_cast<int>(rng.UniformInt(0, 5));
+  const int nv = 1 + static_cast<int>(rng.UniformInt(0, 5));
+  Instance in{std::vector<int64_t>(nu), std::vector<int64_t>(nv), {}};
+  // Integer masses with equal totals on both sides.
+  Split(60, in.supply, rng);
+  Split(60, in.demand, rng);
+  for (int i = 0; i < nu; ++i) {
+    for (int j = 0; j < nv; ++j) {
+      if (rng.Flip(0.45)) in.edges.emplace_back(i, j);
+    }
+  }
+  return in;
+}
+
+// A wide U side: every u ships its mass to one primary v, plus extra
+// edges with probability `extra`, then `mode` breaks it in one of four ways (0: intact,
+// 1: one v loses every edge, 2: one u loses its primary edge, 3: mass
+// moves between two v's).
+Instance WideInstance(int nu, int mode, double extra, Rng& rng) {
+  const int nv = 2 + static_cast<int>(rng.UniformInt(0, 4));
+  Instance in{std::vector<int64_t>(nu), std::vector<int64_t>(nv, 0), {}};
+  std::vector<int> primary(nu);
+  for (int i = 0; i < nu; ++i) {
+    in.supply[i] = rng.UniformInt(1, 10);
+    primary[i] = i < nv ? i : static_cast<int>(rng.UniformInt(0, nv - 1));
+    in.demand[primary[i]] += in.supply[i];
+  }
+  const int lost_v = static_cast<int>(rng.UniformInt(0, nv - 1));
+  const int lost_u = static_cast<int>(rng.UniformInt(0, nu - 1));
+  for (int i = 0; i < nu; ++i) {
+    for (int j = 0; j < nv; ++j) {
+      if (mode == 1 && j == lost_v) continue;
+      if (mode == 2 && i == lost_u && j == primary[i]) continue;
+      if (j == primary[i] || rng.Flip(extra)) in.edges.emplace_back(i, j);
+    }
+  }
+  if (mode == 3) {
+    const int64_t moved = std::min(in.demand[0], in.demand[1]) / 2;
+    in.demand[0] -= moved;
+    in.demand[1] += moved;
+  }
+  return in;
+}
+
+// Parameter: (seed, supply-side size). Size 0 draws small instances;
+// sizes 63, 64 and 65 put the last U vertex on either side of a 64-bit
+// word edge.
+class BipartiteFeasibilityProperty
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(BipartiteFeasibilityProperty, DinicMatchesHallCondition) {
-  Rng rng(GetParam());
+  const auto [seed, wide_nu] = GetParam();
+  Rng rng(seed);
   int exits[5] = {0, 0, 0, 0, 0};
   for (int trial = 0; trial < 200; ++trial) {
-    const int nu = 1 + static_cast<int>(rng.UniformInt(0, 5));
-    const int nv = 1 + static_cast<int>(rng.UniformInt(0, 5));
-    // Integer masses with equal totals on both sides.
-    std::vector<int64_t> supply(nu), demand(nv);
-    const int64_t total = 60;
-    auto split = [&](std::vector<int64_t>& out) {
-      int64_t left = total;
-      for (size_t k = 0; k + 1 < out.size(); ++k) {
-        out[k] = rng.UniformInt(1, left - static_cast<int64_t>(out.size()) +
-                                       static_cast<int64_t>(k) + 1);
-        left -= out[k];
-      }
-      out.back() = left;
-    };
-    split(supply);
-    split(demand);
-    std::vector<std::pair<int, int>> edges;
-    for (int i = 0; i < nu; ++i) {
-      for (int j = 0; j < nv; ++j) {
-        if (rng.Flip(0.45)) edges.emplace_back(i, j);
-      }
-    }
-    const bool hall = HallFeasible(supply, demand, edges);
-    // Max-flow verdict.
-    MaxFlow flow(nu + nv + 2);
+    // Wide instances alternate four trials without extra edges (greedy
+    // routes the intact ones) and four with them.
+    const Instance in =
+        wide_nu == 0
+            ? SmallInstance(rng)
+            : WideInstance(wide_nu, trial % 4, trial % 8 < 4 ? 0.0 : 0.1, rng);
+    const int nu = static_cast<int>(in.supply.size());
+    const int nv = static_cast<int>(in.demand.size());
+    const int64_t total =
+        std::accumulate(in.supply.begin(), in.supply.end(), int64_t{0});
+    const std::vector<uint64_t> rows = Rows(nu, nv, in.edges);
+    const bool hall = HallFeasible(in.supply, in.demand, rows);
+    // Dinic on an AddEdge network and on the bulk row load.
     const int s = nu + nv;
     const int t = nu + nv + 1;
-    for (int i = 0; i < nu; ++i) flow.AddEdge(s, i, supply[i]);
-    for (int j = 0; j < nv; ++j) flow.AddEdge(nu + j, t, demand[j]);
-    for (const auto& [i, j] : edges) flow.AddEdge(i, nu + j, total);
-    const bool dinic_feasible = flow.Compute(s, t) == total;
-    EXPECT_EQ(dinic_feasible, hall) << "trial " << trial;
+    MaxFlow added(nu + nv + 2);
+    for (int i = 0; i < nu; ++i) added.AddEdge(s, i, in.supply[i]);
+    for (int j = 0; j < nv; ++j) added.AddEdge(nu + j, t, in.demand[j]);
+    for (const auto& [i, j] : in.edges) added.AddEdge(i, nu + j, total);
+    EXPECT_EQ(added.Compute(s, t) == total, hall) << "trial " << trial;
+    MaxFlow loaded(nu + nv + 2);
+    loaded.LoadBipartite(nu, nv, rows, in.supply, in.demand, total);
+    EXPECT_EQ(loaded.Compute(s, t) == total, hall) << "trial " << trial;
     // Certificate-first verdict, whichever exit decides it.
     const FeasibilityVerdict verdict =
-        Feasible(Scaled(supply), Scaled(demand), edges);
+        Feasible(Scaled(in.supply), Scaled(in.demand), rows);
     EXPECT_EQ(verdict.feasible, hall)
         << "trial " << trial << " exit " << static_cast<int>(verdict.exit);
     ++exits[static_cast<int>(verdict.exit)];
   }
-  // Random instances of this size reach every exit.
-  for (int e = 0; e < 5; ++e) EXPECT_GT(exits[e], 0) << "exit " << e;
+  // Random instances of these shapes reach every exit but kComplete,
+  // which the small ones reach too.
+  for (int e = 0; e < 5; ++e) {
+    if (wide_nu != 0 && e == static_cast<int>(FeasibilityExit::kComplete)) {
+      continue;
+    }
+    EXPECT_GT(exits[e], 0) << "exit " << e;
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BipartiteFeasibilityProperty,
-                         ::testing::Values(1, 2, 3, 4));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, BipartiteFeasibilityProperty,
+    ::testing::Values(std::make_tuple(1, 0), std::make_tuple(2, 0),
+                      std::make_tuple(3, 0), std::make_tuple(4, 0),
+                      std::make_tuple(5, 63), std::make_tuple(6, 64),
+                      std::make_tuple(7, 65)));
 
 // One hand-built network per exit, each checked against the brute force.
 TEST(BipartiteFeasibleTest, EveryExitAgreesWithHallCondition) {
@@ -178,10 +284,13 @@ TEST(BipartiteFeasibleTest, EveryExitAgreesWithHallCondition) {
        {{0, 0}, {0, 1}, {1, 2}, {2, 2}}, FeasibilityExit::kMaxFlow},
   };
   for (const Case& c : cases) {
+    const std::vector<uint64_t> rows = Rows(
+        static_cast<int>(c.supply.size()), static_cast<int>(c.demand.size()),
+        c.edges);
     const FeasibilityVerdict verdict =
-        Feasible(Scaled(c.supply), Scaled(c.demand), c.edges);
+        Feasible(Scaled(c.supply), Scaled(c.demand), rows);
     EXPECT_EQ(verdict.exit, c.exit) << c.name;
-    EXPECT_EQ(verdict.feasible, HallFeasible(c.supply, c.demand, c.edges))
+    EXPECT_EQ(verdict.feasible, HallFeasible(c.supply, c.demand, rows))
         << c.name;
   }
 }
@@ -190,14 +299,14 @@ TEST(BipartiteFeasibleTest, EveryExitAgreesWithHallCondition) {
 // short by less than nu + nv units is still feasible.
 TEST(BipartiteFeasibleTest, SlackAcceptsRoundingShortfall) {
   // u1 can reach nothing, but its one unit is inside the slack of 4.
-  const FeasibilityVerdict hall = Feasible({kUnit, 1}, {kUnit, 1}, {{0, 0},
-                                                             {0, 1}});
+  const FeasibilityVerdict hall =
+      Feasible({kUnit, 1}, {kUnit, 1}, Rows(2, 2, {{0, 0}, {0, 1}}));
   EXPECT_TRUE(hall.feasible);
   EXPECT_EQ(hall.exit, FeasibilityExit::kGreedy);
   // Same shortfall, but greedy strands it too: Dinic decides.
-  const FeasibilityVerdict dinic = Feasible(
-      {kUnit, kUnit, 1}, {kUnit, kUnit, 1},
-      {{0, 0}, {0, 1}, {1, 0}, {0, 2}});
+  const FeasibilityVerdict dinic =
+      Feasible({kUnit, kUnit, 1}, {kUnit, kUnit, 1},
+               Rows(3, 3, {{0, 0}, {0, 1}, {1, 0}, {0, 2}}));
   EXPECT_TRUE(dinic.feasible);
   EXPECT_EQ(dinic.exit, FeasibilityExit::kMaxFlow);
 }

@@ -16,16 +16,7 @@
 namespace osd {
 namespace {
 
-// Lattice object: instances on small-integer coordinates.
-UncertainObject LatticeObject(int id, int dim, int m, int span, Rng& rng) {
-  std::vector<double> coords;
-  for (int k = 0; k < m; ++k) {
-    for (int d = 0; d < dim; ++d) {
-      coords.push_back(static_cast<double>(rng.UniformInt(0, span)));
-    }
-  }
-  return UncertainObject::Uniform(id, dim, std::move(coords));
-}
+using test::LatticeObject;
 
 class TieFuzz : public ::testing::TestWithParam<int> {};
 

@@ -356,7 +356,7 @@ TEST(NncSearchTest, PSdCountersArePinned) {
   const FilterStats& s = r.stats;
   EXPECT_EQ(s.dist_evals, 8160);
   EXPECT_EQ(s.scan_steps, 0);
-  EXPECT_EQ(s.pair_tests, 27310);
+  EXPECT_EQ(s.pair_tests, 2169);
   EXPECT_EQ(s.node_ops, 10355);
   EXPECT_EQ(s.flow_runs, 36);
   EXPECT_EQ(s.mbr_validations, 38);

@@ -155,6 +155,18 @@ inline UncertainObject RandomObject(int id, int dim, int m, double span,
   return UncertainObject::Uniform(id, dim, std::move(coords));
 }
 
+/// Lattice object: `m` instances on integer coordinates in [0, span]^dim,
+/// uniform probabilities. Such objects produce massive distance ties and
+/// exact duplicates.
+inline UncertainObject LatticeObject(int id, int dim, int m, int span,
+                                     Rng& rng) {
+  std::vector<double> coords;
+  for (int k = 0; k < m * dim; ++k) {
+    coords.push_back(static_cast<double>(rng.UniformInt(0, span)));
+  }
+  return UncertainObject::Uniform(id, dim, std::move(coords));
+}
+
 /// Random object with non-uniform instance probabilities.
 inline UncertainObject RandomWeightedObject(int id, int dim, int m,
                                             double span, double edge,
