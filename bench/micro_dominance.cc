@@ -3,7 +3,7 @@
 //
 // Two separately-timed regions so wins are attributable:
 //  - BM_ProfileBuild / BM_ProfileStats: distance-view materialization (the
-//    batched / fused kernel substrate), kernel vs scalar-fallback.
+//    batched / fused kernel substrate).
 //  - BM_DominanceCheck: the oracle decision over pre-materialized
 //    profiles, with view construction outside the timer.
 
@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "core/dominance_oracle.h"
 #include "datagen/generators.h"
-#include "geom/kernels.h"
 
 namespace {
 
@@ -52,32 +51,28 @@ void Prewarm(ObjectProfile& p, const QueryContext& ctx) {
 // Matrix materialization per profile (the dominant cost of brute-force
 // checks): one fresh profile per iteration, exactly like NncSearch::Run
 // builds one per examined object.
-void BM_ProfileBuild(benchmark::State& state, bool scalar) {
+void BM_ProfileBuild(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   const Fixture f = MakeFixture(m, 42);
   const QueryContext ctx(f.query);
-  kernels::SetScalarFallback(scalar);
   for (auto _ : state) {
     ObjectProfile pu(f.u, ctx, nullptr);
     benchmark::DoNotOptimize(pu.Dist(0, 0));
   }
-  kernels::SetScalarFallback(false);
   state.SetComplexityN(m);
   state.SetItemsProcessed(state.iterations() * ctx.num_instances() * m);
 }
 
 // Fused statistic pass per profile (the common statistic-only pruning
 // path): never materializes the matrix.
-void BM_ProfileStats(benchmark::State& state, bool scalar) {
+void BM_ProfileStats(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   const Fixture f = MakeFixture(m, 42);
   const QueryContext ctx(f.query);
-  kernels::SetScalarFallback(scalar);
   for (auto _ : state) {
     ObjectProfile pu(f.u, ctx, nullptr);
     benchmark::DoNotOptimize(pu.MinAll());
   }
-  kernels::SetScalarFallback(false);
   state.SetComplexityN(m);
   state.SetItemsProcessed(state.iterations() * ctx.num_instances() * m);
 }
@@ -104,18 +99,8 @@ void BM_DominanceCheck(benchmark::State& state, Operator op,
 
 }  // namespace
 
-BENCHMARK_CAPTURE(BM_ProfileBuild, matrix_kernels, false)
-    ->RangeMultiplier(2)
-    ->Range(8, 256);
-BENCHMARK_CAPTURE(BM_ProfileBuild, matrix_scalar, true)
-    ->RangeMultiplier(2)
-    ->Range(8, 256);
-BENCHMARK_CAPTURE(BM_ProfileStats, stats_kernels, false)
-    ->RangeMultiplier(2)
-    ->Range(8, 256);
-BENCHMARK_CAPTURE(BM_ProfileStats, stats_scalar, true)
-    ->RangeMultiplier(2)
-    ->Range(8, 256);
+BENCHMARK(BM_ProfileBuild)->RangeMultiplier(2)->Range(8, 256);
+BENCHMARK(BM_ProfileStats)->RangeMultiplier(2)->Range(8, 256);
 
 BENCHMARK_CAPTURE(BM_DominanceCheck, ssd_all, Operator::kSSd,
                   FilterConfig::All())

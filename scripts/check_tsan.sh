@@ -9,17 +9,30 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build-tsan}"
 
+# The executables behind `ctest -L $2` in build dir $1, on one line. Each
+# test is named after its executable (osd_add_test in tests/CMakeLists.txt),
+# so the labels alone decide what gets built, and the build covers exactly
+# what the ctest run below selects.
+label_targets() {
+  local targets
+  targets="$(ctest --test-dir "$1" -N -L "$2" |
+    sed -n 's/^ *Test *#[0-9]*: //p' | tr '\n' ' ')"
+  if [[ -z "${targets// /}" ]]; then
+    echo "no tests labeled '$2' in $1" >&2
+    return 1
+  fi
+  echo "$targets"
+}
+
 # Failpoints are compiled in so the resilience suite can inject faults
 # into concurrent executions (retry storms are where races would hide).
 cmake -B "$BUILD_DIR" -S . \
   -DOSD_SANITIZE=thread \
   -DOSD_FAILPOINTS=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target engine_test engine_concurrency_test engine_resilience_test \
-  obs_test mem_budget_test kernels_test net_hardening_test \
-  net_server_test versioned_dataset_test durability_test \
-  shared_cache_test
+TARGETS="$(label_targets "$BUILD_DIR" tsan)"
+# shellcheck disable=SC2086
+cmake --build "$BUILD_DIR" -j"$(nproc)" --target $TARGETS
 
 # halt_on_error makes a detected race fail the test run rather than just
 # printing a report.

@@ -1,13 +1,8 @@
 #!/usr/bin/env bash
 # Builds the benchmarks in Release mode, runs the kernel-sensitive suite
 # (micro_dominance, micro_substrates, fig12_time_datasets), and writes
-# BENCH_kernels.json at the repo root: raw numbers plus kernel-vs-scalar
-# speedups, stamped with machine and commit metadata.
-#
-# The scalar baseline comes from the same binaries — micro_dominance has
-# in-binary *_scalar captures, and fig12 is re-run with
-# OSD_SCALAR_KERNELS=1 — so the comparison isolates the kernel substrate
-# from everything else.
+# BENCH_kernels.json at the repo root: raw numbers stamped with machine and
+# commit metadata.
 #
 # The service tier gets its own pass: server_throughput pushes queries
 # through a real OsdServer on loopback and writes BENCH_server.json
@@ -25,7 +20,7 @@
 #
 # Usage: scripts/run_benches.sh [build-dir]   (default: build-bench)
 # Env:   OSD_BENCH_MIN_TIME    google-benchmark min seconds/case (default 0.1)
-#        OSD_BENCH_FIG12_REPS  fig12 repetitions per mode (default 3); the
+#        OSD_BENCH_FIG12_REPS  fig12 repetitions (default 3); the
 #                              JSON records the per-cell minimum, which is
 #                              the noise-robust estimator for end-to-end
 #                              runs on a shared machine
@@ -104,7 +99,7 @@ echo "== shared_workload (cross-query sharing -> BENCH_shared.json) =="
   --clients "${OSD_BENCH_SHARED_CLIENTS:-8}" \
   --out BENCH_shared.json
 
-echo "== micro_dominance (kernel + scalar captures) =="
+echo "== micro_dominance =="
 "$BUILD_DIR/bench/micro_dominance" \
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_format=json >"$TMP/micro_dominance.json"
@@ -114,17 +109,13 @@ echo "== micro_substrates =="
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_format=json >"$TMP/micro_substrates.json"
 
-# Modes interleave so slow machine-state drift hits both equally.
 for r in $(seq 1 "$FIG12_REPS"); do
-  echo "== fig12_time_datasets (kernels, rep $r/$FIG12_REPS) =="
-  "$BUILD_DIR/bench/fig12_time_datasets" | tee "$TMP/fig12_kernels.$r.txt"
-  echo "== fig12_time_datasets (scalar fallback, rep $r/$FIG12_REPS) =="
-  OSD_SCALAR_KERNELS=1 "$BUILD_DIR/bench/fig12_time_datasets" \
-    | tee "$TMP/fig12_scalar.$r.txt"
+  echo "== fig12_time_datasets (rep $r/$FIG12_REPS) =="
+  "$BUILD_DIR/bench/fig12_time_datasets" | tee "$TMP/fig12.$r.txt"
 done
 
 python3 - "$TMP" "$OUT" <<'PY'
-import glob, json, os, re, sys
+import glob, json, os, sys
 
 tmp, out = sys.argv[1], sys.argv[2]
 
@@ -158,51 +149,12 @@ def parse_fig12(path):
 micro_dom = load_gbench(f"{tmp}/micro_dominance.json")
 micro_sub = load_gbench(f"{tmp}/micro_substrates.json")
 
-# Kernel speedup per instance count: scalar time / kernel time for the
-# matrix-materialization and fused-stats cases.
-def speedups(prefix):
-    t = {}
-    for b in micro_dom:
-        m = re.match(rf"{prefix}/(matrix|stats)_(kernels|scalar)/(\d+)$",
-                     b["name"])
-        if m:
-            t[(m.group(2), m.group(3))] = b["real_time_ns"]
-    return {n: round(t[("scalar", n)] / t[("kernels", n)], 2)
-            for (mode, n) in sorted(t, key=lambda k: int(k[1]))
-            if mode == "scalar" and ("kernels", n) in t}
-
-def min_over_reps(mode):
-    merged = {}
-    for path in sorted(glob.glob(f"{tmp}/fig12_{mode}.*.txt")):
-        for ds, row in parse_fig12(path).items():
-            cell = merged.setdefault(ds, {})
-            for op, ms in row.items():
-                cell[op] = min(ms, cell.get(op, ms))
-    return merged
-
-fig_kern = min_over_reps("kernels")
-fig_scal = min_over_reps("scalar")
-
-# Regression = kernels slower than scalar. Positive pct means the kernel
-# path lost time on that (dataset, operator) cell. The fig12 table prints
-# whole tenths of a millisecond, so cells under RES_FLOOR_MS are below
-# measurement resolution (0.1 ms on a 0.5 ms cell is already 20%) and are
-# recorded but excluded from the worst-regression statistic.
-RES_FLOOR_MS = 5.0
-worst = {"pct": None, "cell": None}
-fig_ratio = {}
-for ds, row in fig_kern.items():
-    fig_ratio[ds] = {}
-    for op, kern_ms in row.items():
-        scal_ms = fig_scal.get(ds, {}).get(op)
-        if not scal_ms:
-            continue
-        fig_ratio[ds][op] = round(scal_ms / kern_ms, 3) if kern_ms else None
-        if scal_ms < RES_FLOOR_MS or kern_ms < RES_FLOOR_MS:
-            continue
-        pct = (kern_ms - scal_ms) / scal_ms * 100.0
-        if worst["pct"] is None or pct > worst["pct"]:
-            worst = {"pct": round(pct, 2), "cell": f"{ds}/{op}"}
+fig12 = {}
+for path in sorted(glob.glob(f"{tmp}/fig12.*.txt")):
+    for ds, row in parse_fig12(path).items():
+        cell = fig12.setdefault(ds, {})
+        for op, ms in row.items():
+            cell[op] = min(ms, cell.get(op, ms))
 
 doc = {
     "meta": {
@@ -210,21 +162,9 @@ doc = {
         "benchmark_min_time_s": float(os.environ["MIN_TIME"]),
         "fig12_reps_min_of": int(os.environ["FIG12_REPS"]),
     },
-    "kernel_speedup": {
-        "comment": "scalar_time / kernel_time from micro_dominance, "
-                   "same binary, keyed by object instance count",
-        "profile_build_matrix": speedups("BM_ProfileBuild"),
-        "profile_stats_fused": speedups("BM_ProfileStats"),
-    },
     "fig12": {
-        "comment": "avg query ms per dataset x operator, min over reps; "
-                   "ratio is scalar/kernels (>1 means kernels faster)",
-        "kernels_ms": fig_kern,
-        "scalar_ms": fig_scal,
-        "ratio": fig_ratio,
-        "worst_kernel_regression_pct": worst["pct"],
-        "worst_kernel_regression_cell": worst["cell"],
-        "regression_resolution_floor_ms": RES_FLOOR_MS,
+        "comment": "avg query ms per dataset x operator, min over reps",
+        "ms": fig12,
     },
     "micro_dominance": micro_dom,
     "micro_substrates": micro_sub,
@@ -233,9 +173,6 @@ with open(out, "w") as f:
     json.dump(doc, f, indent=1)
     f.write("\n")
 
-bld = doc["kernel_speedup"]["profile_build_matrix"]
 print(f"\nwrote {out}")
-print(f"  matrix-build speedup: {bld}")
-print(f"  worst fig12 kernel regression: {worst['pct']}% ({worst['cell']})")
 PY
 stamp_meta "$OUT"

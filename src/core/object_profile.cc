@@ -134,22 +134,12 @@ void ObjectProfile::EnsureMatrix() {
   std::vector<double> buf(total);
   // The matrix stays row-major with stride m (no padding): the flattened
   // pair-index tie-break in EnsureSortedAll depends on that layout.
-  if (kernels::ScalarFallback()) {
-    for (int qi = 0; qi < nq; ++qi) {
-      const Point& q = ctx_->points()[qi];
-      for (int ui = 0; ui < m; ++ui) {
-        buf[static_cast<size_t>(qi) * m + ui] =
-            PointDistance(q, object_->Instance(ui), ctx_->metric());
-      }
-    }
-  } else {
-    const kernels::KernelSet& ks = ctx_->kernels();
-    const double* block = object_->soa_coords();
-    const size_t stride = object_->soa_stride();
-    for (int qi = 0; qi < nq; ++qi) {
-      ks.batch_distance(ctx_->points()[qi].data(), block, stride, m,
-                        buf.data() + static_cast<size_t>(qi) * m);
-    }
+  const kernels::KernelSet& ks = ctx_->kernels();
+  const double* block = object_->soa_coords();
+  const size_t stride = object_->soa_stride();
+  for (int qi = 0; qi < nq; ++qi) {
+    ks.batch_distance(ctx_->points()[qi].data(), block, stride, m,
+                      buf.data() + static_cast<size_t>(qi) * m);
   }
   matrix_ = std::move(buf);
   matrix_data_ = matrix_.data();
@@ -200,20 +190,6 @@ void ObjectProfile::EnsureStats() {
         mean[qi] += d * object_->Prob(ui);
       }
     }
-  } else if (kernels::ScalarFallback()) {
-    // Statistic-only profile, scalar path: same fold with on-the-fly
-    // distances — still no matrix materialized or charged.
-    for (int qi = 0; qi < nq; ++qi) {
-      const Point& q = ctx_->points()[qi];
-      for (int ui = 0; ui < m; ++ui) {
-        const double d = PointDistance(q, object_->Instance(ui),
-                                       ctx_->metric());
-        mn[qi] = std::min(mn[qi], d);
-        mx[qi] = std::max(mx[qi], d);
-        mean[qi] += d * object_->Prob(ui);
-      }
-    }
-    if (stats_ != nullptr) stats_->dist_evals += static_cast<long>(nq) * m;
   } else {
     // Statistic-only profile: fused one-pass kernel per query instance.
     // Distances and the probability-weighted mean fold in exactly the

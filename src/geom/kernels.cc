@@ -1,9 +1,7 @@
 #include "geom/kernels.h"
 
 #include <array>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "common/check.h"
@@ -86,9 +84,10 @@ void FusedRowStatsImpl(const double* q, const double* block, size_t stride,
   *max_out = mx;
 }
 
-// Point-vs-box per-axis contributions, replicated from geom/mbr.cc
-// (MinDistSq1D / MaxDistSq1D) and geom/metric.cc (AxisMin / AxisMax) so
-// the dimension-specialized versions are bit-identical to the originals.
+// Point-vs-box per-axis contributions, the same terms as geom/mbr.cc
+// (MinDistSq1D / MaxDistSq1D) and geom/metric.cc (AxisMin / AxisMax) use
+// in the MBR dominance gaps; tests/test_util.h holds the scalar reference
+// the kernels are checked against bit for bit.
 
 inline double MinDistSq1D(double t, double lo, double hi) {
   if (t < lo) return (lo - t) * (lo - t);
@@ -144,7 +143,7 @@ double PointBoxMaxImpl(const double* q, const double* lo, const double* hi) {
 // Strided (AoS) set kernels. For L2 the minimum/maximum is tracked on the
 // squared distances and rooted once at the end — monotonicity of the
 // correctly-rounded sqrt makes this bit-identical to rooting per element
-// first (and it is exactly what the scalar MinDistanceToSet did).
+// first.
 
 template <int D, Metric M>
 double StridedSetMinImpl(const double* q, const double* base,
@@ -214,29 +213,12 @@ constexpr std::array<KernelSet, Point::kMaxDim> kL2Table =
 constexpr std::array<KernelSet, Point::kMaxDim> kL1Table =
     MakeMetricTable<Metric::kL1>();
 
-std::atomic<bool>& ScalarFallbackFlag() {
-  // Initialized once from the environment; SetScalarFallback overrides.
-  static std::atomic<bool> flag{[] {
-    const char* env = std::getenv("OSD_SCALAR_KERNELS");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
-  }()};
-  return flag;
-}
-
 }  // namespace
 
 const KernelSet& Get(int dim, Metric metric) {
   OSD_CHECK(dim >= 1 && dim <= Point::kMaxDim);
   const auto& table = metric == Metric::kL2 ? kL2Table : kL1Table;
   return table[dim - 1];
-}
-
-bool ScalarFallback() {
-  return ScalarFallbackFlag().load(std::memory_order_relaxed);
-}
-
-void SetScalarFallback(bool on) {
-  ScalarFallbackFlag().store(on, std::memory_order_relaxed);
 }
 
 }  // namespace kernels

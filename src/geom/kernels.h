@@ -13,24 +13,25 @@
 //
 // Determinism contract (load-bearing — candidate sets, golden files, and
 // the engine determinism tests depend on it): every kernel is bit-exact
-// with the scalar reference path it replaces.
+// with a Point-at-a-time scalar reference.
 //  - Per-element accumulation order is fixed: component k = 0..d-1 in
 //    order, exactly like Distance()/PointDistance(), so each distance is
 //    the same IEEE double the scalar code produces. Vectorization across
 //    *instances* never reorders the per-instance sum.
+//  - The library is built with -ffp-contract=off, so no build (e.g.
+//    -march=native with FMA) fuses a multiply-add the reference rounds
+//    twice.
 //  - sqrt is applied per element (IEEE-correctly-rounded scalar or vector
 //    sqrt are bit-identical).
 //  - The fused statistic kernels accumulate the probability-weighted mean
 //    strictly sequentially in instance order — the same order as the
 //    matrix-scan they replace — using a small stack chunk, so they never
 //    materialize the row yet produce bit-identical min/mean/max.
-// kernels_test asserts all of this against the scalar reference for every
-// dimension, both metrics, and ragged block tails.
-//
-// Scalar fallback: SetScalarFallback(true) (or OSD_SCALAR_KERNELS=1 in
-// the environment) makes the call sites in ObjectProfile & friends take
-// the original Point-at-a-time path. It exists for bit-identical A/B
-// comparison (tests, scripts/run_benches.sh), not for production use.
+// kernels_test asserts all of this with EXPECT_EQ against the scalar
+// references (PointDistance, and the point-box / point-set oracles in
+// tests/test_util.h) for every dimension, both metrics, and ragged block
+// tails. The kernels are the library's only point-box and point-set
+// distance path.
 
 #ifndef OSD_GEOM_KERNELS_H_
 #define OSD_GEOM_KERNELS_H_
@@ -94,12 +95,6 @@ struct KernelSet {
 /// The returned reference is to a static table entry and stays valid for
 /// the process lifetime; safe to call from any thread.
 const KernelSet& Get(int dim, Metric metric);
-
-/// Runtime switch to the original scalar (Point-at-a-time) paths at the
-/// rewired call sites. Initialized from $OSD_SCALAR_KERNELS on first use;
-/// intended for A/B determinism tests and benchmark comparisons.
-bool ScalarFallback();
-void SetScalarFallback(bool on);
 
 }  // namespace kernels
 }  // namespace osd

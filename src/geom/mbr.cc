@@ -107,20 +107,6 @@ bool Mbr::Intersects(const Mbr& other) const {
   return true;
 }
 
-double Mbr::MinSquaredDist(const Point& q) const {
-  OSD_DCHECK(valid_ && q.dim() == dim());
-  double s = 0.0;
-  for (int i = 0; i < dim(); ++i) s += MinDistSq1D(q[i], lo_[i], hi_[i]);
-  return s;
-}
-
-double Mbr::MaxSquaredDist(const Point& q) const {
-  OSD_DCHECK(valid_ && q.dim() == dim());
-  double s = 0.0;
-  for (int i = 0; i < dim(); ++i) s += MaxDistSq1D(q[i], lo_[i], hi_[i]);
-  return s;
-}
-
 double Mbr::MinSquaredDist(const Mbr& other) const {
   OSD_DCHECK(valid_ && other.valid_ && other.dim() == dim());
   double s = 0.0;
@@ -132,18 +118,6 @@ double Mbr::MinSquaredDist(const Mbr& other) const {
       gap = other.lo_[i] - hi_[i];
     }
     s += gap * gap;
-  }
-  return s;
-}
-
-double Mbr::MaxSquaredDist(const Mbr& other) const {
-  OSD_DCHECK(valid_ && other.valid_ && other.dim() == dim());
-  double s = 0.0;
-  for (int i = 0; i < dim(); ++i) {
-    const double a = std::abs(other.hi_[i] - lo_[i]);
-    const double b = std::abs(hi_[i] - other.lo_[i]);
-    const double m = std::max(a, b);
-    s += m * m;
   }
   return s;
 }

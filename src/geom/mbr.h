@@ -50,17 +50,8 @@ class Mbr {
   /// Center of the box along dimension i.
   double Center(int i) const { return 0.5 * (lo_[i] + hi_[i]); }
 
-  /// Squared minimal distance from `q` to any point of this box.
-  double MinSquaredDist(const Point& q) const;
-
-  /// Squared maximal distance from `q` to any point of this box.
-  double MaxSquaredDist(const Point& q) const;
-
   /// Squared minimal distance between any points of the two boxes.
   double MinSquaredDist(const Mbr& other) const;
-
-  /// Squared maximal distance between any points of the two boxes.
-  double MaxSquaredDist(const Mbr& other) const;
 
  private:
   Point lo_;

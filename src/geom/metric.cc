@@ -68,43 +68,13 @@ double PointDistance(const Point& a, const Point& b, Metric metric) {
 }
 
 double MbrMinDist(const Mbr& box, const Point& q, Metric metric) {
-  // Dimension-specialized kernel (bit-identical per-axis terms, same
-  // accumulation order as the scalar loops below).
-  if (!kernels::ScalarFallback()) {
-    return kernels::Get(box.dim(), metric)
-        .box_min(q.data(), box.lo().data(), box.hi().data());
-  }
-  switch (metric) {
-    case Metric::kL2:
-      return std::sqrt(box.MinSquaredDist(q));
-    case Metric::kL1: {
-      double s = 0.0;
-      for (int i = 0; i < box.dim(); ++i) {
-        s += AxisMin(q[i], box.lo()[i], box.hi()[i]);
-      }
-      return s;
-    }
-  }
-  return 0.0;
+  return kernels::Get(box.dim(), metric)
+      .box_min(q.data(), box.lo().data(), box.hi().data());
 }
 
 double MbrMaxDist(const Mbr& box, const Point& q, Metric metric) {
-  if (!kernels::ScalarFallback()) {
-    return kernels::Get(box.dim(), metric)
-        .box_max(q.data(), box.lo().data(), box.hi().data());
-  }
-  switch (metric) {
-    case Metric::kL2:
-      return std::sqrt(box.MaxSquaredDist(q));
-    case Metric::kL1: {
-      double s = 0.0;
-      for (int i = 0; i < box.dim(); ++i) {
-        s += AxisMax(q[i], box.lo()[i], box.hi()[i]);
-      }
-      return s;
-    }
-  }
-  return 0.0;
+  return kernels::Get(box.dim(), metric)
+      .box_max(q.data(), box.lo().data(), box.hi().data());
 }
 
 double MbrMinDist(const Mbr& a, const Mbr& b, Metric metric) {

@@ -1,7 +1,5 @@
 #include "geom/point.h"
 
-#include <limits>
-
 #include "geom/kernels.h"
 
 namespace osd {
@@ -19,32 +17,16 @@ static_assert(sizeof(Point) % sizeof(double) == 0,
 
 double MinDistanceToSet(const Point& x, std::span<const Point> set) {
   OSD_CHECK(!set.empty());
-  if (!kernels::ScalarFallback()) {
-    return kernels::Get(x.dim(), Metric::kL2)
-        .set_min(x.data(), set.front().data(), kPointStride,
-                 static_cast<int>(set.size()));
-  }
-  double best = std::numeric_limits<double>::infinity();
-  for (const Point& y : set) {
-    const double d = SquaredDistance(x, y);
-    if (d < best) best = d;
-  }
-  return std::sqrt(best);
+  return kernels::Get(x.dim(), Metric::kL2)
+      .set_min(x.data(), set.front().data(), kPointStride,
+               static_cast<int>(set.size()));
 }
 
 double MaxDistanceToSet(const Point& x, std::span<const Point> set) {
   OSD_CHECK(!set.empty());
-  if (!kernels::ScalarFallback()) {
-    return kernels::Get(x.dim(), Metric::kL2)
-        .set_max(x.data(), set.front().data(), kPointStride,
-                 static_cast<int>(set.size()));
-  }
-  double best = 0.0;
-  for (const Point& y : set) {
-    const double d = SquaredDistance(x, y);
-    if (d > best) best = d;
-  }
-  return std::sqrt(best);
+  return kernels::Get(x.dim(), Metric::kL2)
+      .set_max(x.data(), set.front().data(), kPointStride,
+               static_cast<int>(set.size()));
 }
 
 }  // namespace osd

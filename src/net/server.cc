@@ -303,10 +303,6 @@ void OsdServer::Loop() {
   std::vector<pollfd> pfds;
   std::vector<ConnPtr> polled;
   while (true) {
-    if (drain_requested_.load(std::memory_order_acquire) && !draining_) {
-      EnterDrain();
-    }
-
     pfds.clear();
     polled.clear();
     pfds.push_back({wake_rd_.fd(), POLLIN, 0});
@@ -333,6 +329,13 @@ void OsdServer::Loop() {
       char buf[256];
       while (::read(wake_rd_.fd(), buf, sizeof(buf)) > 0) {
       }
+    }
+    // After poll and before any socket is read: a submit read in the same
+    // wake-up as a RequestDrain() must be refused. Checking after the wake
+    // pipe is drained means a consumed wake byte's drain is seen here, and
+    // any later one wakes the next poll at once.
+    if (drain_requested_.load(std::memory_order_acquire) && !draining_) {
+      EnterDrain();
     }
     if (listener_index != 0 && (pfds[listener_index].revents & POLLIN) != 0) {
       AcceptNew();

@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "geom/convex_hull.h"
 #include "geom/mbr.h"
+#include "geom/metric.h"
 #include "geom/point.h"
 
 namespace osd {
@@ -62,17 +63,19 @@ TEST(MbrTest, ExpandAndContain) {
 
 TEST(MbrTest, PointDistances) {
   const Mbr box(Point{0.0, 0.0}, Point{2.0, 2.0});
-  EXPECT_DOUBLE_EQ(box.MinSquaredDist(Point{1.0, 1.0}), 0.0);  // inside
-  EXPECT_DOUBLE_EQ(box.MinSquaredDist(Point{5.0, 2.0}), 9.0);
-  EXPECT_DOUBLE_EQ(box.MaxSquaredDist(Point{1.0, 1.0}), 2.0);
-  EXPECT_DOUBLE_EQ(box.MaxSquaredDist(Point{-1.0, 0.0}), 13.0);
+  EXPECT_DOUBLE_EQ(MbrMinDist(box, Point{1.0, 1.0}, Metric::kL2),
+                   0.0);  // inside
+  EXPECT_DOUBLE_EQ(MbrMinDist(box, Point{5.0, 2.0}, Metric::kL2), 3.0);
+  EXPECT_DOUBLE_EQ(MbrMaxDist(box, Point{1.0, 1.0}, Metric::kL2),
+                   std::sqrt(2.0));
+  EXPECT_DOUBLE_EQ(MbrMaxDist(box, Point{-1.0, 0.0}, Metric::kL2),
+                   std::sqrt(13.0));
 }
 
 TEST(MbrTest, BoxDistances) {
   const Mbr a(Point{0.0, 0.0}, Point{1.0, 1.0});
   const Mbr b(Point{4.0, 5.0}, Point{6.0, 6.0});
   EXPECT_DOUBLE_EQ(a.MinSquaredDist(b), 9.0 + 16.0);
-  EXPECT_DOUBLE_EQ(a.MaxSquaredDist(b), 36.0 + 36.0);
   EXPECT_DOUBLE_EQ(a.MinSquaredDist(a), 0.0);
 }
 
@@ -110,8 +113,8 @@ TEST_P(MbrDominanceProperty, AgreesWithSampling) {
       for (int i = 0; i < dim; ++i) {
         q[i] = rng.Uniform(qbox.lo()[i], qbox.hi()[i]);
       }
-      if (std::sqrt(ubox.MaxSquaredDist(q)) >
-          std::sqrt(vbox.MinSquaredDist(q)) + 1e-9) {
+      if (MbrMaxDist(ubox, q, Metric::kL2) >
+          MbrMinDist(vbox, q, Metric::kL2) + 1e-9) {
         sampled_dominates = false;
       }
     }
@@ -122,8 +125,8 @@ TEST_P(MbrDominanceProperty, AgreesWithSampling) {
       for (int i = 0; i < dim; ++i) {
         q[i] = (mask >> i) & 1 ? qbox.hi()[i] : qbox.lo()[i];
       }
-      if (std::sqrt(ubox.MaxSquaredDist(q)) >
-          std::sqrt(vbox.MinSquaredDist(q)) + 1e-9) {
+      if (MbrMaxDist(ubox, q, Metric::kL2) >
+          MbrMinDist(vbox, q, Metric::kL2) + 1e-9) {
         sampled_dominates = false;
       }
     }

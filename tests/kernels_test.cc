@@ -1,12 +1,13 @@
 // The distance-kernel determinism contract (geom/kernels.h).
 //
-// Every kernel must be bit-exact with the scalar reference path it
-// replaces: candidate sets, golden files, and the engine determinism tests
-// all assume that switching the substrate never moves a single bit. The
-// unit tests here compare each kernel against the scalar code for every
-// dimension 1..8, both metrics, and ragged block tails; the end-to-end
-// test runs all four operators with kernels on vs the scalar fallback flag
-// and demands identical candidate sets, timelines, and work counters.
+// Every kernel must be bit-exact with a Point-at-a-time scalar reference:
+// candidate sets, golden files, and the engine determinism tests all
+// assume that a distance is the same double on every code path. The unit
+// tests here compare each kernel with EXPECT_EQ against its reference —
+// PointDistance for the batched and fused row kernels, the test_util.h
+// oracles for the point-box and point-set kernels — for every dimension
+// 1..8, both metrics, and ragged block tails. The end-to-end test runs
+// concurrent queries through the shared dispatch tables.
 
 #include <algorithm>
 #include <atomic>
@@ -30,8 +31,6 @@
 
 namespace osd {
 namespace {
-
-using test::ScopedScalarFallback;
 
 // Ragged and aligned instance counts: below / at / above the pad granule,
 // plus multi-chunk sizes straddling the fused-pass chunk boundary.
@@ -134,7 +133,6 @@ TEST(KernelsTest, FusedRowStatsBitExactAgainstScalarFold) {
 
 TEST(KernelsTest, PointBoxKernelsBitExactAgainstScalarMbrDistances) {
   std::mt19937_64 rng(4);
-  ScopedScalarFallback scalar(true);  // route MbrMin/MaxDist scalar
   for (Metric metric : {Metric::kL2, Metric::kL1}) {
     for (int dim = 1; dim <= Point::kMaxDim; ++dim) {
       const kernels::KernelSet& ks = kernels::Get(dim, metric);
@@ -147,10 +145,14 @@ TEST(KernelsTest, PointBoxKernelsBitExactAgainstScalarMbrDistances) {
         // Inside, outside, and boundary query points.
         for (const Point& q :
              {RandomPoint(dim, rng), a, b}) {
+          const double ref_min = test::RefPointBoxMin(box, q, metric);
+          const double ref_max = test::RefPointBoxMax(box, q, metric);
           EXPECT_EQ(ks.box_min(q.data(), box.lo().data(), box.hi().data()),
-                    MbrMinDist(box, q, metric));
+                    ref_min);
           EXPECT_EQ(ks.box_max(q.data(), box.lo().data(), box.hi().data()),
-                    MbrMaxDist(box, q, metric));
+                    ref_max);
+          EXPECT_EQ(MbrMinDist(box, q, metric), ref_min);
+          EXPECT_EQ(MbrMaxDist(box, q, metric), ref_max);
         }
       }
     }
@@ -159,111 +161,36 @@ TEST(KernelsTest, PointBoxKernelsBitExactAgainstScalarMbrDistances) {
 
 TEST(KernelsTest, StridedSetKernelsBitExactAgainstScalarSetDistances) {
   std::mt19937_64 rng(5);
-  for (int dim = 1; dim <= Point::kMaxDim; ++dim) {
-    for (int m : {1, 2, 7, 31}) {
-      std::vector<Point> set;
-      set.reserve(m);
-      for (int j = 0; j < m; ++j) set.push_back(RandomPoint(dim, rng));
-      const Point q = RandomPoint(dim, rng);
-      double ref_min, ref_max;
-      {
-        ScopedScalarFallback scalar(true);
-        ref_min = MinDistanceToSet(q, set);
-        ref_max = MaxDistanceToSet(q, set);
+  constexpr size_t kPointStride = sizeof(Point) / sizeof(double);
+  for (Metric metric : {Metric::kL2, Metric::kL1}) {
+    for (int dim = 1; dim <= Point::kMaxDim; ++dim) {
+      const kernels::KernelSet& ks = kernels::Get(dim, metric);
+      for (int m : {1, 2, 7, 31}) {
+        std::vector<Point> set;
+        set.reserve(m);
+        for (int j = 0; j < m; ++j) set.push_back(RandomPoint(dim, rng));
+        const Point q = RandomPoint(dim, rng);
+        const double ref_min = test::RefSetDist(q, set, metric, false);
+        const double ref_max = test::RefSetDist(q, set, metric, true);
+        EXPECT_EQ(ks.set_min(q.data(), set.front().data(), kPointStride, m),
+                  ref_min)
+            << "metric=" << static_cast<int>(metric) << " dim=" << dim;
+        EXPECT_EQ(ks.set_max(q.data(), set.front().data(), kPointStride, m),
+                  ref_max)
+            << "metric=" << static_cast<int>(metric) << " dim=" << dim;
+        if (metric == Metric::kL2) {
+          EXPECT_EQ(MinDistanceToSet(q, set), ref_min) << "dim=" << dim;
+          EXPECT_EQ(MaxDistanceToSet(q, set), ref_max) << "dim=" << dim;
+        }
       }
-      EXPECT_EQ(MinDistanceToSet(q, set), ref_min) << "dim=" << dim;
-      EXPECT_EQ(MaxDistanceToSet(q, set), ref_max) << "dim=" << dim;
     }
   }
 }
 
-// --- End-to-end bit-identity ----------------------------------------------
+// --- End-to-end -----------------------------------------------------------
 
-TEST(KernelsEndToEndTest, CandidateSetsBitIdenticalKernelsVsScalarAllOps) {
-  SyntheticParams sp;
-  sp.dim = 3;
-  sp.num_objects = 250;
-  sp.instances_per_object = 6;
-  sp.seed = 99;
-  const Dataset dataset = GenerateSynthetic(sp);
-  WorkloadParams wp;
-  wp.num_queries = 6;
-  wp.query_instances = 5;
-  wp.seed = 17;
-  const auto workload = GenerateWorkload(dataset, wp);
-
-  constexpr Operator kOps[] = {Operator::kSSd, Operator::kSsSd,
-                               Operator::kPSd, Operator::kFSd};
-  for (Operator op : kOps) {
-    for (const QueryWorkloadEntry& entry : workload) {
-      NncOptions options;
-      options.op = op;
-      options.exclude_id = entry.seeded_from;
-
-      NncResult scalar_result, kernel_result;
-      {
-        ScopedScalarFallback scalar(true);
-        scalar_result = NncSearch(dataset, options).Run(entry.query);
-      }
-      {
-        ScopedScalarFallback scalar(false);
-        kernel_result = NncSearch(dataset, options).Run(entry.query);
-      }
-      SCOPED_TRACE(OperatorName(op));
-      EXPECT_EQ(kernel_result.candidates, scalar_result.candidates);
-      ASSERT_EQ(kernel_result.timeline.size(), scalar_result.timeline.size());
-      for (size_t i = 0; i < kernel_result.timeline.size(); ++i) {
-        EXPECT_EQ(kernel_result.timeline[i].object_id,
-                  scalar_result.timeline[i].object_id);
-      }
-      // Identical pruning decisions imply identical work counters.
-      EXPECT_EQ(kernel_result.stats.dominance_checks,
-                scalar_result.stats.dominance_checks);
-      EXPECT_EQ(kernel_result.stats.exact_checks,
-                scalar_result.stats.exact_checks);
-      EXPECT_EQ(kernel_result.stats.stat_prunes,
-                scalar_result.stats.stat_prunes);
-      EXPECT_EQ(kernel_result.objects_examined,
-                scalar_result.objects_examined);
-      EXPECT_EQ(kernel_result.entries_pruned, scalar_result.entries_pruned);
-    }
-  }
-}
-
-TEST(KernelsEndToEndTest, L1MetricBitIdenticalKernelsVsScalar) {
-  SyntheticParams sp;
-  sp.dim = 4;
-  sp.num_objects = 150;
-  sp.instances_per_object = 5;
-  sp.seed = 11;
-  const Dataset dataset = GenerateSynthetic(sp);
-  WorkloadParams wp;
-  wp.num_queries = 3;
-  wp.query_instances = 4;
-  wp.seed = 29;
-  const auto workload = GenerateWorkload(dataset, wp);
-
-  for (const QueryWorkloadEntry& entry : workload) {
-    NncOptions options;
-    options.op = Operator::kSsSd;
-    options.metric = Metric::kL1;
-    options.exclude_id = entry.seeded_from;
-    NncResult scalar_result, kernel_result;
-    {
-      ScopedScalarFallback scalar(true);
-      scalar_result = NncSearch(dataset, options).Run(entry.query);
-    }
-    {
-      ScopedScalarFallback scalar(false);
-      kernel_result = NncSearch(dataset, options).Run(entry.query);
-    }
-    EXPECT_EQ(kernel_result.candidates, scalar_result.candidates);
-  }
-}
-
-// Concurrent Run calls with kernels enabled: the dispatch tables are
-// immutable statics and every arena is thread-local, so this must be
-// race-free under TSan.
+// Concurrent Run calls: the dispatch tables are immutable statics and
+// every arena is thread-local, so this must be race-free under TSan.
 TEST(KernelsEndToEndTest, ConcurrentRunsWithKernelsAreRaceFree) {
   SyntheticParams sp;
   sp.dim = 2;

@@ -1,7 +1,6 @@
 // Tests for the metric abstraction: L1 distances on points, boxes, and
 // the metric-aware MBR dominance decision; dominance checks and NNC under
-// L1 against L1 brute force; and the L2 pathways matching the specialized
-// implementations.
+// L1 against L1 brute force.
 
 #include <cmath>
 #include <set>
@@ -33,20 +32,6 @@ TEST(MetricTest, BoxDistancesL1) {
   EXPECT_DOUBLE_EQ(MbrMaxDist(box, Point{-1.0, 0.0}, Metric::kL1), 5.0);
   const Mbr other(Point{5.0, 4.0}, Point{6.0, 6.0});
   EXPECT_DOUBLE_EQ(MbrMinDist(box, other, Metric::kL1), 3.0 + 2.0);
-}
-
-TEST(MetricTest, L2VariantsMatchSpecializedCode) {
-  Rng rng(7);
-  for (int t = 0; t < 100; ++t) {
-    Point lo{rng.Uniform(0.0, 5.0), rng.Uniform(0.0, 5.0)};
-    Point hi{lo[0] + rng.Uniform(0.0, 3.0), lo[1] + rng.Uniform(0.0, 3.0)};
-    const Mbr box(lo, hi);
-    const Point q{rng.Uniform(-2.0, 8.0), rng.Uniform(-2.0, 8.0)};
-    EXPECT_NEAR(MbrMinDist(box, q, Metric::kL2),
-                std::sqrt(box.MinSquaredDist(q)), 1e-12);
-    EXPECT_NEAR(MbrMaxDist(box, q, Metric::kL2),
-                std::sqrt(box.MaxSquaredDist(q)), 1e-12);
-  }
 }
 
 // Property: the L1 MBR dominance decision agrees with dense sampling.

@@ -635,6 +635,7 @@ TEST_F(NetServerTest, DrainFinishesInflightQueriesThenExits) {
     JsonValue msg;
     if (client.Read(&msg, &error)) {
       EXPECT_EQ(MessageType(msg), "error");
+      ASSERT_NE(msg.Find("code"), nullptr);
       EXPECT_EQ(msg.Find("code")->AsString(), kErrDraining);
     }
   }

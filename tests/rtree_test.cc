@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "index/rtree.h"
+#include "test_util.h"
 
 namespace osd {
 namespace {
@@ -99,11 +100,13 @@ TEST_P(RTreeProperty, InvariantsAndQueriesMatchLinearScan) {
     double best_min = std::numeric_limits<double>::infinity();
     double best_max = 0.0;
     for (const auto& e : reference) {
-      best_min = std::min(best_min, e.box.MinSquaredDist(q));
-      best_max = std::max(best_max, e.box.MaxSquaredDist(q));
+      best_min =
+          std::min(best_min, test::RefPointBoxMin(e.box, q, Metric::kL2));
+      best_max =
+          std::max(best_max, test::RefPointBoxMax(e.box, q, Metric::kL2));
     }
-    EXPECT_NEAR(tree.MinDist(q), std::sqrt(best_min), 1e-9);
-    EXPECT_NEAR(tree.MaxDist(q), std::sqrt(best_max), 1e-9);
+    EXPECT_NEAR(tree.MinDist(q), best_min, 1e-9);
+    EXPECT_NEAR(tree.MaxDist(q), best_max, 1e-9);
   }
 }
 

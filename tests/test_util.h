@@ -1,20 +1,25 @@
 // Shared test helpers: definition-level brute-force implementations of the
-// four spatial dominance operators and small random object generators.
+// four spatial dominance operators, scalar references for the point-box and
+// point-set distance kernels, and small random object generators.
 //
 // The brute-force implementations deliberately share no code with the
 // library's checkers: S-SD/SS-SD check the CDF inequality at every support
 // point, P-SD enumerates the Hall condition over instance subsets, and
 // F-SD scans all (q, u, v) triples. They are the oracles the optimized
-// checkers are validated against.
+// checkers are validated against. Likewise the distance references walk
+// one Point at a time; the library has only the kernels (geom/kernels.h),
+// and kernels_test holds them bit-equal to these loops.
 
 #ifndef OSD_TESTS_TEST_UTIL_H_
 #define OSD_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
-#include "geom/kernels.h"
 #include "geom/metric.h"
 #include "nnfun/n1_functions.h"
 #include "object/dataset.h"
@@ -23,17 +28,64 @@
 namespace osd {
 namespace test {
 
-// Restores the scalar-fallback flag even if an assertion fails out.
-class ScopedScalarFallback {
- public:
-  explicit ScopedScalarFallback(bool on) : prev_(kernels::ScalarFallback()) {
-    kernels::SetScalarFallback(on);
-  }
-  ~ScopedScalarFallback() { kernels::SetScalarFallback(prev_); }
+// Per-axis point-box terms: squared (L2) and plain (L1) distance from
+// coordinate t to the interval [lo, hi] and to its farther endpoint.
+inline double RefMinDistSq1D(double t, double lo, double hi) {
+  if (t < lo) return (lo - t) * (lo - t);
+  if (t > hi) return (t - hi) * (t - hi);
+  return 0.0;
+}
 
- private:
-  bool prev_;
-};
+inline double RefMaxDistSq1D(double t, double lo, double hi) {
+  const double a = t - lo;
+  const double b = hi - t;
+  const double m = std::max(std::abs(a), std::abs(b));
+  return m * m;
+}
+
+inline double RefAxisMin(double t, double lo, double hi) {
+  if (t < lo) return lo - t;
+  if (t > hi) return t - hi;
+  return 0.0;
+}
+
+inline double RefAxisMax(double t, double lo, double hi) {
+  return std::max(std::abs(t - lo), std::abs(hi - t));
+}
+
+// Scalar reference for kernels::KernelSet::box_min: the per-axis terms
+// summed in component order, rooted once under L2.
+inline double RefPointBoxMin(const Mbr& box, const Point& q, Metric metric) {
+  double s = 0.0;
+  for (int i = 0; i < box.dim(); ++i) {
+    s += metric == Metric::kL2 ? RefMinDistSq1D(q[i], box.lo()[i], box.hi()[i])
+                               : RefAxisMin(q[i], box.lo()[i], box.hi()[i]);
+  }
+  return metric == Metric::kL2 ? std::sqrt(s) : s;
+}
+
+// Scalar reference for kernels::KernelSet::box_max.
+inline double RefPointBoxMax(const Mbr& box, const Point& q, Metric metric) {
+  double s = 0.0;
+  for (int i = 0; i < box.dim(); ++i) {
+    s += metric == Metric::kL2 ? RefMaxDistSq1D(q[i], box.lo()[i], box.hi()[i])
+                               : RefAxisMax(q[i], box.lo()[i], box.hi()[i]);
+  }
+  return metric == Metric::kL2 ? std::sqrt(s) : s;
+}
+
+// Scalar references for kernels::KernelSet::set_min / set_max. Under L2
+// the extreme is taken over squared distances and rooted once.
+inline double RefSetDist(const Point& x, std::span<const Point> set,
+                         Metric metric, bool farthest) {
+  double best = farthest ? 0.0 : std::numeric_limits<double>::infinity();
+  for (const Point& y : set) {
+    const double d = metric == Metric::kL2 ? SquaredDistance(x, y)
+                                           : PointDistance(x, y, metric);
+    if (farthest ? d > best : d < best) best = d;
+  }
+  return metric == Metric::kL2 ? std::sqrt(best) : best;
+}
 
 inline bool DistributionsEqual(const UncertainObject& u,
                                const UncertainObject& v,
