@@ -23,8 +23,8 @@ enum class Action { kThrow, kBadAlloc, kError, kDelay, kAbort };
 /// escape) so a typo'd spec fails loudly instead of silently arming a
 /// trigger nothing will ever hit. Keep in sync with the site macros.
 constexpr const char* kKnownSites[] = {
-    "dominance.check",    "dominance.level",  "engine.execute",
-    "envelope.round",     "flow.augment",     "io.binary.header",
+    "dominance.check",    "engine.execute",   "envelope.round",
+    "flow.augment",       "io.binary.header",
     "io.binary.object",   "io.checkpoint.write",
     "io.open",            "io.recover.replay",
     "io.text.header",     "io.text.object",   "io.wal.append",

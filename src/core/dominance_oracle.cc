@@ -124,6 +124,9 @@ bool DominanceOracle::StatRefutesPerQ(ObjectProfile& u, ObjectProfile& v) {
 
 bool DominanceOracle::SSd(ObjectProfile& u, ObjectProfile& v) {
   if (config_.cover_rules && CoverValidates(u, v)) return true;
+  // S-SD implies the min/mean/max order (Theorem 11), so the O(1)
+  // statistic gate may refute before the envelope sweeps any nodes.
+  if (config_.stat_pruning && StatRefutesAll(u, v)) return false;
   if (config_.level_by_level) {
     OSD_TRACE_SPAN(obs::SpanKind::kLevelFilter);
     const EnvelopeDecision d = EnvelopeSSd(u.object(), v.object(), *ctx_,
@@ -131,7 +134,6 @@ bool DominanceOracle::SSd(ObjectProfile& u, ObjectProfile& v) {
     if (d == EnvelopeDecision::kDominates) return true;
     if (d == EnvelopeDecision::kNotDominates) return false;
   }
-  if (config_.stat_pruning && StatRefutesAll(u, v)) return false;
   OSD_TRACE_SPAN(obs::SpanKind::kExactCheck);
   if (stats_ != nullptr) ++stats_->exact_checks;
   if (!SSdOrderHolds(u, v)) return false;
@@ -140,6 +142,12 @@ bool DominanceOracle::SSd(ObjectProfile& u, ObjectProfile& v) {
 
 bool DominanceOracle::SsSd(ObjectProfile& u, ObjectProfile& v) {
   if (config_.cover_rules && CoverValidates(u, v)) return true;
+  // SS-SD implies the min/mean/max order overall and at every q
+  // (Theorem 11), so the O(|Q|) statistic gate runs before the envelopes.
+  if (config_.stat_pruning &&
+      (StatRefutesAll(u, v) || StatRefutesPerQ(u, v))) {
+    return false;
+  }
   if (config_.level_by_level) {
     // Per-query-instance envelopes pay |Q| sweeps per round, so they only
     // out-compete the exact per-q scans at very shallow depth.
@@ -151,10 +159,6 @@ bool DominanceOracle::SsSd(ObjectProfile& u, ObjectProfile& v) {
                                             config_.geometric, stats_, limits);
     if (d == EnvelopeDecision::kDominates) return true;
     if (d == EnvelopeDecision::kNotDominates) return false;
-  }
-  if (config_.stat_pruning &&
-      (StatRefutesAll(u, v) || StatRefutesPerQ(u, v))) {
-    return false;
   }
   if (config_.cover_rules) {
     // Cover-based pruning: not S-SD implies not SS-SD (Theorem 2),
@@ -199,102 +203,6 @@ bool DominanceOracle::FSd(ObjectProfile& u, ObjectProfile& v) {
   return DistributionsDiffer(u, v);
 }
 
-DominanceOracle::Tri DominanceOracle::PSdLevel(ObjectProfile& u,
-                                               ObjectProfile& v) {
-  constexpr int kMaxFrontier = 64;
-  OSD_FAILPOINT("dominance.level");
-  const RTree& tu = u.object().LocalTree();
-  const RTree& tv = v.object().LocalTree();
-  std::vector<int32_t> fu = {tu.root()};
-  std::vector<int32_t> fv = {tv.root()};
-
-  auto masses = [](const RTree& tree, const std::vector<int32_t>& frontier) {
-    std::vector<double> w(frontier.size());
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      w[i] = tree.nodes()[frontier[i]].weight;
-    }
-    return ScaleProbabilities(w, kProbScale);
-  };
-
-  std::vector<uint64_t> sure_rows;
-  std::vector<uint64_t> possible_rows;
-  while (true) {
-    const int nu = static_cast<int>(fu.size());
-    const int nv = static_cast<int>(fv.size());
-    const int words = RowWords(nu);
-    // G-: validation network. An edge certifies that every instance under
-    // the U node is strictly closer than every instance under the V node
-    // for every possible query instance position.
-    sure_rows.assign(static_cast<size_t>(nv) * words, 0);
-    // G+: pruning network. An edge remains possible unless the V node
-    // strictly dominates the U node (then no u <=_Q v pair can exist).
-    possible_rows.assign(static_cast<size_t>(nv) * words, 0);
-    for (int j = 0; j < nv; ++j) {
-      const Mbr& bv = tv.nodes()[fv[j]].box;
-      uint64_t* sure = sure_rows.data() + static_cast<size_t>(j) * words;
-      uint64_t* possible =
-          possible_rows.data() + static_cast<size_t>(j) * words;
-      for (int i = 0; i < nu; ++i) {
-        const Mbr& bu = tu.nodes()[fu[i]].box;
-        const uint64_t bit = uint64_t{1} << (i % 64);
-        if (stats_ != nullptr) stats_->node_ops += 2;
-        if (MbrStrictlyDominatesM(bu, bv, ctx_->mbr(), ctx_->metric())) {
-          sure[i / 64] |= bit;
-          possible[i / 64] |= bit;
-        } else if (!MbrStrictlyDominatesM(bv, bu, ctx_->mbr(),
-                                          ctx_->metric())) {
-          possible[i / 64] |= bit;
-        }
-      }
-    }
-    const std::vector<int64_t> mu = masses(tu, fu);
-    const std::vector<int64_t> mv = masses(tv, fv);
-    if (RowsFeasible(nu, nv, sure_rows, mu, mv)) {
-      if (stats_ != nullptr) ++stats_->level_decisions;
-      return Tri::kTrue;
-    }
-    if (!RowsFeasible(nu, nv, possible_rows, mu, mv)) {
-      if (stats_ != nullptr) ++stats_->level_decisions;
-      return Tri::kFalse;
-    }
-    // Descend one level on both sides.
-    auto descend = [](const RTree& tree, std::vector<int32_t>& frontier) {
-      std::vector<int32_t> next;
-      bool changed = false;
-      for (int32_t nid : frontier) {
-        const RTree::Node& node = tree.nodes()[nid];
-        if (node.is_leaf) {
-          next.push_back(nid);
-        } else {
-          changed = true;
-          for (int32_t c : node.children) next.push_back(c);
-        }
-      }
-      frontier = std::move(next);
-      return changed;
-    };
-    if (static_cast<int>(fu.size()) > kMaxFrontier ||
-        static_cast<int>(fv.size()) > kMaxFrontier) {
-      return Tri::kUnknown;
-    }
-    const bool du = descend(tu, fu);
-    const bool dv = descend(tv, fv);
-    if (!du && !dv) return Tri::kUnknown;  // leaf granularity reached
-  }
-}
-
-bool DominanceOracle::RowsFeasible(int nu, int nv,
-                                   std::span<const uint64_t> rows,
-                                   std::span<const int64_t> u_mass,
-                                   std::span<const int64_t> v_mass) {
-  const FeasibilityVerdict verdict =
-      BipartiteFeasible(nu, nv, rows, u_mass, v_mass);
-  if (verdict.exit == FeasibilityExit::kMaxFlow && stats_ != nullptr) {
-    ++stats_->flow_runs;
-  }
-  return verdict.feasible;
-}
-
 bool DominanceOracle::PSdRows(ObjectProfile& u, ObjectProfile& v,
                               std::vector<uint64_t>* rows) {
   const std::vector<int>& qidx = QIdx();
@@ -332,43 +240,71 @@ bool DominanceOracle::PSdRows(ObjectProfile& u, ObjectProfile& v,
   return covered;
 }
 
+bool DominanceOracle::ProjectedHallRefutes(ObjectProfile& u,
+                                           ObjectProfile& v) {
+  OSD_TRACE_SPAN(obs::SpanKind::kCoverFilter);
+  const int nu = u.num_instances();
+  const int nv = v.num_instances();
+  const int64_t slack = nu + nv;  // BipartiteFeasible's rounding slack
+  const std::span<const int64_t> v_mass = v.ScaledProbs();
+  const double* vm = v.MatrixData();
+  // demand[r]: mass of the V instances whose projected neighbourhood at q
+  // is u's r nearest instances there.
+  std::vector<int64_t> demand(nu + 1);
+  long steps = 0;
+  bool refuted = false;
+  for (int qi : QIdx()) {
+    const ObjectProfile::RankView ranks = u.Ranks(qi);
+    std::fill(demand.begin(), demand.end(), 0);
+    const double* vq = vm + static_cast<size_t>(qi) * nv;
+    // Count() evaluates the threshold PSdRows evaluates, so this
+    // neighbourhood is a superset of v_j's exact row.
+    for (int j = 0; j < nv; ++j) {
+      demand[ranks.Count(vq[j] + kEps)] += v_mass[j];
+    }
+    steps += nv;
+    // The neighbourhoods are nested prefixes, so Hall's condition needs
+    // only the sets "every v_j whose prefix fits in the r nearest".
+    int64_t needed = 0;
+    for (int r = 0; r <= nu && !refuted; ++r) {
+      ++steps;
+      needed += demand[r];
+      refuted = needed - ranks.mass[r] > slack;
+    }
+    if (refuted) break;
+  }
+  if (stats_ != nullptr) {
+    stats_->scan_steps += steps;
+    if (refuted) ++stats_->cover_prunes;
+  }
+  return refuted;
+}
+
 bool DominanceOracle::PSdExactOrder(ObjectProfile& u, ObjectProfile& v) {
   std::vector<uint64_t> rows;
   if (!PSdRows(u, v, &rows)) return false;
-  return RowsFeasible(u.num_instances(), v.num_instances(), rows,
-                      u.ScaledProbs(), v.ScaledProbs());
+  const FeasibilityVerdict verdict =
+      BipartiteFeasible(u.num_instances(), v.num_instances(), rows,
+                        u.ScaledProbs(), v.ScaledProbs());
+  if (verdict.exit == FeasibilityExit::kMaxFlow && stats_ != nullptr) {
+    ++stats_->flow_runs;
+  }
+  return verdict.feasible;
 }
 
 bool DominanceOracle::PSd(ObjectProfile& u, ObjectProfile& v) {
   if (config_.cover_rules && CoverValidates(u, v)) return true;
   // P-SD implies SS-SD implies S-SD implies the min/mean/max order
-  // (Theorem 11), so the O(|Q|) statistic gate may refute before the
-  // node-level flow refinement spends any networks on the pair.
+  // (Theorem 11), so the O(|Q|) statistic gate may refute before any
+  // rank view or network is built for the pair.
   if (config_.stat_pruning &&
       (StatRefutesAll(u, v) || StatRefutesPerQ(u, v))) {
     return false;
   }
-  if (config_.level_by_level) {
-    OSD_TRACE_SPAN(obs::SpanKind::kLevelFilter);
-    const Tri d = PSdLevel(u, v);
-    if (d == Tri::kTrue) return true;
-    if (d == Tri::kFalse) return false;
-  }
-  if (config_.cover_rules) {
-    // Cover-based pruning: not SS-SD implies not P-SD (Theorem 2),
-    // checked at node granularity so a refutation costs no instance work
-    // (the exact flow reduction below has its own cheap refutation exits).
-    OSD_TRACE_SPAN(obs::SpanKind::kCoverFilter);
-    EnvelopeLimits limits;
-    limits.max_rounds = 2;
-    limits.max_segments = 40;
-    const EnvelopeDecision d = EnvelopeSsSd(u.object(), v.object(), *ctx_,
-                                            config_.geometric, stats_, limits);
-    if (d == EnvelopeDecision::kNotDominates) {
-      if (stats_ != nullptr) ++stats_->cover_prunes;
-      return false;
-    }
-  }
+  // Cover-based pruning: not SS-SD implies not P-SD (Theorem 2), tested
+  // one q at a time on the flow's own masses and slack, so it refutes
+  // only pairs the exact check below would refute.
+  if (config_.cover_rules && ProjectedHallRefutes(u, v)) return false;
   OSD_TRACE_SPAN(obs::SpanKind::kExactCheck);
   if (stats_ != nullptr) ++stats_->exact_checks;
   if (!PSdExactOrder(u, v)) return false;

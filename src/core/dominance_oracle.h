@@ -7,8 +7,9 @@
 //    level-by-level refinement on local R-trees.
 //  - P-SD: reduction to max-flow (Theorem 12) over the admissible-pair
 //    bipartite network, with convex-hull reduction of the query, cover
-//    rules, and level-by-level node networks G- (validation) and G+
-//    (pruning).
+//    validation, and a per-query-instance Hall certificate that refutes
+//    on the flow's own masses before any network is built. P-SD has no
+//    level-by-level stage and builds no node-level networks.
 //  - F-SD: per-hull-instance farthest/nearest comparisons, either from
 //    local R-trees (level-by-level) or from the profile's distance matrix.
 //  - F+-SD: the MBR-level test of [Emrich et al. 2010].
@@ -21,7 +22,6 @@
 #define OSD_CORE_DOMINANCE_ORACLE_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/filter_config.h"
@@ -71,8 +71,6 @@ class DominanceOracle {
   const FilterConfig& config() const { return config_; }
 
  private:
-  enum class Tri { kTrue, kFalse, kUnknown };
-
   /// Query-instance indices used by <=_Q style tests: CH(Q) when the
   /// geometric filter is on, all instances otherwise.
   const std::vector<int>& QIdx() const;
@@ -94,17 +92,19 @@ class DominanceOracle {
   /// Per-query-instance statistic pruning (SS-SD / P-SD / F-SD).
   bool StatRefutesPerQ(ObjectProfile& u, ObjectProfile& v);
 
-  /// Level-by-level P-SD over node networks; kUnknown falls to exact.
-  Tri PSdLevel(ObjectProfile& u, ObjectProfile& v);
-
-  /// Theorem 12's feasibility test (flow/max_flow.h) on bit rows; counts
-  /// the networks that reach Dinic in flow_runs.
-  bool RowsFeasible(int nu, int nv, std::span<const uint64_t> rows,
-                    std::span<const int64_t> u_mass,
-                    std::span<const int64_t> v_mass);
+  /// Hall's condition for the P-SD network projected to one query
+  /// instance q at a time. There v_j's neighbourhood is a prefix of u's
+  /// rank order at q, so the condition is one running-sum check per
+  /// prefix, on the integer masses and the nu + nv slack of
+  /// BipartiteFeasible. The exact network is a subnetwork of every
+  /// projection, so a refutation is one the exact flow check would make.
+  /// Meters scan_steps; counts a refutation in cover_prunes.
+  bool ProjectedHallRefutes(ObjectProfile& u, ObjectProfile& v);
 
   /// Exact P-SD via the admissible-pair max-flow (Theorem 12), without the
-  /// distribution-inequality condition.
+  /// distribution-inequality condition. Theorem 12's feasibility test
+  /// (flow/max_flow.h) reads PSdRows' bit rows; flow_runs counts the
+  /// networks that reach Dinic.
   bool PSdExactOrder(ObjectProfile& u, ObjectProfile& v);
 
   const QueryContext* ctx_;

@@ -27,7 +27,8 @@ const char* OperatorName(Operator op);
 
 /// Switches for the acceleration techniques of Section 5.1.
 struct FilterConfig {
-  /// Level-by-level pruning/validation on local R-trees ("L").
+  /// Level-by-level pruning/validation on local R-trees ("L"); P-SD has
+  /// no level stage, so it ignores this switch.
   bool level_by_level = true;
   /// Statistic-based pruning on min/mean/max ("P").
   bool stat_pruning = true;

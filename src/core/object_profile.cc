@@ -340,8 +340,10 @@ void ObjectProfile::FillRanks(int qi) {
     rank_words_ = RowWords(m);
   }
   const double* row = MatrixData() + static_cast<size_t>(qi) * m;
+  const std::span<const int64_t> scaled = ScaledProbs();
   ChargeView(m * static_cast<long>(sizeof(double)) +
-                 (m + 1L) * rank_words_ * static_cast<long>(sizeof(uint64_t)),
+                 (m + 1L) * rank_words_ * static_cast<long>(sizeof(uint64_t)) +
+                 (m + 1L) * static_cast<long>(sizeof(int64_t)),
              "profile.ranks");
   std::vector<int> order(m);
   std::iota(order.begin(), order.end(), 0);
@@ -351,14 +353,17 @@ void ObjectProfile::FillRanks(int qi) {
   });
   RankEntry& e = ranks_[qi];
   std::vector<uint64_t> prefix((m + 1L) * rank_words_, 0);
+  std::vector<int64_t> mass(m + 1, 0);
   for (int r = 0; r < m; ++r) {
     uint64_t* next = prefix.data() + (r + 1L) * rank_words_;
     std::copy_n(next - rank_words_, rank_words_, next);
     next[order[r] / 64] |= uint64_t{1} << (order[r] % 64);
+    mass[r + 1] = mass[r] + scaled[order[r]];
   }
   std::vector<double> sorted(m);
   for (int r = 0; r < m; ++r) sorted[r] = row[order[r]];
   e.prefix = std::move(prefix);
+  e.mass = std::move(mass);
   e.sorted = std::move(sorted);
 }
 

@@ -40,13 +40,15 @@
 // and never published to the ProfileCache.
 //
 // Rank view: Ranks(qi) memoizes, per query instance, the object's
-// distances to ctx.points()[qi] sorted ascending and the prefix bit rows
-// "the r nearest instances" for r = 0..m. The P-SD exact check reads the
-// set {i : Dist(qi, i) <= d} off it with one binary search instead of m
-// comparisons. Like the tree-distance memo it is per-query scratch,
-// charged under "profile.ranks" with the cache on or off and never
-// published; ScaledProbs() memoizes the object's integer flow masses the
-// same way.
+// distances to ctx.points()[qi] sorted ascending, and for r = 0..m the
+// prefix bit row "the r nearest instances" and their summed integer flow
+// mass (ScaledProbs() in rank order). The P-SD exact check reads the set
+// {i : Dist(qi, i) <= d} off it with one binary search instead of m
+// comparisons, and the P-SD Hall certificate reads that set's mass the
+// same way. Like the tree-distance memo it is per-query scratch, charged
+// (distances, rows and masses) under "profile.ranks" with the cache on or
+// off and never published; ScaledProbs() memoizes the object's integer
+// flow masses under the same label.
 
 #ifndef OSD_CORE_OBJECT_PROFILE_H_
 #define OSD_CORE_OBJECT_PROFILE_H_
@@ -98,15 +100,20 @@ class ObjectProfile {
   struct RankView {
     std::span<const double> sorted;  ///< the m distances, ascending
     const uint64_t* prefix;  ///< row r (words long): the r nearest instances
+    const int64_t* mass;     ///< mass[r]: ScaledProbs() of the r nearest
     int words;               ///< RowWords(m) (flow/max_flow.h)
 
-    /// Bit row of the instances i with Dist(qi, i) <= d. The sorted order
+    /// Number of instances i with Dist(qi, i) <= d. The sorted order
     /// breaks distance ties by instance index, and tied distances are all
-    /// <= d or all > d, so the set is exactly a prefix of that order.
+    /// <= d or all > d, so those instances are exactly the first Count(d).
+    int Count(double d) const {
+      return static_cast<int>(
+          std::upper_bound(sorted.begin(), sorted.end(), d) - sorted.begin());
+    }
+
+    /// Bit row of the instances i with Dist(qi, i) <= d.
     const uint64_t* Within(double d) const {
-      const auto r =
-          std::upper_bound(sorted.begin(), sorted.end(), d) - sorted.begin();
-      return prefix + r * words;
+      return prefix + static_cast<long>(Count(d)) * words;
     }
   };
 
@@ -218,7 +225,7 @@ class ObjectProfile {
   RankView Ranks(int qi) {
     if (ranks_.empty() || ranks_[qi].sorted.empty()) FillRanks(qi);
     const RankEntry& e = ranks_[qi];
-    return {e.sorted, e.prefix.data(), rank_words_};
+    return {e.sorted, e.prefix.data(), e.mass.data(), rank_words_};
   }
 
   /// ScaleProbabilities(object().probs(), kProbScale), memoized.
@@ -292,6 +299,7 @@ class ObjectProfile {
   struct RankEntry {
     std::vector<double> sorted;
     std::vector<uint64_t> prefix;  // (m + 1) rows of rank_words_ words
+    std::vector<int64_t> mass;     // (m + 1) prefix sums of scaled masses
   };
   std::vector<RankEntry> ranks_;
   int rank_words_ = 0;

@@ -728,5 +728,183 @@ TEST(PSdRows, ScaledProbsAreBitEqual) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// P-SD projected Hall certificate: at one query instance the network's
+// neighbourhoods are rank prefixes, and the certificate refutes a pair
+// only where the exact network's flow check refutes it, at the flow's own
+// integer masses and nu + nv slack.
+// ---------------------------------------------------------------------------
+
+struct PSdOutcome {
+  bool dominates = false;       // PSd under FilterConfig::All()
+  bool certified = false;       // refuted by the projected certificate
+  bool covered = false;         // PSdRows found no empty row
+  bool exact_feasible = false;  // covered and BipartiteFeasible
+  bool brute_force = false;     // PSd under FilterConfig::BruteForce()
+};
+
+PSdOutcome RunPSd(const UncertainObject& u, const UncertainObject& v,
+                  const UncertainObject& q, Metric metric = Metric::kL2,
+                  bool geometric = true) {
+  const QueryContext ctx(q, metric);
+  FilterConfig cfg = FilterConfig::All();
+  cfg.geometric = geometric;
+  PSdOutcome out;
+  {
+    FilterStats stats;
+    DominanceOracle oracle(ctx, cfg, &stats);
+    ObjectProfile pu(u, ctx, &stats);
+    ObjectProfile pv(v, ctx, &stats);
+    out.dominates = oracle.PSd(pu, pv);
+    out.certified = stats.cover_prunes > 0;
+    if (out.certified) {
+      EXPECT_EQ(stats.exact_checks, 0);
+    }
+    std::vector<uint64_t> rows;
+    out.covered = oracle.PSdRows(pu, pv, &rows);
+    out.exact_feasible =
+        out.covered && BipartiteFeasible(u.num_instances(),
+                                         v.num_instances(), rows,
+                                         pu.ScaledProbs(), pv.ScaledProbs())
+                           .feasible;
+  }
+  FilterStats stats;
+  DominanceOracle oracle(ctx, FilterConfig::BruteForce(), &stats);
+  ObjectProfile pu(u, ctx, &stats);
+  ObjectProfile pv(v, ctx, &stats);
+  out.brute_force = oracle.PSd(pu, pv);
+  EXPECT_EQ(stats.cover_prunes, 0) << "brute force runs no certificate";
+  return out;
+}
+
+// One query instance at the origin of a 1-d space puts an instance at x
+// at distance exactly |x|. u's middle instance sits delta beyond v's: half
+// the 1e-9 tolerance is inside it, twice the tolerance is outside.
+TEST(PSdHallCertificate, ToleranceMatchesTheExactRows) {
+  const UncertainObject q = Obj1D(-1, {0.0});
+  const UncertainObject v = Obj1D(1, {0.9, 1.0, 3.0});
+  for (const Metric metric : {Metric::kL2, Metric::kL1}) {
+    const PSdOutcome inside =
+        RunPSd(Obj1D(0, {0.5, 1.0 + 0.5e-9, 2.0}), v, q, metric);
+    EXPECT_TRUE(inside.dominates);
+    EXPECT_FALSE(inside.certified);
+    EXPECT_TRUE(inside.exact_feasible);
+    EXPECT_TRUE(inside.brute_force);
+
+    // Every row keeps an edge (u at 0.5 serves both near v instances), so
+    // the exact verdict comes from BipartiteFeasible, and it agrees.
+    const PSdOutcome outside =
+        RunPSd(Obj1D(0, {0.5, 1.0 + 2e-9, 2.0}), v, q, metric);
+    EXPECT_FALSE(outside.dominates);
+    EXPECT_TRUE(outside.certified);
+    EXPECT_TRUE(outside.covered);
+    EXPECT_FALSE(outside.exact_feasible);
+    EXPECT_FALSE(outside.brute_force);
+  }
+}
+
+// Dyadic masses scale exactly: u's near instance carries 2^39 - s units
+// against v's 2^39, so the prefix "u's nearest" falls short by s. The flow
+// accepts a shortfall of nu + nv = 4 units and refutes one more.
+TEST(PSdHallCertificate, SlackBoundaryMatchesTheFlow) {
+  const UncertainObject q = Obj1D(-1, {0.0});
+  const UncertainObject v(1, 1, {1.0, 3.0}, {0.5, 0.5});
+  for (const int shortfall : {4, 5}) {
+    const double d = std::ldexp(shortfall, -40);
+    const UncertainObject u(0, 1, {1.0, 2.0}, {0.5 - d, 0.5 + d});
+    const std::vector<int64_t> mass =
+        ScaleProbabilities(u.probs(), kProbScale);
+    ASSERT_EQ(mass[0], (int64_t{1} << 39) - shortfall);
+    const PSdOutcome out = RunPSd(u, v, q);
+    const bool within_slack = shortfall <= 4;
+    EXPECT_EQ(out.certified, !within_slack) << shortfall;
+    EXPECT_EQ(out.exact_feasible, within_slack) << shortfall;
+    EXPECT_EQ(out.dominates, within_slack) << shortfall;
+    EXPECT_EQ(out.brute_force, within_slack) << shortfall;
+  }
+}
+
+// Masses of 1/3 against sevenths and twenty-firsts: in exact arithmetic
+// v's near instances need exactly u's near mass, and the largest-remainder
+// rounding leaves the integer prefixes a few units apart, within the slack.
+TEST(PSdHallCertificate, NonDyadicRoundingIsNotRefuted) {
+  const UncertainObject q = Obj1D(-1, {0.0});
+  const UncertainObject u = UncertainObject::FromWeighted(0, 1, {1.0, 3.0},
+                                                          {1.0, 2.0});
+  const std::vector<UncertainObject> vs = {
+      UncertainObject::FromWeighted(1, 1, {1.0, -1.0, 3.5},
+                                    {3.0, 4.0, 14.0}),
+      UncertainObject::FromWeighted(
+          1, 1, {1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 3.5},
+          {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 14.0}),
+  };
+  const std::vector<int64_t> u_mass =
+      ScaleProbabilities(u.probs(), kProbScale);
+  int64_t max_shortfall = 0;
+  for (const UncertainObject& v : vs) {
+    const std::vector<int64_t> v_mass =
+        ScaleProbabilities(v.probs(), kProbScale);
+    int64_t near = 0;
+    for (int j = 0; j + 1 < v.num_instances(); ++j) near += v_mass[j];
+    const int64_t shortfall = near - u_mass[0];
+    EXPECT_LE(std::abs(shortfall), u.num_instances() + v.num_instances());
+    max_shortfall = std::max(max_shortfall, shortfall);
+    const PSdOutcome out = RunPSd(u, v, q);
+    EXPECT_FALSE(out.certified);
+    EXPECT_TRUE(out.exact_feasible);
+    EXPECT_TRUE(out.dominates);
+    EXPECT_TRUE(out.brute_force);
+  }
+  EXPECT_GT(max_shortfall, 0) << "some rounding must leave a shortfall";
+}
+
+// Seeded property over random, weighted and lattice pairs: a refutation
+// always comes with an infeasible exact network, the certificate never
+// changes a verdict, and P-SD matches the definition-level brute force.
+TEST(PSdHallCertificate, RefutesOnlyInfeasibleNetworks) {
+  Rng rng(95);
+  int certified = 0, uncertified_infeasible = 0, dominated = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const int dim = 1 + trial % 2;
+    const int nu = 1 + static_cast<int>(rng.UniformInt(0, 7));
+    const int nv = 1 + static_cast<int>(rng.UniformInt(0, 7));
+    const int nq = 1 + static_cast<int>(rng.UniformInt(0, 3));
+    UncertainObject u, v, q;
+    switch (trial % 3) {
+      case 0:
+        q = RandomObject(-1, dim, nq, 10.0, 2.0, rng);
+        u = RandomObject(0, dim, nu, 10.0, 4.0, rng);
+        v = RandomObject(1, dim, nv, 10.0, 4.0, rng);
+        break;
+      case 1:
+        q = RandomObject(-1, dim, nq, 10.0, 2.0, rng);
+        u = RandomWeightedObject(0, dim, nu, 10.0, 4.0, rng);
+        v = RandomWeightedObject(1, dim, nv, 10.0, 4.0, rng);
+        break;
+      default:
+        q = LatticeObject(-1, dim, nq, 3, rng);
+        u = LatticeObject(0, dim, nu, 4, rng);
+        v = LatticeObject(1, dim, nv, 4, rng);
+        break;
+    }
+    const bool expected = BrutePSd(u, v, q);
+    for (const bool geometric : {true, false}) {
+      const PSdOutcome out = RunPSd(u, v, q, Metric::kL2, geometric);
+      if (out.certified) {
+        EXPECT_FALSE(out.exact_feasible) << trial;
+      }
+      EXPECT_EQ(out.dominates, out.brute_force) << trial;
+      EXPECT_EQ(out.dominates, expected) << trial << " geometric "
+                                         << geometric;
+      certified += out.certified;
+      uncertified_infeasible += !out.certified && !out.exact_feasible;
+      dominated += out.dominates;
+    }
+  }
+  EXPECT_GT(certified, 0);
+  EXPECT_GT(uncertified_infeasible, 0);
+  EXPECT_GT(dominated, 0);
+}
+
 }  // namespace
 }  // namespace osd

@@ -338,15 +338,18 @@ TEST(NncSearchTest, FSdCountersArePinned) {
 }
 
 // The same pin for P-SD, SS-SD and S-SD, on wider objects so that every
-// stage of their filter cascades (stat, level, exact, flow) decides some
-// pairs. Candidates and termination may never move; a counter may move
-// only with a deliberate change to the cascade's order or metering.
+// stage of their filter cascades decides some pairs. Candidates and
+// termination may never move; a counter may move only with a deliberate
+// change to the cascade's order or metering.
 TEST(NncSearchTest, PSdCountersArePinned) {
-  // The exact stage sees exactly the pairs no cheaper test decides, so
-  // pair_tests and exact_checks hold under any order of those tests;
-  // stat_prunes, level_decisions, node_ops and dist_evals record the
-  // order (stat gate first), flow_runs the networks the certificates
-  // leave to Dinic.
+  // Cascade: cover validation, stat gate, projected Hall certificate,
+  // exact network. The certificate refutes only pairs the exact network
+  // refutes, so every pair it decides (cover_prunes, its scan_steps)
+  // would otherwise be an exact check; pair_tests and exact_checks count
+  // the pairs left to the exact network, flow_runs the networks its
+  // certificates leave to Dinic. P-SD has no level stage, so
+  // level_decisions is 0 and node_ops counts the traversal's entry
+  // pruning alone.
   const NncResult r = PinnedRun(Operator::kPSd, 10.0);
   EXPECT_EQ(r.candidates, (std::vector<int>{145, 283, 1, 133, 220, 186, 50,
                                              61, 73, 327, 34}));
@@ -354,20 +357,23 @@ TEST(NncSearchTest, PSdCountersArePinned) {
   EXPECT_EQ(r.objects_examined, 102);
   EXPECT_EQ(r.entries_pruned, 3);
   const FilterStats& s = r.stats;
-  EXPECT_EQ(s.dist_evals, 8160);
-  EXPECT_EQ(s.scan_steps, 0);
-  EXPECT_EQ(s.pair_tests, 2169);
-  EXPECT_EQ(s.node_ops, 10355);
-  EXPECT_EQ(s.flow_runs, 36);
+  EXPECT_EQ(s.dist_evals, 10098);
+  EXPECT_EQ(s.scan_steps, 7138);
+  EXPECT_EQ(s.pair_tests, 2903);
+  EXPECT_EQ(s.node_ops, 3);
+  EXPECT_EQ(s.flow_runs, 22);
   EXPECT_EQ(s.mbr_validations, 38);
   EXPECT_EQ(s.stat_prunes, 89);
-  EXPECT_EQ(s.cover_prunes, 0);
-  EXPECT_EQ(s.level_decisions, 24);
-  EXPECT_EQ(s.exact_checks, 49);
+  EXPECT_EQ(s.cover_prunes, 13);
+  EXPECT_EQ(s.level_decisions, 0);
+  EXPECT_EQ(s.exact_checks, 58);
   EXPECT_EQ(s.dominance_checks, 198);
 }
 
 TEST(NncSearchTest, SsSdCountersArePinned) {
+  // The stat gate runs right after cover validation, ahead of the
+  // envelopes: stat_prunes, level_decisions, node_ops and dist_evals
+  // record that order.
   const NncResult r = PinnedRun(Operator::kSsSd, 10.0);
   EXPECT_EQ(r.candidates,
             (std::vector<int>{145, 283, 133, 220, 186, 50, 61, 73, 327}));
@@ -375,30 +381,31 @@ TEST(NncSearchTest, SsSdCountersArePinned) {
   EXPECT_EQ(r.objects_examined, 102);
   EXPECT_EQ(r.entries_pruned, 3);
   const FilterStats& s = r.stats;
-  EXPECT_EQ(s.dist_evals, 9734);
+  EXPECT_EQ(s.dist_evals, 11294);
   EXPECT_EQ(s.scan_steps, 6014);
   EXPECT_EQ(s.pair_tests, 0);
-  EXPECT_EQ(s.node_ops, 25765);
+  EXPECT_EQ(s.node_ops, 16691);
   EXPECT_EQ(s.flow_runs, 0);
   EXPECT_EQ(s.mbr_validations, 38);
-  EXPECT_EQ(s.stat_prunes, 45);
+  EXPECT_EQ(s.stat_prunes, 82);
   EXPECT_EQ(s.cover_prunes, 0);
-  EXPECT_EQ(s.level_decisions, 70);
+  EXPECT_EQ(s.level_decisions, 33);
   EXPECT_EQ(s.exact_checks, 47);
   EXPECT_EQ(s.dominance_checks, 187);
 }
 
 TEST(NncSearchTest, SSdCountersArePinned) {
+  // Stat gate before the envelope, as in SS-SD.
   const NncResult r = PinnedRun(Operator::kSSd, 10.0);
   EXPECT_EQ(r.candidates, (std::vector<int>{145, 133, 220, 50, 61}));
   EXPECT_EQ(r.termination, NncTermination::kComplete);
   EXPECT_EQ(r.objects_examined, 102);
   EXPECT_EQ(r.entries_pruned, 3);
   const FilterStats& s = r.stats;
-  EXPECT_EQ(s.dist_evals, 11604);
+  EXPECT_EQ(s.dist_evals, 11794);
   EXPECT_EQ(s.scan_steps, 5541);
   EXPECT_EQ(s.pair_tests, 0);
-  EXPECT_EQ(s.node_ops, 10472);
+  EXPECT_EQ(s.node_ops, 7091);
   EXPECT_EQ(s.flow_runs, 0);
   EXPECT_EQ(s.mbr_validations, 38);
   EXPECT_EQ(s.stat_prunes, 30);
