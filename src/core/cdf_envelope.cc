@@ -1,11 +1,9 @@
 #include "core/cdf_envelope.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
-#include "common/check.h"
 #include "common/failpoint.h"
 #include "common/interrupt.h"
 #include "common/memory_budget.h"
@@ -16,6 +14,12 @@ namespace osd {
 namespace {
 
 constexpr double kEps = 1e-9;
+
+// Work caps for the refinement loop. Each undecided round costs two
+// sort-and-sweep passes over the frontier, so deep refinement quickly
+// exceeds the exact merge-scan it is meant to spare and is cut off here.
+constexpr int kMaxRounds = 4;
+constexpr int kMaxSegments = 64;
 
 // One frontier element: a subtree, a single instance, or an exact atom.
 struct Seg {
@@ -186,18 +190,17 @@ std::vector<std::pair<double, double>> JumpsAt(
 EnvelopeDecision EnvelopeSSd(const UncertainObject& u,
                              const UncertainObject& v,
                              const QueryContext& ctx, bool geometric,
-                             FilterStats* stats,
-                             const EnvelopeLimits& limits) {
+                             FilterStats* stats) {
   // The refinement loop's footprint is bounded by the segment cap: two
   // frontiers plus the jump lists StepLeq sorts each round. Charged up
   // front as one transient block so an over-budget query breaches before
   // the loop allocates anything.
   memory::ScopedCharge env_mem("envelope.frontier");
-  env_mem.Add(4L * (limits.max_segments + ctx.num_instances() + 8) *
+  env_mem.Add(4L * (kMaxSegments + ctx.num_instances() + 8) *
               static_cast<long>(sizeof(Seg)));
   Frontier fu(u, ctx, geometric, stats);
   Frontier fv(v, ctx, geometric, stats);
-  for (int round = 0; round < limits.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     // Each refinement round doubles the frontier work, so rounds are
     // interrupt points: a query past its deadline stops here instead of
     // finishing the envelope (NncSearch turns the throw into its usual
@@ -219,93 +222,10 @@ EnvelopeDecision EnvelopeSSd(const UncertainObject& u,
       if (stats != nullptr) ++stats->level_decisions;
       return EnvelopeDecision::kNotDominates;
     }
-    if (fu.size() + fv.size() > limits.max_segments) break;
+    if (fu.size() + fv.size() > kMaxSegments) break;
     const bool refined_u = fu.RefineWidest();
     const bool refined_v = fv.RefineWidest();
     if (!refined_u && !refined_v) break;  // both at exact atom granularity
-  }
-  return EnvelopeDecision::kUndecided;
-}
-
-EnvelopeDecision EnvelopeSsSd(const UncertainObject& u,
-                              const UncertainObject& v,
-                              const QueryContext& ctx, bool geometric,
-                              FilterStats* stats,
-                              const EnvelopeLimits& limits) {
-  // Per-query-instance envelopes share one frontier per object; a node's
-  // interval w.r.t. a single q is [mindist(q, box), maxdist(q, box)].
-  const RTree& tu = u.LocalTree();
-  const RTree& tv = v.LocalTree();
-  (void)geometric;  // per-q bounds are exact; the hull plays no role here
-
-  // Same transient up-front charge as EnvelopeSSd: node frontiers plus
-  // the per-q interval lists are all capped by max_segments.
-  memory::ScopedCharge env_mem("envelope.frontier");
-  env_mem.Add(4L * (limits.max_segments + ctx.num_instances() + 8) *
-              static_cast<long>(sizeof(Seg)));
-  std::vector<int32_t> frontier_u = {tu.root()};
-  std::vector<int32_t> frontier_v = {tv.root()};
-
-  auto jumps_for = [&](const RTree& tree, const std::vector<int32_t>& frontier,
-                       const Point& q, bool at_hi) {
-    std::vector<std::pair<double, double>> jumps;
-    jumps.reserve(frontier.size());
-    for (int32_t nid : frontier) {
-      const RTree::Node& node = tree.nodes()[nid];
-      const double d = at_hi ? MbrMaxDist(node.box, q, ctx.metric())
-                             : MbrMinDist(node.box, q, ctx.metric());
-      jumps.emplace_back(d, node.weight);
-    }
-    if (stats != nullptr) stats->node_ops += static_cast<long>(frontier.size());
-    return jumps;
-  };
-
-  auto descend = [](const RTree& tree, std::vector<int32_t>& frontier) {
-    std::vector<int32_t> next;
-    bool changed = false;
-    for (int32_t nid : frontier) {
-      const RTree::Node& node = tree.nodes()[nid];
-      if (node.is_leaf) {
-        next.push_back(nid);  // leaves keep single-instance boxes
-      } else {
-        changed = true;
-        for (int32_t c : node.children) next.push_back(c);
-      }
-    }
-    frontier = std::move(next);
-    return changed;
-  };
-
-  for (int round = 0; round < limits.max_rounds; ++round) {
-    interrupt::Poll();
-    OSD_FAILPOINT("envelope.round");
-    bool all_validated = true;
-    bool any_strict = false;
-    for (int qi = 0; qi < ctx.num_instances(); ++qi) {
-      const Point& q = ctx.points()[qi];
-      bool strict = false;
-      if (!StepLeq(jumps_for(tu, frontier_u, q, true),
-                   jumps_for(tv, frontier_v, q, false), &strict, stats)) {
-        all_validated = false;
-      }
-      any_strict = any_strict || strict;
-      if (!StepLeq(jumps_for(tu, frontier_u, q, false),
-                   jumps_for(tv, frontier_v, q, true), nullptr, stats)) {
-        if (stats != nullptr) ++stats->level_decisions;
-        return EnvelopeDecision::kNotDominates;
-      }
-    }
-    if (all_validated && any_strict) {
-      if (stats != nullptr) ++stats->level_decisions;
-      return EnvelopeDecision::kDominates;
-    }
-    if (static_cast<int>(frontier_u.size() + frontier_v.size()) >
-        limits.max_segments) {
-      break;
-    }
-    const bool moved_u = descend(tu, frontier_u);
-    const bool moved_v = descend(tv, frontier_v);
-    if (!moved_u && !moved_v) break;  // both at leaf granularity
   }
   return EnvelopeDecision::kUndecided;
 }

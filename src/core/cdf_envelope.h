@@ -1,10 +1,10 @@
-// Level-by-level stochastic-dominance decisions on local R-trees.
+// Level-by-level S-SD decisions on local R-trees.
 //
 // Section 5.1.1: when object instances are organized in R-trees, the S-SD
-// and SS-SD checks can be run top-down over node-granularity bounds. A
-// subtree with probability mass p and box B contributes its mass somewhere
-// in the distance interval [mindist(Q, B), maxdist(Q, B)], which yields a
-// lower envelope for U's CDF (mass placed at interval ends) and an upper
+// check can be run top-down over node-granularity bounds. A subtree with
+// probability mass p and box B contributes its mass somewhere in the
+// distance interval [mindist(Q, B), maxdist(Q, B)], which yields a lower
+// envelope for U's CDF (mass placed at interval ends) and an upper
 // envelope for V's CDF (mass placed at interval starts):
 //
 //   validation:  lowCDF_U(x) >= upCDF_V(x) for all x  (strict somewhere,
@@ -12,8 +12,12 @@
 //   pruning:     upCDF_U(x) <  lowCDF_V(x) for some x => SD cannot hold
 //
 // If neither fires, the widest frontier interval is refined (node ->
-// children -> instances -> exact atoms) until a decision or a work cap,
-// after which the caller falls back to the exact merge-scan.
+// children -> instances -> exact atoms) until a decision or a fixed work
+// cap, after which the caller falls back to the exact merge-scan.
+//
+// S-SD is the only caller. The paper runs SS-SD level by level too, but
+// behind SS-SD's per-q statistic gate per-q envelopes cost more than they
+// decide, so SS-SD goes straight to the exact per-q scans.
 
 #ifndef OSD_CORE_CDF_ENVELOPE_H_
 #define OSD_CORE_CDF_ENVELOPE_H_
@@ -26,31 +30,13 @@ namespace osd {
 
 enum class EnvelopeDecision { kDominates, kNotDominates, kUndecided };
 
-/// Work caps for the refinement loop; defaults keep node-level work well
-/// below the cost of the exact fallback (each undecided round costs two
-/// sort-and-sweep passes over the frontier, so deep refinement quickly
-/// exceeds the exact merge-scan and must be cut off).
-struct EnvelopeLimits {
-  int max_rounds = 4;
-  int max_segments = 64;
-};
-
 /// Level-by-level S-SD decision: does U_Q <=_st V_Q (and differ)?
 /// `geometric` selects CH(Q) (true) or all query instances (false) for the
 /// upper distance bounds.
 EnvelopeDecision EnvelopeSSd(const UncertainObject& u,
                              const UncertainObject& v,
                              const QueryContext& ctx, bool geometric,
-                             FilterStats* stats,
-                             const EnvelopeLimits& limits = {});
-
-/// Level-by-level SS-SD decision: U_q <=_st V_q for every query instance
-/// (and the all-pairs distributions differ).
-EnvelopeDecision EnvelopeSsSd(const UncertainObject& u,
-                              const UncertainObject& v,
-                              const QueryContext& ctx, bool geometric,
-                              FilterStats* stats,
-                              const EnvelopeLimits& limits = {});
+                             FilterStats* stats);
 
 }  // namespace osd
 

@@ -143,33 +143,12 @@ bool DominanceOracle::SSd(ObjectProfile& u, ObjectProfile& v) {
 bool DominanceOracle::SsSd(ObjectProfile& u, ObjectProfile& v) {
   if (config_.cover_rules && CoverValidates(u, v)) return true;
   // SS-SD implies the min/mean/max order overall and at every q
-  // (Theorem 11), so the O(|Q|) statistic gate runs before the envelopes.
+  // (Theorem 11), so the O(|Q|) statistic gate is the only filter between
+  // cover validation and the exact per-q scans: behind it, node-level
+  // envelopes cost more than they decide (DESIGN §5).
   if (config_.stat_pruning &&
       (StatRefutesAll(u, v) || StatRefutesPerQ(u, v))) {
     return false;
-  }
-  if (config_.level_by_level) {
-    // Per-query-instance envelopes pay |Q| sweeps per round, so they only
-    // out-compete the exact per-q scans at very shallow depth.
-    OSD_TRACE_SPAN(obs::SpanKind::kLevelFilter);
-    EnvelopeLimits limits;
-    limits.max_rounds = 2;
-    limits.max_segments = 40;
-    const EnvelopeDecision d = EnvelopeSsSd(u.object(), v.object(), *ctx_,
-                                            config_.geometric, stats_, limits);
-    if (d == EnvelopeDecision::kDominates) return true;
-    if (d == EnvelopeDecision::kNotDominates) return false;
-  }
-  if (config_.cover_rules) {
-    // Cover-based pruning: not S-SD implies not SS-SD (Theorem 2),
-    // checked at node granularity so a refutation costs no instance work.
-    OSD_TRACE_SPAN(obs::SpanKind::kCoverFilter);
-    const EnvelopeDecision d = EnvelopeSSd(u.object(), v.object(), *ctx_,
-                                           config_.geometric, stats_);
-    if (d == EnvelopeDecision::kNotDominates) {
-      if (stats_ != nullptr) ++stats_->cover_prunes;
-      return false;
-    }
   }
   OSD_TRACE_SPAN(obs::SpanKind::kExactCheck);
   if (stats_ != nullptr) ++stats_->exact_checks;

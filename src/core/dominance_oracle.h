@@ -3,8 +3,10 @@
 // Implements Section 5.1 of the paper:
 //  - S-SD / SS-SD: single merge-scan over sorted pairwise distances
 //    (worst-case optimal, Theorem 10), statistic-based pruning
-//    (Theorem 11), cover-based pruning/validation (Theorems 2 and 4), and
-//    level-by-level refinement on local R-trees.
+//    (Theorem 11) and cover validation (Theorem 4). S-SD also runs
+//    level-by-level refinement on local R-trees; SS-SD has no level
+//    stage and goes from its per-q statistic gate straight to the exact
+//    per-q scans.
 //  - P-SD: reduction to max-flow (Theorem 12) over the admissible-pair
 //    bipartite network, with convex-hull reduction of the query, cover
 //    validation, and a per-query-instance Hall certificate that refutes

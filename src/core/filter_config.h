@@ -27,12 +27,14 @@ const char* OperatorName(Operator op);
 
 /// Switches for the acceleration techniques of Section 5.1.
 struct FilterConfig {
-  /// Level-by-level pruning/validation on local R-trees ("L"); P-SD has
-  /// no level stage, so it ignores this switch.
+  /// Level-by-level pruning/validation on local R-trees ("L"). Only S-SD
+  /// (CDF envelopes) and F-SD (tree distance bounds) have a level stage;
+  /// P-SD and SS-SD ignore this switch.
   bool level_by_level = true;
   /// Statistic-based pruning on min/mean/max ("P").
   bool stat_pruning = true;
-  /// Convex-hull reduction of query instances ("G").
+  /// Convex-hull reduction of query instances ("G"). SS-SD's per-q tests
+  /// read every query instance, so SS-SD ignores this switch.
   bool geometric = true;
   /// Cover-based rules: MBR validation (Theorem 4) and pruning via
   /// covering operators (Theorem 2).

@@ -5,10 +5,10 @@
 // per-query-instance statistics (statistic pruning), the sorted all-pairs
 // distribution U_Q (S-SD), per-q sorted distributions U_q (SS-SD), or the
 // raw matrix (<=_Q tests in P-SD / F-SD). Each view is materialized at
-// most once and only when a check actually needs it — the level-by-level
-// filters frequently decide at R-tree node granularity without ever
-// touching instances, which is exactly the effect the Fig. 16 ablation
-// measures.
+// most once and only when a check actually needs it — the statistic gates
+// read only the fused statistics, and the S-SD and F-SD level filters
+// frequently decide at R-tree node granularity without ever touching
+// instances, which is exactly the effect the Fig. 16 ablation measures.
 //
 // The views are computed by the batched distance kernels dispatched on the
 // QueryContext (geom/kernels.h) over the object's padded SoA coordinate

@@ -371,9 +371,10 @@ TEST(NncSearchTest, PSdCountersArePinned) {
 }
 
 TEST(NncSearchTest, SsSdCountersArePinned) {
-  // The stat gate runs right after cover validation, ahead of the
-  // envelopes: stat_prunes, level_decisions, node_ops and dist_evals
-  // record that order.
+  // Cascade: cover validation, stat gate, exact per-q scans. SS-SD has
+  // no node-level stage, so level_decisions and cover_prunes are 0 and
+  // node_ops counts the traversal's entry pruning alone; every pair the
+  // gates leave is an exact check, metered in scan_steps.
   const NncResult r = PinnedRun(Operator::kSsSd, 10.0);
   EXPECT_EQ(r.candidates,
             (std::vector<int>{145, 283, 133, 220, 186, 50, 61, 73, 327}));
@@ -381,21 +382,22 @@ TEST(NncSearchTest, SsSdCountersArePinned) {
   EXPECT_EQ(r.objects_examined, 102);
   EXPECT_EQ(r.entries_pruned, 3);
   const FilterStats& s = r.stats;
-  EXPECT_EQ(s.dist_evals, 11294);
-  EXPECT_EQ(s.scan_steps, 6014);
+  EXPECT_EQ(s.dist_evals, 10098);
+  EXPECT_EQ(s.scan_steps, 9374);
   EXPECT_EQ(s.pair_tests, 0);
-  EXPECT_EQ(s.node_ops, 16691);
+  EXPECT_EQ(s.node_ops, 3);
   EXPECT_EQ(s.flow_runs, 0);
   EXPECT_EQ(s.mbr_validations, 38);
   EXPECT_EQ(s.stat_prunes, 82);
   EXPECT_EQ(s.cover_prunes, 0);
-  EXPECT_EQ(s.level_decisions, 33);
-  EXPECT_EQ(s.exact_checks, 47);
+  EXPECT_EQ(s.level_decisions, 0);
+  EXPECT_EQ(s.exact_checks, 67);
   EXPECT_EQ(s.dominance_checks, 187);
 }
 
 TEST(NncSearchTest, SSdCountersArePinned) {
-  // Stat gate before the envelope, as in SS-SD.
+  // Cascade: cover validation, stat gate, level-by-level envelope, exact
+  // merge-scan. S-SD is the only operator that keeps a CDF envelope.
   const NncResult r = PinnedRun(Operator::kSSd, 10.0);
   EXPECT_EQ(r.candidates, (std::vector<int>{145, 133, 220, 50, 61}));
   EXPECT_EQ(r.termination, NncTermination::kComplete);

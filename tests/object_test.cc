@@ -145,10 +145,6 @@ TEST(CdfEnvelopeTest, DecidesClearCasesAtNodeLevel) {
             EnvelopeDecision::kDominates);
   EXPECT_EQ(EnvelopeSSd(v, u, ctx, true, &stats),
             EnvelopeDecision::kNotDominates);
-  EXPECT_EQ(EnvelopeSsSd(u, v, ctx, true, &stats),
-            EnvelopeDecision::kDominates);
-  EXPECT_EQ(EnvelopeSsSd(v, u, ctx, true, &stats),
-            EnvelopeDecision::kNotDominates);
 }
 
 TEST(CdfEnvelopeTest, NeverContradictsBruteForce) {
@@ -159,14 +155,9 @@ TEST(CdfEnvelopeTest, NeverContradictsBruteForce) {
     const auto v = test::RandomObject(1, 2, 4, 10.0, 4.0, rng);
     const QueryContext ctx(q);
     const bool brute_s = test::BruteSSd(u, v, q);
-    const bool brute_ss = test::BruteSsSd(u, v, q);
     const auto d_s = EnvelopeSSd(u, v, ctx, true, nullptr);
-    const auto d_ss = EnvelopeSsSd(u, v, ctx, true, nullptr);
     if (d_s != EnvelopeDecision::kUndecided) {
       EXPECT_EQ(d_s == EnvelopeDecision::kDominates, brute_s) << trial;
-    }
-    if (d_ss != EnvelopeDecision::kUndecided) {
-      EXPECT_EQ(d_ss == EnvelopeDecision::kDominates, brute_ss) << trial;
     }
   }
 }
