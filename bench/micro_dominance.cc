@@ -36,16 +36,12 @@ Fixture MakeFixture(int m, uint64_t seed) {
 
 // Forces every lazy view an operator might consume, so the check benchmark
 // below times only the decision logic.
-void Prewarm(ObjectProfile& p, const QueryContext& ctx) {
+void Prewarm(ObjectProfile& p) {
   (void)p.MinAll();
   (void)p.Dist(0, 0);
   (void)p.SortedValues();
   (void)p.SortedQValues(0);
   (void)p.Distribution();
-  for (int qi = 0; qi < ctx.num_instances(); ++qi) {
-    (void)p.TreeMinDist(qi);
-    (void)p.TreeMaxDist(qi);
-  }
 }
 
 // Matrix materialization per profile (the dominant cost of brute-force
@@ -88,8 +84,8 @@ void BM_DominanceCheck(benchmark::State& state, Operator op,
   ObjectProfile pu(f.u, ctx, &stats);
   ObjectProfile pv(f.v, ctx, &stats);
   if (op != Operator::kFPlusSd) {
-    Prewarm(pu, ctx);
-    Prewarm(pv, ctx);
+    Prewarm(pu);
+    Prewarm(pv);
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(oracle.Dominates(op, pu, pv));

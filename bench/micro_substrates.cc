@@ -1,4 +1,4 @@
-// Micro-benchmarks of the substrates: R-tree bulk load and queries,
+// Micro-benchmarks of the substrates: R-tree bulk load,
 // stochastic-order scans, P-SD network rows, max-flow feasibility and
 // EMD min-cost flow.
 
@@ -42,18 +42,6 @@ void BM_RTreeBulkLoad(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_RTreeBulkLoad)->Range(1 << 10, 1 << 16);
-
-void BM_RTreeNnSearch(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const RTree tree = RTree::BulkLoad(MakeEntries(n, 7), 16);
-  Rng rng(9);
-  for (auto _ : state) {
-    Point q{rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0),
-            rng.Uniform(0.0, 1000.0)};
-    benchmark::DoNotOptimize(tree.MinDist(q));
-  }
-}
-BENCHMARK(BM_RTreeNnSearch)->Range(1 << 10, 1 << 16);
 
 void BM_StochasticOrderScan(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

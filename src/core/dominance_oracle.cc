@@ -156,27 +156,27 @@ bool DominanceOracle::SsSd(ObjectProfile& u, ObjectProfile& v) {
   return DistributionsDiffer(u, v);
 }
 
-bool DominanceOracle::FSd(ObjectProfile& u, ObjectProfile& v) {
-  if (config_.cover_rules && CoverValidates(u, v)) return true;
-  if (config_.level_by_level) {
-    // Farthest/nearest distances from the local R-trees' branch-and-bound
-    // avoid materializing the distance matrices; each profile memoizes its
-    // own, so a bound is searched once per object, not once per pair. Only
-    // hull query points need checking: the q-region where U fully
-    // dominates V is an intersection of half-spaces, hence convex.
-    // node_ops still meters the two bounds of every tested q.
-    OSD_TRACE_SPAN(obs::SpanKind::kLevelFilter);
-    for (int qi : QIdx()) {
-      if (stats_ != nullptr) stats_->node_ops += 2;
-      if (u.TreeMaxDist(qi) > v.TreeMinDist(qi) + kEps) return false;
-    }
-    return DistributionsDiffer(u, v);
-  }
+bool DominanceOracle::FSdOrderHolds(ObjectProfile& u, ObjectProfile& v) {
   OSD_TRACE_SPAN(obs::SpanKind::kExactCheck);
   const std::span<const double> umax = u.MaxQs();
   const std::span<const double> vmin = v.MinQs();
   for (int qi : QIdx()) {
     if (umax[qi] > vmin[qi] + kEps) return false;
+  }
+  return true;
+}
+
+bool DominanceOracle::FSd(ObjectProfile& u, ObjectProfile& v) {
+  // Cover validation implies the per-q order, so the verdict is "order
+  // holds and (cover or distributions differ)" whichever test runs first.
+  // Until v's statistics exist the O(d) cover test may save building
+  // them; once they do, the per-q order refutes almost every pair and the
+  // cover test only confirms the survivors.
+  const bool cover_first = !v.has_stats();
+  if (config_.cover_rules && cover_first && CoverValidates(u, v)) return true;
+  if (!FSdOrderHolds(u, v)) return false;
+  if (config_.cover_rules && !cover_first && CoverValidates(u, v)) {
+    return true;
   }
   if (stats_ != nullptr) ++stats_->exact_checks;
   return DistributionsDiffer(u, v);

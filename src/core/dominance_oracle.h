@@ -12,8 +12,10 @@
 //    validation, and a per-query-instance Hall certificate that refutes
 //    on the flow's own masses before any network is built. P-SD has no
 //    level-by-level stage and builds no node-level networks.
-//  - F-SD: per-hull-instance farthest/nearest comparisons, either from
-//    local R-trees (level-by-level) or from the profile's distance matrix.
+//  - F-SD: per-hull-instance farthest/nearest comparisons on the
+//    profile's fused per-q statistics (MaxQs against MinQs), with cover
+//    validation before them until the dominated side's statistics exist
+//    and after them from then on. F-SD has no level stage.
 //  - F+-SD: the MBR-level test of [Emrich et al. 2010].
 //
 // All operators enforce the U_Q != V_Q side condition from Definitions
@@ -83,6 +85,13 @@ class DominanceOracle {
   /// Exact SS-SD order (without the distribution-inequality condition).
   bool SsSdOrderHolds(ObjectProfile& u, ObjectProfile& v);
 
+  /// Exact F-SD order (without the distribution-inequality condition): at
+  /// every q in QIdx(), u's farthest instance is within 1e-9 of v's
+  /// nearest. Only hull query points need checking, because the q-region
+  /// where U fully dominates V is an intersection of half-spaces, hence
+  /// convex.
+  bool FSdOrderHolds(ObjectProfile& u, ObjectProfile& v);
+
   /// Cover-based validation (Theorem 4): u's MBR strictly dominates v's,
   /// so u dominates v under every operator. Counts one MBR validation.
   bool CoverValidates(ObjectProfile& u, ObjectProfile& v);
@@ -91,7 +100,7 @@ class DominanceOracle {
   /// returns true when dominance is refuted.
   bool StatRefutesAll(ObjectProfile& u, ObjectProfile& v);
 
-  /// Per-query-instance statistic pruning (SS-SD / P-SD / F-SD).
+  /// Per-query-instance statistic pruning (SS-SD / P-SD).
   bool StatRefutesPerQ(ObjectProfile& u, ObjectProfile& v);
 
   /// Hall's condition for the P-SD network projected to one query

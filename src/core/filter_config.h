@@ -28,8 +28,8 @@ const char* OperatorName(Operator op);
 /// Switches for the acceleration techniques of Section 5.1.
 struct FilterConfig {
   /// Level-by-level pruning/validation on local R-trees ("L"). Only S-SD
-  /// (CDF envelopes) and F-SD (tree distance bounds) have a level stage;
-  /// P-SD and SS-SD ignore this switch.
+  /// (CDF envelopes) has a level stage; SS-SD, P-SD and F-SD ignore this
+  /// switch.
   bool level_by_level = true;
   /// Statistic-based pruning on min/mean/max ("P").
   bool stat_pruning = true;
@@ -69,6 +69,11 @@ struct FilterStats {
   }
 
   FilterStats& operator+=(const FilterStats& other);
+
+  /// Appends the counters to `out` as JSON object members, without braces
+  /// or a leading comma, in the one order every JSON surface prints them:
+  /// "dominance_checks":N,"instance_comparisons":N,...,"exact_checks":N.
+  void AppendJson(std::string* out) const;
 };
 
 }  // namespace osd

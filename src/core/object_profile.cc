@@ -1,7 +1,6 @@
 #include "core/object_profile.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -312,23 +311,6 @@ void ObjectProfile::EnsureSortedPerQ() {
   sorted_q_probs_view_ = &sorted_q_probs_;
   have_sorted_per_q_ = true;
   built_sorted_per_q_ = true;
-}
-
-void ObjectProfile::FillTreeDist(int qi, bool farthest) {
-  if (tree_min_.empty()) {
-    const int nq = ctx_->num_instances();
-    ChargeView(2L * nq * static_cast<long>(sizeof(double)),
-               "profile.tree_dist");
-    tree_min_.assign(nq, std::numeric_limits<double>::quiet_NaN());
-    tree_max_.assign(nq, std::numeric_limits<double>::quiet_NaN());
-  }
-  const RTree& tree = object_->LocalTree();
-  const Point& q = ctx_->points()[qi];
-  if (farthest) {
-    tree_max_[qi] = tree.MaxDist(q, ctx_->metric());
-  } else {
-    tree_min_[qi] = tree.MinDist(q, ctx_->metric());
-  }
 }
 
 void ObjectProfile::FillRanks(int qi) {

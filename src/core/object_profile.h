@@ -4,11 +4,11 @@
 // between an object's instances and the query's instances: overall and
 // per-query-instance statistics (statistic pruning), the sorted all-pairs
 // distribution U_Q (S-SD), per-q sorted distributions U_q (SS-SD), or the
-// raw matrix (<=_Q tests in P-SD / F-SD). Each view is materialized at
-// most once and only when a check actually needs it — the statistic gates
-// read only the fused statistics, and the S-SD and F-SD level filters
-// frequently decide at R-tree node granularity without ever touching
-// instances, which is exactly the effect the Fig. 16 ablation measures.
+// raw matrix (<=_Q tests in P-SD). Each view is materialized at most once
+// and only when a check actually needs it — the statistic gates and F-SD
+// read only the fused statistics, and the S-SD level filter frequently
+// decides at R-tree node granularity without ever touching instances,
+// which is exactly the effect the Fig. 16 ablation measures.
 //
 // The views are computed by the batched distance kernels dispatched on the
 // QueryContext (geom/kernels.h) over the object's padded SoA coordinate
@@ -27,34 +27,21 @@
 // views (the mutable profile itself is never shared — only the finished,
 // immutable artifacts are).
 //
-// Tree-distance view: TreeMinDist / TreeMaxDist memoize, per query
-// instance, the nearest and farthest local-R-tree distances that the F-SD
-// level filter compares. Those bounds depend on one object only, yet a
-// query checks each object against hundreds of others, so they live on the
-// profile (filled per qi on first use) rather than being recomputed per
-// pair. They come from the tree's branch-and-bound, not from the kernel
-// matrix statistics (MinQs / MaxQs): the two can differ in the last ulp at
-// a tolerance boundary, and reading the matrix would materialize it and
-// move dist_evals and the budget charges. The memo is per-query scratch —
-// charged under "profile.tree_dist" identically with the cache on or off,
-// and never published to the ProfileCache.
-//
 // Rank view: Ranks(qi) memoizes, per query instance, the object's
 // distances to ctx.points()[qi] sorted ascending, and for r = 0..m the
 // prefix bit row "the r nearest instances" and their summed integer flow
 // mass (ScaledProbs() in rank order). The P-SD exact check reads the set
 // {i : Dist(qi, i) <= d} off it with one binary search instead of m
 // comparisons, and the P-SD Hall certificate reads that set's mass the
-// same way. Like the tree-distance memo it is per-query scratch, charged
-// (distances, rows and masses) under "profile.ranks" with the cache on or
-// off and never published; ScaledProbs() memoizes the object's integer
-// flow masses under the same label.
+// same way. It is per-query scratch, charged (distances, rows and masses)
+// under "profile.ranks" with the cache on or off and never published;
+// ScaledProbs() memoizes the object's integer flow masses under the same
+// label.
 
 #ifndef OSD_CORE_OBJECT_PROFILE_H_
 #define OSD_CORE_OBJECT_PROFILE_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -181,6 +168,12 @@ class ObjectProfile {
     return max_q_view_;
   }
 
+  /// Whether this profile's own calls have built the statistics above, or
+  /// adopted them from the cache, so reading them costs nothing more. A
+  /// cache entry counts only from its first use, so the answer is the same
+  /// with the cache on or off.
+  bool has_stats() const { return have_stats_; }
+
   /// Sorted all-pairs distances (values ascending, parallel probabilities).
   std::span<const double> SortedValues() {
     EnsureSortedAll();
@@ -205,22 +198,6 @@ class ObjectProfile {
   /// (used for the U_Q != V_Q side condition and by the public API).
   const DiscreteDistribution& Distribution();
 
-  /// Nearest / farthest distance from query instance qi to the object's
-  /// instances: exactly object().LocalTree().MinDist / MaxDist at
-  /// ctx.points()[qi], memoized per qi on first use (F-SD level filter).
-  double TreeMinDist(int qi) {
-    if (tree_min_.empty() || std::isnan(tree_min_[qi])) {
-      FillTreeDist(qi, /*farthest=*/false);
-    }
-    return tree_min_[qi];
-  }
-  double TreeMaxDist(int qi) {
-    if (tree_max_.empty() || std::isnan(tree_max_[qi])) {
-      FillTreeDist(qi, /*farthest=*/true);
-    }
-    return tree_max_[qi];
-  }
-
   /// Rank view at query instance qi, built from the matrix on first use.
   RankView Ranks(int qi) {
     if (ranks_.empty() || ranks_[qi].sorted.empty()) FillRanks(qi);
@@ -236,9 +213,6 @@ class ObjectProfile {
   void EnsureStats();
   void EnsureSortedAll();
   void EnsureSortedPerQ();
-  /// Computes one tree-distance memo entry (allocating and charging both
-  /// |Q|-long memo vectors on the first call).
-  void FillTreeDist(int qi, bool farthest);
   /// Builds one rank-view entry (allocating and charging the |Q|-long
   /// entry table on the first call).
   void FillRanks(int qi);
@@ -292,8 +266,6 @@ class ObjectProfile {
   bool have_distribution_ = false;
   DiscreteDistribution distribution_;
   const DiscreteDistribution* distribution_view_ = nullptr;
-  // Local-tree distance memo, NaN = not yet computed; never cached.
-  std::vector<double> tree_min_, tree_max_;
   // Rank-view memo, one entry per query instance (empty = not yet built),
   // and the scaled masses; never cached.
   struct RankEntry {

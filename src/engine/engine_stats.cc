@@ -26,7 +26,7 @@ double BucketUpperSeconds(int b) { return obs::LatencyBucketUpperSeconds(b); }
 // Printf-append that never truncates: outputs longer than the stack buffer
 // re-render into a heap buffer sized from the snprintf return value. The
 // stack buffer is deliberately small so the growth path stays exercised by
-// ordinary stats (the `work` block alone can exceed it).
+// ordinary stats (the `memory` block alone can exceed it).
 void Append(std::string* out, const char* fmt, auto... args) {
   char buf[128];
   const int n = std::snprintf(buf, sizeof(buf), fmt, args...);
@@ -116,20 +116,12 @@ std::string EngineStats::ToJson() const {
     }
   }
   out += "]";
+  out += ",\"work\":{";
+  filters.AppendJson(&out);
   Append(&out,
-         ",\"work\":{\"dominance_checks\":%ld,\"instance_comparisons\":%ld,"
-         "\"dist_evals\":%ld,\"pair_tests\":%ld,\"scan_steps\":%ld,"
-         "\"node_ops\":%ld,\"flow_runs\":%ld,\"stat_prunes\":%ld,"
-         "\"cover_prunes\":%ld,\"level_decisions\":%ld,"
-         "\"mbr_validations\":%ld,\"exact_checks\":%ld,"
-         "\"objects_examined\":%ld,\"entries_pruned\":%ld,"
+         ",\"objects_examined\":%ld,\"entries_pruned\":%ld,"
          "\"frontier_objects\":%ld}",
-         filters.dominance_checks, filters.InstanceComparisons(),
-         filters.dist_evals, filters.pair_tests, filters.scan_steps,
-         filters.node_ops, filters.flow_runs, filters.stat_prunes,
-         filters.cover_prunes, filters.level_decisions,
-         filters.mbr_validations, filters.exact_checks, objects_examined,
-         entries_pruned, frontier_objects);
+         objects_examined, entries_pruned, frontier_objects);
   Append(&out,
          ",\"memory\":{\"breaches\":%ld,\"admission_rejected\":%ld,"
          "\"bad_allocs\":%ld,\"current_bytes\":%ld,\"peak_bytes\":%ld,"

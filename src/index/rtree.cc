@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -123,66 +122,6 @@ void RTree::ForEachIntersecting(
       for (int32_t c : node.children) stack.push_back(c);
     }
   }
-}
-
-double RTree::MinDist(const Point& q, Metric metric) const {
-  // An empty tree has no entry at any distance: the infimum over an empty
-  // set is +inf, which every caller's comparison treats as "nothing there".
-  double best = std::numeric_limits<double>::infinity();
-  if (empty()) return best;
-  // Depth-first branch & bound; children visited nearest-first.
-  std::vector<int32_t> stack = {root_};
-  while (!stack.empty()) {
-    const Node& node = nodes_[stack.back()];
-    stack.pop_back();
-    if (MbrMinDist(node.box, q, metric) >= best) continue;
-    if (node.is_leaf) {
-      for (int32_t e : node.children) {
-        best = std::min(best, MbrMinDist(entries_[e].box, q, metric));
-      }
-    } else {
-      // Push farther children first so nearer ones are popped first. Each
-      // child's distance is computed once up front — the comparator used to
-      // recompute MbrMinDist on every comparison inside the sort.
-      std::vector<std::pair<double, int32_t>> kids;
-      kids.reserve(node.children.size());
-      for (int32_t c : node.children) {
-        kids.emplace_back(MbrMinDist(nodes_[c].box, q, metric), c);
-      }
-      std::sort(kids.begin(), kids.end(),
-                [](const auto& a, const auto& b) { return a > b; });
-      for (const auto& [dist, c] : kids) stack.push_back(c);
-    }
-  }
-  return best;
-}
-
-double RTree::MaxDist(const Point& q, Metric metric) const {
-  // Supremum over an empty set: 0, the identity of max.
-  double best = 0.0;
-  if (empty()) return best;
-  std::vector<int32_t> stack = {root_};
-  while (!stack.empty()) {
-    const Node& node = nodes_[stack.back()];
-    stack.pop_back();
-    if (MbrMaxDist(node.box, q, metric) <= best) continue;
-    if (node.is_leaf) {
-      for (int32_t e : node.children) {
-        best = std::max(best, MbrMaxDist(entries_[e].box, q, metric));
-      }
-    } else {
-      // Same hoist as MinDist: one distance per child, not one per
-      // comparison.
-      std::vector<std::pair<double, int32_t>> kids;
-      kids.reserve(node.children.size());
-      for (int32_t c : node.children) {
-        kids.emplace_back(MbrMaxDist(nodes_[c].box, q, metric), c);
-      }
-      std::sort(kids.begin(), kids.end());
-      for (const auto& [dist, c] : kids) stack.push_back(c);
-    }
-  }
-  return best;
 }
 
 }  // namespace osd

@@ -8,8 +8,8 @@
 // contiguous node layout.
 //
 // The tree exposes its node structure publicly (nodes() / root()) because
-// the dominance-check algorithms traverse it level by level with
-// algorithm-specific bounds (CDF envelopes, flow networks), which cannot be
+// its users traverse it with their own bounds (the NNC search's best-first
+// frontier, S-SD's level-by-level CDF envelopes), which cannot be
 // expressed as a fixed query API.
 
 #ifndef OSD_INDEX_RTREE_H_
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "geom/mbr.h"
-#include "geom/metric.h"
 
 namespace osd {
 
@@ -69,12 +68,6 @@ class RTree {
   /// Invokes `fn(entry)` for every entry whose box intersects `range`.
   void ForEachIntersecting(const Mbr& range,
                            const std::function<void(const Entry&)>& fn) const;
-
-  /// Minimal distance from `q` to any entry box (branch & bound).
-  double MinDist(const Point& q, Metric metric = Metric::kL2) const;
-
-  /// Maximal distance from `q` to any entry box (branch & bound).
-  double MaxDist(const Point& q, Metric metric = Metric::kL2) const;
 
  private:
   std::vector<Node> nodes_;

@@ -101,19 +101,10 @@ std::string Trace::ToJson() const {
   if (have_summary_) {
     Append(&out,
            ",\"summary\":{\"termination\":\"%s\",\"candidates\":%ld,"
-           "\"objects_examined\":%ld,\"entries_pruned\":%ld,"
-           "\"dominance_checks\":%ld,\"instance_comparisons\":%ld,"
-           "\"dist_evals\":%ld,\"pair_tests\":%ld,\"scan_steps\":%ld,"
-           "\"node_ops\":%ld,\"flow_runs\":%ld,\"stat_prunes\":%ld,"
-           "\"cover_prunes\":%ld,\"level_decisions\":%ld,"
-           "\"mbr_validations\":%ld,\"exact_checks\":%ld,"
-           "\"mem_peak_bytes\":%ld}",
-           termination_, candidates_, objects_examined_, entries_pruned_,
-           filters_.dominance_checks, filters_.InstanceComparisons(),
-           filters_.dist_evals, filters_.pair_tests, filters_.scan_steps,
-           filters_.node_ops, filters_.flow_runs, filters_.stat_prunes,
-           filters_.cover_prunes, filters_.level_decisions,
-           filters_.mbr_validations, filters_.exact_checks, mem_peak_bytes_);
+           "\"objects_examined\":%ld,\"entries_pruned\":%ld,",
+           termination_, candidates_, objects_examined_, entries_pruned_);
+    filters_.AppendJson(&out);
+    Append(&out, ",\"mem_peak_bytes\":%ld}", mem_peak_bytes_);
   }
   out += ",\"aggregates\":{";
   bool first = true;

@@ -232,24 +232,31 @@ TEST(DominanceWeighted, NonUniformProbabilitiesAgreeWithBruteForce) {
   EXPECT_GT(positives, 10);
 }
 
-// One oracle and one profile per object, every ordered pair checked with
-// the same profiles in both roles — the reuse pattern of NncSearch::Run,
-// where an object's memoized local-tree distances (TreeMinDist as the
-// dominated side, TreeMaxDist as the dominating side) are filled by one
-// check and read by the next. L2 tests only hull query points; L1 tests
-// all of them, and so does geometric = false.
+// Every ordered pair checked twice through one oracle: once with v's
+// per-q statistics cold, so that cover validation runs before the per-q
+// order, and once with them warm, so that the per-q order runs first and
+// cover validation only confirms. Both verdicts must match brute force,
+// and the two orders must validate and reach the exact check on the same
+// pairs. The dominating side reuses one profile per object, the pattern
+// of NncSearch::Run. L2 tests only hull query points; L1 tests all of
+// them, and so does geometric = false.
 TEST(DominanceProfileReuse, FSdAgreesWithBruteForceAcrossAllPairs) {
   Rng rng(1515);
   int positives = 0;
+  int validated = 0;        // cover validation decided the pair
+  int confirmed = 0;        // the per-q order held and the cover test did not
+  int side_condition = 0;   // ... and U_Q == V_Q refuted it
   for (Metric metric : {Metric::kL2, Metric::kL1}) {
     for (bool geometric : {true, false}) {
       for (int trial = 0; trial < 4; ++trial) {
         const UncertainObject q = RandomObject(-1, 2, 6, 10.0, 3.0, rng);
         // Objects at assorted distances from the query, so that F-SD
-        // both holds and fails among them.
+        // both holds and fails among them. Object 0 has one instance and
+        // a twin at the same point: the per-q order holds both ways
+        // between them, and only U_Q != V_Q refutes.
         std::vector<UncertainObject> objects;
         for (int i = 0; i < 12; ++i) {
-          const int m = 1 + static_cast<int>(rng.UniformInt(0, 11));
+          const int m = i == 0 ? 1 : 1 + static_cast<int>(rng.UniformInt(0, 11));
           std::vector<double> coords;
           const double cx = q.mbr().Center(0) + rng.Uniform(-25.0, 25.0);
           const double cy = q.mbr().Center(1) + rng.Uniform(-25.0, 25.0);
@@ -259,6 +266,9 @@ TEST(DominanceProfileReuse, FSdAgreesWithBruteForceAcrossAllPairs) {
           }
           objects.push_back(UncertainObject::Uniform(i, 2, std::move(coords)));
         }
+        objects.push_back(UncertainObject::Uniform(
+            12, 2, {objects[0].Instance(0)[0], objects[0].Instance(0)[1]}));
+        const int n = static_cast<int>(objects.size());
         QueryContext ctx(q, metric);
         FilterConfig cfg = FilterConfig::All();
         cfg.geometric = geometric;
@@ -268,34 +278,50 @@ TEST(DominanceProfileReuse, FSdAgreesWithBruteForceAcrossAllPairs) {
         for (const UncertainObject& o : objects) {
           profiles.push_back(std::make_unique<ObjectProfile>(o, ctx, &stats));
         }
-        for (int i = 0; i < 12; ++i) {
-          for (int j = 0; j < 12; ++j) {
+        for (int i = 0; i < n; ++i) {
+          for (int j = 0; j < n; ++j) {
             if (i == j) continue;
             const bool expected =
                 test::BruteFSdUnder(objects[i], objects[j], q, metric);
             positives += expected;
-            EXPECT_EQ(oracle.Dominates(Operator::kFSd, *profiles[i],
-                                       *profiles[j]),
-                      expected)
-                << "L1=" << (metric == Metric::kL1)
-                << " geometric=" << geometric << " trial " << trial
-                << " pair " << i << "," << j;
-          }
-        }
-        // The memo is the tree search itself, bit for bit, at every q —
-        // hull entries already filled by the checks above, the rest fresh.
-        for (int i = 0; i < 12; ++i) {
-          const RTree& tree = objects[i].LocalTree();
-          for (int qi = 0; qi < ctx.num_instances(); ++qi) {
-            const Point& qp = ctx.points()[qi];
-            EXPECT_EQ(profiles[i]->TreeMinDist(qi), tree.MinDist(qp, metric));
-            EXPECT_EQ(profiles[i]->TreeMaxDist(qi), tree.MaxDist(qp, metric));
+            ObjectProfile cold(objects[j], ctx, &stats);
+            ObjectProfile warm(objects[j], ctx, &stats);
+            (void)warm.MinQs();
+            ASSERT_FALSE(cold.has_stats());
+            ASSERT_TRUE(warm.has_stats());
+            const FilterStats s0 = stats;
+            const bool cold_verdict =
+                oracle.Dominates(Operator::kFSd, *profiles[i], cold);
+            const FilterStats s1 = stats;
+            const bool warm_verdict =
+                oracle.Dominates(Operator::kFSd, *profiles[i], warm);
+            const FilterStats s2 = stats;
+            const std::string where =
+                std::string("L1=") + (metric == Metric::kL1 ? "1" : "0") +
+                " geometric=" + (geometric ? "1" : "0") + " trial " +
+                std::to_string(trial) + " pair " + std::to_string(i) + "," +
+                std::to_string(j);
+            EXPECT_EQ(cold_verdict, expected) << "cold " << where;
+            EXPECT_EQ(warm_verdict, expected) << "warm " << where;
+            const long cold_validations =
+                s1.mbr_validations - s0.mbr_validations;
+            const long cold_exact = s1.exact_checks - s0.exact_checks;
+            EXPECT_EQ(s2.mbr_validations - s1.mbr_validations,
+                      cold_validations)
+                << where;
+            EXPECT_EQ(s2.exact_checks - s1.exact_checks, cold_exact) << where;
+            validated += static_cast<int>(cold_validations);
+            if (cold_exact > 0) ++(expected ? confirmed : side_condition);
           }
         }
       }
     }
   }
   EXPECT_GT(positives, 200);
+  // Each way the cascade can decide a pair was exercised in both orders.
+  EXPECT_GT(validated, 100);
+  EXPECT_GT(confirmed, 0);
+  EXPECT_GT(side_condition, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -310,10 +310,14 @@ NncResult PinnedRun(Operator op, double edge) {
 }
 
 // Counter pin for F-SD under the default filters: the candidate set and
-// every FilterStats counter of one seeded run. The level filter reads
-// per-profile memoized local-tree bounds, and node_ops meters them as if
-// each pair searched both trees. Reuse may change how often a bound is
-// computed, never what the search decides or how it is metered: a moved
+// every FilterStats counter of one seeded run. Cascade: cover validation
+// and the per-q order on the fused statistics (MaxQs against MinQs), the
+// cover test first while the dominated side has no statistics yet and
+// after the order from then on, then U_Q != V_Q. Cover validation implies
+// the order, so both sequences validate the same pairs: mbr_validations
+// counts them, exact_checks the pairs that pass the order without
+// validating, and dist_evals the statistics built. F-SD has no level
+// stage, so node_ops counts the traversal's entry pruning alone. A moved
 // counter means the meaning of a Fig. 12/16 statistic moved with it.
 TEST(NncSearchTest, FSdCountersArePinned) {
   const NncResult r = PinnedRun(Operator::kFSd, 5.0);
@@ -324,16 +328,16 @@ TEST(NncSearchTest, FSdCountersArePinned) {
   EXPECT_EQ(r.objects_examined, 102);
   EXPECT_EQ(r.entries_pruned, 3);
   const FilterStats& s = r.stats;
-  EXPECT_EQ(s.dist_evals, 1440);
+  EXPECT_EQ(s.dist_evals, 1500);
   EXPECT_EQ(s.scan_steps, 0);
   EXPECT_EQ(s.pair_tests, 0);
-  EXPECT_EQ(s.node_ops, 305);
+  EXPECT_EQ(s.node_ops, 3);
   EXPECT_EQ(s.flow_runs, 0);
   EXPECT_EQ(s.mbr_validations, 85);
   EXPECT_EQ(s.stat_prunes, 0);
   EXPECT_EQ(s.cover_prunes, 0);
   EXPECT_EQ(s.level_decisions, 0);
-  EXPECT_EQ(s.exact_checks, 0);
+  EXPECT_EQ(s.exact_checks, 3);
   EXPECT_EQ(s.dominance_checks, 186);
 }
 

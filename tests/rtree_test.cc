@@ -1,9 +1,6 @@
-// Tests for the STR bulk-loaded R-tree: structural invariants, range
-// queries, and nearest/farthest searches, validated against linear scans.
+// Tests for the STR bulk-loaded R-tree: structural invariants and range
+// queries, validated against linear scans.
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <set>
 #include <vector>
 
@@ -11,7 +8,6 @@
 
 #include "common/rng.h"
 #include "index/rtree.h"
-#include "test_util.h"
 
 namespace osd {
 namespace {
@@ -92,22 +88,6 @@ TEST_P(RTreeProperty, InvariantsAndQueriesMatchLinearScan) {
                              [&](const RTree::Entry& e) { got.insert(e.id); });
     EXPECT_EQ(got, expected);
   }
-
-  // Nearest / farthest vs. linear scan.
-  for (int trial = 0; trial < 10; ++trial) {
-    Point q(dim);
-    for (int d = 0; d < dim; ++d) q[d] = rng.Uniform(-20.0, 120.0);
-    double best_min = std::numeric_limits<double>::infinity();
-    double best_max = 0.0;
-    for (const auto& e : reference) {
-      best_min =
-          std::min(best_min, test::RefPointBoxMin(e.box, q, Metric::kL2));
-      best_max =
-          std::max(best_max, test::RefPointBoxMax(e.box, q, Metric::kL2));
-    }
-    EXPECT_NEAR(tree.MinDist(q), best_min, 1e-9);
-    EXPECT_NEAR(tree.MaxDist(q), best_max, 1e-9);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -120,8 +100,6 @@ TEST(RTreeTest, SingleEntry) {
   std::vector<RTree::Entry> entries = {{Mbr(Point{1.0, 2.0}), 7, 1.0}};
   const RTree tree = RTree::BulkLoad(std::move(entries), 4);
   EXPECT_EQ(tree.height(), 1);
-  EXPECT_DOUBLE_EQ(tree.MinDist(Point{1.0, 2.0}), 0.0);
-  EXPECT_DOUBLE_EQ(tree.MaxDist(Point{4.0, 6.0}), 5.0);
 }
 
 TEST(RTreeTest, HeightGrowsLogarithmically) {

@@ -94,10 +94,6 @@ TEST(EmptyInputTest, EmptyDatasetAndTreeAreValid) {
   EXPECT_TRUE(tree.empty());
   EXPECT_EQ(tree.root(), -1);
   EXPECT_EQ(tree.height(), 0);
-
-  const Point q{0.5, 0.5};
-  EXPECT_EQ(tree.MinDist(q), std::numeric_limits<double>::infinity());
-  EXPECT_EQ(tree.MaxDist(q), 0.0);
 }
 
 TEST(EmptyInputTest, EmptyStoreAnswersQueriesWithZeroCandidates) {
