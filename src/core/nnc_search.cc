@@ -1,5 +1,6 @@
 #include "core/nnc_search.h"
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <queue>
@@ -16,9 +17,12 @@ namespace osd {
 namespace {
 
 struct HeapItem {
-  double key;  // min distance between boxes under the search metric
+  // Min distance between boxes under the search metric, or, for an exact
+  // item, the parked object's exact MinAll().
+  double key;
   bool is_object;
-  int32_t id;  // node id or object index
+  bool exact;  // a parked object's second pop; `id` is then its parked slot
+  int32_t id;  // node id, object index or parked slot
   friend bool operator>(const HeapItem& a, const HeapItem& b) {
     return a.key > b.key;
   }
@@ -123,12 +127,69 @@ NncResult NncSearch::Run(
     std::unique_ptr<ObjectProfile> profile;
   };
   std::vector<Member> members;
+  // An object that survived its first pop with MinAll() above its MBR key
+  // waits here until the heap reaches that exact key. `checked` members
+  // were tested against it at the first pop, and `dominators` of them
+  // dominate it.
+  struct Parked {
+    int object_index;
+    std::unique_ptr<ObjectProfile> profile;
+    size_t checked;
+    int dominators;
+  };
+  std::vector<Parked> parked;
+  // An object's check tries members in emission order, except under P-SD,
+  // where it tries them in this order: ascending instance count, stable on
+  // emission order. Any k dominators settle the verdict, so the order
+  // changes only the work, and a P-SD confirmation is an nu x nv network.
+  const bool by_size = options_.op == Operator::kPSd;
+  std::vector<int> size_order;
 
   // Live-size accounting for everything the traversal owns: the frontier
-  // heap (Add on push, Sub on pop), the member/timeline entries, and —
-  // inside the profiles themselves — the lazily built distance views. A
-  // breach anywhere below throws MemoryExceeded before the allocation.
+  // heap (Add on push, Sub on pop), the member/parked/timeline entries,
+  // and — inside the profiles themselves — the lazily built distance
+  // views. A breach anywhere below throws MemoryExceeded before the
+  // allocation.
   memory::ScopedCharge run_mem("nnc.run");
+
+  // v's dominators among members [from, members.size()), added to
+  // `dominators` and counted up to k.
+  auto count_dominators = [&](ObjectProfile& v, size_t from,
+                              int dominators) {
+    auto settles = [&](size_t i) {
+      return oracle.Dominates(options_.op, *members[i].profile, v) &&
+             ++dominators >= options_.k;
+    };
+    if (by_size) {
+      for (int i : size_order) {
+        if (static_cast<size_t>(i) >= from && settles(i)) break;
+      }
+    } else {
+      for (size_t i = from; i < members.size(); ++i) {
+        if (settles(i)) break;
+      }
+    }
+    return dominators;
+  };
+  // Confirms an object as a candidate. `profile` is moved from only after
+  // the charge, so a breach leaves the caller's profile intact.
+  auto emit = [&](int object_index, std::unique_ptr<ObjectProfile>& profile) {
+    run_mem.Add(sizeof(Member) + sizeof(NncEmission) +
+                (by_size ? sizeof(int) : 0));
+    members.push_back({object_index, std::move(profile)});
+    if (by_size) {
+      const int nu = members.back().profile->num_instances();
+      size_order.insert(
+          std::upper_bound(size_order.begin(), size_order.end(), nu,
+                           [&](int n, int i) {
+                             return n < members[i].profile->num_instances();
+                           }),
+          static_cast<int>(members.size()) - 1);
+    }
+    const double t = elapsed();
+    result.timeline.push_back({object_index, t});
+    if (on_candidate) on_candidate(object_index, t);
+  };
 
   std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
   // An empty tree (empty dataset, or a snapshot whose base drained) seeds
@@ -137,7 +198,7 @@ NncResult NncSearch::Run(
   if (!tree.empty()) {
     run_mem.Add(sizeof(HeapItem));
     heap.push({node_dist(tree.root(), tree.nodes()[tree.root()].box), false,
-               tree.root()});
+               false, tree.root()});
   }
   if (snapshot_ != nullptr) {
     // Delta objects are not in the base tree: seed each one directly as an
@@ -153,7 +214,7 @@ NncResult NncSearch::Run(
     run_mem.Add(pushes * static_cast<long>(sizeof(HeapItem)));
     for (int i = nbase; i < ntotal; ++i) {
       if (i == options_.exclude_id) continue;
-      heap.push({object_dist(i, snapshot_->object(i).mbr()), true, i});
+      heap.push({object_dist(i, snapshot_->object(i).mbr()), true, false, i});
     }
   }
 
@@ -226,12 +287,26 @@ NncResult NncSearch::Run(
               const RTree::Entry& entry = tree.entries()[e];
               if (entry.id == options_.exclude_id) continue;
               if (is_deleted(entry.id)) continue;  // tombstoned base slot
-              heap.push({object_dist(entry.id, entry.box), true, entry.id});
+              heap.push(
+                  {object_dist(entry.id, entry.box), true, false, entry.id});
             }
           } else {
             for (int32_t c : node.children) {
-              heap.push({node_dist(c, tree.nodes()[c].box), false, c});
+              heap.push({node_dist(c, tree.nodes()[c].box), false, false, c});
             }
+          }
+          continue;
+        }
+
+        if (item.exact) {
+          // A parked object at its exact min distance: check it against the
+          // members confirmed since its first pop, then emit it.
+          Parked& p = parked[item.id];
+          if (count_dominators(*p.profile, p.checked, p.dominators) <
+              options_.k) {
+            emit(p.object_index, p.profile);
+          } else {
+            p.profile.reset();
           }
           continue;
         }
@@ -245,18 +320,25 @@ NncResult NncSearch::Run(
         ++result.objects_examined;
         auto profile = std::make_unique<ObjectProfile>(candidate, ctx,
                                                        &result.stats, cache);
-        int dominators = 0;
-        for (Member& m : members) {
-          if (oracle.Dominates(options_.op, *m.profile, *profile)) {
-            if (++dominators >= options_.k) break;
-          }
-        }
+        const int dominators = count_dominators(*profile, 0, 0);
         if (dominators >= options_.k) continue;
-        run_mem.Add(sizeof(Member) + sizeof(NncEmission));
-        members.push_back({item.id, std::move(profile)});
-        const double t = elapsed();
-        result.timeline.push_back({item.id, t});
-        if (on_candidate) on_candidate(item.id, t);
+        // The MBR key is only a lower bound on MinAll(). A survivor whose
+        // exact min distance lies above it goes back into the heap at that
+        // distance, so members are confirmed in non-decreasing MinAll()
+        // (Theorem 9's access order). F+-SD reads no instance data, and a
+        // strict MBR dominator always has a smaller MBR key, so it keeps
+        // MBR order.
+        if (options_.op != Operator::kFPlusSd &&
+            profile->MinAll() > item.key) {
+          run_mem.Add(sizeof(Parked) + sizeof(HeapItem));
+          const double exact_key = profile->MinAll();
+          parked.push_back(
+              {item.id, std::move(profile), members.size(), dominators});
+          heap.push({exact_key, true, true,
+                     static_cast<int32_t>(parked.size() - 1)});
+          continue;
+        }
+        emit(item.id, profile);
       } catch (const interrupt::Interrupted& e) {
         // Deep-poll termination (a max-flow or envelope loop saw the
         // deadline/cancel mid-item). Same contract as the pop-site checks
@@ -280,13 +362,17 @@ NncResult NncSearch::Run(
     }
   }
 
-  // Final pairwise cleanup: discard any emitted candidate dominated by
-  // another emitted candidate (possible only under min-distance ties or
-  // MBR/exact order inversions; see the header comment). Under F+-SD a
-  // strict MBR dominator always has a strictly smaller heap key, so the
-  // traversal order already guarantees a clean result. For the other
-  // operators the pairs to re-check are gated by the statistic conditions
-  // of Theorem 11, which every operator implies via the cover chain.
+  // Final near-tie cleanup: discard any emitted candidate dominated by a
+  // candidate emitted after it. The traversal checks each object against
+  // every member confirmed before it, and members are confirmed in
+  // non-decreasing MinAll(). A dominator's MinAll() is at most its
+  // victim's (the statistic conditions of Theorem 11, which every
+  // operator implies via the cover chain), so a later dominator can only
+  // sit in a tie with its victim: for each member the scan stops at the
+  // first member whose MinAll() exceeds its own by more than the gate
+  // tolerance. Under F+-SD a strict MBR dominator always has a strictly
+  // smaller heap key, so the traversal order already guarantees a clean
+  // result.
   std::vector<char> dead(members.size(), 0);
   if (options_.op != Operator::kFPlusSd) {
     OSD_TRACE_SPAN(obs::SpanKind::kCleanup);
@@ -308,8 +394,8 @@ NncResult NncSearch::Run(
              i < members.size() && dominators[j] < options_.k; ++i) {
           if (i == j) continue;
           ObjectProfile& pi = *members[i].profile;
-          if (pi.MinAll() > pj.MinAll() + kGateEps ||
-              pi.MeanAll() > pj.MeanAll() + kGateEps ||
+          if (pi.MinAll() > pj.MinAll() + kGateEps) break;
+          if (pi.MeanAll() > pj.MeanAll() + kGateEps ||
               pi.MaxAll() > pj.MaxAll() + kGateEps) {
             continue;
           }
@@ -336,10 +422,11 @@ NncResult NncSearch::Run(
   }
 
   // Anytime degraded mode: everything still reachable from the heap was
-  // never examined, so it must be presumed a candidate for the result to
-  // stay a superset of the exact answer. Each object and each node sits in
-  // the heap at most once (entries are pushed only when their unique leaf
-  // is expanded), so the drain appends no duplicates.
+  // never confirmed (parked objects included), so it must be presumed a
+  // candidate for the result to stay a superset of the exact answer. Each
+  // object and each node sits in the heap at most once (entries are pushed
+  // only when their unique leaf is expanded, and a parked object's exact
+  // item replaces its popped one), so the drain appends no duplicates.
   // The drain itself is deliberately exempt from budget accounting: it is
   // the recovery path for a memory breach, so re-charging it could fail
   // the very mechanism that keeps the answer a certified superset. Its
@@ -353,7 +440,8 @@ NncResult NncSearch::Run(
       const HeapItem item = heap.top();
       heap.pop();
       if (item.is_object) {
-        result.candidates.push_back(item.id);
+        result.candidates.push_back(item.exact ? parked[item.id].object_index
+                                               : item.id);
         ++result.frontier_objects;
       } else {
         stack.push_back(item.id);

@@ -9,12 +9,17 @@
 //
 // The paper argues (via the access order, the statistic pruning rules and
 // transitivity, Theorem 9) that checking each object only against earlier
-// candidates suffices. MBR min-distance is only a lower bound on the exact
-// minimum pairwise distance, so ties and near-ties can break the access-
-// order argument in degenerate inputs; we therefore finish with a pairwise
-// cleanup among the returned candidates, which (by transitivity) makes the
-// result provably equal to the brute-force NNC while leaving the
-// progressive behaviour of the traversal intact.
+// candidates suffices. The heap keys objects by MBR min-distance, which is
+// only a lower bound on the exact minimum pairwise distance MinAll(), so
+// an object that survives its first pop with MinAll() above its key goes
+// back into the heap at MinAll() and is emitted only when popped there,
+// after a check against the candidates confirmed in between. Candidates
+// are thus confirmed in non-decreasing MinAll(); a later candidate can
+// dominate an earlier one only when their MinAll() tie, so a final
+// cleanup over near-ties (within 1e-9) makes the result provably equal to
+// the brute-force NNC while leaving the progressive behaviour of the
+// traversal intact. F+-SD keeps the MBR keys: its strict MBR dominators
+// always pop first.
 
 #ifndef OSD_CORE_NNC_SEARCH_H_
 #define OSD_CORE_NNC_SEARCH_H_
@@ -126,7 +131,8 @@ struct NncEmission {
 /// timeline's `elapsed_seconds`) are measured with std::chrono::steady_clock
 /// so latency aggregation is immune to wall-clock adjustments.
 struct NncResult {
-  /// Final candidate object indices, in emission order (after cleanup).
+  /// Final candidate object indices, in emission order (after cleanup):
+  /// non-decreasing exact min distance, except under F+-SD.
   std::vector<int> candidates;
   /// Progressive emissions as produced by the traversal (pre-cleanup).
   std::vector<NncEmission> timeline;
@@ -158,10 +164,14 @@ struct NncResult {
 /// Thread-safety: Run is const and keeps all per-query state (QueryContext,
 /// DominanceOracle, ObjectProfiles, the traversal heap) on its own stack,
 /// so any number of threads may call Run concurrently on one NncSearch —
-/// or on distinct NncSearch instances sharing one Dataset. The only shared
-/// mutable state reached from Run is the lazily built per-object local
-/// R-tree, which UncertainObject::LocalTree() builds under a per-object
-/// mutex (double-checked against an atomically published pointer).
+/// or on distinct NncSearch instances sharing one Dataset. The shared
+/// mutable state Run reaches is all internally synchronized: the lazily
+/// built per-object local R-tree, which UncertainObject::LocalTree()
+/// builds under a per-object mutex (double-checked against an atomically
+/// published pointer); the NncOptions::profile_cache when one is set,
+/// whose shards each have their own mutex (core/profile_cache.h); and the
+/// engine-wide MemoryBudget behind the calling thread's QueryBudgetScope,
+/// when one is installed (common/memory_budget.h).
 class NncSearch {
  public:
   NncSearch(const Dataset& dataset, NncOptions options);

@@ -94,8 +94,14 @@ bool IsValidUtf8(std::string_view bytes) {
 
 void AppendJsonString(std::string* out, std::string_view s) {
   out->push_back('"');
-  for (const char ch : s) {
-    const unsigned char c = static_cast<unsigned char>(ch);
+  // Characters that need no escape are copied in runs, not one by one: a
+  // metrics dump is kilobytes of them.
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': *out += "\\\""; break;
       case '\\': *out += "\\\\"; break;
@@ -104,16 +110,14 @@ void AppendJsonString(std::string* out, std::string_view s) {
       case '\n': *out += "\\n"; break;
       case '\r': *out += "\\r"; break;
       case '\t': *out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(ch);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        *out += buf;
+      }
     }
   }
+  out->append(s.data() + run, s.size() - run);
   out->push_back('"');
 }
 

@@ -1,6 +1,8 @@
 #include "obs/export.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -19,15 +21,43 @@ const char* TypeName(MetricType type) {
 }
 
 /// Integral values print without a decimal point so counters stay exact;
-/// everything else uses shortest-round-trip-ish %g.
-std::string FormatValue(double v) {
+/// everything else uses shortest-round-trip-ish %g. An integral value
+/// other than -0 prints through std::to_chars, which writes the same
+/// digits as "%.0f" at a fraction of snprintf's cost.
+void AppendValue(std::string* out, double v) {
   char buf[64];
   if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 1e15) {
+    if (v != 0 || !std::signbit(v)) {
+      out->append(buf, std::to_chars(buf, buf + sizeof(buf),
+                                     static_cast<long long>(v))
+                           .ptr);
+      return;
+    }
     std::snprintf(buf, sizeof(buf), "%.0f", v);
   } else {
     std::snprintf(buf, sizeof(buf), "%g", v);
   }
-  return buf;
+  out->append(buf);
+}
+
+std::string FormatValue(double v) {
+  std::string out;
+  AppendValue(&out, v);
+  return out;
+}
+
+/// The "le" label of every latency bucket, formatted once.
+const std::array<std::string, kLatencyBuckets>& BucketLabels() {
+  static const std::array<std::string, kLatencyBuckets> labels = [] {
+    std::array<std::string, kLatencyBuckets> out;
+    for (int b = 0; b < kLatencyBuckets; ++b) {
+      char le[32];
+      std::snprintf(le, sizeof(le), "%g", LatencyBucketUpperSeconds(b));
+      out[b] = le;
+    }
+    return out;
+  }();
+  return labels;
 }
 
 }  // namespace
@@ -66,30 +96,38 @@ std::string RenderPrometheusMetrics(
       }
       out += "# TYPE " + m.family + " " + TypeName(m.type) + "\n";
     }
+    // Appends "<name><suffix> <value>\n".
+    const auto line = [&out](const std::string& name, const char* suffix,
+                             double value) {
+      out += name;
+      out += suffix;
+      out += ' ';
+      AppendValue(&out, value);
+      out += '\n';
+    };
     switch (m.type) {
       case MetricType::kCounter:
       case MetricType::kGauge:
-        out += m.name + " " + FormatValue(m.value) + "\n";
+        line(m.name, "", m.value);
         break;
       case MetricType::kHistogram: {
+        const auto& labels = BucketLabels();
         long cumulative = 0;
-        for (size_t b = 0; b < m.buckets.size(); ++b) {
+        for (size_t b = 0; b < m.buckets.size() && b < labels.size(); ++b) {
           cumulative += m.buckets[b];
-          char le[32];
-          std::snprintf(le, sizeof(le), "%g",
-                        LatencyBucketUpperSeconds(static_cast<int>(b)));
-          out += m.family + "_bucket{le=\"" + le + "\"} " +
-                 FormatValue(static_cast<double>(cumulative)) + "\n";
+          out += m.family;
+          out += "_bucket{le=\"";
+          out += labels[b];
+          out += "\"} ";
+          AppendValue(&out, static_cast<double>(cumulative));
+          out += '\n';
         }
-        out += m.family + "_bucket{le=\"+Inf\"} " +
-               FormatValue(static_cast<double>(m.count)) + "\n";
-        out += m.family + "_sum " + FormatValue(m.sum) + "\n";
-        out += m.family + "_count " +
-               FormatValue(static_cast<double>(m.count)) + "\n";
+        line(m.family, "_bucket{le=\"+Inf\"}", static_cast<double>(m.count));
+        line(m.family, "_sum", m.sum);
+        line(m.family, "_count", static_cast<double>(m.count));
         if (m.invalid > 0) {
           out += "# TYPE " + m.family + "_invalid_total counter\n";
-          out += m.family + "_invalid_total " +
-                 FormatValue(static_cast<double>(m.invalid)) + "\n";
+          line(m.family, "_invalid_total", static_cast<double>(m.invalid));
         }
         break;
       }

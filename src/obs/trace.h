@@ -46,7 +46,7 @@ namespace obs {
 /// matches the Fig. 16 filter ablation axes.
 enum class SpanKind : int {
   kTraversal = 0,    ///< best-first heap loop of NncSearch::Run
-  kCleanup,          ///< final pairwise cleanup among emitted candidates
+  kCleanup,          ///< final near-tie cleanup among emitted candidates
   kFrontierDrain,    ///< degraded-mode frontier drain
   kDominanceCheck,   ///< one DominanceOracle::Dominates call (any operator)
   kStatFilter,       ///< statistic-based pruning (Theorem 11)

@@ -15,6 +15,7 @@
 #include "datagen/generators.h"
 #include "datagen/workload.h"
 #include "engine/query_engine.h"
+#include "test_util.h"
 
 namespace osd {
 namespace {
@@ -116,6 +117,47 @@ TEST(DegradedModeTest, MidTraversalCancellationYieldsSuperset) {
     // ahead of the frontier.
     EXPECT_GT(static_cast<long>(degraded.candidates.size()),
               degraded.frontier_objects);
+  }
+}
+
+TEST(DegradedModeTest, DeadlineWhileAnObjectIsParkedKeepsIt) {
+  // The wide object is parked at its first pop and waits for the last
+  // one. A deadline set at the first emission stops the traversal within
+  // kDeadlineCheckStride pops, long before that: the wide object is in the
+  // heap only as a parked item, and the drain must still certify it.
+  Rng rng(17);
+  const int wide = 120;
+  const Dataset dataset(test::ParkingObjects(wide, rng));
+  const UncertainObject query =
+      UncertainObject::Uniform(-1, 2, {50.0, 50.0, 51.0, 51.0});
+
+  for (Operator op : kAllOps) {
+    SCOPED_TRACE(OperatorName(op));
+    NncOptions options;
+    options.op = op;
+    const NncResult exact = NncSearch(dataset, options).Run(query);
+    ASSERT_EQ(std::count(exact.candidates.begin(), exact.candidates.end(),
+                         wide),
+              0);
+
+    QueryControl control;
+    options.control = &control;
+    options.degraded_superset = true;
+    const NncResult degraded =
+        NncSearch(dataset, options).Run(query, [&control](int, double) {
+          control.deadline = std::chrono::steady_clock::now();
+        });
+
+    EXPECT_EQ(degraded.termination, NncTermination::kDeadlineExceeded);
+    ExpectCertifiedSuperset(degraded, exact.candidates);
+    EXPECT_FALSE(degraded.timeline.empty());
+    for (const NncEmission& e : degraded.timeline) {
+      EXPECT_NE(e.object_id, wide) << "the wide object was never confirmed";
+    }
+    EXPECT_EQ(std::count(degraded.candidates.begin(),
+                         degraded.candidates.end(), wide),
+              1);
+    EXPECT_GE(degraded.frontier_objects, 1);
   }
 }
 

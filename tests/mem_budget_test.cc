@@ -29,6 +29,7 @@
 #include "datagen/workload.h"
 #include "engine/query_engine.h"
 #include "obs/trace.h"
+#include "test_util.h"
 
 namespace osd {
 namespace {
@@ -297,6 +298,112 @@ TEST_F(MemBudgetTest, BudgetBreachYieldsSupersetForEveryOperator) {
     EXPECT_EQ(std::count(degraded.candidates.begin(),
                          degraded.candidates.end(), entry.seeded_from),
               0);
+  }
+}
+
+TEST_F(MemBudgetTest, BreachWhileAnObjectIsParkedKeepsItAndReleasesAll) {
+  // The wide object is parked at its first pop and waits for the last
+  // one. A cap equal to the peak charged by the first emission replays the
+  // run exactly that far and breaches later, with the wide object still
+  // parked: the drain must certify it, and every charge — the parked
+  // entry and its profile included — is released when Run returns.
+  Rng rng(17);
+  const int wide = 120;
+  const Dataset dataset(test::ParkingObjects(wide, rng));
+  const UncertainObject query =
+      UncertainObject::Uniform(-1, 2, {50.0, 50.0, 51.0, 51.0});
+
+  for (Operator op : kAllOps) {
+    SCOPED_TRACE(OperatorName(op));
+    NncOptions options;
+    options.op = op;
+    const NncResult exact = NncSearch(dataset, options).Run(query);
+    ASSERT_EQ(exact.termination, NncTermination::kComplete);
+
+    long first_peak = 0;
+    {
+      memory::QueryBudgetScope scope(64L << 20, nullptr);
+      NncSearch(dataset, options).Run(query, [&](int, double) {
+        if (first_peak == 0) first_peak = scope.peak_bytes();
+      });
+      EXPECT_EQ(scope.charged_bytes(), 0);
+    }
+    ASSERT_GT(first_peak, 0);
+
+    options.degraded_superset = true;
+    NncResult degraded;
+    {
+      memory::QueryBudgetScope scope(first_peak, nullptr);
+      degraded = NncSearch(dataset, options).Run(query);
+      EXPECT_EQ(scope.charged_bytes(), 0);
+    }
+    EXPECT_EQ(degraded.termination, NncTermination::kMemoryExceeded);
+    ExpectCertifiedSuperset(degraded, exact.candidates);
+    EXPECT_FALSE(degraded.timeline.empty());
+    for (const NncEmission& e : degraded.timeline) {
+      EXPECT_NE(e.object_id, wide) << "the wide object was never confirmed";
+    }
+    EXPECT_EQ(std::count(degraded.candidates.begin(),
+                         degraded.candidates.end(), wide),
+              1);
+  }
+}
+
+TEST_F(MemBudgetTest, ParkedEntriesAreChargedToTheRun) {
+  // A lone wide object: its first pop builds only its statistics (three
+  // |Q|-long vectors), then parks it, and its exact pop emits it. A cap of
+  // exactly the statistics breaches at the park; a cap with room for the
+  // park breaches at the emission, with the parked entry still held. Both
+  // charges belong to the traversal's "nnc.run" account.
+  Rng rng(5);
+  const Dataset dataset(test::ParkingObjects(0, rng));
+  const UncertainObject query =
+      UncertainObject::Uniform(-1, 2, {50.0, 50.0, 51.0, 51.0});
+  const long stat_bytes = 3L * 2 * static_cast<long>(sizeof(double));
+  NncOptions options;
+  options.op = Operator::kSSd;
+
+  long park_bytes = 0;
+  {
+    memory::QueryBudgetScope scope(stat_bytes, nullptr);
+    try {
+      NncSearch(dataset, options).Run(query);
+      FAIL() << "expected a breach at the park";
+    } catch (const MemoryExceeded& e) {
+      EXPECT_NE(std::string(e.what()).find("nnc.run"), std::string::npos)
+          << e.what();
+      EXPECT_EQ(e.charged_bytes(), stat_bytes);
+      park_bytes = e.requested_bytes();
+    }
+    EXPECT_EQ(scope.charged_bytes(), 0);
+  }
+  ASSERT_GT(park_bytes, 0);
+
+  const long cap = stat_bytes + park_bytes;
+  {
+    memory::QueryBudgetScope scope(cap, nullptr);
+    try {
+      NncSearch(dataset, options).Run(query);
+      FAIL() << "expected a breach at the emission";
+    } catch (const MemoryExceeded& e) {
+      EXPECT_NE(std::string(e.what()).find("nnc.run"), std::string::npos)
+          << e.what();
+      EXPECT_GT(e.charged_bytes(), stat_bytes) << "the parked entry is held";
+    }
+    EXPECT_EQ(scope.charged_bytes(), 0);
+  }
+
+  // Degraded at the same cap: the exact item goes back to the frontier,
+  // and the drain reports the parked object.
+  options.degraded_superset = true;
+  {
+    memory::QueryBudgetScope scope(cap, nullptr);
+    const NncResult r = NncSearch(dataset, options).Run(query);
+    EXPECT_EQ(r.termination, NncTermination::kMemoryExceeded);
+    EXPECT_TRUE(r.timeline.empty());
+    EXPECT_EQ(r.candidates, std::vector<int>{0});
+    EXPECT_EQ(r.frontier_objects, 1);
+    EXPECT_EQ(scope.charged_bytes(), 0);
   }
 }
 

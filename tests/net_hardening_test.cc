@@ -511,11 +511,27 @@ TEST_F(LiveServerHardeningTest, CandidatesCoalesceAboveHighWatermark) {
 
   // Let the query finish server-side while the client has not read a
   // byte; the coalesced summary and result frame are then already queued
-  // behind the metrics responses.
+  // behind the metrics responses. The server reaches the submit only after
+  // answering every metrics frame, so the wait splits into the burst (up
+  // to the submit) and the query (submit to completion); a timeout names
+  // the slow half.
+  const auto sent = std::chrono::steady_clock::now();
+  auto submitted = sent;
   for (int i = 0; i < 1000 && server_->queries_completed() < 1; ++i) {
+    if (server_->queries_submitted() < 1) {
+      submitted = std::chrono::steady_clock::now();
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  ASSERT_GE(server_->queries_completed(), 1);
+  const double burst_s =
+      std::chrono::duration<double>(submitted - sent).count();
+  const double query_s = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - submitted)
+                             .count();
+  RecordProperty("burst_s", std::to_string(burst_s));
+  RecordProperty("query_s", std::to_string(query_s));
+  ASSERT_GE(server_->queries_completed(), 1)
+      << "burst " << burst_s << " s, query " << query_s << " s";
 
   long individual = 0;
   long summaries = 0;

@@ -292,59 +292,138 @@ TEST(NncSearchTest, BruteForceConfigDoesMoreInstanceWork) {
   EXPECT_LE(r_all.stats.scan_steps, r_bf.stats.scan_steps);
 }
 
-// One seeded run under the default filters: 400 objects of 4..23
-// instances whose extents (`edge`) decide how often pairs overlap and so
-// how deep the filter cascade goes.
-NncResult PinnedRun(Operator op, double edge) {
+struct SeededInput {
+  std::vector<UncertainObject> objects;
+  UncertainObject query;
+};
+
+// The pinned input: 400 objects of 4..23 instances whose extents (`edge`)
+// decide how often pairs overlap and so how deep the filter cascade goes.
+SeededInput PinnedInput(double edge) {
   Rng rng(2024);
   std::vector<UncertainObject> objects;
   for (int i = 0; i < 400; ++i) {
     const int m = 4 + static_cast<int>(rng.UniformInt(0, 20));
     objects.push_back(RandomObject(i, 2, m, 100.0, edge, rng));
   }
-  const Dataset dataset(std::move(objects));
-  const UncertainObject query = RandomObject(-1, 2, 6, 100.0, 8.0, rng);
-  NncOptions options;
-  options.op = op;
-  return NncSearch(dataset, options).Run(query);
+  UncertainObject query = RandomObject(-1, 2, 6, 100.0, 8.0, rng);
+  return {std::move(objects), std::move(query)};
 }
 
-// Counter pin for F-SD under the default filters: the candidate set and
-// every FilterStats counter of one seeded run. Cascade: cover validation
-// and the per-q order on the fused statistics (MaxQs against MinQs), the
-// cover test first while the dominated side has no statistics yet and
-// after the order from then on, then U_Q != V_Q. Cover validation implies
-// the order, so both sequences validate the same pairs: mbr_validations
-// counts them, exact_checks the pairs that pass the order without
-// validating, and dist_evals the statistics built. F-SD has no level
-// stage, so node_ops counts the traversal's entry pruning alone. A moved
-// counter means the meaning of a Fig. 12/16 statistic moved with it.
+// One seeded run of the pinned input under the default filters.
+NncResult PinnedRun(Operator op, double edge) {
+  SeededInput input = PinnedInput(edge);
+  const Dataset dataset(std::move(input.objects));
+  NncOptions options;
+  options.op = op;
+  return NncSearch(dataset, options).Run(input.query);
+}
+
+// Exact-order traversal: whatever the MBR keys say, members are confirmed
+// in non-decreasing exact min distance (an object whose MinAll() lies
+// above its MBR key waits in the heap at MinAll()), and the near-tie
+// cleanup still leaves exactly the brute-force answer. The lattice input
+// packs objects into a few grid cells, so many objects tie.
+TEST(NncSearchTest, EmitsInExactMinDistanceOrder) {
+  std::vector<SeededInput> inputs;
+  inputs.push_back(PinnedInput(10.0));
+  Rng rng(3);
+  std::vector<UncertainObject> lattice;
+  for (int i = 0; i < 60; ++i) {
+    const int m = 1 + static_cast<int>(rng.UniformInt(0, 2));
+    lattice.push_back(test::LatticeObject(i, 2, m, 4, rng));
+  }
+  UncertainObject lattice_query = test::LatticeObject(-1, 2, 2, 4, rng);
+  inputs.push_back({std::move(lattice), std::move(lattice_query)});
+
+  for (size_t in = 0; in < inputs.size(); ++in) {
+    const SeededInput& input = inputs[in];
+    const Dataset dataset(input.objects);
+    for (Operator op : {Operator::kSSd, Operator::kSsSd, Operator::kPSd,
+                        Operator::kFSd}) {
+      auto brute = [op](const UncertainObject& u, const UncertainObject& v,
+                        const UncertainObject& q) {
+        switch (op) {
+          case Operator::kSSd:
+            return BruteSSd(u, v, q);
+          case Operator::kSsSd:
+            return BruteSsSd(u, v, q);
+          case Operator::kPSd:  // up to 23 instances: too many to enumerate
+            return test::BrutePSdByFlow(u, v, q);
+          default:
+            return BruteFSd(u, v, q);
+        }
+      };
+      for (int k : {1, 3}) {
+        SCOPED_TRACE(::testing::Message() << "input " << in << " "
+                                          << OperatorName(op) << " k=" << k);
+        NncOptions options;
+        options.op = op;
+        options.k = k;
+        const NncResult result = NncSearch(dataset, options).Run(input.query);
+        double previous = 0.0;
+        for (const NncEmission& e : result.timeline) {
+          const double min_all =
+              DistanceDistribution(dataset.object(e.object_id), input.query)
+                  .Min();
+          EXPECT_GE(min_all + 1e-9, previous) << "object " << e.object_id;
+          previous = min_all;
+        }
+        EXPECT_EQ(AsSet(result.candidates),
+                  AsSet(BruteKNnc(input.objects, input.query, brute, k)));
+      }
+    }
+  }
+}
+
+// Counter pin for F-SD under the default filters: the candidates (in
+// emission order) and every FilterStats counter of one seeded run.
+// Cascade: cover validation and the per-q order on the fused statistics
+// (MaxQs against MinQs), the cover test first while the dominated side has
+// no statistics yet and after the order from then on, then U_Q != V_Q.
+// Cover validation implies the order, so both sequences validate the same
+// pairs: mbr_validations counts them, exact_checks the pairs that pass the
+// order without validating, and dist_evals the statistics built. F-SD has
+// no level stage, so node_ops counts the traversal's entry pruning alone.
+// A moved counter means the meaning of a Fig. 12/16 statistic moved with
+// it.
+//
+// Members are confirmed in exact MinAll() order, so every survivor of a
+// first pop builds its statistics there (dist_evals 1500 -> 2292), even
+// the ones dropped later at their exact pop. Those later checks then run
+// the order first (mbr_validations 85 -> 78, exact_checks 3 -> 10).
 TEST(NncSearchTest, FSdCountersArePinned) {
   const NncResult r = PinnedRun(Operator::kFSd, 5.0);
-  EXPECT_EQ(r.candidates, (std::vector<int>{50, 283, 61, 220, 133, 145, 1,
-                                             186, 73, 327, 368, 105, 34,
+  EXPECT_EQ(r.candidates, (std::vector<int>{283, 50, 220, 61, 133, 145, 186,
+                                             73, 1, 327, 34, 368, 105,
                                              343}));
   EXPECT_EQ(r.termination, NncTermination::kComplete);
   EXPECT_EQ(r.objects_examined, 102);
   EXPECT_EQ(r.entries_pruned, 3);
   const FilterStats& s = r.stats;
-  EXPECT_EQ(s.dist_evals, 1500);
+  EXPECT_EQ(s.dist_evals, 2292);
   EXPECT_EQ(s.scan_steps, 0);
   EXPECT_EQ(s.pair_tests, 0);
   EXPECT_EQ(s.node_ops, 3);
   EXPECT_EQ(s.flow_runs, 0);
-  EXPECT_EQ(s.mbr_validations, 85);
+  EXPECT_EQ(s.mbr_validations, 78);
   EXPECT_EQ(s.stat_prunes, 0);
   EXPECT_EQ(s.cover_prunes, 0);
   EXPECT_EQ(s.level_decisions, 0);
-  EXPECT_EQ(s.exact_checks, 3);
+  EXPECT_EQ(s.exact_checks, 10);
   EXPECT_EQ(s.dominance_checks, 186);
 }
 
 // The same pin for P-SD, SS-SD and S-SD, on wider objects so that every
-// stage of their filter cascades decides some pairs. Candidates and
-// termination may never move; a counter may move only with a deliberate
-// change to the cascade's order or metering.
+// stage of their filter cascades decides some pairs. The candidate set
+// and termination may never move; the emission order moves only with the
+// traversal order, and a counter only with a deliberate change to the
+// traversal or to a cascade's order or metering.
+//
+// With members confirmed in exact MinAll() order, the final cleanup
+// re-checks only near-ties instead of every pair that passes the
+// statistic gate, so fewer pairs reach each cascade than when the
+// traversal followed MBR keys.
 TEST(NncSearchTest, PSdCountersArePinned) {
   // Cascade: cover validation, stat gate, projected Hall certificate,
   // exact network. The certificate refutes only pairs the exact network
@@ -353,72 +432,82 @@ TEST(NncSearchTest, PSdCountersArePinned) {
   // the pairs left to the exact network, flow_runs the networks its
   // certificates leave to Dinic. P-SD has no level stage, so
   // level_decisions is 0 and node_ops counts the traversal's entry
-  // pruning alone.
+  // pruning alone. The traversal tries members with fewer instances
+  // first, and the cleanup shrinks to near-ties: the pairs reaching the
+  // cascade are fewer and a different mix, so mbr_validations rose
+  // (38 -> 50) while the other pair counters fell (dominance_checks
+  // 198 -> 169, flow_runs 22 -> 18, pair_tests 2903 -> 2203).
   const NncResult r = PinnedRun(Operator::kPSd, 10.0);
-  EXPECT_EQ(r.candidates, (std::vector<int>{145, 283, 1, 133, 220, 186, 50,
-                                             61, 73, 327, 34}));
+  EXPECT_EQ(r.candidates, (std::vector<int>{50, 145, 61, 220, 133, 186, 1,
+                                             73, 283, 327, 34}));
   EXPECT_EQ(r.termination, NncTermination::kComplete);
   EXPECT_EQ(r.objects_examined, 102);
   EXPECT_EQ(r.entries_pruned, 3);
   const FilterStats& s = r.stats;
-  EXPECT_EQ(s.dist_evals, 10098);
-  EXPECT_EQ(s.scan_steps, 7138);
-  EXPECT_EQ(s.pair_tests, 2903);
+  EXPECT_EQ(s.dist_evals, 8352);
+  EXPECT_EQ(s.scan_steps, 4328);
+  EXPECT_EQ(s.pair_tests, 2203);
   EXPECT_EQ(s.node_ops, 3);
-  EXPECT_EQ(s.flow_runs, 22);
-  EXPECT_EQ(s.mbr_validations, 38);
-  EXPECT_EQ(s.stat_prunes, 89);
-  EXPECT_EQ(s.cover_prunes, 13);
+  EXPECT_EQ(s.flow_runs, 18);
+  EXPECT_EQ(s.mbr_validations, 50);
+  EXPECT_EQ(s.stat_prunes, 67);
+  EXPECT_EQ(s.cover_prunes, 8);
   EXPECT_EQ(s.level_decisions, 0);
-  EXPECT_EQ(s.exact_checks, 58);
-  EXPECT_EQ(s.dominance_checks, 198);
+  EXPECT_EQ(s.exact_checks, 44);
+  EXPECT_EQ(s.dominance_checks, 169);
 }
 
 TEST(NncSearchTest, SsSdCountersArePinned) {
   // Cascade: cover validation, stat gate, exact per-q scans. SS-SD has
   // no node-level stage, so level_decisions and cover_prunes are 0 and
   // node_ops counts the traversal's entry pruning alone; every pair the
-  // gates leave is an exact check, metered in scan_steps.
+  // gates leave is an exact check, metered in scan_steps. The near-tie
+  // cleanup skips pairs the old full cleanup gated or checked
+  // (dominance_checks 187 -> 139, stat_prunes 82 -> 43, dist_evals
+  // 10098 -> 6306).
   const NncResult r = PinnedRun(Operator::kSsSd, 10.0);
   EXPECT_EQ(r.candidates,
-            (std::vector<int>{145, 283, 133, 220, 186, 50, 61, 73, 327}));
+            (std::vector<int>{50, 145, 61, 220, 133, 186, 73, 283, 327}));
   EXPECT_EQ(r.termination, NncTermination::kComplete);
   EXPECT_EQ(r.objects_examined, 102);
   EXPECT_EQ(r.entries_pruned, 3);
   const FilterStats& s = r.stats;
-  EXPECT_EQ(s.dist_evals, 10098);
-  EXPECT_EQ(s.scan_steps, 9374);
+  EXPECT_EQ(s.dist_evals, 6306);
+  EXPECT_EQ(s.scan_steps, 6992);
   EXPECT_EQ(s.pair_tests, 0);
   EXPECT_EQ(s.node_ops, 3);
   EXPECT_EQ(s.flow_runs, 0);
-  EXPECT_EQ(s.mbr_validations, 38);
-  EXPECT_EQ(s.stat_prunes, 82);
+  EXPECT_EQ(s.mbr_validations, 59);
+  EXPECT_EQ(s.stat_prunes, 43);
   EXPECT_EQ(s.cover_prunes, 0);
   EXPECT_EQ(s.level_decisions, 0);
-  EXPECT_EQ(s.exact_checks, 67);
-  EXPECT_EQ(s.dominance_checks, 187);
+  EXPECT_EQ(s.exact_checks, 37);
+  EXPECT_EQ(s.dominance_checks, 139);
 }
 
 TEST(NncSearchTest, SSdCountersArePinned) {
   // Cascade: cover validation, stat gate, level-by-level envelope, exact
-  // merge-scan. S-SD is the only operator that keeps a CDF envelope.
+  // merge-scan. S-SD is the only operator that keeps a CDF envelope. The
+  // near-tie cleanup skips pairs the old full cleanup gated or checked
+  // (dominance_checks 138 -> 107, node_ops 7091 -> 4620, dist_evals
+  // 11794 -> 6902).
   const NncResult r = PinnedRun(Operator::kSSd, 10.0);
-  EXPECT_EQ(r.candidates, (std::vector<int>{145, 133, 220, 50, 61}));
+  EXPECT_EQ(r.candidates, (std::vector<int>{50, 145, 61, 220, 133}));
   EXPECT_EQ(r.termination, NncTermination::kComplete);
   EXPECT_EQ(r.objects_examined, 102);
   EXPECT_EQ(r.entries_pruned, 3);
   const FilterStats& s = r.stats;
-  EXPECT_EQ(s.dist_evals, 11794);
-  EXPECT_EQ(s.scan_steps, 5541);
+  EXPECT_EQ(s.dist_evals, 6902);
+  EXPECT_EQ(s.scan_steps, 3937);
   EXPECT_EQ(s.pair_tests, 0);
-  EXPECT_EQ(s.node_ops, 7091);
+  EXPECT_EQ(s.node_ops, 4620);
   EXPECT_EQ(s.flow_runs, 0);
-  EXPECT_EQ(s.mbr_validations, 38);
-  EXPECT_EQ(s.stat_prunes, 30);
+  EXPECT_EQ(s.mbr_validations, 59);
+  EXPECT_EQ(s.stat_prunes, 3);
   EXPECT_EQ(s.cover_prunes, 0);
-  EXPECT_EQ(s.level_decisions, 28);
-  EXPECT_EQ(s.exact_checks, 42);
-  EXPECT_EQ(s.dominance_checks, 138);
+  EXPECT_EQ(s.level_decisions, 19);
+  EXPECT_EQ(s.exact_checks, 26);
+  EXPECT_EQ(s.dominance_checks, 107);
 }
 
 }  // namespace

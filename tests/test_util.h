@@ -150,15 +150,71 @@ inline bool BruteFSd(const UncertainObject& u, const UncertainObject& v,
   return BruteFSdUnder(u, v, q, Metric::kL2);
 }
 
-// P-SD via the Hall condition on the admissible-pair bipartite graph:
-// a dominating match exists iff, for every subset T of V's instances,
-// p(T) <= p(N(T)). Requires at most 20 instances per object.
-inline bool BrutePSd(const UncertainObject& u, const UncertainObject& v,
-                     const UncertainObject& q) {
+// P-SD for objects of any size: a dominating match exists iff the
+// admissible-pair network carries all of V's mass (the max-flow form of
+// the Hall condition BrutePSd enumerates). Simple Edmonds-Karp on an
+// adjacency matrix; BrutePSd's objects above 20 instances come here.
+inline bool BrutePSdByFlow(const UncertainObject& u, const UncertainObject& v,
+                           const UncertainObject& q) {
   if (DistributionsEqual(u, v, q)) return false;
   const int nu = u.num_instances();
   const int nv = v.num_instances();
-  if (nu > 20 || nv > 20) return false;  // test fixtures stay small
+  // Nodes: source 0, U 1..nu, V nu+1..nu+nv, sink nu+nv+1.
+  const int n = nu + nv + 2;
+  const int sink = n - 1;
+  std::vector<std::vector<double>> cap(n, std::vector<double>(n, 0.0));
+  double mass = 0.0;
+  for (int i = 0; i < nu; ++i) cap[0][1 + i] = u.Prob(i);
+  for (int j = 0; j < nv; ++j) {
+    cap[1 + nu + j][sink] = v.Prob(j);
+    mass += v.Prob(j);
+    for (int i = 0; i < nu; ++i) {
+      bool leq = true;
+      for (int qi = 0; qi < q.num_instances() && leq; ++qi) {
+        const Point qp = q.Instance(qi);
+        leq = Distance(qp, u.Instance(i)) <=
+              Distance(qp, v.Instance(j)) + 1e-12;
+      }
+      if (leq) cap[1 + i][1 + nu + j] = 2.0;
+    }
+  }
+  double flow = 0.0;
+  for (;;) {  // Edmonds-Karp
+    std::vector<int> parent(n, -1);
+    parent[0] = 0;
+    std::vector<int> queue = {0};
+    for (size_t h = 0; h < queue.size() && parent[sink] < 0; ++h) {
+      for (int w = 0; w < n; ++w) {
+        if (parent[w] < 0 && cap[queue[h]][w] > 1e-12) {
+          parent[w] = queue[h];
+          queue.push_back(w);
+        }
+      }
+    }
+    if (parent[sink] < 0) break;
+    double push = 2.0;
+    for (int w = sink; w != 0; w = parent[w]) {
+      push = std::min(push, cap[parent[w]][w]);
+    }
+    for (int w = sink; w != 0; w = parent[w]) {
+      cap[parent[w]][w] -= push;
+      cap[w][parent[w]] += push;
+    }
+    flow += push;
+  }
+  return flow >= mass - 1e-9;
+}
+
+// P-SD via the Hall condition on the admissible-pair bipartite graph:
+// a dominating match exists iff, for every subset T of V's instances,
+// p(T) <= p(N(T)). Enumerates the subsets for up to 20 instances per
+// object, and checks the max-flow form above that.
+inline bool BrutePSd(const UncertainObject& u, const UncertainObject& v,
+                     const UncertainObject& q) {
+  const int nu = u.num_instances();
+  const int nv = v.num_instances();
+  if (nu > 20 || nv > 20) return BrutePSdByFlow(u, v, q);
+  if (DistributionsEqual(u, v, q)) return false;
   std::vector<uint32_t> neighbors(nv, 0);
   for (int j = 0; j < nv; ++j) {
     for (int i = 0; i < nu; ++i) {
@@ -205,6 +261,22 @@ inline UncertainObject RandomObject(int id, int dim, int m, double span,
     }
   }
   return UncertainObject::Uniform(id, dim, std::move(coords));
+}
+
+/// A dataset whose NNC traversal keeps one object parked from its first
+/// pop to its very last: `n` three-instance objects in [0, 100]^2, then a
+/// wide object (index `n`) with instances at (-400, -400) and (500, 500).
+/// Its MBR contains every query in [0, 100]^2, so its MBR key is 0, but
+/// its exact min distance is the largest of all, and every other object
+/// dominates it under every operator.
+inline std::vector<UncertainObject> ParkingObjects(int n, Rng& rng) {
+  std::vector<UncertainObject> objects;
+  for (int i = 0; i < n; ++i) {
+    objects.push_back(RandomObject(i, 2, 3, 100.0, 2.0, rng));
+  }
+  objects.push_back(
+      UncertainObject::Uniform(n, 2, {-400.0, -400.0, 500.0, 500.0}));
+  return objects;
 }
 
 /// Lattice object: `m` instances on integer coordinates in [0, span]^dim,
