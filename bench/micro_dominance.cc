@@ -4,6 +4,9 @@
 // Two separately-timed regions so wins are attributable:
 //  - BM_ProfileBuild / BM_ProfileStats: distance-view materialization (the
 //    batched / fused kernel substrate).
+//  - BM_ProfileSortedAll / BM_ProfileSortedPerQ: the matrix plus S-SD's
+//    all-pairs sorted view or SS-SD's per-q sorted rows; minus
+//    BM_ProfileBuild at the same m, that is the sort's share.
 //  - BM_DominanceCheck: the oracle decision over pre-materialized
 //    profiles, with view construction outside the timer.
 
@@ -73,6 +76,34 @@ void BM_ProfileStats(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * ctx.num_instances() * m);
 }
 
+// Matrix plus the sorted all-pairs view (S-SD's exact check), one fresh
+// profile per iteration.
+void BM_ProfileSortedAll(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const Fixture f = MakeFixture(m, 42);
+  const QueryContext ctx(f.query);
+  for (auto _ : state) {
+    ObjectProfile pu(f.u, ctx, nullptr);
+    benchmark::DoNotOptimize(pu.SortedValues().data());
+  }
+  state.SetComplexityN(m);
+  state.SetItemsProcessed(state.iterations() * ctx.num_instances() * m);
+}
+
+// Matrix plus the per-q sorted rows (SS-SD's exact check), one fresh
+// profile per iteration.
+void BM_ProfileSortedPerQ(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const Fixture f = MakeFixture(m, 42);
+  const QueryContext ctx(f.query);
+  for (auto _ : state) {
+    ObjectProfile pu(f.u, ctx, nullptr);
+    benchmark::DoNotOptimize(pu.SortedQValues(0).data());
+  }
+  state.SetComplexityN(m);
+  state.SetItemsProcessed(state.iterations() * ctx.num_instances() * m);
+}
+
 // The check itself, profiles pre-materialized outside the timer.
 void BM_DominanceCheck(benchmark::State& state, Operator op,
                        FilterConfig cfg) {
@@ -97,6 +128,8 @@ void BM_DominanceCheck(benchmark::State& state, Operator op,
 
 BENCHMARK(BM_ProfileBuild)->RangeMultiplier(2)->Range(8, 256);
 BENCHMARK(BM_ProfileStats)->RangeMultiplier(2)->Range(8, 256);
+BENCHMARK(BM_ProfileSortedAll)->RangeMultiplier(2)->Range(8, 256);
+BENCHMARK(BM_ProfileSortedPerQ)->RangeMultiplier(2)->Range(8, 256);
 
 BENCHMARK_CAPTURE(BM_DominanceCheck, ssd_all, Operator::kSSd,
                   FilterConfig::All())

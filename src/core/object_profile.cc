@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 #include "common/check.h"
 #include "common/failpoint.h"
 #include "common/memory_budget.h"
+#include "core/distance_order.h"
 #include "flow/max_flow.h"
 #include "geom/kernels.h"
 
@@ -232,8 +232,8 @@ void ObjectProfile::EnsureSortedAll() {
     {
       // Replicate the build path's transient sort-scratch charge so a
       // tight budget breaches at the same point with the cache on or off.
-      memory::ScopedCharge order_mem("profile.sort_scratch");
-      order_mem.Add(static_cast<long>(total) * sizeof(int));
+      memory::ScopedCharge scratch_mem("profile.sort_scratch");
+      scratch_mem.Add(OrderByDistanceBytes(total));
     }
     sorted_values_view_ = cached_->sorted_all->values;
     sorted_probs_view_ = cached_->sorted_all->probs;
@@ -242,20 +242,16 @@ void ObjectProfile::EnsureSortedAll() {
   }
   ChargeView(2L * static_cast<long>(total) * sizeof(double),
              "profile.sorted_all");
-  // The order scratch is transient: charged for the duration of the sort,
+  // The sort scratch is transient: charged for the duration of the sort,
   // released when this function returns.
-  memory::ScopedCharge order_mem("profile.sort_scratch");
-  order_mem.Add(static_cast<long>(total) * sizeof(int));
-  std::vector<int> order(total);
-  std::iota(order.begin(), order.end(), 0);
-  // Equal distances tie-break on pair index: std::sort is unstable, so
-  // without it the (value, prob) pairing of tied entries — and therefore
-  // every downstream merge-scan — would differ across standard libraries,
-  // breaking the bit-identical determinism contract.
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return matrix_data_[a] != matrix_data_[b] ? matrix_data_[a] < matrix_data_[b]
-                                              : a < b;
-  });
+  memory::ScopedCharge scratch_mem("profile.sort_scratch");
+  scratch_mem.Add(OrderByDistanceBytes(total));
+  DistanceOrderScratch scratch;
+  // Ties order by flattened pair index (OrderByDistance), so the (value,
+  // prob) pairing of tied entries — and every downstream merge-scan — is
+  // the same on every platform.
+  const std::span<const int> order =
+      OrderByDistance({matrix_data_, total}, &scratch);
   std::vector<double> values(total);
   std::vector<double> probs(total);
   for (size_t k = 0; k < total; ++k) {
@@ -282,6 +278,10 @@ void ObjectProfile::EnsureSortedPerQ() {
   if (cached_ != nullptr && cached_->sorted_per_q != nullptr) {
     ChargeView(2L * nq * m * static_cast<long>(sizeof(double)),
                "profile.sorted_per_q");
+    {
+      memory::ScopedCharge scratch_mem("profile.sort_scratch");
+      scratch_mem.Add(OrderByDistanceBytes(m));
+    }
     sorted_q_values_view_ = &cached_->sorted_per_q->values;
     sorted_q_probs_view_ = &cached_->sorted_per_q->probs;
     have_sorted_per_q_ = true;
@@ -289,17 +289,17 @@ void ObjectProfile::EnsureSortedPerQ() {
   }
   ChargeView(2L * nq * m * static_cast<long>(sizeof(double)),
              "profile.sorted_per_q");
+  memory::ScopedCharge scratch_mem("profile.sort_scratch");
+  scratch_mem.Add(OrderByDistanceBytes(m));
+  DistanceOrderScratch scratch;
   sorted_q_values_.resize(nq);
   sorted_q_probs_.resize(nq);
-  std::vector<int> order(m);
   for (int qi = 0; qi < nq; ++qi) {
-    std::iota(order.begin(), order.end(), 0);
     const double* row = matrix_data_ + static_cast<size_t>(qi) * m;
-    // Same determinism contract as EnsureSortedAll: break distance ties on
-    // the instance index so tied probabilities pair identically everywhere.
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      return row[a] != row[b] ? row[a] < row[b] : a < b;
-    });
+    // Same determinism contract as EnsureSortedAll: ties order by
+    // instance index.
+    const std::span<const int> order =
+        OrderByDistance({row, static_cast<size_t>(m)}, &scratch);
     sorted_q_values_[qi].resize(m);
     sorted_q_probs_[qi].resize(m);
     for (int k = 0; k < m; ++k) {
@@ -318,6 +318,7 @@ void ObjectProfile::FillRanks(int qi) {
   if (ranks_.empty()) {
     const int nq = ctx_->num_instances();
     ChargeView(nq * static_cast<long>(sizeof(RankEntry)), "profile.ranks");
+    ChargeView(OrderByDistanceBytes(m), "profile.sort_scratch");
     ranks_.resize(nq);
     rank_words_ = RowWords(m);
   }
@@ -327,12 +328,9 @@ void ObjectProfile::FillRanks(int qi) {
                  (m + 1L) * rank_words_ * static_cast<long>(sizeof(uint64_t)) +
                  (m + 1L) * static_cast<long>(sizeof(int64_t)),
              "profile.ranks");
-  std::vector<int> order(m);
-  std::iota(order.begin(), order.end(), 0);
-  // Same tie-break as EnsureSortedPerQ: equal distances rank by index.
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return row[a] != row[b] ? row[a] < row[b] : a < b;
-  });
+  // Same order as EnsureSortedPerQ: equal distances rank by index.
+  const std::span<const int> order =
+      OrderByDistance({row, static_cast<size_t>(m)}, &rank_scratch_);
   RankEntry& e = ranks_[qi];
   std::vector<uint64_t> prefix((m + 1L) * rank_words_, 0);
   std::vector<int64_t> mass(m + 1, 0);

@@ -10,6 +10,14 @@
 // decides at R-tree node granularity without ever touching instances,
 // which is exactly the effect the Fig. 16 ablation measures.
 //
+// Every sorted view — the all-pairs order, the per-q rows and the rank
+// rows — lists distances ascending with ties broken by index, and all
+// three take that order from OrderByDistance (core/distance_order.h), a
+// bucket sort on the distances' bit patterns. Its scratch is charged
+// under "profile.sort_scratch": for the length of each all-pairs or per-q
+// build (a cache hit charges the same bytes), and for the profile's life
+// by the rank rows, which share one scratch.
+//
 // The views are computed by the batched distance kernels dispatched on the
 // QueryContext (geom/kernels.h) over the object's padded SoA coordinate
 // block, and the statistics use the fused one-pass kernel: a profile that
@@ -47,6 +55,7 @@
 #include <span>
 #include <vector>
 
+#include "core/distance_order.h"
 #include "core/filter_config.h"
 #include "core/profile_cache.h"
 #include "core/query_context.h"
@@ -275,6 +284,9 @@ class ObjectProfile {
   };
   std::vector<RankEntry> ranks_;
   int rank_words_ = 0;
+  // Sort scratch shared by every FillRanks call (rows are filled one at a
+  // time), charged once with the entry table.
+  DistanceOrderScratch rank_scratch_;
   std::vector<int64_t> scaled_probs_;
 };
 

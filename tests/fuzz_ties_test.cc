@@ -3,11 +3,15 @@
 // min-distance-order inversions — the regime where Algorithm 1's access-
 // order argument is weakest and the final cleanup must restore exactness.
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/distance_order.h"
 #include "core/nnc_search.h"
 #include "core/object_profile.h"
 #include "core/query_context.h"
@@ -136,6 +140,142 @@ TEST(TieFuzzDirected, SortedPerQTieOrderIsDeterministic) {
   EXPECT_DOUBLE_EQ(values[1], 1.0);
   EXPECT_DOUBLE_EQ(probs[0], 0.9);
   EXPECT_DOUBLE_EQ(probs[1], 0.1);
+}
+
+// The comparator order every sorted view promises: ascending distance,
+// ties by index.
+std::vector<int> ComparatorOrder(const std::vector<double>& dist) {
+  std::vector<int> order(dist.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    return dist[a] != dist[b] ? dist[a] < dist[b] : a < b;
+  });
+  return order;
+}
+
+// Rows of each shape OrderByDistance has a separate path for, at sizes
+// from a single entry up to a GW-sized all-pairs view.
+TEST(DistanceOrder, MatchesComparatorOrder) {
+  Rng rng(2718);
+  DistanceOrderScratch scratch;  // reused across sizes, as profiles do
+  for (const int n : {1, 2, 40, 1200, 18000}) {
+    std::vector<std::vector<double>> rows;
+    // Seeded random distances.
+    std::vector<double> random(n);
+    for (double& d : random) d = rng.Uniform(0.0, 1e4);
+    rows.push_back(random);
+    // Lattice ties: instances on a 7 x 7 grid, distances to a grid point.
+    const UncertainObject lattice = LatticeObject(0, 2, n, 6, rng);
+    const std::vector<double> q = {static_cast<double>(rng.UniformInt(0, 6)),
+                                   static_cast<double>(rng.UniformInt(0, 6))};
+    std::vector<double> ties(n);
+    for (int i = 0; i < n; ++i) {
+      const double dx = lattice.Instance(i)[0] - q[0];
+      const double dy = lattice.Instance(i)[1] - q[1];
+      ties[i] = std::sqrt(dx * dx + dy * dy);
+    }
+    rows.push_back(ties);
+    // Signed zeros among small positives: -0.0 and +0.0 tie.
+    std::vector<double> zeros(n);
+    const double pool[] = {0.0, -0.0, 0.5, 1.0};
+    for (double& d : zeros) d = pool[rng.UniformInt(0, 3)];
+    rows.push_back(zeros);
+    // A tight cluster a few ulps wide plus one far outlier: the cluster
+    // lands in one bucket, which takes the crowded-bucket path.
+    std::vector<double> cluster(n);
+    for (double& d : cluster) {
+      d = 1.0;
+      for (int k = static_cast<int>(rng.UniformInt(0, 8)); k > 0; --k) {
+        d = std::nextafter(d, 2.0);
+      }
+    }
+    cluster[rng.UniformInt(0, n - 1)] = 1e300;
+    rows.push_back(cluster);
+
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const std::span<const int> got = OrderByDistance(rows[r], &scratch);
+      EXPECT_EQ(std::vector<int>(got.begin(), got.end()),
+                ComparatorOrder(rows[r]))
+          << "n " << n << " row kind " << r;
+    }
+  }
+}
+
+TEST(DistanceOrder, EmptyRow) {
+  DistanceOrderScratch scratch;
+  EXPECT_TRUE(OrderByDistance({}, &scratch).empty());
+}
+
+// The rank view and the per-q sorted view are built by separate code from
+// the same order, so their distances agree entry for entry.
+TEST(DistanceOrder, RankViewsEqualPerQSortedViews) {
+  Rng rng(31);
+  for (int trial = 0; trial < 6; ++trial) {
+    const int m = 1 + static_cast<int>(rng.UniformInt(0, 70));
+    const UncertainObject object =
+        trial % 2 == 0 ? LatticeObject(0, 2, m, 4, rng)
+                       : test::RandomWeightedObject(0, 2, m, 100.0, 20.0, rng);
+    const UncertainObject query = LatticeObject(-1, 2, 5, 4, rng);
+    QueryContext ctx(query, Metric::kL2);
+    ObjectProfile profile(object, ctx, nullptr);
+    for (int qi = 0; qi < ctx.num_instances(); ++qi) {
+      const auto sorted = profile.SortedQValues(qi);
+      const auto ranked = profile.Ranks(qi).sorted;
+      EXPECT_EQ(std::vector<double>(ranked.begin(), ranked.end()),
+                std::vector<double>(sorted.begin(), sorted.end()))
+          << "trial " << trial << " qi " << qi;
+    }
+  }
+}
+
+// On lattice objects nearly every distance is tied, so the probability
+// pairing of the sorted views shows any deviation from index order.
+TEST(DistanceOrder, LatticeSortedViewsEqualComparatorReference) {
+  Rng rng(47);
+  for (int trial = 0; trial < 6; ++trial) {
+    const int m = 1 + static_cast<int>(rng.UniformInt(0, 60));
+    std::vector<double> coords;
+    std::vector<double> weights;
+    for (int i = 0; i < m; ++i) {
+      coords.push_back(static_cast<double>(rng.UniformInt(0, 3)));
+      coords.push_back(static_cast<double>(rng.UniformInt(0, 3)));
+      weights.push_back(rng.Uniform(0.5, 2.0));
+    }
+    const UncertainObject object =
+        UncertainObject::FromWeighted(0, 2, coords, weights);
+    const UncertainObject query = LatticeObject(-1, 2, 4, 3, rng);
+    QueryContext ctx(query, Metric::kL2);
+    ObjectProfile profile(object, ctx, nullptr);
+    const int nq = ctx.num_instances();
+    std::vector<double> matrix;
+    for (int qi = 0; qi < nq; ++qi) {
+      for (int ui = 0; ui < m; ++ui) matrix.push_back(profile.Dist(qi, ui));
+    }
+    std::vector<double> values;
+    std::vector<double> probs;
+    for (const int idx : ComparatorOrder(matrix)) {
+      values.push_back(matrix[idx]);
+      probs.push_back(ctx.probs()[idx / m] * object.Prob(idx % m));
+    }
+    const auto got_values = profile.SortedValues();
+    const auto got_probs = profile.SortedProbs();
+    EXPECT_EQ(std::vector<double>(got_values.begin(), got_values.end()),
+              values)
+        << "trial " << trial;
+    EXPECT_EQ(std::vector<double>(got_probs.begin(), got_probs.end()), probs)
+        << "trial " << trial;
+    for (int qi = 0; qi < nq; ++qi) {
+      const std::vector<double> row(matrix.begin() + qi * m,
+                                    matrix.begin() + (qi + 1) * m);
+      std::vector<double> row_probs;
+      for (const int ui : ComparatorOrder(row)) {
+        row_probs.push_back(object.Prob(ui));
+      }
+      const auto got = profile.SortedQProbs(qi);
+      EXPECT_EQ(std::vector<double>(got.begin(), got.end()), row_probs)
+          << "trial " << trial << " qi " << qi;
+    }
+  }
 }
 
 // Lattice ties end-to-end: the candidate EMISSION ORDER (not just the set)
