@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -84,20 +85,23 @@ bool DominanceOracle::DistributionsDiffer(ObjectProfile& u,
                                             v.Distribution(), kEps);
 }
 
+bool DominanceOracle::Covers(const Mbr& ubox, const Mbr& vbox) const {
+  return MbrStrictlyDominatesM(ubox, vbox, ctx_->mbr(), ctx_->metric(), kEps);
+}
+
 bool DominanceOracle::CoverValidates(ObjectProfile& u, ObjectProfile& v) {
   OSD_TRACE_SPAN(obs::SpanKind::kCoverFilter);
-  if (!MbrStrictlyDominatesM(u.object().mbr(), v.object().mbr(), ctx_->mbr(),
-                             ctx_->metric())) {
-    return false;
-  }
+  if (!Covers(u.object().mbr(), v.object().mbr())) return false;
   if (stats_ != nullptr) ++stats_->mbr_validations;
   return true;
 }
 
 bool DominanceOracle::StatRefutesAll(ObjectProfile& u, ObjectProfile& v) {
   OSD_TRACE_SPAN(obs::SpanKind::kStatFilter);
-  const bool refuted = u.MinAll() > v.MinAll() + kEps ||
-                       u.MeanAll() > v.MeanAll() + kEps ||
+  // The mean first: on a profile with no statistics yet it builds all
+  // three in one distance pass.
+  const bool refuted = u.MeanAll() > v.MeanAll() + kEps ||
+                       u.MinAll() > v.MinAll() + kEps ||
                        u.MaxAll() > v.MaxAll() + kEps;
   if (refuted && stats_ != nullptr) ++stats_->stat_prunes;
   return refuted;
@@ -105,12 +109,13 @@ bool DominanceOracle::StatRefutesAll(ObjectProfile& u, ObjectProfile& v) {
 
 bool DominanceOracle::StatRefutesPerQ(ObjectProfile& u, ObjectProfile& v) {
   OSD_TRACE_SPAN(obs::SpanKind::kStatFilter);
-  // One EnsureStats branch per profile instead of three per query instance.
-  const std::span<const double> umin = u.MinQs();
+  // One lazy-init branch per view instead of three per query instance,
+  // the means first so each profile pays one distance pass.
   const std::span<const double> umean = u.MeanQs();
+  const std::span<const double> vmean = v.MeanQs();
+  const std::span<const double> umin = u.MinQs();
   const std::span<const double> umax = u.MaxQs();
   const std::span<const double> vmin = v.MinQs();
-  const std::span<const double> vmean = v.MeanQs();
   const std::span<const double> vmax = v.MaxQs();
   for (int qi = 0; qi < ctx_->num_instances(); ++qi) {
     if (umin[qi] > vmin[qi] + kEps || umean[qi] > vmean[qi] + kEps ||
@@ -164,6 +169,40 @@ bool DominanceOracle::FSdOrderHolds(ObjectProfile& u, ObjectProfile& v) {
     if (umax[qi] > vmin[qi] + kEps) return false;
   }
   return true;
+}
+
+bool DominanceOracle::ReadsMean(Operator op) {
+  return op == Operator::kSSd || op == Operator::kSsSd || op == Operator::kPSd;
+}
+
+double DominanceOracle::MinDistance(Operator op, ObjectProfile& v) {
+  if (ReadsMean(op)) (void)v.MeanAll();
+  return v.MinAll();
+}
+
+bool DominanceOracle::OrdersMembers(Operator op) {
+  return op == Operator::kPSd || op == Operator::kFSd;
+}
+
+double DominanceOracle::MemberKey(Operator op, ObjectProfile& u) {
+  if (op == Operator::kPSd) return u.num_instances();
+  OSD_DCHECK(op == Operator::kFSd);
+  // reach(u): u's largest farthest-instance distance over QIdx().
+  const std::span<const double> umax = u.MaxQs();
+  double reach = 0.0;
+  for (int qi : QIdx()) reach = std::max(reach, umax[qi]);
+  return reach;
+}
+
+double DominanceOracle::MemberKeyBound(Operator op, ObjectProfile& v) {
+  if (op != Operator::kFSd) return std::numeric_limits<double>::infinity();
+  // If u ⪯_F v, FSdOrderHolds holds at the q where u's max is largest:
+  // reach(u) = umax[q] <= vmin[q] + kEps <= max over QIdx() of vmin + kEps.
+  // Rounded addition is monotone, so the bound holds in doubles too.
+  const std::span<const double> vmin = v.MinQs();
+  double bound = 0.0;
+  for (int qi : QIdx()) bound = std::max(bound, vmin[qi]);
+  return bound + kEps;
 }
 
 bool DominanceOracle::FSd(ObjectProfile& u, ObjectProfile& v) {

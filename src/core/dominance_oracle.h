@@ -58,6 +58,15 @@ class DominanceOracle {
   /// F+-SD needs no instance data at all.
   bool FPlusSd(const UncertainObject& u, const UncertainObject& v) const;
 
+  /// Cover (Theorem 4) with the checks' 1e-9 tolerance: for every q in
+  /// the query's MBR, every point of `ubox` is closer to q than every point
+  /// of `vbox` by more than 1e-9. Then everything inside ubox dominates
+  /// everything inside vbox under every operator, and their distance
+  /// distributions differ beyond DiscreteDistribution::ApproxEqual's
+  /// tolerance; a strict test without the margin would also accept pairs
+  /// whose distances tie in the reals and differ by an ulp in doubles.
+  bool Covers(const Mbr& ubox, const Mbr& vbox) const;
+
   /// Fills `rows` with the exact P-SD network of (u, v): RowWords(nu)
   /// words per V instance, and bit i of row j set iff u_i <=_Q v_j, i.e.
   /// u_i is within d(v_j, q) + 1e-9 of every query instance q in QIdx().
@@ -66,6 +75,31 @@ class DominanceOracle {
   /// the rows after j unfilled, as soon as a row j comes out empty.
   bool PSdRows(ObjectProfile& u, ObjectProfile& v,
                std::vector<uint64_t>* rows);
+
+  /// Whether `op`'s checks read the probability-weighted means (the
+  /// statistic gates of S-SD, SS-SD and P-SD). F-SD reads only the per-q
+  /// extremes, F+-SD no statistics at all.
+  static bool ReadsMean(Operator op);
+
+  /// v.MinAll(), building with it every statistic `op`'s checks read, so
+  /// the profile pays one distance pass for all of them.
+  static double MinDistance(Operator op, ObjectProfile& v);
+
+  /// Whether an object's check under `op` tries the members in ascending
+  /// MemberKey() (stable on emission order) rather than in emission order.
+  /// Any k dominators settle the verdict, so the order changes only the
+  /// work. P-SD and F-SD only.
+  static bool OrdersMembers(Operator op);
+
+  /// A member's key in that order. P-SD: its instance count, since a P-SD
+  /// confirmation is an nu x nv network. F-SD: its reach, the largest
+  /// MaxQs() over QIdx().
+  double MemberKey(Operator op, ObjectProfile& u);
+
+  /// No member with a key above this can dominate v under `op`, so the
+  /// ordered scan stops at the first one. F-SD: the largest MinQs() of v
+  /// over QIdx(), plus FSdOrderHolds' tolerance; +inf under P-SD.
+  double MemberKeyBound(Operator op, ObjectProfile& v);
 
   /// The U_Q != V_Q side condition: the all-pairs distance distributions
   /// differ beyond the 1e-9 tolerance of DiscreteDistribution::ApproxEqual.
@@ -92,8 +126,8 @@ class DominanceOracle {
   /// convex.
   bool FSdOrderHolds(ObjectProfile& u, ObjectProfile& v);
 
-  /// Cover-based validation (Theorem 4): u's MBR strictly dominates v's,
-  /// so u dominates v under every operator. Counts one MBR validation.
+  /// Cover-based validation (Theorem 4): Covers(u's MBR, v's MBR), so u
+  /// dominates v under every operator. Counts one MBR validation.
   bool CoverValidates(ObjectProfile& u, ObjectProfile& v);
 
   /// Statistic-based pruning on the full distributions (Theorem 11);

@@ -138,12 +138,16 @@ NncResult NncSearch::Run(
     int dominators;
   };
   std::vector<Parked> parked;
-  // An object's check tries members in emission order, except under P-SD,
-  // where it tries them in this order: ascending instance count, stable on
-  // emission order. Any k dominators settle the verdict, so the order
-  // changes only the work, and a P-SD confirmation is an nu x nv network.
-  const bool by_size = options_.op == Operator::kPSd;
-  std::vector<int> size_order;
+  // An object's check tries members in emission order, except under the
+  // operators with a member order (DominanceOracle::OrdersMembers): there
+  // it tries them in ascending MemberKey(), stable on emission order, and
+  // stops at the first key above the checked object's MemberKeyBound().
+  struct Keyed {
+    double key;
+    int member;
+  };
+  const bool ordered = DominanceOracle::OrdersMembers(options_.op);
+  std::vector<Keyed> member_order;
 
   // Live-size accounting for everything the traversal owns: the frontier
   // heap (Add on push, Sub on pop), the member/parked/timeline entries,
@@ -160,14 +164,26 @@ NncResult NncSearch::Run(
       return oracle.Dominates(options_.op, *members[i].profile, v) &&
              ++dominators >= options_.k;
     };
-    if (by_size) {
-      for (int i : size_order) {
-        if (static_cast<size_t>(i) >= from && settles(i)) break;
-      }
-    } else {
+    if (!ordered) {
       for (size_t i = from; i < members.size(); ++i) {
         if (settles(i)) break;
       }
+      return dominators;
+    }
+    // F-SD: while v has no statistics, the first unchecked member's check
+    // runs the O(d) cover test first, which may settle v without building
+    // them. The bound below needs them.
+    size_t first = members.size();
+    if (options_.op == Operator::kFSd && from < members.size() &&
+        !v.has_stats()) {
+      first = from;
+      if (settles(first)) return dominators;
+    }
+    const double bound = oracle.MemberKeyBound(options_.op, v);
+    for (const Keyed& e : member_order) {
+      if (e.key > bound) break;
+      const size_t i = static_cast<size_t>(e.member);
+      if (i >= from && i != first && settles(i)) break;
     }
     return dominators;
   };
@@ -175,17 +191,18 @@ NncResult NncSearch::Run(
   // the charge, so a breach leaves the caller's profile intact.
   auto emit = [&](int object_index, std::unique_ptr<ObjectProfile>& profile) {
     run_mem.Add(sizeof(Member) + sizeof(NncEmission) +
-                (by_size ? sizeof(int) : 0));
-    members.push_back({object_index, std::move(profile)});
-    if (by_size) {
-      const int nu = members.back().profile->num_instances();
-      size_order.insert(
-          std::upper_bound(size_order.begin(), size_order.end(), nu,
-                           [&](int n, int i) {
-                             return n < members[i].profile->num_instances();
+                (ordered ? sizeof(Keyed) : 0));
+    if (ordered) {
+      const Keyed entry{oracle.MemberKey(options_.op, *profile),
+                        static_cast<int>(members.size())};
+      member_order.insert(
+          std::upper_bound(member_order.begin(), member_order.end(), entry,
+                           [](const Keyed& a, const Keyed& b) {
+                             return a.key < b.key;
                            }),
-          static_cast<int>(members.size()) - 1);
+          entry);
     }
+    members.push_back({object_index, std::move(profile)});
     const double t = elapsed();
     result.timeline.push_back({object_index, t});
     if (on_candidate) on_candidate(object_index, t);
@@ -259,8 +276,7 @@ NncResult NncSearch::Run(
           int node_dominators = 0;
           for (const Member& m : members) {
             result.stats.node_ops += 1;
-            if (MbrStrictlyDominatesM(object_at(m.object_index).mbr(),
-                                      node.box, ctx.mbr(), options_.metric)) {
+            if (oracle.Covers(object_at(m.object_index).mbr(), node.box)) {
               if (++node_dominators >= options_.k) break;
             }
           }
@@ -329,7 +345,7 @@ NncResult NncSearch::Run(
         // strict MBR dominator always has a smaller MBR key, so it keeps
         // MBR order.
         if (options_.op != Operator::kFPlusSd &&
-            profile->MinAll() > item.key) {
+            DominanceOracle::MinDistance(options_.op, *profile) > item.key) {
           run_mem.Add(sizeof(Parked) + sizeof(HeapItem));
           const double exact_key = profile->MinAll();
           parked.push_back(
@@ -382,6 +398,8 @@ NncResult NncSearch::Run(
     // simply skipped — the surviving set is still a superset of exact.
     try {
       constexpr double kGateEps = 1e-9;
+      // The gate reads only the statistics the operator's checks read.
+      const bool reads_mean = DominanceOracle::ReadsMean(options_.op);
       std::vector<int> dominators(members.size(), 0);
       for (size_t j = 0; j < members.size(); ++j) {
         ObjectProfile& pj = *members[j].profile;
@@ -395,7 +413,7 @@ NncResult NncSearch::Run(
           if (i == j) continue;
           ObjectProfile& pi = *members[i].profile;
           if (pi.MinAll() > pj.MinAll() + kGateEps) break;
-          if (pi.MeanAll() > pj.MeanAll() + kGateEps ||
+          if ((reads_mean && pi.MeanAll() > pj.MeanAll() + kGateEps) ||
               pi.MaxAll() > pj.MaxAll() + kGateEps) {
             continue;
           }

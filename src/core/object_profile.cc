@@ -43,8 +43,8 @@ void ObjectProfile::MaybeLookupCache() {
 
 void ObjectProfile::PublishToCache() noexcept {
   if (cache_ == nullptr) return;
-  if (!built_matrix_ && !built_stats_ && !built_sorted_all_ &&
-      !built_sorted_per_q_ && !built_distribution_) {
+  if (!built_matrix_ && !built_extremes_ && !built_mean_ &&
+      !built_sorted_all_ && !built_sorted_per_q_ && !built_distribution_) {
     return;
   }
   try {
@@ -55,7 +55,8 @@ void ObjectProfile::PublishToCache() noexcept {
       // one we found (Publish replaces same-epoch entries only by bigger —
       // i.e. superset — artifact sets).
       artifacts->matrix = cached_->matrix;
-      artifacts->stats = cached_->stats;
+      artifacts->extremes = cached_->extremes;
+      artifacts->mean = cached_->mean;
       artifacts->sorted_all = cached_->sorted_all;
       artifacts->sorted_per_q = cached_->sorted_per_q;
       artifacts->distribution = cached_->distribution;
@@ -64,15 +65,19 @@ void ObjectProfile::PublishToCache() noexcept {
       artifacts->matrix =
           std::make_shared<const std::vector<double>>(std::move(matrix_));
     }
-    if (built_stats_) {
-      auto stats = std::make_shared<ProfileStatsView>();
-      stats->min_all = min_all_;
-      stats->mean_all = mean_all_;
-      stats->max_all = max_all_;
-      stats->min_q = std::move(min_q_);
-      stats->mean_q = std::move(mean_q_);
-      stats->max_q = std::move(max_q_);
-      artifacts->stats = std::move(stats);
+    if (built_extremes_) {
+      auto extremes = std::make_shared<ProfileExtremesView>();
+      extremes->min_all = min_all_;
+      extremes->max_all = max_all_;
+      extremes->min_q = std::move(min_q_);
+      extremes->max_q = std::move(max_q_);
+      artifacts->extremes = std::move(extremes);
+    }
+    if (built_mean_) {
+      auto mean = std::make_shared<ProfileMeanView>();
+      mean->mean_all = mean_all_;
+      mean->mean_q = std::move(mean_q_);
+      artifacts->mean = std::move(mean);
     }
     if (built_sorted_all_) {
       auto sorted = std::make_shared<ProfileSortedAllView>();
@@ -149,74 +154,119 @@ void ObjectProfile::EnsureMatrix() {
   }
 }
 
-void ObjectProfile::EnsureStats() {
-  if (have_stats_) return;
+void ObjectProfile::AdoptExtremes(const ProfileExtremesView& extremes) {
+  min_all_ = extremes.min_all;
+  max_all_ = extremes.max_all;
+  min_q_view_ = extremes.min_q;
+  max_q_view_ = extremes.max_q;
+  have_extremes_ = true;
+}
+
+void ObjectProfile::KeepExtremes(std::vector<double> min_q,
+                                 std::vector<double> max_q) {
+  min_all_ = std::numeric_limits<double>::infinity();
+  max_all_ = 0.0;
+  for (size_t qi = 0; qi < min_q.size(); ++qi) {
+    min_all_ = std::min(min_all_, min_q[qi]);
+    max_all_ = std::max(max_all_, max_q[qi]);
+  }
+  min_q_ = std::move(min_q);
+  max_q_ = std::move(max_q);
+  min_q_view_ = min_q_;
+  max_q_view_ = max_q_;
+  have_extremes_ = true;
+  built_extremes_ = true;
+}
+
+void ObjectProfile::EnsureExtremes() {
+  if (have_extremes_) return;
   const int nq = ctx_->num_instances();
   const int m = num_instances();
   MaybeLookupCache();
-  if (cached_ != nullptr && cached_->stats != nullptr) {
-    ChargeView(3L * nq * static_cast<long>(sizeof(double)), "profile.stats");
-    const ProfileStatsView& sv = *cached_->stats;
-    min_all_ = sv.min_all;
-    mean_all_ = sv.mean_all;
-    max_all_ = sv.max_all;
-    min_q_view_ = sv.min_q;
-    mean_q_view_ = sv.mean_q;
-    max_q_view_ = sv.max_q;
-    // Fresh builds only pay dist_evals when no matrix exists to fold over;
-    // mirror that branch so the counter stays identical either way.
-    if (!have_matrix_ && stats_ != nullptr) {
-      stats_->dist_evals += static_cast<long>(nq) * m;
-    }
-    have_stats_ = true;
+  // A cache hit charges and counts what a fresh build would: the distances
+  // are evaluated once unless the matrix already holds them.
+  ChargeView(2L * nq * static_cast<long>(sizeof(double)), "profile.stats");
+  if (!have_matrix_ && stats_ != nullptr) {
+    stats_->dist_evals += static_cast<long>(nq) * m;
+  }
+  if (cached_ != nullptr && cached_->extremes != nullptr) {
+    AdoptExtremes(*cached_->extremes);
     return;
   }
-  ChargeView(3L * nq * static_cast<long>(sizeof(double)), "profile.stats");
   std::vector<double> mn(nq, std::numeric_limits<double>::infinity());
-  std::vector<double> mean(nq, 0.0);
   std::vector<double> mx(nq, 0.0);
-  min_all_ = std::numeric_limits<double>::infinity();
-  max_all_ = 0.0;
-  mean_all_ = 0.0;
   if (have_matrix_) {
-    // The matrix already exists — fold over it rather than recomputing
-    // distances (and without re-counting dist_evals).
     for (int qi = 0; qi < nq; ++qi) {
+      const double* row = matrix_data_ + static_cast<size_t>(qi) * m;
       for (int ui = 0; ui < m; ++ui) {
-        const double d = matrix_data_[static_cast<size_t>(qi) * m + ui];
-        mn[qi] = std::min(mn[qi], d);
-        mx[qi] = std::max(mx[qi], d);
-        mean[qi] += d * object_->Prob(ui);
+        mn[qi] = std::min(mn[qi], row[ui]);
+        mx[qi] = std::max(mx[qi], row[ui]);
       }
     }
   } else {
-    // Statistic-only profile: fused one-pass kernel per query instance.
-    // Distances and the probability-weighted mean fold in exactly the
-    // (qi, ui) order of the matrix scan above, so results are bit-identical
-    // — but O(nq + m) memory instead of O(nq * m).
     const kernels::KernelSet& ks = ctx_->kernels();
-    const double* block = object_->soa_coords();
-    const size_t stride = object_->soa_stride();
-    const double* w = object_->probs().data();
     for (int qi = 0; qi < nq; ++qi) {
-      ks.fused_row_stats(ctx_->points()[qi].data(), block, stride, m, w,
-                         &mn[qi], &mean[qi], &mx[qi]);
+      ks.row_extremes(ctx_->points()[qi].data(), object_->soa_coords(),
+                      object_->soa_stride(), m, &mn[qi], &mx[qi]);
     }
-    if (stats_ != nullptr) stats_->dist_evals += static_cast<long>(nq) * m;
   }
-  for (int qi = 0; qi < nq; ++qi) {
-    min_all_ = std::min(min_all_, mn[qi]);
-    max_all_ = std::max(max_all_, mx[qi]);
-    mean_all_ += mean[qi] * ctx_->probs()[qi];
+  KeepExtremes(std::move(mn), std::move(mx));
+}
+
+void ObjectProfile::EnsureMean() {
+  if (have_mean_) return;
+  const int nq = ctx_->num_instances();
+  const int m = num_instances();
+  MaybeLookupCache();
+  // Over an existing matrix the extremes are a fold, so build them first.
+  if (have_matrix_) EnsureExtremes();
+  // With no extremes yet, one fused pass builds all three statistics, and
+  // is charged and counted as one; after the extremes the mean costs a
+  // pass of its own. A cache hit charges and counts the same.
+  const bool fused = !have_extremes_;
+  ChargeView((fused ? 3L : 1L) * nq * static_cast<long>(sizeof(double)),
+             "profile.stats");
+  if (!have_matrix_ && stats_ != nullptr) {
+    stats_->dist_evals += static_cast<long>(nq) * m;
   }
-  min_q_ = std::move(mn);
+  if (fused && cached_ != nullptr && cached_->extremes != nullptr) {
+    AdoptExtremes(*cached_->extremes);
+  }
+  if (cached_ != nullptr && cached_->mean != nullptr) {
+    mean_all_ = cached_->mean->mean_all;
+    mean_q_view_ = cached_->mean->mean_q;
+    have_mean_ = true;
+    return;
+  }
+  // Distances and the probability-weighted mean fold in (qi, ui) order, so
+  // the matrix scan and the fused kernel give bit-identical results. The
+  // extremes' vectors are never reallocated here: spans taken from them
+  // stay valid.
+  std::vector<double> mean(nq, 0.0);
+  if (have_matrix_) {
+    for (int qi = 0; qi < nq; ++qi) {
+      const double* row = matrix_data_ + static_cast<size_t>(qi) * m;
+      for (int ui = 0; ui < m; ++ui) mean[qi] += row[ui] * object_->Prob(ui);
+    }
+  } else {
+    const bool build_extremes = !have_extremes_;
+    std::vector<double> mn(build_extremes ? nq : 1);
+    std::vector<double> mx(build_extremes ? nq : 1);
+    const kernels::KernelSet& ks = ctx_->kernels();
+    for (int qi = 0; qi < nq; ++qi) {
+      const int slot = build_extremes ? qi : 0;
+      ks.fused_row_stats(ctx_->points()[qi].data(), object_->soa_coords(),
+                         object_->soa_stride(), m, object_->probs().data(),
+                         &mn[slot], &mean[qi], &mx[slot]);
+    }
+    if (build_extremes) KeepExtremes(std::move(mn), std::move(mx));
+  }
+  mean_all_ = 0.0;
+  for (int qi = 0; qi < nq; ++qi) mean_all_ += mean[qi] * ctx_->probs()[qi];
   mean_q_ = std::move(mean);
-  max_q_ = std::move(mx);
-  min_q_view_ = min_q_;
   mean_q_view_ = mean_q_;
-  max_q_view_ = max_q_;
-  have_stats_ = true;
-  built_stats_ = true;
+  have_mean_ = true;
+  built_mean_ = true;
 }
 
 void ObjectProfile::EnsureSortedAll() {

@@ -5,10 +5,20 @@
 // per-query-instance statistics (statistic pruning), the sorted all-pairs
 // distribution U_Q (S-SD), per-q sorted distributions U_q (SS-SD), or the
 // raw matrix (<=_Q tests in P-SD). Each view is materialized at most once
-// and only when a check actually needs it — the statistic gates and F-SD
-// read only the fused statistics, and the S-SD level filter frequently
-// decides at R-tree node granularity without ever touching instances,
-// which is exactly the effect the Fig. 16 ablation measures.
+// and only when a check actually needs it — the statistic gates read only
+// the per-q statistics, F-SD only their extremes, and the S-SD level
+// filter frequently decides at R-tree node granularity without ever
+// touching instances, which is exactly the effect the Fig. 16 ablation
+// measures.
+//
+// The statistics come in two parts. MinQs/MaxQs/MinAll/MaxAll build only
+// the extremes: one min/max pass per query instance, charged as 2·|Q|
+// doubles under "profile.stats". MeanQs/MeanAll add the probability-
+// weighted mean: when nothing is built yet, one fused pass builds all
+// three (3·|Q| doubles, one distance pass); after the extremes, a mean
+// pass charges |Q| more and leaves the extremes' storage, and every span
+// taken from it, in place. Callers that will read the mean read it first
+// (DominanceOracle::MinDistance) so they pay one distance pass.
 //
 // Every sorted view — the all-pairs order, the per-q rows and the rank
 // rows — lists distances ascending with ties broken by index, and all
@@ -20,7 +30,7 @@
 //
 // The views are computed by the batched distance kernels dispatched on the
 // QueryContext (geom/kernels.h) over the object's padded SoA coordinate
-// block, and the statistics use the fused one-pass kernel: a profile that
+// block, and the statistics use the one-pass row kernels: a profile that
 // only ever answers statistic pruning never materializes — or charges the
 // memory budget for — the full matrix.
 //
@@ -136,52 +146,52 @@ class ObjectProfile {
 
   // Overall statistics of U_Q (Theorem 11 pruning).
   double MinAll() {
-    EnsureStats();
+    EnsureExtremes();
     return min_all_;
   }
   double MeanAll() {
-    EnsureStats();
+    EnsureMean();
     return mean_all_;
   }
   double MaxAll() {
-    EnsureStats();
+    EnsureExtremes();
     return max_all_;
   }
 
   // Per-query-instance statistics of U_q.
   double MinQ(int qi) {
-    EnsureStats();
+    EnsureExtremes();
     return min_q_view_[qi];
   }
   double MeanQ(int qi) {
-    EnsureStats();
+    EnsureMean();
     return mean_q_view_[qi];
   }
   double MaxQ(int qi) {
-    EnsureStats();
+    EnsureExtremes();
     return max_q_view_[qi];
   }
 
-  // Whole per-q statistic vectors, indexed by qi (one EnsureStats branch
-  // for a loop over many query instances).
+  // Whole per-q statistic vectors, indexed by qi (one lazy-init branch for
+  // a loop over many query instances).
   std::span<const double> MinQs() {
-    EnsureStats();
+    EnsureExtremes();
     return min_q_view_;
   }
   std::span<const double> MeanQs() {
-    EnsureStats();
+    EnsureMean();
     return mean_q_view_;
   }
   std::span<const double> MaxQs() {
-    EnsureStats();
+    EnsureExtremes();
     return max_q_view_;
   }
 
-  /// Whether this profile's own calls have built the statistics above, or
-  /// adopted them from the cache, so reading them costs nothing more. A
-  /// cache entry counts only from its first use, so the answer is the same
-  /// with the cache on or off.
-  bool has_stats() const { return have_stats_; }
+  /// Whether this profile's own calls have built the extremes above (with
+  /// or without the mean), or adopted them from the cache, so reading them
+  /// costs nothing more. A cache entry counts only from its first use, so
+  /// the answer is the same with the cache on or off.
+  bool has_stats() const { return have_extremes_; }
 
   /// Sorted all-pairs distances (values ascending, parallel probabilities).
   std::span<const double> SortedValues() {
@@ -219,7 +229,12 @@ class ObjectProfile {
 
  private:
   void EnsureMatrix();
-  void EnsureStats();
+  void EnsureExtremes();
+  void EnsureMean();
+  /// Points the extremes' views at a pinned cache entry's.
+  void AdoptExtremes(const ProfileExtremesView& extremes);
+  /// Takes freshly built per-q extremes as the profile's own.
+  void KeepExtremes(std::vector<double> min_q, std::vector<double> max_q);
   void EnsureSortedAll();
   void EnsureSortedPerQ();
   /// Builds one rank-view entry (allocating and charging the |Q|-long
@@ -252,8 +267,9 @@ class ObjectProfile {
   const ProfileCacheBinding* cache_;
   std::shared_ptr<const ProfileArtifacts> cached_;
   bool cache_checked_ = false;
-  bool built_matrix_ = false, built_stats_ = false, built_sorted_all_ = false,
-       built_sorted_per_q_ = false, built_distribution_ = false;
+  bool built_matrix_ = false, built_extremes_ = false, built_mean_ = false,
+       built_sorted_all_ = false, built_sorted_per_q_ = false,
+       built_distribution_ = false;
 
   // Each lazy view is an (owned storage, borrowed view) pair: the view
   // points either into the owned vectors (fresh build) or into the pinned
@@ -261,7 +277,7 @@ class ObjectProfile {
   bool have_matrix_ = false;
   std::vector<double> matrix_;  // |Q| x m, row-major; empty until needed
   const double* matrix_data_ = nullptr;
-  bool have_stats_ = false;
+  bool have_extremes_ = false, have_mean_ = false;
   double min_all_ = 0.0, mean_all_ = 0.0, max_all_ = 0.0;
   std::vector<double> min_q_, mean_q_, max_q_;
   std::span<const double> min_q_view_, mean_q_view_, max_q_view_;

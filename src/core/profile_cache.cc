@@ -37,11 +37,13 @@ long ProfileArtifactsBytes(const ProfileArtifacts& artifacts) {
   if (artifacts.matrix != nullptr) {
     bytes += static_cast<long>(artifacts.matrix->size()) * kD;
   }
-  if (artifacts.stats != nullptr) {
-    bytes += static_cast<long>(artifacts.stats->min_q.size() +
-                               artifacts.stats->mean_q.size() +
-                               artifacts.stats->max_q.size()) *
+  if (artifacts.extremes != nullptr) {
+    bytes += static_cast<long>(artifacts.extremes->min_q.size() +
+                               artifacts.extremes->max_q.size()) *
              kD;
+  }
+  if (artifacts.mean != nullptr) {
+    bytes += static_cast<long>(artifacts.mean->mean_q.size()) * kD;
   }
   if (artifacts.sorted_all != nullptr) {
     bytes += static_cast<long>(artifacts.sorted_all->values.size() +

@@ -1,7 +1,7 @@
 // Engine-wide cross-query cache for ObjectProfile artifacts.
 //
 // The distance views ObjectProfile materializes — the |Q| x m matrix, the
-// fused min/mean/max statistics, the sorted U_Q / U_q views, and the merged
+// per-q extremes and means, the sorted U_Q / U_q views, and the merged
 // CDF distribution — are pure functions of (object instances, query
 // signature, metric). Production workloads overlap heavily on hot objects
 // and repeated queries, so recomputing them per query wastes the dominant
@@ -62,10 +62,17 @@ class Counter;
 class Gauge;
 }
 
-/// Fused statistics view (ObjectProfile::EnsureStats output).
-struct ProfileStatsView {
-  double min_all = 0.0, mean_all = 0.0, max_all = 0.0;
-  std::vector<double> min_q, mean_q, max_q;
+/// Per-q extremes (ObjectProfile::EnsureExtremes output).
+struct ProfileExtremesView {
+  double min_all = 0.0, max_all = 0.0;
+  std::vector<double> min_q, max_q;
+};
+
+/// Per-q probability-weighted means (ObjectProfile::EnsureMean output).
+/// Published only beside the extremes.
+struct ProfileMeanView {
+  double mean_all = 0.0;
+  std::vector<double> mean_q;
 };
 
 /// Sorted all-pairs view U_Q (ObjectProfile::EnsureSortedAll output).
@@ -85,7 +92,8 @@ struct ProfileSortedPerQView {
 struct ProfileArtifacts {
   uint64_t epoch = 0;
   std::shared_ptr<const std::vector<double>> matrix;  // |Q| x m, row-major
-  std::shared_ptr<const ProfileStatsView> stats;
+  std::shared_ptr<const ProfileExtremesView> extremes;
+  std::shared_ptr<const ProfileMeanView> mean;
   std::shared_ptr<const ProfileSortedAllView> sorted_all;
   std::shared_ptr<const ProfileSortedPerQView> sorted_per_q;
   std::shared_ptr<const DiscreteDistribution> distribution;

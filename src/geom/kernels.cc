@@ -84,6 +84,55 @@ void FusedRowStatsImpl(const double* q, const double* block, size_t stride,
   *max_out = mx;
 }
 
+// Independent min/max lanes of the row-extremes kernel: one vector's worth
+// of instances per step, so the compiler keeps each lane in a register.
+constexpr int kExtremeLanes = 8;
+
+template <int D, Metric M>
+void RowExtremesImpl(const double* q, const double* block, size_t stride,
+                     int m, double* min_out, double* max_out) {
+  // Unrooted sums: squared L2 or L1. Each lane folds every kExtremeLanes-th
+  // instance; the tail goes to lane 0.
+  auto sum_at = [&](int j) {
+    if constexpr (M == Metric::kL2) {
+      return SquaredL2At<D>(q, block, stride, j);
+    } else {
+      return SumL1At<D>(q, block, stride, j);
+    }
+  };
+  double lo[kExtremeLanes];
+  double hi[kExtremeLanes];
+  for (int l = 0; l < kExtremeLanes; ++l) {
+    lo[l] = std::numeric_limits<double>::infinity();
+    hi[l] = 0.0;
+  }
+  int j = 0;
+  for (; j + kExtremeLanes <= m; j += kExtremeLanes) {
+    for (int l = 0; l < kExtremeLanes; ++l) {
+      const double s = sum_at(j + l);
+      lo[l] = std::min(lo[l], s);
+      hi[l] = std::max(hi[l], s);
+    }
+  }
+  for (; j < m; ++j) {
+    const double s = sum_at(j);
+    lo[0] = std::min(lo[0], s);
+    hi[0] = std::max(hi[0], s);
+  }
+  double mn = lo[0];
+  double mx = hi[0];
+  for (int l = 1; l < kExtremeLanes; ++l) {
+    mn = std::min(mn, lo[l]);
+    mx = std::max(mx, hi[l]);
+  }
+  if constexpr (M == Metric::kL2) {
+    mn = std::sqrt(mn);
+    mx = std::sqrt(mx);
+  }
+  *min_out = mn;
+  *max_out = mx;
+}
+
 // Point-vs-box per-axis contributions, the same terms as geom/mbr.cc
 // (MinDistSq1D / MaxDistSq1D) and geom/metric.cc (AxisMin / AxisMax) use
 // in the MBR dominance gaps; tests/test_util.h holds the scalar reference
@@ -194,6 +243,7 @@ constexpr KernelSet MakeKernelSet() {
   set.metric = M;
   set.batch_distance = &BatchDistanceImpl<D, M>;
   set.fused_row_stats = &FusedRowStatsImpl<D, M>;
+  set.row_extremes = &RowExtremesImpl<D, M>;
   set.box_min = &PointBoxMinImpl<D, M>;
   set.box_max = &PointBoxMaxImpl<D, M>;
   set.set_min = &StridedSetMinImpl<D, M>;

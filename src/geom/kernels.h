@@ -27,6 +27,11 @@
 //    strictly sequentially in instance order — the same order as the
 //    matrix-scan they replace — using a small stack chunk, so they never
 //    materialize the row yet produce bit-identical min/mean/max.
+//  - The row-extremes kernel folds min and max over independent lanes on
+//    the unrooted sums (squared L2, or L1) and roots the two results once.
+//    min and max are order-independent on non-negative doubles, and the
+//    correctly rounded sqrt is monotone, so both are bit-identical to the
+//    fused kernel's min and max.
 // kernels_test asserts all of this with EXPECT_EQ against the scalar
 // references (PointDistance, and the point-box / point-set oracles in
 // tests/test_util.h) for every dimension, both metrics, and ragged block
@@ -68,6 +73,12 @@ using FusedRowStatsFn = void (*)(const double* q, const double* block,
                                  double* min_out, double* mean_out,
                                  double* max_out);
 
+/// Row extremes alone: *min_out = min_j dist(q, x_j), *max_out = max_j,
+/// bit-identical to FusedRowStatsFn's min and max (no mean, no weights).
+using RowExtremesFn = void (*)(const double* q, const double* block,
+                               size_t stride, int m, double* min_out,
+                               double* max_out);
+
 /// Minimal / maximal distance from point q to the box [lo, hi].
 using PointBoxDistFn = double (*)(const double* q, const double* lo,
                                   const double* hi);
@@ -85,6 +96,7 @@ struct KernelSet {
   Metric metric = Metric::kL2;
   BatchDistanceFn batch_distance = nullptr;
   FusedRowStatsFn fused_row_stats = nullptr;
+  RowExtremesFn row_extremes = nullptr;
   PointBoxDistFn box_min = nullptr;
   PointBoxDistFn box_max = nullptr;
   StridedSetDistFn set_min = nullptr;

@@ -44,6 +44,8 @@ double MaxDiff1D(double qlo, double qhi, double ulo, double uhi, double vlo,
   return best;
 }
 
+}  // namespace
+
 // Sum over dimensions of the per-axis maxima; the tight upper bound on
 // maxdist(q,U)^2 - mindist(q,V)^2 over all q in qbox.
 double MaxDominanceGap(const Mbr& ubox, const Mbr& vbox, const Mbr& qbox) {
@@ -56,8 +58,6 @@ double MaxDominanceGap(const Mbr& ubox, const Mbr& vbox, const Mbr& qbox) {
   }
   return total;
 }
-
-}  // namespace
 
 Mbr::Mbr(const Point& lo, const Point& hi) : lo_(lo), hi_(hi), valid_(true) {
   OSD_CHECK(lo.dim() == hi.dim());

@@ -71,6 +71,10 @@ class Mbr {
 /// difference at its at most five candidate maximizers.
 bool MbrDominates(const Mbr& ubox, const Mbr& vbox, const Mbr& qbox);
 
+/// The quantity MbrDominates compares with zero:
+/// max over q in qbox of maxdist(q, ubox)^2 - mindist(q, vbox)^2.
+double MaxDominanceGap(const Mbr& ubox, const Mbr& vbox, const Mbr& qbox);
+
 /// Strict variant: maxdist(q, ubox) < mindist(q, vbox) for all q in qbox.
 /// Used for validation rules, where strictness guarantees the dominated
 /// object's distance distribution differs from the dominator's.

@@ -108,12 +108,25 @@ bool MbrDominatesM(const Mbr& ubox, const Mbr& vbox, const Mbr& qbox,
 }
 
 bool MbrStrictlyDominatesM(const Mbr& ubox, const Mbr& vbox, const Mbr& qbox,
-                           Metric metric) {
+                           Metric metric, double margin) {
   switch (metric) {
-    case Metric::kL2:
-      return MbrStrictlyDominates(ubox, vbox, qbox);
+    case Metric::kL2: {
+      const double gap = MaxDominanceGap(ubox, vbox, qbox);
+      if (gap >= 0.0 || margin == 0.0) return gap < 0.0;
+      // The L2 gap is on squared distances. Where u is closer, maxdist(q, U)
+      // < mindist(q, V) <= r, the farthest distance between qbox and vbox,
+      // so a squared gap below -2 * margin * r leaves a distance gap above
+      // margin.
+      double r2 = 0.0;
+      for (int i = 0; i < qbox.dim(); ++i) {
+        const double a = std::max(std::abs(qbox.hi()[i] - vbox.lo()[i]),
+                                  std::abs(vbox.hi()[i] - qbox.lo()[i]));
+        r2 += a * a;
+      }
+      return gap < -2.0 * margin * std::sqrt(r2);
+    }
     case Metric::kL1:
-      return L1DominanceGap(ubox, vbox, qbox) < 0.0;
+      return L1DominanceGap(ubox, vbox, qbox) < -margin;
   }
   return false;
 }

@@ -38,12 +38,12 @@ double MbrMinDist(const Mbr& a, const Mbr& b, Metric metric);
 
 /// Metric-aware MBR dominance: for every q in qbox, is every point of
 /// ubox at least as close to q as every point of vbox? Strict variant
-/// requires strictly closer. Equivalent to MbrDominates /
-/// MbrStrictlyDominates when metric == kL2.
+/// requires closer by more than `margin`. Equivalent to MbrDominates /
+/// MbrStrictlyDominates when metric == kL2 (and margin == 0).
 bool MbrDominatesM(const Mbr& ubox, const Mbr& vbox, const Mbr& qbox,
                    Metric metric);
 bool MbrStrictlyDominatesM(const Mbr& ubox, const Mbr& vbox, const Mbr& qbox,
-                           Metric metric);
+                           Metric metric, double margin = 0.0);
 
 }  // namespace osd
 

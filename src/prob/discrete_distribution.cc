@@ -75,16 +75,31 @@ double DiscreteDistribution::CdfAt(double value) const {
 bool DiscreteDistribution::ApproxEqual(const DiscreteDistribution& x,
                                        const DiscreteDistribution& y,
                                        double tolerance) {
-  if (x.size() != y.size()) return false;
-  for (int i = 0; i < x.size(); ++i) {
-    if (std::abs(x.atoms_[i].value - y.atoms_[i].value) > tolerance) {
-      return false;
+  // A cluster: a maximal run of atoms, each within tolerance of the one
+  // before it, with its first and last value and its total mass.
+  struct Cluster {
+    double first, last, prob;
+  };
+  auto next = [tolerance](const std::vector<Atom>& atoms, size_t* i) {
+    Cluster c{atoms[*i].value, atoms[*i].value, atoms[*i].prob};
+    while (++*i < atoms.size() && atoms[*i].value - c.last <= tolerance) {
+      c.last = atoms[*i].value;
+      c.prob += atoms[*i].prob;
     }
-    if (std::abs(x.atoms_[i].prob - y.atoms_[i].prob) > tolerance) {
+    return c;
+  };
+  size_t i = 0;
+  size_t j = 0;
+  while (i < x.atoms_.size() && j < y.atoms_.size()) {
+    const Cluster a = next(x.atoms_, &i);
+    const Cluster b = next(y.atoms_, &j);
+    if (std::abs(a.first - b.first) > tolerance ||
+        std::abs(a.last - b.last) > tolerance ||
+        std::abs(a.prob - b.prob) > tolerance) {
       return false;
     }
   }
-  return true;
+  return i == x.atoms_.size() && j == y.atoms_.size();
 }
 
 }  // namespace osd

@@ -47,8 +47,15 @@ class DiscreteDistribution {
   /// Pr(X <= value).
   double CdfAt(double value) const;
 
-  /// True iff the two distributions have identical support and
-  /// probabilities within tolerance (the U_Q != V_Q side condition).
+  /// The U_Q != V_Q side condition, negated: true iff the two
+  /// distributions agree within `tolerance` once each one's atoms are
+  /// grouped into clusters (maximal runs whose consecutive values lie
+  /// within tolerance): the same number of clusters, and each pair's first
+  /// values, last values and masses within tolerance. Distances that tie
+  /// in the reals but differ by an ulp in doubles thus compare equal, so
+  /// no two objects dominate each other. The first cluster starts at the
+  /// minimum and the last ends at the maximum, so distributions whose
+  /// extremes differ beyond tolerance are never equal.
   static bool ApproxEqual(const DiscreteDistribution& x,
                           const DiscreteDistribution& y,
                           double tolerance = 1e-9);

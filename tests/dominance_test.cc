@@ -408,6 +408,38 @@ TEST(MbrValidation, Theorem4) {
   EXPECT_GT(validated, 10);
 }
 
+// Cover validation asks for a gap above the checks' 1e-9 tolerance. Two
+// single-point objects whose distances to the query tie in the reals
+// differ by an ulp in doubles, so the strict box test alone calls the
+// nearer one a dominator. The brute force sees equal distributions, so no
+// operator may.
+TEST(MbrValidation, CoverNeedsAGapAboveTheTolerance) {
+  const UncertainObject q = UncertainObject::Uniform(-1, 2, {0.1 * 3, 0.5});
+  const UncertainObject a = UncertainObject::Uniform(0, 2, {0.2, 0.4});
+  const UncertainObject b = UncertainObject::Uniform(1, 2, {0.4, 0.4});
+  for (Metric metric : {Metric::kL2, Metric::kL1}) {
+    SCOPED_TRACE(metric == Metric::kL2 ? "L2" : "L1");
+    const double da = PointDistance(q.Instance(0), a.Instance(0), metric);
+    const double db = PointDistance(q.Instance(0), b.Instance(0), metric);
+    ASSERT_NE(da, db);
+    ASSERT_LT(std::abs(da - db), 1e-15);
+    const UncertainObject& nearer = da < db ? a : b;
+    const UncertainObject& farther = da < db ? b : a;
+    ASSERT_TRUE(MbrStrictlyDominatesM(nearer.mbr(), farther.mbr(), q.mbr(),
+                                      metric));
+    const QueryContext ctx(q, metric);
+    DominanceOracle oracle(ctx, FilterConfig::All(), nullptr);
+    EXPECT_FALSE(oracle.Covers(nearer.mbr(), farther.mbr()));
+    EXPECT_FALSE(test::BruteFSdUnder(nearer, farther, q, metric));
+    for (Operator op : {Operator::kSSd, Operator::kSsSd, Operator::kPSd,
+                        Operator::kFSd}) {
+      ObjectProfile pn(nearer, ctx, nullptr);
+      ObjectProfile pf(farther, ctx, nullptr);
+      EXPECT_FALSE(oracle.Dominates(op, pn, pf)) << OperatorName(op);
+    }
+  }
+}
+
 TEST(Transitivity, Theorem9) {
   Rng rng(66);
   int chains = 0;

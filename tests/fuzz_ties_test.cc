@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -69,6 +70,92 @@ TEST_P(TieFuzz, NncExactUnderMassiveTies) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TieFuzz, ::testing::Values(1, 2, 3, 4, 5));
+
+// Lattice object on a 0.1 grid: `m` instances at multiples of 0.1 in
+// [0, span / 10]^dim. Distances that are equal in the reals often differ
+// by an ulp in doubles (0.5 - 0.3 is 0.2, 0.3 - 0.1 is 0.19999999999999998).
+UncertainObject TenthLattice(int id, int dim, int m, int span, Rng& rng) {
+  std::vector<double> coords;
+  for (int k = 0; k < m * dim; ++k) {
+    coords.push_back(0.1 * static_cast<double>(rng.UniformInt(0, span)));
+  }
+  return UncertainObject::Uniform(id, dim, std::move(coords));
+}
+
+// The F-SD member scan stops at the first member whose reach (its largest
+// farthest distance over the hull) exceeds the checked object's bound (its
+// largest nearest distance, plus the order's 1e-9 tolerance). When u's
+// farthest and v's nearest distance are equal in the reals, u's reach can
+// land an ulp above v's untolerated bound although u dominates v: the
+// cutoff is sound only with the tolerance. Each run must also meet that
+// edge, or it tests nothing.
+class FSdCutoffFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(FSdCutoffFuzz, MatchesBruteForceAtTheToleranceEdge) {
+  Rng rng(GetParam() * 13 + 5);
+  int edge_pairs = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    const int dim = 1 + static_cast<int>(rng.UniformInt(0, 1));
+    std::vector<UncertainObject> objects;
+    const int n = 25 + static_cast<int>(rng.UniformInt(0, 15));
+    for (int i = 0; i < n; ++i) {
+      const int m = 1 + static_cast<int>(rng.UniformInt(0, 2));
+      objects.push_back(TenthLattice(i, dim, m, 6, rng));
+    }
+    const UncertainObject query = TenthLattice(
+        -1, dim, 1 + static_cast<int>(rng.UniformInt(0, 2)), 6, rng);
+    const Dataset dataset(objects);
+    for (Metric metric : {Metric::kL2, Metric::kL1}) {
+      auto brute = [metric](const UncertainObject& u, const UncertainObject& v,
+                            const UncertainObject& q) {
+        return test::BruteFSdUnder(u, v, q, metric);
+      };
+      // Dominating pairs whose reach and bound, over every query
+      // instance, differ in doubles without the tolerance.
+      auto extreme = [&](const UncertainObject& o, bool farthest) {
+        double out = 0.0;
+        for (int qi = 0; qi < query.num_instances(); ++qi) {
+          double best = farthest ? 0.0 : std::numeric_limits<double>::max();
+          for (int j = 0; j < o.num_instances(); ++j) {
+            const double d =
+                PointDistance(query.Instance(qi), o.Instance(j), metric);
+            best = farthest ? std::max(best, d) : std::min(best, d);
+          }
+          out = std::max(out, best);
+        }
+        return out;
+      };
+      for (const UncertainObject& u : objects) {
+        for (const UncertainObject& v : objects) {
+          if (&u != &v && extreme(u, true) > extreme(v, false) &&
+              brute(u, v, query)) {
+            ++edge_pairs;
+          }
+        }
+      }
+      for (int k : {1, 3}) {
+        const auto expected = test::BruteKNnc(objects, query, brute, k);
+        for (bool geometric : {true, false}) {
+          NncOptions options;
+          options.op = Operator::kFSd;
+          options.metric = metric;
+          options.k = k;
+          options.filters.geometric = geometric;
+          const auto result = NncSearch(dataset, options).Run(query);
+          EXPECT_EQ(std::set<int>(result.candidates.begin(),
+                                  result.candidates.end()),
+                    std::set<int>(expected.begin(), expected.end()))
+              << "trial " << trial << " L" << (metric == Metric::kL2 ? 2 : 1)
+              << " k=" << k << " geometric=" << geometric;
+        }
+      }
+    }
+  }
+  EXPECT_GT(edge_pairs, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FSdCutoffFuzz,
+                         ::testing::Values(1, 2, 3, 4, 5));
 
 TEST(TieFuzzDirected, CoLocatedObjectsWithDifferentMixtures) {
   // Objects sharing support points but with different probability splits:

@@ -5,8 +5,8 @@
 // assume that a distance is the same double on every code path. The unit
 // tests here compare each kernel with EXPECT_EQ against its reference —
 // PointDistance for the batched and fused row kernels, the test_util.h
-// oracles for the point-box and point-set kernels — for every dimension
-// 1..8, both metrics, and ragged block tails. The end-to-end test runs
+// oracles for the row-extremes, point-box and point-set kernels — for
+// every dimension 1..8, both metrics, and ragged block tails. The end-to-end test runs
 // concurrent queries through the shared dispatch tables.
 
 #include <algorithm>
@@ -113,7 +113,7 @@ TEST(KernelsTest, FusedRowStatsBitExactAgainstScalarFold) {
         ks.fused_row_stats(q.data(), obj.soa_coords(), obj.soa_stride(), m,
                            obj.probs().data(), &mn, &mean, &mx);
         // Scalar reference: the exact fold order of the matrix scan in
-        // ObjectProfile::EnsureStats.
+        // ObjectProfile::EnsureMean.
         double rmn = std::numeric_limits<double>::infinity();
         double rmx = 0.0;
         double rmean = 0.0;
@@ -126,6 +126,38 @@ TEST(KernelsTest, FusedRowStatsBitExactAgainstScalarFold) {
         EXPECT_EQ(mn, rmn) << "dim=" << dim << " m=" << m;
         EXPECT_EQ(mx, rmx) << "dim=" << dim << " m=" << m;
         EXPECT_EQ(mean, rmean) << "dim=" << dim << " m=" << m;
+      }
+    }
+  }
+}
+
+// The extremes kernel folds unrooted sums over independent lanes and
+// roots twice per row; it must still return the rooted per-instance min
+// and max, bit for bit. kCounts covers m = 1, partial lane groups and
+// multi-group rows.
+TEST(KernelsTest, RowExtremesBitExactAgainstScalarReference) {
+  std::mt19937_64 rng(7);
+  for (Metric metric : {Metric::kL2, Metric::kL1}) {
+    for (int dim = 1; dim <= Point::kMaxDim; ++dim) {
+      const kernels::KernelSet& ks = kernels::Get(dim, metric);
+      for (int m : kCounts) {
+        const UncertainObject obj = RandomObject(0, dim, m, rng);
+        const Point q = RandomPoint(dim, rng);
+        double mn = -1.0, mx = -1.0;
+        ks.row_extremes(q.data(), obj.soa_coords(), obj.soa_stride(), m, &mn,
+                        &mx);
+        double rmn = -1.0, rmx = -1.0;
+        test::RefRowExtremes(q, obj, metric, &rmn, &rmx);
+        EXPECT_EQ(mn, rmn) << "metric=" << static_cast<int>(metric)
+                           << " dim=" << dim << " m=" << m;
+        EXPECT_EQ(mx, rmx) << "metric=" << static_cast<int>(metric)
+                           << " dim=" << dim << " m=" << m;
+        // And bit-equal to the fused kernel's extremes.
+        double fmn = -1.0, fmean = -1.0, fmx = -1.0;
+        ks.fused_row_stats(q.data(), obj.soa_coords(), obj.soa_stride(), m,
+                           obj.probs().data(), &fmn, &fmean, &fmx);
+        EXPECT_EQ(mn, fmn);
+        EXPECT_EQ(mx, fmx);
       }
     }
   }

@@ -240,15 +240,19 @@ TEST_F(MemBudgetTest, StatisticOnlyProfileNeverChargesMatrix) {
   const UncertainObject& obj = dataset.object(0);
   QueryContext ctx(dataset.object(1));
   const int nq = ctx.num_instances();
-  const long stat_bytes = 3L * nq * static_cast<long>(sizeof(double));
+  const long per_q_bytes = nq * static_cast<long>(sizeof(double));
+  const long stat_bytes = 3 * per_q_bytes;
   memory::QueryBudgetScope scope(64L << 20, nullptr);
   {
     ObjectProfile profile(obj, ctx, nullptr);
     (void)profile.MinAll();
     (void)profile.MaxQ(0);
-    // The fused statistic pass must charge only the three per-q vectors —
+    // The extremes pass charges only the two per-q extreme vectors —
     // never the |Q| x m matrix.
-    EXPECT_EQ(scope.charged_bytes(), stat_bytes);
+    EXPECT_EQ(scope.charged_bytes(), 2 * per_q_bytes);
+    (void)profile.MeanAll();
+    EXPECT_EQ(scope.charged_bytes(), stat_bytes)
+        << "adding the mean charges one per-q vector more";
     (void)profile.Dist(0, 0);
     EXPECT_EQ(scope.charged_bytes(),
               stat_bytes + static_cast<long>(nq) * obj.num_instances() *

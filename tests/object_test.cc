@@ -1,6 +1,7 @@
 // Tests for the object model: probability normalization, MBRs, lazy local
 // R-trees, dataset construction and the envelope machinery's inputs.
 
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -123,6 +124,72 @@ TEST(ObjectProfileTest, StatsAndSortedViews) {
   EXPECT_EQ(stats.dist_evals, 4);  // matrix computed exactly once
   const auto dist = profile.Distribution();
   EXPECT_DOUBLE_EQ(dist.Mean(), profile.MeanAll());
+}
+
+// The extremes and the mean are built by separate passes when the
+// extremes come first. The mean pass must leave the extremes' storage in
+// place — spans taken before it stay valid (ASan checks the re-read) —
+// and every statistic must be bit-equal to a profile that read the mean
+// first, locally or through the cache.
+TEST(ObjectProfileTest, MeanAfterExtremesKeepsEarlierSpans) {
+  Rng rng(17);
+  const UncertainObject q = test::RandomObject(-1, 2, 5, 50.0, 10.0, rng);
+  const UncertainObject u = test::RandomObject(0, 2, 37, 50.0, 10.0, rng);
+  const QueryContext ctx(q);
+  const long pass = 5L * 37;
+  FilterStats fused_stats;
+  ObjectProfile fused(u, ctx, &fused_stats);
+  const std::vector<double> mean_q(fused.MeanQs().begin(),
+                                   fused.MeanQs().end());
+  const std::vector<double> min_q(fused.MinQs().begin(), fused.MinQs().end());
+  const std::vector<double> max_q(fused.MaxQs().begin(), fused.MaxQs().end());
+  EXPECT_EQ(fused_stats.dist_evals, pass) << "mean first: one pass";
+
+  ProfileCache cache(1 << 20, nullptr);
+  const ProfileCacheBinding binding{
+      &cache, ComputeQuerySignature(q, ctx.metric()), 0};
+  {
+    // Publishes the extremes alone.
+    ObjectProfile extremes_only(u, ctx, nullptr, &binding);
+    (void)extremes_only.MinQs();
+  }
+  auto extremes_then_mean = [&](const ProfileCacheBinding* b) {
+    FilterStats stats;
+    ObjectProfile profile(u, ctx, &stats, b);
+    const std::span<const double> first = profile.MinQs();
+    const std::span<const double> first_max = profile.MaxQs();
+    EXPECT_EQ(stats.dist_evals, pass);
+    EXPECT_EQ(std::vector<double>(profile.MeanQs().begin(),
+                                  profile.MeanQs().end()),
+              mean_q);
+    EXPECT_EQ(stats.dist_evals, 2 * pass) << "the mean pass counts";
+    EXPECT_EQ(std::vector<double>(first.begin(), first.end()), min_q);
+    EXPECT_EQ(std::vector<double>(first_max.begin(), first_max.end()), max_q);
+    EXPECT_EQ(profile.MeanAll(), fused.MeanAll());
+    EXPECT_EQ(profile.MinAll(), fused.MinAll());
+    EXPECT_EQ(profile.MaxAll(), fused.MaxAll());
+  };
+  {
+    SCOPED_TRACE("local");
+    extremes_then_mean(nullptr);
+  }
+  {
+    SCOPED_TRACE("extremes adopted, mean built");
+    extremes_then_mean(&binding);
+  }
+  {
+    SCOPED_TRACE("both adopted");
+    extremes_then_mean(&binding);
+  }
+  EXPECT_EQ(cache.GetCounters().hits, 2);
+
+  // Mean first from a warm cache: adopted, yet charged and counted as the
+  // fused pass a fresh build makes.
+  FilterStats warm_stats;
+  ObjectProfile warm(u, ctx, &warm_stats, &binding);
+  EXPECT_EQ(std::vector<double>(warm.MeanQs().begin(), warm.MeanQs().end()),
+            mean_q);
+  EXPECT_EQ(warm_stats.dist_evals, pass);
 }
 
 TEST(CdfEnvelopeTest, DecidesClearCasesAtNodeLevel) {

@@ -57,6 +57,31 @@ TEST(DiscreteDistributionTest, ApproxEqual) {
   EXPECT_FALSE(DiscreteDistribution::ApproxEqual(a, c));
 }
 
+// Distances that tie in the reals can differ by an ulp in doubles. An
+// object with two instances at such a distance has two atoms where an
+// object with one has one atom, and the two distributions must still
+// compare equal: the order tests accept either object as the other's
+// dominator, so only the side condition keeps them from dominating each
+// other. Clusters never hide extremes that differ beyond the tolerance.
+TEST(DiscreteDistributionTest, ApproxEqualGroupsAtomsWithinTolerance) {
+  const double lo = 0.3 - 0.1;  // 0.19999999999999998
+  const double hi = 0.5 - 0.3;  // 0.2
+  ASSERT_LT(lo, hi);
+  const auto split = Uniform({lo, hi, 0.4, 0.4});
+  const auto whole = Uniform({hi, hi, 0.4, 0.4});
+  ASSERT_EQ(split.size(), 3);
+  ASSERT_EQ(whole.size(), 2);
+  EXPECT_TRUE(DiscreteDistribution::ApproxEqual(split, whole));
+  EXPECT_TRUE(DiscreteDistribution::ApproxEqual(whole, split));
+  // The same masses, but one cluster's last value 2e-9 further out.
+  EXPECT_FALSE(DiscreteDistribution::ApproxEqual(
+      Uniform({0.2, 0.2 + 0.6e-9, 0.4, 0.4}),
+      Uniform({0.2, 0.2 + 2e-9, 0.4, 0.4})));
+  // Masses that differ within one cluster.
+  EXPECT_FALSE(DiscreteDistribution::ApproxEqual(
+      Uniform({lo, hi, hi, 0.4}), Uniform({hi, 0.4, 0.4, 0.4})));
+}
+
 TEST(StochasticOrderTest, PaperFigure3Example) {
   // Distance distributions of Fig. 3(b): A_Q = {1,2,4,5}, B_Q = {3,4,6,7},
   // C_Q = {1,2,10,11} (values chosen to match the relative layout).

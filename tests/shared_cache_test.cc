@@ -45,17 +45,16 @@ std::vector<QueryWorkloadEntry> SmallWorkload(const Dataset& dataset, int n,
   return GenerateWorkload(dataset, wp);
 }
 
-/// A minimal artifact set for cache-unit tests (a stats view plus an
+/// A minimal artifact set for cache-unit tests (an extremes view plus an
 /// explicit byte count).
 std::shared_ptr<ProfileArtifacts> MakeArtifacts(uint64_t epoch,
                                                 long bytes = 1024) {
   auto artifacts = std::make_shared<ProfileArtifacts>();
   artifacts->epoch = epoch;
-  auto stats = std::make_shared<ProfileStatsView>();
-  stats->min_all = 1.0;
-  stats->mean_all = 2.0;
-  stats->max_all = 3.0;
-  artifacts->stats = std::move(stats);
+  auto extremes = std::make_shared<ProfileExtremesView>();
+  extremes->min_q = {1.0};
+  extremes->max_q = {3.0};
+  artifacts->extremes = std::move(extremes);
   artifacts->bytes = bytes;
   return artifacts;
 }
@@ -83,8 +82,8 @@ TEST(ProfileCacheTest, MissPublishHitRoundTrip) {
   const auto hit = cache.Lookup(7, 42, 3);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->epoch, 3u);
-  ASSERT_NE(hit->stats, nullptr);
-  EXPECT_DOUBLE_EQ(hit->stats->mean_all, 2.0);
+  ASSERT_NE(hit->extremes, nullptr);
+  EXPECT_EQ(hit->extremes->max_q, std::vector<double>{3.0});
 
   const ProfileCache::Counters c = cache.GetCounters();
   EXPECT_EQ(c.misses, 1);

@@ -87,6 +87,21 @@ inline double RefSetDist(const Point& x, std::span<const Point> set,
   return metric == Metric::kL2 ? std::sqrt(best) : best;
 }
 
+// Scalar reference for kernels::KernelSet::row_extremes: the nearest and
+// farthest instance of `obj` from q, one rooted distance at a time.
+inline void RefRowExtremes(const Point& q, const UncertainObject& obj,
+                           Metric metric, double* min_out, double* max_out) {
+  double mn = std::numeric_limits<double>::infinity();
+  double mx = 0.0;
+  for (int j = 0; j < obj.num_instances(); ++j) {
+    const double d = PointDistance(q, obj.Instance(j), metric);
+    mn = std::min(mn, d);
+    mx = std::max(mx, d);
+  }
+  *min_out = mn;
+  *max_out = mx;
+}
+
 inline bool DistributionsEqual(const UncertainObject& u,
                                const UncertainObject& v,
                                const UncertainObject& q,
@@ -326,6 +341,25 @@ std::vector<int> BruteNnc(const std::vector<UncertainObject>& objects,
   }
   return result;
 }
+
+/// Brute-force k-NNC: an object survives while fewer than k others
+/// dominate it.
+template <typename DominatesFn>
+std::vector<int> BruteKNnc(const std::vector<UncertainObject>& objects,
+                           const UncertainObject& query,
+                           DominatesFn dominates, int k) {
+  std::vector<int> result;
+  for (size_t v = 0; v < objects.size(); ++v) {
+    int dominators = 0;
+    for (size_t u = 0; u < objects.size() && dominators < k; ++u) {
+      if (u == v) continue;
+      if (dominates(objects[u], objects[v], query)) ++dominators;
+    }
+    if (dominators < k) result.push_back(static_cast<int>(v));
+  }
+  return result;
+}
+
 
 }  // namespace test
 }  // namespace osd
