@@ -49,12 +49,10 @@ Config ParseArgs(int argc, char** argv) {
       cfg.queries = std::atoi(value().c_str());
     } else if (flag == "--op") {
       const std::string v = value();
-      if (v == "ssd") cfg.op = Operator::kSSd;
-      else if (v == "sssd") cfg.op = Operator::kSsSd;
-      else if (v == "psd") cfg.op = Operator::kPSd;
-      else if (v == "fsd") cfg.op = Operator::kFSd;
-      else if (v == "f+sd") cfg.op = Operator::kFPlusSd;
-      else { std::fprintf(stderr, "unknown --op %s\n", v.c_str()); std::exit(2); }
+      if (!ParseOperatorName(v, &cfg.op)) {
+        std::fprintf(stderr, "unknown --op %s\n", v.c_str());
+        std::exit(2);
+      }
     } else if (flag == "--threads") {
       cfg.threads.clear();
       const std::string v = value();

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the service tier: starts a real osd_server on an
 # ephemeral loopback port, drives it with concurrent osd_cli query
-# clients (a plain query, a mid-flight cancel, a deadline-degraded run),
+# clients (a plain query, an S-SD query under the "lgp" preset alias, a
+# mid-flight cancel, a deadline-degraded run),
 # then SIGTERMs the server mid-flight and asserts a clean drain — every
 # in-flight ticket finished, summary printed, exit code 0. A durability
 # leg then runs a --wal-dir server through an acked write, a sealed
@@ -47,11 +48,15 @@ done
 [[ -n "$PORT" ]] || { echo "FAIL: no listening line"; exit 1; }
 echo "server up on port $PORT"
 
-# Three concurrent clients: a plain streamed query, a mid-flight cancel,
-# and a tight deadline with --accept-degraded.
+# Four concurrent clients: a plain streamed query, an S-SD query under a
+# non-default filter preset (the Fig. 16 name "lgp", an alias of "gp"), a
+# mid-flight cancel, and a tight deadline with --accept-degraded.
 "$CLI" query --port "$PORT" --query-id 5 --op psd \
   >"$TMP/plain.out" 2>&1 &
 PLAIN=$!
+"$CLI" query --port "$PORT" --query-id 9 --op ssd --filters lgp \
+  >"$TMP/ssd.out" 2>&1 &
+SSD=$!
 "$CLI" query --port "$PORT" --query-id 17 --op fsd --k 3 \
   --cancel-after-ms 5 >"$TMP/cancel.out" 2>&1 &
 CANCEL=$!
@@ -65,6 +70,12 @@ grep -q '"type":"candidate"' "$TMP/plain.out" \
   || { echo "FAIL: no progressive frame"; cat "$TMP/plain.out"; exit 1; }
 grep -q '"status":"OK"' "$TMP/plain.out" \
   || { echo "FAIL: plain query not OK"; cat "$TMP/plain.out"; exit 1; }
+wait "$SSD" || { echo "FAIL: S-SD query client failed"
+                 cat "$TMP/ssd.out"; exit 1; }
+grep -q '"type":"candidate"' "$TMP/ssd.out" \
+  || { echo "FAIL: no S-SD candidate frame"; cat "$TMP/ssd.out"; exit 1; }
+grep -q '"status":"OK"' "$TMP/ssd.out" \
+  || { echo "FAIL: S-SD query not OK"; cat "$TMP/ssd.out"; exit 1; }
 
 # The cancel and deadline clients race real execution: any consistent
 # terminal frame is correct, hanging or crashing is not.

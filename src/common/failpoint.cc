@@ -23,7 +23,7 @@ enum class Action { kThrow, kBadAlloc, kError, kDelay, kAbort };
 /// escape) so a typo'd spec fails loudly instead of silently arming a
 /// trigger nothing will ever hit. Keep in sync with the site macros.
 constexpr const char* kKnownSites[] = {
-    "dominance.check",    "engine.execute",   "envelope.round",
+    "dominance.check",    "engine.execute",
     "flow.augment",       "io.binary.header",
     "io.binary.object",   "io.checkpoint.write",
     "io.open",            "io.recover.replay",

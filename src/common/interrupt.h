@@ -2,10 +2,10 @@
 //
 // The traversal loop in core/nnc_search.cc polls its QueryControl at heap
 // pops, but the heavy inner machinery — Dinic max-flow runs on dense
-// possible-world instances, CDF-envelope refinement rounds — can spend the
-// whole deadline inside a single pop. Those layers sit *below* core in the
-// dependency order (core -> nnfun -> flow), so they cannot see QueryControl
-// directly. This header gives them a dependency-free poll point:
+// possible-world instances — can spend the whole deadline inside a single
+// pop. Those layers sit *below* core in the dependency order (core ->
+// nnfun -> flow), so they cannot see QueryControl directly. This header
+// gives them a dependency-free poll point:
 //
 //   NncSearch::Run installs an interrupt::Scope on its thread (same RAII
 //   idiom as OSD_TRACE_INSTALL and memory::QueryBudgetScope), mirroring the

@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "common/failpoint.h"
-#include "core/cdf_envelope.h"
 #include "flow/max_flow.h"
 #include "obs/trace.h"
 #include "prob/stochastic_order.h"
@@ -130,15 +129,10 @@ bool DominanceOracle::StatRefutesPerQ(ObjectProfile& u, ObjectProfile& v) {
 bool DominanceOracle::SSd(ObjectProfile& u, ObjectProfile& v) {
   if (config_.cover_rules && CoverValidates(u, v)) return true;
   // S-SD implies the min/mean/max order (Theorem 11), so the O(1)
-  // statistic gate may refute before the envelope sweeps any nodes.
+  // statistic gate is the only filter between cover validation and the
+  // exact merge-scan: behind it, node-level envelopes cost more than they
+  // decide (DESIGN §5).
   if (config_.stat_pruning && StatRefutesAll(u, v)) return false;
-  if (config_.level_by_level) {
-    OSD_TRACE_SPAN(obs::SpanKind::kLevelFilter);
-    const EnvelopeDecision d = EnvelopeSSd(u.object(), v.object(), *ctx_,
-                                           config_.geometric, stats_);
-    if (d == EnvelopeDecision::kDominates) return true;
-    if (d == EnvelopeDecision::kNotDominates) return false;
-  }
   OSD_TRACE_SPAN(obs::SpanKind::kExactCheck);
   if (stats_ != nullptr) ++stats_->exact_checks;
   if (!SSdOrderHolds(u, v)) return false;
@@ -149,8 +143,7 @@ bool DominanceOracle::SsSd(ObjectProfile& u, ObjectProfile& v) {
   if (config_.cover_rules && CoverValidates(u, v)) return true;
   // SS-SD implies the min/mean/max order overall and at every q
   // (Theorem 11), so the O(|Q|) statistic gate is the only filter between
-  // cover validation and the exact per-q scans: behind it, node-level
-  // envelopes cost more than they decide (DESIGN §5).
+  // cover validation and the exact per-q scans, as in S-SD.
   if (config_.stat_pruning &&
       (StatRefutesAll(u, v) || StatRefutesPerQ(u, v))) {
     return false;

@@ -3,19 +3,19 @@
 // Implements Section 5.1 of the paper:
 //  - S-SD / SS-SD: single merge-scan over sorted pairwise distances
 //    (worst-case optimal, Theorem 10), statistic-based pruning
-//    (Theorem 11) and cover validation (Theorem 4). S-SD also runs
-//    level-by-level refinement on local R-trees; SS-SD has no level
-//    stage and goes from its per-q statistic gate straight to the exact
-//    per-q scans.
+//    (Theorem 11) and cover validation (Theorem 4). No operator runs the
+//    paper's level-by-level filter on local R-trees (Section 5.1.1,
+//    DESIGN §5): each goes from its statistic gate straight to the exact
+//    scans.
 //  - P-SD: reduction to max-flow (Theorem 12) over the admissible-pair
 //    bipartite network, with convex-hull reduction of the query, cover
 //    validation, and a per-query-instance Hall certificate that refutes
-//    on the flow's own masses before any network is built. P-SD has no
-//    level-by-level stage and builds no node-level networks.
+//    on the flow's own masses before any network is built. P-SD builds
+//    no node-level networks.
 //  - F-SD: per-hull-instance farthest/nearest comparisons on the
 //    profile's fused per-q statistics (MaxQs against MinQs), with cover
 //    validation before them until the dominated side's statistics exist
-//    and after them from then on. F-SD has no level stage.
+//    and after them from then on.
 //  - F+-SD: the MBR-level test of [Emrich et al. 2010].
 //
 // All operators enforce the U_Q != V_Q side condition from Definitions

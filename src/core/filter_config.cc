@@ -1,5 +1,6 @@
 #include "core/filter_config.h"
 
+#include <cstddef>
 #include <utility>
 
 namespace osd {
@@ -20,6 +21,43 @@ const char* OperatorName(Operator op) {
   return "?";
 }
 
+namespace {
+
+/// Sets `*out` to the value `s` names in `table`; false if none does.
+template <typename T, size_t N>
+bool Lookup(const std::pair<const char*, T> (&table)[N], const std::string& s,
+            T* out) {
+  for (const auto& [name, value] : table) {
+    if (s == name) {
+      *out = value;
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+bool ParseOperatorName(const std::string& s, Operator* op) {
+  static constexpr std::pair<const char*, Operator> kNames[] = {
+      {"ssd", Operator::kSSd}, {"sssd", Operator::kSsSd},
+      {"psd", Operator::kPSd}, {"fsd", Operator::kFSd},
+      {"f+sd", Operator::kFPlusSd},
+  };
+  return Lookup(kNames, s, op);
+}
+
+bool ParseFilterName(const std::string& s, FilterConfig* config) {
+  const std::pair<const char*, FilterConfig> kNames[] = {
+      {"all", FilterConfig::All()}, {"bf", FilterConfig::BruteForce()},
+      {"p", FilterConfig::P()},     {"g", FilterConfig::G()},
+      {"gp", FilterConfig::GP()},   {"l", FilterConfig::BruteForce()},
+      {"lp", FilterConfig::P()},    {"lg", FilterConfig::G()},
+      {"lgp", FilterConfig::GP()},
+  };
+  return Lookup(kNames, s, config);
+}
+
 FilterStats& FilterStats::operator+=(const FilterStats& other) {
   dist_evals += other.dist_evals;
   scan_steps += other.scan_steps;
@@ -29,7 +67,6 @@ FilterStats& FilterStats::operator+=(const FilterStats& other) {
   mbr_validations += other.mbr_validations;
   stat_prunes += other.stat_prunes;
   cover_prunes += other.cover_prunes;
-  level_decisions += other.level_decisions;
   exact_checks += other.exact_checks;
   dominance_checks += other.dominance_checks;
   return *this;
@@ -46,7 +83,6 @@ void FilterStats::AppendJson(std::string* out) const {
       {"flow_runs", flow_runs},
       {"stat_prunes", stat_prunes},
       {"cover_prunes", cover_prunes},
-      {"level_decisions", level_decisions},
       {"mbr_validations", mbr_validations},
       {"exact_checks", exact_checks},
   };

@@ -3,8 +3,8 @@
 // Section 5.1 of the paper layers four acceleration techniques over the
 // brute-force dominance checks; Appendix C ablates them (Fig. 16) by
 // measuring the number of instance comparisons. FilterConfig selects the
-// techniques (with the same presets as the ablation) and FilterStats is the
-// measurement currency.
+// three this implementation keeps — no operator runs the level-by-level
+// filter (DESIGN §5) — and FilterStats is the measurement currency.
 
 #ifndef OSD_CORE_FILTER_CONFIG_H_
 #define OSD_CORE_FILTER_CONFIG_H_
@@ -25,12 +25,12 @@ enum class Operator {
 /// Short uppercase name as used in the paper's plots (SSD, SSSD, ...).
 const char* OperatorName(Operator op);
 
+/// Parses a lowercase operator name: ssd|sssd|psd|fsd|f+sd. Returns false
+/// and leaves `op` alone on any other string.
+bool ParseOperatorName(const std::string& s, Operator* op);
+
 /// Switches for the acceleration techniques of Section 5.1.
 struct FilterConfig {
-  /// Level-by-level pruning/validation on local R-trees ("L"). Only S-SD
-  /// (CDF envelopes) has a level stage; SS-SD, P-SD and F-SD ignore this
-  /// switch.
-  bool level_by_level = true;
   /// Statistic-based pruning on min/mean/max ("P").
   bool stat_pruning = true;
   /// Convex-hull reduction of query instances ("G"). SS-SD's per-q tests
@@ -41,12 +41,18 @@ struct FilterConfig {
   bool cover_rules = true;
 
   static FilterConfig All() { return {}; }
-  static FilterConfig BruteForce() { return {false, false, false, false}; }
-  static FilterConfig L() { return {true, false, false, false}; }
-  static FilterConfig LP() { return {true, true, false, false}; }
-  static FilterConfig LG() { return {true, false, true, false}; }
-  static FilterConfig LGP() { return {true, true, true, false}; }
+  static FilterConfig BruteForce() { return {false, false, false}; }
+  static FilterConfig P() { return {true, false, false}; }
+  static FilterConfig G() { return {false, true, false}; }
+  static FilterConfig GP() { return {true, true, false}; }
+
+  bool operator==(const FilterConfig&) const = default;
 };
+
+/// Parses a preset name: all|bf|p|g|gp. The Fig. 16 names l|lp|lg|lgp
+/// stay accepted as aliases of bf|p|g|gp, since no operator has a level
+/// stage. Returns false and leaves `config` alone on any other string.
+bool ParseFilterName(const std::string& s, FilterConfig* config);
 
 /// Work counters accumulated by the dominance checks. The Fig. 16 metric
 /// is InstanceComparisons().
@@ -59,7 +65,6 @@ struct FilterStats {
   long mbr_validations = 0;   ///< dominance validated from MBRs alone
   long stat_prunes = 0;       ///< refuted by min/mean/max statistics
   long cover_prunes = 0;      ///< refuted via a covering operator
-  long level_decisions = 0;   ///< decided at R-tree node level
   long exact_checks = 0;      ///< fell through to the exact algorithm
   long dominance_checks = 0;  ///< total pairwise checks requested
 

@@ -71,9 +71,9 @@ NncResult NncSearch::Run(
   NncResult result;
   OSD_TRACE_INSTALL(options_.trace);
   // Mirror the query's cancel flag and deadline into the thread-local
-  // interrupt scope so layers below core (max-flow runs, envelope rounds)
-  // can poll them without a dependency on QueryControl. The throws land in
-  // the per-item containment handlers below.
+  // interrupt scope so layers below core (max-flow runs) can poll them
+  // without a dependency on QueryControl. The throws land in the per-item
+  // containment handlers below.
   interrupt::Scope interrupt_scope(
       options_.control != nullptr ? &options_.control->cancel : nullptr,
       options_.control != nullptr
@@ -356,11 +356,10 @@ NncResult NncSearch::Run(
         }
         emit(item.id, profile);
       } catch (const interrupt::Interrupted& e) {
-        // Deep-poll termination (a max-flow or envelope loop saw the
-        // deadline/cancel mid-item). Same contract as the pop-site checks
-        // above: never an error, just an early stop — with the in-flight
-        // item returned to the frontier so a degraded drain still
-        // certifies it.
+        // Deep-poll termination (a max-flow loop saw the deadline/cancel
+        // mid-item). Same contract as the pop-site checks above: never an
+        // error, just an early stop — with the in-flight item returned to
+        // the frontier so a degraded drain still certifies it.
         heap.push(item);
         result.termination = TerminationFor(e.kind());
         break;

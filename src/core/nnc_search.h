@@ -165,13 +165,11 @@ struct NncResult {
 /// DominanceOracle, ObjectProfiles, the traversal heap) on its own stack,
 /// so any number of threads may call Run concurrently on one NncSearch —
 /// or on distinct NncSearch instances sharing one Dataset. The shared
-/// mutable state Run reaches is all internally synchronized: the lazily
-/// built per-object local R-tree, which UncertainObject::LocalTree()
-/// builds under a per-object mutex (double-checked against an atomically
-/// published pointer); the NncOptions::profile_cache when one is set,
-/// whose shards each have their own mutex (core/profile_cache.h); and the
-/// engine-wide MemoryBudget behind the calling thread's QueryBudgetScope,
-/// when one is installed (common/memory_budget.h).
+/// mutable state Run reaches is all internally synchronized: the
+/// NncOptions::profile_cache when one is set, whose shards each have their
+/// own mutex (core/profile_cache.h), and the engine-wide MemoryBudget
+/// behind the calling thread's QueryBudgetScope, when one is installed
+/// (common/memory_budget.h).
 class NncSearch {
  public:
   NncSearch(const Dataset& dataset, NncOptions options);

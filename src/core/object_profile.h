@@ -6,9 +6,8 @@
 // distribution U_Q (S-SD), per-q sorted distributions U_q (SS-SD), or the
 // raw matrix (<=_Q tests in P-SD). Each view is materialized at most once
 // and only when a check actually needs it — the statistic gates read only
-// the per-q statistics, F-SD only their extremes, and the S-SD level
-// filter frequently decides at R-tree node granularity without ever
-// touching instances, which is exactly the effect the Fig. 16 ablation
+// the per-q statistics and F-SD only their extremes, so a pair they decide
+// never pays for a sorted view, which is the effect the Fig. 16 ablation
 // measures.
 //
 // The statistics come in two parts. MinQs/MaxQs/MinAll/MaxAll build only

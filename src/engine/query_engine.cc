@@ -393,13 +393,7 @@ bool QueryEngine::BatchCompatible(const PendingBatch& batch,
   if (batch.metric != spec.options.metric) return false;
   if (batch.k != spec.options.k) return false;
   if (batch.degraded != spec.options.degraded_superset) return false;
-  const FilterConfig& f = spec.options.filters;
-  if (batch.filters.level_by_level != f.level_by_level ||
-      batch.filters.stat_pruning != f.stat_pruning ||
-      batch.filters.geometric != f.geometric ||
-      batch.filters.cover_rules != f.cover_rules) {
-    return false;
-  }
+  if (batch.filters != spec.options.filters) return false;
   // Members whose query MBR could not be resolved (dead id) run alone.
   if (!have_mbr || !batch.bound.valid()) return false;
   if (options_.batch_mbr_slack > 0) {

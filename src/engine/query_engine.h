@@ -25,11 +25,9 @@
 // (kError with an "out of memory" message; the pool survives).
 //
 // Determinism: NncSearch::Run is deterministic in its inputs and workers
-// share only immutable dataset state (the lazy local R-trees build under
-// a per-object mutex and come out identical regardless of the winning
-// thread),
-// so a batch executed on N threads returns candidate sets bit-identical to
-// serial execution — only timing fields differ.
+// share only immutable dataset state, so a batch executed on N threads
+// returns candidate sets bit-identical to serial execution — only timing
+// fields differ.
 //
 // Thread-safety: Submit / SubmitBatch / Drain / Snapshot may be called
 // from any thread. Destruction drains outstanding queries first.

@@ -9,8 +9,7 @@
 //
 // The tree exposes its node structure publicly (nodes() / root()) because
 // its users traverse it with their own bounds (the NNC search's best-first
-// frontier, S-SD's level-by-level CDF envelopes), which cannot be
-// expressed as a fixed query API.
+// frontier), which cannot be expressed as a fixed query API.
 
 #ifndef OSD_INDEX_RTREE_H_
 #define OSD_INDEX_RTREE_H_

@@ -27,27 +27,6 @@ bool AsInteger(const JsonValue& v, long min, long max, long* out) {
   return true;
 }
 
-bool ParseOperatorName(const std::string& s, Operator* op) {
-  if (s == "ssd") *op = Operator::kSSd;
-  else if (s == "sssd") *op = Operator::kSsSd;
-  else if (s == "psd") *op = Operator::kPSd;
-  else if (s == "fsd") *op = Operator::kFSd;
-  else if (s == "f+sd") *op = Operator::kFPlusSd;
-  else return false;
-  return true;
-}
-
-bool ParseFilterName(const std::string& s, FilterConfig* config) {
-  if (s == "all") *config = FilterConfig::All();
-  else if (s == "bf") *config = FilterConfig::BruteForce();
-  else if (s == "l") *config = FilterConfig::L();
-  else if (s == "lp") *config = FilterConfig::LP();
-  else if (s == "lg") *config = FilterConfig::LG();
-  else if (s == "lgp") *config = FilterConfig::LGP();
-  else return false;
-  return true;
-}
-
 /// Rejects unknown keys: a typo'd field must fail loudly, not silently
 /// run with defaults (same stance as the failpoint spec parser).
 bool CheckKnownKeys(const JsonValue& msg,
@@ -256,7 +235,7 @@ bool ParseSubmit(const JsonValue& msg, SubmitRequest* out,
     if (!filters->is_string() ||
         !ParseFilterName(filters->AsString(), &out->options.filters)) {
       return Fail(error,
-                  "submit.filters must be one of all|bf|l|lp|lg|lgp");
+                  "submit.filters must be one of all|bf|p|g|gp|l|lp|lg|lgp");
     }
   }
   out->deadline_seconds = 0.0;

@@ -8,8 +8,9 @@
 //
 // Instances are stored as a flat coordinate array (m x d doubles) so large
 // datasets stay compact; the per-object local R-tree (fan-out 4 in the
-// paper's experiments) is built on demand because the NNC search touches
-// only a small fraction of objects at instance granularity. Construction
+// paper's experiments) is built on demand. No dominance check reads it
+// since no operator has a level-by-level stage; osdbench's set-up still
+// builds every tree. Construction
 // additionally lays the coordinates out as a padded column-major (SoA)
 // block so the batched distance kernels (geom/kernels.h) stream them with
 // unit-stride vector loads.

@@ -51,7 +51,7 @@ enum class SpanKind : int {
   kDominanceCheck,   ///< one DominanceOracle::Dominates call (any operator)
   kStatFilter,       ///< statistic-based pruning (Theorem 11)
   kCoverFilter,      ///< cover rules: MBR validation / covering operators
-  kLevelFilter,      ///< level-by-level refinement (S-SD's CDF envelopes)
+  kLevelFilter,      ///< level-by-level refinement (no operator has one)
   kGeometricFilter,  ///< convex-hull reduction of the query
   kExactCheck,       ///< exact merge-scan / exact flow fallback
   kFlowRun,          ///< one max-flow Compute call

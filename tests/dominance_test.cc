@@ -138,9 +138,9 @@ TEST_P(DominanceAgreement, MatchesBruteForce) {
   const auto [dim, seed] = GetParam();
   Rng rng(seed * 977 + dim);
   const ConfigCase configs[] = {
-      {"All", FilterConfig::All()},   {"BF", FilterConfig::BruteForce()},
-      {"L", FilterConfig::L()},       {"LP", FilterConfig::LP()},
-      {"LG", FilterConfig::LG()},     {"LGP", FilterConfig::LGP()},
+      {"All", FilterConfig::All()}, {"BF", FilterConfig::BruteForce()},
+      {"P", FilterConfig::P()},     {"G", FilterConfig::G()},
+      {"GP", FilterConfig::GP()},
   };
   int dominances_seen = 0;
   for (int trial = 0; trial < 60; ++trial) {
@@ -491,15 +491,14 @@ TEST(StatisticConditions, Theorem11) {
   }
 }
 
-// Regression for the StepLeq merge in cdf_envelope.cc: the envelope sweep
-// merged jump points with an exact `==` comparison, but the hull-only node
-// upper bounds can sit an ulp below a non-hull instance's exact distance in
-// degenerate symmetric geometry, so near-identical jump values must be
-// grouped within the codebase's 1e-9 distance tolerance before comparing
-// masses. The fuzz builds symmetric configurations perturbed at the last
-// few ulps (±~1e-15 on unit-scale coordinates) — exactly the regime where
-// exact-equality merging and tolerance-grouped merging diverge — and
-// demands full-filter agreement with definition-level brute force.
+// Symmetric configurations perturbed at the last few ulps (±~1e-15 on
+// unit-scale coordinates): the mirrored objects' distance multisets
+// collide up to rounding, and the filters' comparisons fall within
+// the codebase's 1e-9 distance tolerance — the statistic gates, cover
+// validation, the hull-only per-q tests under G, and the U_Q != V_Q check,
+// whose ApproxEqual groups atoms within that tolerance. An exact `==` or
+// `<` in any of them would decide a pair that brute force sees as tied, so
+// every preset must agree with definition-level brute force.
 TEST(NearTies, PerturbedSymmetricConfigsAgreeWithBruteForce) {
   Rng rng(777);
   auto jiggle = [&](double x) {
@@ -532,8 +531,8 @@ TEST(NearTies, PerturbedSymmetricConfigsAgreeWithBruteForce) {
         }
       }();
       for (FilterConfig cfg :
-           {FilterConfig::All(), FilterConfig::L(), FilterConfig::LG(),
-            FilterConfig::LGP(), FilterConfig::BruteForce()}) {
+           {FilterConfig::All(), FilterConfig::G(), FilterConfig::GP(),
+            FilterConfig::BruteForce()}) {
         EXPECT_EQ(Check(op, u, v, q, cfg), expected)
             << OperatorName(op) << " trial " << trial;
       }

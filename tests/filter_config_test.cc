@@ -21,31 +21,26 @@ TEST(FilterConfigTest, OperatorNames) {
 
 TEST(FilterConfigTest, PresetsMatchTheAblationGrid) {
   const FilterConfig bf = FilterConfig::BruteForce();
-  EXPECT_FALSE(bf.level_by_level);
   EXPECT_FALSE(bf.stat_pruning);
   EXPECT_FALSE(bf.geometric);
   EXPECT_FALSE(bf.cover_rules);
 
-  const FilterConfig l = FilterConfig::L();
-  EXPECT_TRUE(l.level_by_level);
-  EXPECT_FALSE(l.stat_pruning);
+  const FilterConfig p = FilterConfig::P();
+  EXPECT_TRUE(p.stat_pruning);
+  EXPECT_FALSE(p.geometric);
+  EXPECT_FALSE(p.cover_rules);
 
-  const FilterConfig lp = FilterConfig::LP();
-  EXPECT_TRUE(lp.level_by_level);
-  EXPECT_TRUE(lp.stat_pruning);
-  EXPECT_FALSE(lp.geometric);
+  const FilterConfig g = FilterConfig::G();
+  EXPECT_FALSE(g.stat_pruning);
+  EXPECT_TRUE(g.geometric);
+  EXPECT_FALSE(g.cover_rules);
 
-  const FilterConfig lg = FilterConfig::LG();
-  EXPECT_TRUE(lg.geometric);
-  EXPECT_FALSE(lg.stat_pruning);
-
-  const FilterConfig lgp = FilterConfig::LGP();
-  EXPECT_TRUE(lgp.level_by_level && lgp.stat_pruning && lgp.geometric);
-  EXPECT_FALSE(lgp.cover_rules);
+  const FilterConfig gp = FilterConfig::GP();
+  EXPECT_TRUE(gp.stat_pruning && gp.geometric);
+  EXPECT_FALSE(gp.cover_rules);
 
   const FilterConfig all = FilterConfig::All();
-  EXPECT_TRUE(all.level_by_level && all.stat_pruning && all.geometric &&
-              all.cover_rules);
+  EXPECT_TRUE(all.stat_pruning && all.geometric && all.cover_rules);
 }
 
 TEST(FilterStatsTest, AccumulationAndComparisonCurrency) {

@@ -244,6 +244,37 @@ TEST(ProtocolTest, SubmitByObjectIdRoundTrips) {
   EXPECT_TRUE(req.stream);
 }
 
+TEST(ProtocolTest, SubmitParsesEveryFilterPresetAndAlias) {
+  // The Fig. 16 names with an L keep parsing, as the presets they equal
+  // now that no operator has a level-by-level stage.
+  auto parse = [](const char* name, SubmitRequest* req, std::string* error) {
+    SubmitParams params;
+    params.object_id = 1;
+    params.filters = name;
+    return ParseSubmit(MustParse(BuildSubmitMessage(params)), req, error);
+  };
+  const struct {
+    const char* name;
+    FilterConfig expected;
+  } kCases[] = {
+      {"all", FilterConfig::All()}, {"bf", FilterConfig::BruteForce()},
+      {"p", FilterConfig::P()},     {"g", FilterConfig::G()},
+      {"gp", FilterConfig::GP()},   {"l", FilterConfig::BruteForce()},
+      {"lp", FilterConfig::P()},    {"lg", FilterConfig::G()},
+      {"lgp", FilterConfig::GP()},
+  };
+  for (const auto& c : kCases) {
+    SubmitRequest req;
+    std::string error;
+    ASSERT_TRUE(parse(c.name, &req, &error)) << c.name << ": " << error;
+    EXPECT_EQ(req.options.filters, c.expected) << c.name;
+  }
+  SubmitRequest req;
+  std::string error;
+  EXPECT_FALSE(parse("lgpx", &req, &error));
+  EXPECT_EQ(error, "submit.filters must be one of all|bf|p|g|gp|l|lp|lg|lgp");
+}
+
 TEST(ProtocolTest, ObjectIdsWiderThanIntAreRejectedNotTruncated) {
   // Regression (review): ids land in int fields; 2^32 used to truncate to
   // 0 and silently address a different object. The bound is INT_MAX.

@@ -70,7 +70,7 @@ TEST_P(NncAgreement, MatchesBruteForceAcrossOperatorsAndConfigs) {
     for (const auto& c : cases) {
       for (const FilterConfig& cfg :
            {FilterConfig::All(), FilterConfig::BruteForce(),
-            FilterConfig::LGP()}) {
+            FilterConfig::GP()}) {
         NncOptions options;
         options.op = c.op;
         options.filters = cfg;
@@ -366,8 +366,8 @@ TEST(NncSearchTest, EmitsInExactMinDistanceOrder) {
 // no statistics yet and after the order from then on, then U_Q != V_Q.
 // Cover validation implies the order, so both sequences validate the same
 // pairs: mbr_validations counts them, exact_checks the pairs that pass the
-// order without validating, and dist_evals the statistics built. F-SD has
-// no level stage, so node_ops counts the traversal's entry pruning alone.
+// order without validating, and dist_evals the statistics built. node_ops
+// counts the traversal's entry pruning alone.
 // A moved counter means the meaning of a Fig. 12/16 statistic moved with
 // it.
 //
@@ -399,7 +399,6 @@ TEST(NncSearchTest, FSdCountersArePinned) {
   EXPECT_EQ(s.mbr_validations, 78);
   EXPECT_EQ(s.stat_prunes, 0);
   EXPECT_EQ(s.cover_prunes, 0);
-  EXPECT_EQ(s.level_decisions, 0);
   EXPECT_EQ(s.exact_checks, 10);
   EXPECT_EQ(s.dominance_checks, 119);
 }
@@ -420,8 +419,7 @@ TEST(NncSearchTest, PSdCountersArePinned) {
   // refutes, so every pair it decides (cover_prunes, its scan_steps)
   // would otherwise be an exact check; pair_tests and exact_checks count
   // the pairs left to the exact network, flow_runs the networks its
-  // certificates leave to Dinic. P-SD has no level stage, so
-  // level_decisions is 0 and node_ops counts the traversal's entry
+  // certificates leave to Dinic. node_ops counts the traversal's entry
   // pruning alone. The traversal tries members with fewer instances
   // first, and the cleanup shrinks to near-ties: the pairs reaching the
   // cascade are fewer and a different mix, so mbr_validations rose
@@ -442,15 +440,14 @@ TEST(NncSearchTest, PSdCountersArePinned) {
   EXPECT_EQ(s.mbr_validations, 50);
   EXPECT_EQ(s.stat_prunes, 67);
   EXPECT_EQ(s.cover_prunes, 8);
-  EXPECT_EQ(s.level_decisions, 0);
   EXPECT_EQ(s.exact_checks, 44);
   EXPECT_EQ(s.dominance_checks, 169);
 }
 
 TEST(NncSearchTest, SsSdCountersArePinned) {
   // Cascade: cover validation, stat gate, exact per-q scans. SS-SD has
-  // no node-level stage, so level_decisions and cover_prunes are 0 and
-  // node_ops counts the traversal's entry pruning alone; every pair the
+  // no Hall certificate, so cover_prunes is 0, and node_ops counts the
+  // traversal's entry pruning alone; every pair the
   // gates leave is an exact check, metered in scan_steps. The near-tie
   // cleanup skips pairs the old full cleanup gated or checked
   // (dominance_checks 187 -> 139, stat_prunes 82 -> 43, dist_evals
@@ -470,33 +467,31 @@ TEST(NncSearchTest, SsSdCountersArePinned) {
   EXPECT_EQ(s.mbr_validations, 59);
   EXPECT_EQ(s.stat_prunes, 43);
   EXPECT_EQ(s.cover_prunes, 0);
-  EXPECT_EQ(s.level_decisions, 0);
   EXPECT_EQ(s.exact_checks, 37);
   EXPECT_EQ(s.dominance_checks, 139);
 }
 
 TEST(NncSearchTest, SSdCountersArePinned) {
-  // Cascade: cover validation, stat gate, level-by-level envelope, exact
-  // merge-scan. S-SD is the only operator that keeps a CDF envelope. The
-  // near-tie cleanup skips pairs the old full cleanup gated or checked
-  // (dominance_checks 138 -> 107, node_ops 7091 -> 4620, dist_evals
-  // 11794 -> 6902).
+  // Cascade: cover validation, stat gate, exact merge-scan, the same as
+  // SS-SD's. node_ops counts the traversal's entry pruning alone, and the
+  // 19 pairs the deleted CDF envelope decided are exact checks now
+  // (exact_checks 26 -> 45, scan_steps 3937 -> 7951, node_ops 4620 -> 3;
+  // dist_evals 6902 -> 6708, the envelope's leaf distances gone).
   const NncResult r = PinnedRun(Operator::kSSd, 10.0);
   EXPECT_EQ(r.candidates, (std::vector<int>{50, 145, 61, 220, 133}));
   EXPECT_EQ(r.termination, NncTermination::kComplete);
   EXPECT_EQ(r.objects_examined, 102);
   EXPECT_EQ(r.entries_pruned, 3);
   const FilterStats& s = r.stats;
-  EXPECT_EQ(s.dist_evals, 6902);
-  EXPECT_EQ(s.scan_steps, 3937);
+  EXPECT_EQ(s.dist_evals, 6708);
+  EXPECT_EQ(s.scan_steps, 7951);
   EXPECT_EQ(s.pair_tests, 0);
-  EXPECT_EQ(s.node_ops, 4620);
+  EXPECT_EQ(s.node_ops, 3);
   EXPECT_EQ(s.flow_runs, 0);
   EXPECT_EQ(s.mbr_validations, 59);
   EXPECT_EQ(s.stat_prunes, 3);
   EXPECT_EQ(s.cover_prunes, 0);
-  EXPECT_EQ(s.level_decisions, 19);
-  EXPECT_EQ(s.exact_checks, 26);
+  EXPECT_EQ(s.exact_checks, 45);
   EXPECT_EQ(s.dominance_checks, 107);
 }
 

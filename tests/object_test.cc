@@ -1,12 +1,11 @@
 // Tests for the object model: probability normalization, MBRs, lazy local
-// R-trees, dataset construction and the envelope machinery's inputs.
+// R-trees, dataset construction and the per-query profile views.
 
 #include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/cdf_envelope.h"
 #include "core/object_profile.h"
 #include "core/query_context.h"
 #include "object/dataset.h"
@@ -190,43 +189,6 @@ TEST(ObjectProfileTest, MeanAfterExtremesKeepsEarlierSpans) {
   EXPECT_EQ(std::vector<double>(warm.MeanQs().begin(), warm.MeanQs().end()),
             mean_q);
   EXPECT_EQ(warm_stats.dist_evals, pass);
-}
-
-TEST(CdfEnvelopeTest, DecidesClearCasesAtNodeLevel) {
-  // U far inside, V far outside: the envelope should decide without ever
-  // touching instance distances.
-  Rng rng(9);
-  std::vector<double> uc, vc;
-  for (int i = 0; i < 16; ++i) {
-    uc.push_back(rng.Uniform(0.0, 1.0));
-    uc.push_back(rng.Uniform(0.0, 1.0));
-    vc.push_back(rng.Uniform(50.0, 51.0));
-    vc.push_back(rng.Uniform(50.0, 51.0));
-  }
-  const auto u = UncertainObject::Uniform(0, 2, uc);
-  const auto v = UncertainObject::Uniform(1, 2, vc);
-  const auto q = UncertainObject::Uniform(-1, 2, {0.5, 0.5, 1.5, 1.5});
-  const QueryContext ctx(q);
-  FilterStats stats;
-  EXPECT_EQ(EnvelopeSSd(u, v, ctx, true, &stats),
-            EnvelopeDecision::kDominates);
-  EXPECT_EQ(EnvelopeSSd(v, u, ctx, true, &stats),
-            EnvelopeDecision::kNotDominates);
-}
-
-TEST(CdfEnvelopeTest, NeverContradictsBruteForce) {
-  Rng rng(19);
-  for (int trial = 0; trial < 150; ++trial) {
-    const auto q = test::RandomObject(-1, 2, 3, 10.0, 3.0, rng);
-    const auto u = test::RandomObject(0, 2, 4, 10.0, 4.0, rng);
-    const auto v = test::RandomObject(1, 2, 4, 10.0, 4.0, rng);
-    const QueryContext ctx(q);
-    const bool brute_s = test::BruteSSd(u, v, q);
-    const auto d_s = EnvelopeSSd(u, v, ctx, true, nullptr);
-    if (d_s != EnvelopeDecision::kUndecided) {
-      EXPECT_EQ(d_s == EnvelopeDecision::kDominates, brute_s) << trial;
-    }
-  }
 }
 
 }  // namespace

@@ -68,7 +68,6 @@ void ExpectSameStats(const FilterStats& a, const FilterStats& b) {
   EXPECT_EQ(a.mbr_validations, b.mbr_validations);
   EXPECT_EQ(a.stat_prunes, b.stat_prunes);
   EXPECT_EQ(a.cover_prunes, b.cover_prunes);
-  EXPECT_EQ(a.level_decisions, b.level_decisions);
   EXPECT_EQ(a.exact_checks, b.exact_checks);
   EXPECT_EQ(a.dominance_checks, b.dominance_checks);
 }

@@ -41,7 +41,7 @@ TEST_P(AgreementSweep, AllOperatorsAllConfigs) {
           (p.weighted ? 3 : 0));
   const FilterConfig configs[] = {FilterConfig::All(),
                                   FilterConfig::BruteForce(),
-                                  FilterConfig::LP(), FilterConfig::LG()};
+                                  FilterConfig::P(), FilterConfig::G()};
   int positives = 0;
   for (int trial = 0; trial < 25; ++trial) {
     const int mq = 1 + static_cast<int>(rng.UniformInt(0, 3));

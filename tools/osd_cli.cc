@@ -4,7 +4,7 @@
 //   osd_cli --input data.txt [--weighted] [--binary]
 //           (--query-id N | --query-file q.txt)
 //           [--op ssd|sssd|psd|fsd|f+sd] [--k K] [--metric l2|l1]
-//           [--filters all|bf|l|lp|lg|lgp] [--progressive] [--rank-by f]
+//           [--filters all|bf|p|g|gp] [--progressive] [--rank-by f]
 //           [--deadline S] [--accept-degraded] [--mem-budget B]
 //           [--failpoints SPEC] [--trace]
 //
@@ -198,27 +198,6 @@ long ParseByteSize(const std::string& s, const char* flag) {
   return static_cast<long>(bytes);
 }
 
-bool ParseOperator(const std::string& s, Operator* op) {
-  if (s == "ssd") *op = Operator::kSSd;
-  else if (s == "sssd") *op = Operator::kSsSd;
-  else if (s == "psd") *op = Operator::kPSd;
-  else if (s == "fsd") *op = Operator::kFSd;
-  else if (s == "f+sd") *op = Operator::kFPlusSd;
-  else return false;
-  return true;
-}
-
-bool ParseFilters(const std::string& s, FilterConfig* config) {
-  if (s == "all") *config = FilterConfig::All();
-  else if (s == "bf") *config = FilterConfig::BruteForce();
-  else if (s == "l") *config = FilterConfig::L();
-  else if (s == "lp") *config = FilterConfig::LP();
-  else if (s == "lg") *config = FilterConfig::LG();
-  else if (s == "lgp") *config = FilterConfig::LGP();
-  else return false;
-  return true;
-}
-
 Args Parse(int argc, char** argv) {
   Args args;
   auto need_value = [&](int& i) -> std::string {
@@ -243,7 +222,7 @@ Args Parse(int argc, char** argv) {
     } else if (flag == "--binary") {
       args.binary = true;
     } else if (flag == "--op") {
-      if (!ParseOperator(need_value(i), &args.op)) Die("unknown --op");
+      if (!ParseOperatorName(need_value(i), &args.op)) Die("unknown --op");
     } else if (flag == "--k") {
       args.k = std::atoi(need_value(i).c_str());
       if (args.k < 1) Die("--k must be >= 1");
@@ -253,7 +232,7 @@ Args Parse(int argc, char** argv) {
       else if (m == "l1") args.metric = Metric::kL1;
       else Die("unknown --metric");
     } else if (flag == "--filters") {
-      if (!ParseFilters(need_value(i), &args.filters)) Die("unknown --filters");
+      if (!ParseFilterName(need_value(i), &args.filters)) Die("unknown --filters");
     } else if (flag == "--progressive") {
       args.progressive = true;
     } else if (flag == "--rank-by") {
@@ -440,7 +419,7 @@ QueryClientArgs ParseQueryClient(int argc, char** argv) {
     } else if (flag == "--op") {
       args.op = need_value(i);
       Operator op;
-      if (!ParseOperator(args.op, &op)) Die("unknown --op");
+      if (!ParseOperatorName(args.op, &op)) Die("unknown --op");
     } else if (flag == "--k") {
       args.k = std::atoi(need_value(i).c_str());
       if (args.k < 1) Die("--k must be >= 1");
@@ -450,7 +429,7 @@ QueryClientArgs ParseQueryClient(int argc, char** argv) {
     } else if (flag == "--filters") {
       args.filters = need_value(i);
       FilterConfig config;
-      if (!ParseFilters(args.filters, &config)) Die("unknown --filters");
+      if (!ParseFilterName(args.filters, &config)) Die("unknown --filters");
     } else if (flag == "--deadline-ms") {
       args.deadline_ms = std::atof(need_value(i).c_str());
       if (args.deadline_ms <= 0) Die("--deadline-ms must be > 0");
