@@ -100,18 +100,19 @@ QueryBudgetScope::QueryBudgetScope(long per_query_cap_bytes,
                                    MemoryBudget* engine_budget)
     : cap_(per_query_cap_bytes),
       engine_(engine_budget),
-      prev_(internal::CurrentScopeSlot()) {
-  internal::CurrentScopeSlot() = this;
+      prev_(CurrentExec().budget) {
+  CurrentExec().budget = this;
 }
 
 QueryBudgetScope::~QueryBudgetScope() {
-  internal::CurrentScopeSlot() = prev_;
+  CurrentExec().budget = prev_;
   if (engine_ != nullptr && reserved_ > 0) engine_->Release(reserved_);
 }
 
 void Charge(long bytes, const char* what_label) {
   if (bytes <= 0) return;
-  QueryBudgetScope* scope = internal::CurrentScopeSlot();
+  QueryExec& exec = CurrentExec();
+  QueryBudgetScope* scope = exec.budget;
   if (scope == nullptr) return;
   OSD_FAILPOINT("mem.charge");
   const long next = scope->charged_ + bytes;
@@ -138,13 +139,13 @@ void Charge(long bytes, const char* what_label) {
   scope->charged_ = next;
   if (next > scope->peak_) scope->peak_ = next;
 #if defined(OSD_TRACING_ENABLED)
-  if (obs::Trace* trace = obs::CurrentTrace()) trace->AddBytes(bytes);
+  if (exec.trace != nullptr) exec.trace->AddBytes(bytes);
 #endif
 }
 
 void Release(long bytes) {
   if (bytes <= 0) return;
-  QueryBudgetScope* scope = internal::CurrentScopeSlot();
+  QueryBudgetScope* scope = CurrentScope();
   if (scope == nullptr) return;
   scope->charged_ -= bytes;
   if (scope->charged_ < 0) scope->charged_ = 0;

@@ -7,10 +7,12 @@
 // counts) fails its own budget check instead of OOM-killing every
 // in-flight query. The design mirrors the tracing layer (obs/trace.h):
 //
-//  - A per-query QueryBudgetScope is installed into a thread-local slot
-//    (RAII) by whoever owns the query execution — the engine's worker
-//    around NncSearch::Run, the CLI, or a test. Charge()/Release() reach
-//    it through the slot so deep call sites need no plumbed pointer.
+//  - A per-query QueryBudgetScope installs itself (RAII) as the `budget`
+//    field of the thread's QueryExec record (common/query_exec.h), the
+//    same record that carries the query's control and trace. Whoever owns
+//    the query execution constructs it — the engine's worker around
+//    NncSearch::Run, the CLI, or a test. Charge()/Release() reach it
+//    through the record so deep call sites need no plumbed pointer.
 //  - With no scope installed (the default), Charge() is one thread-local
 //    load and a branch — the accounting layer costs nothing unless a
 //    budget was asked for (bench/mem_overhead measures both sides).
@@ -42,6 +44,7 @@
 #include <string>
 
 #include "common/failpoint.h"
+#include "common/query_exec.h"
 
 namespace osd {
 
@@ -114,9 +117,10 @@ class MemoryBudget {
 /// hot path free of shared-counter traffic.
 inline constexpr long kEngineReserveChunk = 1L << 20;
 
-/// One query's budget scope. Constructing installs it as the calling
-/// thread's current scope (stacking over any enclosing scope); destruction
-/// restores the previous scope and returns the engine reservation.
+/// One query's budget scope. Constructing installs it as the `budget`
+/// field of the calling thread's QueryExec record (stacking over any
+/// enclosing scope); destruction restores the previous scope and returns
+/// the engine reservation.
 /// per_query_cap_bytes <= 0 disables the per-query cap (the scope still
 /// tracks peak usage and still draws on the engine budget, if any).
 class QueryBudgetScope {
@@ -145,20 +149,9 @@ class QueryBudgetScope {
   long breaches_ = 0;
 };
 
-namespace internal {
-/// The thread's active scope slot; same function-local thread_local idiom
-/// as obs::internal::CurrentTraceSlot (cheap cross-TU TLS access).
-inline QueryBudgetScope*& CurrentScopeSlot() {
-  thread_local QueryBudgetScope* slot = nullptr;
-  return slot;
-}
-}  // namespace internal
-
-/// The calling thread's active scope, or null when memory accounting is
-/// off for this execution.
-inline QueryBudgetScope* CurrentScope() {
-  return internal::CurrentScopeSlot();
-}
+/// The calling thread's active scope (QueryExec::budget), or null when
+/// memory accounting is off for this execution.
+inline QueryBudgetScope* CurrentScope() { return CurrentExec().budget; }
 
 /// Charges `bytes` against the calling thread's scope, drawing on the
 /// engine budget as needed; throws MemoryExceeded on breach (nothing is

@@ -67,10 +67,7 @@ bool BatchDistContext::ReserveBytes(long bytes) {
 
 double BatchDistContext::Dist(MemoMap& memo, int32_t id, const Mbr& box) {
   auto it = memo.find(id);
-  if (it != memo.end()) {
-    ++memo_hits_;
-    return it->second[active_];
-  }
+  if (it != memo.end()) return it->second[active_];
   const size_t n = slot_mbrs_.size();
   if (!ReserveBytes(static_cast<long>(n * sizeof(double)) + kEntryOverhead)) {
     return MbrMinDist(box, slot_mbrs_[active_], metric_);
@@ -83,7 +80,6 @@ double BatchDistContext::Dist(MemoMap& memo, int32_t id, const Mbr& box) {
   for (const Mbr& mbr : slot_mbrs_) {
     lanes.push_back(MbrMinDist(box, mbr, metric_));
   }
-  ++memo_fills_;
   return lanes[active_];
 }
 

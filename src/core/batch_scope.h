@@ -23,9 +23,10 @@
 // released at destruction.
 //
 // Ownership/threading: a context belongs to one engine worker executing
-// one batch. It installs itself thread-locally (same RAII save/restore
-// idiom as obs::Trace); NncSearch::Run consults Current() for its
-// frontier keys. The members run sequentially on the worker with
+// one batch. It installs itself in its own thread-local slot, kept apart
+// from the per-query QueryExec record (common/query_exec.h) because it
+// spans a whole batch of queries; NncSearch::Run consults Current() for
+// its frontier keys. The members run sequentially on the worker with
 // SetActiveSlot() selecting whose lane the memo answers.
 
 #ifndef OSD_CORE_BATCH_SCOPE_H_
@@ -70,9 +71,6 @@ class BatchDistContext {
   /// Same, keyed by object index (leaf entries and delta seeds).
   double ObjectDist(int32_t object_index, const Mbr& box);
 
-  long memo_hits() const { return memo_hits_; }
-  long memo_fills() const { return memo_fills_; }
-
  private:
   using MemoMap = std::unordered_map<int32_t, std::vector<double>>;
 
@@ -90,8 +88,6 @@ class BatchDistContext {
   long charged_bytes_ = 0;
   long used_bytes_ = 0;
   bool memo_enabled_ = true;
-  long memo_hits_ = 0;
-  long memo_fills_ = 0;
   BatchDistContext* prev_;  // outer context restored at destruction
 };
 

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <queue>
 
 #include "common/check.h"
 #include "common/failpoint.h"
-#include "common/interrupt.h"
 #include "common/memory_budget.h"
 #include "core/batch_scope.h"
 #include "core/profile_cache.h"
@@ -69,16 +69,10 @@ NncResult NncSearch::Run(
   };
 
   NncResult result;
-  OSD_TRACE_INSTALL(options_.trace);
-  // Mirror the query's cancel flag and deadline into the thread-local
-  // interrupt scope so layers below core (max-flow runs) can poll them
-  // without a dependency on QueryControl. The throws land in the per-item
-  // containment handlers below.
-  interrupt::Scope interrupt_scope(
-      options_.control != nullptr ? &options_.control->cancel : nullptr,
-      options_.control != nullptr
-          ? options_.control->deadline
-          : std::chrono::steady_clock::time_point::max());
+  // Control and trace go into the thread's QueryExec record, where the
+  // pop site below, the max-flow loops and the span sites read them. Deep
+  // polls throw Interrupted into the per-item containment handlers below.
+  ScopedQueryExec exec(options_.control, options_.trace);
   QueryContext ctx(query, options_.metric);
   DominanceOracle oracle(ctx, options_.filters, &result.stats);
   // Snapshot mode reads through the pinned epoch: the base R-tree plus a
@@ -235,27 +229,16 @@ NncResult NncSearch::Run(
     }
   }
 
-  const QueryControl* control = options_.control;
-  long pops = 0;
   {
     OSD_TRACE_SPAN(obs::SpanKind::kTraversal);
     while (!heap.empty()) {
-      // Cooperative termination: cancel is one relaxed load per pop; the
-      // deadline costs a clock read every kDeadlineCheckStride pops (and on
-      // the very first pop, so a ~0 budget stops before any traversal work).
-      if (control != nullptr) {
-        if (control->cancel.load(std::memory_order_relaxed)) {
-          result.termination = NncTermination::kCancelled;
-          break;
-        }
-        if (control->has_deadline() &&
-            pops % QueryControl::kDeadlineCheckStride == 0 &&
-            std::chrono::steady_clock::now() >= control->deadline) {
-          result.termination = NncTermination::kDeadlineExceeded;
-          break;
-        }
+      // Cooperative termination: the same poll the max-flow loops use, so
+      // the first pop reads the clock and a ~0 budget stops before any
+      // traversal work.
+      if (const std::optional<interrupt::Kind> stop = interrupt::Pending()) {
+        result.termination = TerminationFor(*stop);
+        break;
       }
-      ++pops;
       OSD_FAILPOINT("nnc.pop");
 
       const HeapItem item = heap.top();
@@ -357,7 +340,7 @@ NncResult NncSearch::Run(
         emit(item.id, profile);
       } catch (const interrupt::Interrupted& e) {
         // Deep-poll termination (a max-flow loop saw the deadline/cancel
-        // mid-item). Same contract as the pop-site checks above: never an
+        // mid-item). Same contract as the pop-site poll above: never an
         // error, just an early stop — with the in-flight item returned to
         // the frontier so a degraded drain still certifies it.
         heap.push(item);

@@ -24,11 +24,10 @@
 #ifndef OSD_CORE_NNC_SEARCH_H_
 #define OSD_CORE_NNC_SEARCH_H_
 
-#include <atomic>
-#include <chrono>
 #include <functional>
 #include <vector>
 
+#include "common/query_exec.h"
 #include "core/dominance_oracle.h"
 #include "core/filter_config.h"
 #include "object/dataset.h"
@@ -36,29 +35,6 @@
 #include "obs/trace.h"
 
 namespace osd {
-
-/// Cooperative cancellation / deadline hook for one in-flight query.
-///
-/// The traversal loop of NncSearch::Run polls the hook at heap pops: the
-/// cancel flag on every pop (one relaxed atomic load) and the deadline
-/// every kDeadlineCheckStride pops (one steady_clock read). The owner (the
-/// query engine, or any caller) keeps the hook alive for the duration of
-/// the Run call; Cancel() may be called from any thread at any time.
-struct QueryControl {
-  /// Pops between steady_clock reads for the deadline check. The first pop
-  /// always checks, so an already-expired deadline terminates before any
-  /// traversal work.
-  static constexpr long kDeadlineCheckStride = 32;
-
-  std::atomic<bool> cancel{false};
-  /// Absolute steady_clock deadline; max() means none.
-  std::chrono::steady_clock::time_point deadline =
-      std::chrono::steady_clock::time_point::max();
-
-  bool has_deadline() const {
-    return deadline != std::chrono::steady_clock::time_point::max();
-  }
-};
 
 /// Why a Run call returned.
 enum class NncTermination {
@@ -86,13 +62,16 @@ struct NncOptions {
   /// dominators can never rank among the k nearest under any covered
   /// function, so the result contains every possible top-k member.
   int k = 1;
-  /// Optional cancellation/deadline hook (not owned; may outlive nothing —
-  /// the caller keeps it alive across Run). Null disables polling.
+  /// Optional cancellation/deadline hook (common/query_exec.h; not owned —
+  /// the caller keeps it alive across Run). Run installs it in the calling
+  /// thread's QueryExec record, and one poll (interrupt::Pending / Poll)
+  /// reads it at every heap pop and inside max-flow runs. Null disables
+  /// polling, also under an outer Run's control.
   const QueryControl* control = nullptr;
   /// Optional per-query trace (not owned; same lifetime contract as
-  /// `control`). Run installs it as the calling thread's current trace so
-  /// deep call sites (filter stages, flow runs, local-tree builds) record
-  /// spans into it; null — the default — disables recording for this query.
+  /// `control`). Run installs it in the same QueryExec record, so deep call
+  /// sites (filter stages, flow runs, local-tree builds) record spans into
+  /// it; null — the default — disables recording for this query.
   obs::Trace* trace = nullptr;
   /// Engine-managed cross-query artifact cache (core/profile_cache.h); not
   /// owned, may be null (the default — no sharing). When set, Run passes a

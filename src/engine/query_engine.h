@@ -92,7 +92,7 @@ struct EngineOptions {
   /// Hard stall watchdog: a background thread that fails any query still
   /// running past its hard wall-clock limit as kStalled — the last resort
   /// for code paths that never reach a cooperative poll point (the
-  /// cooperative layer is common/interrupt.h). A query with deadline
+  /// cooperative layer is common/query_exec.h). A query with deadline
   /// budget D is killed at deadline + max(D * watchdog_grace_fraction,
   /// watchdog_min_grace_ms); queries without a deadline use
   /// watchdog_no_deadline_ms when > 0, and are otherwise exempt. The

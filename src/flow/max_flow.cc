@@ -9,8 +9,8 @@
 
 #include "common/check.h"
 #include "common/failpoint.h"
-#include "common/interrupt.h"
 #include "common/memory_budget.h"
+#include "common/query_exec.h"
 #include "obs/trace.h"
 
 namespace osd {
@@ -165,7 +165,7 @@ int64_t MaxFlow::Compute(int source, int sink) {
   int64_t flow = 0;
   // A single Compute on a dense possible-world instance can outlive a
   // query deadline many times over, so every Dinic phase and every
-  // augmenting path is an interrupt point (common/interrupt.h). The
+  // augmenting path polls the running query (common/query_exec.h). The
   // network's budget charges are released by the destructor, so an
   // Interrupted thrown here unwinds with the accounting intact.
   while (Bfs(source, sink)) {

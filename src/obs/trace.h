@@ -3,10 +3,11 @@
 // A Trace is owned by one query execution (the engine keeps it on the
 // QueryTicket; library callers allocate their own) and is reached through
 // NncOptions::trace — the same per-query hook pattern as QueryControl.
-// NncSearch::Run installs the trace into a thread-local slot for the
-// duration of the call, so deep call sites (dominance filter stages,
-// max-flow runs, lazy local-tree builds) record spans without threading a
-// pointer through every signature.
+// NncSearch::Run installs the trace as the `trace` field of the thread's
+// QueryExec record (common/query_exec.h) for the duration of the call, so
+// deep call sites (dominance filter stages, max-flow runs, lazy local-tree
+// builds) record spans without threading a pointer through every
+// signature.
 //
 // Two gates, mirroring the failpoint pattern (common/failpoint.h):
 //  - Compile time: span sites are emitted only when the build is
@@ -25,8 +26,8 @@
 //
 // Thread-safety: a Trace may only be mutated by the thread that owns the
 // query execution; reading (ToJson, aggregates) is safe once the query
-// reached a terminal state. The thread-local installation is per-thread
-// by construction.
+// reached a terminal state. The QueryExec record is per-thread by
+// construction.
 
 #ifndef OSD_OBS_TRACE_H_
 #define OSD_OBS_TRACE_H_
@@ -36,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/query_exec.h"
 #include "core/filter_config.h"
 
 namespace osd {
@@ -137,34 +139,9 @@ class Trace {
   const char* termination_ = "";
 };
 
-namespace internal {
-/// The thread's active trace slot; null when the running query is not
-/// traced. A function-local thread_local (constant-initialized, trivially
-/// destructible) rather than a namespace-scope extern: cross-TU access
-/// then compiles to a direct TLS load instead of a thread-wrapper call,
-/// which is what keeps the disabled span sites cheap on the hot path.
-inline Trace*& CurrentTraceSlot() {
-  thread_local Trace* slot = nullptr;
-  return slot;
-}
-}  // namespace internal
-
-inline Trace* CurrentTrace() { return internal::CurrentTraceSlot(); }
-
-/// RAII installation of a trace (possibly null) as the thread's current
-/// trace; restores the previous value on destruction.
-class ScopedTraceInstall {
- public:
-  explicit ScopedTraceInstall(Trace* trace) : prev_(CurrentTrace()) {
-    internal::CurrentTraceSlot() = trace;
-  }
-  ~ScopedTraceInstall() { internal::CurrentTraceSlot() = prev_; }
-  ScopedTraceInstall(const ScopedTraceInstall&) = delete;
-  ScopedTraceInstall& operator=(const ScopedTraceInstall&) = delete;
-
- private:
-  Trace* prev_;
-};
+/// The running query's trace (QueryExec::trace), or null when the query
+/// is not traced or none is running.
+inline Trace* CurrentTrace() { return CurrentExec().trace; }
 
 /// RAII span on the thread's current trace; a no-op when none is active.
 class ScopedSpan {
@@ -185,21 +162,15 @@ class ScopedSpan {
 }  // namespace obs
 }  // namespace osd
 
-// Site macros. OSD_TRACE_SPAN(kind) opens a span for the rest of the
-// enclosing block; OSD_TRACE_INSTALL(trace) makes `trace` the thread's
-// current trace for the rest of the block. Both compile to nothing when
-// tracing is configured out.
+// OSD_TRACE_SPAN(kind) opens a span for the rest of the enclosing block;
+// it compiles to nothing when tracing is configured out.
 #if defined(OSD_TRACING_ENABLED)
 #define OSD_TRACE_CONCAT_INNER(a, b) a##b
 #define OSD_TRACE_CONCAT(a, b) OSD_TRACE_CONCAT_INNER(a, b)
 #define OSD_TRACE_SPAN(kind) \
   ::osd::obs::ScopedSpan OSD_TRACE_CONCAT(osd_trace_span_, __LINE__)(kind)
-#define OSD_TRACE_INSTALL(trace)                                        \
-  ::osd::obs::ScopedTraceInstall OSD_TRACE_CONCAT(osd_trace_install_, \
-                                                  __LINE__)(trace)
 #else
 #define OSD_TRACE_SPAN(kind) ((void)0)
-#define OSD_TRACE_INSTALL(trace) ((void)0)
 #endif
 
 #endif  // OSD_OBS_TRACE_H_

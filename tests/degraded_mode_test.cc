@@ -123,8 +123,8 @@ TEST(DegradedModeTest, MidTraversalCancellationYieldsSuperset) {
 TEST(DegradedModeTest, DeadlineWhileAnObjectIsParkedKeepsIt) {
   // The wide object is parked at its first pop and waits for the last
   // one. A deadline set at the first emission stops the traversal within
-  // kDeadlineCheckStride pops, long before that: the wide object is in the
-  // heap only as a parked item, and the drain must still certify it.
+  // interrupt::kDeadlineStride polls, long before that: the wide object is
+  // in the heap only as a parked item, and the drain must still certify it.
   Rng rng(17);
   const int wide = 120;
   const Dataset dataset(test::ParkingObjects(wide, rng));

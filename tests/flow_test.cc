@@ -4,14 +4,17 @@
 // brute force on small assignment problems.
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/query_exec.h"
 #include "common/rng.h"
 #include "flow/max_flow.h"
 #include "flow/min_cost_flow.h"
@@ -33,6 +36,47 @@ TEST(MaxFlowTest, TextbookNetwork) {
   flow.AddEdge(3, 5, 20);
   flow.AddEdge(4, 5, 4);
   EXPECT_EQ(flow.Compute(0, 5), 23);
+}
+
+// Compute polls the running query at every Dinic phase: a set cancel flag
+// or a passed deadline throws Interrupted with the matching kind before
+// the first augmenting path, and with no control installed the network
+// needs (and gets) its augmenting phases.
+TEST(MaxFlowTest, ComputePollsTheRunningQuery) {
+  auto compute = [] {
+    MaxFlow flow(4);
+    flow.AddEdge(0, 1, 3);
+    flow.AddEdge(0, 2, 2);
+    flow.AddEdge(1, 3, 2);
+    flow.AddEdge(2, 3, 2);
+    return flow.Compute(0, 3);
+  };
+  auto interrupted_as = [&](const QueryControl& control) {
+    ScopedQueryExec exec(&control, nullptr);
+    try {
+      compute();
+    } catch (const interrupt::Interrupted& e) {
+      return std::optional<interrupt::Kind>(e.kind());
+    }
+    return std::optional<interrupt::Kind>();
+  };
+
+  QueryControl cancelled;
+  cancelled.cancel.store(true);
+  EXPECT_EQ(interrupted_as(cancelled), interrupt::Kind::kCancelled);
+
+  QueryControl expired;
+  expired.deadline =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  EXPECT_EQ(interrupted_as(expired), interrupt::Kind::kDeadlineExceeded);
+
+  QueryControl running;
+  running.deadline =
+      std::chrono::steady_clock::now() + std::chrono::hours(1);
+  EXPECT_EQ(interrupted_as(running), std::nullopt);
+
+  ASSERT_EQ(CurrentExec().control, nullptr);
+  EXPECT_EQ(compute(), 4);
 }
 
 TEST(MaxFlowTest, DisconnectedSinkYieldsZero) {

@@ -2,7 +2,9 @@
 // containment, and observability of all of it.
 //
 // Layers covered, bottom up: MemoryBudget / QueryBudgetScope / ScopedCharge
-// accounting semantics; NncSearch breach behaviour (throw without the
+// accounting semantics; the restore rule of the thread's QueryExec record,
+// which holds the budget scope beside the query's control and trace;
+// NncSearch breach behaviour (throw without the
 // degraded flag, certified superset with it, for every operator);
 // QueryEngine integration (per-query caps, bad_alloc containment at the
 // worker boundary, high-water admission control, memory stats/metrics);
@@ -14,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +25,8 @@
 
 #include "common/failpoint.h"
 #include "common/memory_budget.h"
+#include "common/query_exec.h"
+#include "common/rng.h"
 #include "core/nnc_search.h"
 #include "core/object_profile.h"
 #include "core/query_context.h"
@@ -117,25 +122,6 @@ TEST_F(MemBudgetTest, WaitUntilBelowWakesOnRelease) {
   budget.Release(900);
   waiter.join();
   EXPECT_TRUE(woke.load());
-}
-
-TEST_F(MemBudgetTest, ScopeInstallsStacksAndRestores) {
-  EXPECT_EQ(memory::CurrentScope(), nullptr);
-  {
-    memory::QueryBudgetScope outer(1000, nullptr);
-    EXPECT_EQ(memory::CurrentScope(), &outer);
-    {
-      memory::QueryBudgetScope inner(500, nullptr);
-      EXPECT_EQ(memory::CurrentScope(), &inner);
-      memory::Charge(100, "test");
-      EXPECT_EQ(inner.charged_bytes(), 100);
-      EXPECT_EQ(outer.charged_bytes(), 0)
-          << "a charge lands on the innermost scope only";
-      memory::Release(100);
-    }
-    EXPECT_EQ(memory::CurrentScope(), &outer);
-  }
-  EXPECT_EQ(memory::CurrentScope(), nullptr);
 }
 
 TEST_F(MemBudgetTest, ChargeWithoutScopeIsANoOp) {
@@ -456,6 +442,125 @@ TEST_F(MemBudgetTest, TraceCarriesByteAttribution) {
   EXPECT_GT(trace.total_bytes(), 0);
 #endif
   EXPECT_EQ(result.mem_peak_bytes, scope.peak_bytes());
+}
+
+// --- The QueryExec record (common/query_exec.h) ---------------------------
+//
+// One thread-local record carries the running query's control, poll count,
+// trace and budget scope. Every installer restores what it replaced.
+
+void ExpectExec(const QueryControl* control, const obs::Trace* trace,
+                const memory::QueryBudgetScope* budget) {
+  EXPECT_EQ(CurrentExec().control, control);
+  EXPECT_EQ(obs::CurrentTrace(), trace);
+  EXPECT_EQ(memory::CurrentScope(), budget);
+}
+
+long FlowRunSpans(const obs::Trace& trace) {
+  return trace.aggregates()[static_cast<int>(obs::SpanKind::kFlowRun)].count;
+}
+
+TEST_F(MemBudgetTest, NestedInstallsStackAndRestore) {
+  ExpectExec(nullptr, nullptr, nullptr);
+  QueryControl outer_control;
+  outer_control.deadline =
+      std::chrono::steady_clock::now() + std::chrono::hours(1);
+  obs::Trace outer_trace;
+  obs::Trace inner_trace;
+  {
+    memory::QueryBudgetScope outer_scope(1000, nullptr);
+    ScopedQueryExec outer(&outer_control, &outer_trace);
+    ExpectExec(&outer_control, &outer_trace, &outer_scope);
+    EXPECT_EQ(interrupt::Pending(), std::nullopt);
+    EXPECT_EQ(interrupt::Pending(), std::nullopt);
+    EXPECT_EQ(CurrentExec().polls, 2);
+    {
+      memory::QueryBudgetScope inner_scope(500, nullptr);
+      ScopedQueryExec inner(nullptr, &inner_trace);
+      ExpectExec(nullptr, &inner_trace, &inner_scope);
+      EXPECT_EQ(CurrentExec().polls, 0);
+      obs::ScopedSpan span(obs::SpanKind::kFlowRun);
+      memory::Charge(100, "test");
+      EXPECT_EQ(inner_scope.charged_bytes(), 100);
+      EXPECT_EQ(outer_scope.charged_bytes(), 0)
+          << "a charge lands on the innermost scope only";
+      memory::Release(100);
+    }
+    ExpectExec(&outer_control, &outer_trace, &outer_scope);
+    EXPECT_EQ(CurrentExec().polls, 2);
+  }
+  ExpectExec(nullptr, nullptr, nullptr);
+  EXPECT_EQ(FlowRunSpans(inner_trace), 1);
+  EXPECT_EQ(FlowRunSpans(outer_trace), 0);
+}
+
+TEST_F(MemBudgetTest, RunRestoresTheCallersRecord) {
+  const Dataset dataset = SmallDataset();
+  const QueryWorkloadEntry entry = OneQuery(dataset);
+  QueryControl outer_control;
+  outer_control.deadline =
+      std::chrono::steady_clock::now() + std::chrono::hours(1);
+  obs::Trace outer_trace;
+  memory::QueryBudgetScope outer_scope(0, nullptr);
+  ScopedQueryExec outer(&outer_control, &outer_trace);
+  EXPECT_EQ(interrupt::Pending(), std::nullopt);
+  ASSERT_EQ(CurrentExec().polls, 1);
+
+  QueryControl control;
+  obs::Trace trace;
+  NncOptions options;
+  options.exclude_id = entry.seeded_from;
+  options.control = &control;
+  options.trace = &trace;
+  const NncResult result = NncSearch(dataset, options).Run(entry.query);
+  EXPECT_EQ(result.termination, NncTermination::kComplete);
+  ExpectExec(&outer_control, &outer_trace, &outer_scope);
+  EXPECT_EQ(CurrentExec().polls, 1);
+  {
+    memory::QueryBudgetScope tight(2048, nullptr);
+    EXPECT_THROW(NncSearch(dataset, options).Run(entry.query),
+                 MemoryExceeded);
+    ExpectExec(&outer_control, &outer_trace, &tight);
+    EXPECT_EQ(CurrentExec().polls, 1);
+  }
+  ExpectExec(&outer_control, &outer_trace, &outer_scope);
+  EXPECT_EQ(outer_trace.total_bytes(), 0)
+      << "the run's charges belong to its own trace";
+#if defined(OSD_TRACING_ENABLED)
+  EXPECT_GT(trace.total_bytes(), 0);
+#endif
+}
+
+TEST_F(MemBudgetTest, NullControlShadowsTheOuterControl) {
+  // P-SD on wide, overlapping objects runs Dinic, whose loops poll too.
+  Rng rng(2024);
+  std::vector<UncertainObject> objects;
+  for (int i = 0; i < 400; ++i) {
+    const int m = 4 + static_cast<int>(rng.UniformInt(0, 20));
+    objects.push_back(test::RandomObject(i, 2, m, 100.0, 10.0, rng));
+  }
+  const UncertainObject query = test::RandomObject(-1, 2, 6, 100.0, 8.0, rng);
+  const Dataset dataset(std::move(objects));
+  NncOptions options;
+  options.op = Operator::kPSd;
+  const NncResult plain = NncSearch(dataset, options).Run(query);
+  ASSERT_GT(plain.stats.flow_runs, 0);
+
+  QueryControl cancelled;
+  cancelled.cancel.store(true);
+  ScopedQueryExec outer(&cancelled, nullptr);
+  ASSERT_EQ(interrupt::Pending(), interrupt::Kind::kCancelled);
+  // A run without a control of its own is not stopped by the caller's,
+  // neither at a heap pop nor inside a flow run.
+  const NncResult inner = NncSearch(dataset, options).Run(query);
+  EXPECT_EQ(inner.termination, NncTermination::kComplete);
+  EXPECT_EQ(inner.candidates, plain.candidates);
+  EXPECT_EQ(inner.stats.flow_runs, plain.stats.flow_runs);
+  EXPECT_EQ(interrupt::Pending(), interrupt::Kind::kCancelled);
+
+  options.control = &cancelled;
+  EXPECT_EQ(NncSearch(dataset, options).Run(query).termination,
+            NncTermination::kCancelled);
 }
 
 // --- Engine integration --------------------------------------------------

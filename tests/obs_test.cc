@@ -107,27 +107,6 @@ TEST(TraceTest, ToJsonCarriesSummaryAndAggregates) {
   EXPECT_EQ(json.find("\"flow_run\":"), std::string::npos);
 }
 
-TEST(TraceTest, ScopedInstallRestoresPreviousTrace) {
-  EXPECT_EQ(obs::CurrentTrace(), nullptr);
-  obs::Trace outer;
-  obs::Trace inner;
-  {
-    obs::ScopedTraceInstall install_outer(&outer);
-    EXPECT_EQ(obs::CurrentTrace(), &outer);
-    {
-      obs::ScopedTraceInstall install_inner(&inner);
-      EXPECT_EQ(obs::CurrentTrace(), &inner);
-      obs::ScopedSpan span(obs::SpanKind::kFlowRun);
-    }
-    EXPECT_EQ(obs::CurrentTrace(), &outer);
-  }
-  EXPECT_EQ(obs::CurrentTrace(), nullptr);
-  EXPECT_EQ(
-      inner.aggregates()[static_cast<int>(obs::SpanKind::kFlowRun)].count, 1);
-  EXPECT_EQ(
-      outer.aggregates()[static_cast<int>(obs::SpanKind::kFlowRun)].count, 0);
-}
-
 TEST(TraceTest, ScopedSpanIsNoOpWithoutInstalledTrace) {
   // Must not crash or record anywhere.
   obs::ScopedSpan span(obs::SpanKind::kTraversal);
