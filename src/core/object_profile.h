@@ -15,8 +15,7 @@
 // doubles under "profile.stats". MeanQs/MeanAll add the probability-
 // weighted mean: when nothing is built yet, one fused pass builds all
 // three (3·|Q| doubles, one distance pass); after the extremes, a mean
-// pass charges |Q| more and leaves the extremes' storage, and every span
-// taken from it, in place. Callers that will read the mean read it first
+// pass charges |Q| more. Callers that will read the mean read it first
 // (DominanceOracle::MinDistance) so they pay one distance pass.
 //
 // Every sorted view — the all-pairs order, the per-q rows and the rank
@@ -33,16 +32,20 @@
 // only ever answers statistic pruning never materializes — or charges the
 // memory budget for — the full matrix.
 //
-// Cross-query sharing: when constructed with a ProfileCacheBinding
-// (core/profile_cache.h) — a constructor argument, not a thread-local
-// session — the first Ensure* call looks the (object, query signature,
-// epoch) key up in the engine-wide cache. A hit adopts pinned
-// immutable views with zero rebuild — but charges the same bytes under the
-// same labels and advances the same FilterStats counters as a fresh build,
-// so results and instrumentation stay bit-identical to the uncached path.
-// A miss builds as before and the destructor publishes the freshly built
-// views (the mutable profile itself is never shared — only the finished,
-// immutable artifacts are).
+// Every cacheable view (matrix, extremes, mean, sorted all-pairs, sorted
+// per-q, distribution) is one immutable shared_ptr in a ProfileArtifacts
+// (core/profile_cache.h), so a view, once read, never moves: spans taken
+// from it stay valid for the profile's life.
+//
+// Cross-query sharing: when constructed with a ProfileCacheBinding — a
+// constructor argument, not a thread-local session — the first Ensure*
+// call looks the (object, query signature, epoch) key up in the
+// engine-wide cache. Each Ensure* charges the same bytes under the same
+// labels and advances the same FilterStats counters whether it then
+// shares the pinned entry's view or builds its own, so results and
+// instrumentation stay bit-identical to the uncached path. The destructor
+// publishes the profile's views when it built one the entry lacked (the
+// mutable profile itself is never shared — only the immutable views are).
 //
 // Rank view: Ranks(qi) memoizes, per query instance, the object's
 // distances to ctx.points()[qi] sorted ascending, and for r = 0..m the
@@ -124,14 +127,12 @@ class ObjectProfile {
 
   /// delta(q_i, u_j); materializes the full matrix on first call.
   double Dist(int qi, int ui) {
-    EnsureMatrix();
-    return matrix_data_[static_cast<size_t>(qi) * num_instances() + ui];
+    return MatrixData()[static_cast<size_t>(qi) * num_instances() + ui];
   }
 
   /// Row of distances from query instance qi to all object instances.
   std::span<const double> Row(int qi) {
-    EnsureMatrix();
-    return {matrix_data_ + static_cast<size_t>(qi) * num_instances(),
+    return {MatrixData() + static_cast<size_t>(qi) * num_instances(),
             static_cast<size_t>(num_instances())};
   }
 
@@ -139,82 +140,50 @@ class ObjectProfile {
   /// qi starts at MatrixData() + qi * num_instances(). Lets checker inner
   /// loops hoist the lazy-init branch out of per-element Dist() calls.
   const double* MatrixData() {
-    EnsureMatrix();
-    return matrix_data_;
+    if (views_.matrix == nullptr) EnsureMatrix();
+    return views_.matrix->data();
   }
 
   // Overall statistics of U_Q (Theorem 11 pruning).
-  double MinAll() {
-    EnsureExtremes();
-    return min_all_;
-  }
-  double MeanAll() {
-    EnsureMean();
-    return mean_all_;
-  }
-  double MaxAll() {
-    EnsureExtremes();
-    return max_all_;
-  }
+  double MinAll() { return Extremes().min_all; }
+  double MeanAll() { return Mean().mean_all; }
+  double MaxAll() { return Extremes().max_all; }
 
   // Per-query-instance statistics of U_q.
-  double MinQ(int qi) {
-    EnsureExtremes();
-    return min_q_view_[qi];
-  }
-  double MeanQ(int qi) {
-    EnsureMean();
-    return mean_q_view_[qi];
-  }
-  double MaxQ(int qi) {
-    EnsureExtremes();
-    return max_q_view_[qi];
-  }
+  double MinQ(int qi) { return Extremes().min_q[qi]; }
+  double MeanQ(int qi) { return Mean().mean_q[qi]; }
+  double MaxQ(int qi) { return Extremes().max_q[qi]; }
 
   // Whole per-q statistic vectors, indexed by qi (one lazy-init branch for
   // a loop over many query instances).
-  std::span<const double> MinQs() {
-    EnsureExtremes();
-    return min_q_view_;
-  }
-  std::span<const double> MeanQs() {
-    EnsureMean();
-    return mean_q_view_;
-  }
-  std::span<const double> MaxQs() {
-    EnsureExtremes();
-    return max_q_view_;
-  }
+  std::span<const double> MinQs() { return Extremes().min_q; }
+  std::span<const double> MeanQs() { return Mean().mean_q; }
+  std::span<const double> MaxQs() { return Extremes().max_q; }
 
   /// Whether this profile's own calls have built the extremes above (with
   /// or without the mean), or adopted them from the cache, so reading them
   /// costs nothing more. A cache entry counts only from its first use, so
   /// the answer is the same with the cache on or off.
-  bool has_stats() const { return have_extremes_; }
+  bool has_stats() const { return views_.extremes != nullptr; }
 
   /// Sorted all-pairs distances (values ascending, parallel probabilities).
-  std::span<const double> SortedValues() {
-    EnsureSortedAll();
-    return sorted_values_view_;
-  }
-  std::span<const double> SortedProbs() {
-    EnsureSortedAll();
-    return sorted_probs_view_;
-  }
+  std::span<const double> SortedValues() { return SortedAll().values; }
+  std::span<const double> SortedProbs() { return SortedAll().probs; }
 
   /// Sorted distances from query instance qi (parallel probabilities).
   std::span<const double> SortedQValues(int qi) {
-    EnsureSortedPerQ();
-    return (*sorted_q_values_view_)[qi];
+    return SortedPerQ().values[qi];
   }
   std::span<const double> SortedQProbs(int qi) {
-    EnsureSortedPerQ();
-    return (*sorted_q_probs_view_)[qi];
+    return SortedPerQ().probs[qi];
   }
 
   /// The all-pairs distance distribution U_Q as a merged distribution
   /// (used for the U_Q != V_Q side condition and by the public API).
-  const DiscreteDistribution& Distribution();
+  const DiscreteDistribution& Distribution() {
+    if (views_.distribution == nullptr) EnsureDistribution();
+    return *views_.distribution;
+  }
 
   /// Rank view at query instance qi, built from the matrix on first use.
   RankView Ranks(int qi) {
@@ -227,15 +196,40 @@ class ObjectProfile {
   std::span<const int64_t> ScaledProbs();
 
  private:
+  const ProfileExtremesView& Extremes() {
+    if (views_.extremes == nullptr) EnsureExtremes();
+    return *views_.extremes;
+  }
+  const ProfileMeanView& Mean() {
+    if (views_.mean == nullptr) EnsureMean();
+    return *views_.mean;
+  }
+  const ProfileSortedAllView& SortedAll() {
+    if (views_.sorted_all == nullptr) EnsureSortedAll();
+    return *views_.sorted_all;
+  }
+  const ProfileSortedPerQView& SortedPerQ() {
+    if (views_.sorted_per_q == nullptr) EnsureSortedPerQ();
+    return *views_.sorted_per_q;
+  }
+
+  // Each Ensure* fills one absent view: it charges and counts the view,
+  // then takes it from the pinned cache entry when the entry holds it and
+  // builds it otherwise.
   void EnsureMatrix();
   void EnsureExtremes();
   void EnsureMean();
-  /// Points the extremes' views at a pinned cache entry's.
-  void AdoptExtremes(const ProfileExtremesView& extremes);
-  /// Takes freshly built per-q extremes as the profile's own.
-  void KeepExtremes(std::vector<double> min_q, std::vector<double> max_q);
   void EnsureSortedAll();
   void EnsureSortedPerQ();
+  void EnsureDistribution();
+  /// Points `view` at the pinned entry's copy of it; false when there is
+  /// no entry or the entry lacks that view.
+  template <typename T>
+  bool Adopt(std::shared_ptr<const T> ProfileArtifacts::*view) {
+    if (cached_ == nullptr || (*cached_).*view == nullptr) return false;
+    views_.*view = (*cached_).*view;
+    return true;
+  }
   /// Builds one rank-view entry (allocating and charging the |Q|-long
   /// entry table on the first call).
   void FillRanks(int qi);
@@ -245,9 +239,9 @@ class ObjectProfile {
   /// cache's hit/miss counts reflect profiles that actually materialize
   /// views.
   void MaybeLookupCache();
-  /// Publishes freshly built views to the cache (best-effort, from the
-  /// destructor). Views adopted from an existing entry are carried over so
-  /// the published entry is a superset of what was found.
+  /// Publishes the profile's views (best-effort, from the destructor) when
+  /// it holds one the pinned entry lacks. The entry's other views join
+  /// them, so the published set supersedes the entry.
   void PublishToCache() noexcept;
 
   /// Charges `bytes` against the active budget scope (throws
@@ -260,36 +254,15 @@ class ObjectProfile {
   FilterStats* stats_;
   long charged_bytes_ = 0;  // lazy-view bytes owed back to the budget
 
-  // Cross-query cache state. `cached_` pins the hit entry (if any) so its
-  // views outlive every adopted span below; the built_* flags mark views
-  // constructed locally, i.e. the ones the destructor publishes.
+  // Cross-query cache state: `cached_` pins the hit entry (if any).
   const ProfileCacheBinding* cache_;
   std::shared_ptr<const ProfileArtifacts> cached_;
   bool cache_checked_ = false;
-  bool built_matrix_ = false, built_extremes_ = false, built_mean_ = false,
-       built_sorted_all_ = false, built_sorted_per_q_ = false,
-       built_distribution_ = false;
 
-  // Each lazy view is an (owned storage, borrowed view) pair: the view
-  // points either into the owned vectors (fresh build) or into the pinned
-  // cache entry (hit). Readers go through the views only.
-  bool have_matrix_ = false;
-  std::vector<double> matrix_;  // |Q| x m, row-major; empty until needed
-  const double* matrix_data_ = nullptr;
-  bool have_extremes_ = false, have_mean_ = false;
-  double min_all_ = 0.0, mean_all_ = 0.0, max_all_ = 0.0;
-  std::vector<double> min_q_, mean_q_, max_q_;
-  std::span<const double> min_q_view_, mean_q_view_, max_q_view_;
-  bool have_sorted_all_ = false;
-  std::vector<double> sorted_values_, sorted_probs_;
-  std::span<const double> sorted_values_view_, sorted_probs_view_;
-  bool have_sorted_per_q_ = false;
-  std::vector<std::vector<double>> sorted_q_values_, sorted_q_probs_;
-  const std::vector<std::vector<double>>* sorted_q_values_view_ = nullptr;
-  const std::vector<std::vector<double>>* sorted_q_probs_view_ = nullptr;
-  bool have_distribution_ = false;
-  DiscreteDistribution distribution_;
-  const DiscreteDistribution* distribution_view_ = nullptr;
+  // The cacheable views this profile has read, each built here or shared
+  // with the pinned entry; null until first read. Its epoch and bytes stay
+  // unset: PublishToCache sets them on the entry it makes from it.
+  ProfileArtifacts views_;
   // Rank-view memo, one entry per query instance (empty = not yet built),
   // and the scaled masses; never cached.
   struct RankEntry {

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/check.h"
 #include "common/memory_budget.h"
 #include "object/uncertain_object.h"
 #include "obs/metrics.h"
@@ -80,7 +81,9 @@ uint64_t ComputeQuerySignature(const UncertainObject& query, Metric metric) {
 }
 
 ProfileCache::ProfileCache(long cap_bytes, memory::MemoryBudget* engine_budget)
-    : cap_bytes_(cap_bytes), budget_(engine_budget) {}
+    : cap_bytes_(cap_bytes), budget_(engine_budget) {
+  OSD_CHECK(cap_bytes > 0);
+}
 
 ProfileCache::~ProfileCache() { Clear(); }
 
@@ -157,7 +160,8 @@ void ProfileCache::Publish(
     std::shared_ptr<const ProfileArtifacts> artifacts) noexcept {
   if (artifacts == nullptr || artifacts->bytes <= 0) return;
   const long bytes = artifacts->bytes;
-  if (cap_bytes_ > 0 && bytes > cap_bytes_ / kShards) return;  // never fits
+  const long shard_cap = cap_bytes_ / kShards;
+  if (bytes > shard_cap) return;  // never fits
   const Key key{object_id, signature};
   Shard& shard = ShardFor(key);
   try {
@@ -173,13 +177,11 @@ void ProfileCache::Publish(
     }
     // The cache-wide cap is enforced as a per-shard slice (cap / kShards),
     // the standard striped-LRU approximation: each shard evicts its own
-    // tail, so admission never takes more than one lock.
-    const long shard_cap = cap_bytes_ > 0 ? cap_bytes_ / kShards : 0;
-    while (shard_cap > 0 && shard.bytes + bytes > shard_cap &&
-           !shard.lru.empty()) {
+    // tail, so admission never takes more than one lock. The entry fits
+    // an empty shard, so this ends with room for it.
+    while (shard.bytes + bytes > shard_cap && !shard.lru.empty()) {
       EvictOneLocked(shard);
     }
-    if (shard_cap > 0 && shard.bytes + bytes > shard_cap) return;
     if (budget_ != nullptr) {
       // Charge-before-insert against the engine budget; evict our own LRU
       // tail to make room, and drop the publication if the budget still

@@ -85,10 +85,11 @@ struct ProfileSortedPerQView {
   std::vector<std::vector<double>> values, probs;
 };
 
-/// One cache entry: whichever views some query materialized for one
-/// (object, query signature) pair at one epoch. Immutable once published —
-/// readers hold shared_ptr pins, so eviction never invalidates a view a
-/// running query adopted.
+/// The views one (object, query signature) pair has materialized: an
+/// ObjectProfile's own view set while it runs, and a cache entry once
+/// published at `epoch`. Each view is immutable and shared — a profile
+/// holds the pinned entry's views by shared_ptr, so eviction never
+/// invalidates a view a running query reads.
 struct ProfileArtifacts {
   uint64_t epoch = 0;
   std::shared_ptr<const std::vector<double>> matrix;  // |Q| x m, row-major
@@ -97,12 +98,14 @@ struct ProfileArtifacts {
   std::shared_ptr<const ProfileSortedAllView> sorted_all;
   std::shared_ptr<const ProfileSortedPerQView> sorted_per_q;
   std::shared_ptr<const DiscreteDistribution> distribution;
-  long bytes = 0;  // logical bytes, mirrors ObjectProfile's view charges
+  long bytes = 0;  // ProfileArtifactsBytes, set on publication
 };
 
-/// Logical bytes of the views an artifact carries (the same sums the
-/// profile's ChargeView calls use, so cache accounting and per-query
-/// accounting agree on what a view costs).
+/// The resident size of the views an artifact carries: the doubles they
+/// hold. It differs from a profile's charges for the same views where
+/// those meter the build rather than the result (a fused statistics pass
+/// charges 3·|Q| doubles and keeps the mean's |Q|; the distribution is
+/// charged at its upper bound).
 long ProfileArtifactsBytes(const ProfileArtifacts& artifacts);
 
 /// FNV-1a hash over (metric, dim, |Q|, instance coordinates, instance
@@ -125,8 +128,8 @@ class ProfileCache {
     long bytes = 0;
   };
 
-  /// cap_bytes <= 0 still caches but bounds only via the engine budget;
-  /// `engine_budget` may be null (accounting then stays cache-internal).
+  /// `cap_bytes` must be positive; `engine_budget` may be null
+  /// (accounting then stays cache-internal).
   ProfileCache(long cap_bytes, memory::MemoryBudget* engine_budget);
   ~ProfileCache();
   ProfileCache(const ProfileCache&) = delete;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/memory_budget.h"
 #include "core/object_profile.h"
 #include "core/query_context.h"
 #include "object/dataset.h"
@@ -189,6 +190,137 @@ TEST(ObjectProfileTest, MeanAfterExtremesKeepsEarlierSpans) {
   EXPECT_EQ(std::vector<double>(warm.MeanQs().begin(), warm.MeanQs().end()),
             mean_q);
   EXPECT_EQ(warm_stats.dist_evals, pass);
+}
+
+// One row per cacheable view: `read` reads it through a profile and
+// returns its data(); `in` returns the data() of an entry's copy, or null
+// when the entry lacks the view.
+struct ViewCase {
+  const char* name;
+  const void* (*read)(ObjectProfile&);
+  const void* (*in)(const ProfileArtifacts&);
+};
+
+const ViewCase kViews[] = {
+    {"matrix", [](ObjectProfile& p) -> const void* { return p.MatrixData(); },
+     [](const ProfileArtifacts& a) -> const void* {
+       return a.matrix != nullptr ? a.matrix->data() : nullptr;
+     }},
+    {"extremes",
+     [](ObjectProfile& p) -> const void* { return p.MinQs().data(); },
+     [](const ProfileArtifacts& a) -> const void* {
+       return a.extremes != nullptr ? a.extremes->min_q.data() : nullptr;
+     }},
+    {"mean", [](ObjectProfile& p) -> const void* { return p.MeanQs().data(); },
+     [](const ProfileArtifacts& a) -> const void* {
+       return a.mean != nullptr ? a.mean->mean_q.data() : nullptr;
+     }},
+    {"sorted_all",
+     [](ObjectProfile& p) -> const void* { return p.SortedValues().data(); },
+     [](const ProfileArtifacts& a) -> const void* {
+       return a.sorted_all != nullptr ? a.sorted_all->values.data() : nullptr;
+     }},
+    {"sorted_per_q",
+     [](ObjectProfile& p) -> const void* { return p.SortedQValues(0).data(); },
+     [](const ProfileArtifacts& a) -> const void* {
+       return a.sorted_per_q != nullptr ? a.sorted_per_q->values[0].data()
+                                        : nullptr;
+     }},
+    {"distribution",
+     [](ObjectProfile& p) -> const void* { return &p.Distribution(); },
+     [](const ProfileArtifacts& a) -> const void* {
+       return a.distribution.get();
+     }},
+};
+
+// What a profile reads when it reads view `first`, then every view.
+struct Reading {
+  std::vector<std::vector<double>> values;
+  long dist_evals = 0;
+  long charged = 0;  // budget bytes the profile holds after its reads
+  long peak = 0;
+  const void* first = nullptr;  // view `first`'s data()
+};
+
+Reading ReadEveryView(const UncertainObject& u, const QueryContext& ctx,
+                      const ProfileCacheBinding* binding, int first) {
+  Reading r;
+  FilterStats stats;
+  memory::QueryBudgetScope scope(64L << 20, nullptr);
+  ObjectProfile p(u, ctx, &stats, binding);
+  r.first = kViews[first].read(p);
+  for (const ViewCase& view : kViews) view.read(p);
+  auto add = [&r](std::span<const double> values) {
+    r.values.emplace_back(values.begin(), values.end());
+  };
+  add(std::span<const double>(
+      p.MatrixData(),
+      static_cast<size_t>(ctx.num_instances()) * p.num_instances()));
+  add(p.MinQs());
+  add(p.MaxQs());
+  add(p.MeanQs());
+  r.values.push_back({p.MinAll(), p.MaxAll(), p.MeanAll()});
+  add(p.SortedValues());
+  add(p.SortedProbs());
+  for (int qi = 0; qi < ctx.num_instances(); ++qi) {
+    add(p.SortedQValues(qi));
+    add(p.SortedQProbs(qi));
+  }
+  r.values.emplace_back();
+  for (const DiscreteDistribution::Atom& atom : p.Distribution().atoms()) {
+    r.values.back().push_back(atom.value);
+    r.values.back().push_back(atom.prob);
+  }
+  r.dist_evals = stats.dist_evals;
+  r.charged = scope.charged_bytes();
+  r.peak = scope.peak_bytes();
+  return r;
+}
+
+// For each view: a cold profile reads only that view and publishes it; a
+// warm profile then reads every view. The warm profile must see the same
+// values, count the same dist_evals and charge the same bytes as a profile
+// without the cache, and share the entry's views rather than rebuild them
+// (their data() is the entry's); the entry it publishes holds every view.
+TEST(ObjectProfileTest, WarmProfileAdoptsEachCachedView) {
+  Rng rng(29);
+  const UncertainObject q = test::RandomObject(-1, 2, 5, 50.0, 10.0, rng);
+  const UncertainObject u = test::RandomObject(0, 2, 37, 50.0, 10.0, rng);
+  const QueryContext ctx(q);
+  const uint64_t signature = ComputeQuerySignature(q, ctx.metric());
+  for (int first = 0; first < static_cast<int>(std::size(kViews)); ++first) {
+    SCOPED_TRACE(kViews[first].name);
+    const Reading off = ReadEveryView(u, ctx, nullptr, first);
+
+    ProfileCache cache(1 << 20, nullptr);
+    const ProfileCacheBinding binding{&cache, signature, 0};
+    {
+      ObjectProfile cold(u, ctx, nullptr, &binding);
+      kViews[first].read(cold);
+    }
+    const auto entry = cache.Lookup(u.id(), signature, 0);
+    ASSERT_NE(entry, nullptr) << "the cold profile publishes";
+    ASSERT_NE(kViews[first].in(*entry), nullptr);
+
+    const Reading warm = ReadEveryView(u, ctx, &binding, first);
+    EXPECT_EQ(warm.values, off.values);
+    EXPECT_EQ(warm.dist_evals, off.dist_evals);
+    EXPECT_EQ(warm.charged, off.charged);
+    EXPECT_EQ(warm.peak, off.peak);
+    EXPECT_EQ(warm.first, kViews[first].in(*entry)) << "adopted, not rebuilt";
+
+    const auto published = cache.Lookup(u.id(), signature, 0);
+    ASSERT_NE(published, nullptr);
+    EXPECT_NE(published, entry) << "the warm profile built the other views";
+    for (const ViewCase& view : kViews) {
+      SCOPED_TRACE(view.name);
+      ASSERT_NE(view.in(*published), nullptr);
+      // A view the cold entry held is carried over, not rebuilt.
+      if (view.in(*entry) != nullptr) {
+        EXPECT_EQ(view.in(*published), view.in(*entry));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -359,9 +359,6 @@ TEST(SharedCacheBudgetTest, PeakChargeIsIdenticalWithCacheOffColdAndWarm) {
       memory::QueryBudgetScope scope(64L << 20, nullptr);
       return NncSearch(dataset, options).Run(entry.query).mem_peak_bytes;
     };
-    // First-use LocalTree builds charge whichever run comes first; run
-    // every query once so none of the compared runs pays for them.
-    for (const QueryWorkloadEntry& entry : workload) peak(entry, nullptr);
     // The cache key has no operator, so each operator starts cold.
     ProfileCache cache(64 << 20, nullptr);
     for (size_t i = 0; i < workload.size(); ++i) {
