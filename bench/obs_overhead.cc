@@ -1,5 +1,5 @@
 // Observability overhead: cost of the tracing span sites and the engine
-// metrics on the query hot path.
+// stats on the query hot path.
 //
 // Usage:
 //   obs_overhead [--objects N] [--queries Q] [--rounds R]
@@ -14,8 +14,9 @@
 // comparing it across an ON and an OFF build measures the cost of the
 // compiled-in-but-disabled span sites (target: <= 5%; compiled out the
 // sites are textually absent, so <= 1% is just run-to-run noise).
-// A third measurement drives the full QueryEngine with metrics recording
-// to show the engine-level accounting cost in context.
+// A third measurement drives the full QueryEngine, which records every
+// completion in its stats (counters and latency histogram), to show the
+// engine-level accounting cost in context.
 //
 // Modes alternate within each round so clock drift and cache warmup hit
 // both equally; local trees are pre-warmed before any timing.
@@ -131,7 +132,7 @@ int main(int argc, char** argv) {
   std::printf("  traced:   %8.1f q/s  (overhead %+.2f%%)\n", qps_traced,
               overhead_pct);
 
-  // Engine pass: metrics + latency histogram recording per completion.
+  // Engine pass: stats + latency histogram recording per completion.
   double engine_s = 0.0;
   {
     QueryEngine engine(dataset, {.num_threads = 1});

@@ -6,8 +6,10 @@
 # then SIGTERMs the server mid-flight and asserts a clean drain — every
 # in-flight ticket finished, summary printed, exit code 0. A durability
 # leg then runs a --wal-dir server through an acked write, a sealed
-# SIGTERM shutdown, and a restart that must recover the write; wal-dump
-# and checkpoint-info must accept the surviving directory. Finishes with
+# SIGTERM shutdown (whose --metrics-out exposition is linted: one # TYPE
+# per family, *_total families typed counter), and a restart that must
+# recover the write; wal-dump and checkpoint-info must accept the
+# surviving directory. Finishes with
 # a quick osd_chaos soak (adversarial clients + failpoint storms + drain
 # cycles, all resilience invariants asserted) and a short SIGKILL
 # crash-recovery soak (scripts/check_crash.sh runs the long one).
@@ -116,7 +118,8 @@ echo "drain OK: $(grep 'drained;' "$TMP/server.err")"
 # its log on SIGTERM, and serve the write again after a restart.
 WAL_DIR="$TMP/wal"
 "$SERVER" --gen-data 100 --gen-dim 2 --wal-dir "$WAL_DIR" --port 0 \
-  --threads 2 >"$TMP/dur1.out" 2>"$TMP/dur1.err" &
+  --threads 2 --metrics-out "$TMP/dur1.prom" \
+  >"$TMP/dur1.out" 2>"$TMP/dur1.err" &
 SERVER_PID=$!
 PORT=""
 for _ in $(seq 1 100); do
@@ -146,6 +149,30 @@ SERVER_PID=""
 grep -q 'WAL sealed at seq 1' "$TMP/dur1.err" \
   || { echo "FAIL: shutdown did not seal the WAL"
        cat "$TMP/dur1.err"; exit 1; }
+
+# Lint the live server's exposition (engine, net, tenant and WAL series):
+# one # TYPE line per family, and every *_total family typed as a counter.
+python3 - "$TMP/dur1.prom" <<'PY' \
+  || { echo "FAIL: metrics exposition lint"; exit 1; }
+import sys
+types = {}
+bad = []
+for line in open(sys.argv[1]):
+    parts = line.split()
+    if len(parts) != 4 or parts[:2] != ["#", "TYPE"]:
+        continue
+    family, kind = parts[2], parts[3]
+    if family in types:
+        bad.append(f"{family}: more than one # TYPE line")
+    types[family] = kind
+    if family.endswith("_total") and kind != "counter":
+        bad.append(f"{family}: _total family typed {kind}")
+if not types:
+    bad.append("no # TYPE lines")
+for b in bad:
+    print(f"metrics lint: {b}")
+sys.exit(1 if bad else 0)
+PY
 
 # Offline inspection of the sealed directory: the acked batch must be
 # visible in the log and every checkpoint must load cleanly.

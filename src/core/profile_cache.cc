@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "common/memory_budget.h"
 #include "object/uncertain_object.h"
-#include "obs/metrics.h"
 
 namespace osd {
 
@@ -87,27 +86,13 @@ ProfileCache::ProfileCache(long cap_bytes, memory::MemoryBudget* engine_budget)
 
 ProfileCache::~ProfileCache() { Clear(); }
 
-void ProfileCache::BindMetrics(obs::Counter* hits, obs::Counter* misses,
-                               obs::Counter* evictions,
-                               obs::Gauge* bytes_gauge) {
-  hits_metric_ = hits;
-  misses_metric_ = misses;
-  evictions_metric_ = evictions;
-  bytes_gauge_ = bytes_gauge;
-}
-
-void ProfileCache::UpdateBytes(long delta) {
-  const long now = bytes_.fetch_add(delta, std::memory_order_relaxed) + delta;
-  if (bytes_gauge_ != nullptr) bytes_gauge_->Set(static_cast<double>(now));
-}
-
 void ProfileCache::RemoveLocked(Shard& shard, std::list<Node>::iterator it) {
   const long bytes = it->value->bytes;
   shard.index.erase(it->key);
   shard.lru.erase(it);
   shard.bytes -= bytes;
   if (budget_ != nullptr) budget_->Release(bytes);
-  UpdateBytes(-bytes);
+  bytes_.fetch_sub(bytes, std::memory_order_relaxed);
 }
 
 long ProfileCache::EvictOneLocked(Shard& shard) {
@@ -115,7 +100,6 @@ long ProfileCache::EvictOneLocked(Shard& shard) {
   const long bytes = shard.lru.back().value->bytes;
   RemoveLocked(shard, std::prev(shard.lru.end()));
   evictions_.fetch_add(1, std::memory_order_relaxed);
-  if (evictions_metric_ != nullptr) evictions_metric_->Increment();
   return bytes;
 }
 
@@ -146,12 +130,10 @@ std::shared_ptr<const ProfileArtifacts> ProfileCache::Lookup(
   }
   if (found != nullptr) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    if (hits_metric_ != nullptr) hits_metric_->Increment();
     return found;
   }
   if (stale) stale_evictions_.fetch_add(1, std::memory_order_relaxed);
   misses_.fetch_add(1, std::memory_order_relaxed);
-  if (misses_metric_ != nullptr) misses_metric_->Increment();
   return nullptr;
 }
 
@@ -193,7 +175,7 @@ void ProfileCache::Publish(
     shard.lru.push_front(Node{key, std::move(artifacts)});
     shard.index[key] = shard.lru.begin();
     shard.bytes += bytes;
-    UpdateBytes(bytes);
+    bytes_.fetch_add(bytes, std::memory_order_relaxed);
     inserts_.fetch_add(1, std::memory_order_relaxed);
   } catch (...) {
     // Best-effort by contract (runs in ObjectProfile destructors): an

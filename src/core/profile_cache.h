@@ -25,9 +25,9 @@
 //    the publication is dropped. Clear() — called from QueryEngine::Drain —
 //    releases every charge, so the budget drains to zero.
 //  - Concurrency: kShards independently locked shards (key-hash striped),
-//    mirroring the MemoryBudget/metrics shard layout. Event counters are
-//    additionally mirrored into registry counters (lock-free sharded
-//    atomics) when bound via BindMetrics.
+//    mirroring the MemoryBudget shard layout. Event counters are relaxed
+//    atomics read by GetCounters, which the engine's stats snapshot (and
+//    through it the osd_profile_cache_* series) reads.
 //
 // Determinism contract: a cache hit hands back bit-identical artifacts to
 // what a fresh build would produce (the build is deterministic by the
@@ -56,10 +56,6 @@ class UncertainObject;
 
 namespace memory {
 class MemoryBudget;
-}
-namespace obs {
-class Counter;
-class Gauge;
 }
 
 /// Per-q extremes (ObjectProfile::EnsureExtremes output).
@@ -161,11 +157,6 @@ class ProfileCache {
     stale_serves_averted_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Mirrors hit/miss/eviction events and the byte gauge into registry
-  /// instruments (any may be null). Call before concurrent use.
-  void BindMetrics(obs::Counter* hits, obs::Counter* misses,
-                   obs::Counter* evictions, obs::Gauge* bytes_gauge);
-
   Counters GetCounters() const;
   long bytes() const { return bytes_.load(std::memory_order_relaxed); }
   long cap_bytes() const { return cap_bytes_; }
@@ -204,7 +195,6 @@ class ProfileCache {
   /// the shard is empty). Caller holds the shard mutex.
   long EvictOneLocked(Shard& shard);
   void RemoveLocked(Shard& shard, std::list<Node>::iterator it);
-  void UpdateBytes(long delta);
 
   Shard shards_[kShards];
   const long cap_bytes_;
@@ -217,11 +207,6 @@ class ProfileCache {
   std::atomic<long> stale_evictions_{0};
   std::atomic<long> inserts_{0};
   std::atomic<long> stale_serves_averted_{0};
-
-  obs::Counter* hits_metric_ = nullptr;
-  obs::Counter* misses_metric_ = nullptr;
-  obs::Counter* evictions_metric_ = nullptr;
-  obs::Gauge* bytes_gauge_ = nullptr;
 };
 
 /// Binds one query execution to the cache: the cache, the query's

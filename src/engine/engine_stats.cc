@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "obs/export.h"
@@ -11,8 +12,8 @@ namespace osd {
 
 namespace {
 
-// Bucket math is shared with the obs histograms so every latency
-// distribution in the system is bucket-compatible (see obs/metrics.h).
+// The bucket layout is the one the exposition renderers label (see
+// obs/metrics.h).
 static_assert(LatencyHistogram::kBuckets == obs::kLatencyBuckets);
 
 int BucketIndex(double seconds) { return obs::LatencyBucketIndex(seconds); }
@@ -79,6 +80,98 @@ double LatencyHistogram::Quantile(double q) const {
     cum += buckets_[b];
   }
   return max_;
+}
+
+std::vector<obs::MetricSnapshot> EngineMetrics(const EngineStats& s) {
+  std::vector<obs::MetricSnapshot> out;
+  const auto counter = [&out](std::string name, const char* help, long v) {
+    out.push_back(obs::ScalarSnapshot(std::move(name), help,
+                                      obs::MetricType::kCounter,
+                                      static_cast<double>(v)));
+  };
+  const auto gauge = [&out](std::string name, const char* help, double v) {
+    out.push_back(obs::ScalarSnapshot(std::move(name), help,
+                                      obs::MetricType::kGauge, v));
+  };
+  const std::pair<const char*, long> by_status[] = {
+      {"ok", s.ok},
+      {"deadline_exceeded", s.deadline_exceeded},
+      {"cancelled", s.cancelled},
+      {"error", s.errors},
+      {"ok_degraded", s.ok_degraded},
+      {"rejected", s.rejected},
+      {"stalled", s.stalled},
+  };
+  for (const auto& [label, n] : by_status) {
+    counter(std::string("osd_queries_total{status=\"") + label + "\"}",
+            "Completed queries by terminal status", n);
+  }
+  long candidates = 0;
+  for (int op = 0; op < static_cast<int>(s.per_operator.size()); ++op) {
+    candidates += s.per_operator[op].candidates;
+    counter(std::string("osd_operator_queries_total{op=\"") +
+                OperatorName(static_cast<Operator>(op)) + "\"}",
+            "Completed queries by dominance operator",
+            s.per_operator[op].queries);
+  }
+  obs::MetricSnapshot latency;
+  latency.name = latency.family = "osd_query_latency_seconds";
+  latency.help = "End-to-end query latency (seconds)";
+  latency.type = obs::MetricType::kHistogram;
+  latency.count = s.latency_histogram.count();
+  latency.invalid = s.latency_histogram.invalid();
+  latency.sum = s.latency_histogram.sum_seconds();
+  latency.buckets.assign(s.latency_histogram.buckets().begin(),
+                         s.latency_histogram.buckets().end());
+  out.push_back(std::move(latency));
+  counter("osd_retries_total", "Transient-failure re-attempts", s.retries);
+  counter("osd_candidates_total", "Summed result-set sizes", candidates);
+  counter("osd_dominance_checks_total", "Dominance oracle invocations",
+          s.filters.dominance_checks);
+  counter("osd_instance_comparisons_total",
+          "Instance-level comparison work units",
+          s.filters.InstanceComparisons());
+  counter("osd_flow_runs_total", "Max-flow computations", s.filters.flow_runs);
+  counter("osd_objects_examined_total", "Objects reaching the dominance check",
+          s.objects_examined);
+  counter("osd_entries_pruned_total", "R-tree entries discarded via MBR covers",
+          s.entries_pruned);
+  counter("osd_frontier_objects_total",
+          "Frontier objects returned unrefined in degraded answers",
+          s.frontier_objects);
+  gauge("osd_engine_threads", "Worker thread count", s.threads);
+  counter("osd_mem_breaches_total",
+          "Queries that hit a per-query or engine-wide memory budget",
+          s.mem_breaches);
+  counter("osd_mem_admission_rejected_total",
+          "Submissions rejected by memory high-water admission control",
+          s.mem_admission_rejected);
+  counter("osd_bad_allocs_total",
+          "std::bad_alloc exceptions contained at the worker boundary",
+          s.bad_allocs);
+  gauge("osd_mem_engine_bytes", "Engine-wide charged query memory (bytes)",
+        static_cast<double>(s.mem_current_bytes));
+  gauge("osd_mem_engine_peak_bytes",
+        "Peak engine-wide charged query memory (bytes)",
+        static_cast<double>(s.mem_peak_bytes));
+  if (s.profile_cache_cap_bytes > 0) {
+    counter("osd_profile_cache_hits_total",
+            "Profile-cache lookups served from a resident entry",
+            s.profile_cache_hits);
+    counter("osd_profile_cache_misses_total",
+            "Profile-cache lookups that fell through to a fresh build",
+            s.profile_cache_misses);
+    counter("osd_profile_cache_evictions_total",
+            "Profile-cache entries evicted (LRU capacity pressure)",
+            s.profile_cache_evictions);
+    gauge("osd_profile_cache_bytes", "Resident profile-cache bytes",
+          static_cast<double>(s.profile_cache_bytes));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const obs::MetricSnapshot& a, const obs::MetricSnapshot& b) {
+              return a.name < b.name;
+            });
+  return out;
 }
 
 std::string EngineStats::ToJson() const {

@@ -39,6 +39,7 @@ class LatencyHistogram {
   double min_seconds() const { return count_ == 0 ? 0.0 : min_; }
   double max_seconds() const { return max_; }
   double mean_seconds() const { return count_ == 0 ? 0.0 : total_ / count_; }
+  double sum_seconds() const { return total_; }
 
   /// q in [0, 1]; 0 with no samples.
   double Quantile(double q) const;
@@ -140,14 +141,22 @@ struct EngineStats {
   /// Indexed by static_cast<int>(Operator).
   std::array<OperatorStats, 5> per_operator{};
 
-  /// The engine's metrics registry, drained at snapshot time (sorted by
-  /// name). Rendered into ToJson under "metrics" and exportable as
-  /// Prometheus text via obs::RenderPrometheusMetrics.
+  /// EngineMetrics(*this), filled by QueryEngine::Snapshot. Rendered into
+  /// ToJson under "metrics" and as Prometheus text by
+  /// QueryEngine::MetricsText.
   std::vector<obs::MetricSnapshot> metrics;
 
   /// Single-line JSON object with all of the above.
   std::string ToJson() const;
 };
+
+/// The engine's Prometheus series, sorted by name, each read from the
+/// EngineStats field it exports: status and operator counts, the latency
+/// histogram, work, retry and memory counters, and — when the profile
+/// cache is on (profile_cache_cap_bytes > 0) — its hits, misses,
+/// evictions and bytes. osd_candidates_total sums per_operator[].candidates
+/// and osd_instance_comparisons_total is filters.InstanceComparisons().
+std::vector<obs::MetricSnapshot> EngineMetrics(const EngineStats& stats);
 
 }  // namespace osd
 

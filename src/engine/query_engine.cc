@@ -1,7 +1,6 @@
 #include "engine/query_engine.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -58,6 +57,15 @@ double JitterDraw() {
   return std::uniform_real_distribution<double>(0.0, 1.0)(engine);
 }
 
+/// Floor on the watchdog's grace past a query's deadline.
+constexpr double kWatchdogMinGraceMs = 5.0;
+
+/// Proximity gate: a query joins an open batch only while the diagonal of
+/// the union of member MBRs stays within this fraction of the root MBR's
+/// diagonal (distant queries share no traversal locality and would only
+/// bloat the memo).
+constexpr double kBatchMbrSlack = 0.5;
+
 /// Euclidean diagonal of a box; 0 for an empty one. Scale reference for
 /// the batch proximity gate.
 double MbrDiagonal(const Mbr& box) {
@@ -89,85 +97,9 @@ QueryEngine::QueryEngine(Dataset dataset, EngineOptions options)
       pool_(ResolveThreads(options.num_threads), options.queue_capacity),
       slow_log_(options.slow_query_threshold_ms / 1e3,
                 options.slow_query_log_capacity) {
-  // Resolve every hot-path metric once; Complete then only touches sharded
-  // atomics and never the registry's registration mutex.
-  static constexpr QueryStatus kStatuses[] = {
-      QueryStatus::kPending,   QueryStatus::kRunning,
-      QueryStatus::kOk,        QueryStatus::kDeadlineExceeded,
-      QueryStatus::kCancelled, QueryStatus::kError,
-      QueryStatus::kOkDegraded, QueryStatus::kRejected,
-      QueryStatus::kStalled,
-  };
-  for (QueryStatus status : kStatuses) {
-    if (status == QueryStatus::kPending || status == QueryStatus::kRunning) {
-      continue;  // non-terminal states never reach Complete
-    }
-    std::string label = QueryStatusName(status);
-    std::transform(label.begin(), label.end(), label.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    hot_.by_status[static_cast<int>(status)] = &registry_.GetCounter(
-        "osd_queries_total{status=\"" + label + "\"}",
-        "Completed queries by terminal status");
-  }
-  for (int op = 0; op < 5; ++op) {
-    hot_.by_op[op] = &registry_.GetCounter(
-        std::string("osd_operator_queries_total{op=\"") +
-            OperatorName(static_cast<Operator>(op)) + "\"}",
-        "Completed queries by dominance operator");
-  }
-  hot_.latency = &registry_.GetHistogram(
-      "osd_query_latency_seconds", "End-to-end query latency (seconds)");
-  hot_.retries = &registry_.GetCounter("osd_retries_total",
-                                       "Transient-failure re-attempts");
-  hot_.candidates = &registry_.GetCounter("osd_candidates_total",
-                                          "Summed result-set sizes");
-  hot_.dominance_checks = &registry_.GetCounter(
-      "osd_dominance_checks_total", "Dominance oracle invocations");
-  hot_.instance_comparisons =
-      &registry_.GetCounter("osd_instance_comparisons_total",
-                            "Instance-level comparison work units");
-  hot_.flow_runs =
-      &registry_.GetCounter("osd_flow_runs_total", "Max-flow computations");
-  hot_.objects_examined = &registry_.GetCounter(
-      "osd_objects_examined_total", "Objects reaching the dominance check");
-  hot_.entries_pruned = &registry_.GetCounter(
-      "osd_entries_pruned_total", "R-tree entries discarded via MBR covers");
-  hot_.frontier_objects = &registry_.GetCounter(
-      "osd_frontier_objects_total",
-      "Frontier objects returned unrefined in degraded answers");
-  hot_.threads =
-      &registry_.GetGauge("osd_engine_threads", "Worker thread count");
-  hot_.threads->Set(pool_.num_threads());
-  hot_.mem_breaches = &registry_.GetCounter(
-      "osd_mem_breaches_total",
-      "Queries that hit a per-query or engine-wide memory budget");
-  hot_.mem_admission_rejected = &registry_.GetCounter(
-      "osd_mem_admission_rejected_total",
-      "Submissions rejected by memory high-water admission control");
-  hot_.bad_allocs = &registry_.GetCounter(
-      "osd_bad_allocs_total",
-      "std::bad_alloc exceptions contained at the worker boundary");
-  hot_.mem_current = &registry_.GetGauge(
-      "osd_mem_engine_bytes", "Engine-wide charged query memory (bytes)");
-  hot_.mem_peak = &registry_.GetGauge(
-      "osd_mem_engine_peak_bytes",
-      "Peak engine-wide charged query memory (bytes)");
   if (options_.profile_cache_bytes > 0) {
     profile_cache_ = std::make_unique<ProfileCache>(
         options_.profile_cache_bytes, &mem_budget_);
-    hot_.cache_hits = &registry_.GetCounter(
-        "osd_profile_cache_hits_total",
-        "Profile-cache lookups served from a resident entry");
-    hot_.cache_misses = &registry_.GetCounter(
-        "osd_profile_cache_misses_total",
-        "Profile-cache lookups that fell through to a fresh build");
-    hot_.cache_evictions = &registry_.GetCounter(
-        "osd_profile_cache_evictions_total",
-        "Profile-cache entries evicted (LRU capacity pressure)");
-    hot_.cache_bytes = &registry_.GetGauge(
-        "osd_profile_cache_bytes", "Resident profile-cache bytes");
-    profile_cache_->BindMetrics(hot_.cache_hits, hot_.cache_misses,
-                                hot_.cache_evictions, hot_.cache_bytes);
   }
   if (options_.max_batch > 1) {
     batcher_thread_ = std::thread([this] { BatcherLoop(); });
@@ -182,11 +114,8 @@ QueryEngine::QueryEngine(Dataset dataset, EngineOptions options)
 }
 
 void QueryEngine::NoteMemBreach() {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++mem_breaches_;
-  }
-  hot_.mem_breaches->Increment();
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  ++mem_breaches_;
 }
 
 long QueryEngine::AdmissionHighWaterBytes() const {
@@ -225,7 +154,7 @@ long QueryEngine::WatchRegister(const std::shared_ptr<QueryTicket>& ticket,
             .count();
     const double grace_s =
         std::max(budget_s * std::max(options_.watchdog_grace_fraction, 0.0),
-                 std::max(options_.watchdog_min_grace_ms, 0.0) / 1e3);
+                 kWatchdogMinGraceMs / 1e3);
     hard = control.deadline +
            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                std::chrono::duration<double>(grace_s));
@@ -289,7 +218,7 @@ void QueryEngine::FailStalled(Watched& watched) {
       "query exceeded its hard wall-clock limit without reaching a "
       "cooperative poll point (engine watchdog)",
       0);
-  if (won && options_.watchdog_respawn) {
+  if (won) {
     // The worker is genuinely wedged (it did not complete first): poison it
     // so it exits once the stalled task finally returns, with an immediate
     // replacement keeping pool capacity whole.
@@ -334,7 +263,6 @@ std::shared_ptr<QueryTicket> QueryEngine::Submit(QuerySpec spec) {
           std::lock_guard<std::mutex> lock(stats_mu_);
           ++mem_admission_rejected_;
         }
-        hot_.mem_admission_rejected->Increment();
         Complete(ticket, op, QueryStatus::kRejected, {},
                  "engine memory budget above high-water mark (admission "
                  "control)",
@@ -396,17 +324,13 @@ bool QueryEngine::BatchCompatible(const PendingBatch& batch,
   if (batch.filters != spec.options.filters) return false;
   // Members whose query MBR could not be resolved (dead id) run alone.
   if (!have_mbr || !batch.bound.valid()) return false;
-  if (options_.batch_mbr_slack > 0) {
-    const RTree& tree = spec.snapshot.global_tree();
-    if (!tree.nodes().empty()) {
-      const double root_diag =
-          MbrDiagonal(tree.nodes()[tree.root()].box);
-      Mbr joint = batch.bound;
-      joint.Expand(mbr);
-      if (root_diag > 0 &&
-          MbrDiagonal(joint) > options_.batch_mbr_slack * root_diag) {
-        return false;
-      }
+  const RTree& tree = spec.snapshot.global_tree();
+  if (!tree.nodes().empty()) {
+    const double root_diag = MbrDiagonal(tree.nodes()[tree.root()].box);
+    Mbr joint = batch.bound;
+    joint.Expand(mbr);
+    if (root_diag > 0 && MbrDiagonal(joint) > kBatchMbrSlack * root_diag) {
+      return false;
     }
   }
   return true;
@@ -701,7 +625,6 @@ void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++bad_allocs_;
       }
-      hot_.bad_allocs->Increment();
       Complete(ticket, op, QueryStatus::kError, {},
                "out of memory (std::bad_alloc contained at the worker "
                "boundary)",
@@ -740,7 +663,6 @@ void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++retries_;
     }
-    hot_.retries->Increment();
     if (backoff_s > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff_s));
     }
@@ -803,22 +725,6 @@ bool QueryEngine::Complete(const std::shared_ptr<QueryTicket>& ticket,
     }
     last_completion_ = now;
   }
-  // Metric updates are sharded relaxed atomics, deliberately outside the
-  // stats lock. The ordering contract still holds: every update lands
-  // before the ticket signals, and a Wait()er's acquire of the ticket's
-  // mutex makes them visible to its subsequent Snapshot / MetricsText.
-  hot_.by_status[static_cast<int>(status)]->Increment();
-  if (status != QueryStatus::kRejected) hot_.latency->Observe(latency);
-  if (status != QueryStatus::kError && status != QueryStatus::kRejected) {
-    hot_.by_op[static_cast<int>(op)]->Increment();
-    hot_.candidates->Increment(static_cast<long>(result.candidates.size()));
-    hot_.dominance_checks->Increment(result.stats.dominance_checks);
-    hot_.instance_comparisons->Increment(result.stats.InstanceComparisons());
-    hot_.flow_runs->Increment(result.stats.flow_runs);
-    hot_.objects_examined->Increment(result.objects_examined);
-    hot_.entries_pruned->Increment(result.entries_pruned);
-    hot_.frontier_objects->Increment(result.frontier_objects);
-  }
   if (slow_log_.ShouldRecord(latency)) {
     char buf[160];
     std::snprintf(buf, sizeof(buf),
@@ -839,12 +745,8 @@ bool QueryEngine::Complete(const std::shared_ptr<QueryTicket>& ticket,
 }
 
 EngineStats QueryEngine::Snapshot() const {
-  // Refresh the memory gauges before draining the registry so a scrape
-  // and a snapshot tell the same story.
-  hot_.mem_current->Set(mem_budget_.current_bytes());
-  hot_.mem_peak->Set(mem_budget_.peak_bytes());
-  std::lock_guard<std::mutex> lock(stats_mu_);
   EngineStats s;
+  std::unique_lock<std::mutex> lock(stats_mu_);
   s.threads = pool_.num_threads();
   s.submitted = submitted_;
   s.ok = ok_;
@@ -888,6 +790,7 @@ EngineStats QueryEngine::Snapshot() const {
   s.mem_engine_cap_bytes = options_.engine_mem_bytes;
   s.mem_per_query_cap_bytes = options_.per_query_mem_bytes;
   s.per_operator = per_operator_;
+  lock.unlock();  // the cache counters and the series need no stats lock
   if (profile_cache_ != nullptr) {
     const ProfileCache::Counters c = profile_cache_->GetCounters();
     s.profile_cache_hits = c.hits;
@@ -898,14 +801,12 @@ EngineStats QueryEngine::Snapshot() const {
     s.profile_cache_bytes = c.bytes;
     s.profile_cache_cap_bytes = profile_cache_->cap_bytes();
   }
-  s.metrics = registry_.Collect();
+  s.metrics = EngineMetrics(s);
   return s;
 }
 
 std::string QueryEngine::MetricsText() const {
-  hot_.mem_current->Set(mem_budget_.current_bytes());
-  hot_.mem_peak->Set(mem_budget_.peak_bytes());
-  return obs::RenderPrometheusMetrics(registry_.Collect());
+  return obs::RenderPrometheusMetrics(Snapshot().metrics);
 }
 
 }  // namespace osd

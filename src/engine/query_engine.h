@@ -54,7 +54,6 @@
 #include "object/dataset.h"
 #include "object/versioned_dataset.h"
 #include "obs/export.h"
-#include "obs/metrics.h"
 
 namespace osd {
 
@@ -94,19 +93,16 @@ struct EngineOptions {
   /// for code paths that never reach a cooperative poll point (the
   /// cooperative layer is common/query_exec.h). A query with deadline
   /// budget D is killed at deadline + max(D * watchdog_grace_fraction,
-  /// watchdog_min_grace_ms); queries without a deadline use
-  /// watchdog_no_deadline_ms when > 0, and are otherwise exempt. The
-  /// ticket fails as kStalled, the query's cancel flag is set (hurrying
-  /// the worker to the next poll point), and with watchdog_respawn the
-  /// stuck worker is poisoned and replaced immediately so pool capacity
-  /// self-heals; its eventual completion is discarded via the ticket's
-  /// completion claim.
+  /// 5 ms); queries without a deadline use watchdog_no_deadline_ms when
+  /// > 0, and are otherwise exempt. The ticket fails as kStalled, the
+  /// query's cancel flag is set (hurrying the worker to the next poll
+  /// point), and the stuck worker is poisoned and replaced immediately so
+  /// pool capacity self-heals; its eventual completion is discarded via
+  /// the ticket's completion claim.
   bool watchdog = false;
   double watchdog_poll_ms = 5.0;
   double watchdog_grace_fraction = 1.0;
-  double watchdog_min_grace_ms = 5.0;
   double watchdog_no_deadline_ms = 0.0;
-  bool watchdog_respawn = true;
 
   /// Background fold policy for the versioned store (see
   /// object/versioned_dataset.h): fold when the delta reaches
@@ -131,19 +127,15 @@ struct EngineOptions {
   long profile_cache_bytes = 0;
   /// Multi-query batched traversal: up to max_batch compatible queued
   /// queries (same pinned epoch, operator, metric, k, filter config, and
-  /// degraded mode, with nearby query MBRs) share one worker pass that
-  /// memoizes MBR min-distance kernel visits across the members. <= 1
-  /// disables batching. Per-query deadlines, budgets, cancellation, and
-  /// traces still apply individually to each member.
+  /// degraded mode, with query MBRs whose union spans at most half the
+  /// root MBR's diagonal) share one worker pass that memoizes MBR
+  /// min-distance kernel visits across the members. <= 1 disables
+  /// batching. Per-query deadlines, budgets, cancellation, and traces
+  /// still apply individually to each member.
   int max_batch = 1;
   /// How long an open batch waits for more compatible members before it is
   /// dispatched anyway (latency bound on batching), microseconds.
   double batch_window_us = 200.0;
-  /// Proximity gate: a query joins an open batch only while the diagonal of
-  /// the union of member MBRs stays within this fraction of the root MBR's
-  /// diagonal (distant queries share no traversal locality and would only
-  /// bloat the memo). <= 0 disables the gate.
-  double batch_mbr_slack = 0.5;
 };
 
 /// Per-query retry policy for transient failures. Only exceptions derived
@@ -245,11 +237,11 @@ class QueryEngine {
   /// detach durability, seal the WAL, or destroy the engine.
   void Drain();
 
-  /// Consistent snapshot of the engine-level counters, including a drain
-  /// of the metrics registry (EngineStats::metrics).
+  /// Consistent snapshot of the engine-level counters, with their
+  /// Prometheus series in EngineStats::metrics (see EngineMetrics).
   EngineStats Snapshot() const;
 
-  /// Prometheus text exposition (version 0.0.4) of the current metrics.
+  /// Prometheus text exposition (version 0.0.4) of Snapshot().metrics.
   std::string MetricsText() const;
 
   /// Slow-query log as JSON ({"threshold_ms":...,"entries":[...]}, slowest
@@ -356,7 +348,7 @@ class QueryEngine {
   /// Timer thread that flushes an open batch when its window expires.
   void BatcherLoop();
 
-  /// Counts one memory-budget breach (stats + hot metric).
+  /// Counts one memory-budget breach.
   void NoteMemBreach();
 
   EngineOptions options_;
@@ -381,37 +373,7 @@ class QueryEngine {
   bool batch_stop_ = false;
   std::thread batcher_thread_;
 
-  /// Lock-free hot-path metrics (sharded by thread) plus the slow-query
-  /// log. Pointers into `registry_` are resolved once at construction so
-  /// Complete never takes the registry's registration mutex.
-  obs::MetricsRegistry registry_;
   obs::SlowQueryLog slow_log_;
-  struct HotMetrics {
-    std::array<obs::Counter*, 9> by_status{};  ///< by QueryStatus
-    std::array<obs::Counter*, 5> by_op{};      ///< by Operator
-    obs::Histogram* latency = nullptr;
-    obs::Counter* retries = nullptr;
-    obs::Counter* candidates = nullptr;
-    obs::Counter* dominance_checks = nullptr;
-    obs::Counter* instance_comparisons = nullptr;
-    obs::Counter* flow_runs = nullptr;
-    obs::Counter* objects_examined = nullptr;
-    obs::Counter* entries_pruned = nullptr;
-    obs::Counter* frontier_objects = nullptr;
-    obs::Gauge* threads = nullptr;
-    obs::Counter* mem_breaches = nullptr;
-    obs::Counter* mem_admission_rejected = nullptr;
-    obs::Counter* bad_allocs = nullptr;
-    obs::Gauge* mem_current = nullptr;
-    obs::Gauge* mem_peak = nullptr;
-    // Profile-cache instruments; resolved (and the cache bound to them)
-    // only when the cache is enabled.
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* cache_misses = nullptr;
-    obs::Counter* cache_evictions = nullptr;
-    obs::Gauge* cache_bytes = nullptr;
-  };
-  HotMetrics hot_;
 
   /// Watchdog state: the registry of supervised executions and the thread
   /// that scans it. Guarded by watch_mu_; the thread exists only when
@@ -423,6 +385,9 @@ class QueryEngine {
   bool watch_stop_ = false;
   std::thread watchdog_thread_;
 
+  /// The engine's one book of counters: Complete and the admission,
+  /// retry and memory paths update it, Snapshot reads it, and the
+  /// Prometheus series are rendered from that snapshot.
   mutable std::mutex stats_mu_;
   long submitted_ = 0;
   long ok_ = 0;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstring>
 #include <exception>
+#include <iterator>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -150,34 +151,40 @@ void OsdServer::Shutdown() {
 }
 
 std::string OsdServer::MetricsText() const {
-  std::string text = engine_->MetricsText() +
-                     obs::RenderPrometheusMetrics(registry_.Collect());
+  std::vector<obs::MetricSnapshot> metrics = engine_->Snapshot().metrics;
+  std::vector<obs::MetricSnapshot> net = registry_.Collect();
+  metrics.insert(metrics.end(), std::make_move_iterator(net.begin()),
+                 std::make_move_iterator(net.end()));
   if (options_.durable != nullptr) {
     const io::DurableStore::Stats d = options_.durable->GetStats();
-    const auto gauge = [&text](const char* name, const char* help,
-                               long long value) {
-      text += "# HELP " + std::string(name) + " " + help + "\n";
-      text += "# TYPE " + std::string(name) + " gauge\n";
-      text += std::string(name) + " " + std::to_string(value) + "\n";
+    const auto add = [&metrics](const char* name, const char* help,
+                                obs::MetricType type, double value) {
+      metrics.push_back(obs::ScalarSnapshot(name, help, type, value));
     };
-    gauge("osd_wal_read_only",
-          "1 while the durability tier is in read-only degraded mode.",
-          d.read_only ? 1 : 0);
-    gauge("osd_wal_appends_total", "Mutation batches durably appended.",
-          static_cast<long long>(d.appends));
-    gauge("osd_wal_append_failures_total",
-          "WAL appends refused or failed (degraded-mode refusals included).",
-          static_cast<long long>(d.append_failures));
-    gauge("osd_wal_checkpoints_total", "Checkpoints durably written.",
-          static_cast<long long>(d.checkpoints));
-    gauge("osd_wal_checkpoint_failures_total",
-          "Checkpoint attempts that failed (previous checkpoint kept).",
-          static_cast<long long>(d.checkpoint_failures));
-    gauge("osd_wal_active_segment_bytes",
-          "Bytes in the active WAL segment (header included).",
-          static_cast<long long>(d.wal_bytes));
+    constexpr obs::MetricType kCounter = obs::MetricType::kCounter;
+    constexpr obs::MetricType kGauge = obs::MetricType::kGauge;
+    add("osd_wal_read_only",
+        "1 while the durability tier is in read-only degraded mode.", kGauge,
+        d.read_only ? 1 : 0);
+    add("osd_wal_appends_total", "Mutation batches durably appended.",
+        kCounter, static_cast<double>(d.appends));
+    add("osd_wal_append_failures_total",
+        "WAL appends refused or failed (degraded-mode refusals included).",
+        kCounter, static_cast<double>(d.append_failures));
+    add("osd_wal_checkpoints_total", "Checkpoints durably written.", kCounter,
+        static_cast<double>(d.checkpoints));
+    add("osd_wal_checkpoint_failures_total",
+        "Checkpoint attempts that failed (previous checkpoint kept).",
+        kCounter, static_cast<double>(d.checkpoint_failures));
+    add("osd_wal_active_segment_bytes",
+        "Bytes in the active WAL segment (header included).", kGauge,
+        static_cast<double>(d.wal_bytes));
   }
-  return text;
+  std::sort(metrics.begin(), metrics.end(),
+            [](const obs::MetricSnapshot& a, const obs::MetricSnapshot& b) {
+              return a.name < b.name;
+            });
+  return obs::RenderPrometheusMetrics(metrics);
 }
 
 OsdServer::TenantState* OsdServer::ResolveTenant(const std::string& name) {

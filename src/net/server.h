@@ -158,8 +158,9 @@ class OsdServer {
   /// RequestDrain + Wait; idempotent, implied by the destructor.
   void Shutdown();
 
-  /// Prometheus text exposition: the engine's metrics followed by the
-  /// server's (connection/frame/tenant series).
+  /// Prometheus text exposition, rendered once over the name-sorted union
+  /// of the engine's series, the server's (connection/frame/tenant) series
+  /// and, with a durable store, the osd_wal_* series.
   std::string MetricsText() const;
 
   // Observability for tests and the smoke harness.

@@ -24,8 +24,8 @@
 namespace osd {
 namespace obs {
 
-/// Prometheus text exposition of the snapshots (which must be sorted by
-/// name, as MetricsRegistry::Collect returns them).
+/// Prometheus text exposition of the snapshots, which must be sorted by
+/// name (MetricsRegistry::Collect and EngineMetrics return them so).
 std::string RenderPrometheusMetrics(const std::vector<MetricSnapshot>& metrics);
 
 /// Single-line JSON object: {"name":{"type":...,"value":...},...}.

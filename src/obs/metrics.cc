@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 
@@ -39,56 +40,20 @@ int ThisShard() {
 
 }  // namespace internal
 
-void Histogram::Observe(double seconds) {
-  Shard& shard = shards_[internal::ThisShard()];
-  if (!std::isfinite(seconds)) {
-    shard.invalid.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  seconds = std::max(seconds, 0.0);
-  shard.buckets[LatencyBucketIndex(seconds)].fetch_add(
-      1, std::memory_order_relaxed);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
-  shard.sum.fetch_add(seconds, std::memory_order_relaxed);
-}
-
-long Histogram::Count() const {
-  long total = 0;
-  for (const Shard& s : shards_) {
-    total += s.count.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-long Histogram::Invalid() const {
-  long total = 0;
-  for (const Shard& s : shards_) {
-    total += s.invalid.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-double Histogram::Sum() const {
-  double total = 0.0;
-  for (const Shard& s : shards_) {
-    total += s.sum.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::array<long, kLatencyBuckets> Histogram::Buckets() const {
-  std::array<long, kLatencyBuckets> out{};
-  for (const Shard& s : shards_) {
-    for (int b = 0; b < kLatencyBuckets; ++b) {
-      out[b] += s.buckets[b].load(std::memory_order_relaxed);
-    }
-  }
-  return out;
-}
-
 std::string MetricFamily(const std::string& name) {
   const size_t brace = name.find('{');
   return brace == std::string::npos ? name : name.substr(0, brace);
+}
+
+MetricSnapshot ScalarSnapshot(std::string name, std::string help,
+                              MetricType type, double value) {
+  MetricSnapshot snap;
+  snap.family = MetricFamily(name);
+  snap.name = std::move(name);
+  snap.help = std::move(help);
+  snap.type = type;
+  snap.value = value;
+  return snap;
 }
 
 Counter& MetricsRegistry::GetCounter(const std::string& name,
@@ -125,26 +90,6 @@ Gauge& MetricsRegistry::GetGauge(const std::string& name,
   return gauges_.back();
 }
 
-Histogram& MetricsRegistry::GetHistogram(const std::string& name,
-                                         const std::string& help) {
-  // Histogram exposition splices `le` labels into the name, so baked-in
-  // labels are not supported on histograms.
-  OSD_CHECK(name.find('{') == std::string::npos);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_name_.find(name);
-  if (it != by_name_.end()) {
-    OSD_CHECK(it->second.type == MetricType::kHistogram);
-    return *it->second.histogram;
-  }
-  histograms_.emplace_back();
-  Entry entry;
-  entry.type = MetricType::kHistogram;
-  entry.histogram = &histograms_.back();
-  by_name_.emplace(name, entry);
-  help_by_family_.emplace(MetricFamily(name), help);
-  return histograms_.back();
-}
-
 std::vector<MetricSnapshot> MetricsRegistry::Collect() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<MetricSnapshot> out;
@@ -156,22 +101,9 @@ std::vector<MetricSnapshot> MetricsRegistry::Collect() const {
     const auto help = help_by_family_.find(snap.family);
     if (help != help_by_family_.end()) snap.help = help->second;
     snap.type = entry.type;
-    switch (entry.type) {
-      case MetricType::kCounter:
-        snap.value = static_cast<double>(entry.counter->Value());
-        break;
-      case MetricType::kGauge:
-        snap.value = entry.gauge->Value();
-        break;
-      case MetricType::kHistogram: {
-        snap.count = entry.histogram->Count();
-        snap.invalid = entry.histogram->Invalid();
-        snap.sum = entry.histogram->Sum();
-        const auto buckets = entry.histogram->Buckets();
-        snap.buckets.assign(buckets.begin(), buckets.end());
-        break;
-      }
-    }
+    snap.value = entry.type == MetricType::kCounter
+                     ? static_cast<double>(entry.counter->Value())
+                     : entry.gauge->Value();
     out.push_back(std::move(snap));
   }
   return out;  // std::map iteration is already name-sorted

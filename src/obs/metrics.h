@@ -1,13 +1,16 @@
-// Named metrics with sharded-by-thread accumulation.
+// Named metrics: the snapshot record every exposition renders, and a
+// registry of sharded-by-thread counters and gauges.
 //
-// A MetricsRegistry hands out stable pointers to named Counters, Gauges
-// and Histograms. Registration (by name) takes a mutex — it is a cold,
+// A MetricsRegistry hands out stable pointers to named Counters and
+// Gauges. Registration (by name) takes a mutex — it is a cold,
 // once-per-process-area operation — but every update is a relaxed atomic
 // on a per-shard, cache-line-padded slot selected by the calling thread,
 // so the hot path takes no locks and concurrent writers on different
 // threads (almost) never contend on a cache line. Reads sum the shards:
 // they are eventually consistent point-in-time snapshots, which is all a
-// scrape needs.
+// scrape needs. The network server keeps its connection and tenant series
+// here; the engine keeps no registry and renders its series from
+// EngineStats (engine/engine_stats.h).
 //
 // Naming follows Prometheus conventions: `osd_queries_total` or, with one
 // level of labels baked into the name, `osd_queries_total{status="ok"}`.
@@ -16,9 +19,9 @@
 // plain snapshot structs; obs/export.h renders them as Prometheus text
 // exposition or JSON.
 //
-// The log2-microsecond bucket layout is shared with the engine's
-// LatencyHistogram via LatencyBucketIndex / LatencyBucketUpperSeconds so
-// every latency distribution in the system is bucket-compatible.
+// The one histogram layout is log2 microseconds (LatencyBucketIndex /
+// LatencyBucketUpperSeconds): the engine's LatencyHistogram fills it and
+// the renderers label it.
 
 #ifndef OSD_OBS_METRICS_H_
 #define OSD_OBS_METRICS_H_
@@ -82,31 +85,10 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Sharded log2 latency histogram. Non-finite observations land in
-/// invalid() and never touch the buckets (same contract as the engine's
-/// LatencyHistogram).
-class Histogram {
- public:
-  void Observe(double seconds);
-
-  long Count() const;
-  long Invalid() const;
-  double Sum() const;
-  std::array<long, kLatencyBuckets> Buckets() const;
-
- private:
-  struct alignas(64) Shard {
-    std::array<std::atomic<long>, kLatencyBuckets> buckets{};
-    std::atomic<long> count{0};
-    std::atomic<long> invalid{0};
-    std::atomic<double> sum{0.0};
-  };
-  std::array<Shard, kMetricShards> shards_{};
-};
-
 enum class MetricType { kCounter, kGauge, kHistogram };
 
-/// One collected metric, decoupled from the live registry.
+/// One collected metric: a registry entry or an engine series, frozen at
+/// collection time.
 struct MetricSnapshot {
   std::string name;    ///< full name, labels included
   std::string family;  ///< name with the label block stripped
@@ -118,6 +100,10 @@ struct MetricSnapshot {
   double sum = 0.0;            ///< histogram sum of observations (seconds)
   std::vector<long> buckets;   ///< histogram per-bucket counts (not cumulative)
 };
+
+/// A counter or gauge snapshot; the family is derived from `name`.
+MetricSnapshot ScalarSnapshot(std::string name, std::string help,
+                              MetricType type, double value);
 
 class MetricsRegistry {
  public:
@@ -131,8 +117,6 @@ class MetricsRegistry {
   /// type aborts (programmer error).
   Counter& GetCounter(const std::string& name, const std::string& help = {});
   Gauge& GetGauge(const std::string& name, const std::string& help = {});
-  Histogram& GetHistogram(const std::string& name,
-                          const std::string& help = {});
 
   /// Point-in-time snapshots of every registered metric, sorted by name.
   std::vector<MetricSnapshot> Collect() const;
@@ -142,13 +126,11 @@ class MetricsRegistry {
     MetricType type;
     Counter* counter = nullptr;
     Gauge* gauge = nullptr;
-    Histogram* histogram = nullptr;
   };
 
   mutable std::mutex mu_;
   std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
-  std::deque<Histogram> histograms_;
   std::map<std::string, Entry> by_name_;
   std::map<std::string, std::string> help_by_family_;
 };

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -228,6 +229,35 @@ TEST(LatencyHistogramTest, QuantilesAreOrderedAndClamped) {
   // a factor-2 band of the true 50ms median.
   EXPECT_GT(p50, 0.025);
   EXPECT_LT(p50, 0.1);
+}
+
+TEST(LatencyHistogramTest, BucketsAreLog2MicrosecondsWithASum) {
+  LatencyHistogram h;
+  constexpr int kPer = 50;
+  for (int us = 1; us <= 4; ++us) {
+    for (int i = 0; i < kPer; ++i) h.Add(1e-6 * us);
+  }
+  EXPECT_EQ(h.count(), 4 * kPer);
+  EXPECT_EQ(h.invalid(), 0);
+  EXPECT_NEAR(h.sum_seconds(), 1e-6 * (1 + 2 + 3 + 4) * kPer, 1e-12);
+  // 1us lands in bucket 0; 2us in bucket 1; 3..4us in bucket 2.
+  EXPECT_EQ(h.buckets()[0], kPer);
+  EXPECT_EQ(h.buckets()[1], kPer);
+  EXPECT_EQ(h.buckets()[2], 2 * kPer);
+  long total = 0;
+  for (long b : h.buckets()) total += b;
+  EXPECT_EQ(total, h.count());
+}
+
+TEST(LatencyHistogramTest, NonFiniteSamplesGoToInvalid) {
+  LatencyHistogram h;
+  h.Add(std::numeric_limits<double>::quiet_NaN());
+  h.Add(std::numeric_limits<double>::infinity());
+  h.Add(-std::numeric_limits<double>::infinity());
+  h.Add(1e-3);
+  EXPECT_EQ(h.count(), 1);
+  EXPECT_EQ(h.invalid(), 3);
+  EXPECT_NEAR(h.sum_seconds(), 1e-3, 1e-12);
 }
 
 }  // namespace

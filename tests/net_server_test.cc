@@ -2,11 +2,14 @@
 // streaming bit-identical to an embedded NncSearch::Run, cancellation,
 // tenant isolation under mid-query disconnects and injected read faults,
 // per-tenant governance (inflight caps, memory budgets, labeled metrics),
-// graceful drain with zero leaked tickets, and streamed frames that never
-// wait out a delayed ACK.
+// the durable store's osd_wal_* series, graceful drain with zero leaked
+// tickets, and streamed frames that never wait out a delayed ACK.
+
+#include <stdlib.h>
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +21,7 @@
 #include "core/nnc_search.h"
 #include "datagen/generators.h"
 #include "engine/query_engine.h"
+#include "io/durable_store.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -582,6 +586,43 @@ TEST_F(NetServerTest, MetricsCarryTenantLabels) {
   EXPECT_NE(direct.find("osd_queries_total"), std::string::npos);
   EXPECT_NE(direct.find("osd_tenant_candidates_streamed_total"),
             std::string::npos);
+}
+
+TEST_F(NetServerTest, DurableStoreExportsWalSeriesTyped) {
+  std::string dir = ::testing::TempDir() + "net_server_walXXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  // Attached the way osd_server attaches its store: open, attach, then a
+  // startup checkpoint of the seed.
+  engine_ = std::make_unique<QueryEngine>(TestDataset(),
+                                          EngineOptions{.num_threads = 1});
+  io::DurableStore store;
+  std::string error;
+  ASSERT_TRUE(store.Open(dir, 0, &error)) << error;
+  engine_->versioned().AttachDurability(&store, 0);
+  store.Checkpoint(engine_->versioned().Acquire(), 0);
+  ServerOptions options;
+  options.durable = &store;
+  server_ = std::make_unique<OsdServer>(engine_.get(), options);
+  ASSERT_TRUE(server_->Start(&error)) << error;
+
+  OsdClient client = Connect("default");
+  std::vector<MutateOp> ops(1);
+  ops[0] = {"insert", 9001, {{9000.0, 9000.0, 1.0}}};
+  ASSERT_TRUE(client.Send(BuildMutateMessage(1, ops), &error)) << error;
+  JsonValue msg;
+  ASSERT_TRUE(client.Read(&msg, &error)) << error;
+  ASSERT_EQ(MessageType(msg), "mutate_ok");
+
+  const std::string text = server_->MetricsText();
+  EXPECT_NE(text.find("# TYPE osd_wal_appends_total counter\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("# TYPE osd_wal_read_only gauge\n"), std::string::npos);
+  EXPECT_NE(text.find("\nosd_wal_appends_total 1\n"), std::string::npos);
+
+  server_->Shutdown();
+  engine_->versioned().DetachDurability();
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(NetServerTest, StatusReportsEngineAndServerState) {

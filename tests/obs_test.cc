@@ -1,5 +1,5 @@
 // Tests for the observability layer (src/obs/): per-query traces, the
-// sharded metrics primitives and registry, the exposition renderers
+// sharded counters, gauges and registry, the exposition renderers
 // (Prometheus golden file + JSON), the slow-query log, and the engine
 // integration (QuerySpec::collect_trace, MetricsText, Snapshot().metrics).
 // Also the regression suite for the accounting bugfixes: non-finite
@@ -11,7 +11,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -143,43 +145,6 @@ TEST(MetricsTest, GaugeIsLastWriteWins) {
   EXPECT_EQ(gauge.Value(), -1.0);
 }
 
-TEST(MetricsTest, HistogramObservesAcrossThreadsAndBuckets) {
-  obs::Histogram hist;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 5000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&hist, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        hist.Observe(1e-6 * (1 + t));  // 1..4 microseconds
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(hist.Count(), static_cast<long>(kThreads) * kPerThread);
-  EXPECT_EQ(hist.Invalid(), 0);
-  EXPECT_NEAR(hist.Sum(), 1e-6 * (1 + 2 + 3 + 4) * kPerThread, 1e-9);
-  const auto buckets = hist.Buckets();
-  long total = 0;
-  for (long b : buckets) total += b;
-  EXPECT_EQ(total, hist.Count());
-  // 1us lands in bucket 0; 2us in bucket 1; 3..4us in bucket 2.
-  EXPECT_EQ(buckets[0], kPerThread);
-  EXPECT_EQ(buckets[1], kPerThread);
-  EXPECT_EQ(buckets[2], 2 * kPerThread);
-}
-
-TEST(MetricsTest, HistogramRoutesNonFiniteToInvalid) {
-  obs::Histogram hist;
-  hist.Observe(std::numeric_limits<double>::quiet_NaN());
-  hist.Observe(std::numeric_limits<double>::infinity());
-  hist.Observe(-std::numeric_limits<double>::infinity());
-  hist.Observe(1e-3);
-  EXPECT_EQ(hist.Count(), 1);
-  EXPECT_EQ(hist.Invalid(), 3);
-  EXPECT_NEAR(hist.Sum(), 1e-3, 1e-12);
-}
-
 TEST(MetricsTest, LatencyBucketLayoutIsLog2Microseconds) {
   EXPECT_EQ(obs::LatencyBucketIndex(0.0), 0);
   EXPECT_EQ(obs::LatencyBucketIndex(1e-6), 0);
@@ -199,23 +164,17 @@ TEST(MetricsTest, RegistryFindOrCreateReturnsStableReferences) {
   EXPECT_EQ(&a, &a2);
   a.Increment(3);
   registry.GetGauge("osd_g").Set(1.5);
-  registry.GetHistogram("osd_h_seconds", "hist help").Observe(2e-6);
 
   const auto snapshots = registry.Collect();
-  ASSERT_EQ(snapshots.size(), 3u);
+  ASSERT_EQ(snapshots.size(), 2u);
   // Sorted by name.
   EXPECT_EQ(snapshots[0].name, "osd_a_total");
   EXPECT_EQ(snapshots[1].name, "osd_g");
-  EXPECT_EQ(snapshots[2].name, "osd_h_seconds");
   EXPECT_EQ(snapshots[0].type, obs::MetricType::kCounter);
   EXPECT_EQ(snapshots[0].value, 3.0);
   EXPECT_EQ(snapshots[0].help, "first help");
   EXPECT_EQ(snapshots[1].type, obs::MetricType::kGauge);
   EXPECT_EQ(snapshots[1].value, 1.5);
-  EXPECT_EQ(snapshots[2].type, obs::MetricType::kHistogram);
-  EXPECT_EQ(snapshots[2].count, 1);
-  ASSERT_EQ(snapshots[2].buckets.size(),
-            static_cast<size_t>(obs::kLatencyBuckets));
 }
 
 TEST(MetricsTest, FamilyStripsLabelBlock) {
@@ -625,34 +584,103 @@ TEST(EngineObsTest, SlowQueryLogCapturesOverThresholdQueries) {
 }
 
 TEST(EngineObsTest, UntracedQueriesLeaveMetricsConsistentUnderConcurrency) {
-  // Concurrency smoke for the sharded counters: many queries on several
-  // threads, then exact agreement between the mutex-guarded stats and the
-  // relaxed sharded metrics. Runs under TSan via the tsan ctest label.
-  QueryEngine engine(SmallDataset(120, 29), {.num_threads = 4});
+  // Many queries on several threads with the profile cache on, plus one
+  // cancelled ticket; then every engine series must equal the EngineStats
+  // field it is rendered from. Runs under TSan via the tsan ctest label.
+  QueryEngine engine(SmallDataset(120, 29), {.num_threads = 4,
+                                             .shed_on_overload = true,
+                                             .profile_cache_bytes = 8 << 20});
   const auto workload = SmallWorkload(engine.dataset(), 32, 31);
-  std::vector<QuerySpec> specs;
-  for (const auto& entry : workload) {
+  const auto psd = [](const UncertainObject& query) {
     QuerySpec spec;
-    spec.query = entry.query;
+    spec.query = query;
     spec.options.op = Operator::kPSd;
-    specs.push_back(std::move(spec));
+    return spec;
+  };
+  // Four blockers hold every worker in their terminal hook, so the victim
+  // queued behind them is cancelled before a worker can start it. They
+  // repeat the first four queries, which the cache then serves again.
+  std::promise<void> gate;
+  std::shared_future<void> open = gate.get_future().share();
+  std::vector<std::shared_ptr<QueryTicket>> tickets;
+  for (int i = 0; i < 4; ++i) {
+    QuerySpec blocker = psd(workload[i].query);
+    blocker.on_finish = [open](const QueryTicket&) { open.wait(); };
+    tickets.push_back(engine.Submit(std::move(blocker)));
   }
-  auto tickets = engine.SubmitBatch(std::move(specs));
-  for (auto& t : tickets) t->Wait();
+  auto victim = engine.Submit(psd(workload[4].query));
+  victim->Cancel();
+  std::vector<QuerySpec> specs;
+  for (const auto& entry : workload) specs.push_back(psd(entry.query));
+  for (auto& t : engine.SubmitBatch(std::move(specs))) tickets.push_back(t);
+  gate.set_value();
+  EXPECT_EQ(victim->Wait(), QueryStatus::kCancelled);
+  for (auto& t : tickets) EXPECT_EQ(t->Wait(), QueryStatus::kOk);
+
   const EngineStats stats = engine.Snapshot();
-  EXPECT_EQ(stats.ok, 32);
-  long metric_ok = -1;
-  long metric_latency_count = -1;
-  for (const auto& m : stats.metrics) {
-    if (m.name == "osd_queries_total{status=\"ok\"}") {
-      metric_ok = static_cast<long>(m.value);
-    }
-    if (m.name == "osd_query_latency_seconds") {
-      metric_latency_count = m.count;
-    }
+  EXPECT_EQ(stats.ok, 36);
+  EXPECT_EQ(stats.cancelled, 1);
+  EXPECT_GT(stats.profile_cache_hits, 0);
+  std::map<std::string, const obs::MetricSnapshot*> by_name;
+  for (const auto& m : stats.metrics) by_name[m.name] = &m;
+  const auto value = [&by_name](const std::string& name) {
+    const auto it = by_name.find(name);
+    EXPECT_NE(it, by_name.end()) << "missing series " << name;
+    return it == by_name.end() ? -1.0 : it->second->value;
+  };
+  const std::pair<const char*, long> statuses[] = {
+      {"ok", stats.ok},
+      {"deadline_exceeded", stats.deadline_exceeded},
+      {"cancelled", stats.cancelled},
+      {"error", stats.errors},
+      {"ok_degraded", stats.ok_degraded},
+      {"rejected", stats.rejected},
+      {"stalled", stats.stalled},
+  };
+  for (const auto& [label, n] : statuses) {
+    EXPECT_EQ(value(std::string("osd_queries_total{status=\"") + label +
+                    "\"}"),
+              n)
+        << label;
   }
-  EXPECT_EQ(metric_ok, 32);
-  EXPECT_EQ(metric_latency_count, 32);
+  long candidates = 0;
+  for (int op = 0; op < 5; ++op) {
+    candidates += stats.per_operator[op].candidates;
+    EXPECT_EQ(value(std::string("osd_operator_queries_total{op=\"") +
+                    OperatorName(static_cast<Operator>(op)) + "\"}"),
+              stats.per_operator[op].queries);
+  }
+  EXPECT_EQ(value("osd_candidates_total"), candidates);
+  EXPECT_EQ(value("osd_dominance_checks_total"),
+            stats.filters.dominance_checks);
+  EXPECT_EQ(value("osd_instance_comparisons_total"),
+            stats.filters.InstanceComparisons());
+  EXPECT_EQ(value("osd_flow_runs_total"), stats.filters.flow_runs);
+  EXPECT_EQ(value("osd_objects_examined_total"), stats.objects_examined);
+  EXPECT_EQ(value("osd_entries_pruned_total"), stats.entries_pruned);
+  EXPECT_EQ(value("osd_frontier_objects_total"), stats.frontier_objects);
+  EXPECT_EQ(value("osd_retries_total"), stats.retries);
+  EXPECT_EQ(value("osd_mem_breaches_total"), stats.mem_breaches);
+  EXPECT_EQ(value("osd_mem_admission_rejected_total"),
+            stats.mem_admission_rejected);
+  EXPECT_EQ(value("osd_bad_allocs_total"), stats.bad_allocs);
+  EXPECT_EQ(value("osd_profile_cache_hits_total"), stats.profile_cache_hits);
+  EXPECT_EQ(value("osd_profile_cache_misses_total"),
+            stats.profile_cache_misses);
+  EXPECT_EQ(value("osd_profile_cache_evictions_total"),
+            stats.profile_cache_evictions);
+  EXPECT_EQ(value("osd_profile_cache_bytes"), stats.profile_cache_bytes);
+  EXPECT_EQ(value("osd_engine_threads"), 4.0);
+
+  const auto latency = by_name.find("osd_query_latency_seconds");
+  ASSERT_NE(latency, by_name.end());
+  const obs::MetricSnapshot& hist = *latency->second;
+  EXPECT_EQ(hist.count, stats.latency_histogram.count());
+  EXPECT_EQ(hist.count, 37);
+  EXPECT_EQ(hist.invalid, stats.latency_invalid);
+  EXPECT_EQ(hist.buckets,
+            std::vector<long>(stats.latency_histogram.buckets().begin(),
+                              stats.latency_histogram.buckets().end()));
 }
 
 }  // namespace
