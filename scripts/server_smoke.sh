@@ -7,7 +7,8 @@
 # in-flight ticket finished, summary printed, exit code 0. A durability
 # leg then runs a --wal-dir server through an acked write, a sealed
 # SIGTERM shutdown (whose --metrics-out exposition is linted: one # TYPE
-# per family, *_total families typed counter), and a restart that must
+# per family, *_total families typed counter, and the net and tenant
+# series consistent with the drain summary), and a restart that must
 # recover the write; wal-dump and checkpoint-info must accept the
 # surviving directory. Finishes with
 # a quick osd_chaos soak (adversarial clients + failpoint storms + drain
@@ -152,13 +153,20 @@ grep -q 'WAL sealed at seq 1' "$TMP/dur1.err" \
 
 # Lint the live server's exposition (engine, net, tenant and WAL series):
 # one # TYPE line per family, and every *_total family typed as a counter.
-python3 - "$TMP/dur1.prom" <<'PY' \
+# The exposition is written after the SIGTERM drain, so it must also agree
+# with the drain summary: no tenant query in flight, no connection open,
+# draining set, and as many accepted connections as the summary served.
+python3 - "$TMP/dur1.prom" "$TMP/dur1.err" <<'PY' \
   || { echo "FAIL: metrics exposition lint"; exit 1; }
+import re
 import sys
 types = {}
+samples = {}
 bad = []
 for line in open(sys.argv[1]):
     parts = line.split()
+    if len(parts) == 2 and not line.startswith("#"):
+        samples[parts[0]] = float(parts[1])
     if len(parts) != 4 or parts[:2] != ["#", "TYPE"]:
         continue
     family, kind = parts[2], parts[3]
@@ -169,6 +177,20 @@ for line in open(sys.argv[1]):
         bad.append(f"{family}: _total family typed {kind}")
 if not types:
     bad.append("no # TYPE lines")
+for name, value in samples.items():
+    if name.startswith("osd_tenant_inflight{") and value != 0:
+        bad.append(f"{name} = {value:g} after drain")
+for name, want in [("osd_net_connections_active", 0),
+                   ("osd_net_draining", 1)]:
+    if samples.get(name) != want:
+        bad.append(f"{name} = {samples.get(name)} after drain, want {want}")
+served = re.search(r"(\d+) connection\(s\) served", open(sys.argv[2]).read())
+accepted = samples.get("osd_net_connections_accepted_total")
+if served is None:
+    bad.append("no 'connection(s) served' in the drain summary")
+elif accepted != int(served.group(1)):
+    bad.append(f"osd_net_connections_accepted_total = {accepted}, drain "
+               f"summary served {served.group(1)}")
 for b in bad:
     print(f"metrics lint: {b}")
 sys.exit(1 if bad else 0)

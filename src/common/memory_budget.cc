@@ -40,8 +40,7 @@ namespace memory {
 
 namespace {
 
-/// Round-robin shard assignment per thread, cached in a thread_local (same
-/// scheme as obs::internal::ThisShard).
+/// Round-robin shard assignment per thread, cached in a thread_local.
 int ThisShard() {
   static std::atomic<unsigned> next{0};
   thread_local int shard = static_cast<int>(

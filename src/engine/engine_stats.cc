@@ -1,7 +1,6 @@
 #include "engine/engine_stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <utility>
 #include <vector>
@@ -11,18 +10,6 @@
 namespace osd {
 
 namespace {
-
-// The bucket layout is the one the exposition renderers label (see
-// obs/metrics.h).
-static_assert(LatencyHistogram::kBuckets == obs::kLatencyBuckets);
-
-int BucketIndex(double seconds) { return obs::LatencyBucketIndex(seconds); }
-
-double BucketLowerSeconds(int b) {
-  return b == 0 ? 0.0 : obs::LatencyBucketUpperSeconds(b - 1);
-}
-
-double BucketUpperSeconds(int b) { return obs::LatencyBucketUpperSeconds(b); }
 
 // Printf-append that never truncates: outputs longer than the stack buffer
 // re-render into a heap buffer sized from the snprintf return value. The
@@ -42,45 +29,6 @@ void Append(std::string* out, const char* fmt, auto... args) {
 }
 
 }  // namespace
-
-void LatencyHistogram::Add(double seconds) {
-  // NaN survives std::max and log2(NaN) -> float-to-int cast is UB, so
-  // non-finite samples must never reach the bucket math; count them
-  // instead of silently dropping so a poisoned clock stays visible.
-  if (!std::isfinite(seconds)) {
-    ++invalid_;
-    return;
-  }
-  seconds = std::max(seconds, 0.0);
-  ++buckets_[BucketIndex(seconds)];
-  if (count_ == 0 || seconds < min_) min_ = seconds;
-  if (seconds > max_) max_ = seconds;
-  total_ += seconds;
-  ++count_;
-}
-
-double LatencyHistogram::BucketUpperBoundSeconds(int b) {
-  return BucketUpperSeconds(b);
-}
-
-double LatencyHistogram::Quantile(double q) const {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * count_;
-  long cum = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    if (buckets_[b] == 0) continue;
-    if (cum + buckets_[b] >= target) {
-      const double frac =
-          buckets_[b] > 0 ? (target - cum) / buckets_[b] : 0.0;
-      const double lo = BucketLowerSeconds(b);
-      const double hi = BucketUpperSeconds(b);
-      return std::clamp(lo + frac * (hi - lo), min_, max_);
-    }
-    cum += buckets_[b];
-  }
-  return max_;
-}
 
 std::vector<obs::MetricSnapshot> EngineMetrics(const EngineStats& s) {
   std::vector<obs::MetricSnapshot> out;
@@ -200,11 +148,11 @@ std::string EngineStats::ToJson() const {
   out += ",\"latency_buckets\":[";
   {
     bool first_bucket = true;
-    for (int b = 0; b < LatencyHistogram::kBuckets; ++b) {
+    for (int b = 0; b < obs::kLatencyBuckets; ++b) {
       const long n = latency_histogram.buckets()[b];
       if (n == 0) continue;
       Append(&out, "%s[%.4f,%ld]", first_bucket ? "" : ",",
-             LatencyHistogram::BucketUpperBoundSeconds(b) * 1e3, n);
+             obs::LatencyBucketUpperSeconds(b) * 1e3, n);
       first_bucket = false;
     }
   }

@@ -115,7 +115,7 @@ QueryEngine::QueryEngine(Dataset dataset, EngineOptions options)
 
 void QueryEngine::NoteMemBreach() {
   std::lock_guard<std::mutex> lock(stats_mu_);
-  ++mem_breaches_;
+  ++stats_.mem_breaches;
 }
 
 long QueryEngine::AdmissionHighWaterBytes() const {
@@ -224,7 +224,7 @@ void QueryEngine::FailStalled(Watched& watched) {
     // replacement keeping pool capacity whole.
     pool_.PoisonWorker(watched.worker);
     std::lock_guard<std::mutex> lock(stats_mu_);
-    ++workers_poisoned_;
+    ++stats_.workers_poisoned;
   }
 }
 
@@ -245,14 +245,13 @@ std::shared_ptr<QueryTicket> QueryEngine::Submit(QuerySpec spec) {
   }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    ++submitted_;
+    ++stats_.submitted;
     if (!saw_submission_) {
       saw_submission_ = true;
       first_submit_ = now;
       last_completion_ = now;
     }
   }
-  const Operator op = spec.options.op;
   // Memory admission control: above the engine budget's high-water mark,
   // refuse work before it starts (kRejected, when shedding) or hold the
   // submitter until in-flight queries release charge (backpressure).
@@ -261,9 +260,9 @@ std::shared_ptr<QueryTicket> QueryEngine::Submit(QuerySpec spec) {
       if (options_.shed_on_overload) {
         {
           std::lock_guard<std::mutex> lock(stats_mu_);
-          ++mem_admission_rejected_;
+          ++stats_.mem_admission_rejected;
         }
-        Complete(ticket, op, QueryStatus::kRejected, {},
+        Complete(ticket, spec.options.op, QueryStatus::kRejected, {},
                  "engine memory budget above high-water mark (admission "
                  "control)",
                  0);
@@ -280,24 +279,10 @@ std::shared_ptr<QueryTicket> QueryEngine::Submit(QuerySpec spec) {
     EnqueueBatched(ticket, std::move(spec));
     return ticket;
   }
-  auto task = [this, ticket, spec = std::move(spec)]() mutable {
-    Execute(ticket, spec);
-  };
-  const bool accepted = options_.shed_on_overload
-                            ? pool_.TrySubmit(std::move(task))
-                            : pool_.Submit(std::move(task));
-  if (!accepted) {
-    if (options_.shed_on_overload) {
-      // Shedding: fail fast instead of blocking the submitter. (TrySubmit
-      // also refuses during shutdown; either way the queue cannot take it.)
-      Complete(ticket, op, QueryStatus::kRejected, {},
-               "submission queue saturated (overload shedding)", 0);
-    } else {
-      // Pool shutting down: fail the ticket instead of losing it silently.
-      Complete(ticket, op, QueryStatus::kError, {}, "engine is shutting down",
-               0);
-    }
-  }
+  // Unbatched: a one-member batch, which ExecuteBatch runs as plain Execute.
+  auto single = std::make_unique<PendingBatch>();
+  single->items.push_back(BatchItem{ticket, std::move(spec), {}, false});
+  DispatchBatch(std::move(single));
   return ticket;
 }
 
@@ -398,6 +383,9 @@ void QueryEngine::DispatchBatch(std::unique_ptr<PendingBatch> batch) {
                             ? pool_.TrySubmit(std::move(task))
                             : pool_.Submit(std::move(task));
   if (!accepted) {
+    // Shedding fails fast instead of blocking the submitter (TrySubmit also
+    // refuses during shutdown); without it a refusal means the pool is
+    // shutting down, and the ticket fails instead of being lost silently.
     const bool shed = options_.shed_on_overload;
     for (BatchItem& item : shared->items) {
       Complete(item.ticket, item.spec.options.op,
@@ -623,7 +611,7 @@ void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
       // has cleared.
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
-        ++bad_allocs_;
+        ++stats_.bad_allocs;
       }
       Complete(ticket, op, QueryStatus::kError, {},
                "out of memory (std::bad_alloc contained at the worker "
@@ -661,7 +649,7 @@ void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
     }
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
-      ++retries_;
+      ++stats_.retries;
     }
     if (backoff_s > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff_s));
@@ -702,23 +690,23 @@ bool QueryEngine::Complete(const std::shared_ptr<QueryTicket>& ticket,
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     switch (status) {
-      case QueryStatus::kOk: ++ok_; break;
-      case QueryStatus::kOkDegraded: ++ok_degraded_; break;
-      case QueryStatus::kDeadlineExceeded: ++deadline_exceeded_; break;
-      case QueryStatus::kCancelled: ++cancelled_; break;
-      case QueryStatus::kRejected: ++rejected_; break;
-      case QueryStatus::kStalled: ++stalled_; break;
-      default: ++errors_; break;
+      case QueryStatus::kOk: ++stats_.ok; break;
+      case QueryStatus::kOkDegraded: ++stats_.ok_degraded; break;
+      case QueryStatus::kDeadlineExceeded: ++stats_.deadline_exceeded; break;
+      case QueryStatus::kCancelled: ++stats_.cancelled; break;
+      case QueryStatus::kRejected: ++stats_.rejected; break;
+      case QueryStatus::kStalled: ++stats_.stalled; break;
+      default: ++stats_.errors; break;
     }
     // Rejected queries never ran; keeping them out of the latency
     // histogram stops shed storms from dragging the percentiles to ~0.
-    if (status != QueryStatus::kRejected) latency_.Add(latency);
+    if (status != QueryStatus::kRejected) stats_.latency_histogram.Add(latency);
     if (status != QueryStatus::kError && status != QueryStatus::kRejected) {
-      filters_ += result.stats;
-      objects_examined_ += result.objects_examined;
-      entries_pruned_ += result.entries_pruned;
-      frontier_objects_ += result.frontier_objects;
-      OperatorStats& per_op = per_operator_[static_cast<int>(op)];
+      stats_.filters += result.stats;
+      stats_.objects_examined += result.objects_examined;
+      stats_.entries_pruned += result.entries_pruned;
+      stats_.frontier_objects += result.frontier_objects;
+      OperatorStats& per_op = stats_.per_operator[static_cast<int>(op)];
       ++per_op.queries;
       per_op.candidates += static_cast<long>(result.candidates.size());
       per_op.busy_seconds += result.seconds;
@@ -745,52 +733,34 @@ bool QueryEngine::Complete(const std::shared_ptr<QueryTicket>& ticket,
 }
 
 EngineStats QueryEngine::Snapshot() const {
-  EngineStats s;
   std::unique_lock<std::mutex> lock(stats_mu_);
-  s.threads = pool_.num_threads();
-  s.submitted = submitted_;
-  s.ok = ok_;
-  s.ok_degraded = ok_degraded_;
-  s.deadline_exceeded = deadline_exceeded_;
-  s.cancelled = cancelled_;
-  s.errors = errors_;
-  s.rejected = rejected_;
-  s.stalled = stalled_;
-  s.workers_poisoned = workers_poisoned_;
-  s.retries = retries_;
-  s.completed = ok_ + ok_degraded_ + deadline_exceeded_ + cancelled_ +
-                errors_ + rejected_ + stalled_;
-  // Throughput counts tickets that actually ran. Shed (rejected) tickets
-  // terminate in microseconds without executing; folding them into the
-  // numerator would report an overloaded engine as faster the harder it
-  // sheds.
-  s.executed = s.completed - rejected_;
+  EngineStats s = stats_;
   if (saw_submission_) {
     s.wall_seconds =
         std::chrono::duration<double>(last_completion_ - first_submit_)
             .count();
   }
+  lock.unlock();  // the rest derives from the copy or reads its own atomics
+  s.threads = pool_.num_threads();
+  s.completed = s.ok + s.ok_degraded + s.deadline_exceeded + s.cancelled +
+                s.errors + s.rejected + s.stalled;
+  // Throughput counts tickets that actually ran. Shed (rejected) tickets
+  // terminate in microseconds without executing; folding them into the
+  // numerator would report an overloaded engine as faster the harder it
+  // sheds.
+  s.executed = s.completed - s.rejected;
   s.qps = s.wall_seconds > 0 ? s.executed / s.wall_seconds : 0.0;
-  s.latency_mean_ms = latency_.mean_seconds() * 1e3;
-  s.latency_p50_ms = latency_.Quantile(0.50) * 1e3;
-  s.latency_p95_ms = latency_.Quantile(0.95) * 1e3;
-  s.latency_p99_ms = latency_.Quantile(0.99) * 1e3;
-  s.latency_max_ms = latency_.max_seconds() * 1e3;
-  s.latency_invalid = latency_.invalid();
-  s.latency_histogram = latency_;
-  s.filters = filters_;
-  s.objects_examined = objects_examined_;
-  s.entries_pruned = entries_pruned_;
-  s.frontier_objects = frontier_objects_;
-  s.mem_breaches = mem_breaches_;
-  s.mem_admission_rejected = mem_admission_rejected_;
-  s.bad_allocs = bad_allocs_;
+  const obs::LatencyHistogram& latency = s.latency_histogram;
+  s.latency_mean_ms = latency.mean_seconds() * 1e3;
+  s.latency_p50_ms = latency.Quantile(0.50) * 1e3;
+  s.latency_p95_ms = latency.Quantile(0.95) * 1e3;
+  s.latency_p99_ms = latency.Quantile(0.99) * 1e3;
+  s.latency_max_ms = latency.max_seconds() * 1e3;
+  s.latency_invalid = latency.invalid();
   s.mem_current_bytes = mem_budget_.current_bytes();
   s.mem_peak_bytes = mem_budget_.peak_bytes();
   s.mem_engine_cap_bytes = options_.engine_mem_bytes;
   s.mem_per_query_cap_bytes = options_.per_query_mem_bytes;
-  s.per_operator = per_operator_;
-  lock.unlock();  // the cache counters and the series need no stats lock
   if (profile_cache_ != nullptr) {
     const ProfileCache::Counters c = profile_cache_->GetCounters();
     s.profile_cache_hits = c.hits;

@@ -339,8 +339,9 @@ class QueryEngine {
   /// max_batch). Called from Submit after the snapshot is pinned.
   void EnqueueBatched(const std::shared_ptr<QueryTicket>& ticket,
                       QuerySpec spec);
-  /// Hands a closed batch to the pool (honouring shed_on_overload); on
-  /// refusal completes every member as kRejected/kError.
+  /// Hands a closed batch — or, unbatched, one query as a one-member
+  /// batch — to the pool (honouring shed_on_overload); on refusal completes
+  /// every member as kRejected/kError.
   void DispatchBatch(std::unique_ptr<PendingBatch> batch);
   /// Worker-side: installs a shared BatchDistContext and runs the members
   /// in order, each under its own budget scope / deadline / trace.
@@ -385,29 +386,12 @@ class QueryEngine {
   bool watch_stop_ = false;
   std::thread watchdog_thread_;
 
-  /// The engine's one book of counters: Complete and the admission,
-  /// retry and memory paths update it, Snapshot reads it, and the
-  /// Prometheus series are rendered from that snapshot.
+  /// The engine's one book of counters: Submit, Complete and the
+  /// admission, retry and memory paths update its fields, and Snapshot
+  /// copies it and fills the derived fields (completed, throughput,
+  /// quantiles, memory, cache, series).
   mutable std::mutex stats_mu_;
-  long submitted_ = 0;
-  long ok_ = 0;
-  long ok_degraded_ = 0;
-  long deadline_exceeded_ = 0;
-  long cancelled_ = 0;
-  long errors_ = 0;
-  long rejected_ = 0;
-  long stalled_ = 0;
-  long workers_poisoned_ = 0;
-  long retries_ = 0;
-  long frontier_objects_ = 0;
-  long mem_breaches_ = 0;
-  long mem_admission_rejected_ = 0;
-  long bad_allocs_ = 0;
-  LatencyHistogram latency_;
-  FilterStats filters_;
-  long objects_examined_ = 0;
-  long entries_pruned_ = 0;
-  std::array<OperatorStats, 5> per_operator_{};
+  EngineStats stats_;
   bool saw_submission_ = false;
   std::chrono::steady_clock::time_point first_submit_{};
   std::chrono::steady_clock::time_point last_completion_{};

@@ -76,6 +76,10 @@ inline constexpr long kMaxRequestId = (1L << 53);  // exact in a double
 inline constexpr long kMaxObjectId = 2147483647;  // INT_MAX, exact in a double
 inline constexpr int kMaxK = 1'000'000;
 inline constexpr size_t kMaxTenantName = 64;
+/// Tenants the server keeps state and series for. Once this many exist, a
+/// hello naming a new tenant that ServerOptions::tenants does not configure
+/// is refused; configured names always resolve.
+inline constexpr size_t kMaxTenants = 256;
 /// Maximum ops in one mutate batch (per-request; tenants may be capped
 /// lower via TenantPolicy::max_mutation_ops).
 inline constexpr int kMaxMutationOps = 256;

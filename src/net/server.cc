@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstring>
 #include <exception>
-#include <iterator>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -29,50 +28,85 @@ constexpr int kPollTimeoutMs = 100;
 /// grows (the terminal frame holds the authoritative candidate set).
 constexpr size_t kMaxCoalescedIds = 4096;
 
+void Count(std::atomic<long>& counter, long delta = 1) {
+  counter.fetch_add(delta, std::memory_order_relaxed);
+}
+
+/// Appends the server's osd_net_* and osd_tenant_* series, read from its
+/// Counters and each TenantState (unsorted: MetricsText sorts the union).
+/// Takes them as `auto` because both types are private to OsdServer; the
+/// caller holds tenants_mu_.
+void AppendNetMetrics(const auto& c, const auto& tenants, bool draining,
+                      std::vector<obs::MetricSnapshot>* out) {
+  const auto add = [out](std::string name, const char* help,
+                         obs::MetricType type, double value) {
+    out->push_back(obs::ScalarSnapshot(std::move(name), help, type, value));
+  };
+  const auto counter = [&add](std::string name, const char* help,
+                              const std::atomic<long>& value) {
+    add(std::move(name), help, obs::MetricType::kCounter,
+        static_cast<double>(value.load(std::memory_order_relaxed)));
+  };
+  counter("osd_net_connections_accepted_total",
+          "TCP connections accepted by the service listener.", c.accepted);
+  add("osd_net_connections_active", "Currently open client connections.",
+      obs::MetricType::kGauge,
+      static_cast<double>(c.active.load(std::memory_order_relaxed)));
+  counter("osd_net_disconnects_total",
+          "Connections closed for any reason (EOF, error, overflow, drain).",
+          c.disconnects);
+  counter("osd_net_frames_read_total", "Complete request frames decoded.",
+          c.frames_read);
+  counter("osd_net_frames_sent_total",
+          "Response/event frames queued for send.", c.frames_sent);
+  counter("osd_net_bytes_read_total", "Bytes read from client sockets.",
+          c.bytes_read);
+  counter("osd_net_bytes_sent_total", "Bytes written to client sockets.",
+          c.bytes_sent);
+  counter("osd_net_protocol_errors_total",
+          "Frames rejected for framing, syntax or schema violations.",
+          c.protocol_errors);
+  counter("osd_net_evictions_total",
+          "Connections evicted by the server (output overflow, write stall, "
+          "idle timeout).",
+          c.evictions);
+  counter("osd_net_candidates_coalesced_total",
+          "Candidate events folded into summary frames above the output high "
+          "watermark.",
+          c.candidates_coalesced);
+  counter("osd_net_mutations_total",
+          "Mutation ops applied through the wire (sum over mutate batches).",
+          c.mutations);
+  counter("osd_net_mutations_rejected_total",
+          "Mutate frames refused (write_denied, bad_mutation, batch caps, "
+          "drain).",
+          c.mutations_rejected);
+  counter("osd_net_storage_unavailable_total",
+          "Mutate frames refused because the durability tier is in read-only "
+          "degraded mode (WAL append/fsync failure).",
+          c.storage_unavailable);
+  add("osd_net_draining", "1 while a graceful drain is in progress.",
+      obs::MetricType::kGauge, draining ? 1 : 0);
+  for (const auto& [name, t] : tenants) {
+    const std::string label = "{tenant=\"" + name + "\"}";
+    counter("osd_tenant_queries_total" + label,
+            "Queries admitted per tenant (including ones the engine shed).",
+            t.queries);
+    counter("osd_tenant_rejected_total" + label,
+            "Submits refused per tenant (inflight cap or drain).", t.rejected);
+    counter("osd_tenant_candidates_streamed_total" + label,
+            "Progressive candidate frames emitted per tenant.",
+            t.candidates_streamed);
+    add("osd_tenant_inflight" + label,
+        "Queries currently in flight per tenant.", obs::MetricType::kGauge,
+        t.inflight.load(std::memory_order_relaxed));
+  }
+}
+
 }  // namespace
 
 OsdServer::OsdServer(QueryEngine* engine, ServerOptions options)
     : engine_(engine), options_(std::move(options)) {
-  hot_.accepted = &registry_.GetCounter(
-      "osd_net_connections_accepted_total",
-      "TCP connections accepted by the service listener.");
-  hot_.disconnects = &registry_.GetCounter(
-      "osd_net_disconnects_total",
-      "Connections closed for any reason (EOF, error, overflow, drain).");
-  hot_.frames_read = &registry_.GetCounter(
-      "osd_net_frames_read_total", "Complete request frames decoded.");
-  hot_.frames_sent = &registry_.GetCounter(
-      "osd_net_frames_sent_total", "Response/event frames queued for send.");
-  hot_.bytes_read = &registry_.GetCounter("osd_net_bytes_read_total",
-                                          "Bytes read from client sockets.");
-  hot_.bytes_sent = &registry_.GetCounter("osd_net_bytes_sent_total",
-                                          "Bytes written to client sockets.");
-  hot_.protocol_errors = &registry_.GetCounter(
-      "osd_net_protocol_errors_total",
-      "Frames rejected for framing, syntax or schema violations.");
-  hot_.evictions = &registry_.GetCounter(
-      "osd_net_evictions_total",
-      "Connections evicted by the server (output overflow, write stall, "
-      "idle timeout).");
-  hot_.candidates_coalesced = &registry_.GetCounter(
-      "osd_net_candidates_coalesced_total",
-      "Candidate events folded into summary frames above the output high "
-      "watermark.");
-  hot_.mutations = &registry_.GetCounter(
-      "osd_net_mutations_total",
-      "Mutation ops applied through the wire (sum over mutate batches).");
-  hot_.mutations_rejected = &registry_.GetCounter(
-      "osd_net_mutations_rejected_total",
-      "Mutate frames refused (write_denied, bad_mutation, batch caps, "
-      "drain).");
-  hot_.storage_unavailable = &registry_.GetCounter(
-      "osd_net_storage_unavailable_total",
-      "Mutate frames refused because the durability tier is in read-only "
-      "degraded mode (WAL append/fsync failure).");
-  hot_.active = &registry_.GetGauge("osd_net_connections_active",
-                                    "Currently open client connections.");
-  hot_.draining = &registry_.GetGauge(
-      "osd_net_draining", "1 while a graceful drain is in progress.");
   // Normalize the watermarks once: low defaults to high/2 and may never
   // sit above high.
   if (options_.output_high_watermark_bytes > 0) {
@@ -87,13 +121,12 @@ OsdServer::OsdServer(QueryEngine* engine, ServerOptions options)
   }
 }
 
-long OsdServer::evictions() const { return hot_.evictions->Value(); }
-
-long OsdServer::candidates_coalesced() const {
-  return hot_.candidates_coalesced->Value();
+long OsdServer::queries_submitted() const {
+  std::lock_guard<std::mutex> lock(tenants_mu_);
+  long total = 0;
+  for (const auto& [name, tenant] : tenants_) total += tenant.queries.load();
+  return total;
 }
-
-long OsdServer::mutations_applied() const { return hot_.mutations->Value(); }
 
 OsdServer::~OsdServer() { Shutdown(); }
 
@@ -152,9 +185,12 @@ void OsdServer::Shutdown() {
 
 std::string OsdServer::MetricsText() const {
   std::vector<obs::MetricSnapshot> metrics = engine_->Snapshot().metrics;
-  std::vector<obs::MetricSnapshot> net = registry_.Collect();
-  metrics.insert(metrics.end(), std::make_move_iterator(net.begin()),
-                 std::make_move_iterator(net.end()));
+  {
+    std::lock_guard<std::mutex> lock(tenants_mu_);
+    AppendNetMetrics(counters_, tenants_,
+                     drain_requested_.load(std::memory_order_relaxed),
+                     &metrics);
+  }
   if (options_.durable != nullptr) {
     const io::DurableStore::Stats d = options_.durable->GetStats();
     const auto add = [&metrics](const char* name, const char* help,
@@ -191,25 +227,12 @@ OsdServer::TenantState* OsdServer::ResolveTenant(const std::string& name) {
   std::lock_guard<std::mutex> lock(tenants_mu_);
   auto it = tenants_.find(name);
   if (it == tenants_.end()) {
-    it = tenants_.try_emplace(name).first;
-    TenantState& state = it->second;
     const auto policy_it = options_.tenants.find(name);
-    state.policy = policy_it != options_.tenants.end()
-                       ? policy_it->second
-                       : options_.default_policy;
-    const std::string label = "{tenant=\"" + name + "\"}";
-    state.queries = &registry_.GetCounter(
-        "osd_tenant_queries_total" + label,
-        "Queries admitted per tenant (including ones the engine shed).");
-    state.rejected = &registry_.GetCounter(
-        "osd_tenant_rejected_total" + label,
-        "Submits refused per tenant (inflight cap or drain).");
-    state.candidates_streamed = &registry_.GetCounter(
-        "osd_tenant_candidates_streamed_total" + label,
-        "Progressive candidate frames emitted per tenant.");
-    state.inflight_gauge = &registry_.GetGauge(
-        "osd_tenant_inflight" + label,
-        "Queries currently in flight per tenant.");
+    const bool configured = policy_it != options_.tenants.end();
+    if (!configured && tenants_.size() >= kMaxTenants) return nullptr;
+    it = tenants_.try_emplace(name).first;
+    it->second.policy =
+        configured ? policy_it->second : options_.default_policy;
   }
   return &it->second;
 }
@@ -230,12 +253,12 @@ void OsdServer::AppendFrameLocked(Connection& conn,
     // Payload over the frame cap (a pathological metrics dump): the stream
     // would desynchronize if we sent a partial frame, so drop the payload
     // and count it.
-    hot_.protocol_errors->Increment();
+    Count(counters_.protocol_errors);
     return;
   }
   if (conn.out.empty()) conn.stall_since = std::chrono::steady_clock::now();
   conn.out += frame;
-  hot_.frames_sent->Increment();
+  Count(counters_.frames_sent);
   if (conn.out.size() > options_.max_output_buffer_bytes) {
     // Slow or stalled reader under a progressive stream: cut it loose
     // rather than buffer without bound. The loop closes doomed
@@ -262,8 +285,8 @@ void OsdServer::EvictLocked(Connection& conn, const char* code,
   conn.stall_since = std::chrono::steady_clock::now();
   conn.closed = true;  // no further output accepted
   conn.doomed = true;  // loop: best-effort flush, then close
-  hot_.frames_sent->Increment();
-  hot_.evictions->Increment();
+  Count(counters_.frames_sent);
+  Count(counters_.evictions);
 }
 
 void OsdServer::EmitCoalescedLocked(Connection& conn) {
@@ -296,7 +319,7 @@ void OsdServer::AppendCandidate(Connection& conn, long id, long seq,
       } else {
         st.truncated = true;
       }
-      hot_.candidates_coalesced->Increment();
+      Count(counters_.candidates_coalesced);
       return;
     }
     AppendFrameLocked(conn, BuildCandidateMessage(id, seq, attempt,
@@ -437,7 +460,6 @@ bool OsdServer::ConnIdle(Connection& conn) {
 
 void OsdServer::EnterDrain() {
   draining_ = true;
-  hot_.draining->Set(1.0);
   listener_.Close();
 }
 
@@ -454,15 +476,15 @@ void OsdServer::AcceptNew() {
     }
     if (refuse) {
       ::close(fd);
-      hot_.disconnects->Increment();
+      Count(counters_.disconnects);
       continue;
     }
     SetNoDelay(fd);
     conns_.push_back(std::make_shared<Connection>(Socket(fd)));
     conns_.back()->decoder = FrameDecoder(options_.max_frame_bytes);
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    hot_.accepted->Increment();
-    hot_.active->Set(static_cast<double>(conns_.size()));
+    Count(counters_.accepted);
+    counters_.active.store(static_cast<long>(conns_.size()),
+                           std::memory_order_relaxed);
   }
 }
 
@@ -480,21 +502,21 @@ void OsdServer::HandleReadable(const ConnPtr& conn) {
   while (true) {
     const ssize_t n = ::recv(conn->sock.fd(), buf, sizeof(buf), 0);
     if (n > 0) {
-      hot_.bytes_read->Increment(n);
+      Count(counters_.bytes_read, n);
       conn->last_read = std::chrono::steady_clock::now();
       if (!conn->decoder.Feed(buf, static_cast<size_t>(n))) {
-        hot_.protocol_errors->Increment();
+        Count(counters_.protocol_errors);
         FailConnection(conn, conn->decoder.error());
         return;
       }
       std::string payload;
       while (conn->decoder.Next(&payload)) {
-        hot_.frames_read->Increment();
+        Count(counters_.frames_read);
         HandleFrame(conn, payload);
         if (conn->closing || !conn->sock.valid()) return;
       }
       if (conn->decoder.failed()) {
-        hot_.protocol_errors->Increment();
+        Count(counters_.protocol_errors);
         FailConnection(conn, conn->decoder.error());
         return;
       }
@@ -530,7 +552,7 @@ void OsdServer::FlushWrites(const ConnPtr& conn) {
                              conn->out.size() - off, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<size_t>(n);
-      hot_.bytes_sent->Increment(n);
+      Count(counters_.bytes_sent, n);
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -562,14 +584,14 @@ void OsdServer::HandleFrame(const ConnPtr& conn, const std::string& payload) {
   if (!ParseJson(payload, &msg, &error)) {
     // A frame that is not valid JSON means the client is broken; the
     // stream has no future.
-    hot_.protocol_errors->Increment();
+    Count(counters_.protocol_errors);
     FailConnection(conn, "invalid JSON: " + error);
     return;
   }
   const std::string type = MessageType(msg);
   if (!conn->hello_done) {
     if (type != "hello") {
-      hot_.protocol_errors->Increment();
+      Count(counters_.protocol_errors);
       FailConnection(conn, "expected hello, got '" + type + "'");
       return;
     }
@@ -593,7 +615,7 @@ void OsdServer::HandleFrame(const ConnPtr& conn, const std::string& payload) {
   } else if (type == "bye") {
     conn->closing = true;
   } else {
-    hot_.protocol_errors->Increment();
+    Count(counters_.protocol_errors);
     AppendFrame(*conn, BuildErrorMessage(-1, kErrBadRequest,
                                          "unknown message type '" + type +
                                              "'"));
@@ -604,17 +626,29 @@ void OsdServer::HandleHello(const ConnPtr& conn, const JsonValue& msg) {
   HelloRequest req;
   std::string error;
   if (!ParseHello(msg, &req, &error)) {
-    hot_.protocol_errors->Increment();
+    Count(counters_.protocol_errors);
     FailConnection(conn, error);
     return;
   }
   if (req.version != kProtocolVersion) {
-    hot_.protocol_errors->Increment();
+    Count(counters_.protocol_errors);
     FailConnection(conn, "unsupported protocol version " +
                              std::to_string(req.version));
     return;
   }
   conn->tenant = ResolveTenant(req.tenant);
+  if (conn->tenant == nullptr) {
+    // Every new name would otherwise add a permanent tenant and four
+    // series, growing the exposition past the frame cap.
+    AppendFrame(*conn, BuildErrorMessage(
+                           -1, kErrRejected,
+                           "tenant table full (" +
+                               std::to_string(kMaxTenants) +
+                               " tenants): unknown tenant '" + req.tenant +
+                               "' is not configured"));
+    conn->closing = true;  // stop reading; close once the frame flushes
+    return;
+  }
   conn->hello_done = true;
   const VersionedDataset::Snapshot snap = engine_->versioned().Acquire();
   AppendFrame(*conn, BuildHelloOkMessage(snap.live_size(), snap.dim(),
@@ -625,13 +659,13 @@ void OsdServer::HandleSubmit(const ConnPtr& conn, const JsonValue& msg) {
   SubmitRequest req;
   std::string error;
   if (!ParseSubmit(msg, &req, &error)) {
-    hot_.protocol_errors->Increment();
+    Count(counters_.protocol_errors);
     AppendFrame(*conn, BuildErrorMessage(req.id, kErrBadRequest, error));
     return;
   }
   TenantState* tenant = conn->tenant;
   if (draining_) {
-    tenant->rejected->Increment();
+    Count(tenant->rejected);
     AppendFrame(*conn, BuildErrorMessage(req.id, kErrDraining,
                                          "server is draining"));
     return;
@@ -642,7 +676,7 @@ void OsdServer::HandleSubmit(const ConnPtr& conn, const JsonValue& msg) {
     duplicate = conn->inflight.count(req.id) != 0;
   }
   if (duplicate) {
-    hot_.protocol_errors->Increment();
+    Count(counters_.protocol_errors);
     AppendFrame(*conn, BuildErrorMessage(req.id, kErrBadRequest,
                                          "duplicate in-flight request id"));
     return;
@@ -650,7 +684,7 @@ void OsdServer::HandleSubmit(const ConnPtr& conn, const JsonValue& msg) {
   if (tenant->policy.max_inflight > 0 &&
       tenant->inflight.load(std::memory_order_relaxed) >=
           tenant->policy.max_inflight) {
-    tenant->rejected->Increment();
+    Count(tenant->rejected);
     AppendFrame(*conn,
                 BuildErrorMessage(req.id, kErrOverInflightLimit,
                                   "tenant in-flight limit reached"));
@@ -665,7 +699,7 @@ void OsdServer::HandleSubmit(const ConnPtr& conn, const JsonValue& msg) {
     const VersionedDataset::Snapshot snap = engine_->versioned().Acquire();
     if (req.inline_query) {
       if (snap.dim() != 0 && req.query.dim() != snap.dim()) {
-        hot_.protocol_errors->Increment();
+        Count(counters_.protocol_errors);
         AppendFrame(
             *conn,
             BuildErrorMessage(
@@ -684,7 +718,7 @@ void OsdServer::HandleSubmit(const ConnPtr& conn, const JsonValue& msg) {
       // one; an id that dies in that window fails at worker resolution with
       // a precise error instead.
       if (snap.IndexOf(req.object_id) < 0) {
-        hot_.protocol_errors->Increment();
+        Count(counters_.protocol_errors);
         AppendFrame(*conn,
                     BuildErrorMessage(req.id, kErrBadRequest,
                                       "object_id unknown or deleted"));
@@ -716,7 +750,7 @@ void OsdServer::HandleSubmit(const ConnPtr& conn, const JsonValue& msg) {
     spec.on_emission = [this, weak, id, seq, tenant](const NncEmission& e,
                                                      int attempt) {
       const long s = seq->fetch_add(1, std::memory_order_relaxed);
-      tenant->candidates_streamed->Increment();
+      Count(tenant->candidates_streamed);
       if (ConnPtr c = weak.lock()) {
         AppendCandidate(*c, id, s, attempt, e.object_id, e.elapsed_seconds);
       }
@@ -745,8 +779,6 @@ void OsdServer::HandleSubmit(const ConnPtr& conn, const JsonValue& msg) {
       }
     }
     tenant->inflight.fetch_sub(1, std::memory_order_relaxed);
-    tenant->inflight_gauge->Set(static_cast<double>(
-        tenant->inflight.load(std::memory_order_relaxed)));
     queries_completed_.fetch_add(1, std::memory_order_relaxed);
     Wake();
     // Last: the loop's drain exit gate reads this, and engine_->Drain()
@@ -762,11 +794,8 @@ void OsdServer::HandleSubmit(const ConnPtr& conn, const JsonValue& msg) {
     conn->inflight[id] = Pending{};
   }
   tenant->inflight.fetch_add(1, std::memory_order_relaxed);
-  tenant->inflight_gauge->Set(static_cast<double>(
-      tenant->inflight.load(std::memory_order_relaxed)));
-  tenant->queries->Increment();
+  Count(tenant->queries);
   inflight_total_.fetch_add(1, std::memory_order_relaxed);
-  queries_submitted_.fetch_add(1, std::memory_order_relaxed);
 
   std::shared_ptr<QueryTicket> ticket = engine_->Submit(std::move(spec));
 
@@ -779,26 +808,26 @@ void OsdServer::HandleMutate(const ConnPtr& conn, const JsonValue& msg) {
   MutateRequest req;
   std::string error;
   if (!ParseMutate(msg, &req, &error)) {
-    hot_.protocol_errors->Increment();
+    Count(counters_.protocol_errors);
     AppendFrame(*conn, BuildErrorMessage(req.id, kErrBadRequest, error));
     return;
   }
   TenantState* tenant = conn->tenant;
   if (draining_) {
-    hot_.mutations_rejected->Increment();
+    Count(counters_.mutations_rejected);
     AppendFrame(*conn, BuildErrorMessage(req.id, kErrDraining,
                                          "server is draining"));
     return;
   }
   if (!tenant->policy.allow_writes) {
-    hot_.mutations_rejected->Increment();
+    Count(counters_.mutations_rejected);
     AppendFrame(*conn, BuildErrorMessage(req.id, kErrWriteDenied,
                                          "tenant policy forbids writes"));
     return;
   }
   if (tenant->policy.max_mutation_ops > 0 &&
       static_cast<int>(req.ops.size()) > tenant->policy.max_mutation_ops) {
-    hot_.mutations_rejected->Increment();
+    Count(counters_.mutations_rejected);
     AppendFrame(*conn,
                 BuildErrorMessage(
                     req.id, kErrBadRequest,
@@ -815,12 +844,12 @@ void OsdServer::HandleMutate(const ConnPtr& conn, const JsonValue& msg) {
   uint64_t epoch = 0;
   uint64_t seq = 0;
   if (!engine_->versioned().Apply(std::move(req.ops), &error, &epoch, &seq)) {
-    hot_.mutations_rejected->Increment();
+    Count(counters_.mutations_rejected);
     // A durability-tier refusal (read-only degraded mode) is not the
     // client's fault; distinguish it from bad_mutation so operators and
     // retry logic can tell "fix your batch" from "fix the disk".
     if (error.rfind(io::kStorageUnavailable, 0) == 0) {
-      hot_.storage_unavailable->Increment();
+      Count(counters_.storage_unavailable);
       AppendFrame(*conn,
                   BuildErrorMessage(req.id, kErrStorageUnavailable, error));
     } else {
@@ -830,7 +859,7 @@ void OsdServer::HandleMutate(const ConnPtr& conn, const JsonValue& msg) {
   }
   // The ack is built only after Apply returned, i.e. after the WAL fsync
   // when a durability tier is attached: mutate_ok implies durable.
-  hot_.mutations->Increment(applied);
+  Count(counters_.mutations, applied);
   AppendFrame(*conn, BuildMutateOkMessage(req.id, epoch, applied, seq));
 }
 
@@ -838,7 +867,7 @@ void OsdServer::HandleCancel(const ConnPtr& conn, const JsonValue& msg) {
   CancelRequest req;
   std::string error;
   if (!ParseCancel(msg, &req, &error)) {
-    hot_.protocol_errors->Increment();
+    Count(counters_.protocol_errors);
     AppendFrame(*conn, BuildErrorMessage(req.id, kErrBadRequest, error));
     return;
   }
@@ -858,11 +887,11 @@ void OsdServer::HandleStatus(const ConnPtr& conn) {
   std::string msg = "{\"type\":\"status_ok\",\"inflight\":";
   msg += std::to_string(inflight_total_.load());
   msg += ",\"connections\":";
-  msg += std::to_string(conns_.size());
+  msg += std::to_string(counters_.active.load(std::memory_order_relaxed));
   msg += ",\"draining\":";
   msg += draining_ ? "true" : "false";
   msg += ",\"submitted\":";
-  msg += std::to_string(queries_submitted_.load());
+  msg += std::to_string(queries_submitted());
   msg += ",\"completed\":";
   msg += std::to_string(queries_completed_.load());
   const VersionedDataset::Stats vstats = engine_->versioned().GetStats();
@@ -917,8 +946,9 @@ void OsdServer::CloseConnection(const ConnPtr& conn) {
   const auto it = std::find(conns_.begin(), conns_.end(), conn);
   if (it != conns_.end()) {
     conns_.erase(it);
-    hot_.disconnects->Increment();
-    hot_.active->Set(static_cast<double>(conns_.size()));
+    Count(counters_.disconnects);
+    counters_.active.store(static_cast<long>(conns_.size()),
+                           std::memory_order_relaxed);
   }
   conn->sock.Close();
 }

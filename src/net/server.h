@@ -24,6 +24,13 @@
 // over_inflight_limit error), pins the retry policy, gates writes
 // (allow_writes / max_mutation_ops on "mutate" frames), and labels the
 // Prometheus export (osd_tenant_*{tenant="..."} series in MetricsText).
+// Once kMaxTenants tenants exist, a hello naming a new tenant that
+// ServerOptions::tenants does not configure is refused, so fresh names
+// cannot grow the exposition without bound.
+//
+// Counters: the server keeps one book, a relaxed atomic per exported
+// osd_net_* series (Counters) and per osd_tenant_* series (TenantState).
+// The accessors, the status frame and MetricsText all read those atomics.
 //
 // Adversarial-load posture: every per-connection output buffer is bounded.
 // Above the soft high watermark, progressive candidate frames coalesce
@@ -63,7 +70,6 @@
 #include "net/protocol.h"
 #include "net/socket.h"
 #include "net/wire.h"
-#include "obs/metrics.h"
 
 namespace osd {
 namespace net {
@@ -163,25 +169,51 @@ class OsdServer {
   /// and, with a durable store, the osd_wal_* series.
   std::string MetricsText() const;
 
-  // Observability for tests and the smoke harness.
+  // Observability for tests and the smoke harness; each reads the counter
+  // its exported series reads.
   long inflight() const { return inflight_total_.load(); }
-  long queries_submitted() const { return queries_submitted_.load(); }
+  /// Sum of the tenants' osd_tenant_queries_total.
+  long queries_submitted() const;
   long queries_completed() const { return queries_completed_.load(); }
-  long connections_accepted() const { return connections_accepted_.load(); }
+  long connections_accepted() const { return counters_.accepted.load(); }
   bool draining() const { return drain_requested_.load(); }
-  long evictions() const;
-  long candidates_coalesced() const;
+  long evictions() const { return counters_.evictions.load(); }
+  long candidates_coalesced() const {
+    return counters_.candidates_coalesced.load();
+  }
   /// Mutation ops applied through the wire (sum of mutate_ok "applied").
-  long mutations_applied() const;
+  long mutations_applied() const { return counters_.mutations.load(); }
 
  private:
+  /// One tenant's policy and its osd_tenant_* series. `inflight` also
+  /// enforces policy.max_inflight.
   struct TenantState {
     TenantPolicy policy;
     std::atomic<int> inflight{0};
-    obs::Counter* queries = nullptr;
-    obs::Counter* rejected = nullptr;
-    obs::Counter* candidates_streamed = nullptr;
-    obs::Gauge* inflight_gauge = nullptr;
+    std::atomic<long> queries{0};
+    std::atomic<long> rejected{0};
+    std::atomic<long> candidates_streamed{0};
+  };
+
+  /// The server's one book of counters: one relaxed atomic per exported
+  /// osd_net_* series, incremented once where the event happens and read
+  /// by the accessors, the status frame and MetricsText. Unsharded: engine
+  /// workers touch only frames_sent and candidates_coalesced (and their
+  /// tenant's candidates_streamed), a handful of times per query.
+  struct Counters {
+    std::atomic<long> accepted{0};
+    std::atomic<long> active{0};  ///< conns_.size(), stored by the loop thread
+    std::atomic<long> disconnects{0};
+    std::atomic<long> frames_read{0};
+    std::atomic<long> frames_sent{0};
+    std::atomic<long> bytes_read{0};
+    std::atomic<long> bytes_sent{0};
+    std::atomic<long> protocol_errors{0};
+    std::atomic<long> evictions{0};
+    std::atomic<long> candidates_coalesced{0};
+    std::atomic<long> mutations{0};
+    std::atomic<long> mutations_rejected{0};
+    std::atomic<long> storage_unavailable{0};
   };
 
   struct Pending {
@@ -271,6 +303,9 @@ class OsdServer {
   /// Wakes the poll loop (safe from any thread and from signal handlers).
   void Wake();
 
+  /// The named tenant's state, created on first use; null when the table
+  /// already holds kMaxTenants tenants and `name` is neither one of them
+  /// nor configured in ServerOptions::tenants.
   TenantState* ResolveTenant(const std::string& name);
 
   QueryEngine* engine_;
@@ -289,31 +324,11 @@ class OsdServer {
 
   std::atomic<bool> drain_requested_{false};
   std::atomic<long> inflight_total_{0};
-  std::atomic<long> queries_submitted_{0};
   std::atomic<long> queries_completed_{0};
-  std::atomic<long> connections_accepted_{0};
+  Counters counters_;
 
-  std::mutex tenants_mu_;
+  mutable std::mutex tenants_mu_;
   std::map<std::string, TenantState> tenants_;
-
-  obs::MetricsRegistry registry_;
-  struct HotMetrics {
-    obs::Counter* accepted = nullptr;
-    obs::Counter* disconnects = nullptr;
-    obs::Counter* frames_read = nullptr;
-    obs::Counter* frames_sent = nullptr;
-    obs::Counter* bytes_read = nullptr;
-    obs::Counter* bytes_sent = nullptr;
-    obs::Counter* protocol_errors = nullptr;
-    obs::Counter* evictions = nullptr;
-    obs::Counter* candidates_coalesced = nullptr;
-    obs::Counter* mutations = nullptr;
-    obs::Counter* mutations_rejected = nullptr;
-    obs::Counter* storage_unavailable = nullptr;
-    obs::Gauge* active = nullptr;
-    obs::Gauge* draining = nullptr;
-  };
-  HotMetrics hot_;
 };
 
 }  // namespace net

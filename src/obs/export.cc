@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "net/json.h"
+
 namespace osd {
 namespace obs {
 
@@ -61,28 +63,6 @@ const std::array<std::string, kLatencyBuckets>& BucketLabels() {
 }
 
 }  // namespace
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string RenderPrometheusMetrics(
     const std::vector<MetricSnapshot>& metrics) {
@@ -142,7 +122,8 @@ std::string RenderJsonMetrics(const std::vector<MetricSnapshot>& metrics) {
   for (const MetricSnapshot& m : metrics) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + EscapeJson(m.name) + "\":{\"type\":\"";
+    net::AppendJsonString(&out, m.name);
+    out += ":{\"type\":\"";
     out += TypeName(m.type);
     out += "\"";
     switch (m.type) {

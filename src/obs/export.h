@@ -25,14 +25,12 @@ namespace osd {
 namespace obs {
 
 /// Prometheus text exposition of the snapshots, which must be sorted by
-/// name (MetricsRegistry::Collect and EngineMetrics return them so).
+/// name (EngineMetrics returns them so; OsdServer::MetricsText sorts its
+/// union).
 std::string RenderPrometheusMetrics(const std::vector<MetricSnapshot>& metrics);
 
 /// Single-line JSON object: {"name":{"type":...,"value":...},...}.
 std::string RenderJsonMetrics(const std::vector<MetricSnapshot>& metrics);
-
-/// JSON string escaping for embedded names and labels.
-std::string EscapeJson(const std::string& s);
 
 class SlowQueryLog {
  public:

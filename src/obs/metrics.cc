@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <utility>
 
@@ -26,19 +25,39 @@ double LatencyBucketUpperSeconds(int bucket) {
   return std::ldexp(1.0, bucket) * 1e-6;
 }
 
-namespace internal {
-
-int ThisShard() {
-  // Sequentially assigned, cached per thread: threads get distinct shards
-  // until kMetricShards are in use, then wrap.
-  static std::atomic<unsigned> next{0};
-  thread_local int shard =
-      static_cast<int>(next.fetch_add(1, std::memory_order_relaxed) %
-                       kMetricShards);
-  return shard;
+void LatencyHistogram::Add(double seconds) {
+  // NaN survives std::max and log2(NaN) -> float-to-int cast is UB, so
+  // non-finite samples must never reach the bucket math; count them
+  // instead of silently dropping so a poisoned clock stays visible.
+  if (!std::isfinite(seconds)) {
+    ++invalid_;
+    return;
+  }
+  seconds = std::max(seconds, 0.0);
+  ++buckets_[LatencyBucketIndex(seconds)];
+  if (count_ == 0 || seconds < min_) min_ = seconds;
+  if (seconds > max_) max_ = seconds;
+  total_ += seconds;
+  ++count_;
 }
 
-}  // namespace internal
+double LatencyHistogram::Quantile(double q) const {
+  if (count_ == 0) return 0.0;
+  q = std::clamp(q, 0.0, 1.0);
+  const double target = q * count_;
+  long cum = 0;
+  for (int b = 0; b < kLatencyBuckets; ++b) {
+    if (buckets_[b] == 0) continue;
+    if (cum + buckets_[b] >= target) {
+      const double frac = (target - cum) / buckets_[b];
+      const double lo = b == 0 ? 0.0 : LatencyBucketUpperSeconds(b - 1);
+      const double hi = LatencyBucketUpperSeconds(b);
+      return std::clamp(lo + frac * (hi - lo), min_, max_);
+    }
+    cum += buckets_[b];
+  }
+  return max_;
+}
 
 std::string MetricFamily(const std::string& name) {
   const size_t brace = name.find('{');
@@ -54,59 +73,6 @@ MetricSnapshot ScalarSnapshot(std::string name, std::string help,
   snap.type = type;
   snap.value = value;
   return snap;
-}
-
-Counter& MetricsRegistry::GetCounter(const std::string& name,
-                                     const std::string& help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_name_.find(name);
-  if (it != by_name_.end()) {
-    OSD_CHECK(it->second.type == MetricType::kCounter);
-    return *it->second.counter;
-  }
-  counters_.emplace_back();
-  Entry entry;
-  entry.type = MetricType::kCounter;
-  entry.counter = &counters_.back();
-  by_name_.emplace(name, entry);
-  help_by_family_.emplace(MetricFamily(name), help);
-  return counters_.back();
-}
-
-Gauge& MetricsRegistry::GetGauge(const std::string& name,
-                                 const std::string& help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_name_.find(name);
-  if (it != by_name_.end()) {
-    OSD_CHECK(it->second.type == MetricType::kGauge);
-    return *it->second.gauge;
-  }
-  gauges_.emplace_back();
-  Entry entry;
-  entry.type = MetricType::kGauge;
-  entry.gauge = &gauges_.back();
-  by_name_.emplace(name, entry);
-  help_by_family_.emplace(MetricFamily(name), help);
-  return gauges_.back();
-}
-
-std::vector<MetricSnapshot> MetricsRegistry::Collect() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<MetricSnapshot> out;
-  out.reserve(by_name_.size());
-  for (const auto& [name, entry] : by_name_) {
-    MetricSnapshot snap;
-    snap.name = name;
-    snap.family = MetricFamily(name);
-    const auto help = help_by_family_.find(snap.family);
-    if (help != help_by_family_.end()) snap.help = help->second;
-    snap.type = entry.type;
-    snap.value = entry.type == MetricType::kCounter
-                     ? static_cast<double>(entry.counter->Value())
-                     : entry.gauge->Value();
-    out.push_back(std::move(snap));
-  }
-  return out;  // std::map iteration is already name-sorted
 }
 
 }  // namespace obs

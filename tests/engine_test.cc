@@ -215,7 +215,7 @@ TEST(QueryEngineTest, SnapshotAggregatesAndSerializes) {
 }
 
 TEST(LatencyHistogramTest, QuantilesAreOrderedAndClamped) {
-  LatencyHistogram h;
+  obs::LatencyHistogram h;
   for (int i = 1; i <= 1000; ++i) h.Add(i * 1e-4);  // 0.1ms .. 100ms
   EXPECT_EQ(h.count(), 1000);
   const double p50 = h.Quantile(0.50);
@@ -232,7 +232,7 @@ TEST(LatencyHistogramTest, QuantilesAreOrderedAndClamped) {
 }
 
 TEST(LatencyHistogramTest, BucketsAreLog2MicrosecondsWithASum) {
-  LatencyHistogram h;
+  obs::LatencyHistogram h;
   constexpr int kPer = 50;
   for (int us = 1; us <= 4; ++us) {
     for (int i = 0; i < kPer; ++i) h.Add(1e-6 * us);
@@ -250,7 +250,7 @@ TEST(LatencyHistogramTest, BucketsAreLog2MicrosecondsWithASum) {
 }
 
 TEST(LatencyHistogramTest, NonFiniteSamplesGoToInvalid) {
-  LatencyHistogram h;
+  obs::LatencyHistogram h;
   h.Add(std::numeric_limits<double>::quiet_NaN());
   h.Add(std::numeric_limits<double>::infinity());
   h.Add(-std::numeric_limits<double>::infinity());

@@ -358,6 +358,43 @@ TEST_F(LiveServerHardeningTest, SubmitBeforeHelloIsFatal) {
   EXPECT_TRUE(PeerClosed(bad));
 }
 
+TEST_F(LiveServerHardeningTest, TenantTableIsBoundedForNewNames) {
+  ServerOptions options;
+  options.tenants["vip"] = TenantPolicy{};
+  StartServer(std::move(options));
+  std::string error;
+  // Each hello under a fresh name creates a tenant and its four series; a
+  // client cycling names must not grow the exposition past the frame cap.
+  for (size_t i = 0; i < kMaxTenants; ++i) {
+    OsdClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server_->port(),
+                               "t" + std::to_string(i), &error))
+        << i << ": " << error;
+  }
+  OsdClient refused;
+  EXPECT_FALSE(
+      refused.Connect("127.0.0.1", server_->port(), "one-too-many", &error));
+  EXPECT_NE(error.find("tenant table full"), std::string::npos) << error;
+
+  // A configured tenant and an existing one still connect...
+  OsdClient vip;
+  ASSERT_TRUE(vip.Connect("127.0.0.1", server_->port(), "vip", &error))
+      << error;
+  OsdClient known;
+  ASSERT_TRUE(known.Connect("127.0.0.1", server_->port(), "t0", &error))
+      << error;
+
+  // ...and a metrics request is still answered.
+  ASSERT_TRUE(vip.Send("{\"type\":\"metrics\"}", &error)) << error;
+  JsonValue msg;
+  ASSERT_TRUE(vip.Read(&msg, &error)) << error;
+  ASSERT_EQ(MessageType(msg), "metrics_ok");
+  const std::string text = msg.Find("text")->AsString();
+  EXPECT_NE(text.find("osd_tenant_inflight{tenant=\"vip\"}"),
+            std::string::npos);
+  EXPECT_EQ(text.find("one-too-many"), std::string::npos);
+}
+
 TEST_F(LiveServerHardeningTest, DuplicateInflightIdIsRejected) {
   std::string error;
 

@@ -111,9 +111,10 @@ TEST(JsonTest, RejectsBadUtf8AndLoneSurrogates) {
 
 TEST(JsonTest, EscapesStringsOnOutput) {
   std::string out;
-  AppendJsonString(&out, "a\"b\\c\nd\x01");
+  AppendJsonString(&out, "a\"b\\c\nd\te\x01");
+  EXPECT_EQ(out, "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
   const JsonValue v = MustParse(out);
-  EXPECT_EQ(v.AsString(), "a\"b\\c\nd\x01");
+  EXPECT_EQ(v.AsString(), "a\"b\\c\nd\te\x01");
 }
 
 TEST(WireTest, FramesRoundTripAcrossFragmentedFeeds) {

@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -109,6 +111,18 @@ StreamedQuery ReadUntilTerminal(OsdClient& client, long id) {
       return out;
     }
   }
+}
+
+/// Every sample of a Prometheus exposition, keyed by its full series name.
+std::map<std::string, double> Samples(const std::string& text) {
+  std::map<std::string, double> out;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    const size_t space = line.rfind(' ');
+    out[line.substr(0, space)] = std::stod(line.substr(space + 1));
+  }
+  return out;
 }
 
 class NetServerTest : public ::testing::Test {
@@ -560,32 +574,102 @@ TEST_F(NetServerTest, TenantMemoryBudgetGovernsQueries) {
 }
 
 TEST_F(NetServerTest, MetricsCarryTenantLabels) {
-  StartServer({.num_threads = 1}, {});
-  OsdClient client = Connect("alpha");
+  ServerOptions options;
+  options.tenants["beta"].allow_writes = false;
+  StartServer({.num_threads = 1}, options);
+  OsdClient alpha = Connect("alpha");
+  OsdClient beta = Connect("beta");
+  long frames_sent = 2;  // the two hellos
+  std::string error;
+  JsonValue msg;
+
+  // A streamed query on alpha, a final-answer query on beta...
   SubmitParams params;
   params.id = 1;
   params.object_id = 3;
-  std::string error;
-  ASSERT_TRUE(client.Send(BuildSubmitMessage(params), &error)) << error;
-  const StreamedQuery got = ReadUntilTerminal(client, params.id);
-  ASSERT_TRUE(got.got_result);
+  ASSERT_TRUE(alpha.Send(BuildSubmitMessage(params), &error)) << error;
+  const StreamedQuery streamed = ReadUntilTerminal(alpha, params.id);
+  ASSERT_TRUE(streamed.got_result);
+  params.stream = false;
+  ASSERT_TRUE(beta.Send(BuildSubmitMessage(params), &error)) << error;
+  const StreamedQuery final_only = ReadUntilTerminal(beta, params.id);
+  ASSERT_TRUE(final_only.got_result);
+  frames_sent += 2;
+
+  // ...an acked mutate on alpha, a write-denied one on beta...
+  const std::vector<MutateOp> ops = {{"insert", 9001, {{9000.0, 9000.0, 1.0}}}};
+  ASSERT_TRUE(alpha.Send(BuildMutateMessage(2, ops), &error)) << error;
+  ASSERT_TRUE(alpha.Read(&msg, &error)) << error;
+  ASSERT_EQ(MessageType(msg), "mutate_ok");
+  ASSERT_TRUE(beta.Send(BuildMutateMessage(2, ops), &error)) << error;
+  ASSERT_TRUE(beta.Read(&msg, &error)) << error;
+  EXPECT_EQ(msg.Find("code")->AsString(), kErrWriteDenied);
+  frames_sent += 2;
+
+  // ...an unknown message type, and a third connection that goes away.
+  ASSERT_TRUE(beta.Send("{\"type\":\"bogus\"}", &error)) << error;
+  ASSERT_TRUE(beta.Read(&msg, &error)) << error;
+  EXPECT_EQ(msg.Find("code")->AsString(), kErrBadRequest);
+  frames_sent += 1;
+  { OsdClient gone = Connect("alpha"); }
+  frames_sent += 1;
 
   // Over the wire...
-  ASSERT_TRUE(client.Send("{\"type\":\"metrics\"}", &error)) << error;
-  JsonValue msg;
-  ASSERT_TRUE(client.Read(&msg, &error)) << error;
+  ASSERT_TRUE(alpha.Send("{\"type\":\"metrics\"}", &error)) << error;
+  ASSERT_TRUE(alpha.Read(&msg, &error)) << error;
   ASSERT_EQ(MessageType(msg), "metrics_ok");
+  frames_sent += 1;
   const std::string text = msg.Find("text")->AsString();
   EXPECT_NE(text.find("osd_tenant_queries_total{tenant=\"alpha\"}"),
             std::string::npos);
   EXPECT_NE(text.find("osd_net_connections_accepted_total"),
             std::string::npos);
+
   // ...and in-process, the engine's and the server's series share one
-  // exposition.
-  const std::string direct = server_->MetricsText();
-  EXPECT_NE(direct.find("osd_queries_total"), std::string::npos);
-  EXPECT_NE(direct.find("osd_tenant_candidates_streamed_total"),
-            std::string::npos);
+  // exposition. Wait until the loop has retired the closed connection and
+  // every query's terminal hook has finished.
+  std::map<std::string, double> samples;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  do {
+    samples = Samples(server_->MetricsText());
+  } while ((samples["osd_net_disconnects_total"] < 1 ||
+            server_->inflight() != 0) &&
+           std::chrono::steady_clock::now() < deadline);
+  EXPECT_NE(samples.count("osd_queries_total{status=\"ok\"}"), 0u);
+  EXPECT_EQ(samples["osd_net_connections_accepted_total"], 3);
+  EXPECT_EQ(samples["osd_net_connections_accepted_total"],
+            server_->connections_accepted());
+  EXPECT_EQ(samples["osd_net_connections_active"], 2);
+  EXPECT_EQ(samples["osd_net_disconnects_total"], 1);
+  EXPECT_EQ(samples["osd_net_frames_read_total"], frames_sent);
+  EXPECT_EQ(samples["osd_net_protocol_errors_total"], 1);
+  EXPECT_EQ(samples["osd_net_mutations_total"], server_->mutations_applied());
+  EXPECT_EQ(samples["osd_net_mutations_total"], 1);
+  EXPECT_EQ(samples["osd_net_mutations_rejected_total"], 1);
+  EXPECT_EQ(samples["osd_net_draining"], 0);
+
+  double queries = 0;
+  double candidates_streamed = 0;
+  int tenants = 0;
+  for (const auto& [name, value] : samples) {
+    if (name.rfind("osd_tenant_queries_total{", 0) == 0) queries += value;
+    if (name.rfind("osd_tenant_candidates_streamed_total{", 0) == 0) {
+      candidates_streamed += value;
+    }
+    if (name.rfind("osd_tenant_inflight{", 0) == 0) {
+      ++tenants;
+      EXPECT_EQ(value, 0) << name;
+    }
+  }
+  EXPECT_EQ(tenants, 2);
+  EXPECT_EQ(queries, server_->queries_submitted());
+  EXPECT_EQ(queries, 2);
+  EXPECT_EQ(candidates_streamed,
+            static_cast<double>(streamed.streamed.size() +
+                                final_only.streamed.size()));
+  EXPECT_EQ(samples["osd_tenant_candidates_streamed_total{tenant=\"beta\"}"],
+            0);
 }
 
 TEST_F(NetServerTest, DurableStoreExportsWalSeriesTyped) {

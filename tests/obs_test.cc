@@ -1,5 +1,5 @@
 // Tests for the observability layer (src/obs/): per-query traces, the
-// sharded counters, gauges and registry, the exposition renderers
+// latency bucket layout and metric families, the exposition renderers
 // (Prometheus golden file + JSON), the slow-query log, and the engine
 // integration (QuerySpec::collect_trace, MetricsText, Snapshot().metrics).
 // Also the regression suite for the accounting bugfixes: non-finite
@@ -119,32 +119,6 @@ TEST(TraceTest, ScopedSpanIsNoOpWithoutInstalledTrace) {
 // Metrics primitives.
 // ---------------------------------------------------------------------------
 
-TEST(MetricsTest, CounterSumsConcurrentIncrementsAcrossThreads) {
-  obs::Counter counter;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 20000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&counter] {
-      for (int i = 0; i < kPerThread; ++i) counter.Increment();
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(counter.Value(), static_cast<long>(kThreads) * kPerThread);
-  counter.Increment(-5);  // deltas are signed; the engine never uses this,
-                          // but the sum must still be exact
-  EXPECT_EQ(counter.Value(), static_cast<long>(kThreads) * kPerThread - 5);
-}
-
-TEST(MetricsTest, GaugeIsLastWriteWins) {
-  obs::Gauge gauge;
-  EXPECT_EQ(gauge.Value(), 0.0);
-  gauge.Set(3.25);
-  EXPECT_EQ(gauge.Value(), 3.25);
-  gauge.Set(-1.0);
-  EXPECT_EQ(gauge.Value(), -1.0);
-}
-
 TEST(MetricsTest, LatencyBucketLayoutIsLog2Microseconds) {
   EXPECT_EQ(obs::LatencyBucketIndex(0.0), 0);
   EXPECT_EQ(obs::LatencyBucketIndex(1e-6), 0);
@@ -157,26 +131,6 @@ TEST(MetricsTest, LatencyBucketLayoutIsLog2Microseconds) {
   EXPECT_NEAR(obs::LatencyBucketUpperSeconds(10), 1024e-6, 1e-12);
 }
 
-TEST(MetricsTest, RegistryFindOrCreateReturnsStableReferences) {
-  obs::MetricsRegistry registry;
-  obs::Counter& a = registry.GetCounter("osd_a_total", "first help");
-  obs::Counter& a2 = registry.GetCounter("osd_a_total", "ignored");
-  EXPECT_EQ(&a, &a2);
-  a.Increment(3);
-  registry.GetGauge("osd_g").Set(1.5);
-
-  const auto snapshots = registry.Collect();
-  ASSERT_EQ(snapshots.size(), 2u);
-  // Sorted by name.
-  EXPECT_EQ(snapshots[0].name, "osd_a_total");
-  EXPECT_EQ(snapshots[1].name, "osd_g");
-  EXPECT_EQ(snapshots[0].type, obs::MetricType::kCounter);
-  EXPECT_EQ(snapshots[0].value, 3.0);
-  EXPECT_EQ(snapshots[0].help, "first help");
-  EXPECT_EQ(snapshots[1].type, obs::MetricType::kGauge);
-  EXPECT_EQ(snapshots[1].value, 1.5);
-}
-
 TEST(MetricsTest, FamilyStripsLabelBlock) {
   EXPECT_EQ(obs::MetricFamily("osd_queries_total{status=\"ok\"}"),
             "osd_queries_total");
@@ -186,14 +140,6 @@ TEST(MetricsTest, FamilyStripsLabelBlock) {
 // ---------------------------------------------------------------------------
 // Exposition renderers.
 // ---------------------------------------------------------------------------
-
-TEST(ExportTest, EscapeJsonHandlesQuotesBackslashesAndControls) {
-  EXPECT_EQ(obs::EscapeJson("plain"), "plain");
-  EXPECT_EQ(obs::EscapeJson("a\"b"), "a\\\"b");
-  EXPECT_EQ(obs::EscapeJson("a\\b"), "a\\\\b");
-  EXPECT_EQ(obs::EscapeJson("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(obs::EscapeJson(std::string("a\x01") + "b"), "a\\u0001b");
-}
 
 // The fixed snapshot set used by the renderer tests: two labeled counters
 // in one family, a gauge, and a histogram with an invalid count — every
@@ -384,7 +330,7 @@ TEST(SlowQueryLogTest, SubThresholdRecordIsIgnored) {
 // behaviour. Non-finite samples must land in invalid() and leave the
 // buckets and moments untouched.
 TEST(EngineStatsRegression, HistogramAddRejectsNonFiniteSamples) {
-  LatencyHistogram hist;
+  obs::LatencyHistogram hist;
   hist.Add(1e-3);
   hist.Add(std::numeric_limits<double>::quiet_NaN());
   hist.Add(std::numeric_limits<double>::infinity());

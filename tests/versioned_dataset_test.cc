@@ -270,6 +270,9 @@ TEST(VersionedDatasetTest, PinnedEpochIsBitIdenticalUnderAWriterStorm) {
       if (id % 16 == 0) store.Fold();
     }
   });
+  // The rounds below can finish in a few milliseconds; without this wait a
+  // slow-starting writer may not have landed a single write by then.
+  while (store.epoch() == 0) std::this_thread::yield();
 
   for (int round = 0; round < 10; ++round) {
     size_t b = 0;
