@@ -4,13 +4,17 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
 #include <numeric>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/rng.h"
 #include "core/dominance_oracle.h"
 #include "core/object_profile.h"
 #include "core/query_context.h"
+#include "datagen/surrogates.h"
 #include "flow/max_flow.h"
 #include "index/rtree.h"
 #include "nnfun/n3_functions.h"
@@ -87,7 +91,8 @@ BENCHMARK(BM_MaxFlowFeasibility)->RangeMultiplier(2)->Range(8, 128);
 
 // Builds the exact P-SD network rows of one (u, v) pair with m instances
 // each against a 30-instance query, as the exact check does once the rank
-// views of u are memoized.
+// views of u are memoized and the Hall certificate has left its rank
+// counts behind.
 void BM_PSdRows(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   Rng rng(17);
@@ -106,13 +111,93 @@ void BM_PSdRows(benchmark::State& state) {
   DominanceOracle oracle(ctx, FilterConfig::All(), nullptr);
   ObjectProfile pu(u, ctx, nullptr);
   ObjectProfile pv(v, ctx, nullptr);
+  const std::vector<int> counts = oracle.RankCounts(pu, pv);
   std::vector<uint64_t> rows;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(oracle.PSdRows(pu, pv, &rows));
+    benchmark::DoNotOptimize(oracle.PSdRows(pu, pv, counts, &rows));
   }
   state.SetItemsProcessed(state.iterations() * m);
 }
 BENCHMARK(BM_PSdRows)->RangeMultiplier(2)->Range(8, 128);
+
+// A P-SD network as the exact check hands it to BipartiteFeasible.
+struct Network {
+  int nu, nv;
+  std::vector<uint64_t> rows;
+  std::vector<int64_t> u_mass, v_mass;
+};
+
+// The networks P-SD builds on the NBA surrogate (fig12's NBA cell): for
+// each workload query, every ordered pair among its 64 nearest objects
+// that cover validation, the statistic gate, the extremes certificate and
+// the Hall certificate leave to the exact check, with a row for every V
+// instance.
+const std::vector<Network>& NbaNetworks() {
+  static const std::vector<Network> networks = [] {
+    const Dataset dataset = NbaLike(1);
+    std::vector<Network> out;
+    for (const QueryWorkloadEntry& entry :
+         GenerateWorkload(dataset, bench::DefaultWorkload())) {
+      const QueryContext ctx(entry.query);
+      std::vector<std::unique_ptr<ObjectProfile>> profiles;
+      for (const UncertainObject& o : dataset.objects()) {
+        profiles.push_back(std::make_unique<ObjectProfile>(o, ctx, nullptr));
+      }
+      std::sort(profiles.begin(), profiles.end(),
+                [](const auto& a, const auto& b) {
+                  return a->MinAll() < b->MinAll();
+                });
+      profiles.resize(64);
+      for (auto& pu : profiles) {
+        for (auto& pv : profiles) {
+          if (pu == pv) continue;
+          FilterStats stats;
+          DominanceOracle oracle(ctx, FilterConfig::All(), &stats);
+          oracle.PSd(*pu, *pv);
+          if (stats.exact_checks == 0) continue;
+          const std::span<const int64_t> u_mass = pu->ScaledProbs();
+          const std::span<const int64_t> v_mass = pv->ScaledProbs();
+          Network n{pu->num_instances(), pv->num_instances(), {},
+                    {u_mass.begin(), u_mass.end()},
+                    {v_mass.begin(), v_mass.end()}};
+          if (oracle.PSdRows(*pu, *pv, oracle.RankCounts(*pu, *pv),
+                             &n.rows)) {
+            out.push_back(std::move(n));
+          }
+        }
+      }
+    }
+    return out;
+  }();
+  return networks;
+}
+
+// One BipartiteFeasible call per iteration, cycling through the NBA
+// networks; the counters give the share of networks each exit decides.
+void BM_BipartiteFeasible(benchmark::State& state) {
+  const std::vector<Network>& networks = NbaNetworks();
+  long exits[5] = {0, 0, 0, 0, 0};
+  for (const Network& n : networks) {
+    ++exits[static_cast<int>(
+        BipartiteFeasible(n.nu, n.nv, n.rows, n.u_mass, n.v_mass).exit)];
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    const Network& n = networks[next];
+    next = next + 1 == networks.size() ? 0 : next + 1;
+    benchmark::DoNotOptimize(
+        BipartiteFeasible(n.nu, n.nv, n.rows, n.u_mass, n.v_mass));
+  }
+  const double total = static_cast<double>(networks.size());
+  state.counters["networks"] = total;
+  state.counters["greedy"] =
+      exits[static_cast<int>(FeasibilityExit::kGreedy)] / total;
+  state.counters["hall_deficit"] =
+      exits[static_cast<int>(FeasibilityExit::kHallDeficit)] / total;
+  state.counters["max_flow"] =
+      exits[static_cast<int>(FeasibilityExit::kMaxFlow)] / total;
+}
+BENCHMARK(BM_BipartiteFeasible);
 
 void BM_RankEngine(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -119,14 +119,28 @@ import glob, json, os, sys
 
 tmp, out = sys.argv[1], sys.argv[2]
 
+# google-benchmark's own fields; any other number is a user counter (such
+# as BM_BipartiteFeasible's exit mix) and is kept under "counters".
+GBENCH_FIELDS = {"family_index", "per_family_instance_index", "repetitions",
+                 "repetition_index", "threads", "iterations", "real_time",
+                 "cpu_time", "items_per_second", "bytes_per_second"}
+
 def load_gbench(path):
     with open(path) as f:
         doc = json.load(f)
-    return [{"name": b["name"],
-             "real_time_ns": round(b["real_time"], 1),
-             "cpu_time_ns": round(b["cpu_time"], 1)}
-            for b in doc.get("benchmarks", [])
-            if b.get("run_type", "iteration") == "iteration"]
+    out = []
+    for b in doc.get("benchmarks", []):
+        if b.get("run_type", "iteration") != "iteration":
+            continue
+        entry = {"name": b["name"],
+                 "real_time_ns": round(b["real_time"], 1),
+                 "cpu_time_ns": round(b["cpu_time"], 1)}
+        counters = {k: v for k, v in b.items()
+                    if k not in GBENCH_FIELDS and isinstance(v, (int, float))}
+        if counters:
+            entry["counters"] = counters
+        out.append(entry)
+    return out
 
 def parse_fig12(path):
     """'dataset  SSD  SSSD  PSD  FSD  F+SD' table -> {dataset: {op: ms}}."""

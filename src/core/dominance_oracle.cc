@@ -126,13 +126,27 @@ bool DominanceOracle::StatRefutesPerQ(ObjectProfile& u, ObjectProfile& v) {
   return false;
 }
 
+bool DominanceOracle::ExtremesCertify(Operator op, ObjectProfile& u,
+                                      ObjectProfile& v) {
+  OSD_TRACE_SPAN(obs::SpanKind::kStatFilter);
+  const bool certified =
+      op == Operator::kPSd
+          ? ExtremesOrderHolds(u, v, QIdx(), kEps)
+          : ExtremesOrderHolds(u, v, ctx_->all_indices(), 0.0);
+  if (certified && stats_ != nullptr) ++stats_->stat_validations;
+  return certified;
+}
+
 bool DominanceOracle::SSd(ObjectProfile& u, ObjectProfile& v) {
   if (config_.cover_rules && CoverValidates(u, v)) return true;
   // S-SD implies the min/mean/max order (Theorem 11), so the O(1)
   // statistic gate is the only filter between cover validation and the
   // exact merge-scan: behind it, node-level envelopes cost more than they
-  // decide (DESIGN §5).
+  // decide (DESIGN §5). The extremes certificate reads what the gate built.
   if (config_.stat_pruning && StatRefutesAll(u, v)) return false;
+  if (config_.stat_pruning && ExtremesCertify(Operator::kSSd, u, v)) {
+    return DistributionsDiffer(u, v);
+  }
   OSD_TRACE_SPAN(obs::SpanKind::kExactCheck);
   if (stats_ != nullptr) ++stats_->exact_checks;
   if (!SSdOrderHolds(u, v)) return false;
@@ -148,18 +162,22 @@ bool DominanceOracle::SsSd(ObjectProfile& u, ObjectProfile& v) {
       (StatRefutesAll(u, v) || StatRefutesPerQ(u, v))) {
     return false;
   }
+  if (config_.stat_pruning && ExtremesCertify(Operator::kSsSd, u, v)) {
+    return DistributionsDiffer(u, v);
+  }
   OSD_TRACE_SPAN(obs::SpanKind::kExactCheck);
   if (stats_ != nullptr) ++stats_->exact_checks;
   if (!SsSdOrderHolds(u, v)) return false;
   return DistributionsDiffer(u, v);
 }
 
-bool DominanceOracle::FSdOrderHolds(ObjectProfile& u, ObjectProfile& v) {
-  OSD_TRACE_SPAN(obs::SpanKind::kExactCheck);
+bool DominanceOracle::ExtremesOrderHolds(ObjectProfile& u, ObjectProfile& v,
+                                         const std::vector<int>& qidx,
+                                         double tolerance) {
   const std::span<const double> umax = u.MaxQs();
   const std::span<const double> vmin = v.MinQs();
-  for (int qi : QIdx()) {
-    if (umax[qi] > vmin[qi] + kEps) return false;
+  for (int qi : qidx) {
+    if (umax[qi] > vmin[qi] + tolerance) return false;
   }
   return true;
 }
@@ -189,7 +207,7 @@ double DominanceOracle::MemberKey(Operator op, ObjectProfile& u) {
 
 double DominanceOracle::MemberKeyBound(Operator op, ObjectProfile& v) {
   if (op != Operator::kFSd) return std::numeric_limits<double>::infinity();
-  // If u ⪯_F v, FSdOrderHolds holds at the q where u's max is largest:
+  // If u ⪯_F v, the F-SD order holds at the q where u's max is largest:
   // reach(u) = umax[q] <= vmin[q] + kEps <= max over QIdx() of vmin + kEps.
   // Rounded addition is monotone, so the bound holds in doubles too.
   const std::span<const double> vmin = v.MinQs();
@@ -206,7 +224,10 @@ bool DominanceOracle::FSd(ObjectProfile& u, ObjectProfile& v) {
   // cover test only confirms the survivors.
   const bool cover_first = !v.has_stats();
   if (config_.cover_rules && cover_first && CoverValidates(u, v)) return true;
-  if (!FSdOrderHolds(u, v)) return false;
+  {
+    OSD_TRACE_SPAN(obs::SpanKind::kExactCheck);
+    if (!ExtremesOrderHolds(u, v, QIdx(), kEps)) return false;
+  }
   if (config_.cover_rules && !cover_first && CoverValidates(u, v)) {
     return true;
   }
@@ -214,18 +235,33 @@ bool DominanceOracle::FSd(ObjectProfile& u, ObjectProfile& v) {
   return DistributionsDiffer(u, v);
 }
 
+std::vector<int> DominanceOracle::RankCounts(ObjectProfile& u,
+                                             ObjectProfile& v) {
+  const std::vector<int>& qidx = QIdx();
+  const int nv = v.num_instances();
+  const double* vm = v.MatrixData();
+  std::vector<int> counts(qidx.size() * nv);
+  for (size_t k = 0; k < qidx.size(); ++k) {
+    const ObjectProfile::RankView ranks = u.Ranks(qidx[k]);
+    const double* vq = vm + static_cast<size_t>(qidx[k]) * nv;
+    for (int j = 0; j < nv; ++j) counts[k * nv + j] = ranks.Count(vq[j] + kEps);
+  }
+  return counts;
+}
+
 bool DominanceOracle::PSdRows(ObjectProfile& u, ObjectProfile& v,
+                              std::span<const int> counts,
                               std::vector<uint64_t>* rows) {
   const std::vector<int>& qidx = QIdx();
   const int nu = u.num_instances();
   const int nv = v.num_instances();
   const int words = RowWords(nu);
-  // One rank lookup per query instance and one matrix materialization
-  // branch, hoisted out of the O(nv * |Q|) row loop below.
-  std::vector<ObjectProfile::RankView> ranks;
-  ranks.reserve(qidx.size());
-  for (int qi : qidx) ranks.push_back(u.Ranks(qi));
-  const double* vm = v.MatrixData();
+  OSD_CHECK(counts.size() == qidx.size() * nv);
+  // One rank lookup per query instance, hoisted out of the O(nv * |Q|)
+  // row loop below.
+  std::vector<const uint64_t*> prefix;
+  prefix.reserve(qidx.size());
+  for (int qi : qidx) prefix.push_back(u.Ranks(qi).prefix);
   rows->assign(static_cast<size_t>(nv) * words, ~uint64_t{0});
   long mask_tests = 0;
   bool covered = true;
@@ -234,11 +270,11 @@ bool DominanceOracle::PSdRows(ObjectProfile& u, ObjectProfile& v,
     row[words - 1] = LastWordMask(nu);
     // u_i <=_Q v_j iff !(d(u_i, q) > d(v_j, q) + kEps) at every q, and for
     // non-NaN distances that is d(u_i, q) <= d(v_j, q) + kEps: the rank
-    // prefix Within() returns, evaluated at the same double threshold.
+    // prefix of the instance count at that double threshold.
     for (size_t k = 0; k < qidx.size(); ++k) {
       ++mask_tests;
-      const uint64_t* within = ranks[k].Within(
-          vm[static_cast<size_t>(qidx[k]) * nv + j] + kEps);
+      const uint64_t* within =
+          prefix[k] + static_cast<long>(counts[k * nv + j]) * words;
       uint64_t any = 0;
       for (int w = 0; w < words; ++w) any |= (row[w] &= within[w]);
       if (any == 0) {
@@ -252,26 +288,31 @@ bool DominanceOracle::PSdRows(ObjectProfile& u, ObjectProfile& v,
 }
 
 bool DominanceOracle::ProjectedHallRefutes(ObjectProfile& u,
-                                           ObjectProfile& v) {
+                                           ObjectProfile& v,
+                                           std::vector<int>* counts) {
   OSD_TRACE_SPAN(obs::SpanKind::kCoverFilter);
+  const std::vector<int>& qidx = QIdx();
   const int nu = u.num_instances();
   const int nv = v.num_instances();
   const int64_t slack = nu + nv;  // BipartiteFeasible's rounding slack
   const std::span<const int64_t> v_mass = v.ScaledProbs();
   const double* vm = v.MatrixData();
+  counts->resize(qidx.size() * nv);
   // demand[r]: mass of the V instances whose projected neighbourhood at q
   // is u's r nearest instances there.
   std::vector<int64_t> demand(nu + 1);
   long steps = 0;
   bool refuted = false;
-  for (int qi : QIdx()) {
-    const ObjectProfile::RankView ranks = u.Ranks(qi);
+  for (size_t k = 0; k < qidx.size() && !refuted; ++k) {
+    const ObjectProfile::RankView ranks = u.Ranks(qidx[k]);
+    const double* vq = vm + static_cast<size_t>(qidx[k]) * nv;
+    int* count = counts->data() + k * nv;
     std::fill(demand.begin(), demand.end(), 0);
-    const double* vq = vm + static_cast<size_t>(qi) * nv;
-    // Count() evaluates the threshold PSdRows evaluates, so this
+    // RankCounts' threshold: the counts PSdRows reads, so this
     // neighbourhood is a superset of v_j's exact row.
     for (int j = 0; j < nv; ++j) {
-      demand[ranks.Count(vq[j] + kEps)] += v_mass[j];
+      count[j] = ranks.Count(vq[j] + kEps);
+      demand[count[j]] += v_mass[j];
     }
     steps += nv;
     // The neighbourhoods are nested prefixes, so Hall's condition needs
@@ -282,7 +323,6 @@ bool DominanceOracle::ProjectedHallRefutes(ObjectProfile& u,
       needed += demand[r];
       refuted = needed - ranks.mass[r] > slack;
     }
-    if (refuted) break;
   }
   if (stats_ != nullptr) {
     stats_->scan_steps += steps;
@@ -291,9 +331,10 @@ bool DominanceOracle::ProjectedHallRefutes(ObjectProfile& u,
   return refuted;
 }
 
-bool DominanceOracle::PSdExactOrder(ObjectProfile& u, ObjectProfile& v) {
+bool DominanceOracle::PSdExactOrder(ObjectProfile& u, ObjectProfile& v,
+                                    std::span<const int> counts) {
   std::vector<uint64_t> rows;
-  if (!PSdRows(u, v, &rows)) return false;
+  if (!PSdRows(u, v, counts, &rows)) return false;
   const FeasibilityVerdict verdict =
       BipartiteFeasible(u.num_instances(), v.num_instances(), rows,
                         u.ScaledProbs(), v.ScaledProbs());
@@ -307,18 +348,27 @@ bool DominanceOracle::PSd(ObjectProfile& u, ObjectProfile& v) {
   if (config_.cover_rules && CoverValidates(u, v)) return true;
   // P-SD implies SS-SD implies S-SD implies the min/mean/max order
   // (Theorem 11), so the O(|Q|) statistic gate may refute before any
-  // rank view or network is built for the pair.
+  // rank view or network is built for the pair. F-SD implies P-SD: when
+  // the F-SD order holds, every row of the network is full.
   if (config_.stat_pruning &&
       (StatRefutesAll(u, v) || StatRefutesPerQ(u, v))) {
     return false;
   }
+  if (config_.stat_pruning && ExtremesCertify(Operator::kPSd, u, v)) {
+    return DistributionsDiffer(u, v);
+  }
   // Cover-based pruning: not SS-SD implies not P-SD (Theorem 2), tested
   // one q at a time on the flow's own masses and slack, so it refutes
-  // only pairs the exact check below would refute.
-  if (config_.cover_rules && ProjectedHallRefutes(u, v)) return false;
+  // only pairs the exact check below would refute. Its rank counts build
+  // the exact rows.
+  std::vector<int> counts;
+  if (config_.cover_rules && ProjectedHallRefutes(u, v, &counts)) {
+    return false;
+  }
   OSD_TRACE_SPAN(obs::SpanKind::kExactCheck);
   if (stats_ != nullptr) ++stats_->exact_checks;
-  if (!PSdExactOrder(u, v)) return false;
+  if (!config_.cover_rules) counts = RankCounts(u, v);
+  if (!PSdExactOrder(u, v, counts)) return false;
   return DistributionsDiffer(u, v);
 }
 

@@ -3,15 +3,15 @@
 // Implements Section 5.1 of the paper:
 //  - S-SD / SS-SD: single merge-scan over sorted pairwise distances
 //    (worst-case optimal, Theorem 10), statistic-based pruning
-//    (Theorem 11) and cover validation (Theorem 4). No operator runs the
-//    paper's level-by-level filter on local R-trees (Section 5.1.1,
-//    DESIGN §5): each goes from its statistic gate straight to the exact
-//    scans.
+//    (Theorem 11), an extremes certificate and cover validation (Theorem
+//    4). No operator runs the paper's level-by-level filter on local
+//    R-trees (Section 5.1.1, DESIGN §5): each goes from its statistic
+//    gate straight to the exact scans.
 //  - P-SD: reduction to max-flow (Theorem 12) over the admissible-pair
 //    bipartite network, with convex-hull reduction of the query, cover
-//    validation, and a per-query-instance Hall certificate that refutes
-//    on the flow's own masses before any network is built. P-SD builds
-//    no node-level networks.
+//    validation, an extremes certificate and a per-query-instance Hall
+//    certificate that refutes on the flow's own masses before any network
+//    is built. P-SD builds no node-level networks.
 //  - F-SD: per-hull-instance farthest/nearest comparisons on the
 //    profile's fused per-q statistics (MaxQs against MinQs), with cover
 //    validation before them until the dominated side's statistics exist
@@ -26,6 +26,7 @@
 #define OSD_CORE_DOMINANCE_ORACLE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/filter_config.h"
@@ -67,14 +68,18 @@ class DominanceOracle {
   /// whose distances tie in the reals and differ by an ulp in doubles.
   bool Covers(const Mbr& ubox, const Mbr& vbox) const;
 
+  /// Entry k * nv + j is u.Ranks(q).Count(d(v_j, q) + 1e-9) for the k-th
+  /// q of QIdx(): v_j's neighbourhood at q is that prefix of u's ranks.
+  std::vector<int> RankCounts(ObjectProfile& u, ObjectProfile& v);
+
   /// Fills `rows` with the exact P-SD network of (u, v): RowWords(nu)
   /// words per V instance, and bit i of row j set iff u_i <=_Q v_j, i.e.
   /// u_i is within d(v_j, q) + 1e-9 of every query instance q in QIdx().
-  /// Row j is the AND over q of u's rank prefix Within(d(v_j, q) + 1e-9).
+  /// Row j is the AND over q of u's rank prefix of RankCounts' `counts`.
   /// Counts one pair test per (v_j, q) mask tested. Returns false, with
   /// the rows after j unfilled, as soon as a row j comes out empty.
   bool PSdRows(ObjectProfile& u, ObjectProfile& v,
-               std::vector<uint64_t>* rows);
+               std::span<const int> counts, std::vector<uint64_t>* rows);
 
   /// Whether `op`'s checks read the probability-weighted means (the
   /// statistic gates of S-SD, SS-SD and P-SD). F-SD reads only the per-q
@@ -98,7 +103,7 @@ class DominanceOracle {
 
   /// No member with a key above this can dominate v under `op`, so the
   /// ordered scan stops at the first one. F-SD: the largest MinQs() of v
-  /// over QIdx(), plus FSdOrderHolds' tolerance; +inf under P-SD.
+  /// over QIdx(), plus the F-SD order's tolerance; +inf under P-SD.
   double MemberKeyBound(Operator op, ObjectProfile& v);
 
   /// The U_Q != V_Q side condition: the all-pairs distance distributions
@@ -119,12 +124,13 @@ class DominanceOracle {
   /// Exact SS-SD order (without the distribution-inequality condition).
   bool SsSdOrderHolds(ObjectProfile& u, ObjectProfile& v);
 
-  /// Exact F-SD order (without the distribution-inequality condition): at
-  /// every q in QIdx(), u's farthest instance is within 1e-9 of v's
-  /// nearest. Only hull query points need checking, because the q-region
-  /// where U fully dominates V is an intersection of half-spaces, hence
-  /// convex.
-  bool FSdOrderHolds(ObjectProfile& u, ObjectProfile& v);
+  /// Whether MaxQs() of u is within `tolerance` of MinQs() of v at every q
+  /// in `qidx`. Over QIdx() with 1e-9 it is the exact F-SD order (without
+  /// the distribution-inequality condition): only hull query points need
+  /// checking, because the q-region where U fully dominates V is an
+  /// intersection of half-spaces, hence convex.
+  bool ExtremesOrderHolds(ObjectProfile& u, ObjectProfile& v,
+                          const std::vector<int>& qidx, double tolerance);
 
   /// Cover-based validation (Theorem 4): Covers(u's MBR, v's MBR), so u
   /// dominates v under every operator. Counts one MBR validation.
@@ -137,20 +143,29 @@ class DominanceOracle {
   /// Per-query-instance statistic pruning (SS-SD / P-SD).
   bool StatRefutesPerQ(ObjectProfile& u, ObjectProfile& v);
 
+  /// Extremes certificate on the statistics the gates built. S-SD and
+  /// SS-SD: ExtremesOrderHolds at every q without tolerance, so each U_q,
+  /// and their mixture U_Q, is stochastically at most V_q. P-SD: the F-SD
+  /// order, which fills every PSdRows row. Counts in stat_validations.
+  bool ExtremesCertify(Operator op, ObjectProfile& u, ObjectProfile& v);
+
   /// Hall's condition for the P-SD network projected to one query
   /// instance q at a time. There v_j's neighbourhood is a prefix of u's
   /// rank order at q, so the condition is one running-sum check per
   /// prefix, on the integer masses and the nu + nv slack of
   /// BipartiteFeasible. The exact network is a subnetwork of every
   /// projection, so a refutation is one the exact flow check would make.
-  /// Meters scan_steps; counts a refutation in cover_prunes.
-  bool ProjectedHallRefutes(ObjectProfile& u, ObjectProfile& v);
+  /// Leaves RankCounts' entries for the q it tried in `counts`. Meters
+  /// scan_steps; counts a refutation in cover_prunes.
+  bool ProjectedHallRefutes(ObjectProfile& u, ObjectProfile& v,
+                            std::vector<int>* counts);
 
   /// Exact P-SD via the admissible-pair max-flow (Theorem 12), without the
   /// distribution-inequality condition. Theorem 12's feasibility test
-  /// (flow/max_flow.h) reads PSdRows' bit rows; flow_runs counts the
-  /// networks that reach Dinic.
-  bool PSdExactOrder(ObjectProfile& u, ObjectProfile& v);
+  /// (flow/max_flow.h) reads PSdRows' bit rows built from `counts`;
+  /// flow_runs counts the networks that reach Dinic.
+  bool PSdExactOrder(ObjectProfile& u, ObjectProfile& v,
+                     std::span<const int> counts);
 
   const QueryContext* ctx_;
   FilterConfig config_;

@@ -65,6 +65,7 @@ FilterStats& FilterStats::operator+=(const FilterStats& other) {
   node_ops += other.node_ops;
   flow_runs += other.flow_runs;
   mbr_validations += other.mbr_validations;
+  stat_validations += other.stat_validations;
   stat_prunes += other.stat_prunes;
   cover_prunes += other.cover_prunes;
   exact_checks += other.exact_checks;
@@ -84,6 +85,7 @@ void FilterStats::AppendJson(std::string* out) const {
       {"stat_prunes", stat_prunes},
       {"cover_prunes", cover_prunes},
       {"mbr_validations", mbr_validations},
+      {"stat_validations", stat_validations},
       {"exact_checks", exact_checks},
   };
   const char* sep = "";

@@ -63,6 +63,7 @@ struct FilterStats {
   long node_ops = 0;          ///< node-level MBR bound computations
   long flow_runs = 0;         ///< Dinic runs (networks no certificate decided)
   long mbr_validations = 0;   ///< dominance validated from MBRs alone
+  long stat_validations = 0;  ///< order certified by per-q extremes
   long stat_prunes = 0;       ///< refuted by min/mean/max statistics
   long cover_prunes = 0;      ///< refuted via a covering operator
   long exact_checks = 0;      ///< fell through to the exact algorithm

@@ -118,11 +118,6 @@ class ObjectProfile {
       return static_cast<int>(
           std::upper_bound(sorted.begin(), sorted.end(), d) - sorted.begin());
     }
-
-    /// Bit row of the instances i with Dist(qi, i) <= d.
-    const uint64_t* Within(double d) const {
-      return prefix + static_cast<long>(Count(d)) * words;
-    }
   };
 
   /// delta(q_i, u_j); materializes the full matrix on first call.

@@ -230,39 +230,55 @@ FeasibilityVerdict BipartiteFeasible(int nu, int nv,
                                         int64_t{0});
   OSD_CHECK(std::accumulate(v_mass.begin(), v_mass.end(), int64_t{0}) ==
             total);
+  // One pass over the set bits counts each vertex's degree and sums its
+  // neighbour mass for the Hall test.
+  std::vector<int> u_degree(nu, 0);
+  std::vector<int> v_degree(nv, 0);
+  std::vector<int64_t> u_reach(nu, 0);
+  std::vector<int64_t> v_reach(nv, 0);
   long num_edges = 0;
   for (int j = 0; j < nv; ++j) {
     const uint64_t* row = rows.data() + static_cast<size_t>(j) * words;
     OSD_CHECK((row[words - 1] & ~LastWordMask(nu)) == 0);
-    int degree = 0;
-    for (int w = 0; w < words; ++w) degree += std::popcount(row[w]);
-    if (degree == 0) return {false, FeasibilityExit::kUncoveredDemand};
-    num_edges += degree;
+    for (int w = 0; w < words; ++w) {
+      for (uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+        const int i = w * 64 + std::countr_zero(bits);
+        ++u_degree[i];
+        ++v_degree[j];
+        u_reach[i] += v_mass[j];
+        v_reach[j] += u_mass[i];
+      }
+    }
+    if (v_degree[j] == 0) return {false, FeasibilityExit::kUncoveredDemand};
+    num_edges += v_degree[j];
   }
   if (num_edges == static_cast<long>(nu) * nv) {
     return {true, FeasibilityExit::kComplete};
   }
   const int64_t slack = nu + nv;
-
-  // One pass over the set bits routes the greedy flow and sums each
-  // vertex's neighbour mass for the Hall test.
+  // The greedy serves the V vertices with the fewest neighbours first, and
+  // each from its U neighbours with the fewest other uses first (ties by
+  // index), so flexible vertices are left for the constrained ones.
+  auto by_degree = [](const std::vector<int>& degree) {
+    std::vector<int> order(degree.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](int a, int b) { return degree[a] < degree[b]; });
+    return order;
+  };
+  const std::vector<int> u_order = by_degree(u_degree);
   std::vector<int64_t> u_left(u_mass.begin(), u_mass.end());
-  std::vector<int64_t> u_reach(nu, 0);
-  std::vector<int64_t> v_reach(nv, 0);
   int64_t routed = 0;
-  for (int j = 0; j < nv; ++j) {
+  for (const int j : by_degree(v_degree)) {
+    const uint64_t* row = rows.data() + static_cast<size_t>(j) * words;
     int64_t v_left = v_mass[j];
-    for (int w = 0; w < words; ++w) {
-      for (uint64_t bits = rows[static_cast<size_t>(j) * words + w];
-           bits != 0; bits &= bits - 1) {
-        const int i = w * 64 + std::countr_zero(bits);
-        const int64_t pushed = std::min(u_left[i], v_left);
-        u_left[i] -= pushed;
-        v_left -= pushed;
-        routed += pushed;
-        u_reach[i] += v_mass[j];
-        v_reach[j] += u_mass[i];
-      }
+    for (int k = 0; k < nu && v_left > 0; ++k) {
+      const int i = u_order[k];
+      if (((row[i / 64] >> (i % 64)) & 1) == 0) continue;
+      const int64_t pushed = std::min(u_left[i], v_left);
+      u_left[i] -= pushed;
+      v_left -= pushed;
+      routed += pushed;
     }
   }
   if (routed >= total - slack) return {true, FeasibilityExit::kGreedy};

@@ -140,8 +140,9 @@ struct FeasibilityVerdict {
 ///
 /// Dinic runs only when linear-time certificates leave the answer open.
 /// Row popcounts settle an empty row and the complete network. A greedy
-/// flow along the edges (rows in order, set bits ascending) is a valid
-/// flow, so it bounds the max flow from below. All flow through one vertex
+/// flow along the edges (V vertices in ascending degree, each drawing from
+/// its U neighbours in ascending degree, ties by index) is a valid flow,
+/// so it bounds the max flow from below. All flow through one vertex
 /// w crosses w's edges, so the max flow is at most
 /// total - (mass(w) - mass of w's neighbours).
 FeasibilityVerdict BipartiteFeasible(int nu, int nv,

@@ -18,6 +18,7 @@
 #include "core/object_profile.h"
 #include "core/query_context.h"
 #include "flow/max_flow.h"
+#include "prob/stochastic_order.h"
 #include "test_util.h"
 
 namespace osd {
@@ -655,7 +656,8 @@ void ExpectRowsMatchScalar(const UncertainObject& u, const UncertainObject& v,
   ObjectProfile pu(u, ctx, &stats);
   ObjectProfile pv(v, ctx, &stats);
   std::vector<uint64_t> rows;
-  const bool covered = oracle.PSdRows(pu, pv, &rows);
+  const bool covered =
+      oracle.PSdRows(pu, pv, oracle.RankCounts(pu, pv), &rows);
   const std::vector<int>& qidx =
       geometric ? ctx.pruning_indices() : ctx.all_indices();
   const int nu = u.num_instances();
@@ -818,7 +820,7 @@ PSdOutcome RunPSd(const UncertainObject& u, const UncertainObject& v,
       EXPECT_EQ(stats.exact_checks, 0);
     }
     std::vector<uint64_t> rows;
-    out.covered = oracle.PSdRows(pu, pv, &rows);
+    out.covered = oracle.PSdRows(pu, pv, oracle.RankCounts(pu, pv), &rows);
     out.exact_feasible =
         out.covered && BipartiteFeasible(u.num_instances(),
                                          v.num_instances(), rows,
@@ -961,6 +963,200 @@ TEST(PSdHallCertificate, RefutesOnlyInfeasibleNetworks) {
   EXPECT_GT(certified, 0);
   EXPECT_GT(uncertified_infeasible, 0);
   EXPECT_GT(dominated, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Extremes certificate: right after the stat gate, S-SD and SS-SD certify
+// a pair whose per-q maxima of u are at most v's minima at every query
+// instance, and P-SD one whose F-SD order holds on the checked indices.
+// A certified pair is one whose exact order holds, so only U_Q != V_Q is
+// left to decide.
+// ---------------------------------------------------------------------------
+
+// `op`'s check of (u, v) with the statistic gate and the certificate but
+// no cover validation, which would decide some pairs first.
+struct CertificateRun {
+  bool certified = false;  // the certificate settled the pair
+  bool gated = false;      // the stat gate refuted the pair first
+  bool dominates = false;
+};
+
+CertificateRun RunCertificate(Operator op, const QueryContext& ctx,
+                              ObjectProfile& pu, ObjectProfile& pv,
+                              bool geometric) {
+  FilterStats stats;
+  DominanceOracle oracle(ctx, geometric ? FilterConfig::GP()
+                                        : FilterConfig::P(),
+                         &stats);
+  CertificateRun run;
+  run.dominates = oracle.Dominates(op, pu, pv);
+  run.certified = stats.stat_validations > 0;
+  run.gated = stats.stat_prunes > 0;
+  EXPECT_LE(stats.stat_validations, 1);
+  if (run.certified) {
+    EXPECT_EQ(stats.exact_checks, 0);
+    EXPECT_EQ(run.dominates, DominanceOracle::DistributionsDiffer(pu, pv));
+  }
+  return run;
+}
+
+bool SSdOrder(ObjectProfile& pu, ObjectProfile& pv) {
+  return StochasticallyLeqSorted(pu.SortedValues(), pu.SortedProbs(),
+                                 pv.SortedValues(), pv.SortedProbs());
+}
+
+bool SsSdOrder(const QueryContext& ctx, ObjectProfile& pu,
+               ObjectProfile& pv) {
+  for (int qi = 0; qi < ctx.num_instances(); ++qi) {
+    if (!StochasticallyLeqSorted(pu.SortedQValues(qi), pu.SortedQProbs(qi),
+                                 pv.SortedQValues(qi),
+                                 pv.SortedQProbs(qi))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The exact P-SD network of (u, v) on the checked indices: whether every
+// row is full, and whether BipartiteFeasible accepts it.
+struct PSdNetwork {
+  bool full = true;
+  bool feasible = false;
+};
+
+PSdNetwork ExactPSdNetwork(const QueryContext& ctx, ObjectProfile& pu,
+                           ObjectProfile& pv, bool geometric) {
+  DominanceOracle oracle(ctx, geometric ? FilterConfig::GP()
+                                        : FilterConfig::P(),
+                         nullptr);
+  std::vector<uint64_t> rows;
+  PSdNetwork out;
+  const int nu = pu.num_instances();
+  const int nv = pv.num_instances();
+  const bool covered =
+      oracle.PSdRows(pu, pv, oracle.RankCounts(pu, pv), &rows);
+  const int words = RowWords(nu);
+  for (int j = 0; j < nv && covered; ++j) {
+    for (int w = 0; w < words; ++w) {
+      const uint64_t all = w + 1 == words ? LastWordMask(nu) : ~uint64_t{0};
+      out.full = out.full && rows[static_cast<size_t>(j) * words + w] == all;
+    }
+  }
+  out.full = out.full && covered;
+  out.feasible = covered && BipartiteFeasible(nu, nv, rows, pu.ScaledProbs(),
+                                              pv.ScaledProbs())
+                                .feasible;
+  return out;
+}
+
+// Instances on a 0.1 grid: distances that tie in the reals can differ by
+// an ulp in doubles, the edge a certificate without tolerance must meet.
+UncertainObject TenthLattice(int id, int dim, int m, int span, Rng& rng) {
+  std::vector<double> coords;
+  for (int k = 0; k < m * dim; ++k) {
+    coords.push_back(0.1 * static_cast<double>(rng.UniformInt(0, span)));
+  }
+  return UncertainObject::Uniform(id, dim, std::move(coords));
+}
+
+// On random, weighted and lattice pairs, with v often beyond u: whenever a
+// certificate fires, the exact order it stands in for holds, and P-SD's
+// fires exactly when every row of the exact network is full.
+TEST(ExtremesCertificate, CertifiesOnlyPairsWhoseExactOrderHolds) {
+  Rng rng(96);
+  int certified[3] = {0, 0, 0};
+  int tied = 0;  // certified with u's maximum equal to v's minimum at a q
+  for (int trial = 0; trial < 800; ++trial) {
+    const int dim = 1 + trial % 2;
+    const int nu = 1 + static_cast<int>(rng.UniformInt(0, 6));
+    const int nv = 1 + static_cast<int>(rng.UniformInt(0, 6));
+    const int nq = 1 + static_cast<int>(rng.UniformInt(0, 3));
+    UncertainObject u, v, q;
+    switch (trial % 4) {
+      case 0:
+        q = RandomObject(-1, dim, nq, 10.0, 2.0, rng);
+        u = RandomObject(0, dim, nu, 10.0, 3.0, rng);
+        v = RandomObject(1, dim, nv, 20.0, 3.0, rng);
+        break;
+      case 1:
+        q = RandomObject(-1, dim, nq, 10.0, 2.0, rng);
+        u = RandomWeightedObject(0, dim, nu, 10.0, 3.0, rng);
+        v = RandomWeightedObject(1, dim, nv, 20.0, 3.0, rng);
+        break;
+      case 2:
+        q = LatticeObject(-1, dim, nq, 2, rng);
+        u = LatticeObject(0, dim, nu, 3, rng);
+        v = LatticeObject(1, dim, nv, 6, rng);
+        break;
+      default:
+        q = TenthLattice(-1, dim, nq, 2, rng);
+        u = TenthLattice(0, dim, nu, 3, rng);
+        v = TenthLattice(1, dim, nv, 6, rng);
+        break;
+    }
+    const QueryContext ctx(q);
+    ObjectProfile pu(u, ctx, nullptr);
+    ObjectProfile pv(v, ctx, nullptr);
+    const CertificateRun ssd =
+        RunCertificate(Operator::kSSd, ctx, pu, pv, /*geometric=*/false);
+    if (ssd.certified) {
+      EXPECT_TRUE(SSdOrder(pu, pv)) << trial;
+      ++certified[0];
+      for (int qi = 0; qi < ctx.num_instances(); ++qi) {
+        tied += pu.MaxQ(qi) == pv.MinQ(qi);
+      }
+    }
+    const CertificateRun sssd =
+        RunCertificate(Operator::kSsSd, ctx, pu, pv, /*geometric=*/false);
+    EXPECT_EQ(sssd.certified, ssd.certified && !sssd.gated) << trial;
+    if (sssd.certified) {
+      EXPECT_TRUE(SsSdOrder(ctx, pu, pv)) << trial;
+      ++certified[1];
+    }
+    for (const bool geometric : {true, false}) {
+      const CertificateRun psd =
+          RunCertificate(Operator::kPSd, ctx, pu, pv, geometric);
+      const PSdNetwork exact = ExactPSdNetwork(ctx, pu, pv, geometric);
+      if (psd.certified) {
+        EXPECT_TRUE(exact.feasible) << trial;
+        ++certified[2];
+      }
+      if (!psd.gated) {
+        EXPECT_EQ(psd.certified, exact.full)
+            << trial << " geometric " << geometric;
+      }
+    }
+  }
+  for (int op = 0; op < 3; ++op) EXPECT_GT(certified[op], 0) << op;
+  EXPECT_GT(tied, 0);
+}
+
+// One query instance at the origin of a 1-d space puts an instance at x
+// at distance exactly |x|. With u's farthest instance half the tolerance
+// beyond v's nearest, the S-SD and SS-SD certificates (no tolerance) stay
+// silent and the exact scans accept the pair; P-SD's (the F-SD order, with
+// the 1e-9 tolerance) fires, and every row of its network is full. At
+// exactly v's nearest all three fire.
+TEST(ExtremesCertificate, ToleranceEdge) {
+  const UncertainObject q = Obj1D(-1, {0.0});
+  const UncertainObject v = Obj1D(1, {1.0, 3.0});
+  const QueryContext ctx(q);
+  for (const double gap : {0.5e-9, 0.0}) {
+    const UncertainObject u = Obj1D(0, {0.5, 1.0 + gap});
+    ObjectProfile pu(u, ctx, nullptr);
+    ObjectProfile pv(v, ctx, nullptr);
+    ASSERT_EQ(pu.MaxQ(0) > pv.MinQ(0), gap > 0.0);
+    for (const Operator op : {Operator::kSSd, Operator::kSsSd}) {
+      const CertificateRun run = RunCertificate(op, ctx, pu, pv, false);
+      EXPECT_EQ(run.certified, gap == 0.0) << OperatorName(op) << " " << gap;
+      EXPECT_TRUE(run.dominates) << OperatorName(op) << " " << gap;
+    }
+    const CertificateRun psd = RunCertificate(Operator::kPSd, ctx, pu, pv,
+                                              /*geometric=*/true);
+    EXPECT_TRUE(psd.certified) << gap;
+    EXPECT_TRUE(psd.dominates) << gap;
+    EXPECT_TRUE(ExactPSdNetwork(ctx, pu, pv, true).full) << gap;
+  }
 }
 
 }  // namespace

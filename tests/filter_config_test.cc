@@ -2,6 +2,8 @@
 // and FilterStats accumulation — the instrumentation the Fig. 16 ablation
 // and the NncResult reporting depend on.
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/dominance_oracle.h"
@@ -55,6 +57,7 @@ TEST(FilterStatsTest, AccumulationAndComparisonCurrency) {
   b.scan_steps = 2;
   b.pair_tests = 3;
   b.mbr_validations = 7;
+  b.stat_validations = 4;
   b.dominance_checks = 9;
   a += b;
   EXPECT_EQ(a.dist_evals, 11);
@@ -62,8 +65,34 @@ TEST(FilterStatsTest, AccumulationAndComparisonCurrency) {
   EXPECT_EQ(a.pair_tests, 33);
   EXPECT_EQ(a.node_ops, 5);
   EXPECT_EQ(a.mbr_validations, 7);
+  EXPECT_EQ(a.stat_validations, 4);
   EXPECT_EQ(a.dominance_checks, 9);
   EXPECT_EQ(a.InstanceComparisons(), 11 + 22 + 33);
+}
+
+// Every JSON surface prints the counters through AppendJson, in this
+// order, with stat_validations after mbr_validations.
+TEST(FilterStatsTest, AppendJsonPrintsEveryCounterInOrder) {
+  FilterStats s;
+  s.dominance_checks = 1;
+  s.dist_evals = 2;
+  s.pair_tests = 3;
+  s.scan_steps = 4;
+  s.node_ops = 5;
+  s.flow_runs = 6;
+  s.stat_prunes = 7;
+  s.cover_prunes = 8;
+  s.mbr_validations = 9;
+  s.stat_validations = 10;
+  s.exact_checks = 11;
+  std::string json;
+  s.AppendJson(&json);
+  EXPECT_EQ(json,
+            "\"dominance_checks\":1,\"instance_comparisons\":9,"
+            "\"dist_evals\":2,\"pair_tests\":3,\"scan_steps\":4,"
+            "\"node_ops\":5,\"flow_runs\":6,\"stat_prunes\":7,"
+            "\"cover_prunes\":8,\"mbr_validations\":9,"
+            "\"stat_validations\":10,\"exact_checks\":11");
 }
 
 TEST(FilterStatsTest, CountersReflectTheCheckPath) {

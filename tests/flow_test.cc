@@ -211,6 +211,43 @@ Instance SmallInstance(Rng& rng) {
   return in;
 }
 
+// The degree-ordered greedy's trap, relabelled at random and grown by up
+// to three extra (u, v) pairs that ship to each other, with extra edges
+// from them with probability 0.15. At its core, v2 reaches only u1, v0
+// reaches u0 and u1, and v1 needs all of u0 and u2. The greedy serves v2
+// first (degree 1) from half of u1, then v0 from whichever of its two
+// degree-2 neighbours has the lower index. If that is u0, v1 is left a
+// unit short and u1 a unit over, and only Dinic reroutes v0 through u1.
+Instance TrapInstance(Rng& rng) {
+  const int n = 3 + static_cast<int>(rng.UniformInt(0, 3));
+  std::vector<int> pu(n);
+  std::vector<int> pv(n);
+  std::iota(pu.begin(), pu.end(), 0);
+  std::iota(pv.begin(), pv.end(), 0);
+  std::shuffle(pu.begin(), pu.end(), rng.engine());
+  std::shuffle(pv.begin(), pv.end(), rng.engine());
+  Instance in{std::vector<int64_t>(n), std::vector<int64_t>(n), {}};
+  const int64_t scale = rng.UniformInt(1, 10);
+  const int64_t core_mass[3] = {1, 2, 1};
+  for (int k = 0; k < n; ++k) {
+    const int64_t mass = k < 3 ? scale * core_mass[k] : rng.UniformInt(1, 20);
+    in.supply[pu[k]] = mass;
+    in.demand[pv[k]] = mass;
+    if (k >= 3) in.edges.emplace_back(pu[k], pv[k]);
+  }
+  for (const auto& [i, j] :
+       std::vector<std::pair<int, int>>{{0, 0}, {0, 1}, {1, 0}, {1, 2},
+                                        {2, 1}}) {
+    in.edges.emplace_back(pu[i], pv[j]);
+  }
+  for (int k = 3; k < n; ++k) {
+    for (int j = 0; j < n; ++j) {
+      if (j != k && rng.Flip(0.15)) in.edges.emplace_back(pu[k], pv[j]);
+    }
+  }
+  return in;
+}
+
 // A wide U side: every u ships its mass to one primary v, plus extra
 // edges with probability `extra`, then `mode` breaks it in one of four ways (0: intact,
 // 1: one v loses every edge, 2: one u loses its primary edge, 3: mass
@@ -241,9 +278,9 @@ Instance WideInstance(int nu, int mode, double extra, Rng& rng) {
   return in;
 }
 
-// Parameter: (seed, supply-side size). Size 0 draws small instances;
-// sizes 63, 64 and 65 put the last U vertex on either side of a 64-bit
-// word edge.
+// Parameter: (seed, supply-side size). Size 0 draws small instances, one
+// trial in four a trap variant; sizes 63, 64 and 65 put the last U vertex
+// on either side of a 64-bit word edge.
 class BipartiteFeasibilityProperty
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -255,9 +292,10 @@ TEST_P(BipartiteFeasibilityProperty, DinicMatchesHallCondition) {
     // Wide instances alternate four trials without extra edges (greedy
     // routes the intact ones) and four with them.
     const Instance in =
-        wide_nu == 0
-            ? SmallInstance(rng)
-            : WideInstance(wide_nu, trial % 4, trial % 8 < 4 ? 0.0 : 0.1, rng);
+        wide_nu != 0
+            ? WideInstance(wide_nu, trial % 4, trial % 8 < 4 ? 0.0 : 0.1, rng)
+        : trial % 4 == 3 ? TrapInstance(rng)
+                         : SmallInstance(rng);
     const int nu = static_cast<int>(in.supply.size());
     const int nv = static_cast<int>(in.demand.size());
     const int64_t total =
@@ -318,10 +356,16 @@ TEST(BipartiteFeasibleTest, EveryExitAgreesWithHallCondition) {
        FeasibilityExit::kHallDeficit},
       {"v0 outweighs its only neighbour", {1, 2}, {2, 1}, {{0, 0}, {1, 1},
        {0, 1}}, FeasibilityExit::kHallDeficit},
-      // Greedy saturates u0 on v0 and strands u1; only the augmenting
-      // path u0 -> v1, u1 -> v0 routes everything.
-      {"feasible only by augmenting", {1, 1}, {1, 1}, {{0, 0}, {0, 1},
-       {1, 0}}, FeasibilityExit::kMaxFlow},
+      // Index order would saturate u0 on v0 and strand u1; serving v1
+      // (degree 1) first routes everything.
+      {"greedy serves the scarce vertex first", {1, 1}, {1, 1},
+       {{0, 0}, {0, 1}, {1, 0}}, FeasibilityExit::kGreedy},
+      // v2 (degree 1) takes half of u1. v0's neighbours u0 and u1 tie at
+      // degree 2, so v0 takes u0, and v1 is left a unit short of u0 + u2
+      // while u1 keeps a unit: only the augmenting path u1 -> v0 -> u0 ->
+      // v1 routes everything.
+      {"feasible only by augmenting", {1, 2, 1}, {1, 2, 1},
+       {{0, 0}, {0, 1}, {1, 0}, {1, 2}, {2, 1}}, FeasibilityExit::kMaxFlow},
       // v0 and v1 share their one neighbour u0: a two-vertex Hall
       // violation that no single vertex shows.
       {"infeasible by a pair", {1, 1, 1}, {1, 1, 1},
@@ -347,10 +391,18 @@ TEST(BipartiteFeasibleTest, SlackAcceptsRoundingShortfall) {
       Feasible({kUnit, 1}, {kUnit, 1}, Rows(2, 2, {{0, 0}, {0, 1}}));
   EXPECT_TRUE(hall.feasible);
   EXPECT_EQ(hall.exit, FeasibilityExit::kGreedy);
-  // Same shortfall, but greedy strands it too: Dinic decides.
-  const FeasibilityVerdict dinic =
+  // Index order would strand v0's mass on the way; serving v1 and v2
+  // (degree 1) first routes all but u2's unit.
+  const FeasibilityVerdict greedy =
       Feasible({kUnit, kUnit, 1}, {kUnit, kUnit, 1},
                Rows(3, 3, {{0, 0}, {0, 1}, {1, 0}, {0, 2}}));
+  EXPECT_TRUE(greedy.feasible);
+  EXPECT_EQ(greedy.exit, FeasibilityExit::kGreedy);
+  // The same shortfall (u3's unit) beside the trap of "feasible only by
+  // augmenting": the greedy strands a kUnit there, and Dinic decides.
+  const FeasibilityVerdict dinic = Feasible(
+      {kUnit, 2 * kUnit, kUnit, 1}, {kUnit, 2 * kUnit, kUnit, 1},
+      Rows(4, 4, {{0, 0}, {0, 1}, {1, 0}, {1, 2}, {2, 1}, {1, 3}}));
   EXPECT_TRUE(dinic.feasible);
   EXPECT_EQ(dinic.exit, FeasibilityExit::kMaxFlow);
 }

@@ -532,12 +532,13 @@ TEST_F(MemBudgetTest, RunRestoresTheCallersRecord) {
 }
 
 TEST_F(MemBudgetTest, NullControlShadowsTheOuterControl) {
-  // P-SD on wide, overlapping objects runs Dinic, whose loops poll too.
+  // P-SD on wide, overlapping objects runs Dinic, whose loops poll too:
+  // on this draw the flow certificates leave it three networks.
   Rng rng(2024);
   std::vector<UncertainObject> objects;
   for (int i = 0; i < 400; ++i) {
     const int m = 4 + static_cast<int>(rng.UniformInt(0, 20));
-    objects.push_back(test::RandomObject(i, 2, m, 100.0, 10.0, rng));
+    objects.push_back(test::RandomObject(i, 2, m, 60.0, 20.0, rng));
   }
   const UncertainObject query = test::RandomObject(-1, 2, 6, 100.0, 8.0, rng);
   const Dataset dataset(std::move(objects));

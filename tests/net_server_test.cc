@@ -441,9 +441,10 @@ TEST_F(NetServerTest, WatchdogTerminatesStalledQueryWithinTwiceDeadline) {
 
   SubmitParams params;
   params.id = 1;
-  params.object_id = 0;
   // P-SD sends the networks its flow certificates cannot settle to Dinic;
-  // on object 0 some do, which the FireCount check below confirms.
+  // on object 23 two do (object 0's all settle before Dinic), which the
+  // FireCount check below confirms.
+  params.object_id = 23;
   params.op = "psd";
   params.k = 2;
   params.deadline_ms = kDeadlineMs;

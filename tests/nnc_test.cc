@@ -396,6 +396,7 @@ TEST(NncSearchTest, FSdCountersArePinned) {
   EXPECT_EQ(s.pair_tests, 0);
   EXPECT_EQ(s.node_ops, 3);
   EXPECT_EQ(s.flow_runs, 0);
+  EXPECT_EQ(s.stat_validations, 0);
   EXPECT_EQ(s.mbr_validations, 78);
   EXPECT_EQ(s.stat_prunes, 0);
   EXPECT_EQ(s.cover_prunes, 0);
@@ -425,6 +426,14 @@ TEST(NncSearchTest, PSdCountersArePinned) {
   // cascade are fewer and a different mix, so mbr_validations rose
   // (38 -> 50) while the other pair counters fell (dominance_checks
   // 198 -> 169, flow_runs 22 -> 18, pair_tests 2903 -> 2203).
+  //
+  // The extremes certificate after the stat gate (the F-SD order on the
+  // hull, which fills every row) settles 9 pairs before the Hall
+  // certificate and the network (stat_validations 0 -> 9, exact_checks
+  // 44 -> 35, scan_steps 4328 -> 3596, pair_tests 2203 -> 1723, and
+  // dist_evals 8352 -> 7632 for the matrices they no longer build). The
+  // degree-ordered greedy flow routes every network Dinic used to decide
+  // (flow_runs 18 -> 0).
   const NncResult r = PinnedRun(Operator::kPSd, 10.0);
   EXPECT_EQ(r.candidates, (std::vector<int>{50, 145, 61, 220, 133, 186, 1,
                                              73, 283, 327, 34}));
@@ -432,15 +441,16 @@ TEST(NncSearchTest, PSdCountersArePinned) {
   EXPECT_EQ(r.objects_examined, 102);
   EXPECT_EQ(r.entries_pruned, 3);
   const FilterStats& s = r.stats;
-  EXPECT_EQ(s.dist_evals, 8352);
-  EXPECT_EQ(s.scan_steps, 4328);
-  EXPECT_EQ(s.pair_tests, 2203);
+  EXPECT_EQ(s.dist_evals, 7632);
+  EXPECT_EQ(s.scan_steps, 3596);
+  EXPECT_EQ(s.pair_tests, 1723);
   EXPECT_EQ(s.node_ops, 3);
-  EXPECT_EQ(s.flow_runs, 18);
+  EXPECT_EQ(s.flow_runs, 0);
+  EXPECT_EQ(s.stat_validations, 9);
   EXPECT_EQ(s.mbr_validations, 50);
   EXPECT_EQ(s.stat_prunes, 67);
   EXPECT_EQ(s.cover_prunes, 8);
-  EXPECT_EQ(s.exact_checks, 44);
+  EXPECT_EQ(s.exact_checks, 35);
   EXPECT_EQ(s.dominance_checks, 169);
 }
 
@@ -451,7 +461,11 @@ TEST(NncSearchTest, SsSdCountersArePinned) {
   // gates leave is an exact check, metered in scan_steps. The near-tie
   // cleanup skips pairs the old full cleanup gated or checked
   // (dominance_checks 187 -> 139, stat_prunes 82 -> 43, dist_evals
-  // 10098 -> 6306).
+  // 10098 -> 6306). The extremes certificate after the stat gate settles
+  // the 16 pairs whose per-q maxima of u are at most v's minima
+  // (stat_validations 0 -> 16, exact_checks 37 -> 21, scan_steps
+  // 6992 -> 3530, and dist_evals 6306 -> 4956 for the matrices they no
+  // longer build).
   const NncResult r = PinnedRun(Operator::kSsSd, 10.0);
   EXPECT_EQ(r.candidates,
             (std::vector<int>{50, 145, 61, 220, 133, 186, 73, 283, 327}));
@@ -459,15 +473,16 @@ TEST(NncSearchTest, SsSdCountersArePinned) {
   EXPECT_EQ(r.objects_examined, 102);
   EXPECT_EQ(r.entries_pruned, 3);
   const FilterStats& s = r.stats;
-  EXPECT_EQ(s.dist_evals, 6306);
-  EXPECT_EQ(s.scan_steps, 6992);
+  EXPECT_EQ(s.dist_evals, 4956);
+  EXPECT_EQ(s.scan_steps, 3530);
   EXPECT_EQ(s.pair_tests, 0);
   EXPECT_EQ(s.node_ops, 3);
   EXPECT_EQ(s.flow_runs, 0);
+  EXPECT_EQ(s.stat_validations, 16);
   EXPECT_EQ(s.mbr_validations, 59);
   EXPECT_EQ(s.stat_prunes, 43);
   EXPECT_EQ(s.cover_prunes, 0);
-  EXPECT_EQ(s.exact_checks, 37);
+  EXPECT_EQ(s.exact_checks, 21);
   EXPECT_EQ(s.dominance_checks, 139);
 }
 
@@ -476,22 +491,27 @@ TEST(NncSearchTest, SSdCountersArePinned) {
   // SS-SD's. node_ops counts the traversal's entry pruning alone, and the
   // 19 pairs the deleted CDF envelope decided are exact checks now
   // (exact_checks 26 -> 45, scan_steps 3937 -> 7951, node_ops 4620 -> 3;
-  // dist_evals 6902 -> 6708, the envelope's leaf distances gone).
+  // dist_evals 6902 -> 6708, the envelope's leaf distances gone). The
+  // extremes certificate after the stat gate settles 16 pairs
+  // (stat_validations 0 -> 16, exact_checks 45 -> 29, scan_steps
+  // 7951 -> 4489, and dist_evals 6708 -> 5358 for the matrices they no
+  // longer build).
   const NncResult r = PinnedRun(Operator::kSSd, 10.0);
   EXPECT_EQ(r.candidates, (std::vector<int>{50, 145, 61, 220, 133}));
   EXPECT_EQ(r.termination, NncTermination::kComplete);
   EXPECT_EQ(r.objects_examined, 102);
   EXPECT_EQ(r.entries_pruned, 3);
   const FilterStats& s = r.stats;
-  EXPECT_EQ(s.dist_evals, 6708);
-  EXPECT_EQ(s.scan_steps, 7951);
+  EXPECT_EQ(s.dist_evals, 5358);
+  EXPECT_EQ(s.scan_steps, 4489);
   EXPECT_EQ(s.pair_tests, 0);
   EXPECT_EQ(s.node_ops, 3);
   EXPECT_EQ(s.flow_runs, 0);
+  EXPECT_EQ(s.stat_validations, 16);
   EXPECT_EQ(s.mbr_validations, 59);
   EXPECT_EQ(s.stat_prunes, 3);
   EXPECT_EQ(s.cover_prunes, 0);
-  EXPECT_EQ(s.exact_checks, 45);
+  EXPECT_EQ(s.exact_checks, 29);
   EXPECT_EQ(s.dominance_checks, 107);
 }
 

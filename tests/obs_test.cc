@@ -369,6 +369,7 @@ TEST(EngineStatsRegression, ToJsonSurvivesMaxedCounters) {
   s.filters.pair_tests = LONG_MAX / 4;
   s.filters.node_ops = s.filters.flow_runs = LONG_MAX;
   s.filters.mbr_validations = s.filters.stat_prunes = LONG_MAX;
+  s.filters.stat_validations = LONG_MAX;
   s.filters.cover_prunes = s.filters.exact_checks = LONG_MAX;
   s.filters.dominance_checks = LONG_MAX;
   s.objects_examined = s.entries_pruned = s.frontier_objects = LONG_MAX;
