@@ -1,6 +1,6 @@
 // Micro-benchmarks of the substrates: R-tree bulk load,
-// stochastic-order scans, P-SD network rows, max-flow feasibility and
-// EMD min-cost flow.
+// stochastic-order scans, P-SD network rows and rank counts, max-flow
+// feasibility and EMD min-cost flow.
 
 #include <benchmark/benchmark.h>
 
@@ -119,6 +119,67 @@ void BM_PSdRows(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * m);
 }
 BENCHMARK(BM_PSdRows)->RangeMultiplier(2)->Range(8, 128);
+
+// RankView::Count as the Hall certificate calls it on the NBA surrogate
+// (fig12's NBA cell): for the first workload query and its 64 nearest
+// objects, every ordered pair's u rank row at each hull instance q,
+// searched at every d(v_j, q) + 1e-9. Arg 0 counts with the cell index,
+// arg 1 with std::upper_bound over the same rows.
+void BM_RankCount(benchmark::State& state) {
+  struct Probe {
+    ObjectProfile::RankView ranks;
+    std::span<const double> v_row;
+  };
+  struct Setup {
+    Dataset dataset = NbaLike(1);
+    std::vector<QueryWorkloadEntry> workload =
+        GenerateWorkload(dataset, bench::DefaultWorkload());
+    QueryContext ctx{workload.front().query};
+    std::vector<std::unique_ptr<ObjectProfile>> profiles;
+    std::vector<Probe> probes;
+  };
+  static Setup* const setup = [] {
+    auto* s = new Setup;
+    for (const UncertainObject& o : s->dataset.objects()) {
+      s->profiles.push_back(
+          std::make_unique<ObjectProfile>(o, s->ctx, nullptr));
+    }
+    std::sort(s->profiles.begin(), s->profiles.end(),
+              [](const auto& a, const auto& b) {
+                return a->MinAll() < b->MinAll();
+              });
+    s->profiles.resize(64);
+    for (auto& pu : s->profiles) {
+      for (auto& pv : s->profiles) {
+        if (pu == pv) continue;
+        for (const int qi : s->ctx.pruning_indices()) {
+          s->probes.push_back({pu->Ranks(qi), pv->Row(qi)});
+        }
+      }
+    }
+    return s;
+  }();
+  const bool cells = state.range(0) == 0;
+  long counts = 0;
+  size_t next = 0;
+  for (auto _ : state) {
+    const Probe& p = setup->probes[next];
+    next = next + 1 == setup->probes.size() ? 0 : next + 1;
+    int sum = 0;
+    for (const double d : p.v_row) {
+      const double t = d + 1e-9;
+      sum += cells ? p.ranks.Count(t)
+                   : static_cast<int>(std::upper_bound(p.ranks.sorted.begin(),
+                                                       p.ranks.sorted.end(),
+                                                       t) -
+                                      p.ranks.sorted.begin());
+    }
+    benchmark::DoNotOptimize(sum);
+    counts += static_cast<long>(p.v_row.size());
+  }
+  state.SetItemsProcessed(counts);
+}
+BENCHMARK(BM_RankCount)->Arg(0)->Arg(1);
 
 // A P-SD network as the exact check hands it to BipartiteFeasible.
 struct Network {

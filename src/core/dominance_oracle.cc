@@ -239,11 +239,10 @@ std::vector<int> DominanceOracle::RankCounts(ObjectProfile& u,
                                              ObjectProfile& v) {
   const std::vector<int>& qidx = QIdx();
   const int nv = v.num_instances();
-  const double* vm = v.MatrixData();
   std::vector<int> counts(qidx.size() * nv);
   for (size_t k = 0; k < qidx.size(); ++k) {
     const ObjectProfile::RankView ranks = u.Ranks(qidx[k]);
-    const double* vq = vm + static_cast<size_t>(qidx[k]) * nv;
+    const double* vq = v.Row(qidx[k]).data();
     for (int j = 0; j < nv; ++j) counts[k * nv + j] = ranks.Count(vq[j] + kEps);
   }
   return counts;
@@ -296,7 +295,6 @@ bool DominanceOracle::ProjectedHallRefutes(ObjectProfile& u,
   const int nv = v.num_instances();
   const int64_t slack = nu + nv;  // BipartiteFeasible's rounding slack
   const std::span<const int64_t> v_mass = v.ScaledProbs();
-  const double* vm = v.MatrixData();
   counts->resize(qidx.size() * nv);
   // demand[r]: mass of the V instances whose projected neighbourhood at q
   // is u's r nearest instances there.
@@ -305,7 +303,7 @@ bool DominanceOracle::ProjectedHallRefutes(ObjectProfile& u,
   bool refuted = false;
   for (size_t k = 0; k < qidx.size() && !refuted; ++k) {
     const ObjectProfile::RankView ranks = u.Ranks(qidx[k]);
-    const double* vq = vm + static_cast<size_t>(qidx[k]) * nv;
+    const double* vq = v.Row(qidx[k]).data();
     int* count = counts->data() + k * nv;
     std::fill(demand.begin(), demand.end(), 0);
     // RankCounts' threshold: the counts PSdRows reads, so this

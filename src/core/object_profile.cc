@@ -1,6 +1,8 @@
 #include "core/object_profile.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
 
 #include "common/check.h"
@@ -65,6 +67,9 @@ void ObjectProfile::PublishToCache() noexcept {
   // other view it holds is the entry's own.
   const ProfileArtifacts none;
   const ProfileArtifacts& entry = cached_ != nullptr ? *cached_ : none;
+  // A partly read matrix is never published: an own one is partly filled,
+  // and an adopted one is the entry's.
+  if (!MatrixComplete()) views_.matrix = nullptr;
   bool built = false;
   auto join = [&built](auto& mine, const auto& theirs) {
     if (mine == nullptr) {
@@ -99,61 +104,72 @@ void ObjectProfile::ChargeView(long bytes, const char* what_label) {
   charged_bytes_ += bytes;
 }
 
-void ObjectProfile::EnsureMatrix() {
+void ObjectProfile::EnsureRows(int qi) {
   const int nq = ctx_->num_instances();
   const int m = num_instances();
-  const size_t total = static_cast<size_t>(nq) * m;
-  OSD_FAILPOINT("mem.profile.matrix");
-  MaybeLookupCache();
-  // A shared matrix is charged and counted as a fresh build is, so budget
-  // pressure, retry points and the Fig. 16 counters stay bit-identical to
-  // the unshared path (the counters meter the logical plan, which sharing
-  // preserves).
-  ChargeView(static_cast<long>(total) * static_cast<long>(sizeof(double)),
-             "profile.matrix");
-  if (!Adopt(&ProfileArtifacts::matrix)) {
-    auto buf = std::make_shared<std::vector<double>>(total);
-    // The matrix stays row-major with stride m (no padding): the flattened
-    // pair-index tie-break in EnsureSortedAll depends on that layout.
-    const kernels::KernelSet& ks = ctx_->kernels();
-    const double* block = object_->soa_coords();
-    const size_t stride = object_->soa_stride();
-    for (int qi = 0; qi < nq; ++qi) {
-      ks.batch_distance(ctx_->points()[qi].data(), block, stride, m,
-                        buf->data() + static_cast<size_t>(qi) * m);
-    }
-    views_.matrix = std::move(buf);
+  const bool first_read = views_.matrix == nullptr;
+  if (first_read) {
+    OSD_FAILPOINT("mem.profile.matrix");
+    MaybeLookupCache();
   }
+  const int rows = qi == kAllRows ? nq - matrix_rows_ : 1;
+  // A shared matrix is charged and counted row by row as a fresh build is,
+  // so budget pressure, retry points and the Fig. 16 counters stay
+  // bit-identical to the unshared path (the counters meter the logical
+  // plan, which sharing preserves).
+  ChargeView(static_cast<long>(rows) * m * static_cast<long>(sizeof(double)),
+             "profile.matrix");
+  if (first_read) {
+    row_read_.assign(nq, 0);
+    if (!Adopt(&ProfileArtifacts::matrix)) {
+      // The matrix stays row-major with stride m (no padding): the
+      // flattened pair-index tie-break in EnsureSortedAll depends on that
+      // layout.
+      auto buf =
+          std::make_shared<std::vector<double>>(static_cast<size_t>(nq) * m);
+      matrix_fill_ = buf->data();
+      views_.matrix = std::move(buf);
+    }
+  }
+  const kernels::KernelSet& ks = ctx_->kernels();
+  const int begin = qi == kAllRows ? 0 : qi;
+  const int end = qi == kAllRows ? nq : qi + 1;
+  for (int r = begin; r < end; ++r) {
+    if (row_read_[r] != 0) continue;
+    if (matrix_fill_ != nullptr) {
+      ks.batch_distance(ctx_->points()[r].data(), object_->soa_coords(),
+                        object_->soa_stride(), m,
+                        matrix_fill_ + static_cast<size_t>(r) * m);
+    }
+    row_read_[r] = 1;
+  }
+  matrix_rows_ += rows;
   if (stats_ != nullptr) {
-    stats_->dist_evals += static_cast<long>(nq) * m;
+    stats_->dist_evals += static_cast<long>(rows) * m;
   }
 }
 
 void ObjectProfile::EnsureExtremes() {
   const int nq = ctx_->num_instances();
   const int m = num_instances();
-  const double* matrix =
-      views_.matrix != nullptr ? views_.matrix->data() : nullptr;
   MaybeLookupCache();
-  // The distances are evaluated once unless the matrix already holds them.
+  // Each distance is evaluated once: the matrix rows already read fold,
+  // the others take one extremes pass.
   ChargeView(2L * nq * static_cast<long>(sizeof(double)), "profile.stats");
-  if (matrix == nullptr && stats_ != nullptr) {
-    stats_->dist_evals += static_cast<long>(nq) * m;
+  if (stats_ != nullptr) {
+    stats_->dist_evals += static_cast<long>(nq - matrix_rows_) * m;
   }
   if (Adopt(&ProfileArtifacts::extremes)) return;
   std::vector<double> mn(nq, std::numeric_limits<double>::infinity());
   std::vector<double> mx(nq, 0.0);
-  if (matrix != nullptr) {
-    for (int qi = 0; qi < nq; ++qi) {
-      const double* row = matrix + static_cast<size_t>(qi) * m;
-      for (int ui = 0; ui < m; ++ui) {
-        mn[qi] = std::min(mn[qi], row[ui]);
-        mx[qi] = std::max(mx[qi], row[ui]);
+  const kernels::KernelSet& ks = ctx_->kernels();
+  for (int qi = 0; qi < nq; ++qi) {
+    if (RowRead(qi)) {
+      for (const double d : Row(qi)) {
+        mn[qi] = std::min(mn[qi], d);
+        mx[qi] = std::max(mx[qi], d);
       }
-    }
-  } else {
-    const kernels::KernelSet& ks = ctx_->kernels();
-    for (int qi = 0; qi < nq; ++qi) {
+    } else {
       ks.row_extremes(ctx_->points()[qi].data(), object_->soa_coords(),
                       object_->soa_stride(), m, &mn[qi], &mx[qi]);
     }
@@ -164,47 +180,46 @@ void ObjectProfile::EnsureExtremes() {
 void ObjectProfile::EnsureMean() {
   const int nq = ctx_->num_instances();
   const int m = num_instances();
-  const double* matrix =
-      views_.matrix != nullptr ? views_.matrix->data() : nullptr;
   MaybeLookupCache();
-  // Over an existing matrix the extremes are a fold, so build them first.
-  if (matrix != nullptr) Extremes();
   // With no extremes yet, one fused pass builds all three statistics, and
   // is charged and counted as one; after the extremes the mean costs a
-  // pass of its own. A shared view is charged and counted the same.
+  // pass of its own. Either pass folds the matrix rows already read and
+  // evaluates only the others. A shared view is charged and counted the
+  // same.
   const bool fused = views_.extremes == nullptr;
   ChargeView((fused ? 3L : 1L) * nq * static_cast<long>(sizeof(double)),
              "profile.stats");
-  if (matrix == nullptr && stats_ != nullptr) {
-    stats_->dist_evals += static_cast<long>(nq) * m;
+  if (stats_ != nullptr) {
+    stats_->dist_evals += static_cast<long>(nq - matrix_rows_) * m;
   }
   if (fused) Adopt(&ProfileArtifacts::extremes);
   if (Adopt(&ProfileArtifacts::mean)) return;
   // Distances and the probability-weighted mean fold in (qi, ui) order, so
-  // the matrix scan and the fused kernel give bit-identical results.
+  // a row fold and the fused kernel give bit-identical results.
   auto mean = std::make_shared<ProfileMeanView>();
   mean->mean_q.assign(nq, 0.0);
-  if (matrix != nullptr) {
-    for (int qi = 0; qi < nq; ++qi) {
-      const double* row = matrix + static_cast<size_t>(qi) * m;
+  const bool build_extremes = views_.extremes == nullptr;
+  std::vector<double> mn(build_extremes ? nq : 1,
+                         std::numeric_limits<double>::infinity());
+  std::vector<double> mx(build_extremes ? nq : 1, 0.0);
+  const kernels::KernelSet& ks = ctx_->kernels();
+  for (int qi = 0; qi < nq; ++qi) {
+    const int slot = build_extremes ? qi : 0;
+    if (RowRead(qi)) {
+      const std::span<const double> row = Row(qi);
       for (int ui = 0; ui < m; ++ui) {
+        mn[slot] = std::min(mn[slot], row[ui]);
+        mx[slot] = std::max(mx[slot], row[ui]);
         mean->mean_q[qi] += row[ui] * object_->Prob(ui);
       }
-    }
-  } else {
-    const bool build_extremes = views_.extremes == nullptr;
-    std::vector<double> mn(build_extremes ? nq : 1);
-    std::vector<double> mx(build_extremes ? nq : 1);
-    const kernels::KernelSet& ks = ctx_->kernels();
-    for (int qi = 0; qi < nq; ++qi) {
-      const int slot = build_extremes ? qi : 0;
+    } else {
       ks.fused_row_stats(ctx_->points()[qi].data(), object_->soa_coords(),
                          object_->soa_stride(), m, object_->probs().data(),
                          &mn[slot], &mean->mean_q[qi], &mx[slot]);
     }
-    if (build_extremes) {
-      views_.extremes = MakeExtremes(std::move(mn), std::move(mx));
-    }
+  }
+  if (build_extremes) {
+    views_.extremes = MakeExtremes(std::move(mn), std::move(mx));
   }
   for (int qi = 0; qi < nq; ++qi) {
     mean->mean_all += mean->mean_q[qi] * ctx_->probs()[qi];
@@ -296,11 +311,13 @@ void ObjectProfile::FillRanks(int qi) {
     ranks_.resize(nq);
     rank_words_ = RowWords(m);
   }
-  const double* row = MatrixData() + static_cast<size_t>(qi) * m;
+  const double* row = Row(qi).data();
   const std::span<const int64_t> scaled = ScaledProbs();
+  const int cells = static_cast<int>(std::bit_ceil(static_cast<unsigned>(m)));
   ChargeView(m * static_cast<long>(sizeof(double)) +
                  (m + 1L) * rank_words_ * static_cast<long>(sizeof(uint64_t)) +
-                 (m + 1L) * static_cast<long>(sizeof(int64_t)),
+                 (m + 1L) * static_cast<long>(sizeof(int64_t)) +
+                 (cells + 1L) * static_cast<long>(sizeof(int)),
              "profile.ranks");
   // Same order as EnsureSortedPerQ: equal distances rank by index.
   const std::span<const int> order =
@@ -316,9 +333,32 @@ void ObjectProfile::FillRanks(int qi) {
   }
   std::vector<double> sorted(m);
   for (int r = 0; r < m; ++r) sorted[r] = row[order[r]];
+  std::vector<int> cell_start;
+  const double scale = RankView::BuildCells(sorted, &cell_start);
   e.prefix = std::move(prefix);
   e.mass = std::move(mass);
+  e.cell_start = std::move(cell_start);
+  e.scale = scale;
+  e.last_cell = cells - 1;
   e.sorted = std::move(sorted);
+}
+
+double ObjectProfile::RankView::BuildCells(std::span<const double> sorted,
+                                           std::vector<int>* cell_start) {
+  const int m = static_cast<int>(sorted.size());
+  const int cells = static_cast<int>(std::bit_ceil(static_cast<unsigned>(m)));
+  const double front = sorted.front();
+  const double span = sorted.back() - front;
+  double scale = span > 0.0 ? cells / span : 0.0;
+  if (!std::isfinite(scale)) scale = 0.0;
+  cell_start->resize(cells + 1);
+  int c = 0;
+  for (int r = 0; r < m; ++r) {
+    const int cell = CellOf(sorted[r], front, scale, cells - 1);
+    while (c <= cell) (*cell_start)[c++] = r;
+  }
+  while (c <= cells) (*cell_start)[c++] = m;
+  return scale;
 }
 
 std::span<const int64_t> ObjectProfile::ScaledProbs() {

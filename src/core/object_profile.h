@@ -3,12 +3,12 @@
 // Every dominance check consumes some view of the pairwise distances
 // between an object's instances and the query's instances: overall and
 // per-query-instance statistics (statistic pruning), the sorted all-pairs
-// distribution U_Q (S-SD), per-q sorted distributions U_q (SS-SD), or the
-// raw matrix (<=_Q tests in P-SD). Each view is materialized at most once
-// and only when a check actually needs it — the statistic gates read only
-// the per-q statistics and F-SD only their extremes, so a pair they decide
-// never pays for a sorted view, which is the effect the Fig. 16 ablation
-// measures.
+// distribution U_Q (S-SD), per-q sorted distributions U_q (SS-SD), or
+// raw matrix rows (<=_Q tests in P-SD). Each view is materialized at most
+// once and only when a check actually needs it — the statistic gates read
+// only the per-q statistics and F-SD only their extremes, so a pair they
+// decide never pays for a sorted view, which is the effect the Fig. 16
+// ablation measures.
 //
 // The statistics come in two parts. MinQs/MaxQs/MinAll/MaxAll build only
 // the extremes: one min/max pass per query instance, charged as 2·|Q|
@@ -32,6 +32,16 @@
 // only ever answers statistic pruning never materializes — or charges the
 // memory budget for — the full matrix.
 //
+// The matrix fills row by row. Row(qi) computes just row qi of the one
+// |Q| x m buffer; MatrixData() fills the rows still missing. Each row is
+// charged under "profile.matrix" and counted in dist_evals (m distances)
+// on its first read, and a complete matrix adopted from the cache is
+// charged and counted the same way, row by row, so the charges and the
+// counters do not depend on the cache. P-SD reads only the rows of the
+// query's hull instances (DominanceOracle::QIdx()). The statistics fold
+// the rows already read and evaluate the others, so each distance is
+// counted once. A partly filled matrix is never published.
+//
 // Every cacheable view (matrix, extremes, mean, sorted all-pairs, sorted
 // per-q, distribution) is one immutable shared_ptr in a ProfileArtifacts
 // (core/profile_cache.h), so a view, once read, never moves: spans taken
@@ -48,15 +58,16 @@
 // mutable profile itself is never shared — only the immutable views are).
 //
 // Rank view: Ranks(qi) memoizes, per query instance, the object's
-// distances to ctx.points()[qi] sorted ascending, and for r = 0..m the
-// prefix bit row "the r nearest instances" and their summed integer flow
-// mass (ScaledProbs() in rank order). The P-SD exact check reads the set
-// {i : Dist(qi, i) <= d} off it with one binary search instead of m
+// distances to ctx.points()[qi] sorted ascending, for r = 0..m the prefix
+// bit row "the r nearest instances" and their summed integer flow mass
+// (ScaledProbs() in rank order), and a cell index over the sorted
+// distances. The P-SD exact check reads the set {i : Dist(qi, i) <= d}
+// off it with one cell lookup and a short forward walk instead of m
 // comparisons, and the P-SD Hall certificate reads that set's mass the
-// same way. It is per-query scratch, charged (distances, rows and masses)
-// under "profile.ranks" with the cache on or off and never published;
-// ScaledProbs() memoizes the object's integer flow masses under the same
-// label.
+// same way. It is per-query scratch, charged (distances, rows, masses and
+// cell index) under "profile.ranks" with the cache on or off and never
+// published; ScaledProbs() memoizes the object's integer flow masses under
+// the same label.
 
 #ifndef OSD_CORE_OBJECT_PROFILE_H_
 #define OSD_CORE_OBJECT_PROFILE_H_
@@ -105,18 +116,56 @@ class ObjectProfile {
   int num_instances() const { return object_->num_instances(); }
 
   /// The object's instances ranked by distance to one query instance.
+  ///
+  /// The cell index splits [front, back] of `sorted` into cells =
+  /// 2^ceil(log2 m) equal-width cells; cell_start[c] is the first index
+  /// whose distance lies in a cell >= c, and cell_start[cells] = m. CellOf
+  /// is monotone in d, so every distance before cell_start[CellOf(d)] is
+  /// <= d and every one from cell_start[CellOf(d) + 1] on is > d: Count()
+  /// searches only the entries of d's own cell.
   struct RankView {
     std::span<const double> sorted;  ///< the m distances, ascending
     const uint64_t* prefix;  ///< row r (words long): the r nearest instances
     const int64_t* mass;     ///< mass[r]: ScaledProbs() of the r nearest
     int words;               ///< RowWords(m) (flow/max_flow.h)
+    const int* cell_start;   ///< cells + 1 entries
+    double scale;            ///< cells / (back - front); 0 on a zero span
+    int last_cell;           ///< cells - 1
 
-    /// Number of instances i with Dist(qi, i) <= d. The sorted order
-    /// breaks distance ties by instance index, and tied distances are all
-    /// <= d or all > d, so those instances are exactly the first Count(d).
+    /// Longest forward walk Count() takes before it binary-searches the
+    /// rest of the cell, so a crowded cell costs O(log m).
+    static constexpr int kMaxWalk = 8;
+
+    /// The cell of a distance x >= front. Subtraction, multiplication by a
+    /// non-negative scale, truncation and the clamp are all monotone.
+    static int CellOf(double x, double front, double scale, int last_cell) {
+      return std::min(last_cell, static_cast<int>((x - front) * scale));
+    }
+
+    /// Fills `cell_start` with the cell index over the ascending, non-empty
+    /// `sorted` and returns its scale. A span too narrow for a finite scale
+    /// puts every distance in cell 0, where Count() binary-searches.
+    static double BuildCells(std::span<const double> sorted,
+                             std::vector<int>* cell_start);
+
+    /// Number of instances i with Dist(qi, i) <= d: exactly
+    /// std::upper_bound over `sorted`. The sorted order breaks distance
+    /// ties by instance index, and tied distances are all <= d or all
+    /// > d, so those instances are exactly the first Count(d).
     int Count(double d) const {
-      return static_cast<int>(
-          std::upper_bound(sorted.begin(), sorted.end(), d) - sorted.begin());
+      if (d < sorted.front()) return 0;
+      if (d >= sorted.back()) return static_cast<int>(sorted.size());
+      // front <= d < back: the answer lies in [i, end] and below m.
+      const int c = CellOf(d, sorted.front(), scale, last_cell);
+      int i = cell_start[c];
+      const int end = cell_start[c + 1];
+      if (end - i > kMaxWalk) {
+        return static_cast<int>(
+            std::upper_bound(sorted.begin() + i, sorted.begin() + end, d) -
+            sorted.begin());
+      }
+      while (sorted[i] <= d) ++i;
+      return i;
     }
   };
 
@@ -125,17 +174,20 @@ class ObjectProfile {
     return MatrixData()[static_cast<size_t>(qi) * num_instances() + ui];
   }
 
-  /// Row of distances from query instance qi to all object instances.
+  /// Row of distances from query instance qi to all object instances;
+  /// computes only that row of the matrix on first call.
   std::span<const double> Row(int qi) {
-    return {MatrixData() + static_cast<size_t>(qi) * num_instances(),
+    if (!RowRead(qi)) EnsureRows(qi);
+    return {views_.matrix->data() + static_cast<size_t>(qi) * num_instances(),
             static_cast<size_t>(num_instances())};
   }
 
-  /// Base pointer of the |Q| x m row-major matrix (materializes it): row
-  /// qi starts at MatrixData() + qi * num_instances(). Lets checker inner
-  /// loops hoist the lazy-init branch out of per-element Dist() calls.
+  /// Base pointer of the |Q| x m row-major matrix (fills every row still
+  /// missing): row qi starts at MatrixData() + qi * num_instances(). Lets
+  /// checker inner loops hoist the lazy-init branch out of per-element
+  /// Dist() calls.
   const double* MatrixData() {
-    if (views_.matrix == nullptr) EnsureMatrix();
+    if (!MatrixComplete()) EnsureRows(kAllRows);
     return views_.matrix->data();
   }
 
@@ -184,7 +236,8 @@ class ObjectProfile {
   RankView Ranks(int qi) {
     if (ranks_.empty() || ranks_[qi].sorted.empty()) FillRanks(qi);
     const RankEntry& e = ranks_[qi];
-    return {e.sorted, e.prefix.data(), e.mass.data(), rank_words_};
+    return {e.sorted, e.prefix.data(), e.mass.data(), rank_words_,
+            e.cell_start.data(), e.scale, e.last_cell};
   }
 
   /// ScaleProbabilities(object().probs(), kProbScale), memoized.
@@ -208,10 +261,20 @@ class ObjectProfile {
     return *views_.sorted_per_q;
   }
 
+  static constexpr int kAllRows = -1;
+  bool RowRead(int qi) const { return !row_read_.empty() && row_read_[qi]; }
+  bool MatrixComplete() const {
+    return matrix_rows_ == ctx_->num_instances();
+  }
+  /// Reads matrix row qi, or every unread row for kAllRows: charges and
+  /// counts the rows, adopts the pinned entry's complete matrix or
+  /// allocates the buffer on the first read, and computes the rows when
+  /// the buffer is this profile's own.
+  void EnsureRows(int qi);
+
   // Each Ensure* fills one absent view: it charges and counts the view,
   // then takes it from the pinned cache entry when the entry holds it and
   // builds it otherwise.
-  void EnsureMatrix();
   void EnsureExtremes();
   void EnsureMean();
   void EnsureSortedAll();
@@ -258,12 +321,21 @@ class ObjectProfile {
   // with the pinned entry; null until first read. Its epoch and bytes stay
   // unset: PublishToCache sets them on the entry it makes from it.
   ProfileArtifacts views_;
+  // Matrix rows read so far (charged, counted and, in an own buffer,
+  // computed): a flag per query instance and their count. matrix_fill_ is
+  // views_.matrix's data when this profile builds it, null when adopted.
+  std::vector<uint8_t> row_read_;
+  int matrix_rows_ = 0;
+  double* matrix_fill_ = nullptr;
   // Rank-view memo, one entry per query instance (empty = not yet built),
   // and the scaled masses; never cached.
   struct RankEntry {
     std::vector<double> sorted;
     std::vector<uint64_t> prefix;  // (m + 1) rows of rank_words_ words
     std::vector<int64_t> mass;     // (m + 1) prefix sums of scaled masses
+    std::vector<int> cell_start;   // RankView's cell index
+    double scale = 0.0;
+    int last_cell = 0;
   };
   std::vector<RankEntry> ranks_;
   int rank_words_ = 0;

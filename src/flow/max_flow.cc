@@ -258,18 +258,23 @@ FeasibilityVerdict BipartiteFeasible(int nu, int nv,
   const int64_t slack = nu + nv;
   // The greedy serves the V vertices with the fewest neighbours first, and
   // each from its U neighbours with the fewest other uses first (ties by
-  // index), so flexible vertices are left for the constrained ones.
-  auto by_degree = [](const std::vector<int>& degree) {
+  // index), so flexible vertices are left for the constrained ones. Every
+  // degree is at most the other side's size, so one counting pass gives
+  // that stable order.
+  auto by_degree = [](const std::vector<int>& degree, int max_degree) {
+    std::vector<int> start(max_degree + 2, 0);
+    for (const int d : degree) ++start[d + 1];
+    for (int d = 0; d <= max_degree; ++d) start[d + 1] += start[d];
     std::vector<int> order(degree.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](int a, int b) { return degree[a] < degree[b]; });
+    for (int i = 0; i < static_cast<int>(degree.size()); ++i) {
+      order[start[degree[i]]++] = i;
+    }
     return order;
   };
-  const std::vector<int> u_order = by_degree(u_degree);
+  const std::vector<int> u_order = by_degree(u_degree, nv);
   std::vector<int64_t> u_left(u_mass.begin(), u_mass.end());
   int64_t routed = 0;
-  for (const int j : by_degree(v_degree)) {
+  for (const int j : by_degree(v_degree, nu)) {
     const uint64_t* row = rows.data() + static_cast<size_t>(j) * words;
     int64_t v_left = v_mass[j];
     for (int k = 0; k < nu && v_left > 0; ++k) {

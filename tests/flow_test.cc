@@ -284,18 +284,22 @@ Instance WideInstance(int nu, int mode, double extra, Rng& rng) {
 class BipartiteFeasibilityProperty
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
+// The parameter's instance for one trial. Wide instances alternate four
+// trials without extra edges (greedy routes the intact ones) and four with
+// them.
+Instance DrawInstance(int wide_nu, int trial, Rng& rng) {
+  if (wide_nu != 0) {
+    return WideInstance(wide_nu, trial % 4, trial % 8 < 4 ? 0.0 : 0.1, rng);
+  }
+  return trial % 4 == 3 ? TrapInstance(rng) : SmallInstance(rng);
+}
+
 TEST_P(BipartiteFeasibilityProperty, DinicMatchesHallCondition) {
   const auto [seed, wide_nu] = GetParam();
   Rng rng(seed);
   int exits[5] = {0, 0, 0, 0, 0};
   for (int trial = 0; trial < 200; ++trial) {
-    // Wide instances alternate four trials without extra edges (greedy
-    // routes the intact ones) and four with them.
-    const Instance in =
-        wide_nu != 0
-            ? WideInstance(wide_nu, trial % 4, trial % 8 < 4 ? 0.0 : 0.1, rng)
-        : trial % 4 == 3 ? TrapInstance(rng)
-                         : SmallInstance(rng);
+    const Instance in = DrawInstance(wide_nu, trial, rng);
     const int nu = static_cast<int>(in.supply.size());
     const int nv = static_cast<int>(in.demand.size());
     const int64_t total =
@@ -327,6 +331,104 @@ TEST_P(BipartiteFeasibilityProperty, DinicMatchesHallCondition) {
       continue;
     }
     EXPECT_GT(exits[e], 0) << "exit " << e;
+  }
+}
+
+// BipartiteFeasible as it was written with std::stable_sort ordering the
+// greedy's vertices by degree (ties by index).
+FeasibilityVerdict StableSortFeasible(const std::vector<int64_t>& u_mass,
+                                      const std::vector<int64_t>& v_mass,
+                                      const std::vector<uint64_t>& rows) {
+  const int nu = static_cast<int>(u_mass.size());
+  const int nv = static_cast<int>(v_mass.size());
+  const int words = RowWords(nu);
+  auto edge = [&](int i, int j) {
+    return ((rows[static_cast<size_t>(j) * words + i / 64] >> (i % 64)) & 1) !=
+           0;
+  };
+  std::vector<int> u_degree(nu, 0);
+  std::vector<int> v_degree(nv, 0);
+  std::vector<int64_t> u_reach(nu, 0);
+  std::vector<int64_t> v_reach(nv, 0);
+  long num_edges = 0;
+  for (int j = 0; j < nv; ++j) {
+    for (int i = 0; i < nu; ++i) {
+      if (!edge(i, j)) continue;
+      ++u_degree[i];
+      ++v_degree[j];
+      u_reach[i] += v_mass[j];
+      v_reach[j] += u_mass[i];
+    }
+    if (v_degree[j] == 0) return {false, FeasibilityExit::kUncoveredDemand};
+    num_edges += v_degree[j];
+  }
+  if (num_edges == static_cast<long>(nu) * nv) {
+    return {true, FeasibilityExit::kComplete};
+  }
+  const int64_t total =
+      std::accumulate(u_mass.begin(), u_mass.end(), int64_t{0});
+  const int64_t slack = nu + nv;
+  auto by_degree = [](const std::vector<int>& degree) {
+    std::vector<int> order(degree.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](int a, int b) { return degree[a] < degree[b]; });
+    return order;
+  };
+  const std::vector<int> u_order = by_degree(u_degree);
+  std::vector<int64_t> u_left = u_mass;
+  int64_t routed = 0;
+  for (const int j : by_degree(v_degree)) {
+    int64_t v_left = v_mass[j];
+    for (int k = 0; k < nu && v_left > 0; ++k) {
+      const int i = u_order[k];
+      if (!edge(i, j)) continue;
+      const int64_t pushed = std::min(u_left[i], v_left);
+      u_left[i] -= pushed;
+      v_left -= pushed;
+      routed += pushed;
+    }
+  }
+  if (routed >= total - slack) return {true, FeasibilityExit::kGreedy};
+  for (int i = 0; i < nu; ++i) {
+    if (u_mass[i] - u_reach[i] > slack) {
+      return {false, FeasibilityExit::kHallDeficit};
+    }
+  }
+  for (int j = 0; j < nv; ++j) {
+    if (v_mass[j] - v_reach[j] > slack) {
+      return {false, FeasibilityExit::kHallDeficit};
+    }
+  }
+  MaxFlow flow(nu + nv + 2);
+  flow.LoadBipartite(nu, nv, rows, u_mass, v_mass, total);
+  return {flow.Compute(nu + nv, nu + nv + 1) >= total - slack,
+          FeasibilityExit::kMaxFlow};
+}
+
+// The counting-pass degree order visits the greedy's vertices as the
+// stable sort did, so every exit and verdict is the reference's. The
+// greedy decides only within the slack, so the instances run unscaled as
+// well as scaled, which puts greedy shortfalls near the slack too.
+TEST_P(BipartiteFeasibilityProperty, DegreeOrderMatchesStableSort) {
+  const auto [seed, wide_nu] = GetParam();
+  Rng rng(seed);
+  for (int trial = 0; trial < 200; ++trial) {
+    const Instance in = DrawInstance(wide_nu, trial, rng);
+    const std::vector<uint64_t> rows =
+        Rows(static_cast<int>(in.supply.size()),
+             static_cast<int>(in.demand.size()), in.edges);
+    for (const bool scaled : {false, true}) {
+      const std::vector<int64_t> supply =
+          scaled ? Scaled(in.supply) : in.supply;
+      const std::vector<int64_t> demand =
+          scaled ? Scaled(in.demand) : in.demand;
+      const FeasibilityVerdict got = Feasible(supply, demand, rows);
+      const FeasibilityVerdict want = StableSortFeasible(supply, demand, rows);
+      EXPECT_EQ(got.exit, want.exit) << "trial " << trial << " " << scaled;
+      EXPECT_EQ(got.feasible, want.feasible)
+          << "trial " << trial << " " << scaled;
+    }
   }
 }
 

@@ -315,6 +315,109 @@ TEST(DistanceOrder, RankViewsEqualPerQSortedViews) {
   }
 }
 
+// RankView::Count's cell index against std::upper_bound on one ascending
+// row: thresholds below the minimum, above the maximum, at every entry
+// and one ulp either side of it, both signed zeros, and random values in
+// between.
+void ExpectCountsMatchUpperBound(std::vector<double> row, Rng& rng,
+                                 const char* kind) {
+  std::sort(row.begin(), row.end());
+  std::vector<int> cell_start;
+  ObjectProfile::RankView view{};
+  view.sorted = row;
+  view.scale = ObjectProfile::RankView::BuildCells(row, &cell_start);
+  view.cell_start = cell_start.data();
+  view.last_cell = static_cast<int>(cell_start.size()) - 2;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> thresholds = {-1.0, -0.0, 0.0, row.front() - 1.0,
+                                    row.back() + 1.0, inf};
+  for (const double d : row) {
+    thresholds.push_back(d);
+    thresholds.push_back(std::nextafter(d, -inf));
+    thresholds.push_back(std::nextafter(d, inf));
+    thresholds.push_back(d + 1e-9);
+  }
+  for (int k = 0; k < 64; ++k) {
+    thresholds.push_back(rng.Uniform(row.front(), row.back()));
+  }
+  for (const double d : thresholds) {
+    const int want = static_cast<int>(
+        std::upper_bound(row.begin(), row.end(), d) - row.begin());
+    ASSERT_EQ(view.Count(d), want)
+        << kind << " m " << row.size() << " threshold " << d;
+  }
+}
+
+TEST(RankCellIndex, CountMatchesUpperBound) {
+  Rng rng(1729);
+  for (const int m : {1, 2, 3, 9, 40, 257, 1200}) {
+    // Seeded random distances.
+    std::vector<double> random(m);
+    for (double& d : random) d = rng.Uniform(0.0, 1e4);
+    ExpectCountsMatchUpperBound(random, rng, "random");
+    // A tie lattice: distances from a grid point to instances on a grid.
+    const UncertainObject lattice = LatticeObject(0, 2, m, 6, rng);
+    std::vector<double> ties(m);
+    for (int i = 0; i < m; ++i) {
+      ties[i] = std::hypot(lattice.Instance(i)[0] - 3.0,
+                           lattice.Instance(i)[1] - 2.0);
+    }
+    ExpectCountsMatchUpperBound(ties, rng, "lattice");
+    // All equal: a zero-span row.
+    ExpectCountsMatchUpperBound(std::vector<double>(m, 2.5), rng, "equal");
+    ExpectCountsMatchUpperBound(std::vector<double>(m, 0.0), rng, "zeros");
+    // Signed zeros among small positives: -0.0 and +0.0 tie.
+    std::vector<double> zeros(m);
+    const double pool[] = {0.0, -0.0, 0.5, 1.0};
+    for (double& d : zeros) d = pool[rng.UniformInt(0, 3)];
+    ExpectCountsMatchUpperBound(zeros, rng, "signed zeros");
+    // A tight cluster a few ulps wide plus one far outlier: the cluster
+    // crowds one cell, where Count binary-searches.
+    std::vector<double> cluster(m);
+    for (double& d : cluster) {
+      d = 1.0;
+      for (int k = static_cast<int>(rng.UniformInt(0, 8)); k > 0; --k) {
+        d = std::nextafter(d, 2.0);
+      }
+    }
+    cluster[rng.UniformInt(0, m - 1)] = 1e300;
+    ExpectCountsMatchUpperBound(cluster, rng, "cluster + outlier");
+    // A span so narrow that cells / span overflows.
+    std::vector<double> subnormal(m);
+    for (double& d : subnormal) {
+      d = std::numeric_limits<double>::denorm_min() * rng.UniformInt(0, 3);
+    }
+    ExpectCountsMatchUpperBound(subnormal, rng, "subnormal span");
+  }
+}
+
+// The same through the profile: each rank view counts like upper_bound
+// over its own sorted row at P-SD's thresholds.
+TEST(RankCellIndex, ProfileRankViewsCountLikeUpperBound) {
+  Rng rng(97);
+  for (int trial = 0; trial < 8; ++trial) {
+    const int m = 1 + static_cast<int>(rng.UniformInt(0, 90));
+    const UncertainObject object =
+        trial % 2 == 0 ? LatticeObject(0, 2, m, 4, rng)
+                       : test::RandomWeightedObject(0, 2, m, 100.0, 20.0, rng);
+    const UncertainObject query = LatticeObject(-1, 2, 5, 4, rng);
+    QueryContext ctx(query, Metric::kL2);
+    ObjectProfile profile(object, ctx, nullptr);
+    for (int qi = 0; qi < ctx.num_instances(); ++qi) {
+      const ObjectProfile::RankView view = profile.Ranks(qi);
+      for (const double d : view.sorted) {
+        for (const double t : {d, d + 1e-9, std::nextafter(d, 0.0)}) {
+          EXPECT_EQ(view.Count(t),
+                    std::upper_bound(view.sorted.begin(), view.sorted.end(),
+                                     t) -
+                        view.sorted.begin())
+              << "trial " << trial << " qi " << qi << " threshold " << t;
+        }
+      }
+    }
+  }
+}
+
 // On lattice objects nearly every distance is tied, so the probability
 // pairing of the sorted views shows any deviation from index order.
 TEST(DistanceOrder, LatticeSortedViewsEqualComparatorReference) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
 #include "common/memory_budget.h"
 #include "core/object_profile.h"
 #include "core/query_context.h"
@@ -321,6 +322,191 @@ TEST(ObjectProfileTest, WarmProfileAdoptsEachCachedView) {
       }
     }
   }
+}
+
+// The row-lazy matrix: rows read one at a time and then completed by
+// MatrixData() give a fresh full build's matrix bit for bit, and each row
+// is charged and counted once, on its first read. The statistics read in
+// between fold the rows already read and evaluate only the others.
+TEST(ObjectProfileTest, RowsReadFirstCompleteToAFreshMatrix) {
+  Rng rng(41);
+  const UncertainObject q = test::RandomObject(-1, 2, 5, 50.0, 10.0, rng);
+  const UncertainObject u = test::RandomObject(0, 2, 37, 50.0, 10.0, rng);
+  const QueryContext ctx(q);
+  const int nq = ctx.num_instances();
+  const int m = u.num_instances();
+  const long row_bytes = m * static_cast<long>(sizeof(double));
+  ObjectProfile fresh(u, ctx, nullptr);
+  const std::vector<double> full(fresh.MatrixData(),
+                                 fresh.MatrixData() + nq * m);
+  auto copy = [](std::span<const double> v) {
+    return std::vector<double>(v.begin(), v.end());
+  };
+  const std::vector<double> mean_q = copy(fresh.MeanQs());
+  const std::vector<double> min_q = copy(fresh.MinQs());
+  const std::vector<double> max_q = copy(fresh.MaxQs());
+  const std::vector<std::vector<int>> subsets = {
+      {}, {0}, {3, 1}, {4, 2, 2, 0}, {0, 1, 2, 3, 4}};
+  for (const std::vector<int>& subset : subsets) {
+    FilterStats stats;
+    memory::QueryBudgetScope scope(64L << 20, nullptr);
+    ObjectProfile p(u, ctx, &stats);
+    std::vector<bool> read(nq, false);
+    long rows = 0;
+    for (const int qi : subset) {
+      const std::span<const double> row = p.Row(qi);
+      EXPECT_EQ(std::vector<double>(row.begin(), row.end()),
+                std::vector<double>(full.begin() + qi * m,
+                                    full.begin() + (qi + 1) * m));
+      if (!read[qi]) ++rows;
+      read[qi] = true;
+      EXPECT_EQ(stats.dist_evals, rows * m) << "a row counts once";
+      EXPECT_EQ(scope.charged_bytes(), rows * row_bytes);
+    }
+    // The extremes first and then a mean pass, or one fused pass: each
+    // pass evaluates only the rows not read.
+    const bool extremes_first = subset.size() % 2 == 1;
+    if (extremes_first) {
+      EXPECT_EQ(copy(p.MinQs()), min_q);
+    }
+    EXPECT_EQ(copy(p.MeanQs()), mean_q);
+    EXPECT_EQ(copy(p.MinQs()), min_q);
+    EXPECT_EQ(copy(p.MaxQs()), max_q);
+    const long unread = (nq - rows) * m;
+    long evals = rows * m + (extremes_first ? 2 : 1) * unread;
+    EXPECT_EQ(stats.dist_evals, evals);
+    const long stat_bytes = 3L * nq * static_cast<long>(sizeof(double));
+    EXPECT_EQ(std::vector<double>(p.MatrixData(), p.MatrixData() + nq * m),
+              full);
+    evals += unread;
+    EXPECT_EQ(stats.dist_evals, evals);
+    EXPECT_EQ(scope.charged_bytes(), nq * row_bytes + stat_bytes);
+    (void)p.Row(0);
+    EXPECT_EQ(stats.dist_evals, evals);
+  }
+}
+
+// What a profile sees when it reads rows 3 and 1, the statistics, row 0
+// and then the whole matrix: the counters and budget after each step,
+// and the values.
+struct RowReading {
+  std::vector<long> dist_evals, charged;
+  long peak = 0;
+  std::vector<double> values;
+};
+
+RowReading ReadRowsThenMatrix(const UncertainObject& u, const QueryContext& ctx,
+                              const ProfileCacheBinding* binding) {
+  RowReading r;
+  FilterStats stats;
+  memory::QueryBudgetScope scope(64L << 20, nullptr);
+  ObjectProfile p(u, ctx, &stats, binding);
+  auto step = [&](std::span<const double> values) {
+    r.values.insert(r.values.end(), values.begin(), values.end());
+    r.dist_evals.push_back(stats.dist_evals);
+    r.charged.push_back(scope.charged_bytes());
+  };
+  step(p.Row(3));
+  step(p.Row(1));
+  step(p.MeanQs());
+  step(p.MinQs());
+  step(p.Row(0));
+  step({p.MatrixData(), static_cast<size_t>(ctx.num_instances()) *
+                            p.num_instances()});
+  step(p.MaxQs());
+  r.peak = scope.peak_bytes();
+  return r;
+}
+
+// Charges, peak bytes and dist_evals do not depend on the cache: a cold
+// profile builds its rows, a warm one adopts the complete matrix and is
+// charged and counted for it row by row all the same.
+TEST(ObjectProfileTest, RowChargesMatchWithCacheOffColdAndWarm) {
+  Rng rng(43);
+  const UncertainObject q = test::RandomObject(-1, 2, 5, 50.0, 10.0, rng);
+  const UncertainObject u = test::RandomObject(0, 2, 37, 50.0, 10.0, rng);
+  const QueryContext ctx(q);
+  const RowReading off = ReadRowsThenMatrix(u, ctx, nullptr);
+  ProfileCache cache(1 << 20, nullptr);
+  const ProfileCacheBinding binding{
+      &cache, ComputeQuerySignature(q, ctx.metric()), 0};
+  const RowReading cold = ReadRowsThenMatrix(u, ctx, &binding);
+  const auto entry = cache.Lookup(u.id(), binding.signature, 0);
+  ASSERT_NE(entry, nullptr);
+  ASSERT_NE(entry->matrix, nullptr) << "a complete matrix is published";
+  const RowReading warm = ReadRowsThenMatrix(u, ctx, &binding);
+  for (const RowReading* r : {&cold, &warm}) {
+    EXPECT_EQ(r->values, off.values);
+    EXPECT_EQ(r->dist_evals, off.dist_evals);
+    EXPECT_EQ(r->charged, off.charged);
+    EXPECT_EQ(r->peak, off.peak);
+  }
+  EXPECT_EQ(cache.GetCounters().hits, 2) << "this test's lookup and warm's";
+}
+
+// A profile that read only some rows publishes the views it built, but no
+// matrix; one that adopted a complete matrix and read part of it publishes
+// nothing new.
+TEST(ObjectProfileTest, PartlyReadMatrixIsNeverPublished) {
+  Rng rng(47);
+  const UncertainObject q = test::RandomObject(-1, 2, 5, 50.0, 10.0, rng);
+  const UncertainObject u = test::RandomObject(0, 2, 37, 50.0, 10.0, rng);
+  const QueryContext ctx(q);
+  ProfileCache cache(1 << 20, nullptr);
+  const ProfileCacheBinding binding{
+      &cache, ComputeQuerySignature(q, ctx.metric()), 0};
+  {
+    ObjectProfile p(u, ctx, nullptr, &binding);
+    (void)p.Row(2);
+    (void)p.Row(4);
+    (void)p.MinQs();
+  }
+  auto entry = cache.Lookup(u.id(), binding.signature, 0);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_NE(entry->extremes, nullptr);
+  EXPECT_EQ(entry->matrix, nullptr);
+  {
+    ObjectProfile p(u, ctx, nullptr, &binding);
+    (void)p.MatrixData();
+  }
+  entry = cache.Lookup(u.id(), binding.signature, 0);
+  ASSERT_NE(entry, nullptr);
+  ASSERT_NE(entry->matrix, nullptr);
+  {
+    ObjectProfile p(u, ctx, nullptr, &binding);
+    EXPECT_EQ(p.Row(1).data(), entry->matrix->data() + p.num_instances())
+        << "adopted";
+    (void)p.MinQs();
+  }
+  EXPECT_EQ(cache.Lookup(u.id(), binding.signature, 0), entry);
+}
+
+// mem.profile.matrix fires on the first row's read, before its charge:
+// a throw there leaves nothing charged or counted, and the next read
+// builds the row.
+TEST(ObjectProfileTest, MatrixFailpointFiresBeforeTheFirstRowCharge) {
+  if (!failpoint::Enabled()) GTEST_SKIP() << "failpoint sites not compiled in";
+  Rng rng(53);
+  const UncertainObject q = test::RandomObject(-1, 2, 5, 50.0, 10.0, rng);
+  const UncertainObject u = test::RandomObject(0, 2, 37, 50.0, 10.0, rng);
+  const QueryContext ctx(q);
+  ASSERT_TRUE(failpoint::Configure("mem.profile.matrix=1xthrow"));
+  {
+    FilterStats stats;
+    memory::QueryBudgetScope scope(64L << 20, nullptr);
+    ObjectProfile p(u, ctx, &stats);
+    EXPECT_THROW((void)p.Row(2), failpoint::InjectedFault);
+    EXPECT_EQ(scope.charged_bytes(), 0);
+    EXPECT_EQ(stats.dist_evals, 0);
+    (void)p.Row(2);
+    (void)p.Row(3);
+    EXPECT_EQ(scope.charged_bytes(),
+              2L * u.num_instances() * static_cast<long>(sizeof(double)));
+    EXPECT_EQ(stats.dist_evals, 2L * u.num_instances());
+  }
+  EXPECT_EQ(failpoint::HitCount("mem.profile.matrix"), 2)
+      << "the site is passed on the first read only";
+  failpoint::Clear();
 }
 
 }  // namespace
