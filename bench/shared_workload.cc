@@ -6,12 +6,13 @@
 // Usage:
 //   shared_workload [--objects N] [--clients C] [--threads T]
 //                   [--distinct K] [--zipf-s S] [--seconds SECS]
-//                   [--cache-bytes B] [--max-batch M] [--batch-window-us U]
+//                   [--cache-bytes B] [--max-batch M]
 //                   [--out BENCH_shared.json]
 //
 // Two closed-loop rounds over the identical workload and dataset:
 //   unshared — profile cache off, max_batch 1 (the pre-sharing engine)
-//   shared   — cache + batching on at the flag-configured sizes
+//   shared   — cache + batching on at the flag-configured sizes (members
+//              batch only while every worker is busy; see DESIGN.md §15)
 // C client threads each loop {draw a query by Zipf rank over K distinct
 // queries, Submit, Wait}, so offered load self-regulates and latency
 // percentiles are honest. Both rounds get one untimed warmup pass over
@@ -52,7 +53,6 @@ struct Config {
   double seconds = 2.0;
   long cache_bytes = 256L << 20;
   int max_batch = 4;
-  double batch_window_us = 200.0;
   std::string out = "BENCH_shared.json";
 };
 
@@ -83,8 +83,6 @@ Config ParseArgs(int argc, char** argv) {
       cfg.cache_bytes = std::atol(value().c_str());
     } else if (flag == "--max-batch") {
       cfg.max_batch = std::atoi(value().c_str());
-    } else if (flag == "--batch-window-us") {
-      cfg.batch_window_us = std::atof(value().c_str());
     } else if (flag == "--out") {
       cfg.out = value();
     } else {
@@ -165,7 +163,6 @@ RoundResult RunRound(const Dataset& dataset,
   if (shared) {
     options.profile_cache_bytes = cfg.cache_bytes;
     options.max_batch = cfg.max_batch;
-    options.batch_window_us = cfg.batch_window_us;
   }
   QueryEngine engine(dataset, options);
 
@@ -271,18 +268,19 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "\"%s\":{\"qps\":%.2f,\"p50_ms\":%.3f,\"p95_ms\":%.3f,"
                  "\"p99_ms\":%.3f,\"completed\":%ld,\"errors\":%ld,"
-                 "\"engine_executed\":%ld,\"engine_qps\":%.2f}",
+                 "\"engine_executed\":%ld,\"engine_qps\":%.2f,"
+                 "\"batches\":%ld,\"batched_queries\":%ld}",
                  name, r.qps, r.p50, r.p95, r.p99, r.completed, r.errors,
-                 r.engine.executed, r.engine.qps);
+                 r.engine.executed, r.engine.qps, r.engine.batches,
+                 r.engine.batched_queries);
   };
   std::fprintf(f,
                "{\"bench\":\"shared_workload\",\"objects\":%d,"
                "\"clients\":%d,\"threads\":%d,\"distinct\":%d,"
                "\"zipf_s\":%.2f,\"seconds\":%.2f,\"cache_bytes\":%ld,"
-               "\"max_batch\":%d,\"batch_window_us\":%.1f,",
+               "\"max_batch\":%d,",
                cfg.objects, cfg.clients, cfg.threads, cfg.distinct,
-               cfg.zipf_s, cfg.seconds, cfg.cache_bytes, cfg.max_batch,
-               cfg.batch_window_us);
+               cfg.zipf_s, cfg.seconds, cfg.cache_bytes, cfg.max_batch);
   round_json("unshared", unshared);
   std::fprintf(f, ",");
   round_json("shared", shared);

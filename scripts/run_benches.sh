@@ -16,7 +16,8 @@
 # The cross-query sharing layers get a fourth pass: shared_workload runs a
 # Zipf-skewed multi-client closed loop with the profile cache + batching
 # off, then on, and writes BENCH_shared.json (aggregate QPS, latency
-# percentiles, speedup at the unshared round's p99 SLO, cache hit rate).
+# percentiles, speedup at the unshared round's p99 SLO, cache hit rate,
+# batch counts), stamped with the same machine and commit metadata.
 #
 # Usage: scripts/run_benches.sh [build-dir]   (default: build-bench)
 # Env:   OSD_BENCH_MIN_TIME    google-benchmark min seconds/case (default 0.1)
@@ -98,6 +99,7 @@ echo "== shared_workload (cross-query sharing -> BENCH_shared.json) =="
   --seconds "${OSD_BENCH_SHARED_SECONDS:-2.0}" \
   --clients "${OSD_BENCH_SHARED_CLIENTS:-8}" \
   --out BENCH_shared.json
+stamp_meta BENCH_shared.json
 
 echo "== micro_dominance =="
 "$BUILD_DIR/bench/micro_dominance" \

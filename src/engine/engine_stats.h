@@ -51,6 +51,8 @@ struct EngineStats {
   long workers_poisoned = 0;  ///< pool workers poisoned (and respawned) by
                               ///< the watchdog for running a stalled query
   long retries = 0;   ///< transient-failure re-attempts across all queries
+  long batches = 0;   ///< multi-member batches executed (max_batch > 1)
+  long batched_queries = 0;  ///< members of those batches
 
   /// First submission to latest completion (steady_clock), seconds.
   double wall_seconds = 0.0;

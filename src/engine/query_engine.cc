@@ -101,9 +101,6 @@ QueryEngine::QueryEngine(Dataset dataset, EngineOptions options)
     profile_cache_ = std::make_unique<ProfileCache>(
         options_.profile_cache_bytes, &mem_budget_);
   }
-  if (options_.max_batch > 1) {
-    batcher_thread_ = std::thread([this] { BatcherLoop(); });
-  }
   if (options_.watchdog) {
     watchdog_thread_ = std::thread([this] { WatchdogLoop(); });
   }
@@ -128,12 +125,6 @@ long QueryEngine::AdmissionHighWaterBytes() const {
 
 QueryEngine::~QueryEngine() {
   Drain();  // stops the fold thread first, then waits out the pool
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    batch_stop_ = true;
-  }
-  batch_cv_.notify_all();
-  if (batcher_thread_.joinable()) batcher_thread_.join();
   {
     std::lock_guard<std::mutex> lock(watch_mu_);
     watch_stop_ = true;
@@ -280,9 +271,9 @@ std::shared_ptr<QueryTicket> QueryEngine::Submit(QuerySpec spec) {
     return ticket;
   }
   // Unbatched: a one-member batch, which ExecuteBatch runs as plain Execute.
-  auto single = std::make_unique<PendingBatch>();
+  auto single = std::make_shared<PendingBatch>();
   single->items.push_back(BatchItem{ticket, std::move(spec), {}, false});
-  DispatchBatch(std::move(single));
+  if (!QueueBatch(single)) RejectBatch(*single);
   return ticket;
 }
 
@@ -341,62 +332,68 @@ void QueryEngine::EnqueueBatched(const std::shared_ptr<QueryTicket>& ticket,
     mbr = spec.query.mbr();
     have_mbr = mbr.valid();
   }
-  // An enqueue can close up to two batches at once: an open batch the new
-  // member is incompatible with, and the member's own batch when it can
-  // never take company (no resolvable MBR) or instantly reaches max_batch.
-  std::unique_ptr<PendingBatch> closed, own;
+  std::shared_ptr<PendingBatch> opened;
   {
     std::lock_guard<std::mutex> lock(batch_mu_);
     if (pending_ != nullptr &&
-        !BatchCompatible(*pending_, spec, mbr, have_mbr)) {
-      closed = std::move(pending_);
+        BatchCompatible(*pending_, spec, mbr, have_mbr)) {
+      pending_->bound.Expand(mbr);
+      pending_->items.push_back(
+          BatchItem{ticket, std::move(spec), mbr, have_mbr});
+      if (static_cast<int>(pending_->items.size()) >= options_.max_batch) {
+        pending_.reset();
+      }
+      return;
     }
-    if (pending_ == nullptr) {
-      pending_ = std::make_unique<PendingBatch>();
-      pending_->epoch = spec.snapshot.epoch();
-      pending_->op = spec.options.op;
-      pending_->metric = spec.options.metric;
-      pending_->k = spec.options.k;
-      pending_->filters = spec.options.filters;
-      pending_->degraded = spec.options.degraded_superset;
-      pending_->opened = std::chrono::steady_clock::now();
-    }
-    if (have_mbr) pending_->bound.Expand(mbr);
-    pending_->items.push_back(BatchItem{ticket, std::move(spec), mbr, have_mbr});
-    if (static_cast<int>(pending_->items.size()) >= options_.max_batch ||
-        !have_mbr) {
-      own = std::move(pending_);
+    // Close the open batch and queue a new one for this member. Queueing
+    // under batch_mu_ means an open batch always has its task in the pool,
+    // which is what lets Drain wait on the pool alone. A member without a
+    // resolvable MBR takes no company.
+    pending_.reset();
+    opened = std::make_shared<PendingBatch>();
+    opened->epoch = spec.snapshot.epoch();
+    opened->op = spec.options.op;
+    opened->metric = spec.options.metric;
+    opened->k = spec.options.k;
+    opened->filters = spec.options.filters;
+    opened->degraded = spec.options.degraded_superset;
+    if (have_mbr) opened->bound.Expand(mbr);
+    opened->items.push_back(BatchItem{ticket, std::move(spec), mbr, have_mbr});
+    if (QueueBatch(opened)) {
+      if (have_mbr) pending_ = opened;
+      return;
     }
   }
-  batch_cv_.notify_all();  // wake the batcher to (re)arm the window timer
-  DispatchBatch(std::move(closed));
-  DispatchBatch(std::move(own));
+  RejectBatch(*opened);
 }
 
-void QueryEngine::DispatchBatch(std::unique_ptr<PendingBatch> batch) {
-  if (batch == nullptr || batch->items.empty()) return;
-  // Keep the batch reachable after a refused submission: the task lambda
-  // and the failure path below share ownership.
-  std::shared_ptr<PendingBatch> shared{batch.release()};
-  auto task = [this, shared]() { ExecuteBatch(*shared); };
-  const bool accepted = options_.shed_on_overload
-                            ? pool_.TrySubmit(std::move(task))
-                            : pool_.Submit(std::move(task));
-  if (!accepted) {
-    // Shedding fails fast instead of blocking the submitter (TrySubmit also
-    // refuses during shutdown); without it a refusal means the pool is
-    // shutting down, and the ticket fails instead of being lost silently.
-    const bool shed = options_.shed_on_overload;
-    for (BatchItem& item : shared->items) {
-      Complete(item.ticket, item.spec.options.op,
-               shed ? QueryStatus::kRejected : QueryStatus::kError, {},
-               shed ? "submission queue saturated (overload shedding)"
-                    : "engine is shutting down",
-               0);
-      // Release the member's epoch pin promptly (Complete already ran its
-      // terminal hook; the pin must not wait for the last shared_ptr).
-      item.spec.snapshot = VersionedDataset::Snapshot();
+bool QueryEngine::QueueBatch(const std::shared_ptr<PendingBatch>& batch) {
+  auto task = [this, batch]() {
+    {
+      // Close the batch: from here on its members are fixed.
+      std::lock_guard<std::mutex> lock(batch_mu_);
+      if (pending_ == batch) pending_.reset();
     }
+    ExecuteBatch(*batch);
+  };
+  return options_.shed_on_overload ? pool_.TrySubmit(std::move(task))
+                                   : pool_.Submit(std::move(task));
+}
+
+void QueryEngine::RejectBatch(PendingBatch& batch) {
+  // Shedding fails fast instead of blocking the submitter (TrySubmit also
+  // refuses during shutdown); without it a refusal means the pool is
+  // shutting down, and the ticket fails instead of being lost silently.
+  const bool shed = options_.shed_on_overload;
+  for (BatchItem& item : batch.items) {
+    Complete(item.ticket, item.spec.options.op,
+             shed ? QueryStatus::kRejected : QueryStatus::kError, {},
+             shed ? "submission queue saturated (overload shedding)"
+                  : "engine is shutting down",
+             0);
+    // Release the member's epoch pin promptly (Complete already ran its
+    // terminal hook; the pin must not wait for the last shared_ptr).
+    item.spec.snapshot = VersionedDataset::Snapshot();
   }
 }
 
@@ -409,6 +406,11 @@ void QueryEngine::ExecuteBatch(PendingBatch& batch) {
   // ENGINE budget (never a member's per-query scope — members' budget
   // arithmetic must be bit-identical to solo execution). Members run
   // sequentially on this worker, each under its own scope/deadline/trace.
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.batches;
+    stats_.batched_queries += static_cast<long>(batch.items.size());
+  }
   BatchDistContext dist_memo(batch.metric, &mem_budget_);
   for (const BatchItem& item : batch.items) {
     dist_memo.AddSlot(item.mbr);
@@ -417,33 +419,6 @@ void QueryEngine::ExecuteBatch(PendingBatch& batch) {
     dist_memo.SetActiveSlot(static_cast<int>(i));
     Execute(batch.items[i].ticket, batch.items[i].spec);
   }
-}
-
-void QueryEngine::BatcherLoop() {
-  const auto window =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(
-              std::max(options_.batch_window_us, 0.0) / 1e6));
-  std::unique_lock<std::mutex> lock(batch_mu_);
-  while (!batch_stop_) {
-    if (pending_ == nullptr) {
-      batch_cv_.wait(lock);
-      continue;
-    }
-    const auto flush_at = pending_->opened + window;
-    if (std::chrono::steady_clock::now() >= flush_at) {
-      auto batch = std::move(pending_);
-      lock.unlock();
-      DispatchBatch(std::move(batch));
-      lock.lock();
-      continue;
-    }
-    batch_cv_.wait_until(lock, flush_at);
-  }
-  // Orphaned members would hang Drain: flush whatever is still open.
-  auto batch = std::move(pending_);
-  lock.unlock();
-  DispatchBatch(std::move(batch));
 }
 
 void QueryEngine::Drain() {
@@ -455,19 +430,8 @@ void QueryEngine::Drain() {
   // no worker holds an epoch and no fold is in flight. StartFoldThread can
   // re-arm folding afterwards if the engine keeps serving.
   versioned_->StopFoldThread();
-  // Flush any open batch so its members complete; loop because a Submit
-  // racing this drain can open a fresh batch while the pool empties.
-  while (true) {
-    std::unique_ptr<PendingBatch> batch;
-    {
-      std::lock_guard<std::mutex> lock(batch_mu_);
-      batch = std::move(pending_);
-    }
-    DispatchBatch(std::move(batch));
-    pool_.WaitIdle();
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    if (pending_ == nullptr) break;
-  }
+  // An open batch's task is already queued, so the pool covers it.
+  pool_.WaitIdle();
   // Quiesced also means the shared cache owes the engine budget nothing:
   // every resident entry releases its charge here, so callers sequencing
   // Drain → budget checks (tests, the chaos harness) see zero bytes.

@@ -125,17 +125,18 @@ struct EngineOptions {
   /// budget (engine_mem_bytes) and evicted LRU under pressure; every byte
   /// drains on Drain().
   long profile_cache_bytes = 0;
-  /// Multi-query batched traversal: up to max_batch compatible queued
-  /// queries (same pinned epoch, operator, metric, k, filter config, and
-  /// degraded mode, with query MBRs whose union spans at most half the
-  /// root MBR's diagonal) share one worker pass that memoizes MBR
-  /// min-distance kernel visits across the members. <= 1 disables
-  /// batching. Per-query deadlines, budgets, cancellation, and traces
-  /// still apply individually to each member.
+  /// Multi-query batched traversal: up to max_batch compatible queries
+  /// (same pinned epoch, operator, metric, k, filter config, and degraded
+  /// mode, with query MBRs whose union spans at most half the root MBR's
+  /// diagonal) share one worker pass that memoizes MBR min-distance kernel
+  /// visits across the members. There is no timer: the first member queues
+  /// the batch's pool task at once, later compatible queries join it while
+  /// it waits, and the worker that takes it closes it. So with an idle
+  /// worker a query starts immediately, and members run together only
+  /// while every worker is busy. <= 1 disables batching. Per-query
+  /// deadlines, budgets, cancellation, and traces still apply individually
+  /// to each member.
   int max_batch = 1;
-  /// How long an open batch waits for more compatible members before it is
-  /// dispatched anyway (latency bound on batching), microseconds.
-  double batch_window_us = 200.0;
 };
 
 /// Per-query retry policy for transient failures. Only exceptions derived
@@ -315,7 +316,8 @@ class QueryEngine {
     bool have_mbr = false;
   };
 
-  /// A batch being formed under batch_mu_. Compatibility is frozen from the
+  /// A batch whose pool task is queued; while it is open (pending_) later
+  /// members join it under batch_mu_. Compatibility is frozen from the
   /// first member; `bound` is the running union of member MBRs for the
   /// proximity gate.
   struct PendingBatch {
@@ -326,7 +328,6 @@ class QueryEngine {
     FilterConfig filters;
     bool degraded = false;
     Mbr bound;
-    std::chrono::steady_clock::time_point opened{};
     std::vector<BatchItem> items;
   };
 
@@ -334,20 +335,21 @@ class QueryEngine {
   /// proximity gate).
   bool BatchCompatible(const PendingBatch& batch, const QuerySpec& spec,
                        const Mbr& mbr, bool have_mbr) const;
-  /// Adds the ticket to the forming batch, dispatching any batch this
-  /// closes (incompatible open batch, or the forming one reaching
-  /// max_batch). Called from Submit after the snapshot is pinned.
+  /// Adds the ticket to the open batch when compatible (closing it at
+  /// max_batch); otherwise closes the open batch and queues a new one with
+  /// this member, which stays open unless the member has no resolvable
+  /// MBR. Called from Submit after the snapshot is pinned.
   void EnqueueBatched(const std::shared_ptr<QueryTicket>& ticket,
                       QuerySpec spec);
-  /// Hands a closed batch — or, unbatched, one query as a one-member
-  /// batch — to the pool (honouring shed_on_overload); on refusal completes
-  /// every member as kRejected/kError.
-  void DispatchBatch(std::unique_ptr<PendingBatch> batch);
+  /// Queues a new batch's pool task (honouring shed_on_overload); false
+  /// when the pool refuses it. The task closes the batch when a worker
+  /// takes it, then runs ExecuteBatch.
+  bool QueueBatch(const std::shared_ptr<PendingBatch>& batch);
+  /// Completes every member of a refused batch as kRejected/kError.
+  void RejectBatch(PendingBatch& batch);
   /// Worker-side: installs a shared BatchDistContext and runs the members
   /// in order, each under its own budget scope / deadline / trace.
   void ExecuteBatch(PendingBatch& batch);
-  /// Timer thread that flushes an open batch when its window expires.
-  void BatcherLoop();
 
   /// Counts one memory-budget breach.
   void NoteMemBreach();
@@ -366,13 +368,10 @@ class QueryEngine {
   /// against it — and before the batching state.
   std::unique_ptr<ProfileCache> profile_cache_;
 
-  /// Batch-formation state; the batcher thread exists only when
-  /// options_.max_batch > 1.
+  /// The open batch, if any: its task is already queued, and only
+  /// options_.max_batch > 1 ever opens one.
   std::mutex batch_mu_;
-  std::condition_variable batch_cv_;
-  std::unique_ptr<PendingBatch> pending_;
-  bool batch_stop_ = false;
-  std::thread batcher_thread_;
+  std::shared_ptr<PendingBatch> pending_;
 
   obs::SlowQueryLog slow_log_;
 

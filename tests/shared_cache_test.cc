@@ -10,8 +10,12 @@
 // tests pin the epoch-invalidation and memory-governance contracts the
 // chaos soak then hammers concurrently.
 
+#include <atomic>
+#include <chrono>
+#include <latch>
 #include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -66,6 +70,7 @@ void ExpectSameStats(const FilterStats& a, const FilterStats& b) {
   EXPECT_EQ(a.node_ops, b.node_ops);
   EXPECT_EQ(a.flow_runs, b.flow_runs);
   EXPECT_EQ(a.mbr_validations, b.mbr_validations);
+  EXPECT_EQ(a.stat_validations, b.stat_validations);
   EXPECT_EQ(a.stat_prunes, b.stat_prunes);
   EXPECT_EQ(a.cover_prunes, b.cover_prunes);
   EXPECT_EQ(a.exact_checks, b.exact_checks);
@@ -177,10 +182,12 @@ struct RunOutcome {
 };
 
 /// Runs the workload through one engine configuration and captures every
-/// per-query outcome in submission order. Each query is submitted twice so
-/// a caching engine gets intra-run hits.
+/// per-query outcome in submission order, and the engine's counters in
+/// `stats` when given. Each query is submitted twice so a caching engine
+/// gets intra-run hits.
 std::vector<RunOutcome> RunWorkload(const EngineOptions& engine_options,
-                                    Operator op, int repeats = 2) {
+                                    Operator op, int repeats = 2,
+                                    EngineStats* stats = nullptr) {
   QueryEngine engine(SmallDataset(), engine_options);
   const auto workload = SmallWorkload(engine.dataset(), 6);
   std::vector<std::shared_ptr<QueryTicket>> tickets;
@@ -194,6 +201,7 @@ std::vector<RunOutcome> RunWorkload(const EngineOptions& engine_options,
     }
   }
   engine.Drain();
+  if (stats != nullptr) *stats = engine.Snapshot();
   std::vector<RunOutcome> outcomes;
   for (const auto& ticket : tickets) {
     EXPECT_EQ(ticket->Wait(), QueryStatus::kOk) << ticket->error();
@@ -217,10 +225,12 @@ TEST_P(SharedVsUnsharedTest, BitIdenticalResultsAndCounters) {
   shared.num_threads = 2;
   shared.profile_cache_bytes = 64 << 20;
   shared.max_batch = 4;
-  shared.batch_window_us = 2000.0;
 
   const auto baseline = RunWorkload(unshared, GetParam());
-  const auto cached = RunWorkload(shared, GetParam());
+  EngineStats shared_stats;
+  const auto cached = RunWorkload(shared, GetParam(), 2, &shared_stats);
+  // The A/B must exercise batches, not only singletons.
+  EXPECT_GT(shared_stats.batches, 0);
   ASSERT_EQ(baseline.size(), cached.size());
   for (size_t i = 0; i < baseline.size(); ++i) {
     SCOPED_TRACE("query " + std::to_string(i));
@@ -383,7 +393,6 @@ TEST(SharedCacheEngineTest, IncompatibleQueriesSplitBatchesCorrectly) {
   EngineOptions options;
   options.num_threads = 2;
   options.max_batch = 4;
-  options.batch_window_us = 2000.0;
   QueryEngine engine(SmallDataset(), options);
   const auto workload = SmallWorkload(engine.dataset(), 8);
   static constexpr Operator kOps[] = {Operator::kSSd, Operator::kPSd,
@@ -415,6 +424,179 @@ TEST(SharedCacheEngineTest, IncompatibleQueriesSplitBatchesCorrectly) {
     EXPECT_EQ(tickets[i]->result().candidates, ticket->result().candidates);
     ExpectSameStats(tickets[i]->result().stats, ticket->result().stats);
   }
+}
+
+// --- deterministic batch formation -----------------------------------------
+
+/// A query over a 10-unit box near (5000 + 40 i, 5000 + 25 i): any few of
+/// them pass the batch proximity gate.
+QuerySpec SpecNear(int i, Operator op = Operator::kPSd) {
+  const double x = 5000.0 + 40.0 * i;
+  const double y = 5000.0 + 25.0 * i;
+  QuerySpec spec;
+  spec.query = UncertainObject::Uniform(0, 2, {x, y, x + 10.0, y + 10.0});
+  spec.options.op = op;
+  return spec;
+}
+
+EngineOptions OneWorkerBatching() {
+  EngineOptions options;
+  options.num_threads = 1;
+  options.max_batch = 4;
+  return options;
+}
+
+/// Holds a one-worker engine's only worker: the blocker query's first
+/// emission waits until Release(), so later submissions queue behind it.
+/// The constructor returns once the worker runs the blocker. The blocker
+/// is compatible with every SpecNear(i) P-SD query, so a later query that
+/// joined it (a batch the worker failed to close) would never run.
+class BlockedWorker {
+ public:
+  explicit BlockedWorker(QueryEngine& engine) {
+    QuerySpec spec = SpecNear(-1);
+    spec.on_emission = [this](const NncEmission&, int) {
+      if (!emitted_.exchange(true)) {
+        running_.count_down();
+        released_.wait();
+      }
+    };
+    ticket_ = engine.Submit(std::move(spec));
+    running_.wait();
+  }
+  ~BlockedWorker() {
+    Release();
+    ticket_->Wait();  // no emission may outlive this object
+  }
+  void Release() {
+    if (!release_sent_.exchange(true)) released_.count_down();
+  }
+
+ private:
+  std::atomic<bool> emitted_{false};
+  std::atomic<bool> release_sent_{false};
+  std::latch running_{1};
+  std::latch released_{1};
+  std::shared_ptr<QueryTicket> ticket_;
+};
+
+/// Runs `spec` alone on an unbatched engine.
+std::shared_ptr<QueryTicket> RunSolo(QuerySpec spec) {
+  EngineOptions options;
+  options.num_threads = 1;
+  QueryEngine solo(SmallDataset(), options);
+  auto ticket = solo.Submit(std::move(spec));
+  ticket->Wait();
+  return ticket;
+}
+
+TEST(BatchFormationTest, CompatibleQueriesBehindABusyWorkerFormOneBatch) {
+  QueryEngine engine(SmallDataset(), OneWorkerBatching());
+  BlockedWorker blocker(engine);
+  std::vector<std::shared_ptr<QueryTicket>> tickets;
+  for (int i = 0; i < 3; ++i) tickets.push_back(engine.Submit(SpecNear(i)));
+  blocker.Release();
+  engine.Drain();
+  const EngineStats stats = engine.Snapshot();
+  EXPECT_EQ(stats.batches, 1);
+  EXPECT_EQ(stats.batched_queries, 3);
+  // Each member is bit-identical to the same query run alone.
+  for (int i = 0; i < 3; ++i) {
+    SCOPED_TRACE("member " + std::to_string(i));
+    ASSERT_EQ(tickets[i]->status(), QueryStatus::kOk) << tickets[i]->error();
+    const auto solo = RunSolo(SpecNear(i));
+    ASSERT_EQ(solo->status(), QueryStatus::kOk);
+    const NncResult& batched = tickets[i]->result();
+    EXPECT_FALSE(batched.candidates.empty());
+    EXPECT_EQ(batched.candidates, solo->result().candidates);
+    EXPECT_EQ(batched.termination, solo->result().termination);
+    ExpectSameStats(batched.stats, solo->result().stats);
+  }
+}
+
+TEST(BatchFormationTest, MaxBatchClosesTheBatch) {
+  QueryEngine engine(SmallDataset(), OneWorkerBatching());
+  BlockedWorker blocker(engine);
+  std::vector<std::shared_ptr<QueryTicket>> tickets;
+  for (int i = 0; i < 5; ++i) tickets.push_back(engine.Submit(SpecNear(i)));
+  blocker.Release();
+  engine.Drain();
+  // 4 + 1: the fifth query opens a batch of its own, which runs alone.
+  const EngineStats stats = engine.Snapshot();
+  EXPECT_EQ(stats.batches, 1);
+  EXPECT_EQ(stats.batched_queries, 4);
+  for (const auto& ticket : tickets) {
+    EXPECT_EQ(ticket->status(), QueryStatus::kOk) << ticket->error();
+  }
+}
+
+TEST(BatchFormationTest, AnotherOperatorClosesTheOpenBatch) {
+  QueryEngine engine(SmallDataset(), OneWorkerBatching());
+  BlockedWorker blocker(engine);
+  std::vector<std::shared_ptr<QueryTicket>> tickets;
+  tickets.push_back(engine.Submit(SpecNear(0)));
+  tickets.push_back(engine.Submit(SpecNear(1)));
+  tickets.push_back(engine.Submit(SpecNear(2, Operator::kFSd)));
+  tickets.push_back(engine.Submit(SpecNear(3)));
+  blocker.Release();
+  engine.Drain();
+  // {P-SD 0, 1}, {F-SD 2}, {P-SD 3}: the last query did not join the first
+  // batch, which the F-SD query closed.
+  const EngineStats stats = engine.Snapshot();
+  EXPECT_EQ(stats.batches, 1);
+  EXPECT_EQ(stats.batched_queries, 2);
+  for (const auto& ticket : tickets) {
+    EXPECT_EQ(ticket->status(), QueryStatus::kOk) << ticket->error();
+  }
+}
+
+TEST(BatchFormationTest, DrainCompletesAnOpenBatch) {
+  QueryEngine engine(SmallDataset(), OneWorkerBatching());
+  BlockedWorker blocker(engine);
+  std::vector<std::shared_ptr<QueryTicket>> tickets;
+  for (int i = 0; i < 2; ++i) tickets.push_back(engine.Submit(SpecNear(i)));
+  // The batch is still open when Drain starts; the worker frees up later.
+  std::thread releaser([&blocker] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    blocker.Release();
+  });
+  engine.Drain();
+  releaser.join();
+  for (const auto& ticket : tickets) {
+    EXPECT_TRUE(ticket->done());
+    EXPECT_EQ(ticket->status(), QueryStatus::kOk) << ticket->error();
+  }
+  EXPECT_EQ(engine.Snapshot().batches, 1);
+}
+
+TEST(BatchFormationTest, RefusedBatchRejectsItsMembersAndLeavesNoneUnfinished) {
+  EngineOptions options = OneWorkerBatching();
+  options.shed_on_overload = true;
+  options.queue_capacity = 1;
+  QueryEngine engine(SmallDataset(), options);
+  BlockedWorker blocker(engine);
+  // The first P-SD batch takes the one queue slot, and a second query joins
+  // it. Each later query closes the open batch, opens its own and finds
+  // the queue full.
+  auto first = engine.Submit(SpecNear(0));
+  auto joined = engine.Submit(SpecNear(1));
+  std::vector<std::shared_ptr<QueryTicket>> refused;
+  refused.push_back(engine.Submit(SpecNear(2, Operator::kFSd)));
+  refused.push_back(engine.Submit(SpecNear(3, Operator::kFSd)));
+  refused.push_back(engine.Submit(SpecNear(4)));
+  for (const auto& ticket : refused) {
+    EXPECT_TRUE(ticket->done());
+    EXPECT_EQ(ticket->status(), QueryStatus::kRejected);
+  }
+  blocker.Release();
+  engine.Drain();
+  EXPECT_EQ(first->status(), QueryStatus::kOk) << first->error();
+  EXPECT_EQ(joined->status(), QueryStatus::kOk) << joined->error();
+  const EngineStats stats = engine.Snapshot();
+  EXPECT_EQ(stats.rejected, 3);
+  EXPECT_EQ(stats.batches, 1);
+  EXPECT_EQ(stats.batched_queries, 2);
+  EXPECT_EQ(stats.completed, stats.submitted);
 }
 
 // --- throughput accounting regression --------------------------------------

@@ -891,7 +891,6 @@ EpochReport RunEpoch(int epoch, const std::vector<Combo>& combos,
   // resident entries cannot starve query admission.
   engine_options.profile_cache_bytes = 16 << 20;
   engine_options.max_batch = 4;
-  engine_options.batch_window_us = 200.0;
   QueryEngine engine(MakeDataset(), engine_options);
 
   ServerOptions server_options;

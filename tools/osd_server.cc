@@ -32,13 +32,15 @@
 //   [--profile-cache-bytes SIZE]     cross-query profile cache capacity
 //                                    (epoch-versioned, LRU, charged to the
 //                                    engine memory budget; 0/absent = off)
-//   [--max-batch N]                  group up to N compatible queued
-//                                    queries into one shared traversal
-//                                    pass (1/absent = off)
-//   [--batch-window-us X]            how long an open batch waits for more
-//                                    members before dispatching (default
-//                                    200). Results are bit-identical with
+//   [--max-batch N]                  let up to N compatible queries that
+//                                    wait for a busy pool share one
+//                                    traversal pass; a query never waits
+//                                    for company (1/absent = off).
+//                                    Results are bit-identical with
 //                                    sharing on or off.
+//   [--batch-window-us X]            accepted (X > 0) and ignored: batches
+//                                    have no timer; kept so existing
+//                                    command lines still parse
 //   [--fold-interval-s X]            background fold: merge the mutation
 //                                    delta into a fresh base every X s
 //   [--fold-delta N]                 background fold: merge once the delta
@@ -127,7 +129,6 @@ struct Args {
   double watchdog_ms = 0.0;
   long profile_cache_bytes = 0;
   int max_batch = 1;
-  double batch_window_us = 200.0;
   double fold_interval_s = 0.0;
   int fold_delta = 1024;  // default ON: any tenant may write by default
   std::string wal_dir;
@@ -289,8 +290,9 @@ Args Parse(int argc, char** argv) {
       args.max_batch = std::atoi(need_value(i).c_str());
       if (args.max_batch < 1) Die("--max-batch must be >= 1");
     } else if (flag == "--batch-window-us") {
-      args.batch_window_us = std::atof(need_value(i).c_str());
-      if (args.batch_window_us <= 0) Die("--batch-window-us must be > 0");
+      if (std::atof(need_value(i).c_str()) <= 0) {
+        Die("--batch-window-us must be > 0");
+      }
     } else if (flag == "--fold-interval-s") {
       args.fold_interval_s = std::atof(need_value(i).c_str());
       if (args.fold_interval_s <= 0) Die("--fold-interval-s must be > 0");
@@ -426,7 +428,6 @@ int main(int argc, char** argv) {
   }
   engine_options.profile_cache_bytes = args.profile_cache_bytes;
   engine_options.max_batch = args.max_batch;
-  engine_options.batch_window_us = args.batch_window_us;
   engine_options.fold_interval_s = args.fold_interval_s;
   // Checkpoints ride folds, so the checkpoint interval is a fold interval
   // that may only tighten an explicitly configured one.
