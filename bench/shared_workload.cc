@@ -9,22 +9,31 @@
 //                   [--cache-bytes B] [--max-batch M]
 //                   [--out BENCH_shared.json]
 //
-// Two closed-loop rounds over the identical workload and dataset:
+// Two closed-loop repeat rounds over the identical workload and dataset:
 //   unshared — profile cache off, max_batch 1 (the pre-sharing engine)
 //   shared   — cache + batching on at the flag-configured sizes (members
 //              batch only while every worker is busy; see DESIGN.md §15)
 // C client threads each loop {draw a query by Zipf rank over K distinct
 // queries, Submit, Wait}, so offered load self-regulates and latency
-// percentiles are honest. Both rounds get one untimed warmup pass over
-// all K queries.
+// percentiles are honest. Both rounds get two untimed warmup passes over
+// all K queries (the cache admits a query from its second run at an
+// epoch, so the second pass is the one that fills it).
 //
-// Reported per round: aggregate q/s, p50/p95/p99 ms, and the engine's own
-// executed-based QPS (sheds excluded); for the shared round also cache
-// hit rate, evictions, and resident bytes. The JSON records the headline
-// `speedup` (shared q/s / unshared q/s) and `slo_ok` — whether the shared
-// round held the p99 SLO, fixed at the unshared round's p99 (work sharing
-// must buy throughput without giving back tail latency). Exit is non-zero
-// if any query failed in either round.
+// Then a no-repeat stream: the C clients run kNoRepeatQueries distinct
+// queries once each, with the cache off and on (batching on in both), in
+// kNoRepeatPairs alternating pairs (a fresh engine per run). The cache
+// declines every first sighting, so the on runs should read within noise
+// of the off runs: a one-off query pays nothing for the cache.
+//
+// Reported per repeat round: aggregate q/s, p50/p95/p99 ms, and the
+// engine's own executed-based QPS (sheds excluded); for the shared round
+// also cache hit rate, evictions, resident bytes and the admitted and
+// declined query counts. The JSON records the headline `speedup` (shared
+// q/s / unshared q/s) and `slo_ok` — whether the shared round held the p99
+// SLO, fixed at the unshared round's p99 (work sharing must buy throughput
+// without giving back tail latency) — and, under "no_repeat", each run's
+// q/s and the ratio of the on runs' median to the off runs'. Exit is
+// non-zero if any query failed in any round.
 
 #include <algorithm>
 #include <atomic>
@@ -32,6 +41,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +53,10 @@ namespace {
 
 using namespace osd;
 using namespace osd::bench;
+
+// The no-repeat stream: distinct queries per run, and off/on run pairs.
+constexpr int kNoRepeatQueries = 1024;
+constexpr int kNoRepeatPairs = 5;
 
 struct Config {
   int objects = 4000;
@@ -111,28 +125,24 @@ struct ClientStats {
   std::vector<double> latency_ms;
 };
 
-void ClientLoop(QueryEngine* engine,
-                const std::vector<QueryWorkloadEntry>* workload,
-                const std::vector<double>* zipf_cdf, uint64_t seed,
+/// Hands a client its next query, or null when the stream is exhausted.
+using NextQuery = std::function<const QueryWorkloadEntry*()>;
+
+QuerySpec SpecFor(const QueryWorkloadEntry& entry) {
+  QuerySpec spec;
+  spec.query = entry.query;
+  spec.options.op = Operator::kSSd;
+  spec.options.exclude_id = entry.seeded_from;
+  return spec;
+}
+
+void ClientLoop(QueryEngine* engine, NextQuery next,
                 const std::atomic<bool>* stop, ClientStats* stats) {
-  uint64_t rng = seed * 0x9e3779b97f4a7c15ULL + 1;
-  auto next_u01 = [&]() {
-    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
-    return static_cast<double>(rng >> 11) * 0x1.0p-53;
-  };
   while (!stop->load(std::memory_order_relaxed)) {
-    const double u = next_u01();
-    const size_t idx = static_cast<size_t>(
-        std::lower_bound(zipf_cdf->begin(), zipf_cdf->end(), u) -
-        zipf_cdf->begin());
-    const QueryWorkloadEntry& entry =
-        (*workload)[std::min(idx, workload->size() - 1)];
-    QuerySpec spec;
-    spec.query = entry.query;
-    spec.options.op = Operator::kSSd;
-    spec.options.exclude_id = entry.seeded_from;
+    const QueryWorkloadEntry* entry = next();
+    if (entry == nullptr) break;
     const auto t0 = std::chrono::steady_clock::now();
-    auto ticket = engine->Submit(std::move(spec));
+    auto ticket = engine->Submit(SpecFor(*entry));
     const QueryStatus status = ticket->Wait();
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
@@ -146,6 +156,21 @@ void ClientLoop(QueryEngine* engine,
   }
 }
 
+/// Client c's Zipf stream over `workload`: draws by rank from its own
+/// seeded generator, never exhausted.
+NextQuery ZipfStream(const std::vector<QueryWorkloadEntry>& workload,
+                     const std::vector<double>& zipf_cdf, uint64_t seed) {
+  return [&workload, &zipf_cdf,
+          rng = seed * 0x9e3779b97f4a7c15ULL + 1]() mutable {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    const double u = static_cast<double>(rng >> 11) * 0x1.0p-53;
+    const size_t idx = static_cast<size_t>(
+        std::lower_bound(zipf_cdf.begin(), zipf_cdf.end(), u) -
+        zipf_cdf.begin());
+    return &workload[std::min(idx, workload.size() - 1)];
+  };
+}
+
 struct RoundResult {
   double qps = 0.0;
   double p50 = 0.0, p95 = 0.0, p99 = 0.0;
@@ -154,42 +179,55 @@ struct RoundResult {
   EngineStats engine;
 };
 
+/// Engine options with `cfg.threads` workers, the profile cache on or off
+/// and batching on or off at the flag-configured sizes.
+EngineOptions Engine(const Config& cfg, bool cache, bool batching) {
+  EngineOptions options;
+  options.num_threads = cfg.threads;
+  if (cache) options.profile_cache_bytes = cfg.cache_bytes;
+  if (batching) options.max_batch = cfg.max_batch;
+  return options;
+}
+
+/// One closed-loop round on a fresh engine. The repeat stream (Zipf draws
+/// over `workload`, two untimed warmup passes first) runs for
+/// cfg.seconds; the no-repeat stream runs every query of `workload` once
+/// and ends with it.
 RoundResult RunRound(const Dataset& dataset,
                      const std::vector<QueryWorkloadEntry>& workload,
                      const std::vector<double>& zipf_cdf, const Config& cfg,
-                     bool shared) {
-  EngineOptions options;
-  options.num_threads = cfg.threads;
-  if (shared) {
-    options.profile_cache_bytes = cfg.cache_bytes;
-    options.max_batch = cfg.max_batch;
-  }
+                     const EngineOptions& options, bool repeat) {
   QueryEngine engine(dataset, options);
 
   RoundResult result;
-  // Warmup: one untimed pass over the whole query universe (fills the
-  // cache in the shared round; equalizes page/alloc warmth in both).
-  for (const QueryWorkloadEntry& entry : workload) {
-    QuerySpec spec;
-    spec.query = entry.query;
-    spec.options.op = Operator::kSSd;
-    spec.options.exclude_id = entry.seeded_from;
-    if (engine.Submit(std::move(spec))->Wait() != QueryStatus::kOk) {
-      ++result.errors;
+  for (int pass = 0; repeat && pass < 2; ++pass) {
+    for (const QueryWorkloadEntry& entry : workload) {
+      if (engine.Submit(SpecFor(entry))->Wait() != QueryStatus::kOk) {
+        ++result.errors;
+      }
     }
   }
 
   std::atomic<bool> stop{false};
+  std::atomic<size_t> cursor{0};
   std::vector<ClientStats> stats(cfg.clients);
   std::vector<std::thread> clients;
   clients.reserve(cfg.clients);
-  for (int c = 0; c < cfg.clients; ++c) {
-    clients.emplace_back(ClientLoop, &engine, &workload, &zipf_cdf,
-                         static_cast<uint64_t>(c + 1), &stop, &stats[c]);
-  }
   const auto t0 = std::chrono::steady_clock::now();
-  std::this_thread::sleep_for(std::chrono::duration<double>(cfg.seconds));
-  stop.store(true, std::memory_order_relaxed);
+  for (int c = 0; c < cfg.clients; ++c) {
+    NextQuery next =
+        repeat ? ZipfStream(workload, zipf_cdf, static_cast<uint64_t>(c + 1))
+               : NextQuery([&workload, &cursor]() -> const QueryWorkloadEntry* {
+                   const size_t i = cursor.fetch_add(1);
+                   return i < workload.size() ? &workload[i] : nullptr;
+                 });
+    clients.emplace_back(ClientLoop, &engine, std::move(next), &stop,
+                         &stats[c]);
+  }
+  if (repeat) {
+    std::this_thread::sleep_for(std::chrono::duration<double>(cfg.seconds));
+    stop.store(true, std::memory_order_relaxed);
+  }
   for (auto& t : clients) t.join();
   const double secs = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)
@@ -233,12 +271,16 @@ int main(int argc, char** argv) {
       cfg.objects, cfg.clients, cfg.distinct, cfg.zipf_s, cfg.seconds);
 
   const RoundResult unshared =
-      RunRound(dataset, workload, zipf_cdf, cfg, /*shared=*/false);
+      RunRound(dataset, workload, zipf_cdf, cfg,
+               Engine(cfg, /*cache=*/false, /*batching=*/false),
+               /*repeat=*/true);
   std::printf("  unshared: %8.1f q/s  p50=%.2f p95=%.2f p99=%.2f ms\n",
               unshared.qps, unshared.p50, unshared.p95, unshared.p99);
 
   const RoundResult shared =
-      RunRound(dataset, workload, zipf_cdf, cfg, /*shared=*/true);
+      RunRound(dataset, workload, zipf_cdf, cfg,
+               Engine(cfg, /*cache=*/true, /*batching=*/true),
+               /*repeat=*/true);
   const EngineStats& es = shared.engine;
   const long lookups = es.profile_cache_hits + es.profile_cache_misses;
   const double hit_rate =
@@ -258,6 +300,37 @@ int main(int argc, char** argv) {
   const bool slo_ok = shared.p99 <= slo_p99_ms;
   std::printf("  speedup=%.2fx  slo(p99<=%.2fms)=%s\n", speedup, slo_p99_ms,
               slo_ok ? "met" : "MISSED");
+
+  // The no-repeat stream draws its own distinct queries.
+  WorkloadParams once_params = wp;
+  once_params.num_queries = kNoRepeatQueries;
+  once_params.seed = wp.seed + 1;
+  const auto once = GenerateWorkload(dataset, once_params);
+  std::vector<double> once_off, once_on;
+  long once_errors = 0;
+  EngineStats once_stats;
+  for (int pair = 0; pair < kNoRepeatPairs; ++pair) {
+    for (const bool cache_on : {false, true}) {
+      const RoundResult r =
+          RunRound(dataset, once, zipf_cdf, cfg,
+                   Engine(cfg, cache_on, /*batching=*/true),
+                   /*repeat=*/false);
+      once_errors += r.errors;
+      (cache_on ? once_on : once_off).push_back(r.qps);
+      if (cache_on) once_stats = r.engine;
+    }
+  }
+  // Percentile sorts its argument; the JSON keeps the runs in order.
+  std::vector<double> sorted_off = once_off, sorted_on = once_on;
+  const double off_median = Percentile(sorted_off, 0.5);
+  const double on_median = Percentile(sorted_on, 0.5);
+  const double once_ratio = off_median > 0.0 ? on_median / off_median : 0.0;
+  std::printf(
+      "  no-repeat (%d queries x %d pairs): off %.1f q/s, on %.1f q/s "
+      "(median), on/off=%.3f, declined=%ld admitted=%ld\n",
+      kNoRepeatQueries, kNoRepeatPairs, off_median, on_median,
+      once_ratio, once_stats.profile_cache_declined,
+      once_stats.profile_cache_admitted);
 
   std::FILE* f = std::fopen(cfg.out.c_str(), "w");
   if (f == nullptr) {
@@ -287,13 +360,31 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                ",\"cache\":{\"hits\":%ld,\"misses\":%ld,\"hit_rate\":%.4f,"
                "\"evictions\":%ld,\"stale_evictions\":%ld,"
-               "\"stale_serves_averted\":%ld,\"peak_resident_hint_bytes\":%ld}"
-               ",\"speedup\":%.3f,\"slo_p99_ms\":%.3f,\"slo_ok\":%s}\n",
+               "\"stale_serves_averted\":%ld,\"peak_resident_hint_bytes\":%ld,"
+               "\"admitted\":%ld,\"declined\":%ld}"
+               ",\"speedup\":%.3f,\"slo_p99_ms\":%.3f,\"slo_ok\":%s",
                es.profile_cache_hits, es.profile_cache_misses, hit_rate,
                es.profile_cache_evictions, es.profile_cache_stale_evictions,
                es.profile_cache_stale_serves_averted, es.profile_cache_bytes,
-               speedup, slo_p99_ms, slo_ok ? "true" : "false");
+               es.profile_cache_admitted, es.profile_cache_declined, speedup,
+               slo_p99_ms, slo_ok ? "true" : "false");
+  auto qps_list = [&](const std::vector<double>& v) {
+    for (size_t i = 0; i < v.size(); ++i) {
+      std::fprintf(f, "%s%.2f", i > 0 ? "," : "", v[i]);
+    }
+  };
+  std::fprintf(f, ",\"no_repeat\":{\"queries\":%d,\"off_qps\":[",
+               kNoRepeatQueries);
+  qps_list(once_off);
+  std::fprintf(f, "],\"on_qps\":[");
+  qps_list(once_on);
+  std::fprintf(f,
+               "],\"on_over_off\":%.3f,\"errors\":%ld,\"hits\":%ld,"
+               "\"admitted\":%ld,\"declined\":%ld}}\n",
+               once_ratio, once_errors, once_stats.profile_cache_hits,
+               once_stats.profile_cache_admitted,
+               once_stats.profile_cache_declined);
   std::fclose(f);
   std::printf("  wrote %s\n", cfg.out.c_str());
-  return unshared.errors + shared.errors == 0 ? 0 : 1;
+  return unshared.errors + shared.errors + once_errors == 0 ? 0 : 1;
 }

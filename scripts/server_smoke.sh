@@ -17,6 +17,10 @@
 # leg sends one multi-query --query-file of nearby P-SD queries to a server
 # started with the serve_* sharing flags (--max-batch 4 --batch-window-us
 # 200) and checks every reply is OK with the unbatched server's candidates.
+# A cache leg then sends one query three times to that server (started
+# with --profile-cache-bytes 64M): the replies must be equal, and the
+# status frame must show the cache declining the first run, admitting the
+# repeats and serving hits.
 #
 # Usage: scripts/server_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -181,6 +185,67 @@ for i in bad:
     print(f"query {i}: batched {got.get(i)}, unbatched {want.get(i)}")
 sys.exit(1 if bad else 0)
 PY
+echo "batching OK: 4 batched replies match the unbatched server"
+
+# Profile cache: the cache declines a query's first run at an epoch, the
+# second run publishes its views and the third hits them. The three
+# replies must be equal, and the engine counters in the status frame
+# (read over the wire: a hello, then a status request) must show it.
+for run in 1 2 3; do
+  "$CLI" query --port "$PORT" --query-id 5 --op ssd --no-stream \
+    >"$TMP/cache.$run.out" 2>&1 \
+    || { echo "FAIL: cache-leg query $run failed"
+         cat "$TMP/cache.$run.out"; exit 1; }
+done
+python3 - "$PORT" "$TMP"/cache.{1,2,3}.out <<'PY' \
+  || { echo "FAIL: profile-cache leg"; exit 1; }
+import json
+import socket
+import struct
+import sys
+def result(path):
+    for line in open(path):
+        if line.startswith("{"):
+            frame = json.loads(line)
+            if frame.get("type") == "result":
+                return frame["status"], frame["candidates"]
+    return None
+replies = [result(path) for path in sys.argv[2:]]
+bad = []
+if replies[0] is None or replies[0][0] != "OK":
+    bad.append(f"first reply {replies[0]}")
+if any(r != replies[0] for r in replies):
+    bad.append(f"replies differ: {replies}")
+sock = socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=10)
+def send(msg):
+    payload = json.dumps(msg).encode()
+    sock.sendall(struct.pack(">I", len(payload)) + payload)
+def recv_exact(n):
+    data = b""
+    while len(data) < n:
+        chunk = sock.recv(n - len(data))
+        if not chunk:
+            raise EOFError("server closed the connection")
+        data += chunk
+    return data
+def recv():
+    (n,) = struct.unpack(">I", recv_exact(4))
+    return json.loads(recv_exact(n))
+send({"type": "hello", "version": 1})
+recv()
+send({"type": "status"})
+cache = recv()["engine"]["profile_cache"]
+send({"type": "bye"})
+if cache["declined"] < 1:
+    bad.append(f"declined = {cache['declined']}, want >= 1")
+if cache["admitted"] < 2:
+    bad.append(f"admitted = {cache['admitted']}, want >= 2")
+if cache["hits"] <= 0:
+    bad.append(f"hits = {cache['hits']}, want > 0")
+for b in bad:
+    print(f"cache leg: {b}")
+sys.exit(1 if bad else 0)
+PY
 kill -TERM "$SERVER_PID"
 SERVER_RC=0
 wait "$SERVER_PID" || SERVER_RC=$?
@@ -188,7 +253,7 @@ SERVER_PID=""
 [[ "$SERVER_RC" -eq 0 ]] \
   || { echo "FAIL: batching server exited $SERVER_RC"
        cat "$TMP/batched.server.err"; exit 1; }
-echo "batching OK: 4 batched replies match the unbatched server"
+echo "profile cache OK: 3 equal replies; first run declined, repeats hit"
 
 # Durability: a --wal-dir server must make an acked write durable, seal
 # its log on SIGTERM, and serve the write again after a restart.

@@ -89,15 +89,17 @@ NncResult NncSearch::Run(
   if (snapshot_ != nullptr) result.epoch = snapshot_->epoch();
 
   // Cross-query cache binding handed to every profile (null when no cache
-  // is configured). Declared before `members` so destroyed profiles can
-  // still publish their freshly built views through it.
+  // is configured or the cache declines this query's first sighting at its
+  // epoch). Declared before `members` so destroyed profiles can still
+  // publish their freshly built views through it.
   ProfileCacheBinding cache_binding;
   const ProfileCacheBinding* cache = nullptr;
   if (options_.profile_cache != nullptr) {
-    cache_binding = {options_.profile_cache,
-                     ComputeQuerySignature(query, options_.metric),
-                     result.epoch};
-    cache = &cache_binding;
+    const uint64_t signature = ComputeQuerySignature(query, options_.metric);
+    if (options_.profile_cache->Admit(signature, result.epoch)) {
+      cache_binding = {options_.profile_cache, signature, result.epoch};
+      cache = &cache_binding;
+    }
   }
 
   // Batched-traversal distance memo: when the engine grouped this query

@@ -74,11 +74,12 @@ struct NncOptions {
   /// it; null — the default — disables recording for this query.
   obs::Trace* trace = nullptr;
   /// Engine-managed cross-query artifact cache (core/profile_cache.h); not
-  /// owned, may be null (the default — no sharing). When set, Run passes a
-  /// ProfileCacheBinding (the cache, the query's signature and the pinned
-  /// snapshot epoch) to each ObjectProfile it constructs, so profiles adopt
-  /// cached views on hits and publish fresh ones on misses. Results are
-  /// bit-identical either way.
+  /// owned, may be null (the default — no sharing). When set and the cache
+  /// admits the query (it ran before at this epoch, ProfileCache::Admit),
+  /// Run passes a ProfileCacheBinding (the cache, the query's signature and
+  /// the pinned snapshot epoch) to each ObjectProfile it constructs, so
+  /// profiles adopt cached views on hits and publish fresh ones on misses.
+  /// Results are bit-identical either way.
   ProfileCache* profile_cache = nullptr;
   /// Anytime mode: when the traversal stops early (deadline, cancel, or a
   /// memory-budget breach), append every object still reachable from the

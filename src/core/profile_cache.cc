@@ -103,6 +103,24 @@ long ProfileCache::EvictOneLocked(Shard& shard) {
   return bytes;
 }
 
+bool ProfileCache::Admit(uint64_t signature, uint64_t epoch) {
+  const Fingerprint fingerprint{signature, epoch};
+  bool seen = false;
+  {
+    std::lock_guard<std::mutex> lock(record_.mu);
+    seen = !record_.seen.insert(fingerprint).second;
+    if (!seen) {
+      record_.order.push_back(fingerprint);
+      if (record_.order.size() > kAdmissionRecord) {
+        record_.seen.erase(record_.order.front());
+        record_.order.pop_front();
+      }
+    }
+  }
+  (seen ? admitted_ : declined_).fetch_add(1, std::memory_order_relaxed);
+  return seen;
+}
+
 std::shared_ptr<const ProfileArtifacts> ProfileCache::Lookup(
     int object_id, uint64_t signature, uint64_t epoch) {
   const Key key{object_id, signature};
@@ -148,6 +166,17 @@ void ProfileCache::Publish(
   Shard& shard = ShardFor(key);
   try {
     std::lock_guard<std::mutex> lock(shard.mu);
+    // Retire the tail's superseded entries: only queries still pinned at
+    // their epoch could hit them, and those keep the views they hold.
+    long retired = 0;
+    while (!shard.lru.empty() &&
+           shard.lru.back().value->epoch < artifacts->epoch) {
+      RemoveLocked(shard, std::prev(shard.lru.end()));
+      ++retired;
+    }
+    if (retired > 0) {
+      stale_evictions_.fetch_add(retired, std::memory_order_relaxed);
+    }
     auto it = shard.index.find(key);
     if (it != shard.index.end()) {
       const ProfileArtifacts& existing = *it->second->value;
@@ -202,6 +231,8 @@ ProfileCache::Counters ProfileCache::GetCounters() const {
   c.stale_serves_averted =
       stale_serves_averted_.load(std::memory_order_relaxed);
   c.bytes = bytes_.load(std::memory_order_relaxed);
+  c.admitted = admitted_.load(std::memory_order_relaxed);
+  c.declined = declined_.load(std::memory_order_relaxed);
   return c;
 }
 

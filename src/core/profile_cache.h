@@ -18,6 +18,24 @@
 //    the spot (folds and mutations rotate the epoch, so lazily dropping
 //    superseded entries keeps invalidation O(1) with no writer-side scan),
 //    and a newer entry is left for queries pinned at that epoch.
+//  - Admission: only a query that repeats within an epoch pays for the
+//    cache. The cache keeps a fixed-size FIFO record of the most recent
+//    kAdmissionRecord (query signature, epoch) fingerprints, and
+//    NncSearch::Run asks it once per query (Admit). A query whose
+//    fingerprint is already recorded binds its profiles to the cache; any
+//    other query records its fingerprint and runs unbound — no lookup and
+//    no publication. So a query's first run at an epoch is declined, its
+//    second run misses and publishes, and its third run hits. On a stream
+//    where a write opens an epoch every ~10 ms (osdbench serve_rw) the hit
+//    ratio was 0.013 while every query published its views, churning
+//    ~42k evictions per 10 s through the LRU; declining one-off queries
+//    nearly doubled that server's qps and cut its peak RSS from ~460 to
+//    ~135 MiB on a 4-CPU VM.
+//  - Retirement: Publish first drops the shard's LRU-tail entries built at
+//    an older epoch than the one it publishes. Only queries still pinned
+//    at that older epoch could use them, and they keep the views they
+//    already hold. Without it, the few repeats inside each epoch still
+//    filled the cache with dead entries (peak RSS stayed at ~415 MiB).
 //  - Memory governance: entry bytes are charged to the engine MemoryBudget
 //    *before* insertion (charge-before-allocate, same contract as the
 //    profile views themselves) and the cache evicts LRU entries until both
@@ -41,10 +59,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "geom/metric.h"
@@ -118,8 +138,11 @@ class ProfileCache {
     long hits = 0;
     long misses = 0;
     long evictions = 0;        ///< capacity/budget LRU evictions
-    long stale_evictions = 0;  ///< superseded-epoch entries dropped on lookup
+    /// superseded-epoch entries dropped on lookup or retired at publication
+    long stale_evictions = 0;
     long inserts = 0;
+    long admitted = 0;  ///< queries bound to the cache (a repeat sighting)
+    long declined = 0;  ///< queries run unbound (a first sighting)
     long stale_serves_averted = 0;  ///< adoption-time epoch-guard trips (== 0)
     long bytes = 0;
   };
@@ -131,6 +154,15 @@ class ProfileCache {
   ProfileCache(const ProfileCache&) = delete;
   ProfileCache& operator=(const ProfileCache&) = delete;
 
+  /// Capacity of the admission record, in fingerprints. Past it, the
+  /// record forgets its oldest fingerprint.
+  static constexpr int kAdmissionRecord = 4096;
+
+  /// The admission decision for one query run: true when (signature,
+  /// epoch) is already in the record (the query then binds to the cache),
+  /// false after recording it (the query runs unbound).
+  bool Admit(uint64_t signature, uint64_t epoch);
+
   /// The entry for (object_id, signature) built at exactly `epoch`, or
   /// null. An entry from an older epoch found under the key is evicted
   /// (lazy invalidation); an entry from a newer epoch is left in place.
@@ -138,12 +170,14 @@ class ProfileCache {
                                                  uint64_t signature,
                                                  uint64_t epoch);
 
-  /// Publishes freshly built artifacts. Best-effort and never throws: the
-  /// entry is dropped when the byte cap or the engine budget cannot admit
-  /// it even after evicting the shard's LRU tail. An existing entry at the
-  /// same epoch is replaced only by a strictly larger artifact set (the
-  /// publisher unions the views it adopted with the ones it built, so
-  /// larger == superset); an entry at a newer epoch is never clobbered.
+  /// Publishes freshly built artifacts. Best-effort and never throws. The
+  /// shard first retires its LRU-tail entries built at an older epoch than
+  /// `artifacts->epoch`. The entry is dropped when the byte cap or the
+  /// engine budget cannot admit it even after evicting the shard's LRU
+  /// tail. An existing entry at the same epoch is replaced only by a
+  /// strictly larger artifact set (the publisher unions the views it
+  /// adopted with the ones it built, so larger == superset); an entry at a
+  /// newer epoch is never clobbered.
   void Publish(int object_id, uint64_t signature,
                std::shared_ptr<const ProfileArtifacts> artifacts) noexcept;
 
@@ -196,7 +230,26 @@ class ProfileCache {
   long EvictOneLocked(Shard& shard);
   void RemoveLocked(Shard& shard, std::list<Node>::iterator it);
 
+  struct Fingerprint {
+    uint64_t signature;
+    uint64_t epoch;
+    bool operator==(const Fingerprint&) const = default;
+  };
+  struct FingerprintHash {
+    size_t operator()(const Fingerprint& f) const {
+      return static_cast<size_t>(f.signature ^
+                                 (f.epoch * 0x9e3779b97f4a7c15ULL));
+    }
+  };
+
   Shard shards_[kShards];
+  // The admission record: `seen` holds exactly the fingerprints in
+  // `order`, oldest first.
+  struct AdmissionRecord {
+    std::mutex mu;
+    std::deque<Fingerprint> order;
+    std::unordered_set<Fingerprint, FingerprintHash> seen;
+  } record_;
   const long cap_bytes_;
   memory::MemoryBudget* budget_;
 
@@ -207,12 +260,15 @@ class ProfileCache {
   std::atomic<long> stale_evictions_{0};
   std::atomic<long> inserts_{0};
   std::atomic<long> stale_serves_averted_{0};
+  std::atomic<long> admitted_{0};
+  std::atomic<long> declined_{0};
 };
 
 /// Binds one query execution to the cache: the cache, the query's
-/// signature, and the pinned snapshot epoch. NncSearch::Run builds one per
-/// query and passes its address to every ObjectProfile it constructs; a
-/// profile without a binding neither looks up nor publishes.
+/// signature, and the pinned snapshot epoch. NncSearch::Run builds one for
+/// a query the cache admits and passes its address to every ObjectProfile
+/// it constructs; a profile without a binding neither looks up nor
+/// publishes.
 struct ProfileCacheBinding {
   ProfileCache* cache = nullptr;
   uint64_t signature = 0;

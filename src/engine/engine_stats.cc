@@ -174,10 +174,12 @@ std::string EngineStats::ToJson() const {
   Append(&out,
          ",\"profile_cache\":{\"hits\":%ld,\"misses\":%ld,\"evictions\":%ld,"
          "\"stale_evictions\":%ld,\"stale_serves_averted\":%ld,"
-         "\"bytes\":%ld,\"cap_bytes\":%ld}",
+         "\"bytes\":%ld,\"cap_bytes\":%ld",
          profile_cache_hits, profile_cache_misses, profile_cache_evictions,
          profile_cache_stale_evictions, profile_cache_stale_serves_averted,
          profile_cache_bytes, profile_cache_cap_bytes);
+  Append(&out, ",\"admitted\":%ld,\"declined\":%ld}", profile_cache_admitted,
+         profile_cache_declined);
   out += ",\"operators\":{";
   bool first = true;
   for (int i = 0; i < static_cast<int>(per_operator.size()); ++i) {

@@ -94,7 +94,10 @@ struct EngineStats {
   long profile_cache_hits = 0;
   long profile_cache_misses = 0;
   long profile_cache_evictions = 0;        ///< capacity (LRU) evictions
-  long profile_cache_stale_evictions = 0;  ///< lazily dropped on epoch change
+  /// superseded-epoch entries dropped on lookup or retired at publication
+  long profile_cache_stale_evictions = 0;
+  long profile_cache_admitted = 0;  ///< queries bound to the cache
+  long profile_cache_declined = 0;  ///< first sightings run unbound
   /// Lookups where a stale-epoch entry reached the final epoch guard and
   /// was refused; always 0 — any other value is an invariant violation
   /// (the chaos harness asserts this across mutating soaks).

@@ -731,6 +731,8 @@ EngineStats QueryEngine::Snapshot() const {
     s.profile_cache_misses = c.misses;
     s.profile_cache_evictions = c.evictions;
     s.profile_cache_stale_evictions = c.stale_evictions;
+    s.profile_cache_admitted = c.admitted;
+    s.profile_cache_declined = c.declined;
     s.profile_cache_stale_serves_averted = c.stale_serves_averted;
     s.profile_cache_bytes = c.bytes;
     s.profile_cache_cap_bytes = profile_cache_->cap_bytes();

@@ -10,6 +10,7 @@
 // tests pin the epoch-invalidation and memory-governance contracts the
 // chaos soak then hammers concurrently.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <latch>
@@ -154,6 +155,61 @@ TEST(ProfileCacheTest, ChargesAndDrainsEngineBudget) {
   EXPECT_EQ(budget.current_bytes(), 0);
 }
 
+// The admission record is a FIFO of kAdmissionRecord fingerprints: a
+// fingerprint is admitted while recorded, and a new one past capacity
+// makes the record forget its oldest.
+TEST(ProfileCacheTest, AdmissionRecordForgetsItsOldestFingerprint) {
+  ProfileCache cache(1 << 20, nullptr);
+  constexpr int kCap = ProfileCache::kAdmissionRecord;
+  EXPECT_FALSE(cache.Admit(0, 7));  // first sighting: recorded, declined
+  EXPECT_TRUE(cache.Admit(0, 7));   // repeat at the same epoch: admitted
+  EXPECT_FALSE(cache.Admit(0, 8));  // another epoch is another fingerprint
+  for (uint64_t sig = 1; sig < kCap - 1; ++sig) {
+    EXPECT_FALSE(cache.Admit(sig, 7));
+  }
+  // The record now holds exactly kCap fingerprints; none is forgotten yet.
+  EXPECT_TRUE(cache.Admit(0, 7));
+  EXPECT_TRUE(cache.Admit(0, 8));
+  EXPECT_FALSE(cache.Admit(kCap, 7));  // forgets (0, 7), the oldest
+  EXPECT_TRUE(cache.Admit(0, 8));
+  EXPECT_FALSE(cache.Admit(0, 7));  // a first sighting again; forgets (0, 8)
+  EXPECT_FALSE(cache.Admit(0, 8));  // forgets (1, 7)
+  EXPECT_TRUE(cache.Admit(2, 7));
+  const ProfileCache::Counters c = cache.GetCounters();
+  EXPECT_EQ(c.admitted, 5);
+  EXPECT_EQ(c.declined, kCap + 3);
+}
+
+// Publishing at epoch E+1 retires the shard's tail entries built at E or
+// earlier, and never an entry built at E+1.
+TEST(ProfileCacheTest, PublishRetiresOlderEpochTailEntries) {
+  constexpr int kIds = 256;
+  ProfileCache cache(16 << 20, nullptr);
+  for (int id = 0; id < kIds; ++id) cache.Publish(id, 42, MakeArtifacts(4));
+  for (int id = 0; id < kIds; ++id) cache.Publish(id, 42, MakeArtifacts(5));
+  ProfileCache::Counters c = cache.GetCounters();
+  // Each shard's first E+1 publication found only its E entries and
+  // retired every one.
+  EXPECT_EQ(c.stale_evictions, kIds);
+  EXPECT_EQ(c.evictions, 0);
+  EXPECT_EQ(c.bytes, kIds * 1024L);
+  // More publications at E+1 retire nothing built at E+1.
+  for (int id = kIds; id < 2 * kIds; ++id) {
+    cache.Publish(id, 42, MakeArtifacts(5));
+  }
+  c = cache.GetCounters();
+  EXPECT_EQ(c.stale_evictions, kIds);
+  EXPECT_EQ(c.bytes, 2 * kIds * 1024L);
+  for (int id = 0; id < 2 * kIds; ++id) {
+    ASSERT_NE(cache.Lookup(id, 42, 5), nullptr) << id;
+  }
+  // A publication from a query pinned at an older epoch retires nothing.
+  cache.Publish(9999, 43, MakeArtifacts(3));
+  c = cache.GetCounters();
+  EXPECT_EQ(c.stale_evictions, kIds);
+  EXPECT_EQ(c.inserts, 3 * kIds + 1);
+}
+
 TEST(ProfileCacheTest, QuerySignatureIsValueBased) {
   const UncertainObject a =
       UncertainObject::Uniform(1, 2, {0.0, 0.0, 1.0, 1.0});
@@ -183,10 +239,11 @@ struct RunOutcome {
 
 /// Runs the workload through one engine configuration and captures every
 /// per-query outcome in submission order, and the engine's counters in
-/// `stats` when given. Each query is submitted twice so a caching engine
-/// gets intra-run hits.
+/// `stats` when given. Each query is submitted three times so a caching
+/// engine gets intra-run hits: the cache declines a query's first run at an
+/// epoch, the second publishes and the third hits.
 std::vector<RunOutcome> RunWorkload(const EngineOptions& engine_options,
-                                    Operator op, int repeats = 2,
+                                    Operator op, int repeats = 3,
                                     EngineStats* stats = nullptr) {
   QueryEngine engine(SmallDataset(), engine_options);
   const auto workload = SmallWorkload(engine.dataset(), 6);
@@ -228,9 +285,13 @@ TEST_P(SharedVsUnsharedTest, BitIdenticalResultsAndCounters) {
 
   const auto baseline = RunWorkload(unshared, GetParam());
   EngineStats shared_stats;
-  const auto cached = RunWorkload(shared, GetParam(), 2, &shared_stats);
-  // The A/B must exercise batches, not only singletons.
+  const auto cached = RunWorkload(shared, GetParam(), 3, &shared_stats);
+  // The A/B must exercise batches, not only singletons, and cache hits
+  // (F+SD decides on MBRs alone and never builds a profile view).
   EXPECT_GT(shared_stats.batches, 0);
+  if (GetParam() != Operator::kFPlusSd) {
+    EXPECT_GT(shared_stats.profile_cache_hits, 0);
+  }
   ASSERT_EQ(baseline.size(), cached.size());
   for (size_t i = 0; i < baseline.size(); ++i) {
     SCOPED_TRACE("query " + std::to_string(i));
@@ -281,7 +342,9 @@ TEST(SharedCacheEngineTest, RepeatedQueriesHitTheCache) {
 
 // Epoch invalidation end-to-end: warm the cache at epoch E, mutate the
 // store (epoch E+1), re-run — the post-write answers must equal a
-// cache-less engine's answers over the same post-write store.
+// cache-less engine's answers over the same post-write store. The first
+// post-write run is a first sighting at E+1, so the cache declines it; the
+// next two publish and hit, and still answer the same.
 TEST(SharedCacheEngineTest, WriteInvalidatesAcrossEpochs) {
   auto far_object = [](int id) {
     return std::make_shared<const UncertainObject>(
@@ -316,9 +379,16 @@ TEST(SharedCacheEngineTest, WriteInvalidatesAcrossEpochs) {
   QueryEngine cached(SmallDataset(), cached_options);
   const auto workload = SmallWorkload(cached.dataset(), 4);
 
-  run_queries(cached, workload);  // warm at epoch 0
-  mutate(cached);                 // epoch bump
+  for (int r = 0; r < 3; ++r) run_queries(cached, workload);  // warm at 0
+  const EngineStats warm = cached.Snapshot();
+  ASSERT_GT(warm.profile_cache_hits, 0);
+  mutate(cached);  // epoch bump
   const auto after_write = run_queries(cached, workload);
+  const EngineStats first = cached.Snapshot();
+  EXPECT_EQ(first.profile_cache_declined - warm.profile_cache_declined, 4);
+  EXPECT_EQ(first.profile_cache_admitted, warm.profile_cache_admitted);
+  EXPECT_EQ(first.profile_cache_hits, warm.profile_cache_hits);
+  EXPECT_EQ(first.profile_cache_misses, warm.profile_cache_misses);
 
   EngineOptions plain_options;
   plain_options.num_threads = 1;
@@ -327,23 +397,167 @@ TEST(SharedCacheEngineTest, WriteInvalidatesAcrossEpochs) {
   const auto expected = run_queries(plain, workload);
 
   EXPECT_EQ(after_write, expected);
+  EXPECT_EQ(run_queries(cached, workload), expected);  // publishes at E+1
+  EXPECT_EQ(run_queries(cached, workload), expected);  // hits at E+1
+  const EngineStats last = cached.Snapshot();
+  EXPECT_GT(last.profile_cache_hits, first.profile_cache_hits);
+  EXPECT_EQ(last.profile_cache_admitted - first.profile_cache_admitted, 8);
   // The serve-time guard must never have been the thing that saved us.
-  EXPECT_EQ(cached.Snapshot().profile_cache_stale_serves_averted, 0);
+  EXPECT_EQ(last.profile_cache_stale_serves_averted, 0);
+}
+
+// A query's first run at an epoch runs unbound (no lookup, no insert), its
+// second misses and publishes every profile it built, and its third hits
+// every one: misses/inserts/hits read 0/0/0, then n/n/0, then 0/0/n.
+TEST(SharedCacheAdmissionTest, FirstRunDeclinesSecondPublishesThirdHits) {
+  const Dataset dataset = SmallDataset();
+  const QueryWorkloadEntry entry = SmallWorkload(dataset, 1)[0];
+  for (Operator op :
+       {Operator::kSSd, Operator::kSsSd, Operator::kPSd, Operator::kFSd}) {
+    SCOPED_TRACE(OperatorName(op));
+    ProfileCache cache(64 << 20, nullptr);
+    NncOptions options;
+    options.op = op;
+    options.exclude_id = entry.seeded_from;
+    NncOptions uncached = options;
+    options.profile_cache = &cache;
+    const NncResult expected = NncSearch(dataset, uncached).Run(entry.query);
+    ProfileCache::Counters before = cache.GetCounters();
+    std::vector<std::array<long, 5>> deltas;  // misses, inserts, hits, ...
+    for (int run = 0; run < 3; ++run) {
+      const NncResult result = NncSearch(dataset, options).Run(entry.query);
+      EXPECT_EQ(result.candidates, expected.candidates);
+      ExpectSameStats(result.stats, expected.stats);
+      const ProfileCache::Counters after = cache.GetCounters();
+      deltas.push_back({after.misses - before.misses,
+                        after.inserts - before.inserts,
+                        after.hits - before.hits,
+                        after.admitted - before.admitted,
+                        after.declined - before.declined});
+      before = after;
+    }
+    const long n = deltas[1][0];
+    EXPECT_GT(n, 0);
+    EXPECT_EQ(deltas[0], (std::array<long, 5>{0, 0, 0, 0, 1}));
+    EXPECT_EQ(deltas[1], (std::array<long, 5>{n, n, 0, 1, 0}));
+    EXPECT_EQ(deltas[2], (std::array<long, 5>{0, 0, n, 1, 0}));
+  }
+}
+
+// Retirement never takes views from a running query: a query pinned at E
+// that adopted E entries keeps reading them while a query at E+1 publishes
+// and retires those entries, and it still answers as a cache-less run.
+TEST(SharedCacheAdmissionTest, PinnedQueryKeepsItsViewsAcrossRetirement) {
+  const Dataset dataset = SmallDataset();
+  const auto workload = SmallWorkload(dataset, 2);
+  VersionedDataset store(SmallDataset());
+  const VersionedDataset::Snapshot old_epoch = store.Acquire();
+  ProfileCache cache(64 << 20, nullptr);
+  NncOptions options;
+  options.op = Operator::kSSd;
+  options.exclude_id = workload[0].seeded_from;
+  const NncResult expected =
+      NncSearch(old_epoch, options).Run(workload[0].query);
+  options.profile_cache = &cache;
+  const NncSearch pinned(old_epoch, options);
+  for (int r = 0; r < 3; ++r) pinned.Run(workload[0].query);
+  ASSERT_GT(cache.GetCounters().hits, 0);
+  ASSERT_EQ(cache.GetCounters().stale_evictions, 0);
+
+  // At the pinned query's first candidate, a writer opens E+1 and runs
+  // another query there twice, so its second run publishes at E+1.
+  bool wrote = false;
+  const NncResult result =
+      pinned.Run(workload[0].query, [&](int, double) {
+        if (wrote) return;
+        wrote = true;
+        std::thread writer([&] {
+          Mutation m;
+          m.kind = Mutation::Kind::kInsert;
+          m.id = 100000;
+          m.object = std::make_shared<const UncertainObject>(
+              UncertainObject::Uniform(100000, 2,
+                                       {9000.0, 9000.0, 9001.0, 9001.0}));
+          std::string error;
+          ASSERT_TRUE(store.Apply({std::move(m)}, &error)) << error;
+          NncOptions next = options;
+          next.exclude_id = workload[1].seeded_from;
+          const VersionedDataset::Snapshot new_epoch = store.Acquire();
+          const NncSearch search(new_epoch, next);
+          for (int r = 0; r < 2; ++r) search.Run(workload[1].query);
+        });
+        writer.join();
+      });
+  ASSERT_TRUE(wrote);
+  // The other query's signature differs, so only retirement dropped E
+  // entries.
+  const ProfileCache::Counters c = cache.GetCounters();
+  EXPECT_GT(c.stale_evictions, 0);
+  EXPECT_EQ(c.stale_serves_averted, 0);
+  EXPECT_EQ(result.epoch, old_epoch.epoch());
+  EXPECT_EQ(result.candidates, expected.candidates);
+  EXPECT_EQ(result.termination, expected.termination);
+  ExpectSameStats(result.stats, expected.stats);
+}
+
+// Four workers racing on one query at one epoch: the record declines one
+// run, admits the rest, and every run equals the cache-off run.
+TEST(SharedCacheAdmissionTest, ConcurrentRunsOfOneQueryMatchCacheOff) {
+  const Dataset dataset = SmallDataset();
+  const QueryWorkloadEntry entry = SmallWorkload(dataset, 1)[0];
+  constexpr int kRuns = 16;
+  for (Operator op :
+       {Operator::kSSd, Operator::kSsSd, Operator::kPSd, Operator::kFSd}) {
+    SCOPED_TRACE(OperatorName(op));
+    NncOptions plain;
+    plain.op = op;
+    plain.exclude_id = entry.seeded_from;
+    const NncResult expected = NncSearch(dataset, plain).Run(entry.query);
+
+    EngineOptions options;
+    options.num_threads = 4;
+    options.profile_cache_bytes = 64 << 20;
+    QueryEngine engine(SmallDataset(), options);
+    std::vector<std::shared_ptr<QueryTicket>> tickets;
+    for (int i = 0; i < kRuns; ++i) {
+      QuerySpec spec;
+      spec.query = entry.query;
+      spec.options = plain;
+      tickets.push_back(engine.Submit(std::move(spec)));
+    }
+    for (const auto& ticket : tickets) {
+      ASSERT_EQ(ticket->Wait(), QueryStatus::kOk) << ticket->error();
+      EXPECT_EQ(ticket->result().candidates, expected.candidates);
+      EXPECT_EQ(ticket->result().termination, expected.termination);
+      ExpectSameStats(ticket->result().stats, expected.stats);
+    }
+    const EngineStats stats = engine.Snapshot();
+    EXPECT_EQ(stats.profile_cache_declined, 1);
+    EXPECT_EQ(stats.profile_cache_admitted, kRuns - 1);
+    EXPECT_EQ(stats.profile_cache_stale_serves_averted, 0);
+    const std::string json = stats.ToJson();
+    EXPECT_NE(json.find("\"admitted\":15,\"declined\":1}"), std::string::npos)
+        << json;
+  }
 }
 
 // Memory governance: resident entries are charged to the engine budget and
-// Drain() releases every byte.
+// Drain() releases every byte. Each query runs twice: the cache declines
+// its first run and takes the second's views.
 TEST(SharedCacheEngineTest, DrainReleasesEveryCachedByte) {
   EngineOptions options;
   options.num_threads = 1;
   options.profile_cache_bytes = 64 << 20;
   QueryEngine engine(SmallDataset(), options);
-  for (const QueryWorkloadEntry& entry : SmallWorkload(engine.dataset(), 4)) {
-    QuerySpec spec;
-    spec.query = entry.query;
-    spec.options.op = Operator::kPSd;
-    spec.options.exclude_id = entry.seeded_from;
-    engine.Submit(std::move(spec))->Wait();
+  const auto workload = SmallWorkload(engine.dataset(), 4);
+  for (int r = 0; r < 2; ++r) {
+    for (const QueryWorkloadEntry& entry : workload) {
+      QuerySpec spec;
+      spec.query = entry.query;
+      spec.options.op = Operator::kPSd;
+      spec.options.exclude_id = entry.seeded_from;
+      engine.Submit(std::move(spec))->Wait();
+    }
   }
   EXPECT_GT(engine.Snapshot().profile_cache_bytes, 0);
   EXPECT_GT(engine.memory_budget().current_bytes(), 0);
@@ -353,8 +567,10 @@ TEST(SharedCacheEngineTest, DrainReleasesEveryCachedByte) {
 }
 
 // The budget half of the sharing contract: a query charges the same peak
-// bytes against its QueryBudgetScope with no cache, a cold cache and a
-// warm one, so a per-query cap breaches at the same point either way.
+// bytes against its QueryBudgetScope with no cache, a declined run, a cold
+// cache and a warm one, so a per-query cap breaches at the same point
+// either way. The cache declines a query's first run; "cold" is the run
+// that publishes and "warm" the run that hits.
 TEST(SharedCacheBudgetTest, PeakChargeIsIdenticalWithCacheOffColdAndWarm) {
   const Dataset dataset = SmallDataset();
   const auto workload = SmallWorkload(dataset, 6);
@@ -374,9 +590,11 @@ TEST(SharedCacheBudgetTest, PeakChargeIsIdenticalWithCacheOffColdAndWarm) {
     for (size_t i = 0; i < workload.size(); ++i) {
       SCOPED_TRACE("query " + std::to_string(i));
       const long off = peak(workload[i], nullptr);
+      const long declined = peak(workload[i], &cache);
       const long cold = peak(workload[i], &cache);
       const long warm = peak(workload[i], &cache);
       EXPECT_GT(off, 0);
+      EXPECT_EQ(declined, off);
       EXPECT_EQ(cold, off);
       EXPECT_EQ(warm, off);
     }

@@ -31,7 +31,10 @@
 //                                    poisoning + respawning stuck workers
 //   [--profile-cache-bytes SIZE]     cross-query profile cache capacity
 //                                    (epoch-versioned, LRU, charged to the
-//                                    engine memory budget; 0/absent = off)
+//                                    engine memory budget; 0/absent = off).
+//                                    It serves queries that repeat within
+//                                    an epoch; a one-off query pays
+//                                    nothing for it.
 //   [--max-batch N]                  let up to N compatible queries that
 //                                    wait for a busy pool share one
 //                                    traversal pass; a query never waits
