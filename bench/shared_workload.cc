@@ -1,18 +1,17 @@
-// Aggregate throughput of the cross-query work-sharing layers: the
-// engine-wide profile cache plus multi-query batched traversal, measured
-// on a skewed (Zipf) multi-client workload — the regime the sharing was
-// built for, where a hot set of queries repeats across clients.
+// Aggregate throughput of cross-query work sharing — the engine-wide
+// profile cache — measured on a skewed (Zipf) multi-client workload: the
+// regime the cache was built for, where a hot set of queries repeats
+// across clients.
 //
 // Usage:
 //   shared_workload [--objects N] [--clients C] [--threads T]
 //                   [--distinct K] [--zipf-s S] [--seconds SECS]
-//                   [--cache-bytes B] [--max-batch M]
+//                   [--cache-bytes B]
 //                   [--out BENCH_shared.json]
 //
 // Two closed-loop repeat rounds over the identical workload and dataset:
-//   unshared — profile cache off, max_batch 1 (the pre-sharing engine)
-//   shared   — cache + batching on at the flag-configured sizes (members
-//              batch only while every worker is busy; see DESIGN.md §15)
+//   unshared — profile cache off
+//   shared   — profile cache on at --cache-bytes (see DESIGN.md §15)
 // C client threads each loop {draw a query by Zipf rank over K distinct
 // queries, Submit, Wait}, so offered load self-regulates and latency
 // percentiles are honest. Both rounds get two untimed warmup passes over
@@ -20,7 +19,7 @@
 // epoch, so the second pass is the one that fills it).
 //
 // Then a no-repeat stream: the C clients run kNoRepeatQueries distinct
-// queries once each, with the cache off and on (batching on in both), in
+// queries once each, with the cache off and on, in
 // kNoRepeatPairs alternating pairs (a fresh engine per run). The cache
 // declines every first sighting, so the on runs should read within noise
 // of the off runs: a one-off query pays nothing for the cache.
@@ -66,7 +65,6 @@ struct Config {
   double zipf_s = 1.1;  // Zipf exponent (1.1 ~ web-cache-like skew)
   double seconds = 2.0;
   long cache_bytes = 256L << 20;
-  int max_batch = 4;
   std::string out = "BENCH_shared.json";
 };
 
@@ -95,8 +93,6 @@ Config ParseArgs(int argc, char** argv) {
       cfg.seconds = std::atof(value().c_str());
     } else if (flag == "--cache-bytes") {
       cfg.cache_bytes = std::atol(value().c_str());
-    } else if (flag == "--max-batch") {
-      cfg.max_batch = std::atoi(value().c_str());
     } else if (flag == "--out") {
       cfg.out = value();
     } else {
@@ -179,13 +175,12 @@ struct RoundResult {
   EngineStats engine;
 };
 
-/// Engine options with `cfg.threads` workers, the profile cache on or off
-/// and batching on or off at the flag-configured sizes.
-EngineOptions Engine(const Config& cfg, bool cache, bool batching) {
+/// Engine options with `cfg.threads` workers and the profile cache on or
+/// off.
+EngineOptions Engine(const Config& cfg, bool cache) {
   EngineOptions options;
   options.num_threads = cfg.threads;
   if (cache) options.profile_cache_bytes = cfg.cache_bytes;
-  if (batching) options.max_batch = cfg.max_batch;
   return options;
 }
 
@@ -272,14 +267,14 @@ int main(int argc, char** argv) {
 
   const RoundResult unshared =
       RunRound(dataset, workload, zipf_cdf, cfg,
-               Engine(cfg, /*cache=*/false, /*batching=*/false),
+               Engine(cfg, /*cache=*/false),
                /*repeat=*/true);
   std::printf("  unshared: %8.1f q/s  p50=%.2f p95=%.2f p99=%.2f ms\n",
               unshared.qps, unshared.p50, unshared.p95, unshared.p99);
 
   const RoundResult shared =
       RunRound(dataset, workload, zipf_cdf, cfg,
-               Engine(cfg, /*cache=*/true, /*batching=*/true),
+               Engine(cfg, /*cache=*/true),
                /*repeat=*/true);
   const EngineStats& es = shared.engine;
   const long lookups = es.profile_cache_hits + es.profile_cache_misses;
@@ -313,7 +308,7 @@ int main(int argc, char** argv) {
     for (const bool cache_on : {false, true}) {
       const RoundResult r =
           RunRound(dataset, once, zipf_cdf, cfg,
-                   Engine(cfg, cache_on, /*batching=*/true),
+                   Engine(cfg, cache_on),
                    /*repeat=*/false);
       once_errors += r.errors;
       (cache_on ? once_on : once_off).push_back(r.qps);
@@ -341,19 +336,16 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "\"%s\":{\"qps\":%.2f,\"p50_ms\":%.3f,\"p95_ms\":%.3f,"
                  "\"p99_ms\":%.3f,\"completed\":%ld,\"errors\":%ld,"
-                 "\"engine_executed\":%ld,\"engine_qps\":%.2f,"
-                 "\"batches\":%ld,\"batched_queries\":%ld}",
+                 "\"engine_executed\":%ld,\"engine_qps\":%.2f}",
                  name, r.qps, r.p50, r.p95, r.p99, r.completed, r.errors,
-                 r.engine.executed, r.engine.qps, r.engine.batches,
-                 r.engine.batched_queries);
+                 r.engine.executed, r.engine.qps);
   };
   std::fprintf(f,
                "{\"bench\":\"shared_workload\",\"objects\":%d,"
                "\"clients\":%d,\"threads\":%d,\"distinct\":%d,"
-               "\"zipf_s\":%.2f,\"seconds\":%.2f,\"cache_bytes\":%ld,"
-               "\"max_batch\":%d,",
+               "\"zipf_s\":%.2f,\"seconds\":%.2f,\"cache_bytes\":%ld,",
                cfg.objects, cfg.clients, cfg.threads, cfg.distinct,
-               cfg.zipf_s, cfg.seconds, cfg.cache_bytes, cfg.max_batch);
+               cfg.zipf_s, cfg.seconds, cfg.cache_bytes);
   round_json("unshared", unshared);
   std::fprintf(f, ",");
   round_json("shared", shared);

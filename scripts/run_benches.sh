@@ -11,13 +11,12 @@
 #
 # The epoch-snapshot store gets a third pass: dynamic_throughput measures
 # read QPS/latency under concurrent write rates plus Fold() latency vs.
-# delta size, and writes BENCH_dynamic.json.
+# delta size, and writes BENCH_dynamic.json, stamped likewise.
 #
-# The cross-query sharing layers get a fourth pass: shared_workload runs a
-# Zipf-skewed multi-client closed loop with the profile cache + batching
-# off, then on, and writes BENCH_shared.json (aggregate QPS, latency
-# percentiles, speedup at the unshared round's p99 SLO, cache hit rate,
-# batch counts), stamped with the same machine and commit metadata.
+# The profile cache gets a fourth pass: shared_workload runs a Zipf-skewed
+# multi-client closed loop with the cache off, then on, and writes
+# BENCH_shared.json (aggregate QPS, latency percentiles, speedup at the
+# unshared round's p99 SLO, cache hit rate), stamped likewise.
 #
 # Usage: scripts/run_benches.sh [build-dir]   (default: build-bench)
 # Env:   OSD_BENCH_MIN_TIME    google-benchmark min seconds/case (default 0.1)
@@ -93,8 +92,9 @@ echo "== dynamic_throughput (epoch store -> BENCH_dynamic.json) =="
   --seconds "${OSD_BENCH_DYNAMIC_SECONDS:-1.5}" \
   --write-rates "${OSD_BENCH_DYNAMIC_RATES:-0,500,5000}" \
   --out BENCH_dynamic.json
+stamp_meta BENCH_dynamic.json
 
-echo "== shared_workload (cross-query sharing -> BENCH_shared.json) =="
+echo "== shared_workload (profile cache -> BENCH_shared.json) =="
 "$BUILD_DIR/bench/shared_workload" \
   --seconds "${OSD_BENCH_SHARED_SECONDS:-2.0}" \
   --clients "${OSD_BENCH_SHARED_CLIENTS:-8}" \

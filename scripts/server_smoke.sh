@@ -13,14 +13,11 @@
 # surviving directory. Finishes with
 # a quick osd_chaos soak (adversarial clients + failpoint storms + drain
 # cycles, all resilience invariants asserted) and a short SIGKILL
-# crash-recovery soak (scripts/check_crash.sh runs the long one). A batched
-# leg sends one multi-query --query-file of nearby P-SD queries to a server
-# started with the serve_* sharing flags (--max-batch 4 --batch-window-us
-# 200) and checks every reply is OK with the unbatched server's candidates.
-# A cache leg then sends one query three times to that server (started
-# with --profile-cache-bytes 64M): the replies must be equal, and the
-# status frame must show the cache declining the first run, admitting the
-# repeats and serving hits.
+# crash-recovery soak (scripts/check_crash.sh runs the long one). A cache
+# leg sends one query three times to a server started with
+# --profile-cache-bytes 64M: the replies must be equal, and the status
+# frame must show the cache declining the first run, admitting the repeats
+# and serving hits.
 #
 # Usage: scripts/server_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -99,28 +96,6 @@ grep -q '"type":"result"' "$TMP/degraded.out" \
        cat "$TMP/degraded.out"; exit 1; }
 echo "concurrent clients OK"
 
-# Reference answers for the batched leg below: four nearby P-SD queries in
-# one --query-file, answered by this unbatched server.
-cat >"$TMP/batch_queries.txt" <<'EOF'
-osd-dataset 1 2 4
-1 2
-5000 5000 0.5
-5010 5010 0.5
-2 2
-5040 5025 0.5
-5050 5035 0.5
-3 2
-5080 5050 0.5
-5090 5060 0.5
-4 2
-5120 5075 0.5
-5130 5085 0.5
-EOF
-"$CLI" query --port "$PORT" --query-file "$TMP/batch_queries.txt" --op psd \
-  --no-stream >"$TMP/unbatched.out" 2>&1 \
-  || { echo "FAIL: unbatched query-file client failed"
-       cat "$TMP/unbatched.out"; exit 1; }
-
 # SIGTERM with a query in flight: the drain must finish the ticket, the
 # client must still get its terminal frame, and the server must exit 0.
 "$CLI" query --port "$PORT" --query-id 0 --op fsd --k 8 \
@@ -144,53 +119,25 @@ grep -q '"type":"result"' "$TMP/inflight.out" \
        cat "$TMP/inflight.out"; exit 1; }
 echo "drain OK: $(grep 'drained;' "$TMP/server.err")"
 
-# Batching: the same query file against a one-worker server with the
-# serve_* sharing flags, so queries wait for the worker and share batches.
-# Every reply must be OK and carry the unbatched server's candidates.
-"$SERVER" --gen-data 1000 --gen-dim 2 --port 0 --threads 1 \
-  --profile-cache-bytes 64M --max-batch 4 --batch-window-us 200 \
-  >"$TMP/batched.server.out" 2>"$TMP/batched.server.err" &
-SERVER_PID=$!
-PORT=""
-for _ in $(seq 1 100); do
-  PORT="$(sed -n 's/^listening on [^:]*:\([0-9]*\)$/\1/p' \
-    "$TMP/batched.server.out")"
-  [[ -n "$PORT" ]] && break
-  kill -0 "$SERVER_PID" 2>/dev/null || {
-    echo "FAIL: batching server died during startup"
-    cat "$TMP/batched.server.err"; exit 1; }
-  sleep 0.1
-done
-[[ -n "$PORT" ]] || { echo "FAIL: no listening line (batching)"; exit 1; }
-"$CLI" query --port "$PORT" --query-file "$TMP/batch_queries.txt" --op psd \
-  --no-stream >"$TMP/batched.out" 2>&1 \
-  || { echo "FAIL: batched query-file client failed"
-       cat "$TMP/batched.out"; exit 1; }
-python3 - "$TMP/unbatched.out" "$TMP/batched.out" <<'PY' \
-  || { echo "FAIL: batched replies differ from unbatched ones"; exit 1; }
-import json
-import sys
-def results(path):
-    out = {}
-    for line in open(path):
-        if line.startswith("{"):
-            frame = json.loads(line)
-            if frame.get("type") == "result":
-                out[frame["id"]] = (frame["status"], frame["candidates"])
-    return out
-want, got = results(sys.argv[1]), results(sys.argv[2])
-bad = [i for i in range(1, 5)
-       if i not in got or got[i][0] != "OK" or got[i] != want.get(i)]
-for i in bad:
-    print(f"query {i}: batched {got.get(i)}, unbatched {want.get(i)}")
-sys.exit(1 if bad else 0)
-PY
-echo "batching OK: 4 batched replies match the unbatched server"
-
 # Profile cache: the cache declines a query's first run at an epoch, the
 # second run publishes its views and the third hits them. The three
 # replies must be equal, and the engine counters in the status frame
 # (read over the wire: a hello, then a status request) must show it.
+"$SERVER" --gen-data 1000 --gen-dim 2 --port 0 --threads 2 \
+  --profile-cache-bytes 64M \
+  >"$TMP/cache.server.out" 2>"$TMP/cache.server.err" &
+SERVER_PID=$!
+PORT=""
+for _ in $(seq 1 100); do
+  PORT="$(sed -n 's/^listening on [^:]*:\([0-9]*\)$/\1/p' \
+    "$TMP/cache.server.out")"
+  [[ -n "$PORT" ]] && break
+  kill -0 "$SERVER_PID" 2>/dev/null || {
+    echo "FAIL: cache server died during startup"
+    cat "$TMP/cache.server.err"; exit 1; }
+  sleep 0.1
+done
+[[ -n "$PORT" ]] || { echo "FAIL: no listening line (cache)"; exit 1; }
 for run in 1 2 3; do
   "$CLI" query --port "$PORT" --query-id 5 --op ssd --no-stream \
     >"$TMP/cache.$run.out" 2>&1 \
@@ -251,8 +198,8 @@ SERVER_RC=0
 wait "$SERVER_PID" || SERVER_RC=$?
 SERVER_PID=""
 [[ "$SERVER_RC" -eq 0 ]] \
-  || { echo "FAIL: batching server exited $SERVER_RC"
-       cat "$TMP/batched.server.err"; exit 1; }
+  || { echo "FAIL: cache server exited $SERVER_RC"
+       cat "$TMP/cache.server.err"; exit 1; }
 echo "profile cache OK: 3 equal replies; first run declined, repeats hit"
 
 # Durability: a --wal-dir server must make an acked write durable, seal

@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "common/failpoint.h"
 #include "common/memory_budget.h"
-#include "core/batch_scope.h"
 #include "core/profile_cache.h"
 
 namespace osd {
@@ -102,20 +101,10 @@ NncResult NncSearch::Run(
     }
   }
 
-  // Batched-traversal distance memo: when the engine grouped this query
-  // into a multi-query batch it installed a BatchDistContext on this
-  // worker; route every frontier-key MbrMinDist through it so the batch
-  // pays one kernel visit per node instead of one per member. The memo
-  // returns exactly MbrMinDist(box, ctx.mbr(), metric) (see
-  // core/batch_scope.h), so frontier keys are bit-identical either way.
-  BatchDistContext* batch = BatchDistContext::Current();
-  auto node_dist = [&](int32_t node_id, const Mbr& box) {
-    return batch != nullptr ? batch->NodeDist(node_id, box)
-                            : MbrMinDist(box, ctx.mbr(), options_.metric);
-  };
-  auto object_dist = [&](int32_t object_index, const Mbr& box) {
-    return batch != nullptr ? batch->ObjectDist(object_index, box)
-                            : MbrMinDist(box, ctx.mbr(), options_.metric);
+  // Frontier key of a node or object box: its min distance to the query
+  // MBR under the search metric.
+  auto box_key = [&](const Mbr& box) {
+    return MbrMinDist(box, ctx.mbr(), options_.metric);
   };
 
   struct Member {
@@ -210,8 +199,8 @@ NncResult NncSearch::Run(
   // an empty exact result.
   if (!tree.empty()) {
     run_mem.Add(sizeof(HeapItem));
-    heap.push({node_dist(tree.root(), tree.nodes()[tree.root()].box), false,
-               false, tree.root()});
+    heap.push({box_key(tree.nodes()[tree.root()].box), false, false,
+               tree.root()});
   }
   if (snapshot_ != nullptr) {
     // Delta objects are not in the base tree: seed each one directly as an
@@ -227,7 +216,7 @@ NncResult NncSearch::Run(
     run_mem.Add(pushes * static_cast<long>(sizeof(HeapItem)));
     for (int i = nbase; i < ntotal; ++i) {
       if (i == options_.exclude_id) continue;
-      heap.push({object_dist(i, snapshot_->object(i).mbr()), true, false, i});
+      heap.push({box_key(snapshot_->object(i).mbr()), true, false, i});
     }
   }
 
@@ -288,12 +277,11 @@ NncResult NncSearch::Run(
               const RTree::Entry& entry = tree.entries()[e];
               if (entry.id == options_.exclude_id) continue;
               if (is_deleted(entry.id)) continue;  // tombstoned base slot
-              heap.push(
-                  {object_dist(entry.id, entry.box), true, false, entry.id});
+              heap.push({box_key(entry.box), true, false, entry.id});
             }
           } else {
             for (int32_t c : node.children) {
-              heap.push({node_dist(c, tree.nodes()[c].box), false, false, c});
+              heap.push({box_key(tree.nodes()[c].box), false, false, c});
             }
           }
           continue;

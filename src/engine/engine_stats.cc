@@ -137,8 +137,6 @@ std::string EngineStats::ToJson() const {
   Append(&out, ",\"stalled\":%ld", stalled);
   Append(&out, ",\"workers_poisoned\":%ld", workers_poisoned);
   Append(&out, ",\"retries\":%ld", retries);
-  Append(&out, ",\"batches\":%ld", batches);
-  Append(&out, ",\"batched_queries\":%ld", batched_queries);
   Append(&out, ",\"wall_seconds\":%.6f", wall_seconds);
   Append(&out, ",\"qps\":%.2f", qps);
   Append(&out,

@@ -1,4 +1,4 @@
-// Cross-query observability for the batch query engine.
+// Cross-query observability for the query engine.
 //
 // The engine records one completion event per query (terminal status,
 // end-to-end latency, per-operator work counters). EngineStats is the
@@ -51,8 +51,6 @@ struct EngineStats {
   long workers_poisoned = 0;  ///< pool workers poisoned (and respawned) by
                               ///< the watchdog for running a stalled query
   long retries = 0;   ///< transient-failure re-attempts across all queries
-  long batches = 0;   ///< multi-member batches executed (max_batch > 1)
-  long batched_queries = 0;  ///< members of those batches
 
   /// First submission to latest completion (steady_clock), seconds.
   double wall_seconds = 0.0;

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "core/batch_scope.h"
 
 namespace osd {
 
@@ -39,7 +38,7 @@ QueryStatus StatusFromResult(const NncResult& result) {
 }
 
 /// The failure text stored on tickets: the exception's what() plus the
-/// failpoint name when the fault was injected, so batch failures are
+/// failpoint name when the fault was injected, so failures are
 /// diagnosable from the ticket alone.
 std::string DescribeFailure(const std::exception& e) {
   std::string text = e.what();
@@ -59,24 +58,6 @@ double JitterDraw() {
 
 /// Floor on the watchdog's grace past a query's deadline.
 constexpr double kWatchdogMinGraceMs = 5.0;
-
-/// Proximity gate: a query joins an open batch only while the diagonal of
-/// the union of member MBRs stays within this fraction of the root MBR's
-/// diagonal (distant queries share no traversal locality and would only
-/// bloat the memo).
-constexpr double kBatchMbrSlack = 0.5;
-
-/// Euclidean diagonal of a box; 0 for an empty one. Scale reference for
-/// the batch proximity gate.
-double MbrDiagonal(const Mbr& box) {
-  if (!box.valid()) return 0.0;
-  double sum = 0.0;
-  for (int i = 0; i < box.dim(); ++i) {
-    const double e = box.hi()[i] - box.lo()[i];
-    sum += e * e;
-  }
-  return std::sqrt(sum);
-}
 
 }  // namespace
 
@@ -266,15 +247,23 @@ std::shared_ptr<QueryTicket> QueryEngine::Submit(QuerySpec spec) {
   // so rejected submissions never hold a pin. The worker releases it inside
   // Execute (not via closure destruction, which can outlive WaitIdle).
   spec.snapshot = versioned_->Acquire();
-  if (options_.max_batch > 1) {
-    EnqueueBatched(ticket, std::move(spec));
-    return ticket;
+  auto queued = std::make_shared<QuerySpec>(std::move(spec));
+  auto task = [this, ticket, queued] { Execute(ticket, *queued); };
+  const bool accepted = options_.shed_on_overload
+                            ? pool_.TrySubmit(std::move(task))
+                            : pool_.Submit(std::move(task));
+  if (!accepted) {
+    // Shedding fails fast instead of blocking the submitter (TrySubmit also
+    // refuses during shutdown); without it a refusal means the pool is
+    // shutting down, and the ticket fails instead of being lost silently.
+    const bool shed = options_.shed_on_overload;
+    Complete(ticket, queued->options.op,
+             shed ? QueryStatus::kRejected : QueryStatus::kError, {},
+             shed ? "submission queue saturated (overload shedding)"
+                  : "engine is shutting down",
+             0);
   }
-  // Unbatched: a one-member batch, which ExecuteBatch runs as plain Execute.
-  auto single = std::make_shared<PendingBatch>();
-  single->items.push_back(BatchItem{ticket, std::move(spec), {}, false});
-  if (!QueueBatch(single)) RejectBatch(*single);
-  return ticket;
+  return ticket;  // a refused spec's epoch pin dies with `queued` here
 }
 
 std::vector<std::shared_ptr<QueryTicket>> QueryEngine::SubmitBatch(
@@ -283,142 +272,6 @@ std::vector<std::shared_ptr<QueryTicket>> QueryEngine::SubmitBatch(
   tickets.reserve(specs.size());
   for (QuerySpec& spec : specs) tickets.push_back(Submit(std::move(spec)));
   return tickets;
-}
-
-bool QueryEngine::BatchCompatible(const PendingBatch& batch,
-                                  const QuerySpec& spec, const Mbr& mbr,
-                                  bool have_mbr) const {
-  // Members must share the exact traversal shape: same pinned epoch (one
-  // snapshot's node ids mean nothing in another's), same operator family
-  // and filter stack (so the shared distance memo sees identical visit
-  // patterns), same k and degraded mode (termination semantics).
-  if (batch.epoch != spec.snapshot.epoch()) return false;
-  if (batch.op != spec.options.op) return false;
-  if (batch.metric != spec.options.metric) return false;
-  if (batch.k != spec.options.k) return false;
-  if (batch.degraded != spec.options.degraded_superset) return false;
-  if (batch.filters != spec.options.filters) return false;
-  // Members whose query MBR could not be resolved (dead id) run alone.
-  if (!have_mbr || !batch.bound.valid()) return false;
-  const RTree& tree = spec.snapshot.global_tree();
-  if (!tree.nodes().empty()) {
-    const double root_diag = MbrDiagonal(tree.nodes()[tree.root()].box);
-    Mbr joint = batch.bound;
-    joint.Expand(mbr);
-    if (root_diag > 0 && MbrDiagonal(joint) > kBatchMbrSlack * root_diag) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void QueryEngine::EnqueueBatched(const std::shared_ptr<QueryTicket>& ticket,
-                                 QuerySpec spec) {
-  // Resolve the member's query MBR now, against its own pinned snapshot:
-  // it feeds the proximity gate and becomes the member's slot in the
-  // shared distance memo. An id with no live object stays unresolved and
-  // dispatches as a singleton — Execute reports the precise error.
-  Mbr mbr;
-  bool have_mbr = false;
-  if (spec.query_object_id >= 0) {
-    const int idx = spec.snapshot.empty()
-                        ? -1
-                        : spec.snapshot.IndexOf(spec.query_object_id);
-    if (idx >= 0) {
-      mbr = spec.snapshot.object(idx).mbr();
-      have_mbr = mbr.valid();
-    }
-  } else {
-    mbr = spec.query.mbr();
-    have_mbr = mbr.valid();
-  }
-  std::shared_ptr<PendingBatch> opened;
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    if (pending_ != nullptr &&
-        BatchCompatible(*pending_, spec, mbr, have_mbr)) {
-      pending_->bound.Expand(mbr);
-      pending_->items.push_back(
-          BatchItem{ticket, std::move(spec), mbr, have_mbr});
-      if (static_cast<int>(pending_->items.size()) >= options_.max_batch) {
-        pending_.reset();
-      }
-      return;
-    }
-    // Close the open batch and queue a new one for this member. Queueing
-    // under batch_mu_ means an open batch always has its task in the pool,
-    // which is what lets Drain wait on the pool alone. A member without a
-    // resolvable MBR takes no company.
-    pending_.reset();
-    opened = std::make_shared<PendingBatch>();
-    opened->epoch = spec.snapshot.epoch();
-    opened->op = spec.options.op;
-    opened->metric = spec.options.metric;
-    opened->k = spec.options.k;
-    opened->filters = spec.options.filters;
-    opened->degraded = spec.options.degraded_superset;
-    if (have_mbr) opened->bound.Expand(mbr);
-    opened->items.push_back(BatchItem{ticket, std::move(spec), mbr, have_mbr});
-    if (QueueBatch(opened)) {
-      if (have_mbr) pending_ = opened;
-      return;
-    }
-  }
-  RejectBatch(*opened);
-}
-
-bool QueryEngine::QueueBatch(const std::shared_ptr<PendingBatch>& batch) {
-  auto task = [this, batch]() {
-    {
-      // Close the batch: from here on its members are fixed.
-      std::lock_guard<std::mutex> lock(batch_mu_);
-      if (pending_ == batch) pending_.reset();
-    }
-    ExecuteBatch(*batch);
-  };
-  return options_.shed_on_overload ? pool_.TrySubmit(std::move(task))
-                                   : pool_.Submit(std::move(task));
-}
-
-void QueryEngine::RejectBatch(PendingBatch& batch) {
-  // Shedding fails fast instead of blocking the submitter (TrySubmit also
-  // refuses during shutdown); without it a refusal means the pool is
-  // shutting down, and the ticket fails instead of being lost silently.
-  const bool shed = options_.shed_on_overload;
-  for (BatchItem& item : batch.items) {
-    Complete(item.ticket, item.spec.options.op,
-             shed ? QueryStatus::kRejected : QueryStatus::kError, {},
-             shed ? "submission queue saturated (overload shedding)"
-                  : "engine is shutting down",
-             0);
-    // Release the member's epoch pin promptly (Complete already ran its
-    // terminal hook; the pin must not wait for the last shared_ptr).
-    item.spec.snapshot = VersionedDataset::Snapshot();
-  }
-}
-
-void QueryEngine::ExecuteBatch(PendingBatch& batch) {
-  if (batch.items.size() == 1) {
-    Execute(batch.items[0].ticket, batch.items[0].spec);
-    return;
-  }
-  // One shared MBR-distance memo for the whole batch, charged against the
-  // ENGINE budget (never a member's per-query scope — members' budget
-  // arithmetic must be bit-identical to solo execution). Members run
-  // sequentially on this worker, each under its own scope/deadline/trace.
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.batches;
-    stats_.batched_queries += static_cast<long>(batch.items.size());
-  }
-  BatchDistContext dist_memo(batch.metric, &mem_budget_);
-  for (const BatchItem& item : batch.items) {
-    dist_memo.AddSlot(item.mbr);
-  }
-  for (size_t i = 0; i < batch.items.size(); ++i) {
-    dist_memo.SetActiveSlot(static_cast<int>(i));
-    Execute(batch.items[i].ticket, batch.items[i].spec);
-  }
 }
 
 void QueryEngine::Drain() {
@@ -430,7 +283,6 @@ void QueryEngine::Drain() {
   // no worker holds an epoch and no fold is in flight. StartFoldThread can
   // re-arm folding afterwards if the engine keeps serving.
   versioned_->StopFoldThread();
-  // An open batch's task is already queued, so the pool covers it.
   pool_.WaitIdle();
   // Quiesced also means the shared cache owes the engine budget nothing:
   // every resident entry releases its charge here, so callers sequencing

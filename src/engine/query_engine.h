@@ -1,4 +1,4 @@
-// Concurrent batch NNC query engine.
+// Concurrent NNC query engine.
 //
 // A QueryEngine owns one immutable Dataset (with its prebuilt global
 // R-tree) and executes NNC queries against it on a fixed-size ThreadPool
@@ -25,9 +25,10 @@
 // (kError with an "out of memory" message; the pool survives).
 //
 // Determinism: NncSearch::Run is deterministic in its inputs and workers
-// share only immutable dataset state, so a batch executed on N threads
-// returns candidate sets bit-identical to serial execution — only timing
-// fields differ.
+// share only immutable dataset state and the bit-identical profile cache,
+// so a workload executed on N threads returns candidate sets bit-identical
+// to serial execution — only timing fields differ. Every query is one pool
+// task that runs Execute.
 //
 // Thread-safety: Submit / SubmitBatch / Drain / Snapshot may be called
 // from any thread. Destruction drains outstanding queries first.
@@ -114,29 +115,14 @@ struct EngineOptions {
   double fold_interval_s = 0.0;
   int fold_delta_threshold = 0;
 
-  /// Cross-query work sharing (see core/profile_cache.h and DESIGN.md §15).
-  /// Both layers are bit-identical to the unshared path by construction —
+  /// Capacity of the engine-wide profile artifact cache, bytes; <= 0 (the
+  /// default) disables it (see core/profile_cache.h and DESIGN.md §15). The
+  /// cache is bit-identical to the uncached path by construction —
   /// candidate sets, filter counters, and termination reasons do not change
-  /// with sharing on. profile_cache_bytes = 0 and max_batch = 1 (the
-  /// defaults) turn both off.
-  ///
-  /// Capacity of the engine-wide profile artifact cache, bytes; <= 0
-  /// disables it. Resident entries are charged against the engine memory
+  /// with it on. Resident entries are charged against the engine memory
   /// budget (engine_mem_bytes) and evicted LRU under pressure; every byte
   /// drains on Drain().
   long profile_cache_bytes = 0;
-  /// Multi-query batched traversal: up to max_batch compatible queries
-  /// (same pinned epoch, operator, metric, k, filter config, and degraded
-  /// mode, with query MBRs whose union spans at most half the root MBR's
-  /// diagonal) share one worker pass that memoizes MBR min-distance kernel
-  /// visits across the members. There is no timer: the first member queues
-  /// the batch's pool task at once, later compatible queries join it while
-  /// it waits, and the worker that takes it closes it. So with an idle
-  /// worker a query starts immediately, and members run together only
-  /// while every worker is busy. <= 1 disables batching. Per-query
-  /// deadlines, budgets, cancellation, and traces still apply individually
-  /// to each member.
-  int max_batch = 1;
 };
 
 /// Per-query retry policy for transient failures. Only exceptions derived
@@ -304,53 +290,6 @@ class QueryEngine {
   /// off (no engine budget configured).
   long AdmissionHighWaterBytes() const;
 
-  /// One member of a forming multi-query batch: its ticket, its fully
-  /// prepared spec (snapshot already pinned), and the query MBR resolved at
-  /// enqueue time (invalid when the member names an id not live at the
-  /// pinned epoch — such members always dispatch as singletons and fail
-  /// with the usual precise kError inside Execute).
-  struct BatchItem {
-    std::shared_ptr<QueryTicket> ticket;
-    QuerySpec spec;
-    Mbr mbr;
-    bool have_mbr = false;
-  };
-
-  /// A batch whose pool task is queued; while it is open (pending_) later
-  /// members join it under batch_mu_. Compatibility is frozen from the
-  /// first member; `bound` is the running union of member MBRs for the
-  /// proximity gate.
-  struct PendingBatch {
-    uint64_t epoch = 0;
-    Operator op = Operator::kPSd;
-    Metric metric = Metric::kL2;
-    int k = 1;
-    FilterConfig filters;
-    bool degraded = false;
-    Mbr bound;
-    std::vector<BatchItem> items;
-  };
-
-  /// True iff `spec` may join `batch` (identical traversal shape + the MBR
-  /// proximity gate).
-  bool BatchCompatible(const PendingBatch& batch, const QuerySpec& spec,
-                       const Mbr& mbr, bool have_mbr) const;
-  /// Adds the ticket to the open batch when compatible (closing it at
-  /// max_batch); otherwise closes the open batch and queues a new one with
-  /// this member, which stays open unless the member has no resolvable
-  /// MBR. Called from Submit after the snapshot is pinned.
-  void EnqueueBatched(const std::shared_ptr<QueryTicket>& ticket,
-                      QuerySpec spec);
-  /// Queues a new batch's pool task (honouring shed_on_overload); false
-  /// when the pool refuses it. The task closes the batch when a worker
-  /// takes it, then runs ExecuteBatch.
-  bool QueueBatch(const std::shared_ptr<PendingBatch>& batch);
-  /// Completes every member of a refused batch as kRejected/kError.
-  void RejectBatch(PendingBatch& batch);
-  /// Worker-side: installs a shared BatchDistContext and runs the members
-  /// in order, each under its own budget scope / deadline / trace.
-  void ExecuteBatch(PendingBatch& batch);
-
   /// Counts one memory-budget breach.
   void NoteMemBreach();
 
@@ -365,13 +304,8 @@ class QueryEngine {
 
   /// Cross-query profile cache; null when EngineOptions::profile_cache_bytes
   /// <= 0. Declared after mem_budget_ — resident entries are charged
-  /// against it — and before the batching state.
+  /// against it.
   std::unique_ptr<ProfileCache> profile_cache_;
-
-  /// The open batch, if any: its task is already queued, and only
-  /// options_.max_batch > 1 ever opens one.
-  std::mutex batch_mu_;
-  std::shared_ptr<PendingBatch> pending_;
 
   obs::SlowQueryLog slow_log_;
 

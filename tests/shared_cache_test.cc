@@ -1,11 +1,11 @@
-// Cross-query work sharing: the engine-wide profile cache and the
-// multi-query batched traversal (core/profile_cache.h, core/batch_scope.h,
-// engine wiring in engine/query_engine.cc).
+// Cross-query work sharing: the engine-wide profile cache
+// (core/profile_cache.h, engine wiring in engine/query_engine.cc), plus
+// the engine's queueing behind a busy worker and its overload shedding.
 //
-// The load-bearing property is BIT-IDENTITY: with the cache and batching
-// on, every query's candidate set, every FilterStats counter, and the
-// termination reason must equal the unshared run exactly — sharing may
-// only change wall-clock, never the answer or the instrumentation. The
+// The load-bearing property is BIT-IDENTITY: with the cache on, every
+// query's candidate set, every FilterStats counter, and the termination
+// reason must equal the unshared run exactly — sharing may only change
+// wall-clock, never the answer or the instrumentation. The
 // A/B tests here assert that end-to-end for every operator; the directed
 // tests pin the epoch-invalidation and memory-governance contracts the
 // chaos soak then hammers concurrently.
@@ -271,9 +271,9 @@ std::vector<RunOutcome> RunWorkload(const EngineOptions& engine_options,
 
 class SharedVsUnsharedTest : public ::testing::TestWithParam<Operator> {};
 
-// The acceptance criterion of the sharing layers: every operator, every
+// The acceptance criterion of the profile cache: every operator, every
 // query — candidate sets, all eleven filter counters, and the termination
-// reason are bit-identical with cache + batching on vs off.
+// reason are bit-identical with the cache on vs off.
 TEST_P(SharedVsUnsharedTest, BitIdenticalResultsAndCounters) {
   EngineOptions unshared;
   unshared.num_threads = 2;
@@ -281,14 +281,12 @@ TEST_P(SharedVsUnsharedTest, BitIdenticalResultsAndCounters) {
   EngineOptions shared;
   shared.num_threads = 2;
   shared.profile_cache_bytes = 64 << 20;
-  shared.max_batch = 4;
 
   const auto baseline = RunWorkload(unshared, GetParam());
   EngineStats shared_stats;
   const auto cached = RunWorkload(shared, GetParam(), 3, &shared_stats);
-  // The A/B must exercise batches, not only singletons, and cache hits
-  // (F+SD decides on MBRs alone and never builds a profile view).
-  EXPECT_GT(shared_stats.batches, 0);
+  // The A/B must exercise cache hits (F+SD decides on MBRs alone and
+  // never builds a profile view).
   if (GetParam() != Operator::kFPlusSd) {
     EXPECT_GT(shared_stats.profile_cache_hits, 0);
   }
@@ -605,12 +603,11 @@ TEST(SharedCacheBudgetTest, PeakChargeIsIdenticalWithCacheOffColdAndWarm) {
   }
 }
 
-// Mixed-shape submissions must still batch safely: incompatible members
-// (different operators) form separate batches and all complete correctly.
-TEST(SharedCacheEngineTest, IncompatibleQueriesSplitBatchesCorrectly) {
+// Mixed-operator submissions running concurrently on two workers each
+// complete as they would alone.
+TEST(SharedCacheEngineTest, MixedOperatorQueriesMatchSoloRuns) {
   EngineOptions options;
   options.num_threads = 2;
-  options.max_batch = 4;
   QueryEngine engine(SmallDataset(), options);
   const auto workload = SmallWorkload(engine.dataset(), 8);
   static constexpr Operator kOps[] = {Operator::kSSd, Operator::kPSd,
@@ -629,7 +626,7 @@ TEST(SharedCacheEngineTest, IncompatibleQueriesSplitBatchesCorrectly) {
   for (size_t i = 0; i < tickets.size(); ++i) {
     SCOPED_TRACE("query " + std::to_string(i));
     ASSERT_EQ(tickets[i]->Wait(), QueryStatus::kOk) << tickets[i]->error();
-    // Cross-check against a solo (unbatched) engine run of the same query.
+    // Cross-check against a solo engine run of the same query.
     EngineOptions solo_options;
     solo_options.num_threads = 1;
     QueryEngine solo(SmallDataset(), solo_options);
@@ -644,31 +641,21 @@ TEST(SharedCacheEngineTest, IncompatibleQueriesSplitBatchesCorrectly) {
   }
 }
 
-// --- deterministic batch formation -----------------------------------------
+// --- queueing behind a busy worker ---------------------------------------
 
-/// A query over a 10-unit box near (5000 + 40 i, 5000 + 25 i): any few of
-/// them pass the batch proximity gate.
-QuerySpec SpecNear(int i, Operator op = Operator::kPSd) {
+/// A P-SD query over a 10-unit box near (5000 + 40 i, 5000 + 25 i).
+QuerySpec SpecNear(int i) {
   const double x = 5000.0 + 40.0 * i;
   const double y = 5000.0 + 25.0 * i;
   QuerySpec spec;
   spec.query = UncertainObject::Uniform(0, 2, {x, y, x + 10.0, y + 10.0});
-  spec.options.op = op;
+  spec.options.op = Operator::kPSd;
   return spec;
-}
-
-EngineOptions OneWorkerBatching() {
-  EngineOptions options;
-  options.num_threads = 1;
-  options.max_batch = 4;
-  return options;
 }
 
 /// Holds a one-worker engine's only worker: the blocker query's first
 /// emission waits until Release(), so later submissions queue behind it.
-/// The constructor returns once the worker runs the blocker. The blocker
-/// is compatible with every SpecNear(i) P-SD query, so a later query that
-/// joined it (a batch the worker failed to close) would never run.
+/// The constructor returns once the worker runs the blocker.
 class BlockedWorker {
  public:
   explicit BlockedWorker(QueryEngine& engine) {
@@ -698,82 +685,13 @@ class BlockedWorker {
   std::shared_ptr<QueryTicket> ticket_;
 };
 
-/// Runs `spec` alone on an unbatched engine.
-std::shared_ptr<QueryTicket> RunSolo(QuerySpec spec) {
-  EngineOptions options;
-  options.num_threads = 1;
-  QueryEngine solo(SmallDataset(), options);
-  auto ticket = solo.Submit(std::move(spec));
-  ticket->Wait();
-  return ticket;
-}
-
-TEST(BatchFormationTest, CompatibleQueriesBehindABusyWorkerFormOneBatch) {
-  QueryEngine engine(SmallDataset(), OneWorkerBatching());
-  BlockedWorker blocker(engine);
-  std::vector<std::shared_ptr<QueryTicket>> tickets;
-  for (int i = 0; i < 3; ++i) tickets.push_back(engine.Submit(SpecNear(i)));
-  blocker.Release();
-  engine.Drain();
-  const EngineStats stats = engine.Snapshot();
-  EXPECT_EQ(stats.batches, 1);
-  EXPECT_EQ(stats.batched_queries, 3);
-  // Each member is bit-identical to the same query run alone.
-  for (int i = 0; i < 3; ++i) {
-    SCOPED_TRACE("member " + std::to_string(i));
-    ASSERT_EQ(tickets[i]->status(), QueryStatus::kOk) << tickets[i]->error();
-    const auto solo = RunSolo(SpecNear(i));
-    ASSERT_EQ(solo->status(), QueryStatus::kOk);
-    const NncResult& batched = tickets[i]->result();
-    EXPECT_FALSE(batched.candidates.empty());
-    EXPECT_EQ(batched.candidates, solo->result().candidates);
-    EXPECT_EQ(batched.termination, solo->result().termination);
-    ExpectSameStats(batched.stats, solo->result().stats);
-  }
-}
-
-TEST(BatchFormationTest, MaxBatchClosesTheBatch) {
-  QueryEngine engine(SmallDataset(), OneWorkerBatching());
-  BlockedWorker blocker(engine);
-  std::vector<std::shared_ptr<QueryTicket>> tickets;
-  for (int i = 0; i < 5; ++i) tickets.push_back(engine.Submit(SpecNear(i)));
-  blocker.Release();
-  engine.Drain();
-  // 4 + 1: the fifth query opens a batch of its own, which runs alone.
-  const EngineStats stats = engine.Snapshot();
-  EXPECT_EQ(stats.batches, 1);
-  EXPECT_EQ(stats.batched_queries, 4);
-  for (const auto& ticket : tickets) {
-    EXPECT_EQ(ticket->status(), QueryStatus::kOk) << ticket->error();
-  }
-}
-
-TEST(BatchFormationTest, AnotherOperatorClosesTheOpenBatch) {
-  QueryEngine engine(SmallDataset(), OneWorkerBatching());
-  BlockedWorker blocker(engine);
-  std::vector<std::shared_ptr<QueryTicket>> tickets;
-  tickets.push_back(engine.Submit(SpecNear(0)));
-  tickets.push_back(engine.Submit(SpecNear(1)));
-  tickets.push_back(engine.Submit(SpecNear(2, Operator::kFSd)));
-  tickets.push_back(engine.Submit(SpecNear(3)));
-  blocker.Release();
-  engine.Drain();
-  // {P-SD 0, 1}, {F-SD 2}, {P-SD 3}: the last query did not join the first
-  // batch, which the F-SD query closed.
-  const EngineStats stats = engine.Snapshot();
-  EXPECT_EQ(stats.batches, 1);
-  EXPECT_EQ(stats.batched_queries, 2);
-  for (const auto& ticket : tickets) {
-    EXPECT_EQ(ticket->status(), QueryStatus::kOk) << ticket->error();
-  }
-}
-
-TEST(BatchFormationTest, DrainCompletesAnOpenBatch) {
-  QueryEngine engine(SmallDataset(), OneWorkerBatching());
+TEST(BusyWorkerTest, DrainWaitsForQueriesQueuedBehindABusyWorker) {
+  QueryEngine engine(SmallDataset(), {.num_threads = 1});
   BlockedWorker blocker(engine);
   std::vector<std::shared_ptr<QueryTicket>> tickets;
   for (int i = 0; i < 2; ++i) tickets.push_back(engine.Submit(SpecNear(i)));
-  // The batch is still open when Drain starts; the worker frees up later.
+  // Both queries are still queued when Drain starts; the worker frees up
+  // later.
   std::thread releaser([&blocker] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     blocker.Release();
@@ -784,36 +702,28 @@ TEST(BatchFormationTest, DrainCompletesAnOpenBatch) {
     EXPECT_TRUE(ticket->done());
     EXPECT_EQ(ticket->status(), QueryStatus::kOk) << ticket->error();
   }
-  EXPECT_EQ(engine.Snapshot().batches, 1);
 }
 
-TEST(BatchFormationTest, RefusedBatchRejectsItsMembersAndLeavesNoneUnfinished) {
-  EngineOptions options = OneWorkerBatching();
-  options.shed_on_overload = true;
-  options.queue_capacity = 1;
-  QueryEngine engine(SmallDataset(), options);
+TEST(BusyWorkerTest, FullQueueShedsLaterQueriesAndLeavesNoneUnfinished) {
+  QueryEngine engine(SmallDataset(), {.num_threads = 1,
+                                      .queue_capacity = 1,
+                                      .shed_on_overload = true});
   BlockedWorker blocker(engine);
-  // The first P-SD batch takes the one queue slot, and a second query joins
-  // it. Each later query closes the open batch, opens its own and finds
-  // the queue full.
-  auto first = engine.Submit(SpecNear(0));
-  auto joined = engine.Submit(SpecNear(1));
+  // The first query takes the one queue slot; every later one finds the
+  // queue full and is rejected at once, without blocking the submitter.
+  auto queued = engine.Submit(SpecNear(0));
   std::vector<std::shared_ptr<QueryTicket>> refused;
-  refused.push_back(engine.Submit(SpecNear(2, Operator::kFSd)));
-  refused.push_back(engine.Submit(SpecNear(3, Operator::kFSd)));
-  refused.push_back(engine.Submit(SpecNear(4)));
+  for (int i = 1; i <= 3; ++i) refused.push_back(engine.Submit(SpecNear(i)));
   for (const auto& ticket : refused) {
     EXPECT_TRUE(ticket->done());
     EXPECT_EQ(ticket->status(), QueryStatus::kRejected);
+    EXPECT_NE(ticket->error().find("overload shedding"), std::string::npos);
   }
   blocker.Release();
   engine.Drain();
-  EXPECT_EQ(first->status(), QueryStatus::kOk) << first->error();
-  EXPECT_EQ(joined->status(), QueryStatus::kOk) << joined->error();
+  EXPECT_EQ(queued->status(), QueryStatus::kOk) << queued->error();
   const EngineStats stats = engine.Snapshot();
   EXPECT_EQ(stats.rejected, 3);
-  EXPECT_EQ(stats.batches, 1);
-  EXPECT_EQ(stats.batched_queries, 2);
   EXPECT_EQ(stats.completed, stats.submitted);
 }
 

@@ -885,12 +885,11 @@ EpochReport RunEpoch(int epoch, const std::vector<Combo>& combos,
   // folds under write bursts and interval folds during lulls.
   engine_options.fold_interval_s = 0.2;
   engine_options.fold_delta_threshold = 64;
-  // Cross-query work sharing under fire: the cache races the mutator's
-  // epoch bumps (stale-serve invariant below) and batches race the
-  // aborter/sigterm drains. Capacity stays well under the engine budget so
-  // resident entries cannot starve query admission.
+  // The profile cache under fire: it races the mutator's epoch bumps
+  // (stale-serve invariant below) and the aborter/sigterm drains. Capacity
+  // stays well under the engine budget so resident entries cannot starve
+  // query admission.
   engine_options.profile_cache_bytes = 16 << 20;
-  engine_options.max_batch = 4;
   QueryEngine engine(MakeDataset(), engine_options);
 
   ServerOptions server_options;

@@ -16,9 +16,8 @@
 //           [--cancel-after-ms X]
 //     A --query-file holding N > 1 objects runs in batch mode: all N are
 //     submitted over the one connection (ids 1..N) before any frame is
-//     read, so a batching server (see osd_server --max-batch) can share
-//     one traversal across them. Frames interleave across ids; exit 0
-//     iff every query ends OK / OK_DEGRADED.
+//     read, so the server runs them concurrently. Frames interleave
+//     across ids; exit 0 iff every query ends OK / OK_DEGRADED.
 //
 //   osd_cli mutate --port P [--host H] [--tenant NAME]
 //           [--insert ID:ROWS] [--update ID:ROWS] [--delete ID] ...

@@ -35,15 +35,10 @@
 //                                    It serves queries that repeat within
 //                                    an epoch; a one-off query pays
 //                                    nothing for it.
-//   [--max-batch N]                  let up to N compatible queries that
-//                                    wait for a busy pool share one
-//                                    traversal pass; a query never waits
-//                                    for company (1/absent = off).
-//                                    Results are bit-identical with
-//                                    sharing on or off.
-//   [--batch-window-us X]            accepted (X > 0) and ignored: batches
-//                                    have no timer; kept so existing
-//                                    command lines still parse
+//   [--max-batch N]                  accepted (N >= 1) and ignored, as
+//   [--batch-window-us X]            is X (> 0): every query runs as its
+//                                    own task; kept so existing command
+//                                    lines still parse
 //   [--fold-interval-s X]            background fold: merge the mutation
 //                                    delta into a fresh base every X s
 //   [--fold-delta N]                 background fold: merge once the delta
@@ -131,7 +126,6 @@ struct Args {
   double write_stall_timeout_s = 0.0;
   double watchdog_ms = 0.0;
   long profile_cache_bytes = 0;
-  int max_batch = 1;
   double fold_interval_s = 0.0;
   int fold_delta = 1024;  // default ON: any tenant may write by default
   std::string wal_dir;
@@ -289,12 +283,13 @@ Args Parse(int argc, char** argv) {
     } else if (flag == "--profile-cache-bytes") {
       args.profile_cache_bytes =
           ParseByteSize(need_value(i), "--profile-cache-bytes");
-    } else if (flag == "--max-batch") {
-      args.max_batch = std::atoi(need_value(i).c_str());
-      if (args.max_batch < 1) Die("--max-batch must be >= 1");
-    } else if (flag == "--batch-window-us") {
-      if (std::atof(need_value(i).c_str()) <= 0) {
-        Die("--batch-window-us must be > 0");
+    } else if (flag == "--max-batch" || flag == "--batch-window-us") {
+      // Validated, then ignored: the engine has no batching.
+      const bool max_batch = flag == "--max-batch";
+      const std::string value = need_value(i);
+      if (max_batch ? std::atoi(value.c_str()) < 1
+                    : std::atof(value.c_str()) <= 0) {
+        Die(flag + (max_batch ? " must be >= 1" : " must be > 0"));
       }
     } else if (flag == "--fold-interval-s") {
       args.fold_interval_s = std::atof(need_value(i).c_str());
@@ -430,7 +425,6 @@ int main(int argc, char** argv) {
     engine_options.watchdog_no_deadline_ms = args.watchdog_ms;
   }
   engine_options.profile_cache_bytes = args.profile_cache_bytes;
-  engine_options.max_batch = args.max_batch;
   engine_options.fold_interval_s = args.fold_interval_s;
   // Checkpoints ride folds, so the checkpoint interval is a fold interval
   // that may only tighten an explicitly configured one.
