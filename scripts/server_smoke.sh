@@ -2,7 +2,8 @@
 # End-to-end smoke of the service tier: starts a real osd_server on an
 # ephemeral loopback port, drives it with concurrent osd_cli query
 # clients (a plain query, an S-SD query under the "lgp" preset alias, a
-# mid-flight cancel, a deadline-degraded run),
+# mid-flight cancel, a deadline-degraded run) after checking that osd_cli
+# refuses a zero or NaN deadline,
 # then SIGTERMs the server mid-flight and asserts a clean drain — every
 # in-flight ticket finished, summary printed, exit code 0. A durability
 # leg then runs a --wal-dir server through an acked write, a sealed
@@ -38,6 +39,22 @@ cleanup() {
   rm -rf "$TMP"
 }
 trap cleanup EXIT
+
+# Deadline flags must parse whole, finite and > 0: a zero or NaN budget is
+# a usage error naming the flag, never a silent "no deadline".
+expect_flag_error() {
+  local flag="$1"; shift
+  local rc=0
+  "$CLI" "$@" >"$TMP/flag.out" 2>&1 || rc=$?
+  [[ "$rc" -ne 0 ]] && grep -q -- "$flag" "$TMP/flag.out" \
+    || { echo "FAIL: osd_cli $* exited $rc without naming $flag"
+         cat "$TMP/flag.out"; exit 1; }
+}
+expect_flag_error --deadline-ms serve-batch --input "$TMP/none.txt" \
+  --gen-queries 1 --deadline-ms 0
+expect_flag_error --deadline --input "$TMP/none.txt" --query-id 1 \
+  --deadline nan
+echo "deadline flag validation OK"
 
 "$SERVER" --gen-data 1000 --gen-dim 2 --port 0 --threads 2 \
   >"$TMP/server.out" 2>"$TMP/server.err" &

@@ -1,10 +1,9 @@
 // The running query's execution context: one thread-local record.
 //
-// Code far below the call that starts a query reaches four per-query
+// Code far below the call that starts a query reaches three per-query
 // things without a plumbed pointer: the query's cancel flag and deadline
-// (QueryControl), how often they were polled, its trace (obs::Trace) and
-// its memory budget scope (memory::QueryBudgetScope). All four live in
-// one QueryExec per thread:
+// (QueryControl), its trace (obs::Trace) and its memory budget scope
+// (memory::QueryBudgetScope). All three live in one QueryExec per thread:
 //
 //  - NncSearch::Run installs control and trace with ScopedQueryExec;
 //  - a QueryBudgetScope installs itself into `budget`;
@@ -14,8 +13,7 @@
 // `trace`; memory::Charge / Release (via memory::CurrentScope) read
 // `budget`; interrupt::Pending / Poll read `control`. The traversal's heap
 // pops and the max-flow phases and augmenting paths all ask that one
-// poll, so a query has one poll count, one deadline stride and one place
-// that reads its cancel flag and clock.
+// poll, so a query has one place that reads its cancel flag and clock.
 
 #ifndef OSD_COMMON_QUERY_EXEC_H_
 #define OSD_COMMON_QUERY_EXEC_H_
@@ -53,7 +51,6 @@ struct QueryControl {
 /// running on the thread.
 struct QueryExec {
   const QueryControl* control = nullptr;
-  long polls = 0;  ///< interrupt polls since `control` was installed
   obs::Trace* trace = nullptr;
   memory::QueryBudgetScope* budget = nullptr;
 };
@@ -68,16 +65,15 @@ inline QueryExec& CurrentExec() {
 }
 
 /// RAII installation of one query's control and trace (either may be
-/// null) with a fresh poll count; the budget field is left as it is. A null
-/// control shadows an outer one: the inner query runs unpolled. The whole
-/// previous record is restored on destruction.
+/// null); the budget field is left as it is. A null control shadows an
+/// outer one: the inner query runs unpolled. The whole previous record is
+/// restored on destruction.
 class ScopedQueryExec {
  public:
   ScopedQueryExec(const QueryControl* control, obs::Trace* trace)
       : saved_(CurrentExec()) {
     QueryExec& exec = CurrentExec();
     exec.control = control;
-    exec.polls = 0;
     exec.trace = trace;
   }
   ~ScopedQueryExec() { CurrentExec() = saved_; }
@@ -111,22 +107,18 @@ class Interrupted : public std::exception {
   Kind kind_;
 };
 
-/// Polls between steady_clock reads for the deadline check.
-inline constexpr long kDeadlineStride = 32;
-
 /// Why the running query must stop now, or nullopt. Reads the cancel flag
-/// on every call (one relaxed load) and the clock every kDeadlineStride
-/// calls, starting with the first, so an already-expired deadline stops
-/// the query before any work. With no control installed it is one TLS load
-/// and a branch. Never throws, blocks or allocates.
+/// (one relaxed load) and, when a deadline is set, the clock on every call,
+/// so a passed deadline stops the query at the next poll. With no control
+/// installed it is one TLS load and a branch. Never throws, blocks or
+/// allocates.
 inline std::optional<Kind> Pending() {
-  QueryExec& exec = CurrentExec();
-  const QueryControl* control = exec.control;
+  const QueryControl* control = CurrentExec().control;
   if (control == nullptr) return std::nullopt;
   if (control->cancel.load(std::memory_order_relaxed)) {
     return Kind::kCancelled;
   }
-  if (control->has_deadline() && exec.polls++ % kDeadlineStride == 0 &&
+  if (control->has_deadline() &&
       std::chrono::steady_clock::now() >= control->deadline) {
     return Kind::kDeadlineExceeded;
   }

@@ -223,9 +223,9 @@ NncResult NncSearch::Run(
   {
     OSD_TRACE_SPAN(obs::SpanKind::kTraversal);
     while (!heap.empty()) {
-      // Cooperative termination: the same poll the max-flow loops use, so
-      // the first pop reads the clock and a ~0 budget stops before any
-      // traversal work.
+      // Cooperative termination: the same poll the max-flow loops use.
+      // Every pop reads the clock, so a ~0 budget stops before any
+      // traversal work and a passed deadline stops at the next pop.
       if (const std::optional<interrupt::Kind> stop = interrupt::Pending()) {
         result.termination = TerminationFor(*stop);
         break;

@@ -48,7 +48,6 @@ std::vector<obs::MetricSnapshot> EngineMetrics(const EngineStats& s) {
       {"error", s.errors},
       {"ok_degraded", s.ok_degraded},
       {"rejected", s.rejected},
-      {"stalled", s.stalled},
   };
   for (const auto& [label, n] : by_status) {
     counter(std::string("osd_queries_total{status=\"") + label + "\"}",
@@ -134,8 +133,6 @@ std::string EngineStats::ToJson() const {
   Append(&out, ",\"cancelled\":%ld", cancelled);
   Append(&out, ",\"errors\":%ld", errors);
   Append(&out, ",\"rejected\":%ld", rejected);
-  Append(&out, ",\"stalled\":%ld", stalled);
-  Append(&out, ",\"workers_poisoned\":%ld", workers_poisoned);
   Append(&out, ",\"retries\":%ld", retries);
   Append(&out, ",\"wall_seconds\":%.6f", wall_seconds);
   Append(&out, ",\"qps\":%.2f", qps);

@@ -46,10 +46,6 @@ struct EngineStats {
   long errors = 0;
   long rejected = 0;  ///< shed at submission (kRejected); excluded from the
                       ///< latency percentiles — they never ran
-  long stalled = 0;   ///< killed by the watchdog past their hard wall-clock
-                      ///< limit (kStalled)
-  long workers_poisoned = 0;  ///< pool workers poisoned (and respawned) by
-                              ///< the watchdog for running a stalled query
   long retries = 0;   ///< transient-failure re-attempts across all queries
 
   /// First submission to latest completion (steady_clock), seconds.

@@ -56,9 +56,6 @@ double JitterDraw() {
   return std::uniform_real_distribution<double>(0.0, 1.0)(engine);
 }
 
-/// Floor on the watchdog's grace past a query's deadline.
-constexpr double kWatchdogMinGraceMs = 5.0;
-
 }  // namespace
 
 double RetryPolicy::BackoffSeconds(int next_attempt, double u) const {
@@ -82,9 +79,6 @@ QueryEngine::QueryEngine(Dataset dataset, EngineOptions options)
     profile_cache_ = std::make_unique<ProfileCache>(
         options_.profile_cache_bytes, &mem_budget_);
   }
-  if (options_.watchdog) {
-    watchdog_thread_ = std::thread([this] { WatchdogLoop(); });
-  }
   if (options_.fold_interval_s > 0 || options_.fold_delta_threshold > 0) {
     versioned_->StartFoldThread(options_.fold_interval_s,
                                 options_.fold_delta_threshold);
@@ -106,98 +100,7 @@ long QueryEngine::AdmissionHighWaterBytes() const {
 
 QueryEngine::~QueryEngine() {
   Drain();  // stops the fold thread first, then waits out the pool
-  {
-    std::lock_guard<std::mutex> lock(watch_mu_);
-    watch_stop_ = true;
-  }
-  watch_cv_.notify_all();
-  if (watchdog_thread_.joinable()) watchdog_thread_.join();
   pool_.Shutdown();
-}
-
-long QueryEngine::WatchRegister(const std::shared_ptr<QueryTicket>& ticket,
-                                Operator op) {
-  if (!options_.watchdog) return -1;
-  const QueryControl& control = ticket->control_;
-  std::chrono::steady_clock::time_point hard;
-  if (control.has_deadline()) {
-    const double budget_s =
-        std::chrono::duration<double>(control.deadline - ticket->submitted_at_)
-            .count();
-    const double grace_s =
-        std::max(budget_s * std::max(options_.watchdog_grace_fraction, 0.0),
-                 kWatchdogMinGraceMs / 1e3);
-    hard = control.deadline +
-           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-               std::chrono::duration<double>(grace_s));
-  } else if (options_.watchdog_no_deadline_ms > 0.0) {
-    hard = std::chrono::steady_clock::now() +
-           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-               std::chrono::duration<double>(
-                   options_.watchdog_no_deadline_ms / 1e3));
-  } else {
-    return -1;  // no hard limit to enforce
-  }
-  std::lock_guard<std::mutex> lock(watch_mu_);
-  const long id = ++next_watch_id_;
-  running_[id] = Watched{ticket, op, hard, std::this_thread::get_id()};
-  watch_cv_.notify_all();
-  return id;
-}
-
-void QueryEngine::WatchUnregister(long id) {
-  if (id < 0) return;
-  std::lock_guard<std::mutex> lock(watch_mu_);
-  // Absent means the watchdog already expired this execution; nothing to do
-  // — the ticket's completion claim settles who reported the outcome.
-  running_.erase(id);
-}
-
-void QueryEngine::WatchdogLoop() {
-  std::unique_lock<std::mutex> lock(watch_mu_);
-  while (!watch_stop_) {
-    const auto now = std::chrono::steady_clock::now();
-    std::vector<Watched> expired;
-    for (auto it = running_.begin(); it != running_.end();) {
-      if (it->second.hard_deadline <= now) {
-        expired.push_back(std::move(it->second));
-        it = running_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (!expired.empty()) {
-      // Act outside the registry lock: FailStalled completes tickets and
-      // runs their on_finish hooks, which may block or call back into the
-      // engine.
-      lock.unlock();
-      for (Watched& w : expired) FailStalled(w);
-      lock.lock();
-      continue;
-    }
-    watch_cv_.wait_for(lock, std::chrono::duration<double, std::milli>(
-                                 std::max(options_.watchdog_poll_ms, 0.5)));
-  }
-}
-
-void QueryEngine::FailStalled(Watched& watched) {
-  // Cooperative signal first: if the stuck worker ever reaches a poll
-  // point, it stops immediately instead of finishing the doomed work (its
-  // completion loses the claim below either way).
-  watched.ticket->Cancel();
-  const bool won = Complete(
-      watched.ticket, watched.op, QueryStatus::kStalled, {},
-      "query exceeded its hard wall-clock limit without reaching a "
-      "cooperative poll point (engine watchdog)",
-      0);
-  if (won) {
-    // The worker is genuinely wedged (it did not complete first): poison it
-    // so it exits once the stalled task finally returns, with an immediate
-    // replacement keeping pool capacity whole.
-    pool_.PoisonWorker(watched.worker);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.workers_poisoned;
-  }
 }
 
 std::shared_ptr<QueryTicket> QueryEngine::Submit(QuerySpec spec) {
@@ -354,13 +257,6 @@ void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
     // object itself would.
     spec.options.exclude_id = idx;
   }
-  // Watchdog supervision for the whole execution, retries included; the
-  // guard unregisters on every exit path.
-  struct WatchGuard {
-    QueryEngine* engine;
-    long id;
-    ~WatchGuard() { engine->WatchUnregister(id); }
-  } watch_guard{this, WatchRegister(ticket, op)};
   const int max_attempts = std::max(1, spec.retry.max_attempts);
   std::string failure;
   int attempt = 0;
@@ -393,14 +289,7 @@ void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
           // Attempt-stamped forwarding: a retry restarts the stream, and
           // the consumer disambiguates by the attempt number.
           const int this_attempt = attempt;
-          emit = [&spec, &ticket, this_attempt](int id, double elapsed) {
-            // A watchdog-stalled ticket is already terminal; its worker may
-            // still be running, but no emission may follow the terminal
-            // hook (best-effort — the claim is checked right before the
-            // forward).
-            if (ticket->completion_claimed_.load(std::memory_order_acquire)) {
-              return;
-            }
+          emit = [&spec, this_attempt](int id, double elapsed) {
             spec.on_emission(NncEmission{id, elapsed}, this_attempt);
           };
         }
@@ -476,16 +365,9 @@ void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
            attempt);
 }
 
-bool QueryEngine::Complete(const std::shared_ptr<QueryTicket>& ticket,
+void QueryEngine::Complete(const std::shared_ptr<QueryTicket>& ticket,
                            Operator op, QueryStatus status, NncResult result,
                            std::string error, int attempts) {
-  // Claim the ticket before touching any counter: with the watchdog armed,
-  // a stalled query has two potential completers (the watchdog's kStalled
-  // verdict and the stuck worker's eventual return), and only the first
-  // may record stats or transition the ticket.
-  if (ticket->completion_claimed_.exchange(true, std::memory_order_acq_rel)) {
-    return false;
-  }
   const auto now = std::chrono::steady_clock::now();
   const double latency =
       std::chrono::duration<double>(now - ticket->submitted_at_).count();
@@ -496,8 +378,7 @@ bool QueryEngine::Complete(const std::shared_ptr<QueryTicket>& ticket,
   // consistent; results coming out of Run already agree and are untouched.
   if (status == QueryStatus::kCancelled) {
     result.termination = NncTermination::kCancelled;
-  } else if (status == QueryStatus::kDeadlineExceeded ||
-             status == QueryStatus::kStalled) {
+  } else if (status == QueryStatus::kDeadlineExceeded) {
     result.termination = NncTermination::kDeadlineExceeded;
   }
   // Record under the stats lock BEFORE the ticket signals: anyone who
@@ -511,7 +392,6 @@ bool QueryEngine::Complete(const std::shared_ptr<QueryTicket>& ticket,
       case QueryStatus::kDeadlineExceeded: ++stats_.deadline_exceeded; break;
       case QueryStatus::kCancelled: ++stats_.cancelled; break;
       case QueryStatus::kRejected: ++stats_.rejected; break;
-      case QueryStatus::kStalled: ++stats_.stalled; break;
       default: ++stats_.errors; break;
     }
     // Rejected queries never ran; keeping them out of the latency
@@ -545,7 +425,6 @@ bool QueryEngine::Complete(const std::shared_ptr<QueryTicket>& ticket,
   }
   ticket->Finish(status, std::move(result), std::move(error), latency,
                  attempts);
-  return true;
 }
 
 EngineStats QueryEngine::Snapshot() const {
@@ -559,7 +438,7 @@ EngineStats QueryEngine::Snapshot() const {
   lock.unlock();  // the rest derives from the copy or reads its own atomics
   s.threads = pool_.num_threads();
   s.completed = s.ok + s.ok_degraded + s.deadline_exceeded + s.cancelled +
-                s.errors + s.rejected + s.stalled;
+                s.errors + s.rejected;
   // Throughput counts tickets that actually ran. Shed (rejected) tickets
   // terminate in microseconds without executing; folding them into the
   // numerator would report an overloaded engine as faster the harder it

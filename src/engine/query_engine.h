@@ -37,13 +37,10 @@
 #define OSD_ENGINE_QUERY_ENGINE_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/memory_budget.h"
@@ -88,22 +85,6 @@ struct EngineOptions {
   /// High-water fraction of engine_mem_bytes at which admission control
   /// engages; clamped to [0, 1].
   double mem_high_water_fraction = 0.9;
-
-  /// Hard stall watchdog: a background thread that fails any query still
-  /// running past its hard wall-clock limit as kStalled — the last resort
-  /// for code paths that never reach a cooperative poll point (the
-  /// cooperative layer is common/query_exec.h). A query with deadline
-  /// budget D is killed at deadline + max(D * watchdog_grace_fraction,
-  /// 5 ms); queries without a deadline use watchdog_no_deadline_ms when
-  /// > 0, and are otherwise exempt. The ticket fails as kStalled, the
-  /// query's cancel flag is set (hurrying the worker to the next poll
-  /// point), and the stuck worker is poisoned and replaced immediately so
-  /// pool capacity self-heals; its eventual completion is discarded via
-  /// the ticket's completion claim.
-  bool watchdog = false;
-  double watchdog_poll_ms = 5.0;
-  double watchdog_grace_fraction = 1.0;
-  double watchdog_no_deadline_ms = 0.0;
 
   /// Background fold policy for the versioned store (see
   /// object/versioned_dataset.h): fold when the delta reaches
@@ -263,28 +244,11 @@ class QueryEngine {
 
   /// Records the terminal event in the engine stats, then transitions the
   /// ticket (stats first — see Complete's body for the ordering contract).
-  /// Returns true iff this call won the ticket's completion claim; a false
-  /// return means another completer (worker vs. watchdog) got there first
-  /// and this call changed nothing.
-  bool Complete(const std::shared_ptr<QueryTicket>& ticket, Operator op,
+  /// Each ticket has exactly one completer: Submit's refusal path or the
+  /// worker that ran it.
+  void Complete(const std::shared_ptr<QueryTicket>& ticket, Operator op,
                 QueryStatus status, NncResult result, std::string error,
                 int attempts);
-
-  /// One execution under watchdog supervision (see EngineOptions).
-  struct Watched {
-    std::shared_ptr<QueryTicket> ticket;
-    Operator op = Operator::kPSd;
-    std::chrono::steady_clock::time_point hard_deadline{};
-    std::thread::id worker;
-  };
-
-  /// Registers the calling worker's execution with the watchdog; returns a
-  /// registration id, or -1 when the watchdog is off or the query has no
-  /// hard limit (no deadline and no watchdog_no_deadline_ms).
-  long WatchRegister(const std::shared_ptr<QueryTicket>& ticket, Operator op);
-  void WatchUnregister(long id);
-  void WatchdogLoop();
-  void FailStalled(Watched& watched);
 
   /// Engine-wide high-water level in bytes, or 0 when admission control is
   /// off (no engine budget configured).
@@ -308,16 +272,6 @@ class QueryEngine {
   std::unique_ptr<ProfileCache> profile_cache_;
 
   obs::SlowQueryLog slow_log_;
-
-  /// Watchdog state: the registry of supervised executions and the thread
-  /// that scans it. Guarded by watch_mu_; the thread exists only when
-  /// EngineOptions::watchdog is set.
-  std::mutex watch_mu_;
-  std::condition_variable watch_cv_;
-  std::map<long, Watched> running_;
-  long next_watch_id_ = 0;
-  bool watch_stop_ = false;
-  std::thread watchdog_thread_;
 
   /// The engine's one book of counters: Submit, Complete and the
   /// admission, retry and memory paths update its fields, and Snapshot

@@ -22,7 +22,6 @@ const char* QueryStatusName(QueryStatus status) {
     case QueryStatus::kError: return "ERROR";
     case QueryStatus::kOkDegraded: return "OK_DEGRADED";
     case QueryStatus::kRejected: return "REJECTED";
-    case QueryStatus::kStalled: return "STALLED";
   }
   return "UNKNOWN";
 }

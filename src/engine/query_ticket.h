@@ -1,11 +1,14 @@
 // Future-style handle for one query submitted to the QueryEngine.
 //
 // A ticket is created at submission and transitions
-//   kPending -> kRunning -> {kOk, kDeadlineExceeded, kCancelled, kError}
-// (kPending can also jump straight to a terminal state when the query is
-// cancelled or its deadline expires before a worker picks it up). Wait()
-// blocks until a terminal state; result() is then valid. Cancel() flips
-// the query's QueryControl flag, which the traversal polls at heap pops.
+//   kPending -> kRunning -> {kOk, kOkDegraded, kDeadlineExceeded,
+//                            kCancelled, kError}
+// kPending can also jump straight to a terminal state: Submit sheds
+// (kRejected) or refuses (kError) the query, or the worker finds it
+// cancelled or expired before running it. Exactly one completer finishes
+// a ticket: Submit's refusal path or the worker. Wait() blocks until a
+// terminal state; result() is then valid. Cancel() flips the query's
+// QueryControl flag, which the traversal polls at heap pops.
 //
 // Thread-safety: every public member may be called from any thread. The
 // result reference returned by result() is stable once the ticket is done.
@@ -38,9 +41,6 @@ enum class QueryStatus {
                       ///< certified superset (see NncResult::degraded)
   kRejected,          ///< shed at submission: the queue was full and the
                       ///< engine runs with shed_on_overload
-  kStalled,           ///< killed by the engine watchdog: the query ran past
-                      ///< its hard wall-clock limit without ever reaching a
-                      ///< cooperative poll point (see EngineOptions::watchdog)
 };
 
 const char* QueryStatusName(QueryStatus status);
@@ -108,13 +108,6 @@ class QueryTicket {
   /// submission from QuerySpec::on_finish) outside the lock, exactly once.
   void Finish(QueryStatus status, NncResult result, std::string error,
               double latency_seconds, int attempts);
-
-  /// Completion claim: QueryEngine::Complete is the only path that records
-  /// terminal stats, and with the watchdog two completers can race (the
-  /// stuck worker's eventual return vs. the watchdog's kStalled verdict).
-  /// The first exchange wins; the loser's Complete is a no-op, so engine
-  /// counters never double-count a ticket.
-  std::atomic<bool> completion_claimed_{false};
 
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;

@@ -51,7 +51,7 @@ void ThreadPool::WaitIdle() {
 void ThreadPool::Shutdown() {
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (stopping_ && workers_.empty() && zombies_.empty()) return;
+    if (stopping_ && workers_.empty()) return;
     stopping_ = true;
   }
   not_empty_.notify_all();
@@ -60,30 +60,6 @@ void ThreadPool::Shutdown() {
     if (w.joinable()) w.join();
   }
   workers_.clear();
-  // Zombies exit as soon as their stalled task returns; joining here keeps
-  // Shutdown the single point where every thread the pool ever spawned is
-  // reaped.
-  for (std::thread& w : zombies_) {
-    if (w.joinable()) w.join();
-  }
-  zombies_.clear();
-}
-
-void ThreadPool::PoisonWorker(std::thread::id id) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (stopping_) return;
-  for (std::thread& w : workers_) {
-    if (w.get_id() != id) continue;
-    if (!poisoned_.insert(id).second) return;  // already poisoned
-    ++counters_.workers_poisoned;
-    // Retire the handle and spawn the replacement immediately: capacity is
-    // restored before the stalled task ever returns. The retired thread
-    // keeps draining its current task and exits at the poison check in
-    // WorkerLoop.
-    zombies_.push_back(std::move(w));
-    w = std::thread([this] { WorkerLoop(); });
-    return;
-  }
 }
 
 ThreadPool::Counters ThreadPool::counters() const {
@@ -117,9 +93,6 @@ void ThreadPool::WorkerLoop() {
       if (threw) ++counters_.task_exceptions;
       --active_;
       if (queue_.empty() && active_ == 0) idle_.notify_all();
-      // A poisoned worker exits here, after its task's bookkeeping — its
-      // replacement (spawned by PoisonWorker) already serves the queue.
-      if (poisoned_.erase(std::this_thread::get_id()) > 0) return;
     }
   }
 }

@@ -19,7 +19,6 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -33,7 +32,6 @@ class ThreadPool {
     long executed = 0;   ///< tasks that ran to completion (or threw)
     long rejected = 0;   ///< TrySubmit calls refused (queue full / stopped)
     long task_exceptions = 0;  ///< tasks that exited via an exception
-    long workers_poisoned = 0;  ///< workers retired via PoisonWorker
   };
 
   /// `num_threads` workers (clamped to >= 1) over a queue holding at most
@@ -59,14 +57,6 @@ class ThreadPool {
   /// Idempotent; implied by the destructor.
   void Shutdown();
 
-  /// Poisons the worker currently running on thread `id`: it exits right
-  /// after its current task returns instead of taking another, and a
-  /// replacement worker is spawned immediately, so pool capacity self-heals
-  /// without waiting for the (possibly stalled) task. The retired thread is
-  /// parked on a zombie list and joined at Shutdown. No-op for ids that are
-  /// not pool workers, already-poisoned workers, or once stopping.
-  void PoisonWorker(std::thread::id id);
-
   int num_threads() const { return static_cast<int>(workers_.size()); }
   size_t queue_capacity() const { return capacity_; }
   Counters counters() const;
@@ -80,8 +70,6 @@ class ThreadPool {
   std::condition_variable idle_;       // queue empty and no task running
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  std::vector<std::thread> zombies_;       // poisoned workers awaiting join
-  std::set<std::thread::id> poisoned_;     // ids told to exit after their task
   size_t capacity_;
   int active_ = 0;  // tasks currently executing
   bool stopping_ = false;

@@ -13,6 +13,7 @@
 
 #include "core/nnc_search.h"
 #include "datagen/generators.h"
+#include "datagen/surrogates.h"
 #include "datagen/workload.h"
 #include "engine/query_engine.h"
 #include "test_util.h"
@@ -120,11 +121,36 @@ TEST(DegradedModeTest, MidTraversalCancellationYieldsSuperset) {
   }
 }
 
+constexpr Operator kFiveOps[] = {Operator::kSSd, Operator::kSsSd,
+                                 Operator::kPSd, Operator::kFSd,
+                                 Operator::kFPlusSd};
+
+/// Runs `options` in anytime mode under a deadline that starts an hour
+/// away, so every poll reads the clock, and is pulled in to now() at the
+/// first emission. The poll at the next heap pop must then stop the
+/// traversal: the timeline holds exactly that one emission.
+NncResult PullDeadlineInAtFirstEmission(const Dataset& dataset,
+                                        const UncertainObject& query,
+                                        NncOptions options) {
+  QueryControl control;
+  control.deadline = std::chrono::steady_clock::now() + std::chrono::hours(1);
+  options.control = &control;
+  options.degraded_superset = true;
+  NncResult degraded =
+      NncSearch(dataset, options).Run(query, [&control](int, double) {
+        control.deadline = std::chrono::steady_clock::now();
+      });
+  EXPECT_EQ(degraded.termination, NncTermination::kDeadlineExceeded);
+  EXPECT_EQ(degraded.timeline.size(), 1u)
+      << "the poll after the first emission must see the passed deadline";
+  return degraded;
+}
+
 TEST(DegradedModeTest, DeadlineWhileAnObjectIsParkedKeepsIt) {
   // The wide object is parked at its first pop and waits for the last
-  // one. A deadline set at the first emission stops the traversal within
-  // interrupt::kDeadlineStride polls, long before that: the wide object is
-  // in the heap only as a parked item, and the drain must still certify it.
+  // one. A deadline pulled in at the first emission stops the traversal at
+  // the next pop, long before that: the wide object is in the heap only as
+  // a parked item, and the drain must still certify it.
   Rng rng(17);
   const int wide = 120;
   const Dataset dataset(test::ParkingObjects(wide, rng));
@@ -140,17 +166,9 @@ TEST(DegradedModeTest, DeadlineWhileAnObjectIsParkedKeepsIt) {
                          wide),
               0);
 
-    QueryControl control;
-    options.control = &control;
-    options.degraded_superset = true;
     const NncResult degraded =
-        NncSearch(dataset, options).Run(query, [&control](int, double) {
-          control.deadline = std::chrono::steady_clock::now();
-        });
-
-    EXPECT_EQ(degraded.termination, NncTermination::kDeadlineExceeded);
+        PullDeadlineInAtFirstEmission(dataset, query, options);
     ExpectCertifiedSuperset(degraded, exact.candidates);
-    EXPECT_FALSE(degraded.timeline.empty());
     for (const NncEmission& e : degraded.timeline) {
       EXPECT_NE(e.object_id, wide) << "the wide object was never confirmed";
     }
@@ -158,6 +176,33 @@ TEST(DegradedModeTest, DeadlineWhileAnObjectIsParkedKeepsIt) {
                          degraded.candidates.end(), wide),
               1);
     EXPECT_GE(degraded.frontier_objects, 1);
+  }
+}
+
+TEST(DegradedModeTest, DeadlinePulledInStopsAtTheNextPopOnCaLike) {
+  // The parking dataset has a one-member S-SD answer and no parked object
+  // under F+-SD (MBR dominance never beats the wide object), so the same
+  // pull-in runs for all five operators on the CA surrogate. Every
+  // operator keeps many candidates there, and the traversal would emit
+  // more of them if the poll after the first emission skipped its clock
+  // read.
+  const Dataset dataset = CaLike(1);
+  WorkloadParams wp;
+  wp.num_queries = 1;
+  wp.seed = 424242;
+  const QueryWorkloadEntry entry = GenerateWorkload(dataset, wp)[0];
+
+  for (Operator op : kFiveOps) {
+    SCOPED_TRACE(OperatorName(op));
+    NncOptions options;
+    options.op = op;
+    options.exclude_id = entry.seeded_from;
+    const NncResult exact = NncSearch(dataset, options).Run(entry.query);
+    ASSERT_GT(exact.candidates.size(), 1u);
+
+    const NncResult degraded =
+        PullDeadlineInAtFirstEmission(dataset, entry.query, options);
+    ExpectCertifiedSuperset(degraded, exact.candidates);
   }
 }
 

@@ -446,8 +446,8 @@ TEST_F(MemBudgetTest, TraceCarriesByteAttribution) {
 
 // --- The QueryExec record (common/query_exec.h) ---------------------------
 //
-// One thread-local record carries the running query's control, poll count,
-// trace and budget scope. Every installer restores what it replaced.
+// One thread-local record carries the running query's control, trace and
+// budget scope. Every installer restores what it replaced.
 
 void ExpectExec(const QueryControl* control, const obs::Trace* trace,
                 const memory::QueryBudgetScope* budget) {
@@ -472,13 +472,10 @@ TEST_F(MemBudgetTest, NestedInstallsStackAndRestore) {
     ScopedQueryExec outer(&outer_control, &outer_trace);
     ExpectExec(&outer_control, &outer_trace, &outer_scope);
     EXPECT_EQ(interrupt::Pending(), std::nullopt);
-    EXPECT_EQ(interrupt::Pending(), std::nullopt);
-    EXPECT_EQ(CurrentExec().polls, 2);
     {
       memory::QueryBudgetScope inner_scope(500, nullptr);
       ScopedQueryExec inner(nullptr, &inner_trace);
       ExpectExec(nullptr, &inner_trace, &inner_scope);
-      EXPECT_EQ(CurrentExec().polls, 0);
       obs::ScopedSpan span(obs::SpanKind::kFlowRun);
       memory::Charge(100, "test");
       EXPECT_EQ(inner_scope.charged_bytes(), 100);
@@ -487,7 +484,6 @@ TEST_F(MemBudgetTest, NestedInstallsStackAndRestore) {
       memory::Release(100);
     }
     ExpectExec(&outer_control, &outer_trace, &outer_scope);
-    EXPECT_EQ(CurrentExec().polls, 2);
   }
   ExpectExec(nullptr, nullptr, nullptr);
   EXPECT_EQ(FlowRunSpans(inner_trace), 1);
@@ -504,7 +500,6 @@ TEST_F(MemBudgetTest, RunRestoresTheCallersRecord) {
   memory::QueryBudgetScope outer_scope(0, nullptr);
   ScopedQueryExec outer(&outer_control, &outer_trace);
   EXPECT_EQ(interrupt::Pending(), std::nullopt);
-  ASSERT_EQ(CurrentExec().polls, 1);
 
   QueryControl control;
   obs::Trace trace;
@@ -515,13 +510,11 @@ TEST_F(MemBudgetTest, RunRestoresTheCallersRecord) {
   const NncResult result = NncSearch(dataset, options).Run(entry.query);
   EXPECT_EQ(result.termination, NncTermination::kComplete);
   ExpectExec(&outer_control, &outer_trace, &outer_scope);
-  EXPECT_EQ(CurrentExec().polls, 1);
   {
     memory::QueryBudgetScope tight(2048, nullptr);
     EXPECT_THROW(NncSearch(dataset, options).Run(entry.query),
                  MemoryExceeded);
     ExpectExec(&outer_control, &outer_trace, &tight);
-    EXPECT_EQ(CurrentExec().polls, 1);
   }
   ExpectExec(&outer_control, &outer_trace, &outer_scope);
   EXPECT_EQ(outer_trace.total_bytes(), 0)

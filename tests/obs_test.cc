@@ -586,7 +586,6 @@ TEST(EngineObsTest, UntracedQueriesLeaveMetricsConsistentUnderConcurrency) {
       {"error", stats.errors},
       {"ok_degraded", stats.ok_degraded},
       {"rejected", stats.rejected},
-      {"stalled", stats.stalled},
   };
   for (const auto& [label, n] : statuses) {
     EXPECT_EQ(value(std::string("osd_queries_total{status=\"") + label +

@@ -174,7 +174,7 @@ std::vector<Combo> PrecomputeExact() {
 struct Tally {
   std::atomic<long> ok{0};
   std::atomic<long> degraded{0};
-  std::atomic<long> other_terminal{0};  ///< deadline/cancel/error/stalled
+  std::atomic<long> other_terminal{0};  ///< deadline/cancel/error
   std::atomic<long> shed{0};            ///< over_inflight / rejected / draining
   std::atomic<long> read_failures{0};   ///< disconnects, timeouts, evictions
   std::atomic<long> mismatches{0};      ///< verification violations
@@ -233,7 +233,7 @@ void VerifierLoop(int port, const std::vector<Combo>& combos,
       params.op = combo.op_name;
       params.k = combo.k;
       switch (rng() % 4) {
-        case 0: break;  // no deadline: the watchdog's no-deadline clock
+        case 0: break;  // no deadline: runs to its exact answer
         case 1: params.deadline_ms = 30.0; break;
         default:
           params.deadline_ms = 2.0;
@@ -879,8 +879,6 @@ EpochReport RunEpoch(int epoch, const std::vector<Combo>& combos,
   engine_options.shed_on_overload = true;
   engine_options.per_query_mem_bytes = 8 << 20;
   engine_options.engine_mem_bytes = 64 << 20;
-  engine_options.watchdog = true;
-  engine_options.watchdog_no_deadline_ms = 2000.0;
   // Background fold: both triggers armed so epochs exercise threshold
   // folds under write bursts and interval folds during lulls.
   engine_options.fold_interval_s = 0.2;
@@ -997,12 +995,10 @@ EpochReport RunEpoch(int epoch, const std::vector<Combo>& combos,
   const osd::VersionedDataset::Stats vstats = engine.versioned().GetStats();
   std::printf(
       "epoch %d%s: submitted=%ld completed=%ld evictions=%ld coalesced=%ld "
-      "stalled=%ld poisoned=%ld retries=%ld store_epoch=%llu folds=%llu "
-      "mutations=%llu %s\n",
+      "retries=%ld store_epoch=%llu folds=%llu mutations=%llu %s\n",
       epoch, sigterm_cycle ? " (sigterm)" : "", server.queries_submitted(),
       server.queries_completed(), server.evictions(),
-      server.candidates_coalesced(), stats.stalled, stats.workers_poisoned,
-      stats.retries, static_cast<unsigned long long>(vstats.epoch),
+      server.candidates_coalesced(), stats.retries, static_cast<unsigned long long>(vstats.epoch),
       static_cast<unsigned long long>(vstats.folds),
       static_cast<unsigned long long>(vstats.mutations),
       report.violations == 0 ? "invariants OK" : "VIOLATED");

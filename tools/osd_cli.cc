@@ -110,6 +110,7 @@
 #include <sys/stat.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -197,6 +198,17 @@ long ParseByteSize(const std::string& s, const char* flag) {
   return static_cast<long>(bytes);
 }
 
+/// Parses the whole of `s` as a finite number > 0, or dies naming `flag`.
+double ParsePositive(const std::string& s, const char* flag) {
+  char* end = nullptr;
+  const double value = std::strtod(s.c_str(), &end);
+  if (end == s.c_str() || *end != '\0' || !std::isfinite(value) ||
+      value <= 0) {
+    Die(std::string(flag) + " must be a finite number > 0, got '" + s + "'");
+  }
+  return value;
+}
+
 Args Parse(int argc, char** argv) {
   Args args;
   auto need_value = [&](int& i) -> std::string {
@@ -237,8 +249,7 @@ Args Parse(int argc, char** argv) {
     } else if (flag == "--rank-by") {
       args.rank_by = need_value(i);
     } else if (flag == "--deadline") {
-      args.deadline_s = std::atof(need_value(i).c_str());
-      if (args.deadline_s <= 0) Die("--deadline must be > 0 seconds");
+      args.deadline_s = ParsePositive(need_value(i), "--deadline");
     } else if (flag == "--accept-degraded") {
       args.accept_degraded = true;
     } else if (flag == "--mem-budget") {
@@ -253,8 +264,7 @@ Args Parse(int argc, char** argv) {
     } else if (args.serve_batch && flag == "--metrics-out") {
       args.metrics_out = need_value(i);
     } else if (args.serve_batch && flag == "--slow-query-ms") {
-      args.slow_query_ms = std::atof(need_value(i).c_str());
-      if (args.slow_query_ms <= 0) Die("--slow-query-ms must be > 0");
+      args.slow_query_ms = ParsePositive(need_value(i), "--slow-query-ms");
     } else if (args.serve_batch && flag == "--workload") {
       args.workload_file = need_value(i);
     } else if (args.serve_batch && flag == "--gen-queries") {
@@ -265,7 +275,7 @@ Args Parse(int argc, char** argv) {
     } else if (args.serve_batch && flag == "--threads") {
       args.threads = std::atoi(need_value(i).c_str());
     } else if (args.serve_batch && flag == "--deadline-ms") {
-      args.deadline_s = std::atof(need_value(i).c_str()) / 1e3;
+      args.deadline_s = ParsePositive(need_value(i), "--deadline-ms") / 1e3;
     } else if (args.serve_batch && flag == "--retries") {
       args.retries = std::atoi(need_value(i).c_str());
       if (args.retries < 0) Die("--retries must be >= 0");
@@ -394,7 +404,7 @@ struct QueryClientArgs {
   long mem_budget_bytes = 0;
   bool stream = true;
   bool trace = false;
-  double cancel_after_ms = -1.0;
+  double cancel_after_ms = 0.0;  // 0 = never cancel
 };
 
 QueryClientArgs ParseQueryClient(int argc, char** argv) {
@@ -430,8 +440,7 @@ QueryClientArgs ParseQueryClient(int argc, char** argv) {
       FilterConfig config;
       if (!ParseFilterName(args.filters, &config)) Die("unknown --filters");
     } else if (flag == "--deadline-ms") {
-      args.deadline_ms = std::atof(need_value(i).c_str());
-      if (args.deadline_ms <= 0) Die("--deadline-ms must be > 0");
+      args.deadline_ms = ParsePositive(need_value(i), "--deadline-ms");
     } else if (flag == "--accept-degraded") {
       args.accept_degraded = true;
     } else if (flag == "--retries") {
@@ -444,8 +453,8 @@ QueryClientArgs ParseQueryClient(int argc, char** argv) {
     } else if (flag == "--trace") {
       args.trace = true;
     } else if (flag == "--cancel-after-ms") {
-      args.cancel_after_ms = std::atof(need_value(i).c_str());
-      if (args.cancel_after_ms < 0) Die("--cancel-after-ms must be >= 0");
+      args.cancel_after_ms =
+          ParsePositive(need_value(i), "--cancel-after-ms");
     } else {
       Die("unknown flag " + flag);
     }
@@ -500,7 +509,7 @@ int RunQueryClient(const QueryClientArgs& args) {
       Die("submit: " + error);
     }
   }
-  if (args.cancel_after_ms >= 0) {
+  if (args.cancel_after_ms > 0) {
     // Sequential on purpose: candidate frames buffer in the socket while
     // we sleep, and the client is not thread-safe.
     std::this_thread::sleep_for(

@@ -25,10 +25,6 @@
 //   [--idle-timeout-s X]             evict idle connections after X s
 //   [--write-stall-timeout-s X]      evict connections whose peer stops
 //                                    reading for X s
-//   [--watchdog-ms X]                engine watchdog: hard-fail queries
-//                                    that overrun their deadline's grace
-//                                    (and no-deadline queries after X ms),
-//                                    poisoning + respawning stuck workers
 //   [--profile-cache-bytes SIZE]     cross-query profile cache capacity
 //                                    (epoch-versioned, LRU, charged to the
 //                                    engine memory budget; 0/absent = off).
@@ -124,7 +120,6 @@ struct Args {
   long low_watermark_bytes = 0;
   double idle_timeout_s = 0.0;
   double write_stall_timeout_s = 0.0;
-  double watchdog_ms = 0.0;
   long profile_cache_bytes = 0;
   double fold_interval_s = 0.0;
   int fold_delta = 1024;  // default ON: any tenant may write by default
@@ -277,9 +272,6 @@ Args Parse(int argc, char** argv) {
       if (args.write_stall_timeout_s <= 0) {
         Die("--write-stall-timeout-s must be > 0");
       }
-    } else if (flag == "--watchdog-ms") {
-      args.watchdog_ms = std::atof(need_value(i).c_str());
-      if (args.watchdog_ms <= 0) Die("--watchdog-ms must be > 0");
     } else if (flag == "--profile-cache-bytes") {
       args.profile_cache_bytes =
           ParseByteSize(need_value(i), "--profile-cache-bytes");
@@ -420,10 +412,6 @@ int main(int argc, char** argv) {
                                .per_query_mem_bytes = args.mem_budget_bytes,
                                .engine_mem_bytes =
                                    args.engine_mem_budget_bytes};
-  if (args.watchdog_ms > 0) {
-    engine_options.watchdog = true;
-    engine_options.watchdog_no_deadline_ms = args.watchdog_ms;
-  }
   engine_options.profile_cache_bytes = args.profile_cache_bytes;
   engine_options.fold_interval_s = args.fold_interval_s;
   // Checkpoints ride folds, so the checkpoint interval is a fold interval
