@@ -1,7 +1,7 @@
-// Aggregate throughput of cross-query work sharing — the engine-wide
-// profile cache — measured on a skewed (Zipf) multi-client workload: the
-// regime the cache was built for, where a hot set of queries repeats
-// across clients.
+// Aggregate throughput of cross-query work sharing — the engine's result
+// cache (engine/result_cache.h) — measured on a skewed (Zipf)
+// multi-client workload: the regime the cache is for, where a hot set of
+// queries repeats across clients.
 //
 // Usage:
 //   shared_workload [--objects N] [--clients C] [--threads T]
@@ -10,27 +10,26 @@
 //                   [--out BENCH_shared.json]
 //
 // Two closed-loop repeat rounds over the identical workload and dataset:
-//   unshared — profile cache off
-//   shared   — profile cache on at --cache-bytes (see DESIGN.md §15)
+//   unshared — result cache off
+//   shared   — result cache on at --cache-bytes (see DESIGN.md §15)
 // C client threads each loop {draw a query by Zipf rank over K distinct
 // queries, Submit, Wait}, so offered load self-regulates and latency
-// percentiles are honest. Both rounds get two untimed warmup passes over
-// all K queries (the cache admits a query from its second run at an
-// epoch, so the second pass is the one that fills it).
+// percentiles are honest. Both rounds get one untimed warmup pass over
+// all K queries, which fills the cache in the shared round.
 //
 // Then a no-repeat stream: the C clients run kNoRepeatQueries distinct
 // queries once each, with the cache off and on, in
-// kNoRepeatPairs alternating pairs (a fresh engine per run). The cache
-// declines every first sighting, so the on runs should read within noise
-// of the off runs: a one-off query pays nothing for the cache.
+// kNoRepeatPairs alternating pairs (a fresh engine per run). Every lookup
+// misses and every answer is stored, so the on runs read what a one-off
+// query pays for the cache.
 //
 // Reported per repeat round: aggregate q/s, p50/p95/p99 ms, and the
 // engine's own executed-based QPS (sheds excluded); for the shared round
-// also cache hit rate, evictions, resident bytes and the admitted and
-// declined query counts. The JSON records the headline `speedup` (shared
-// q/s / unshared q/s) and `slo_ok` — whether the shared round held the p99
-// SLO, fixed at the unshared round's p99 (work sharing must buy throughput
-// without giving back tail latency) — and, under "no_repeat", each run's
+// also cache hit rate, evictions and resident bytes. The JSON records the
+// headline `speedup` (shared q/s / unshared q/s) and `slo_ok` — whether
+// the shared round held the p99 SLO, fixed at the unshared round's p99
+// (work sharing must buy throughput without giving back tail latency) —
+// and, under "no_repeat", each run's
 // q/s and the ratio of the on runs' median to the off runs'. Exit is
 // non-zero if any query failed in any round.
 
@@ -175,7 +174,7 @@ struct RoundResult {
   EngineStats engine;
 };
 
-/// Engine options with `cfg.threads` workers and the profile cache on or
+/// Engine options with `cfg.threads` workers and the result cache on or
 /// off.
 EngineOptions Engine(const Config& cfg, bool cache) {
   EngineOptions options;
@@ -185,7 +184,7 @@ EngineOptions Engine(const Config& cfg, bool cache) {
 }
 
 /// One closed-loop round on a fresh engine. The repeat stream (Zipf draws
-/// over `workload`, two untimed warmup passes first) runs for
+/// over `workload`, one untimed warmup pass first) runs for
 /// cfg.seconds; the no-repeat stream runs every query of `workload` once
 /// and ends with it.
 RoundResult RunRound(const Dataset& dataset,
@@ -195,11 +194,9 @@ RoundResult RunRound(const Dataset& dataset,
   QueryEngine engine(dataset, options);
 
   RoundResult result;
-  for (int pass = 0; repeat && pass < 2; ++pass) {
-    for (const QueryWorkloadEntry& entry : workload) {
-      if (engine.Submit(SpecFor(entry))->Wait() != QueryStatus::kOk) {
-        ++result.errors;
-      }
+  for (size_t i = 0; repeat && i < workload.size(); ++i) {
+    if (engine.Submit(SpecFor(workload[i]))->Wait() != QueryStatus::kOk) {
+      ++result.errors;
     }
   }
 
@@ -322,10 +319,10 @@ int main(int argc, char** argv) {
   const double once_ratio = off_median > 0.0 ? on_median / off_median : 0.0;
   std::printf(
       "  no-repeat (%d queries x %d pairs): off %.1f q/s, on %.1f q/s "
-      "(median), on/off=%.3f, declined=%ld admitted=%ld\n",
+      "(median), on/off=%.3f, hits=%ld misses=%ld\n",
       kNoRepeatQueries, kNoRepeatPairs, off_median, on_median,
-      once_ratio, once_stats.profile_cache_declined,
-      once_stats.profile_cache_admitted);
+      once_ratio, once_stats.profile_cache_hits,
+      once_stats.profile_cache_misses);
 
   std::FILE* f = std::fopen(cfg.out.c_str(), "w");
   if (f == nullptr) {
@@ -351,14 +348,10 @@ int main(int argc, char** argv) {
   round_json("shared", shared);
   std::fprintf(f,
                ",\"cache\":{\"hits\":%ld,\"misses\":%ld,\"hit_rate\":%.4f,"
-               "\"evictions\":%ld,\"stale_evictions\":%ld,"
-               "\"stale_serves_averted\":%ld,\"peak_resident_hint_bytes\":%ld,"
-               "\"admitted\":%ld,\"declined\":%ld}"
+               "\"evictions\":%ld,\"resident_bytes\":%ld}"
                ",\"speedup\":%.3f,\"slo_p99_ms\":%.3f,\"slo_ok\":%s",
                es.profile_cache_hits, es.profile_cache_misses, hit_rate,
-               es.profile_cache_evictions, es.profile_cache_stale_evictions,
-               es.profile_cache_stale_serves_averted, es.profile_cache_bytes,
-               es.profile_cache_admitted, es.profile_cache_declined, speedup,
+               es.profile_cache_evictions, es.profile_cache_bytes, speedup,
                slo_p99_ms, slo_ok ? "true" : "false");
   auto qps_list = [&](const std::vector<double>& v) {
     for (size_t i = 0; i < v.size(); ++i) {
@@ -372,10 +365,9 @@ int main(int argc, char** argv) {
   qps_list(once_on);
   std::fprintf(f,
                "],\"on_over_off\":%.3f,\"errors\":%ld,\"hits\":%ld,"
-               "\"admitted\":%ld,\"declined\":%ld}}\n",
+               "\"misses\":%ld}}\n",
                once_ratio, once_errors, once_stats.profile_cache_hits,
-               once_stats.profile_cache_admitted,
-               once_stats.profile_cache_declined);
+               once_stats.profile_cache_misses);
   std::fclose(f);
   std::printf("  wrote %s\n", cfg.out.c_str());
   return unshared.errors + shared.errors + once_errors == 0 ? 0 : 1;

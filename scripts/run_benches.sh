@@ -13,7 +13,7 @@
 # read QPS/latency under concurrent write rates plus Fold() latency vs.
 # delta size, and writes BENCH_dynamic.json, stamped likewise.
 #
-# The profile cache gets a fourth pass: shared_workload runs a Zipf-skewed
+# The result cache gets a fourth pass: shared_workload runs a Zipf-skewed
 # multi-client closed loop with the cache off, then on, and writes
 # BENCH_shared.json (aggregate QPS, latency percentiles, speedup at the
 # unshared round's p99 SLO, cache hit rate), stamped likewise.
@@ -94,7 +94,7 @@ echo "== dynamic_throughput (epoch store -> BENCH_dynamic.json) =="
   --out BENCH_dynamic.json
 stamp_meta BENCH_dynamic.json
 
-echo "== shared_workload (profile cache -> BENCH_shared.json) =="
+echo "== shared_workload (result cache -> BENCH_shared.json) =="
 "$BUILD_DIR/bench/shared_workload" \
   --seconds "${OSD_BENCH_SHARED_SECONDS:-2.0}" \
   --clients "${OSD_BENCH_SHARED_CLIENTS:-8}" \

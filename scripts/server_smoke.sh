@@ -3,7 +3,8 @@
 # ephemeral loopback port, drives it with concurrent osd_cli query
 # clients (a plain query, an S-SD query under the "lgp" preset alias, a
 # mid-flight cancel, a deadline-degraded run) after checking that osd_cli
-# refuses a zero or NaN deadline,
+# refuses a zero or NaN deadline and that osd_server refuses malformed
+# numeric flags,
 # then SIGTERMs the server mid-flight and asserts a clean drain — every
 # in-flight ticket finished, summary printed, exit code 0. A durability
 # leg then runs a --wal-dir server through an acked write, a sealed
@@ -16,9 +17,8 @@
 # cycles, all resilience invariants asserted) and a short SIGKILL
 # crash-recovery soak (scripts/check_crash.sh runs the long one). A cache
 # leg sends one query three times to a server started with
-# --profile-cache-bytes 64M: the replies must be equal, and the status
-# frame must show the cache declining the first run, admitting the repeats
-# and serving hits.
+# --profile-cache-bytes 64M (the result cache): the replies must be equal,
+# and the status frame must show one miss and two hits.
 #
 # Usage: scripts/server_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -55,6 +55,30 @@ expect_flag_error --deadline-ms serve-batch --input "$TMP/none.txt" \
 expect_flag_error --deadline --input "$TMP/none.txt" --query-id 1 \
   --deadline nan
 echo "deadline flag validation OK"
+
+# osd_server's numeric flags parse whole and in range: trailing characters,
+# a non-number or a tenant retries count above the wire's cap (10) exit 2
+# with a message naming the flag. `timeout` catches a server that accepts
+# the value and starts serving.
+expect_server_flag_error() {
+  local want="$1"; shift
+  local rc=0
+  timeout 10 "$SERVER" --gen-data 10 "$@" >"$TMP/flag.out" 2>&1 || rc=$?
+  [[ "$rc" -eq 2 ]] && grep -qF -- "$want" "$TMP/flag.out" \
+    || { echo "FAIL: osd_server $* exited $rc, want 2 and '$want'"
+         cat "$TMP/flag.out"; exit 1; }
+}
+expect_server_flag_error "--port: '80x' is not an integer" --port 80x
+expect_server_flag_error "--seed: 'abc' is not an integer" --seed abc
+expect_server_flag_error "--tenant inflight: '4x' is not an integer" \
+  --tenant t:inflight=4x
+expect_server_flag_error "--tenant retries must be in [0, 10], got 11" \
+  --tenant t:retries=11
+expect_server_flag_error "--tenant retries must be in [0, 10]" \
+  --tenant t:retries=2147483647
+expect_server_flag_error "--batch-window-us: '200us' is not a number" \
+  --batch-window-us 200us
+echo "server flag validation OK"
 
 "$SERVER" --gen-data 1000 --gen-dim 2 --port 0 --threads 2 \
   >"$TMP/server.out" 2>"$TMP/server.err" &
@@ -136,10 +160,10 @@ grep -q '"type":"result"' "$TMP/inflight.out" \
        cat "$TMP/inflight.out"; exit 1; }
 echo "drain OK: $(grep 'drained;' "$TMP/server.err")"
 
-# Profile cache: the cache declines a query's first run at an epoch, the
-# second run publishes its views and the third hits them. The three
-# replies must be equal, and the engine counters in the status frame
-# (read over the wire: a hello, then a status request) must show it.
+# Result cache: a query's first run at an epoch misses and stores its
+# answer, the two repeats hit it. The three replies must be equal, and the
+# engine counters in the status frame (read over the wire: a hello, then a
+# status request) must read exactly one miss and two hits.
 "$SERVER" --gen-data 1000 --gen-dim 2 --port 0 --threads 2 \
   --profile-cache-bytes 64M \
   >"$TMP/cache.server.out" 2>"$TMP/cache.server.err" &
@@ -162,7 +186,7 @@ for run in 1 2 3; do
          cat "$TMP/cache.$run.out"; exit 1; }
 done
 python3 - "$PORT" "$TMP"/cache.{1,2,3}.out <<'PY' \
-  || { echo "FAIL: profile-cache leg"; exit 1; }
+  || { echo "FAIL: result-cache leg"; exit 1; }
 import json
 import socket
 import struct
@@ -200,12 +224,10 @@ recv()
 send({"type": "status"})
 cache = recv()["engine"]["profile_cache"]
 send({"type": "bye"})
-if cache["declined"] < 1:
-    bad.append(f"declined = {cache['declined']}, want >= 1")
-if cache["admitted"] < 2:
-    bad.append(f"admitted = {cache['admitted']}, want >= 2")
-if cache["hits"] <= 0:
-    bad.append(f"hits = {cache['hits']}, want > 0")
+if cache["misses"] != 1:
+    bad.append(f"misses = {cache['misses']}, want 1")
+if cache["hits"] != 2:
+    bad.append(f"hits = {cache['hits']}, want 2")
 for b in bad:
     print(f"cache leg: {b}")
 sys.exit(1 if bad else 0)
@@ -217,7 +239,7 @@ SERVER_PID=""
 [[ "$SERVER_RC" -eq 0 ]] \
   || { echo "FAIL: cache server exited $SERVER_RC"
        cat "$TMP/cache.server.err"; exit 1; }
-echo "profile cache OK: 3 equal replies; first run declined, repeats hit"
+echo "result cache OK: 3 equal replies; 1 miss, 2 hits"
 
 # Durability: a --wal-dir server must make an acked write durable, seal
 # its log on SIGTERM, and serve the write again after a restart.

@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "common/failpoint.h"
 #include "common/memory_budget.h"
-#include "core/profile_cache.h"
 
 namespace osd {
 
@@ -86,20 +85,6 @@ NncResult NncSearch::Run(
     return snapshot_ != nullptr && snapshot_->deleted(i);
   };
   if (snapshot_ != nullptr) result.epoch = snapshot_->epoch();
-
-  // Cross-query cache binding handed to every profile (null when no cache
-  // is configured or the cache declines this query's first sighting at its
-  // epoch). Declared before `members` so destroyed profiles can still
-  // publish their freshly built views through it.
-  ProfileCacheBinding cache_binding;
-  const ProfileCacheBinding* cache = nullptr;
-  if (options_.profile_cache != nullptr) {
-    const uint64_t signature = ComputeQuerySignature(query, options_.metric);
-    if (options_.profile_cache->Admit(signature, result.epoch)) {
-      cache_binding = {options_.profile_cache, signature, result.epoch};
-      cache = &cache_binding;
-    }
-  }
 
   // Frontier key of a node or object box: its min distance to the query
   // MBR under the search metric.
@@ -307,8 +292,8 @@ NncResult NncSearch::Run(
         OSD_FAILPOINT("nnc.object_examine");
         const UncertainObject& candidate = object_at(item.id);
         ++result.objects_examined;
-        auto profile = std::make_unique<ObjectProfile>(candidate, ctx,
-                                                       &result.stats, cache);
+        auto profile =
+            std::make_unique<ObjectProfile>(candidate, ctx, &result.stats);
         const int dominators = count_dominators(*profile, 0, 0);
         if (dominators >= options_.k) continue;
         // The MBR key is only a lower bound on MinAll(). A survivor whose

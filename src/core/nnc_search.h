@@ -73,14 +73,6 @@ struct NncOptions {
   /// sites (filter stages, flow runs, local-tree builds) record spans into
   /// it; null — the default — disables recording for this query.
   obs::Trace* trace = nullptr;
-  /// Engine-managed cross-query artifact cache (core/profile_cache.h); not
-  /// owned, may be null (the default — no sharing). When set and the cache
-  /// admits the query (it ran before at this epoch, ProfileCache::Admit),
-  /// Run passes a ProfileCacheBinding (the cache, the query's signature and
-  /// the pinned snapshot epoch) to each ObjectProfile it constructs, so
-  /// profiles adopt cached views on hits and publish fresh ones on misses.
-  /// Results are bit-identical either way.
-  ProfileCache* profile_cache = nullptr;
   /// Anytime mode: when the traversal stops early (deadline, cancel, or a
   /// memory-budget breach), append every object still reachable from the
   /// unexpanded frontier to the candidates and set NncResult::degraded.
@@ -144,12 +136,10 @@ struct NncResult {
 /// Thread-safety: Run is const and keeps all per-query state (QueryContext,
 /// DominanceOracle, ObjectProfiles, the traversal heap) on its own stack,
 /// so any number of threads may call Run concurrently on one NncSearch —
-/// or on distinct NncSearch instances sharing one Dataset. The shared
-/// mutable state Run reaches is all internally synchronized: the
-/// NncOptions::profile_cache when one is set, whose shards each have their
-/// own mutex (core/profile_cache.h), and the engine-wide MemoryBudget
-/// behind the calling thread's QueryBudgetScope, when one is installed
-/// (common/memory_budget.h).
+/// or on distinct NncSearch instances sharing one Dataset. The only shared
+/// mutable state Run reaches is the engine-wide MemoryBudget behind the
+/// calling thread's QueryBudgetScope, when one is installed
+/// (common/memory_budget.h), which is internally synchronized.
 class NncSearch {
  public:
   NncSearch(const Dataset& dataset, NncOptions options);

@@ -14,87 +14,13 @@
 
 namespace osd {
 
-namespace {
-
-// The extremes view over per-q minima and maxima, with the overall ones.
-std::shared_ptr<const ProfileExtremesView> MakeExtremes(
-    std::vector<double> min_q, std::vector<double> max_q) {
-  auto extremes = std::make_shared<ProfileExtremesView>();
-  extremes->min_all = std::numeric_limits<double>::infinity();
-  for (size_t qi = 0; qi < min_q.size(); ++qi) {
-    extremes->min_all = std::min(extremes->min_all, min_q[qi]);
-    extremes->max_all = std::max(extremes->max_all, max_q[qi]);
-  }
-  extremes->min_q = std::move(min_q);
-  extremes->max_q = std::move(max_q);
-  return extremes;
-}
-
-}  // namespace
-
 ObjectProfile::ObjectProfile(const UncertainObject& object,
-                             const QueryContext& ctx, FilterStats* stats,
-                             const ProfileCacheBinding* cache)
-    : object_(&object), ctx_(&ctx), stats_(stats), cache_(cache) {
+                             const QueryContext& ctx, FilterStats* stats)
+    : object_(&object), ctx_(&ctx), stats_(stats) {
   OSD_CHECK(object.dim() == ctx.query().dim());
 }
 
-ObjectProfile::~ObjectProfile() {
-  // Publish before releasing: the views move into the shared entry (the
-  // cache charges them to the engine budget itself).
-  PublishToCache();
-  memory::Release(charged_bytes_);
-}
-
-void ObjectProfile::MaybeLookupCache() {
-  if (cache_checked_) return;
-  cache_checked_ = true;
-  if (cache_ == nullptr) return;
-  cached_ = cache_->cache->Lookup(object_->id(), cache_->signature,
-                                  cache_->epoch);
-  if (cached_ != nullptr && cached_->epoch != cache_->epoch) {
-    // Defense in depth: Lookup filters by epoch, so this can never fire —
-    // but a stale bound would silently corrupt pruning, so the guard (and
-    // the chaos assertion that its counter stays zero) is cheap insurance.
-    cache_->cache->NoteStaleServeAverted();
-    cached_ = nullptr;
-  }
-}
-
-void ObjectProfile::PublishToCache() noexcept {
-  if (cache_ == nullptr) return;
-  // A view this profile holds and the entry lacks was built here; any
-  // other view it holds is the entry's own.
-  const ProfileArtifacts none;
-  const ProfileArtifacts& entry = cached_ != nullptr ? *cached_ : none;
-  // A partly read matrix is never published: an own one is partly filled,
-  // and an adopted one is the entry's.
-  if (!MatrixComplete()) views_.matrix = nullptr;
-  bool built = false;
-  auto join = [&built](auto& mine, const auto& theirs) {
-    if (mine == nullptr) {
-      mine = theirs;
-    } else if (theirs == nullptr) {
-      built = true;
-    }
-  };
-  join(views_.matrix, entry.matrix);
-  join(views_.extremes, entry.extremes);
-  join(views_.mean, entry.mean);
-  join(views_.sorted_all, entry.sorted_all);
-  join(views_.sorted_per_q, entry.sorted_per_q);
-  join(views_.distribution, entry.distribution);
-  if (!built) return;
-  try {
-    auto artifacts = std::make_shared<ProfileArtifacts>(std::move(views_));
-    artifacts->epoch = cache_->epoch;
-    artifacts->bytes = ProfileArtifactsBytes(*artifacts);
-    cache_->cache->Publish(object_->id(), cache_->signature,
-                           std::move(artifacts));
-  } catch (...) {
-    // Publication is best-effort; the query's own answer is already done.
-  }
-}
+ObjectProfile::~ObjectProfile() { memory::Release(charged_bytes_); }
 
 void ObjectProfile::ChargeView(long bytes, const char* what_label) {
   // Charge-before-allocate: a breach throws here with the view still
@@ -107,40 +33,23 @@ void ObjectProfile::ChargeView(long bytes, const char* what_label) {
 void ObjectProfile::EnsureRows(int qi) {
   const int nq = ctx_->num_instances();
   const int m = num_instances();
-  const bool first_read = views_.matrix == nullptr;
-  if (first_read) {
-    OSD_FAILPOINT("mem.profile.matrix");
-    MaybeLookupCache();
-  }
+  const bool first_read = matrix_.empty();
+  if (first_read) OSD_FAILPOINT("mem.profile.matrix");
   const int rows = qi == kAllRows ? nq - matrix_rows_ : 1;
-  // A shared matrix is charged and counted row by row as a fresh build is,
-  // so budget pressure, retry points and the Fig. 16 counters stay
-  // bit-identical to the unshared path (the counters meter the logical
-  // plan, which sharing preserves).
   ChargeView(static_cast<long>(rows) * m * static_cast<long>(sizeof(double)),
              "profile.matrix");
   if (first_read) {
     row_read_.assign(nq, 0);
-    if (!Adopt(&ProfileArtifacts::matrix)) {
-      // The matrix stays row-major with stride m (no padding): the
-      // flattened pair-index tie-break in EnsureSortedAll depends on that
-      // layout.
-      auto buf =
-          std::make_shared<std::vector<double>>(static_cast<size_t>(nq) * m);
-      matrix_fill_ = buf->data();
-      views_.matrix = std::move(buf);
-    }
+    matrix_.resize(static_cast<size_t>(nq) * m);
   }
   const kernels::KernelSet& ks = ctx_->kernels();
   const int begin = qi == kAllRows ? 0 : qi;
   const int end = qi == kAllRows ? nq : qi + 1;
   for (int r = begin; r < end; ++r) {
     if (row_read_[r] != 0) continue;
-    if (matrix_fill_ != nullptr) {
-      ks.batch_distance(ctx_->points()[r].data(), object_->soa_coords(),
-                        object_->soa_stride(), m,
-                        matrix_fill_ + static_cast<size_t>(r) * m);
-    }
+    ks.batch_distance(ctx_->points()[r].data(), object_->soa_coords(),
+                      object_->soa_stride(), m,
+                      matrix_.data() + static_cast<size_t>(r) * m);
     row_read_[r] = 1;
   }
   matrix_rows_ += rows;
@@ -152,14 +61,12 @@ void ObjectProfile::EnsureRows(int qi) {
 void ObjectProfile::EnsureExtremes() {
   const int nq = ctx_->num_instances();
   const int m = num_instances();
-  MaybeLookupCache();
   // Each distance is evaluated once: the matrix rows already read fold,
   // the others take one extremes pass.
   ChargeView(2L * nq * static_cast<long>(sizeof(double)), "profile.stats");
   if (stats_ != nullptr) {
     stats_->dist_evals += static_cast<long>(nq - matrix_rows_) * m;
   }
-  if (Adopt(&ProfileArtifacts::extremes)) return;
   std::vector<double> mn(nq, std::numeric_limits<double>::infinity());
   std::vector<double> mx(nq, 0.0);
   const kernels::KernelSet& ks = ctx_->kernels();
@@ -174,31 +81,39 @@ void ObjectProfile::EnsureExtremes() {
                       object_->soa_stride(), m, &mn[qi], &mx[qi]);
     }
   }
-  views_.extremes = MakeExtremes(std::move(mn), std::move(mx));
+  SetExtremes(std::move(mn), std::move(mx));
+}
+
+void ObjectProfile::SetExtremes(std::vector<double> min_q,
+                                std::vector<double> max_q) {
+  ExtremesView& extremes = extremes_.emplace();
+  extremes.min_all = std::numeric_limits<double>::infinity();
+  for (size_t qi = 0; qi < min_q.size(); ++qi) {
+    extremes.min_all = std::min(extremes.min_all, min_q[qi]);
+    extremes.max_all = std::max(extremes.max_all, max_q[qi]);
+  }
+  extremes.min_q = std::move(min_q);
+  extremes.max_q = std::move(max_q);
 }
 
 void ObjectProfile::EnsureMean() {
   const int nq = ctx_->num_instances();
   const int m = num_instances();
-  MaybeLookupCache();
   // With no extremes yet, one fused pass builds all three statistics, and
   // is charged and counted as one; after the extremes the mean costs a
   // pass of its own. Either pass folds the matrix rows already read and
-  // evaluates only the others. A shared view is charged and counted the
-  // same.
-  const bool fused = views_.extremes == nullptr;
-  ChargeView((fused ? 3L : 1L) * nq * static_cast<long>(sizeof(double)),
+  // evaluates only the others.
+  const bool build_extremes = !extremes_.has_value();
+  ChargeView((build_extremes ? 3L : 1L) * nq *
+                 static_cast<long>(sizeof(double)),
              "profile.stats");
   if (stats_ != nullptr) {
     stats_->dist_evals += static_cast<long>(nq - matrix_rows_) * m;
   }
-  if (fused) Adopt(&ProfileArtifacts::extremes);
-  if (Adopt(&ProfileArtifacts::mean)) return;
   // Distances and the probability-weighted mean fold in (qi, ui) order, so
   // a row fold and the fused kernel give bit-identical results.
-  auto mean = std::make_shared<ProfileMeanView>();
-  mean->mean_q.assign(nq, 0.0);
-  const bool build_extremes = views_.extremes == nullptr;
+  MeanView mean;
+  mean.mean_q.assign(nq, 0.0);
   std::vector<double> mn(build_extremes ? nq : 1,
                          std::numeric_limits<double>::infinity());
   std::vector<double> mx(build_extremes ? nq : 1, 0.0);
@@ -210,21 +125,19 @@ void ObjectProfile::EnsureMean() {
       for (int ui = 0; ui < m; ++ui) {
         mn[slot] = std::min(mn[slot], row[ui]);
         mx[slot] = std::max(mx[slot], row[ui]);
-        mean->mean_q[qi] += row[ui] * object_->Prob(ui);
+        mean.mean_q[qi] += row[ui] * object_->Prob(ui);
       }
     } else {
       ks.fused_row_stats(ctx_->points()[qi].data(), object_->soa_coords(),
                          object_->soa_stride(), m, object_->probs().data(),
-                         &mn[slot], &mean->mean_q[qi], &mx[slot]);
+                         &mn[slot], &mean.mean_q[qi], &mx[slot]);
     }
   }
-  if (build_extremes) {
-    views_.extremes = MakeExtremes(std::move(mn), std::move(mx));
-  }
+  if (build_extremes) SetExtremes(std::move(mn), std::move(mx));
   for (int qi = 0; qi < nq; ++qi) {
-    mean->mean_all += mean->mean_q[qi] * ctx_->probs()[qi];
+    mean.mean_all += mean.mean_q[qi] * ctx_->probs()[qi];
   }
-  views_.mean = std::move(mean);
+  mean_ = std::move(mean);
 }
 
 void ObjectProfile::EnsureSortedAll() {
@@ -236,28 +149,26 @@ void ObjectProfile::EnsureSortedAll() {
   ChargeView(2L * static_cast<long>(total) * sizeof(double),
              "profile.sorted_all");
   // The sort scratch is transient: charged for the duration of the sort,
-  // released when this function returns. A shared view charges it too, so
-  // a tight budget breaches at the same point with the cache on or off.
+  // released when this function returns.
   memory::ScopedCharge scratch_mem("profile.sort_scratch");
   scratch_mem.Add(OrderByDistanceBytes(total));
-  if (Adopt(&ProfileArtifacts::sorted_all)) return;
   DistanceOrderScratch scratch;
   // Ties order by flattened pair index (OrderByDistance), so the (value,
   // prob) pairing of tied entries — and every downstream merge-scan — is
   // the same on every platform.
   const std::span<const int> order =
       OrderByDistance({matrix, total}, &scratch);
-  auto sorted = std::make_shared<ProfileSortedAllView>();
-  sorted->values.resize(total);
-  sorted->probs.resize(total);
+  SortedAllView sorted;
+  sorted.values.resize(total);
+  sorted.probs.resize(total);
   for (size_t k = 0; k < total; ++k) {
     const int idx = order[k];
     const int qi = idx / m;
     const int ui = idx % m;
-    sorted->values[k] = matrix[idx];
-    sorted->probs[k] = ctx_->probs()[qi] * object_->Prob(ui);
+    sorted.values[k] = matrix[idx];
+    sorted.probs[k] = ctx_->probs()[qi] * object_->Prob(ui);
   }
-  views_.sorted_all = std::move(sorted);
+  sorted_all_ = std::move(sorted);
 }
 
 void ObjectProfile::EnsureSortedPerQ() {
@@ -269,37 +180,34 @@ void ObjectProfile::EnsureSortedPerQ() {
              "profile.sorted_per_q");
   memory::ScopedCharge scratch_mem("profile.sort_scratch");
   scratch_mem.Add(OrderByDistanceBytes(m));
-  if (Adopt(&ProfileArtifacts::sorted_per_q)) return;
   DistanceOrderScratch scratch;
-  auto sorted = std::make_shared<ProfileSortedPerQView>();
-  sorted->values.resize(nq);
-  sorted->probs.resize(nq);
+  SortedPerQView sorted;
+  sorted.values.resize(nq);
+  sorted.probs.resize(nq);
   for (int qi = 0; qi < nq; ++qi) {
     const double* row = matrix + static_cast<size_t>(qi) * m;
     // Same determinism contract as EnsureSortedAll: ties order by
     // instance index.
     const std::span<const int> order =
         OrderByDistance({row, static_cast<size_t>(m)}, &scratch);
-    sorted->values[qi].resize(m);
-    sorted->probs[qi].resize(m);
+    sorted.values[qi].resize(m);
+    sorted.probs[qi].resize(m);
     for (int k = 0; k < m; ++k) {
-      sorted->values[qi][k] = row[order[k]];
-      sorted->probs[qi][k] = object_->Prob(order[k]);
+      sorted.values[qi][k] = row[order[k]];
+      sorted.probs[qi][k] = object_->Prob(order[k]);
     }
   }
-  views_.sorted_per_q = std::move(sorted);
+  sorted_per_q_ = std::move(sorted);
 }
 
 void ObjectProfile::EnsureDistribution() {
-  const ProfileSortedAllView& sorted = SortedAll();
+  const SortedAllView& sorted = SortedAll();
   // The merged distribution holds at most one (value, prob) pair per
   // sorted entry; charge that upper bound.
   ChargeView(2L * static_cast<long>(sorted.values.size()) *
                  static_cast<long>(sizeof(double)),
              "profile.distribution");
-  if (Adopt(&ProfileArtifacts::distribution)) return;
-  views_.distribution = std::make_shared<const DiscreteDistribution>(
-      DiscreteDistribution::FromArrays(sorted.values, sorted.probs));
+  distribution_ = DiscreteDistribution::FromArrays(sorted.values, sorted.probs);
 }
 
 void ObjectProfile::FillRanks(int qi) {

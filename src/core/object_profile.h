@@ -23,8 +23,8 @@
 // three take that order from OrderByDistance (core/distance_order.h), a
 // bucket sort on the distances' bit patterns. Its scratch is charged
 // under "profile.sort_scratch": for the length of each all-pairs or per-q
-// build (a cache hit charges the same bytes), and for the profile's life
-// by the rank rows, which share one scratch.
+// build, and for the profile's life by the rank rows, which share one
+// scratch.
 //
 // The views are computed by the batched distance kernels dispatched on the
 // QueryContext (geom/kernels.h) over the object's padded SoA coordinate
@@ -35,27 +35,12 @@
 // The matrix fills row by row. Row(qi) computes just row qi of the one
 // |Q| x m buffer; MatrixData() fills the rows still missing. Each row is
 // charged under "profile.matrix" and counted in dist_evals (m distances)
-// on its first read, and a complete matrix adopted from the cache is
-// charged and counted the same way, row by row, so the charges and the
-// counters do not depend on the cache. P-SD reads only the rows of the
-// query's hull instances (DominanceOracle::QIdx()). The statistics fold
-// the rows already read and evaluate the others, so each distance is
-// counted once. A partly filled matrix is never published.
+// on its first read. P-SD reads only the rows of the query's hull
+// instances (DominanceOracle::QIdx()). The statistics fold the rows
+// already read and evaluate the others, so each distance is counted once.
 //
-// Every cacheable view (matrix, extremes, mean, sorted all-pairs, sorted
-// per-q, distribution) is one immutable shared_ptr in a ProfileArtifacts
-// (core/profile_cache.h), so a view, once read, never moves: spans taken
-// from it stay valid for the profile's life.
-//
-// Cross-query sharing: when constructed with a ProfileCacheBinding — a
-// constructor argument, not a thread-local session — the first Ensure*
-// call looks the (object, query signature, epoch) key up in the
-// engine-wide cache. Each Ensure* charges the same bytes under the same
-// labels and advances the same FilterStats counters whether it then
-// shares the pinned entry's view or builds its own, so results and
-// instrumentation stay bit-identical to the uncached path. The destructor
-// publishes the profile's views when it built one the entry lacked (the
-// mutable profile itself is never shared — only the immutable views are).
+// Every view is a plain member, built once and never resized after, so
+// spans taken from it stay valid for the profile's life.
 //
 // Rank view: Ranks(qi) memoizes, per query instance, the object's
 // distances to ctx.points()[qi] sorted ascending, for r = 0..m the prefix
@@ -64,23 +49,21 @@
 // distances. The P-SD exact check reads the set {i : Dist(qi, i) <= d}
 // off it with one cell lookup and a short forward walk instead of m
 // comparisons, and the P-SD Hall certificate reads that set's mass the
-// same way. It is per-query scratch, charged (distances, rows, masses and
-// cell index) under "profile.ranks" with the cache on or off and never
-// published; ScaledProbs() memoizes the object's integer flow masses under
-// the same label.
+// same way. It is charged (distances, rows, masses and cell index) under
+// "profile.ranks"; ScaledProbs() memoizes the object's integer flow masses
+// under the same label.
 
 #ifndef OSD_CORE_OBJECT_PROFILE_H_
 #define OSD_CORE_OBJECT_PROFILE_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/distance_order.h"
 #include "core/filter_config.h"
-#include "core/profile_cache.h"
 #include "core/query_context.h"
 #include "object/uncertain_object.h"
 #include "prob/discrete_distribution.h"
@@ -93,17 +76,11 @@ namespace osd {
 /// with no synchronization. A profile belongs to exactly one query
 /// execution: NncSearch::Run constructs fresh profiles per call and never
 /// shares them, which is what makes concurrent Run calls safe. Never share
-/// a profile across queries or hand one to another thread mid-query (the
-/// ProfileCache shares only the finished immutable artifacts, via
-/// shared_ptr pins — never the profile object).
+/// a profile across queries or hand one to another thread mid-query.
 class ObjectProfile {
  public:
-  /// `cache` binds the profile to the engine-wide cache for one query
-  /// (not owned; must outlive the profile, which publishes through it on
-  /// destruction). Null — the default — builds every view locally.
   ObjectProfile(const UncertainObject& object, const QueryContext& ctx,
-                FilterStats* stats,
-                const ProfileCacheBinding* cache = nullptr);
+                FilterStats* stats);
   /// Returns every byte the lazy views charged against the active memory
   /// budget scope (see common/memory_budget.h). A profile must be
   /// destroyed on the thread — and within the scope — that ran its query,
@@ -178,7 +155,7 @@ class ObjectProfile {
   /// computes only that row of the matrix on first call.
   std::span<const double> Row(int qi) {
     if (!RowRead(qi)) EnsureRows(qi);
-    return {views_.matrix->data() + static_cast<size_t>(qi) * num_instances(),
+    return {matrix_.data() + static_cast<size_t>(qi) * num_instances(),
             static_cast<size_t>(num_instances())};
   }
 
@@ -188,7 +165,7 @@ class ObjectProfile {
   /// Dist() calls.
   const double* MatrixData() {
     if (!MatrixComplete()) EnsureRows(kAllRows);
-    return views_.matrix->data();
+    return matrix_.data();
   }
 
   // Overall statistics of U_Q (Theorem 11 pruning).
@@ -207,11 +184,9 @@ class ObjectProfile {
   std::span<const double> MeanQs() { return Mean().mean_q; }
   std::span<const double> MaxQs() { return Extremes().max_q; }
 
-  /// Whether this profile's own calls have built the extremes above (with
-  /// or without the mean), or adopted them from the cache, so reading them
-  /// costs nothing more. A cache entry counts only from its first use, so
-  /// the answer is the same with the cache on or off.
-  bool has_stats() const { return views_.extremes != nullptr; }
+  /// Whether the extremes above are built (with or without the mean), so
+  /// reading them costs nothing more.
+  bool has_stats() const { return extremes_.has_value(); }
 
   /// Sorted all-pairs distances (values ascending, parallel probabilities).
   std::span<const double> SortedValues() { return SortedAll().values; }
@@ -228,8 +203,8 @@ class ObjectProfile {
   /// The all-pairs distance distribution U_Q as a merged distribution
   /// (used for the U_Q != V_Q side condition and by the public API).
   const DiscreteDistribution& Distribution() {
-    if (views_.distribution == nullptr) EnsureDistribution();
-    return *views_.distribution;
+    if (!distribution_.has_value()) EnsureDistribution();
+    return *distribution_;
   }
 
   /// Rank view at query instance qi, built from the matrix on first use.
@@ -244,21 +219,40 @@ class ObjectProfile {
   std::span<const int64_t> ScaledProbs();
 
  private:
-  const ProfileExtremesView& Extremes() {
-    if (views_.extremes == nullptr) EnsureExtremes();
-    return *views_.extremes;
+  /// Per-q extremes with the overall ones.
+  struct ExtremesView {
+    double min_all = 0.0, max_all = 0.0;
+    std::vector<double> min_q, max_q;
+  };
+  /// Per-q probability-weighted means with the overall one.
+  struct MeanView {
+    double mean_all = 0.0;
+    std::vector<double> mean_q;
+  };
+  /// Sorted distances (values ascending, parallel probabilities): all
+  /// pairs for U_Q, one row per query instance for the U_q.
+  struct SortedAllView {
+    std::vector<double> values, probs;
+  };
+  struct SortedPerQView {
+    std::vector<std::vector<double>> values, probs;
+  };
+
+  const ExtremesView& Extremes() {
+    if (!extremes_.has_value()) EnsureExtremes();
+    return *extremes_;
   }
-  const ProfileMeanView& Mean() {
-    if (views_.mean == nullptr) EnsureMean();
-    return *views_.mean;
+  const MeanView& Mean() {
+    if (!mean_.has_value()) EnsureMean();
+    return *mean_;
   }
-  const ProfileSortedAllView& SortedAll() {
-    if (views_.sorted_all == nullptr) EnsureSortedAll();
-    return *views_.sorted_all;
+  const SortedAllView& SortedAll() {
+    if (!sorted_all_.has_value()) EnsureSortedAll();
+    return *sorted_all_;
   }
-  const ProfileSortedPerQView& SortedPerQ() {
-    if (views_.sorted_per_q == nullptr) EnsureSortedPerQ();
-    return *views_.sorted_per_q;
+  const SortedPerQView& SortedPerQ() {
+    if (!sorted_per_q_.has_value()) EnsureSortedPerQ();
+    return *sorted_per_q_;
   }
 
   static constexpr int kAllRows = -1;
@@ -267,40 +261,21 @@ class ObjectProfile {
     return matrix_rows_ == ctx_->num_instances();
   }
   /// Reads matrix row qi, or every unread row for kAllRows: charges and
-  /// counts the rows, adopts the pinned entry's complete matrix or
-  /// allocates the buffer on the first read, and computes the rows when
-  /// the buffer is this profile's own.
+  /// counts the rows, allocates the buffer on the first read, and computes
+  /// the rows.
   void EnsureRows(int qi);
 
-  // Each Ensure* fills one absent view: it charges and counts the view,
-  // then takes it from the pinned cache entry when the entry holds it and
-  // builds it otherwise.
+  // Each Ensure* charges, counts and builds one absent view.
   void EnsureExtremes();
   void EnsureMean();
+  /// Sets the extremes view from the per-q minima and maxima.
+  void SetExtremes(std::vector<double> min_q, std::vector<double> max_q);
   void EnsureSortedAll();
   void EnsureSortedPerQ();
   void EnsureDistribution();
-  /// Points `view` at the pinned entry's copy of it; false when there is
-  /// no entry or the entry lacks that view.
-  template <typename T>
-  bool Adopt(std::shared_ptr<const T> ProfileArtifacts::*view) {
-    if (cached_ == nullptr || (*cached_).*view == nullptr) return false;
-    views_.*view = (*cached_).*view;
-    return true;
-  }
   /// Builds one rank-view entry (allocating and charging the |Q|-long
   /// entry table on the first call).
   void FillRanks(int qi);
-
-  /// One-shot lookup in the bound cache (if any), pinning a hit entry for
-  /// the profile's lifetime. Called by the first Ensure* that runs, so the
-  /// cache's hit/miss counts reflect profiles that actually materialize
-  /// views.
-  void MaybeLookupCache();
-  /// Publishes the profile's views (best-effort, from the destructor) when
-  /// it holds one the pinned entry lacks. The entry's other views join
-  /// them, so the published set supersedes the entry.
-  void PublishToCache() noexcept;
 
   /// Charges `bytes` against the active budget scope (throws
   /// MemoryExceeded on breach, before any state changes) and remembers it
@@ -312,23 +287,21 @@ class ObjectProfile {
   FilterStats* stats_;
   long charged_bytes_ = 0;  // lazy-view bytes owed back to the budget
 
-  // Cross-query cache state: `cached_` pins the hit entry (if any).
-  const ProfileCacheBinding* cache_;
-  std::shared_ptr<const ProfileArtifacts> cached_;
-  bool cache_checked_ = false;
-
-  // The cacheable views this profile has read, each built here or shared
-  // with the pinned entry; null until first read. Its epoch and bytes stay
-  // unset: PublishToCache sets them on the entry it makes from it.
-  ProfileArtifacts views_;
-  // Matrix rows read so far (charged, counted and, in an own buffer,
-  // computed): a flag per query instance and their count. matrix_fill_ is
-  // views_.matrix's data when this profile builds it, null when adopted.
+  // The |Q| x m matrix (empty until the first row is read; row-major with
+  // stride m, no padding: the flattened pair-index tie-break in
+  // EnsureSortedAll depends on that layout) and the rows read so far: a
+  // flag per query instance and their count.
+  std::vector<double> matrix_;
   std::vector<uint8_t> row_read_;
   int matrix_rows_ = 0;
-  double* matrix_fill_ = nullptr;
+  // The other views, each absent until first read.
+  std::optional<ExtremesView> extremes_;
+  std::optional<MeanView> mean_;
+  std::optional<SortedAllView> sorted_all_;
+  std::optional<SortedPerQView> sorted_per_q_;
+  std::optional<DiscreteDistribution> distribution_;
   // Rank-view memo, one entry per query instance (empty = not yet built),
-  // and the scaled masses; never cached.
+  // and the scaled masses.
   struct RankEntry {
     std::vector<double> sorted;
     std::vector<uint64_t> prefix;  // (m + 1) rows of rank_words_ words

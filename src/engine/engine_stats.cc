@@ -103,15 +103,15 @@ std::vector<obs::MetricSnapshot> EngineMetrics(const EngineStats& s) {
         static_cast<double>(s.mem_peak_bytes));
   if (s.profile_cache_cap_bytes > 0) {
     counter("osd_profile_cache_hits_total",
-            "Profile-cache lookups served from a resident entry",
+            "Result-cache lookups answered from a stored result",
             s.profile_cache_hits);
     counter("osd_profile_cache_misses_total",
-            "Profile-cache lookups that fell through to a fresh build",
+            "Result-cache lookups that fell through to a search",
             s.profile_cache_misses);
     counter("osd_profile_cache_evictions_total",
-            "Profile-cache entries evicted (LRU capacity pressure)",
+            "Result-cache entries evicted (LRU capacity pressure)",
             s.profile_cache_evictions);
-    gauge("osd_profile_cache_bytes", "Resident profile-cache bytes",
+    gauge("osd_profile_cache_bytes", "Resident result-cache bytes",
           static_cast<double>(s.profile_cache_bytes));
   }
   std::sort(out.begin(), out.end(),
@@ -168,13 +168,9 @@ std::string EngineStats::ToJson() const {
          mem_peak_bytes, mem_engine_cap_bytes, mem_per_query_cap_bytes);
   Append(&out,
          ",\"profile_cache\":{\"hits\":%ld,\"misses\":%ld,\"evictions\":%ld,"
-         "\"stale_evictions\":%ld,\"stale_serves_averted\":%ld,"
-         "\"bytes\":%ld,\"cap_bytes\":%ld",
+         "\"bytes\":%ld,\"cap_bytes\":%ld}",
          profile_cache_hits, profile_cache_misses, profile_cache_evictions,
-         profile_cache_stale_evictions, profile_cache_stale_serves_averted,
          profile_cache_bytes, profile_cache_cap_bytes);
-  Append(&out, ",\"admitted\":%ld,\"declined\":%ld}", profile_cache_admitted,
-         profile_cache_declined);
   out += ",\"operators\":{";
   bool first = true;
   for (int i = 0; i < static_cast<int>(per_operator.size()); ++i) {

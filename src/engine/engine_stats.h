@@ -83,19 +83,14 @@ struct EngineStats {
   long mem_engine_cap_bytes = 0;     ///< configured cap; 0 = unlimited
   long mem_per_query_cap_bytes = 0;  ///< configured per-query cap; 0 = none
 
-  // Cross-query profile cache (core/profile_cache.h); all zero when the
-  // cache is disabled (profile_cache_cap_bytes == 0).
+  // The result cache (engine/result_cache.h). The fields, their JSON block
+  // "profile_cache" and the osd_profile_cache_* series keep the name of
+  // the profile cache it replaced. All zero when the cache is disabled
+  // (profile_cache_cap_bytes == 0); traced queries count neither a hit
+  // nor a miss.
   long profile_cache_hits = 0;
   long profile_cache_misses = 0;
-  long profile_cache_evictions = 0;        ///< capacity (LRU) evictions
-  /// superseded-epoch entries dropped on lookup or retired at publication
-  long profile_cache_stale_evictions = 0;
-  long profile_cache_admitted = 0;  ///< queries bound to the cache
-  long profile_cache_declined = 0;  ///< first sightings run unbound
-  /// Lookups where a stale-epoch entry reached the final epoch guard and
-  /// was refused; always 0 — any other value is an invariant violation
-  /// (the chaos harness asserts this across mutating soaks).
-  long profile_cache_stale_serves_averted = 0;
+  long profile_cache_evictions = 0;  ///< capacity (LRU) evictions
   long profile_cache_bytes = 0;      ///< resident bytes at snapshot time
   long profile_cache_cap_bytes = 0;  ///< configured capacity; 0 = disabled
 
@@ -113,7 +108,7 @@ struct EngineStats {
 
 /// The engine's Prometheus series, sorted by name, each read from the
 /// EngineStats field it exports: status and operator counts, the latency
-/// histogram, work, retry and memory counters, and — when the profile
+/// histogram, work, retry and memory counters, and — when the result
 /// cache is on (profile_cache_cap_bytes > 0) — its hits, misses,
 /// evictions and bytes. osd_candidates_total sums per_operator[].candidates
 /// and osd_instance_comparisons_total is filters.InstanceComparisons().

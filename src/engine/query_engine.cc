@@ -56,6 +56,28 @@ double JitterDraw() {
   return std::uniform_real_distribution<double>(0.0, 1.0)(engine);
 }
 
+/// A stored answer as the result of a run: the emissions replayed through
+/// `emit` in their stored order, the final candidates, and no work.
+NncResult Replay(const ResultCache::Answer& answer, uint64_t epoch,
+                 const std::function<void(int, double)>& emit) {
+  const auto start = std::chrono::steady_clock::now();
+  auto elapsed = [&start] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  NncResult result;
+  result.epoch = epoch;
+  result.timeline.reserve(answer.emitted.size());
+  for (const int id : answer.emitted) {
+    result.timeline.push_back({id, elapsed()});
+    if (emit) emit(id, result.timeline.back().elapsed_seconds);
+  }
+  result.candidates = answer.candidates;
+  result.seconds = elapsed();
+  return result;
+}
+
 }  // namespace
 
 double RetryPolicy::BackoffSeconds(int next_attempt, double u) const {
@@ -76,7 +98,7 @@ QueryEngine::QueryEngine(Dataset dataset, EngineOptions options)
       slow_log_(options.slow_query_threshold_ms / 1e3,
                 options.slow_query_log_capacity) {
   if (options_.profile_cache_bytes > 0) {
-    profile_cache_ = std::make_unique<ProfileCache>(
+    result_cache_ = std::make_unique<ResultCache>(
         options_.profile_cache_bytes, &mem_budget_);
   }
   if (options_.fold_interval_s > 0 || options_.fold_delta_threshold > 0) {
@@ -187,10 +209,10 @@ void QueryEngine::Drain() {
   // re-arm folding afterwards if the engine keeps serving.
   versioned_->StopFoldThread();
   pool_.WaitIdle();
-  // Quiesced also means the shared cache owes the engine budget nothing:
+  // Quiesced also means the result cache owes the engine budget nothing:
   // every resident entry releases its charge here, so callers sequencing
   // Drain → budget checks (tests, the chaos harness) see zero bytes.
-  if (profile_cache_ != nullptr) profile_cache_->Clear();
+  if (result_cache_ != nullptr) result_cache_->Clear();
 }
 
 void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
@@ -227,9 +249,6 @@ void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
   ticket->MarkRunning();
   spec.options.control = &control;
   spec.options.trace = ticket->trace_.get();
-  // Engine-managed, like control/trace: queries share the engine-wide
-  // profile cache (null when disabled — NncSearch then skips the session).
-  spec.options.profile_cache = profile_cache_.get();
 
   // Resolve an id-named query against the pinned snapshot. The id is an
   // EXTERNAL id — stable across epochs, unlike snapshot indices, which a
@@ -257,6 +276,14 @@ void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
     // object itself would.
     spec.options.exclude_id = idx;
   }
+  // A complete answer stored at this epoch answers a repeat with no
+  // search. Traced queries skip the lookup, so their spans time a real run.
+  ResultCache::Key cache_key;
+  if (result_cache_ != nullptr) {
+    cache_key =
+        ResultCache::KeyFor(*query, spec.options, spec.snapshot.epoch());
+  }
+  const bool lookup = result_cache_ != nullptr && !spec.collect_trace;
   const int max_attempts = std::max(1, spec.retry.max_attempts);
   std::string failure;
   int attempt = 0;
@@ -272,28 +299,39 @@ void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
         throw std::invalid_argument(
             "query dimensionality does not match the dataset");
       }
+      std::function<void(int, double)> emit;
+      if (spec.on_emission) {
+        // Attempt-stamped forwarding: a retry restarts the stream, and the
+        // consumer disambiguates by the attempt number.
+        const int this_attempt = attempt;
+        emit = [&spec, this_attempt](int id, double elapsed) {
+          spec.on_emission(NncEmission{id, elapsed}, this_attempt);
+        };
+      }
+      const std::shared_ptr<const ResultCache::Answer> stored =
+          lookup ? result_cache_->Lookup(cache_key, *query) : nullptr;
       NncResult result;
-      {
-        // Fresh budget scope per attempt: a retry starts with zero charge
-        // and its own engine-budget reservation, released on scope exit.
-        // The spec's per-query cap (per-tenant governance) overrides the
-        // engine-wide default when set.
-        const long per_query_cap = spec.per_query_mem_bytes > 0
-                                       ? spec.per_query_mem_bytes
-                                       : options_.per_query_mem_bytes;
-        memory::QueryBudgetScope mem_scope(
-            per_query_cap,
-            options_.engine_mem_bytes > 0 ? &mem_budget_ : nullptr);
-        std::function<void(int, double)> emit;
-        if (spec.on_emission) {
-          // Attempt-stamped forwarding: a retry restarts the stream, and
-          // the consumer disambiguates by the attempt number.
-          const int this_attempt = attempt;
-          emit = [&spec, this_attempt](int id, double elapsed) {
-            spec.on_emission(NncEmission{id, elapsed}, this_attempt);
-          };
+      if (stored != nullptr) {
+        result = Replay(*stored, spec.snapshot.epoch(), emit);
+      } else {
+        {
+          // Fresh budget scope per attempt: a retry starts with zero charge
+          // and its own engine-budget reservation, released on scope exit.
+          // The spec's per-query cap (per-tenant governance) overrides the
+          // engine-wide default when set.
+          const long per_query_cap = spec.per_query_mem_bytes > 0
+                                         ? spec.per_query_mem_bytes
+                                         : options_.per_query_mem_bytes;
+          memory::QueryBudgetScope mem_scope(
+              per_query_cap,
+              options_.engine_mem_bytes > 0 ? &mem_budget_ : nullptr);
+          result = NncSearch(spec.snapshot, spec.options).Run(*query, emit);
         }
-        result = NncSearch(spec.snapshot, spec.options).Run(*query, emit);
+        if (result_cache_ != nullptr &&
+            result.termination == NncTermination::kComplete &&
+            !result.degraded) {
+          result_cache_->Insert(cache_key, *query, result);
+        }
       }
       if (result.termination == NncTermination::kMemoryExceeded) {
         // Breach absorbed by the degraded-superset drain inside Run.
@@ -456,17 +494,13 @@ EngineStats QueryEngine::Snapshot() const {
   s.mem_peak_bytes = mem_budget_.peak_bytes();
   s.mem_engine_cap_bytes = options_.engine_mem_bytes;
   s.mem_per_query_cap_bytes = options_.per_query_mem_bytes;
-  if (profile_cache_ != nullptr) {
-    const ProfileCache::Counters c = profile_cache_->GetCounters();
+  if (result_cache_ != nullptr) {
+    const ResultCache::Counters c = result_cache_->GetCounters();
     s.profile_cache_hits = c.hits;
     s.profile_cache_misses = c.misses;
     s.profile_cache_evictions = c.evictions;
-    s.profile_cache_stale_evictions = c.stale_evictions;
-    s.profile_cache_admitted = c.admitted;
-    s.profile_cache_declined = c.declined;
-    s.profile_cache_stale_serves_averted = c.stale_serves_averted;
     s.profile_cache_bytes = c.bytes;
-    s.profile_cache_cap_bytes = profile_cache_->cap_bytes();
+    s.profile_cache_cap_bytes = result_cache_->cap_bytes();
   }
   s.metrics = EngineMetrics(s);
   return s;

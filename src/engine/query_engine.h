@@ -1,8 +1,10 @@
 // Concurrent NNC query engine.
 //
-// A QueryEngine owns one immutable Dataset (with its prebuilt global
-// R-tree) and executes NNC queries against it on a fixed-size ThreadPool
-// with a bounded submission queue. Each submitted query yields a
+// A QueryEngine owns a versioned store (object/versioned_dataset.h),
+// seeded at epoch 0 with the Dataset it is constructed from, and executes
+// NNC queries against it on a fixed-size ThreadPool with a bounded
+// submission queue. Each query pins the store's current epoch at Submit
+// and runs against that snapshot. Each submitted query yields a
 // QueryTicket; per-query deadlines and cancellation are plumbed into the
 // traversal through the QueryControl hook in NncOptions and are honoured
 // at heap pops, so even a mid-flight query stops within a bounded amount
@@ -25,10 +27,14 @@
 // (kError with an "out of memory" message; the pool survives).
 //
 // Determinism: NncSearch::Run is deterministic in its inputs and workers
-// share only immutable dataset state and the bit-identical profile cache,
-// so a workload executed on N threads returns candidate sets bit-identical
-// to serial execution — only timing fields differ. Every query is one pool
-// task that runs Execute.
+// share only immutable snapshot state, so a workload executed on N threads
+// returns candidate sets bit-identical to serial execution — only timing
+// fields differ. Every query is one pool task that runs Execute.
+//
+// Result cache (engine/result_cache.h, DESIGN.md §15): with
+// profile_cache_bytes > 0, Execute answers a repeat of a complete query at
+// the epoch it ran at from the stored answer, replaying its emissions in
+// their stored order, so a hit returns exactly what a search would.
 //
 // Thread-safety: Submit / SubmitBatch / Drain / Snapshot may be called
 // from any thread. Destruction drains outstanding queries first.
@@ -45,9 +51,9 @@
 
 #include "common/memory_budget.h"
 #include "core/nnc_search.h"
-#include "core/profile_cache.h"
 #include "engine/engine_stats.h"
 #include "engine/query_ticket.h"
+#include "engine/result_cache.h"
 #include "engine/thread_pool.h"
 #include "object/dataset.h"
 #include "object/versioned_dataset.h"
@@ -96,12 +102,13 @@ struct EngineOptions {
   double fold_interval_s = 0.0;
   int fold_delta_threshold = 0;
 
-  /// Capacity of the engine-wide profile artifact cache, bytes; <= 0 (the
-  /// default) disables it (see core/profile_cache.h and DESIGN.md §15). The
-  /// cache is bit-identical to the uncached path by construction —
-  /// candidate sets, filter counters, and termination reasons do not change
-  /// with it on. Resident entries are charged against the engine memory
-  /// budget (engine_mem_bytes) and evicted LRU under pressure; every byte
+  /// Capacity of the engine-wide result cache, bytes; <= 0 (the default)
+  /// disables it (see engine/result_cache.h and DESIGN.md §15; the name
+  /// predates the cache, which replaced a profile cache). A hit returns the
+  /// candidates, emission order and termination of the run it stored. Hits
+  /// read zero work counters (no work ran), and queries with
+  /// collect_trace skip the lookup. Resident entries are charged against
+  /// the engine memory budget and evicted LRU under pressure; every byte
   /// drains on Drain().
   long profile_cache_bytes = 0;
 };
@@ -266,10 +273,10 @@ class QueryEngine {
   std::shared_ptr<VersionedDataset> versioned_;
   ThreadPool pool_;
 
-  /// Cross-query profile cache; null when EngineOptions::profile_cache_bytes
-  /// <= 0. Declared after mem_budget_ — resident entries are charged
-  /// against it.
-  std::unique_ptr<ProfileCache> profile_cache_;
+  /// Complete answers of earlier queries; null when
+  /// EngineOptions::profile_cache_bytes <= 0. Declared after mem_budget_ —
+  /// resident entries are charged against it.
+  std::unique_ptr<ResultCache> result_cache_;
 
   obs::SlowQueryLog slow_log_;
 

@@ -128,6 +128,8 @@ class UncertainObject {
     return probs_[i];
   }
 
+  /// The instances' coordinates, row-major (instance i at i * dim()).
+  const std::vector<double>& coords() const { return coords_; }
   const std::vector<double>& probs() const { return probs_; }
   const Mbr& mbr() const { return mbr_; }
 

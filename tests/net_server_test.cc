@@ -237,6 +237,46 @@ TEST_F(NetServerTest, StreamedQueriesDoNotWaitForDelayedAck) {
       << "median send-to-terminal time sits at the delayed-ACK floor";
 }
 
+// A streamed query sent twice on one connection: the second reply comes
+// from the result cache (the status frame's profile_cache.hits rises by
+// one) and carries the same candidate frames, in the same order, and the
+// same terminal candidates as the first.
+TEST_F(NetServerTest, StreamedRepeatIsAResultCacheHitWithTheSameFrames) {
+  StartServer({.num_threads = 2, .profile_cache_bytes = 8 << 20}, {});
+  OsdClient client = Connect("default");
+  auto cache_hits = [&client] {
+    std::string error;
+    EXPECT_TRUE(client.Send("{\"type\":\"status\"}", &error)) << error;
+    JsonValue msg;
+    EXPECT_TRUE(client.Read(&msg, &error)) << error;
+    EXPECT_EQ(MessageType(msg), "status_ok");
+    return msg.Find("engine")->Find("profile_cache")->Find("hits")->AsNumber();
+  };
+  SubmitParams params;
+  params.object_id = 17;
+  params.op = "ssd";
+  params.k = 2;
+  std::vector<StreamedQuery> replies;
+  std::vector<double> hits = {cache_hits()};
+  for (long id : {1, 2}) {
+    params.id = id;
+    std::string error;
+    ASSERT_TRUE(client.Send(BuildSubmitMessage(params), &error)) << error;
+    replies.push_back(ReadUntilTerminal(client, id));
+    hits.push_back(cache_hits());
+  }
+  for (const StreamedQuery& reply : replies) {
+    ASSERT_TRUE(reply.got_result);
+    EXPECT_EQ(reply.status, "OK");
+    EXPECT_EQ(reply.termination, "complete");
+  }
+  EXPECT_GE(replies[0].streamed.size(), 1u);
+  EXPECT_EQ(replies[1].streamed, replies[0].streamed);
+  EXPECT_EQ(replies[1].final_candidates, replies[0].final_candidates);
+  EXPECT_EQ(hits[1], hits[0]) << "the first run searches";
+  EXPECT_EQ(hits[2], hits[1] + 1) << "the repeat is a hit";
+}
+
 TEST_F(NetServerTest, CancelMidQueryDeliversConsistentTerminalFrame) {
   StartServer({.num_threads = 1}, {});
   OsdClient client = Connect("default");

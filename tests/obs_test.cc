@@ -153,9 +153,10 @@ std::vector<obs::MetricSnapshot> FixedSnapshots() {
   threads.value = 8.0;
   out.push_back(threads);
 
-  // The cross-query profile cache exposes three counters and a gauge; all
-  // four ride the standard renderer branches, and pinning them here keeps
-  // the exposition names a wire-format commitment.
+  // The result cache exposes three counters and a gauge under the names of
+  // the profile cache it replaced; all four ride the standard renderer
+  // branches, and pinning them here keeps the exposition names a
+  // wire-format commitment.
   obs::MetricSnapshot cache_bytes;
   cache_bytes.name = cache_bytes.family = "osd_profile_cache_bytes";
   cache_bytes.help = "Resident profile-cache bytes.";
@@ -531,7 +532,7 @@ TEST(EngineObsTest, SlowQueryLogCapturesOverThresholdQueries) {
 }
 
 TEST(EngineObsTest, UntracedQueriesLeaveMetricsConsistentUnderConcurrency) {
-  // Many queries on several threads with the profile cache on, plus one
+  // Many queries on several threads with the result cache on, plus one
   // cancelled ticket; then every engine series must equal the EngineStats
   // field it is rendered from. Runs under TSan via the tsan ctest label.
   QueryEngine engine(SmallDataset(120, 29), {.num_threads = 4,
@@ -546,8 +547,8 @@ TEST(EngineObsTest, UntracedQueriesLeaveMetricsConsistentUnderConcurrency) {
   };
   // Four blockers hold every worker in their terminal hook, so the victim
   // queued behind them is cancelled before a worker can start it. The
-  // batch repeats their four queries, which the cache admits at this
-  // second sighting, and a third round of them hits.
+  // batch repeats their four queries, and a third round of them hits the
+  // result cache too.
   std::promise<void> gate;
   std::shared_future<void> open = gate.get_future().share();
   std::vector<std::shared_ptr<QueryTicket>> tickets;

@@ -883,10 +883,10 @@ EpochReport RunEpoch(int epoch, const std::vector<Combo>& combos,
   // folds under write bursts and interval folds during lulls.
   engine_options.fold_interval_s = 0.2;
   engine_options.fold_delta_threshold = 64;
-  // The profile cache under fire: it races the mutator's epoch bumps
-  // (stale-serve invariant below) and the aborter/sigterm drains. Capacity
-  // stays well under the engine budget so resident entries cannot starve
-  // query admission.
+  // The result cache under fire: it races the mutator's epoch bumps (every
+  // answer is verified) and the aborter/sigterm drains. Capacity stays
+  // well under the engine budget so resident entries cannot starve query
+  // admission.
   engine_options.profile_cache_bytes = 16 << 20;
   QueryEngine engine(MakeDataset(), engine_options);
 
@@ -953,9 +953,8 @@ EpochReport RunEpoch(int epoch, const std::vector<Combo>& combos,
   // delta charges must drain to exactly zero.
   Check(engine.versioned().live_snapshots() == 0,
         "snapshot pins outlived the drain", &report);
-  // Quiesce the sharing layers too: Drain flushes any open batch and
-  // releases every resident profile-cache entry's budget charge, so the
-  // zero-bytes invariant below covers the cache as well.
+  // Quiesce the result cache too: Drain releases every resident entry's
+  // budget charge, so the zero-bytes invariant below covers the cache.
   engine.Drain();
   engine.versioned().Fold();
   Check(engine.memory_budget().current_bytes() == 0,
@@ -964,13 +963,9 @@ EpochReport RunEpoch(int epoch, const std::vector<Combo>& combos,
   Check(stats.submitted == stats.completed,
         "engine submitted != completed (leaked engine tickets)", &report);
   Check(tally->mismatches.load() == 0, "verification mismatches", &report);
-  // Epoch safety of the shared cache under concurrent mutation: the final
-  // lookup guard must never have caught a stale-epoch entry about to be
-  // served — shard-level invalidation alone has to be airtight.
-  Check(stats.profile_cache_stale_serves_averted == 0,
-        "stale-epoch profile cache entry reached the serve guard", &report);
+  // Drain released every resident result-cache entry.
   Check(stats.profile_cache_bytes == 0,
-        "profile cache bytes nonzero after drain", &report);
+        "result cache bytes nonzero after drain", &report);
 
   // Every per-tenant inflight gauge must read exactly 0: a leak shows 1+,
   // a double release shows a negative value.

@@ -25,12 +25,13 @@
 //   [--idle-timeout-s X]             evict idle connections after X s
 //   [--write-stall-timeout-s X]      evict connections whose peer stops
 //                                    reading for X s
-//   [--profile-cache-bytes SIZE]     cross-query profile cache capacity
-//                                    (epoch-versioned, LRU, charged to the
-//                                    engine memory budget; 0/absent = off).
-//                                    It serves queries that repeat within
-//                                    an epoch; a one-off query pays
-//                                    nothing for it.
+//   [--profile-cache-bytes SIZE]     result cache capacity (absent = off):
+//                                    a query that repeats at the epoch it
+//                                    completed at is answered from its
+//                                    stored candidates (LRU, charged to
+//                                    the engine memory budget). The name
+//                                    predates the cache, which replaced a
+//                                    profile cache.
 //   [--max-batch N]                  accepted (N >= 1) and ignored, as
 //   [--batch-window-us X]            is X (> 0): every query runs as its
 //                                    own task; kept so existing command
@@ -70,9 +71,13 @@
 //                                    name "default" sets the policy for
 //                                    tenants without an explicit entry
 //                                    (writes gates "mutate" frames, mutops
-//                                    caps ops per mutate batch)
+//                                    caps ops per mutate batch, retries is
+//                                    at most 10, the wire's cap)
 //   [--metrics-out FILE]             write Prometheus metrics on exit
 //   [--failpoints SPEC]              arm fault-injection sites
+//
+// Every numeric value must be a whole number (no trailing characters) in
+// its flag's range; anything else exits 2 naming the flag.
 //
 // SIGTERM / SIGINT initiate a graceful drain: the listener closes, new
 // submits are refused, in-flight queries finish and their terminal frames
@@ -80,6 +85,10 @@
 
 #include <signal.h>
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -136,6 +145,36 @@ struct Args {
   std::exit(2);
 }
 
+/// A whole decimal integer in [lo, hi]; an empty value, trailing
+/// characters, an overflow or a value out of range exits 2.
+long long ParseInt(const std::string& s, const std::string& what,
+                   long long lo, long long hi) {
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(s.c_str(), &end, 10);
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0])) ||
+      *end != '\0' || errno == ERANGE) {
+    Die(what + ": '" + s + "' is not an integer");
+  }
+  if (value < lo || value > hi) {
+    Die(what + " must be in [" + std::to_string(lo) + ", " +
+        std::to_string(hi) + "], got " + s);
+  }
+  return value;
+}
+
+/// A whole finite decimal number above 0; anything else exits 2.
+double ParsePositive(const std::string& s, const std::string& what) {
+  char* end = nullptr;
+  const double value = std::strtod(s.c_str(), &end);
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0])) ||
+      *end != '\0' || !std::isfinite(value)) {
+    Die(what + ": '" + s + "' is not a number");
+  }
+  if (!(value > 0)) Die(what + " must be > 0, got " + s);
+  return value;
+}
+
 long ParseByteSize(const std::string& s, const char* what) {
   char* end = nullptr;
   const double value = std::strtod(s.c_str(), &end);
@@ -181,19 +220,19 @@ void ParseTenantFlag(const std::string& spec, Args* args) {
     if (key == "mem") {
       policy.per_query_mem_bytes = ParseByteSize(value, "--tenant mem");
     } else if (key == "inflight") {
-      policy.max_inflight = std::atoi(value.c_str());
-      if (policy.max_inflight < 1) Die("--tenant: inflight must be >= 1");
+      policy.max_inflight =
+          static_cast<int>(ParseInt(value, "--tenant inflight", 1, INT_MAX));
     } else if (key == "retries") {
-      policy.retries = std::atoi(value.c_str());
-      if (policy.retries < 0) Die("--tenant: retries must be >= 0");
+      policy.retries = static_cast<int>(
+          ParseInt(value, "--tenant retries", 0, net::kMaxRetries));
     } else if (key == "writes") {
       if (value != "0" && value != "1") {
         Die("--tenant: writes must be 0 or 1");
       }
       policy.allow_writes = value == "1";
     } else if (key == "mutops") {
-      policy.max_mutation_ops = std::atoi(value.c_str());
-      if (policy.max_mutation_ops < 1) Die("--tenant: mutops must be >= 1");
+      policy.max_mutation_ops =
+          static_cast<int>(ParseInt(value, "--tenant mutops", 1, INT_MAX));
     } else {
       Die("--tenant: unknown key '" + key + "'");
     }
@@ -211,6 +250,15 @@ Args Parse(int argc, char** argv) {
     if (i + 1 >= argc) Die(std::string("missing value for ") + argv[i]);
     return argv[++i];
   };
+  // The flag's value as an integer in [lo, hi], or as a number > 0.
+  auto int_value = [&](int& i, long long lo, long long hi) {
+    const std::string flag = argv[i];
+    return ParseInt(need_value(i), flag, lo, hi);
+  };
+  auto positive_value = [&](int& i) {
+    const std::string flag = argv[i];
+    return ParsePositive(need_value(i), flag);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--input") {
@@ -220,41 +268,33 @@ Args Parse(int argc, char** argv) {
     } else if (flag == "--binary") {
       args.binary = true;
     } else if (flag == "--gen-data") {
-      args.gen_data = std::atoi(need_value(i).c_str());
-      if (args.gen_data < 1) Die("--gen-data must be >= 1");
+      args.gen_data = static_cast<int>(int_value(i, 1, INT_MAX));
     } else if (flag == "--gen-dim") {
-      args.gen_dim = std::atoi(need_value(i).c_str());
-      if (args.gen_dim < 1) Die("--gen-dim must be >= 1");
+      args.gen_dim = static_cast<int>(int_value(i, 1, INT_MAX));
     } else if (flag == "--gen-instances") {
-      args.gen_instances = std::atoi(need_value(i).c_str());
-      if (args.gen_instances < 1) Die("--gen-instances must be >= 1");
+      args.gen_instances = static_cast<int>(int_value(i, 1, INT_MAX));
     } else if (flag == "--seed") {
-      args.seed = std::strtoull(need_value(i).c_str(), nullptr, 10);
+      args.seed = static_cast<uint64_t>(int_value(i, 0, LLONG_MAX));
     } else if (flag == "--host") {
       args.host = need_value(i);
     } else if (flag == "--port") {
-      args.port = std::atoi(need_value(i).c_str());
-      if (args.port < 0 || args.port > 65535) Die("--port out of range");
+      args.port = static_cast<int>(int_value(i, 0, 65535));
     } else if (flag == "--threads") {
-      args.threads = std::atoi(need_value(i).c_str());
+      // 0 sizes the pool to the hardware.
+      args.threads = static_cast<int>(int_value(i, 0, 4096));
     } else if (flag == "--queue") {
-      const int q = std::atoi(need_value(i).c_str());
-      if (q < 1) Die("--queue must be >= 1");
-      args.queue = static_cast<size_t>(q);
+      args.queue = static_cast<size_t>(int_value(i, 1, INT_MAX));
     } else if (flag == "--mem-budget") {
       args.mem_budget_bytes = ParseByteSize(need_value(i), "--mem-budget");
     } else if (flag == "--engine-mem-budget") {
       args.engine_mem_budget_bytes =
           ParseByteSize(need_value(i), "--engine-mem-budget");
     } else if (flag == "--slow-query-ms") {
-      args.slow_query_ms = std::atof(need_value(i).c_str());
-      if (args.slow_query_ms <= 0) Die("--slow-query-ms must be > 0");
+      args.slow_query_ms = positive_value(i);
     } else if (flag == "--no-shed") {
       args.shed = false;
     } else if (flag == "--max-connections") {
-      const int n = std::atoi(need_value(i).c_str());
-      if (n < 1) Die("--max-connections must be >= 1");
-      args.max_connections = static_cast<size_t>(n);
+      args.max_connections = static_cast<size_t>(int_value(i, 1, INT_MAX));
     } else if (flag == "--max-output-buffer") {
       args.max_output_buffer_bytes =
           ParseByteSize(need_value(i), "--max-output-buffer");
@@ -265,38 +305,26 @@ Args Parse(int argc, char** argv) {
       args.low_watermark_bytes =
           ParseByteSize(need_value(i), "--low-watermark");
     } else if (flag == "--idle-timeout-s") {
-      args.idle_timeout_s = std::atof(need_value(i).c_str());
-      if (args.idle_timeout_s <= 0) Die("--idle-timeout-s must be > 0");
+      args.idle_timeout_s = positive_value(i);
     } else if (flag == "--write-stall-timeout-s") {
-      args.write_stall_timeout_s = std::atof(need_value(i).c_str());
-      if (args.write_stall_timeout_s <= 0) {
-        Die("--write-stall-timeout-s must be > 0");
-      }
+      args.write_stall_timeout_s = positive_value(i);
     } else if (flag == "--profile-cache-bytes") {
       args.profile_cache_bytes =
           ParseByteSize(need_value(i), "--profile-cache-bytes");
-    } else if (flag == "--max-batch" || flag == "--batch-window-us") {
-      // Validated, then ignored: the engine has no batching.
-      const bool max_batch = flag == "--max-batch";
-      const std::string value = need_value(i);
-      if (max_batch ? std::atoi(value.c_str()) < 1
-                    : std::atof(value.c_str()) <= 0) {
-        Die(flag + (max_batch ? " must be >= 1" : " must be > 0"));
-      }
+    } else if (flag == "--max-batch") {
+      int_value(i, 1, INT_MAX);  // validated, then ignored: no batching
+    } else if (flag == "--batch-window-us") {
+      positive_value(i);  // validated, then ignored: no batching
     } else if (flag == "--fold-interval-s") {
-      args.fold_interval_s = std::atof(need_value(i).c_str());
-      if (args.fold_interval_s <= 0) Die("--fold-interval-s must be > 0");
+      args.fold_interval_s = positive_value(i);
     } else if (flag == "--fold-delta") {
-      args.fold_delta = std::atoi(need_value(i).c_str());
-      if (args.fold_delta < 0) Die("--fold-delta must be >= 0 (0 disables)");
+      // 0 disables the fold thread.
+      args.fold_delta = static_cast<int>(int_value(i, 0, INT_MAX));
     } else if (flag == "--wal-dir") {
       args.wal_dir = need_value(i);
       if (args.wal_dir.empty()) Die("--wal-dir needs a directory path");
     } else if (flag == "--checkpoint-interval") {
-      args.checkpoint_interval_s = std::atof(need_value(i).c_str());
-      if (args.checkpoint_interval_s <= 0) {
-        Die("--checkpoint-interval must be > 0 seconds");
-      }
+      args.checkpoint_interval_s = positive_value(i);
     } else if (flag == "--tenant") {
       ParseTenantFlag(need_value(i), &args);
     } else if (flag == "--metrics-out") {
