@@ -25,7 +25,7 @@ label_targets() {
 }
 
 # Failpoints are compiled in so the resilience suite can inject faults
-# into concurrent executions (retry storms are where races would hide).
+# into concurrent executions (failure paths are where races would hide).
 cmake -B "$BUILD_DIR" -S . \
   -DOSD_SANITIZE=thread \
   -DOSD_FAILPOINTS=ON \

@@ -56,10 +56,10 @@ expect_flag_error --deadline --input "$TMP/none.txt" --query-id 1 \
   --deadline nan
 echo "deadline flag validation OK"
 
-# osd_server's numeric flags parse whole and in range: trailing characters,
-# a non-number or a tenant retries count above the wire's cap (10) exit 2
-# with a message naming the flag. `timeout` catches a server that accepts
-# the value and starts serving.
+# osd_server's numeric flags parse whole and in range: trailing characters
+# or a non-number exit 2 with a message naming the flag, and the removed
+# tenant `retries` key exits 2 as an unknown key. `timeout` catches a
+# server that accepts the value and starts serving.
 expect_server_flag_error() {
   local want="$1"; shift
   local rc=0
@@ -72,10 +72,7 @@ expect_server_flag_error "--port: '80x' is not an integer" --port 80x
 expect_server_flag_error "--seed: 'abc' is not an integer" --seed abc
 expect_server_flag_error "--tenant inflight: '4x' is not an integer" \
   --tenant t:inflight=4x
-expect_server_flag_error "--tenant retries must be in [0, 10], got 11" \
-  --tenant t:retries=11
-expect_server_flag_error "--tenant retries must be in [0, 10]" \
-  --tenant t:retries=2147483647
+expect_server_flag_error "unknown key 'retries'" --tenant t:retries=1
 expect_server_flag_error "--batch-window-us: '200us' is not a number" \
   --batch-window-us 200us
 echo "server flag validation OK"

@@ -17,7 +17,7 @@
 //   action  := 'throw' | 'throw_bad_alloc' | 'error' | 'delay' | 'abort'
 //
 //   site                site names use [A-Za-z0-9_.-]
-//   throw[(message)]    throw InjectedFault (an osd::TransientError)
+//   throw[(message)]    throw InjectedFault (a std::runtime_error)
 //   throw_bad_alloc     throw std::bad_alloc — simulates an allocation
 //                       failure at the site without exhausting RAM
 //   error               make OSD_FAILPOINT_ERROR sites take their error
@@ -60,22 +60,14 @@
 
 namespace osd {
 
-/// Failures that are worth retrying (transient by contract). The engine's
-/// RetryPolicy retries these and nothing else; injected faults derive from
-/// it so fault-injection tests exercise the retry machinery.
-class TransientError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 namespace failpoint {
 
 /// The exception thrown by a `throw` trigger; carries the site name so
 /// error reports can say which failpoint fired.
-class InjectedFault : public TransientError {
+class InjectedFault : public std::runtime_error {
  public:
   InjectedFault(std::string site, const std::string& message)
-      : TransientError(message), site_(std::move(site)) {}
+      : std::runtime_error(message), site_(std::move(site)) {}
   const std::string& site() const { return site_; }
 
  private:

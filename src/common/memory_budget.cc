@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/failpoint.h"
 #include "obs/trace.h"
 
 namespace osd {
@@ -29,8 +30,9 @@ std::string BreachMessage(const char* what_label, long requested_bytes,
 MemoryExceeded::MemoryExceeded(const char* what_label, long requested_bytes,
                                long charged_bytes, long limit_bytes,
                                bool engine_wide)
-    : TransientError(BreachMessage(what_label, requested_bytes, charged_bytes,
-                                   limit_bytes, engine_wide)),
+    : std::runtime_error(BreachMessage(what_label, requested_bytes,
+                                       charged_bytes, limit_bytes,
+                                       engine_wide)),
       requested_(requested_bytes),
       charged_(charged_bytes),
       limit_(limit_bytes),

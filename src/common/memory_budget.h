@@ -25,11 +25,11 @@
 // allocator capacity: the facility is an isolation mechanism with a
 // deliberate safety margin, not an exact heap profiler.
 //
-// Breach semantics: Charge() throws MemoryExceeded, which derives from
-// TransientError — a breached query is retry-eligible (an engine-wide
-// breach may well succeed once concurrent queries drain). NncSearch::Run
-// additionally converts a breach into a certified degraded superset when
-// NncOptions::degraded_superset is set; see nnc_search.h.
+// Breach semantics: Charge() throws MemoryExceeded, a std::runtime_error
+// naming the site, the request and the cap that refused it; the engine
+// fails the query with that text. NncSearch::Run instead converts a breach
+// into a certified degraded superset when NncOptions::degraded_superset is
+// set; see nnc_search.h.
 //
 // Thread-safety: MemoryBudget may be shared by any number of threads. A
 // QueryBudgetScope belongs to the thread that constructed it; Charge and
@@ -41,17 +41,16 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 
-#include "common/failpoint.h"
 #include "common/query_exec.h"
 
 namespace osd {
 
 /// Thrown by memory::Charge when a charge would exceed the per-query or
-/// engine-wide budget. Transient by contract: the engine's RetryPolicy may
-/// retry it (an engine-wide breach can clear as other queries finish).
-class MemoryExceeded : public TransientError {
+/// engine-wide budget.
+class MemoryExceeded : public std::runtime_error {
  public:
   MemoryExceeded(const char* what_label, long requested_bytes,
                  long charged_bytes, long limit_bytes, bool engine_wide);

@@ -92,8 +92,8 @@ enum class Kind {
   kDeadlineExceeded,  ///< the control's deadline passed
 };
 
-/// Thrown by Poll(). Deliberately NOT derived from TransientError: an
-/// expired deadline must never be retried by the engine.
+/// Thrown by Poll(). NncSearch::Run catches it and ends the query with the
+/// matching termination, never a failure.
 class Interrupted : public std::exception {
  public:
   explicit Interrupted(Kind kind) : kind_(kind) {}

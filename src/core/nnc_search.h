@@ -88,8 +88,8 @@ struct NncOptions {
   /// a real allocation — an item mid-examination is returned to the
   /// frontier and, with this flag set, the query drains to the same
   /// certified superset with termination kMemoryExceeded; without the
-  /// flag the exception propagates (MemoryExceeded is a TransientError,
-  /// so the engine may retry it).
+  /// flag the exception propagates, and the engine fails the query with
+  /// the breach text.
   bool degraded_superset = false;
 };
 

@@ -24,8 +24,7 @@ ObjectProfile::~ObjectProfile() { memory::Release(charged_bytes_); }
 
 void ObjectProfile::ChargeView(long bytes, const char* what_label) {
   // Charge-before-allocate: a breach throws here with the view still
-  // null, so a later call (e.g. on a retry with a fresh budget) simply
-  // fills it from scratch.
+  // null, so a later call simply fills it from scratch.
   memory::Charge(bytes, what_label);
   charged_bytes_ += bytes;
 }

@@ -71,7 +71,6 @@ std::vector<obs::MetricSnapshot> EngineMetrics(const EngineStats& s) {
   latency.buckets.assign(s.latency_histogram.buckets().begin(),
                          s.latency_histogram.buckets().end());
   out.push_back(std::move(latency));
-  counter("osd_retries_total", "Transient-failure re-attempts", s.retries);
   counter("osd_candidates_total", "Summed result-set sizes", candidates);
   counter("osd_dominance_checks_total", "Dominance oracle invocations",
           s.filters.dominance_checks);
@@ -133,7 +132,7 @@ std::string EngineStats::ToJson() const {
   Append(&out, ",\"cancelled\":%ld", cancelled);
   Append(&out, ",\"errors\":%ld", errors);
   Append(&out, ",\"rejected\":%ld", rejected);
-  Append(&out, ",\"retries\":%ld", retries);
+  out += ",\"retries\":0";  // queries never retry; osdbench reads the key
   Append(&out, ",\"wall_seconds\":%.6f", wall_seconds);
   Append(&out, ",\"qps\":%.2f", qps);
   Append(&out,

@@ -46,7 +46,6 @@ struct EngineStats {
   long errors = 0;
   long rejected = 0;  ///< shed at submission (kRejected); excluded from the
                       ///< latency percentiles — they never ran
-  long retries = 0;   ///< transient-failure re-attempts across all queries
 
   /// First submission to latest completion (steady_clock), seconds.
   double wall_seconds = 0.0;
@@ -108,7 +107,7 @@ struct EngineStats {
 
 /// The engine's Prometheus series, sorted by name, each read from the
 /// EngineStats field it exports: status and operator counts, the latency
-/// histogram, work, retry and memory counters, and — when the result
+/// histogram, work and memory counters, and — when the result
 /// cache is on (profile_cache_cap_bytes > 0) — its hits, misses,
 /// evictions and bytes. osd_candidates_total sums per_operator[].candidates
 /// and osd_instance_comparisons_total is filters.InstanceComparisons().

@@ -1,10 +1,8 @@
 #include "engine/query_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <exception>
-#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -49,13 +47,6 @@ std::string DescribeFailure(const std::exception& e) {
   return text;
 }
 
-/// Uniform draw in [0, 1) for backoff jitter. Thread-local and seeded from
-/// random_device: jitter must decorrelate workers, not be reproducible.
-double JitterDraw() {
-  thread_local std::mt19937_64 engine{std::random_device{}()};
-  return std::uniform_real_distribution<double>(0.0, 1.0)(engine);
-}
-
 /// A stored answer as the result of a run: the emissions replayed through
 /// `emit` in their stored order, the final candidates, and no work.
 NncResult Replay(const ResultCache::Answer& answer, uint64_t epoch,
@@ -79,15 +70,6 @@ NncResult Replay(const ResultCache::Answer& answer, uint64_t epoch,
 }
 
 }  // namespace
-
-double RetryPolicy::BackoffSeconds(int next_attempt, double u) const {
-  const int steps = std::max(0, next_attempt - 2);
-  double ms = initial_backoff_ms * std::pow(backoff_multiplier, steps);
-  ms = std::min(ms, max_backoff_ms);
-  ms = std::max(ms, 0.0);
-  const double j = std::clamp(jitter, 0.0, 1.0);
-  return ms * (1.0 - j * u) / 1e3;
-}
 
 QueryEngine::QueryEngine(Dataset dataset, EngineOptions options)
     : options_(options),
@@ -161,8 +143,7 @@ std::shared_ptr<QueryTicket> QueryEngine::Submit(QuerySpec spec) {
         }
         Complete(ticket, spec.options.op, QueryStatus::kRejected, {},
                  "engine memory budget above high-water mark (admission "
-                 "control)",
-                 0);
+                 "control)");
         return ticket;
       }
       mem_budget_.WaitUntilBelow(high_water);
@@ -185,8 +166,7 @@ std::shared_ptr<QueryTicket> QueryEngine::Submit(QuerySpec spec) {
     Complete(ticket, queued->options.op,
              shed ? QueryStatus::kRejected : QueryStatus::kError, {},
              shed ? "submission queue saturated (overload shedding)"
-                  : "engine is shutting down",
-             0);
+                  : "engine is shutting down");
   }
   return ticket;  // a refused spec's epoch pin dies with `queued` here
 }
@@ -232,7 +212,7 @@ void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
 
   // Fast-fail queries whose fate was sealed while queued.
   if (control.cancel.load(std::memory_order_relaxed)) {
-    Complete(ticket, op, QueryStatus::kCancelled, {}, "", 0);
+    Complete(ticket, op, QueryStatus::kCancelled, {}, "");
     return;
   }
   if (control.has_deadline() &&
@@ -241,7 +221,7 @@ void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
     // superset: run the search anyway — the first pop terminates it and
     // the whole tree drains into the frontier.
     if (!spec.options.degraded_superset) {
-      Complete(ticket, op, QueryStatus::kDeadlineExceeded, {}, "", 0);
+      Complete(ticket, op, QueryStatus::kDeadlineExceeded, {}, "");
       return;
     }
   }
@@ -265,8 +245,7 @@ void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
       Complete(ticket, op, QueryStatus::kError, {},
                "query object id " + std::to_string(spec.query_object_id) +
                    " is not live at epoch " +
-                   std::to_string(spec.snapshot.epoch()),
-               1);
+                   std::to_string(spec.snapshot.epoch()));
       return;
     }
     query = &spec.snapshot.object(idx);
@@ -284,133 +263,79 @@ void QueryEngine::Execute(const std::shared_ptr<QueryTicket>& ticket,
         ResultCache::KeyFor(*query, spec.options, spec.snapshot.epoch());
   }
   const bool lookup = result_cache_ != nullptr && !spec.collect_trace;
-  const int max_attempts = std::max(1, spec.retry.max_attempts);
-  std::string failure;
-  int attempt = 0;
-  while (true) {
-    ++attempt;
-    try {
-      OSD_FAILPOINT("engine.execute");
-      // Dimensionality check against the pinned epoch. A store whose dim
-      // is still unset (constructed empty, nothing inserted yet) accepts
-      // any query and answers it exactly: zero candidates.
-      const int store_dim = spec.snapshot.dim();
-      if (store_dim != 0 && query->dim() != store_dim) {
-        throw std::invalid_argument(
-            "query dimensionality does not match the dataset");
-      }
-      std::function<void(int, double)> emit;
-      if (spec.on_emission) {
-        // Attempt-stamped forwarding: a retry restarts the stream, and the
-        // consumer disambiguates by the attempt number.
-        const int this_attempt = attempt;
-        emit = [&spec, this_attempt](int id, double elapsed) {
-          spec.on_emission(NncEmission{id, elapsed}, this_attempt);
-        };
-      }
-      const std::shared_ptr<const ResultCache::Answer> stored =
-          lookup ? result_cache_->Lookup(cache_key, *query) : nullptr;
-      NncResult result;
-      if (stored != nullptr) {
-        result = Replay(*stored, spec.snapshot.epoch(), emit);
-      } else {
-        {
-          // Fresh budget scope per attempt: a retry starts with zero charge
-          // and its own engine-budget reservation, released on scope exit.
-          // The spec's per-query cap (per-tenant governance) overrides the
-          // engine-wide default when set.
-          const long per_query_cap = spec.per_query_mem_bytes > 0
-                                         ? spec.per_query_mem_bytes
-                                         : options_.per_query_mem_bytes;
-          memory::QueryBudgetScope mem_scope(
-              per_query_cap,
-              options_.engine_mem_bytes > 0 ? &mem_budget_ : nullptr);
-          result = NncSearch(spec.snapshot, spec.options).Run(*query, emit);
-        }
-        if (result_cache_ != nullptr &&
-            result.termination == NncTermination::kComplete &&
-            !result.degraded) {
-          result_cache_->Insert(cache_key, *query, result);
-        }
-      }
-      if (result.termination == NncTermination::kMemoryExceeded) {
-        // Breach absorbed by the degraded-superset drain inside Run.
-        NoteMemBreach();
-      }
-      Complete(ticket, op, StatusFromResult(result), std::move(result), "",
-               attempt);
-      return;
-    } catch (const MemoryExceeded& e) {
-      // Transient (engine-wide pressure clears as other queries finish);
-      // falls through to the shared retry/backoff logic below.
-      NoteMemBreach();
-      failure = DescribeFailure(e);
-    } catch (const TransientError& e) {
-      failure = DescribeFailure(e);
-    } catch (const std::bad_alloc&) {
-      // Containment boundary: one query's OOM must not unwind the worker
-      // or poison its siblings. bad_alloc is deliberately not retried —
-      // unlike a budget breach there is no accounting to say the pressure
-      // has cleared.
+  try {
+    OSD_FAILPOINT("engine.execute");
+    // Dimensionality check against the pinned epoch. A store whose dim is
+    // still unset (constructed empty, nothing inserted yet) accepts any
+    // query and answers it exactly: zero candidates.
+    const int store_dim = spec.snapshot.dim();
+    if (store_dim != 0 && query->dim() != store_dim) {
+      throw std::invalid_argument(
+          "query dimensionality does not match the dataset");
+    }
+    std::function<void(int, double)> emit;
+    if (spec.on_emission) {
+      emit = [&spec](int id, double elapsed) {
+        spec.on_emission(NncEmission{id, elapsed});
+      };
+    }
+    const std::shared_ptr<const ResultCache::Answer> stored =
+        lookup ? result_cache_->Lookup(cache_key, *query) : nullptr;
+    NncResult result;
+    if (stored != nullptr) {
+      result = Replay(*stored, spec.snapshot.epoch(), emit);
+    } else {
       {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.bad_allocs;
+        // The budget scope's charge and engine-budget reservation are
+        // released on scope exit. The spec's per-query cap (per-tenant
+        // governance) overrides the engine-wide default when set.
+        const long per_query_cap = spec.per_query_mem_bytes > 0
+                                       ? spec.per_query_mem_bytes
+                                       : options_.per_query_mem_bytes;
+        memory::QueryBudgetScope mem_scope(
+            per_query_cap,
+            options_.engine_mem_bytes > 0 ? &mem_budget_ : nullptr);
+        result = NncSearch(spec.snapshot, spec.options).Run(*query, emit);
       }
-      Complete(ticket, op, QueryStatus::kError, {},
-               "out of memory (std::bad_alloc contained at the worker "
-               "boundary)",
-               attempt);
-      return;
-    } catch (const std::exception& e) {
-      Complete(ticket, op, QueryStatus::kError, {}, DescribeFailure(e),
-               attempt);
-      return;
-    } catch (...) {
-      Complete(ticket, op, QueryStatus::kError, {}, "unknown exception",
-               attempt);
-      return;
+      if (result_cache_ != nullptr &&
+          result.termination == NncTermination::kComplete &&
+          !result.degraded) {
+        result_cache_->Insert(cache_key, *query, result);
+      }
     }
-    if (attempt >= max_attempts) break;
-    // Transient failure with attempts left: back off, then retry. The
-    // backoff honours cancellation and never sleeps past the deadline.
-    if (control.cancel.load(std::memory_order_relaxed)) {
-      Complete(ticket, op, QueryStatus::kCancelled, {}, "", attempt);
-      return;
+    if (result.termination == NncTermination::kMemoryExceeded) {
+      // Breach absorbed by the degraded-superset drain inside Run.
+      NoteMemBreach();
     }
-    const double backoff_s =
-        spec.retry.BackoffSeconds(attempt + 1, JitterDraw());
-    const auto wake =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(backoff_s));
-    if (control.has_deadline() && wake >= control.deadline) {
-      Complete(ticket, op, QueryStatus::kError, {},
-               failure + " (deadline reached before retry " +
-                   std::to_string(attempt + 1) + ")",
-               attempt);
-      return;
-    }
+    Complete(ticket, op, StatusFromResult(result), std::move(result), "");
+  } catch (const MemoryExceeded& e) {
+    NoteMemBreach();
+    Complete(ticket, op, QueryStatus::kError, {}, DescribeFailure(e));
+  } catch (const std::bad_alloc&) {
+    // Containment boundary: one query's OOM must not unwind the worker or
+    // poison its siblings.
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.retries;
+      ++stats_.bad_allocs;
     }
-    if (backoff_s > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff_s));
-    }
+    Complete(ticket, op, QueryStatus::kError, {},
+             "out of memory (std::bad_alloc contained at the worker "
+             "boundary)");
+  } catch (const std::exception& e) {
+    Complete(ticket, op, QueryStatus::kError, {}, DescribeFailure(e));
+  } catch (...) {
+    Complete(ticket, op, QueryStatus::kError, {}, "unknown exception");
   }
-  Complete(ticket, op, QueryStatus::kError, {},
-           failure + " (after " + std::to_string(attempt) + " attempts)",
-           attempt);
 }
 
 void QueryEngine::Complete(const std::shared_ptr<QueryTicket>& ticket,
                            Operator op, QueryStatus status, NncResult result,
-                           std::string error, int attempts) {
+                           std::string error) {
   const auto now = std::chrono::steady_clock::now();
   const double latency =
       std::chrono::duration<double>(now - ticket->submitted_at_).count();
-  // Queries resolved without running (cancelled/expired while queued, or
-  // cancelled between retry attempts) carry a default-constructed result
+  // Queries resolved without running (cancelled/expired while queued)
+  // carry a default-constructed result
   // whose termination still says kComplete. Terminal consumers (the wire
   // protocol's terminal frame) report both fields, so keep them
   // consistent; results coming out of Run already agree and are untouched.
@@ -451,9 +376,9 @@ void QueryEngine::Complete(const std::shared_ptr<QueryTicket>& ticket,
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "{\"status\":\"%s\",\"op\":\"%s\",\"latency_ms\":%.4f,"
-                  "\"attempts\":%d,\"candidates\":%zu",
+                  "\"candidates\":%zu",
                   QueryStatusName(status), OperatorName(op), latency * 1e3,
-                  attempts, result.candidates.size());
+                  result.candidates.size());
     std::string entry = buf;
     if (ticket->trace_ != nullptr) {
       entry += ",\"trace\":" + ticket->trace_->ToJson();
@@ -461,8 +386,7 @@ void QueryEngine::Complete(const std::shared_ptr<QueryTicket>& ticket,
     entry += "}";
     slow_log_.Record(latency, std::move(entry));
   }
-  ticket->Finish(status, std::move(result), std::move(error), latency,
-                 attempts);
+  ticket->Finish(status, std::move(result), std::move(error), latency);
 }
 
 EngineStats QueryEngine::Snapshot() const {

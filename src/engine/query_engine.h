@@ -8,20 +8,18 @@
 // QueryTicket; per-query deadlines and cancellation are plumbed into the
 // traversal through the QueryControl hook in NncOptions and are honoured
 // at heap pops, so even a mid-flight query stops within a bounded amount
-// of work. Exceptions thrown by a query land on its ticket as kError and
-// never kill a worker.
+// of work. Every query runs once: an exception thrown by it lands on its
+// ticket as kError and never kills a worker.
 //
-// Resilience: transient failures (osd::TransientError, which covers
-// injected failpoint faults) are retried per the query's RetryPolicy with
-// jittered exponential backoff; with shed_on_overload the engine rejects
-// (kRejected) rather than blocks when the queue saturates; and queries run
-// with NncOptions::degraded_superset return certified superset answers
+// Resilience: with shed_on_overload the engine rejects (kRejected) rather
+// than blocks when the queue saturates, and queries run with
+// NncOptions::degraded_superset return certified superset answers
 // (kOkDegraded) when a deadline or cancellation stops them mid-traversal.
 //
 // Memory governance: per_query_mem_bytes installs a memory budget scope
 // around each execution, so one query's allocations are bounded; a breach
 // degrades the query (with degraded_superset) or fails it with a precise
-// retry-eligible MemoryExceeded, never the process. engine_mem_bytes adds
+// MemoryExceeded message, never the process. engine_mem_bytes adds
 // an engine-wide cap with high-water admission control at Submit, and a
 // std::bad_alloc escaping a query is contained at the worker boundary
 // (kError with an "out of memory" message; the pool survives).
@@ -113,27 +111,8 @@ struct EngineOptions {
   long profile_cache_bytes = 0;
 };
 
-/// Per-query retry policy for transient failures. Only exceptions derived
-/// from osd::TransientError (which includes injected failpoint faults) are
-/// retried; programmer errors and malformed queries fail immediately.
-/// Backoff before attempt a (a >= 2) is
-///   min(max_backoff_ms, initial_backoff_ms * multiplier^(a-2))
-/// shrunk by up to `jitter` of itself uniformly at random, so retry storms
-/// decorrelate across workers.
-struct RetryPolicy {
-  int max_attempts = 1;  ///< total attempts including the first; >= 1
-  double initial_backoff_ms = 1.0;
-  double backoff_multiplier = 2.0;
-  double max_backoff_ms = 100.0;
-  double jitter = 0.5;  ///< fraction of the backoff randomized away, [0, 1]
-
-  /// Backoff before attempt `next_attempt` (2-based) given a uniform draw
-  /// `u` in [0, 1); deterministic for u = 0. Exposed for testability.
-  double BackoffSeconds(int next_attempt, double u) const;
-};
-
-/// One query to execute: the query object, its NNC options, an optional
-/// relative deadline, and a retry policy. `options.control` is
+/// One query to execute: the query object, its NNC options and an optional
+/// relative deadline. `options.control` is
 /// engine-managed; any caller-provided value is ignored. Set
 /// `options.degraded_superset` to turn deadline/cancel terminations into
 /// kOkDegraded superset answers instead of partial sets.
@@ -159,7 +138,6 @@ struct QuerySpec {
   /// the ticket's terminal hook can be observed by Drain. Any caller-set
   /// value is overwritten.
   VersionedDataset::Snapshot snapshot;
-  RetryPolicy retry;
   /// Allocate a per-query obs::Trace on the ticket and record spans into
   /// it (QueryTicket::trace()). Like `options.control`, any caller-set
   /// `options.trace` is ignored — the hook is engine-managed.
@@ -169,12 +147,10 @@ struct QuerySpec {
   /// (net/server.h) give each tenant its own budget on one engine.
   long per_query_mem_bytes = 0;
   /// Progressive-emission hook: invoked from the executing worker for every
-  /// candidate the traversal emits (pre-cleanup), with the 1-based
-  /// execution attempt — a retried query restarts its stream, so consumers
-  /// key their state on the attempt. Every call for a query
+  /// candidate the traversal emits (pre-cleanup). Every call for a query
   /// happens-before its on_finish hook; no emission is ever delivered
   /// after the ticket is terminal.
-  std::function<void(const NncEmission&, int attempt)> on_emission;
+  std::function<void(const NncEmission&)> on_emission;
   /// Terminal hook: runs exactly once per ticket — on the thread that
   /// completes it, immediately after the ticket transitions to a terminal
   /// state (the ticket is safe to read inside the hook). It runs for every
@@ -220,8 +196,8 @@ class QueryEngine {
   std::string MetricsText() const;
 
   /// Slow-query log as JSON ({"threshold_ms":...,"entries":[...]}, slowest
-  /// first). Entries carry status, operator, latency, attempts, candidate
-  /// count, and the trace JSON when the query collected one.
+  /// first). Entries carry status, operator, latency, candidate count, and
+  /// the trace JSON when the query collected one.
   std::string SlowQueryDump() const { return slow_log_.DumpJson(); }
 
   const obs::SlowQueryLog& slow_query_log() const { return slow_log_; }
@@ -254,8 +230,7 @@ class QueryEngine {
   /// Each ticket has exactly one completer: Submit's refusal path or the
   /// worker that ran it.
   void Complete(const std::shared_ptr<QueryTicket>& ticket, Operator op,
-                QueryStatus status, NncResult result, std::string error,
-                int attempts);
+                QueryStatus status, NncResult result, std::string error);
 
   /// Engine-wide high-water level in bytes, or 0 when admission control is
   /// off (no engine budget configured).
@@ -281,7 +256,7 @@ class QueryEngine {
   obs::SlowQueryLog slow_log_;
 
   /// The engine's one book of counters: Submit, Complete and the
-  /// admission, retry and memory paths update its fields, and Snapshot
+  /// admission and memory paths update its fields, and Snapshot
   /// copies it and fills the derived fields (completed, throughput,
   /// quantiles, memory, cache, series).
   mutable std::mutex stats_mu_;

@@ -59,19 +59,13 @@ double QueryTicket::latency_seconds() const {
   return latency_seconds_;
 }
 
-int QueryTicket::attempts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return attempts_;
-}
-
 void QueryTicket::MarkRunning() {
   std::lock_guard<std::mutex> lock(mu_);
   if (status_ == QueryStatus::kPending) status_ = QueryStatus::kRunning;
 }
 
 void QueryTicket::Finish(QueryStatus status, NncResult result,
-                         std::string error, double latency_seconds,
-                         int attempts) {
+                         std::string error, double latency_seconds) {
   std::function<void(const QueryTicket&)> hook;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -80,7 +74,6 @@ void QueryTicket::Finish(QueryStatus status, NncResult result,
     result_ = std::move(result);
     error_ = std::move(error);
     latency_seconds_ = latency_seconds;
-    attempts_ = attempts;
     hook = std::move(on_finish_);  // winning transition consumes the hook
   }
   cv_.notify_all();

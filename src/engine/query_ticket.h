@@ -72,16 +72,10 @@ class QueryTicket {
   const NncResult& result() const;
 
   /// Human-readable failure cause; non-empty only for kError / kRejected.
-  /// Carries the exception's what() text, the number of attempts when the
-  /// query was retried, and the failpoint name when the failure was
-  /// injected (e.g. "injected fault [failpoint engine.execute] (after 3
-  /// attempts)").
+  /// Carries the exception's what() text and the failpoint name when the
+  /// failure was injected (e.g. "injected fault [failpoint
+  /// engine.execute]").
   const std::string& error() const;
-
-  /// Execution attempts consumed (1 with no retries); 0 until a worker
-  /// produced a terminal state (and for queries rejected or resolved
-  /// before running).
-  int attempts() const;
 
   /// Requests cooperative cancellation. Safe at any time; a query that
   /// already finished keeps its terminal status.
@@ -107,7 +101,7 @@ class QueryTicket {
   /// The winning transition additionally runs the on_finish hook (set at
   /// submission from QuerySpec::on_finish) outside the lock, exactly once.
   void Finish(QueryStatus status, NncResult result, std::string error,
-              double latency_seconds, int attempts);
+              double latency_seconds);
 
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
@@ -124,7 +118,6 @@ class QueryTicket {
   std::unique_ptr<obs::Trace> trace_;
   std::chrono::steady_clock::time_point submitted_at_{};
   double latency_seconds_ = 0.0;
-  int attempts_ = 0;
 };
 
 }  // namespace osd

@@ -166,8 +166,8 @@ bool ParseSubmit(const JsonValue& msg, SubmitRequest* out,
   if (!msg.is_object()) return Fail(error, "submit must be an object");
   if (!CheckKnownKeys(msg,
                       {"type", "id", "query", "op", "k", "metric", "filters",
-                       "deadline_ms", "accept_degraded", "retries",
-                       "mem_budget_bytes", "stream", "trace"},
+                       "deadline_ms", "accept_degraded", "mem_budget_bytes",
+                       "stream", "trace"},
                       error)) {
     return false;
   }
@@ -257,15 +257,6 @@ bool ParseSubmit(const JsonValue& msg, SubmitRequest* out,
       return Fail(error, "submit.accept_degraded must be a bool");
     }
     out->options.degraded_superset = degraded->AsBool();
-  }
-  out->retries = 0;
-  if (const JsonValue* retries = msg.Find("retries"); retries != nullptr) {
-    long r = 0;
-    if (!AsInteger(*retries, 0, kMaxRetries, &r)) {
-      return Fail(error, "submit.retries must be an integer in [0, " +
-                             std::to_string(kMaxRetries) + "]");
-    }
-    out->retries = static_cast<int>(r);
   }
   out->mem_budget_bytes = 0;
   if (const JsonValue* mem = msg.Find("mem_budget_bytes"); mem != nullptr) {
@@ -409,9 +400,6 @@ std::string BuildSubmitMessage(const SubmitParams& params) {
     msg += ",\"deadline_ms\":" + JsonNumber(params.deadline_ms);
   }
   if (params.accept_degraded) msg += ",\"accept_degraded\":true";
-  if (params.retries > 0) {
-    msg += ",\"retries\":" + std::to_string(params.retries);
-  }
   if (params.mem_budget_bytes > 0) {
     msg += ",\"mem_budget_bytes\":" + std::to_string(params.mem_budget_bytes);
   }
@@ -467,22 +455,19 @@ std::string BuildHelloOkMessage(int dataset_objects, int dataset_dim,
   return msg;
 }
 
-std::string BuildCandidateMessage(long id, long seq, int attempt,
-                                  int object_id, double elapsed_seconds) {
+std::string BuildCandidateMessage(long id, long seq, int object_id,
+                                  double elapsed_seconds) {
   return "{\"type\":\"candidate\",\"id\":" + std::to_string(id) +
          ",\"seq\":" + std::to_string(seq) +
-         ",\"attempt\":" + std::to_string(attempt) +
          ",\"object_id\":" + std::to_string(object_id) +
          ",\"elapsed_ms\":" + JsonNumber(elapsed_seconds * 1e3) + "}";
 }
 
-std::string BuildCoalescedMessage(long id, int attempt, long count,
+std::string BuildCoalescedMessage(long id, long count,
                                   const std::vector<int>& object_ids,
                                   bool truncated) {
   std::string msg = "{\"type\":\"candidates_coalesced\",\"id\":" +
-                    std::to_string(id) +
-                    ",\"attempt\":" + std::to_string(attempt) +
-                    ",\"count\":" + std::to_string(count) +
+                    std::to_string(id) + ",\"count\":" + std::to_string(count) +
                     ",\"truncated\":" + (truncated ? "true" : "false") +
                     ",\"object_ids\":[";
   for (size_t i = 0; i < object_ids.size(); ++i) {
@@ -528,7 +513,6 @@ std::string BuildResultMessage(long id, const QueryTicket& ticket) {
          ",\"entries_pruned\":" + std::to_string(result.entries_pruned) + "}";
   msg += ",\"run_ms\":" + JsonNumber(result.seconds * 1e3);
   msg += ",\"latency_ms\":" + JsonNumber(ticket.latency_seconds() * 1e3);
-  msg += ",\"attempts\":" + std::to_string(ticket.attempts());
   msg += ",\"mem_peak_bytes\":" + std::to_string(result.mem_peak_bytes);
   msg += ",\"epoch\":" + std::to_string(result.epoch);
   if (!ticket.error().empty()) {

@@ -9,7 +9,7 @@
 //   {"type":"hello","version":1,"tenant":"mobile"}       (first message)
 //   {"type":"submit","id":7,"query":{...},"op":"psd","k":1,
 //    "metric":"l2","filters":"all","deadline_ms":250,
-//    "accept_degraded":true,"retries":1,"mem_budget_bytes":67108864,
+//    "accept_degraded":true,"mem_budget_bytes":67108864,
 //    "stream":true,"trace":false}
 //   {"type":"cancel","id":7}
 //   {"type":"mutate","id":9,"ops":[
@@ -26,9 +26,9 @@
 //
 // Server -> client:
 //   {"type":"hello_ok","version":1,"server":...,"dataset":{...},...}
-//   {"type":"candidate","id":7,"seq":0,"attempt":1,"object_id":42,
-//    "elapsed_ms":0.173}                      (streaming submits only)
-//   {"type":"candidates_coalesced","id":7,"attempt":1,"count":900,
+//   {"type":"candidate","id":7,"seq":0,"object_id":42,"elapsed_ms":0.173}
+//                                             (streaming submits only)
+//   {"type":"candidates_coalesced","id":7,"count":900,
 //    "truncated":false,"object_ids":[...]}    (slow readers only: candidate
 //     events folded into one frame while the connection's output buffer is
 //     above its high watermark; the terminal frame stays authoritative)
@@ -68,7 +68,6 @@ inline constexpr int kProtocolVersion = 1;
 /// Schema caps enforced before any query object is constructed.
 inline constexpr int kMaxQueryInstances = 4096;
 inline constexpr int kMaxQueryDim = 32;
-inline constexpr int kMaxRetries = 10;
 inline constexpr long kMaxRequestId = (1L << 53);  // exact in a double
 /// Wire object ids land in `int` fields (Mutation::id,
 /// UncertainObject::id()); a looser bound would let a wider wire value
@@ -127,7 +126,6 @@ struct SubmitRequest {
   int object_id = -1;     // external id; valid iff !inline_query
   NncOptions options;     // op/k/metric/filters/degraded; control unset
   double deadline_seconds = 0.0;
-  int retries = 0;
   long mem_budget_bytes = 0;  // 0 = server default / tenant policy
   bool stream = true;
   bool trace = false;
@@ -175,7 +173,6 @@ struct SubmitParams {
   std::string filters = "all";
   double deadline_ms = 0.0;  ///< <= 0 omits the field
   bool accept_degraded = false;
-  int retries = 0;
   long mem_budget_bytes = 0;
   bool stream = true;
   bool trace = false;
@@ -198,13 +195,13 @@ std::string BuildMutateMessage(long id, const std::vector<MutateOp>& ops);
 
 std::string BuildHelloOkMessage(int dataset_objects, int dataset_dim,
                                 uint64_t epoch, const std::string& tenant);
-std::string BuildCandidateMessage(long id, long seq, int attempt,
-                                  int object_id, double elapsed_seconds);
+std::string BuildCandidateMessage(long id, long seq, int object_id,
+                                  double elapsed_seconds);
 /// One frame standing in for `count` individual candidate events of query
 /// `id` that were coalesced while the connection's output buffer was above
 /// its high watermark. `object_ids` may be truncated (the terminal result
 /// frame carries the authoritative candidate set either way).
-std::string BuildCoalescedMessage(long id, int attempt, long count,
+std::string BuildCoalescedMessage(long id, long count,
                                   const std::vector<int>& object_ids,
                                   bool truncated);
 /// The terminal frame for a completed ticket: status, termination reason,

@@ -291,8 +291,7 @@ void OsdServer::EvictLocked(Connection& conn, const char* code,
 
 void OsdServer::EmitCoalescedLocked(Connection& conn) {
   for (auto& [id, st] : conn.coalesced) {
-    AppendFrameLocked(conn, BuildCoalescedMessage(id, st.attempt, st.count,
-                                                  st.object_ids,
+    AppendFrameLocked(conn, BuildCoalescedMessage(id, st.count, st.object_ids,
                                                   st.truncated));
     if (conn.closed) break;  // eviction mid-emit: the rest is moot
   }
@@ -301,8 +300,7 @@ void OsdServer::EmitCoalescedLocked(Connection& conn) {
 }
 
 void OsdServer::AppendCandidate(Connection& conn, long id, long seq,
-                                int attempt, int object_id,
-                                double elapsed_seconds) {
+                                int object_id, double elapsed_seconds) {
   {
     std::lock_guard<std::mutex> lock(conn.mu);
     if (conn.closed) return;
@@ -312,7 +310,6 @@ void OsdServer::AppendCandidate(Connection& conn, long id, long seq,
     }
     if (conn.coalescing) {
       CoalesceState& st = conn.coalesced[id];
-      st.attempt = attempt;
       ++st.count;
       if (st.object_ids.size() < kMaxCoalescedIds) {
         st.object_ids.push_back(object_id);
@@ -322,8 +319,7 @@ void OsdServer::AppendCandidate(Connection& conn, long id, long seq,
       Count(counters_.candidates_coalesced);
       return;
     }
-    AppendFrameLocked(conn, BuildCandidateMessage(id, seq, attempt,
-                                                  object_id,
+    AppendFrameLocked(conn, BuildCandidateMessage(id, seq, object_id,
                                                   elapsed_seconds));
   }
   Wake();
@@ -730,9 +726,6 @@ void OsdServer::HandleSubmit(const ConnPtr& conn, const JsonValue& msg) {
   spec.options = req.options;
   spec.deadline_seconds = req.deadline_seconds;
   spec.collect_trace = req.trace;
-  const int retries =
-      tenant->policy.retries >= 0 ? tenant->policy.retries : req.retries;
-  spec.retry.max_attempts = 1 + retries;
   // The tenant's budget caps the request's: a request may ask for less
   // than its tenant allows, never more.
   long budget = req.mem_budget_bytes;
@@ -747,12 +740,11 @@ void OsdServer::HandleSubmit(const ConnPtr& conn, const JsonValue& msg) {
   std::weak_ptr<Connection> weak = conn;
   if (req.stream) {
     auto seq = std::make_shared<std::atomic<long>>(0);
-    spec.on_emission = [this, weak, id, seq, tenant](const NncEmission& e,
-                                                     int attempt) {
+    spec.on_emission = [this, weak, id, seq, tenant](const NncEmission& e) {
       const long s = seq->fetch_add(1, std::memory_order_relaxed);
       Count(tenant->candidates_streamed);
       if (ConnPtr c = weak.lock()) {
-        AppendCandidate(*c, id, s, attempt, e.object_id, e.elapsed_seconds);
+        AppendCandidate(*c, id, s, e.object_id, e.elapsed_seconds);
       }
     };
   }
@@ -769,7 +761,7 @@ void OsdServer::HandleSubmit(const ConnPtr& conn, const JsonValue& msg) {
         const auto it = c->coalesced.find(id);
         if (it != c->coalesced.end()) {
           AppendFrameLocked(*c, BuildCoalescedMessage(
-                                    id, it->second.attempt, it->second.count,
+                                    id, it->second.count,
                                     it->second.object_ids,
                                     it->second.truncated));
           c->coalesced.erase(it);

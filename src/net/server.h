@@ -21,8 +21,8 @@
 // Tenant governance rides the existing machinery: the per-tenant policy
 // caps each query's memory budget (QuerySpec::per_query_mem_bytes ->
 // QueryBudgetScope), bounds in-flight queries per tenant (shed with an
-// over_inflight_limit error), pins the retry policy, gates writes
-// (allow_writes / max_mutation_ops on "mutate" frames), and labels the
+// over_inflight_limit error), gates writes (allow_writes /
+// max_mutation_ops on "mutate" frames), and labels the
 // Prometheus export (osd_tenant_*{tenant="..."} series in MetricsText).
 // Once kMaxTenants tenants exist, a hello naming a new tenant that
 // ServerOptions::tenants does not configure is refused, so fresh names
@@ -83,9 +83,6 @@ struct TenantPolicy {
   /// Concurrent in-flight queries; submits above it are shed with an
   /// over_inflight_limit error. 0 = unlimited.
   int max_inflight = 0;
-  /// Retry policy override: >= 0 pins the transient-failure retry count
-  /// for this tenant; -1 honours the request's "retries" field.
-  int retries = -1;
   /// Whether this tenant may send "mutate" frames; a denied write is
   /// answered with a write_denied error and changes nothing.
   bool allow_writes = true;
@@ -224,7 +221,6 @@ class OsdServer {
   /// buffer is above its high watermark. Bounded: ids stop growing at the
   /// truncation cap, only the count keeps counting.
   struct CoalesceState {
-    int attempt = 0;
     long count = 0;
     bool truncated = false;
     std::vector<int> object_ids;
@@ -285,8 +281,8 @@ class OsdServer {
   /// Queues one progressive candidate event, coalescing it into the
   /// per-query summary while the output buffer is above the high
   /// watermark. Safe from any thread.
-  void AppendCandidate(Connection& conn, long id, long seq, int attempt,
-                       int object_id, double elapsed_seconds);
+  void AppendCandidate(Connection& conn, long id, long seq, int object_id,
+                       double elapsed_seconds);
   /// Replaces pending output with one final error frame and dooms the
   /// connection; the loop makes one best-effort flush before closing.
   /// Requires `conn.mu` held.

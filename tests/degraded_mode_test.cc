@@ -261,7 +261,6 @@ TEST(DegradedModeTest, EngineReportsOkDegradedWithStats) {
   ASSERT_EQ(ticket->Wait(), QueryStatus::kOkDegraded);
   EXPECT_TRUE(ticket->result().degraded);
   EXPECT_TRUE(ticket->error().empty());
-  EXPECT_EQ(ticket->attempts(), 1);
   ExpectCertifiedSuperset(ticket->result(), exact.candidates);
 
   const EngineStats stats = engine.Snapshot();

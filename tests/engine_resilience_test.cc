@@ -1,13 +1,11 @@
-// Engine resilience: retry of transient (injected) failures with jittered
-// exponential backoff, failure text that names the failpoint, overload
-// shedding, and worker survival across injected faults. Backoff math runs
-// in every build; injection tests require -DOSD_FAILPOINTS=ON and skip
-// themselves otherwise.
+// Engine resilience: every query runs once, so an injected fault fails its
+// ticket (with failure text that names the failpoint) and only its ticket;
+// overload shedding; and worker survival across injected faults. Injection
+// tests require -DOSD_FAILPOINTS=ON and skip themselves otherwise.
 
 #include <chrono>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -44,114 +42,56 @@ class EngineResilienceTest : public ::testing::Test {
   void TearDown() override { failpoint::Clear(); }
 };
 
-
 QuerySpec PlainSpec(const UncertainObject& query) {
   QuerySpec spec;
   spec.query = query;
   return spec;
 }
 
-TEST_F(EngineResilienceTest, BackoffGrowsExponentiallyAndCaps) {
-  RetryPolicy policy;
-  policy.initial_backoff_ms = 4.0;
-  policy.backoff_multiplier = 3.0;
-  policy.max_backoff_ms = 100.0;
-  policy.jitter = 0.0;
-  EXPECT_DOUBLE_EQ(policy.BackoffSeconds(2, 0.0), 0.004);
-  EXPECT_DOUBLE_EQ(policy.BackoffSeconds(3, 0.0), 0.012);
-  EXPECT_DOUBLE_EQ(policy.BackoffSeconds(4, 0.0), 0.036);
-  EXPECT_DOUBLE_EQ(policy.BackoffSeconds(5, 0.0), 0.100);  // capped
-  EXPECT_DOUBLE_EQ(policy.BackoffSeconds(9, 0.0), 0.100);
-}
-
-TEST_F(EngineResilienceTest, JitterShrinksBackoffByUpToItsFraction) {
-  RetryPolicy policy;
-  policy.initial_backoff_ms = 10.0;
-  policy.jitter = 0.5;
-  EXPECT_DOUBLE_EQ(policy.BackoffSeconds(2, 0.0), 0.010);  // no shrink
-  EXPECT_DOUBLE_EQ(policy.BackoffSeconds(2, 1.0), 0.005);  // max shrink
-  policy.jitter = 4.0;  // clamped to 1: a full-shrink draw reaches zero
-  EXPECT_DOUBLE_EQ(policy.BackoffSeconds(2, 1.0), 0.0);
-}
-
-TEST_F(EngineResilienceTest, NonTransientFailureIsNeverRetried) {
-  // A dimensionality mismatch is a caller bug, not a transient fault; even
-  // a generous retry budget must not re-run it. Needs no failpoints.
+TEST_F(EngineResilienceTest, DimensionalityMismatchFailsTheTicket) {
+  // A dimensionality mismatch is a caller bug: the ticket fails with a
+  // precise error and the worker lives on. Needs no failpoints.
   Dataset dataset = SmallDataset();
+  const QueryWorkloadEntry entry = OneQuery(dataset);
   std::vector<double> coords = {0, 0, 0};
   UncertainObject bad_query(999, 3, std::move(coords), {1.0});
 
   QueryEngine engine(std::move(dataset), {.num_threads = 1});
-  QuerySpec spec;
-  spec.query = bad_query;
-  spec.retry.max_attempts = 3;
-  spec.retry.initial_backoff_ms = 0.0;
-  auto ticket = engine.Submit(std::move(spec));
+  auto ticket = engine.Submit(PlainSpec(bad_query));
 
   ASSERT_EQ(ticket->Wait(), QueryStatus::kError);
-  EXPECT_EQ(ticket->attempts(), 1);
   EXPECT_NE(ticket->error().find("dimensionality"), std::string::npos)
       << ticket->error();
-  EXPECT_EQ(engine.Snapshot().retries, 0);
+  EXPECT_EQ(engine.Snapshot().errors, 1);
+
+  auto ok = engine.Submit(PlainSpec(entry.query));
+  EXPECT_EQ(ok->Wait(), QueryStatus::kOk);
 }
 
-TEST_F(EngineResilienceTest, TransientFaultIsRetriedToSuccess) {
-  if (!failpoint::Enabled()) GTEST_SKIP() << "failpoint sites not compiled in";
-  Dataset dataset = SmallDataset();
-  const QueryWorkloadEntry entry = OneQuery(dataset);
-  NncOptions options;
-  options.exclude_id = entry.seeded_from;
-  const NncResult serial = NncSearch(dataset, options).Run(entry.query);
-
-  // First two executions throw; the third runs clean.
-  ASSERT_TRUE(failpoint::Configure("engine.execute=2xthrow"));
-  QueryEngine engine(std::move(dataset), {.num_threads = 1});
-  QuerySpec spec;
-  spec.query = entry.query;
-  spec.options = options;
-  spec.retry.max_attempts = 3;
-  spec.retry.initial_backoff_ms = 0.1;
-  auto ticket = engine.Submit(std::move(spec));
-
-  ASSERT_EQ(ticket->Wait(), QueryStatus::kOk);
-  EXPECT_EQ(ticket->attempts(), 3);
-  EXPECT_EQ(ticket->result().candidates, serial.candidates);
-  EXPECT_TRUE(ticket->error().empty());
-
-  const EngineStats stats = engine.Snapshot();
-  EXPECT_EQ(stats.ok, 1);
-  EXPECT_EQ(stats.errors, 0);
-  EXPECT_EQ(stats.retries, 2);
-}
-
-TEST_F(EngineResilienceTest, RetryBudgetExhaustionNamesTheFailpoint) {
+TEST_F(EngineResilienceTest, InjectedFaultFailsTheTicketOnce) {
   if (!failpoint::Enabled()) GTEST_SKIP() << "failpoint sites not compiled in";
   Dataset dataset = SmallDataset();
   const QueryWorkloadEntry entry = OneQuery(dataset);
 
   ASSERT_TRUE(failpoint::Configure("engine.execute=throw(kaboom)"));
   QueryEngine engine(std::move(dataset), {.num_threads = 1});
-  QuerySpec spec;
-  spec.query = entry.query;
-  spec.retry.max_attempts = 2;
-  spec.retry.initial_backoff_ms = 0.1;
-  auto ticket = engine.Submit(std::move(spec));
+  auto ticket = engine.Submit(PlainSpec(entry.query));
 
   ASSERT_EQ(ticket->Wait(), QueryStatus::kError);
-  EXPECT_EQ(ticket->attempts(), 2);
-  // The ticket's error carries the what() text, the failing failpoint, and
-  // the attempt count — diagnosable without engine logs.
+  // The query ran once: one hit at the site, one failed ticket.
+  EXPECT_EQ(failpoint::HitCount("engine.execute"), 1);
+  EXPECT_EQ(failpoint::FireCount("engine.execute"), 1);
+  // The ticket's error carries the what() text and the failing failpoint —
+  // diagnosable without engine logs.
   EXPECT_NE(ticket->error().find("kaboom"), std::string::npos)
       << ticket->error();
   EXPECT_NE(ticket->error().find("[failpoint engine.execute]"),
             std::string::npos)
       << ticket->error();
-  EXPECT_NE(ticket->error().find("(after 2 attempts)"), std::string::npos)
-      << ticket->error();
 
   const EngineStats stats = engine.Snapshot();
   EXPECT_EQ(stats.errors, 1);
-  EXPECT_EQ(stats.retries, 1);
+  EXPECT_EQ(stats.ok, 0);
   failpoint::Clear();
 
   // Zero crashed workers: the same engine still answers cleanly.
@@ -159,7 +99,7 @@ TEST_F(EngineResilienceTest, RetryBudgetExhaustionNamesTheFailpoint) {
   EXPECT_EQ(ok->Wait(), QueryStatus::kOk);
 }
 
-TEST_F(EngineResilienceTest, TraversalFaultRetriesToTheExactAnswer) {
+TEST_F(EngineResilienceTest, TraversalFaultFailsOnlyItsQuery) {
   if (!failpoint::Enabled()) GTEST_SKIP() << "failpoint sites not compiled in";
   Dataset dataset = SmallDataset();
   const QueryWorkloadEntry entry = OneQuery(dataset);
@@ -168,59 +108,40 @@ TEST_F(EngineResilienceTest, TraversalFaultRetriesToTheExactAnswer) {
   const NncResult serial = NncSearch(dataset, options).Run(entry.query);
 
   // Fault deep inside the traversal (first object examination) rather than
-  // at the execution wrapper: the retry must still converge to the exact
-  // serial answer.
+  // at the execution wrapper: it fails the first query, and the engine's
+  // next query gets the exact serial answer.
   ASSERT_TRUE(failpoint::Configure("nnc.object_examine=1xthrow"));
   QueryEngine engine(std::move(dataset), {.num_threads = 1});
   QuerySpec spec;
   spec.query = entry.query;
   spec.options = options;
-  spec.retry.max_attempts = 2;
-  spec.retry.initial_backoff_ms = 0.1;
-  auto ticket = engine.Submit(std::move(spec));
-
-  ASSERT_EQ(ticket->Wait(), QueryStatus::kOk);
-  EXPECT_EQ(ticket->attempts(), 2);
-  EXPECT_EQ(ticket->result().candidates, serial.candidates);
-}
-
-TEST_F(EngineResilienceTest, BackoffNeverSleepsPastTheDeadline) {
-  if (!failpoint::Enabled()) GTEST_SKIP() << "failpoint sites not compiled in";
-  Dataset dataset = SmallDataset();
-  const QueryWorkloadEntry entry = OneQuery(dataset);
-
-  ASSERT_TRUE(failpoint::Configure("engine.execute=throw"));
-  QueryEngine engine(std::move(dataset), {.num_threads = 1});
-  QuerySpec spec;
-  spec.query = entry.query;
-  spec.deadline_seconds = 0.5;
-  spec.retry.max_attempts = 5;
-  spec.retry.initial_backoff_ms = 2000.0;  // first backoff >> deadline
-  spec.retry.max_backoff_ms = 2000.0;
-  spec.retry.jitter = 0.0;
-  auto ticket = engine.Submit(std::move(spec));
-
-  ASSERT_EQ(ticket->Wait(), QueryStatus::kError);
-  EXPECT_EQ(ticket->attempts(), 1);
-  EXPECT_NE(ticket->error().find("deadline reached before retry 2"),
+  auto failed = engine.Submit(spec);
+  ASSERT_EQ(failed->Wait(), QueryStatus::kError);
+  EXPECT_NE(failed->error().find("[failpoint nnc.object_examine]"),
             std::string::npos)
-      << ticket->error();
-  // Well under the 2 s backoff: the engine gave up instead of sleeping.
-  EXPECT_LT(ticket->latency_seconds(), 1.0);
+      << failed->error();
+
+  auto ticket = engine.Submit(std::move(spec));
+  ASSERT_EQ(ticket->Wait(), QueryStatus::kOk);
+  EXPECT_EQ(ticket->result().candidates, serial.candidates);
+
+  const EngineStats stats = engine.Snapshot();
+  EXPECT_EQ(stats.errors, 1);
+  EXPECT_EQ(stats.ok, 1);
 }
 
-TEST_F(EngineResilienceTest, TransientIoFaultClearsOnRetry) {
+TEST_F(EngineResilienceTest, InjectedIoFaultClearsAfterItsFirings) {
   if (!failpoint::Enabled()) GTEST_SKIP() << "failpoint sites not compiled in";
-  // The loaders report injected faults as ordinary errors; a caller-level
-  // retry (two failures, then success) recovers without restarting.
+  // The loaders report injected faults as ordinary errors; a caller that
+  // loads again (two failures, then success) recovers without restarting.
   Dataset dataset = SmallDataset(20);
-  const std::string path = std::string(::testing::TempDir()) + "/retry.bin";
+  const std::string path = std::string(::testing::TempDir()) + "/io_fault.bin";
   std::string error;
   ASSERT_TRUE(SaveBinary(dataset.objects(), path, &error)) << error;
 
   ASSERT_TRUE(failpoint::Configure("io.binary.object=2xerror"));
   std::vector<UncertainObject> loaded;
-  for (int attempt = 1; attempt <= 2; ++attempt) {
+  for (int failure = 1; failure <= 2; ++failure) {
     ASSERT_FALSE(LoadBinary(path, &loaded, &error));
     EXPECT_NE(error.find("failpoint io.binary.object"), std::string::npos)
         << error;
@@ -259,7 +180,6 @@ TEST_F(EngineResilienceTest, OverloadSheddingRejectsInsteadOfBlocking) {
       case QueryStatus::kRejected:
         ++rejected;
         EXPECT_NE(t->error().find("overload shedding"), std::string::npos);
-        EXPECT_EQ(t->attempts(), 0);
         break;
       default: ADD_FAILURE() << QueryStatusName(t->status());
     }

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <new>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -151,11 +152,34 @@ TEST_F(MemBudgetTest, ScopeEnforcesPerQueryCap) {
   memory::Release(1000);
 }
 
-TEST_F(MemBudgetTest, MemoryExceededIsTransient) {
-  // The engine's retry machinery keys on TransientError; a breach must be
-  // retry-eligible by type.
-  memory::QueryBudgetScope scope(10, nullptr);
-  EXPECT_THROW(memory::Charge(100, "x"), TransientError);
+TEST_F(MemBudgetTest, MemoryExceededIsARuntimeErrorNamingItsCap) {
+  // Callers that only know std::runtime_error still catch a breach, and
+  // the exception says which cap refused it.
+  {
+    memory::QueryBudgetScope scope(10, nullptr);
+    try {
+      memory::Charge(100, "x");
+      FAIL() << "expected a breach";
+    } catch (const std::runtime_error& e) {
+      const auto* breach = dynamic_cast<const MemoryExceeded*>(&e);
+      ASSERT_NE(breach, nullptr);
+      EXPECT_FALSE(breach->engine_wide());
+      EXPECT_NE(std::string(e.what()).find("per-query"), std::string::npos)
+          << e.what();
+    }
+  }
+  memory::MemoryBudget engine(1000);
+  memory::QueryBudgetScope scope(0, &engine);
+  try {
+    memory::Charge(2000, "y");
+    FAIL() << "expected a breach";
+  } catch (const std::runtime_error& e) {
+    const auto* breach = dynamic_cast<const MemoryExceeded*>(&e);
+    ASSERT_NE(breach, nullptr);
+    EXPECT_TRUE(breach->engine_wide());
+    EXPECT_NE(std::string(e.what()).find("engine-wide"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(MemBudgetTest, ScopeDrawsOnEngineBudgetInChunksAndReturnsThem) {
@@ -584,7 +608,7 @@ TEST_F(MemBudgetTest, EngineBreachDegradesWhenAccepted) {
       << json;
 }
 
-TEST_F(MemBudgetTest, EngineBreachFailsPreciselyAndRetriesAsTransient) {
+TEST_F(MemBudgetTest, PerQueryBreachFailsTheTicketPrecisely) {
   Dataset dataset = SmallDataset();
   const QueryWorkloadEntry entry = OneQuery(dataset);
   NncOptions options;
@@ -595,19 +619,14 @@ TEST_F(MemBudgetTest, EngineBreachFailsPreciselyAndRetriesAsTransient) {
   QuerySpec spec;
   spec.query = entry.query;
   spec.options = options;
-  spec.retry.max_attempts = 2;  // breaches are transient → retried
-  spec.retry.initial_backoff_ms = 0.1;
   auto ticket = engine.Submit(std::move(spec));
 
   ASSERT_EQ(ticket->Wait(), QueryStatus::kError);
-  EXPECT_EQ(ticket->attempts(), 2)
-      << "MemoryExceeded must be retry-eligible";
   EXPECT_NE(ticket->error().find("per-query cap"), std::string::npos)
       << ticket->error();
   const EngineStats stats = engine.Snapshot();
   EXPECT_EQ(stats.errors, 1);
-  EXPECT_EQ(stats.retries, 1);
-  EXPECT_GE(stats.mem_breaches, 2);
+  EXPECT_EQ(stats.mem_breaches, 1);
 }
 
 TEST_F(MemBudgetTest, BreachedQueryLeavesConcurrentBatchBitIdentical) {
@@ -716,8 +735,6 @@ TEST_F(MemBudgetTest, InjectedBadAllocIsContainedAtTheWorkerBoundary) {
       ++errors;
       EXPECT_NE(tickets[i]->error().find("out of memory"), std::string::npos)
           << tickets[i]->error();
-      EXPECT_EQ(tickets[i]->attempts(), 1)
-          << "bad_alloc is not transient — it must not be retried";
     } else {
       ASSERT_EQ(tickets[i]->status(), QueryStatus::kOk);
       EXPECT_EQ(tickets[i]->result().candidates, serial[i].candidates);

@@ -11,9 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/query_engine.h"
 #include "net/json.h"
 #include "net/protocol.h"
 #include "net/wire.h"
+#include "object/dataset.h"
 #include "object/uncertain_object.h"
 
 namespace osd {
@@ -189,7 +191,6 @@ TEST(ProtocolTest, SubmitRoundTripsInlineQueryBitExactly) {
   params.filters = "lg";
   params.deadline_ms = 250.5;
   params.accept_degraded = true;
-  params.retries = 2;
   params.mem_budget_bytes = 1 << 20;
   params.stream = false;
   params.trace = true;
@@ -206,7 +207,6 @@ TEST(ProtocolTest, SubmitRoundTripsInlineQueryBitExactly) {
   EXPECT_EQ(req.options.metric, Metric::kL1);
   EXPECT_TRUE(req.options.degraded_superset);
   EXPECT_NEAR(req.deadline_seconds, 0.2505, 1e-12);
-  EXPECT_EQ(req.retries, 2);
   EXPECT_EQ(req.mem_budget_bytes, 1 << 20);
   EXPECT_FALSE(req.stream);
   EXPECT_TRUE(req.trace);
@@ -297,6 +297,43 @@ TEST(ProtocolTest, ObjectIdsWiderThanIntAreRejectedNotTruncated) {
   }
 }
 
+TEST(ProtocolTest, SubmitRefusesTheRemovedRetriesField) {
+  // Queries run once; a client still asking for retries learns so instead
+  // of having the field silently ignored.
+  for (const char* text :
+       {R"({"type":"submit","id":1,"query":{"object_id":0},"retries":1})",
+        R"({"type":"submit","id":1,"query":{"object_id":0},"retries":0})"}) {
+    SCOPED_TRACE(text);
+    SubmitRequest req;
+    std::string error;
+    EXPECT_FALSE(ParseSubmit(MustParse(text), &req, &error));
+    EXPECT_EQ(error, "unknown field 'retries'");
+  }
+}
+
+TEST(ProtocolTest, FramesCarryNoAttemptStamp) {
+  const JsonValue cand = MustParse(BuildCandidateMessage(3, 0, 99, 0.25));
+  EXPECT_EQ(cand.Find("attempt"), nullptr);
+  const JsonValue coalesced =
+      MustParse(BuildCoalescedMessage(3, 2, {7, 8}, false));
+  EXPECT_EQ(MessageType(coalesced), "candidates_coalesced");
+  EXPECT_EQ(coalesced.Find("count")->AsNumber(), 2.0);
+  EXPECT_EQ(coalesced.Find("attempt"), nullptr);
+
+  std::vector<UncertainObject> objects;
+  objects.push_back(UncertainObject::FromWeighted(0, 2, {0.0, 0.0}, {1.0}));
+  objects.push_back(UncertainObject::FromWeighted(1, 2, {1.0, 1.0}, {1.0}));
+  QueryEngine engine(Dataset(std::move(objects)), {.num_threads = 1});
+  QuerySpec spec;
+  spec.query_object_id = 0;
+  auto ticket = engine.Submit(std::move(spec));
+  ASSERT_EQ(ticket->Wait(), QueryStatus::kOk);
+  const JsonValue result = MustParse(BuildResultMessage(5, *ticket));
+  EXPECT_EQ(MessageType(result), "result");
+  EXPECT_EQ(result.Find("status")->AsString(), "OK");
+  EXPECT_EQ(result.Find("attempts"), nullptr);
+}
+
 TEST(ProtocolTest, CancelRoundTrips) {
   const JsonValue msg = MustParse(BuildCancelMessage(9));
   EXPECT_EQ(MessageType(msg), "cancel");
@@ -326,10 +363,9 @@ TEST(ProtocolTest, ErrorAndEventBuildersEmitValidJson) {
   EXPECT_EQ(err.Find("code")->AsString(), "bad_request");
   EXPECT_EQ(err.Find("message")->AsString(), "bad \"quote\"");
 
-  const JsonValue cand = MustParse(BuildCandidateMessage(3, 17, 2, 99, 0.25));
+  const JsonValue cand = MustParse(BuildCandidateMessage(3, 17, 99, 0.25));
   EXPECT_EQ(MessageType(cand), "candidate");
   EXPECT_EQ(cand.Find("seq")->AsNumber(), 17.0);
-  EXPECT_EQ(cand.Find("attempt")->AsNumber(), 2.0);
   EXPECT_EQ(cand.Find("object_id")->AsNumber(), 99.0);
   EXPECT_DOUBLE_EQ(cand.Find("elapsed_ms")->AsNumber(), 250.0);
 

@@ -509,7 +509,6 @@ TEST_F(NetServerTest, TenantMemoryBudgetGovernsQueries) {
   ServerOptions options;
   TenantPolicy tiny;
   tiny.per_query_mem_bytes = 512;  // no real query fits in this
-  tiny.retries = 0;
   options.tenants["tiny"] = tiny;
   StartServer({.num_threads = 1}, std::move(options));
 

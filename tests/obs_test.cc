@@ -359,7 +359,6 @@ TEST(EngineStatsRegression, ToJsonSurvivesMaxedCounters) {
   s.threads = INT_MAX;
   s.submitted = s.completed = s.ok = s.ok_degraded = LONG_MAX;
   s.deadline_exceeded = s.cancelled = s.errors = s.rejected = LONG_MAX;
-  s.retries = LONG_MAX;
   s.wall_seconds = 1e17;
   s.qps = 1e17;
   s.latency_mean_ms = s.latency_p50_ms = s.latency_p95_ms = 1e17;
@@ -610,7 +609,6 @@ TEST(EngineObsTest, UntracedQueriesLeaveMetricsConsistentUnderConcurrency) {
   EXPECT_EQ(value("osd_objects_examined_total"), stats.objects_examined);
   EXPECT_EQ(value("osd_entries_pruned_total"), stats.entries_pruned);
   EXPECT_EQ(value("osd_frontier_objects_total"), stats.frontier_objects);
-  EXPECT_EQ(value("osd_retries_total"), stats.retries);
   EXPECT_EQ(value("osd_mem_breaches_total"), stats.mem_breaches);
   EXPECT_EQ(value("osd_mem_admission_rejected_total"),
             stats.mem_admission_rejected);

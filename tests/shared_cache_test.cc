@@ -83,7 +83,7 @@ struct Answer {
 
 Answer Ask(QueryEngine& engine, QuerySpec spec) {
   auto streamed = std::make_shared<std::vector<int>>();
-  spec.on_emission = [streamed](const NncEmission& e, int) {
+  spec.on_emission = [streamed](const NncEmission& e) {
     streamed->push_back(e.object_id);
   };
   auto ticket = engine.Submit(std::move(spec));
@@ -325,7 +325,7 @@ TEST(ResultCacheEngineTest, CutAnswersAreNeverStored) {
     auto go = std::make_shared<std::latch>(1);
     auto first = std::make_shared<std::atomic<bool>>(true);
     QuerySpec spec = SpecFor(entry, Operator::kSSd);
-    spec.on_emission = [emitted, go, first](const NncEmission&, int) {
+    spec.on_emission = [emitted, go, first](const NncEmission&) {
       if (first->exchange(false)) {
         emitted->count_down();
         go->wait();
@@ -520,7 +520,7 @@ class BlockedWorker {
  public:
   explicit BlockedWorker(QueryEngine& engine) {
     QuerySpec spec = SpecNear(-1);
-    spec.on_emission = [this](const NncEmission&, int) {
+    spec.on_emission = [this](const NncEmission&) {
       if (!emitted_.exchange(true)) {
         running_.count_down();
         released_.wait();

@@ -990,10 +990,11 @@ EpochReport RunEpoch(int epoch, const std::vector<Combo>& combos,
   const osd::VersionedDataset::Stats vstats = engine.versioned().GetStats();
   std::printf(
       "epoch %d%s: submitted=%ld completed=%ld evictions=%ld coalesced=%ld "
-      "retries=%ld store_epoch=%llu folds=%llu mutations=%llu %s\n",
+      "store_epoch=%llu folds=%llu mutations=%llu %s\n",
       epoch, sigterm_cycle ? " (sigterm)" : "", server.queries_submitted(),
       server.queries_completed(), server.evictions(),
-      server.candidates_coalesced(), stats.retries, static_cast<unsigned long long>(vstats.epoch),
+      server.candidates_coalesced(),
+      static_cast<unsigned long long>(vstats.epoch),
       static_cast<unsigned long long>(vstats.folds),
       static_cast<unsigned long long>(vstats.mutations),
       report.violations == 0 ? "invariants OK" : "VIOLATED");

@@ -11,7 +11,7 @@
 //   osd_cli query --port P [--host H] [--tenant NAME]
 //           (--query-id N | --query-file q.txt)
 //           [--op ...] [--k ...] [--metric ...] [--filters ...]
-//           [--deadline-ms D] [--accept-degraded] [--retries N]
+//           [--deadline-ms D] [--accept-degraded]
 //           [--mem-budget B] [--no-stream] [--trace]
 //           [--cancel-after-ms X]
 //     A --query-file holding N > 1 objects runs in batch mode: all N are
@@ -46,7 +46,7 @@
 //           [--threads T] [--op ...] [--k ...] [--metric ...] [--filters ...]
 //           [--deadline-ms D | --deadline S] [--accept-degraded]
 //           [--mem-budget B] [--engine-mem-budget B]
-//           [--retries N] [--shed] [--failpoints SPEC]
+//           [--shed] [--failpoints SPEC]
 //           [--trace] [--metrics-out FILE] [--slow-query-ms X]
 //
 // Robustness controls:
@@ -59,14 +59,12 @@
 //   --mem-budget B      per-query memory budget in bytes (k/m/g suffixes
 //                       accepted, e.g. 64m). A query whose tracked
 //                       allocations pass the cap degrades (with
-//                       --accept-degraded) or fails with a retry-eligible
+//                       --accept-degraded) or fails with a precise
 //                       MemoryExceeded error — never the process.
 //   --engine-mem-budget B
 //                       serve-batch: engine-wide cap across all in-flight
 //                       queries; Submit applies admission control above
 //                       90% of it (reject under --shed, block otherwise)
-//   --retries N         serve-batch: retry each query up to N extra times
-//                       on transient failures (jittered backoff)
 //   --shed              serve-batch: reject (REJECTED) instead of blocking
 //                       when the submission queue saturates
 //   --failpoints SPEC   arm fault-injection sites (see common/failpoint.h);
@@ -165,7 +163,6 @@ struct Args {
   int gen_queries = 0;
   uint64_t seed = 42;
   int threads = 0;  // 0 = hardware concurrency
-  int retries = 0;
   bool shed = false;
 };
 
@@ -276,9 +273,6 @@ Args Parse(int argc, char** argv) {
       args.threads = std::atoi(need_value(i).c_str());
     } else if (args.serve_batch && flag == "--deadline-ms") {
       args.deadline_s = ParsePositive(need_value(i), "--deadline-ms") / 1e3;
-    } else if (args.serve_batch && flag == "--retries") {
-      args.retries = std::atoi(need_value(i).c_str());
-      if (args.retries < 0) Die("--retries must be >= 0");
     } else if (args.serve_batch && flag == "--shed") {
       args.shed = true;
     } else {
@@ -307,8 +301,6 @@ int ServeBatch(const Args& args, std::vector<UncertainObject> objects) {
   base.metric = args.metric;
   base.filters = args.filters;
   base.degraded_superset = args.accept_degraded;
-  RetryPolicy retry;
-  retry.max_attempts = 1 + args.retries;
 
   if (!args.workload_file.empty()) {
     std::vector<UncertainObject> queries;
@@ -321,7 +313,6 @@ int ServeBatch(const Args& args, std::vector<UncertainObject> objects) {
       spec.query = std::move(q);
       spec.options = base;
       spec.deadline_seconds = args.deadline_s;
-      spec.retry = retry;
       spec.collect_trace = args.trace;
       specs.push_back(std::move(spec));
     }
@@ -336,7 +327,6 @@ int ServeBatch(const Args& args, std::vector<UncertainObject> objects) {
       spec.query = std::move(entry.query);
       spec.options = per_query;
       spec.deadline_seconds = args.deadline_s;
-      spec.retry = retry;
       spec.collect_trace = args.trace;
       specs.push_back(std::move(spec));
     }
@@ -362,8 +352,7 @@ int ServeBatch(const Args& args, std::vector<UncertainObject> objects) {
     const QueryStatus status = tickets[i]->status();
     if (status == QueryStatus::kError) {
       ++failed;
-      std::fprintf(stderr, "query %zu: %s after %d attempt(s): %s\n", i,
-                   QueryStatusName(status), tickets[i]->attempts(),
+      std::fprintf(stderr, "query %zu: %s: %s\n", i, QueryStatusName(status),
                    tickets[i]->error().c_str());
     } else if (status == QueryStatus::kRejected && !args.shed) {
       ++failed;
@@ -400,7 +389,6 @@ struct QueryClientArgs {
   std::string filters = "all";
   double deadline_ms = 0.0;
   bool accept_degraded = false;
-  int retries = 0;
   long mem_budget_bytes = 0;
   bool stream = true;
   bool trace = false;
@@ -443,9 +431,6 @@ QueryClientArgs ParseQueryClient(int argc, char** argv) {
       args.deadline_ms = ParsePositive(need_value(i), "--deadline-ms");
     } else if (flag == "--accept-degraded") {
       args.accept_degraded = true;
-    } else if (flag == "--retries") {
-      args.retries = std::atoi(need_value(i).c_str());
-      if (args.retries < 0) Die("--retries must be >= 0");
     } else if (flag == "--mem-budget") {
       args.mem_budget_bytes = ParseByteSize(need_value(i), "--mem-budget");
     } else if (flag == "--no-stream") {
@@ -496,7 +481,6 @@ int RunQueryClient(const QueryClientArgs& args) {
     params.filters = args.filters;
     params.deadline_ms = args.deadline_ms;
     params.accept_degraded = args.accept_degraded;
-    params.retries = args.retries;
     params.mem_budget_bytes = args.mem_budget_bytes;
     params.stream = args.stream;
     params.trace = args.trace;

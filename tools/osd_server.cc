@@ -66,13 +66,12 @@
 //                                    Folds triggered by --fold-delta
 //                                    checkpoint too, so this mainly bounds
 //                                    replay time for slow-writing stores
-//   [--tenant NAME:mem=SIZE,inflight=N,retries=R,writes=0|1,mutops=N]
+//   [--tenant NAME:mem=SIZE,inflight=N,writes=0|1,mutops=N]
 //                                    per-tenant policy, repeatable; the
 //                                    name "default" sets the policy for
 //                                    tenants without an explicit entry
 //                                    (writes gates "mutate" frames, mutops
-//                                    caps ops per mutate batch, retries is
-//                                    at most 10, the wire's cap)
+//                                    caps ops per mutate batch)
 //   [--metrics-out FILE]             write Prometheus metrics on exit
 //   [--failpoints SPEC]              arm fault-injection sites
 //
@@ -197,11 +196,11 @@ long ParseByteSize(const std::string& s, const char* what) {
   return static_cast<long>(bytes);
 }
 
-/// Parses "NAME:mem=64m,inflight=4,retries=1" (every key optional).
+/// Parses "NAME:mem=64m,inflight=4,writes=0" (every key optional).
 void ParseTenantFlag(const std::string& spec, Args* args) {
   const size_t colon = spec.find(':');
   if (colon == std::string::npos || colon == 0) {
-    Die("--tenant must look like NAME:mem=SIZE,inflight=N,retries=R");
+    Die("--tenant must look like NAME:mem=SIZE,inflight=N,writes=0|1");
   }
   const std::string name = spec.substr(0, colon);
   if (name != "default" && !net::ValidTenantName(name)) {
@@ -222,9 +221,6 @@ void ParseTenantFlag(const std::string& spec, Args* args) {
     } else if (key == "inflight") {
       policy.max_inflight =
           static_cast<int>(ParseInt(value, "--tenant inflight", 1, INT_MAX));
-    } else if (key == "retries") {
-      policy.retries = static_cast<int>(
-          ParseInt(value, "--tenant retries", 0, net::kMaxRetries));
     } else if (key == "writes") {
       if (value != "0" && value != "1") {
         Die("--tenant: writes must be 0 or 1");
