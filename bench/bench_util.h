@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -36,12 +37,34 @@ struct ScaledDefaults {
   static constexpr int kNumQueries = 5;     // workload (paper: 100, 1:20)
 };
 
+inline constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ull;
+
+/// One FNV-1a (64-bit) step over the eight bytes of `v`, low byte first.
+inline uint64_t Fnv1a(uint64_t h, uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xFF;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+/// One query's answer digest: FNV-1a over the candidate count and the
+/// sorted candidate ids, the same digest osdbench prints per query.
+inline uint64_t CandidateDigest(std::vector<int> candidates) {
+  std::sort(candidates.begin(), candidates.end());
+  uint64_t h = Fnv1a(kFnvOffset, candidates.size());
+  for (const int c : candidates) h = Fnv1a(h, static_cast<uint64_t>(c));
+  return h;
+}
+
 /// Aggregated result of one (dataset, operator) workload run.
 struct WorkloadSummary {
   double avg_candidates = 0.0;
   double avg_ms = 0.0;
   FilterStats stats;
   long queries = 0;
+  /// FNV-1a over every query's CandidateDigest, in workload order.
+  uint64_t digest = kFnvOffset;
 };
 
 /// Runs the NNC search for every workload query and averages.
@@ -58,6 +81,7 @@ inline WorkloadSummary RunNncWorkload(
     const NncResult result =
         NncSearch(dataset, per_query).Run(entry.query);
     summary.avg_candidates += static_cast<double>(result.candidates.size());
+    summary.digest = Fnv1a(summary.digest, CandidateDigest(result.candidates));
     summary.avg_ms += result.seconds * 1e3;
     summary.stats += result.stats;
     ++summary.queries;

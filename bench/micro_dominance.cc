@@ -2,8 +2,8 @@
 // the instance count grows, and the effect of the filter stack.
 //
 // Two separately-timed regions so wins are attributable:
-//  - BM_ProfileBuild / BM_ProfileStats / BM_ProfileExtremes: distance-view
-//    materialization (the batched, fused and row-extremes kernels).
+//  - BM_ProfileBuild / BM_ProfileExtremes: distance-view materialization
+//    (the batched and row-extremes kernels).
 //  - BM_ProfileSortedAll / BM_ProfileSortedPerQ: the matrix plus S-SD's
 //    all-pairs sorted view or SS-SD's per-q sorted rows; minus
 //    BM_ProfileBuild at the same m, that is the sort's share.
@@ -40,7 +40,7 @@ Fixture MakeFixture(int m, uint64_t seed) {
 // Forces every lazy view an operator might consume, so the check benchmark
 // below times only the decision logic.
 void Prewarm(ObjectProfile& p) {
-  (void)p.MeanAll();
+  (void)p.MinAll();
   (void)p.Dist(0, 0);
   (void)p.SortedValues();
   (void)p.SortedQValues(0);
@@ -62,21 +62,8 @@ void BM_ProfileBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * ctx.num_instances() * m);
 }
 
-// Fused statistic pass per profile (min, mean and max: the statistic gate
-// of S-SD, SS-SD and P-SD): never materializes the matrix.
-void BM_ProfileStats(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  const Fixture f = MakeFixture(m, 42);
-  const QueryContext ctx(f.query);
-  for (auto _ : state) {
-    ObjectProfile pu(f.u, ctx, nullptr);
-    benchmark::DoNotOptimize(pu.MeanAll());
-  }
-  state.SetComplexityN(m);
-  state.SetItemsProcessed(state.iterations() * ctx.num_instances() * m);
-}
-
-// Extremes-only pass per profile (min and max, all F-SD reads).
+// Statistics pass per profile: the per-q extremes, all that the statistic
+// gates and F-SD read. Never materializes the matrix.
 void BM_ProfileExtremes(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   const Fixture f = MakeFixture(m, 42);
@@ -140,7 +127,6 @@ void BM_DominanceCheck(benchmark::State& state, Operator op,
 }  // namespace
 
 BENCHMARK(BM_ProfileBuild)->RangeMultiplier(2)->Range(8, 256);
-BENCHMARK(BM_ProfileStats)->RangeMultiplier(2)->Range(8, 256);
 BENCHMARK(BM_ProfileExtremes)->RangeMultiplier(2)->Range(8, 256);
 BENCHMARK(BM_ProfileSortedAll)->RangeMultiplier(2)->Range(8, 256);
 BENCHMARK(BM_ProfileSortedPerQ)->RangeMultiplier(2)->Range(8, 256);

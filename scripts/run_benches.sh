@@ -2,7 +2,9 @@
 # Builds the benchmarks in Release mode, runs the kernel-sensitive suite
 # (micro_dominance, micro_substrates, fig12_time_datasets), and writes
 # BENCH_kernels.json at the repo root: raw numbers stamped with machine and
-# commit metadata.
+# commit metadata. Beside each fig12 time it records the cell's answer
+# digest and mean exact_checks per query; scripts/check_fig12_digests.sh
+# holds a fresh run's digests to the recorded ones.
 #
 # The service tier gets its own pass: server_throughput pushes queries
 # through a real OsdServer on loopback and writes BENCH_server.json
@@ -119,6 +121,9 @@ done
 python3 - "$TMP" "$OUT" <<'PY'
 import glob, json, os, sys
 
+sys.path.insert(0, "scripts")
+from fig12_tables import parse as parse_fig12
+
 tmp, out = sys.argv[1], sys.argv[2]
 
 # google-benchmark's own fields; any other number is a user counter (such
@@ -144,33 +149,22 @@ def load_gbench(path):
         out.append(entry)
     return out
 
-def parse_fig12(path):
-    """'dataset  SSD  SSSD  PSD  FSD  F+SD' table -> {dataset: {op: ms}}."""
-    rows, ops = {}, None
-    for line in open(path):
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "dataset":
-            ops = parts[1:]
-            continue
-        if ops and len(parts) == len(ops) + 1:
-            try:
-                vals = [float(v) for v in parts[1:]]
-            except ValueError:
-                continue
-            rows[parts[0]] = dict(zip(ops, vals))
-    return rows
-
 micro_dom = load_gbench(f"{tmp}/micro_dominance.json")
 micro_sub = load_gbench(f"{tmp}/micro_substrates.json")
 
-fig12 = {}
+# Times: the per-cell minimum over reps. Digests and exact_checks are
+# deterministic, so every rep must print the same ones.
+fig12 = {"ms": {}, "digest": {}, "exact_checks": {}}
 for path in sorted(glob.glob(f"{tmp}/fig12.*.txt")):
-    for ds, row in parse_fig12(path).items():
-        cell = fig12.setdefault(ds, {})
+    tables = parse_fig12(path)
+    for ds, row in tables["ms"].items():
+        cell = fig12["ms"].setdefault(ds, {})
         for op, ms in row.items():
             cell[op] = min(ms, cell.get(op, ms))
+    for key in ("digest", "exact_checks"):
+        for ds, row in tables[key].items():
+            if fig12[key].setdefault(ds, row) != row:
+                sys.exit(f"fig12 {key} of {ds} differs between reps")
 
 doc = {
     "meta": {
@@ -179,8 +173,10 @@ doc = {
         "fig12_reps_min_of": int(os.environ["FIG12_REPS"]),
     },
     "fig12": {
-        "comment": "avg query ms per dataset x operator, min over reps",
-        "ms": fig12,
+        "comment": "per dataset x operator: avg query ms (min over reps), "
+                   "answer digest (FNV-1a over every query's sorted "
+                   "candidates), mean exact_checks per query",
+        **fig12,
     },
     "micro_dominance": micro_dom,
     "micro_substrates": micro_sub,

@@ -97,28 +97,21 @@ bool DominanceOracle::CoverValidates(ObjectProfile& u, ObjectProfile& v) {
 
 bool DominanceOracle::StatRefutesAll(ObjectProfile& u, ObjectProfile& v) {
   OSD_TRACE_SPAN(obs::SpanKind::kStatFilter);
-  // The mean first: on a profile with no statistics yet it builds all
-  // three in one distance pass.
-  const bool refuted = u.MeanAll() > v.MeanAll() + kEps ||
-                       u.MinAll() > v.MinAll() + kEps ||
-                       u.MaxAll() > v.MaxAll() + kEps;
+  const bool refuted =
+      u.MinAll() > v.MinAll() + kEps || u.MaxAll() > v.MaxAll() + kEps;
   if (refuted && stats_ != nullptr) ++stats_->stat_prunes;
   return refuted;
 }
 
 bool DominanceOracle::StatRefutesPerQ(ObjectProfile& u, ObjectProfile& v) {
   OSD_TRACE_SPAN(obs::SpanKind::kStatFilter);
-  // One lazy-init branch per view instead of three per query instance,
-  // the means first so each profile pays one distance pass.
-  const std::span<const double> umean = u.MeanQs();
-  const std::span<const double> vmean = v.MeanQs();
+  // One lazy-init branch per view instead of two per query instance.
   const std::span<const double> umin = u.MinQs();
   const std::span<const double> umax = u.MaxQs();
   const std::span<const double> vmin = v.MinQs();
   const std::span<const double> vmax = v.MaxQs();
   for (int qi = 0; qi < ctx_->num_instances(); ++qi) {
-    if (umin[qi] > vmin[qi] + kEps || umean[qi] > vmean[qi] + kEps ||
-        umax[qi] > vmax[qi] + kEps) {
+    if (umin[qi] > vmin[qi] + kEps || umax[qi] > vmax[qi] + kEps) {
       if (stats_ != nullptr) ++stats_->stat_prunes;
       return true;
     }
@@ -139,10 +132,10 @@ bool DominanceOracle::ExtremesCertify(Operator op, ObjectProfile& u,
 
 bool DominanceOracle::SSd(ObjectProfile& u, ObjectProfile& v) {
   if (config_.cover_rules && CoverValidates(u, v)) return true;
-  // S-SD implies the min/mean/max order (Theorem 11), so the O(1)
-  // statistic gate is the only filter between cover validation and the
-  // exact merge-scan: behind it, node-level envelopes cost more than they
-  // decide (DESIGN §5). The extremes certificate reads what the gate built.
+  // S-SD implies the min/max order (Theorem 11), so the O(1) statistic
+  // gate is the only filter between cover validation and the exact
+  // merge-scan: behind it, node-level envelopes cost more than they decide
+  // (DESIGN §5). The extremes certificate reads what the gate built.
   if (config_.stat_pruning && StatRefutesAll(u, v)) return false;
   if (config_.stat_pruning && ExtremesCertify(Operator::kSSd, u, v)) {
     return DistributionsDiffer(u, v);
@@ -155,7 +148,7 @@ bool DominanceOracle::SSd(ObjectProfile& u, ObjectProfile& v) {
 
 bool DominanceOracle::SsSd(ObjectProfile& u, ObjectProfile& v) {
   if (config_.cover_rules && CoverValidates(u, v)) return true;
-  // SS-SD implies the min/mean/max order overall and at every q
+  // SS-SD implies the min/max order overall and at every q
   // (Theorem 11), so the O(|Q|) statistic gate is the only filter between
   // cover validation and the exact per-q scans, as in S-SD.
   if (config_.stat_pruning &&
@@ -180,15 +173,6 @@ bool DominanceOracle::ExtremesOrderHolds(ObjectProfile& u, ObjectProfile& v,
     if (umax[qi] > vmin[qi] + tolerance) return false;
   }
   return true;
-}
-
-bool DominanceOracle::ReadsMean(Operator op) {
-  return op == Operator::kSSd || op == Operator::kSsSd || op == Operator::kPSd;
-}
-
-double DominanceOracle::MinDistance(Operator op, ObjectProfile& v) {
-  if (ReadsMean(op)) (void)v.MeanAll();
-  return v.MinAll();
 }
 
 bool DominanceOracle::OrdersMembers(Operator op) {
@@ -344,7 +328,7 @@ bool DominanceOracle::PSdExactOrder(ObjectProfile& u, ObjectProfile& v,
 
 bool DominanceOracle::PSd(ObjectProfile& u, ObjectProfile& v) {
   if (config_.cover_rules && CoverValidates(u, v)) return true;
-  // P-SD implies SS-SD implies S-SD implies the min/mean/max order
+  // P-SD implies SS-SD implies S-SD implies the min/max order
   // (Theorem 11), so the O(|Q|) statistic gate may refute before any
   // rank view or network is built for the pair. F-SD implies P-SD: when
   // the F-SD order holds, every row of the network is full.

@@ -2,20 +2,20 @@
 //
 // Implements Section 5.1 of the paper:
 //  - S-SD / SS-SD: single merge-scan over sorted pairwise distances
-//    (worst-case optimal, Theorem 10), statistic-based pruning
-//    (Theorem 11), an extremes certificate and cover validation (Theorem
-//    4). No operator runs the paper's level-by-level filter on local
-//    R-trees (Section 5.1.1, DESIGN §5): each goes from its statistic
-//    gate straight to the exact scans.
+//    (worst-case optimal, Theorem 10), statistic-based pruning on the
+//    min/max conditions of Theorem 11, an extremes certificate and cover
+//    validation (Theorem 4). No operator runs the paper's level-by-level
+//    filter on local R-trees (Section 5.1.1, DESIGN §5): each goes from
+//    its statistic gate straight to the exact scans.
 //  - P-SD: reduction to max-flow (Theorem 12) over the admissible-pair
 //    bipartite network, with convex-hull reduction of the query, cover
 //    validation, an extremes certificate and a per-query-instance Hall
 //    certificate that refutes on the flow's own masses before any network
 //    is built. P-SD builds no node-level networks.
 //  - F-SD: per-hull-instance farthest/nearest comparisons on the
-//    profile's fused per-q statistics (MaxQs against MinQs), with cover
-//    validation before them until the dominated side's statistics exist
-//    and after them from then on.
+//    profile's per-q extremes (MaxQs against MinQs), with cover validation
+//    before them until the dominated side's statistics exist and after
+//    them from then on.
 //  - F+-SD: the MBR-level test of [Emrich et al. 2010].
 //
 // All operators enforce the U_Q != V_Q side condition from Definitions
@@ -81,15 +81,6 @@ class DominanceOracle {
   bool PSdRows(ObjectProfile& u, ObjectProfile& v,
                std::span<const int> counts, std::vector<uint64_t>* rows);
 
-  /// Whether `op`'s checks read the probability-weighted means (the
-  /// statistic gates of S-SD, SS-SD and P-SD). F-SD reads only the per-q
-  /// extremes, F+-SD no statistics at all.
-  static bool ReadsMean(Operator op);
-
-  /// v.MinAll(), building with it every statistic `op`'s checks read, so
-  /// the profile pays one distance pass for all of them.
-  static double MinDistance(Operator op, ObjectProfile& v);
-
   /// Whether an object's check under `op` tries the members in ascending
   /// MemberKey() (stable on emission order) rather than in emission order.
   /// Any k dominators settle the verdict, so the order changes only the
@@ -136,11 +127,11 @@ class DominanceOracle {
   /// dominates v under every operator. Counts one MBR validation.
   bool CoverValidates(ObjectProfile& u, ObjectProfile& v);
 
-  /// Statistic-based pruning on the full distributions (Theorem 11);
-  /// returns true when dominance is refuted.
+  /// Statistic-based pruning on the full distributions: the min and max
+  /// conditions of Theorem 11. Returns true when dominance is refuted.
   bool StatRefutesAll(ObjectProfile& u, ObjectProfile& v);
 
-  /// Per-query-instance statistic pruning (SS-SD / P-SD).
+  /// Per-query-instance min/max pruning (SS-SD / P-SD).
   bool StatRefutesPerQ(ObjectProfile& u, ObjectProfile& v);
 
   /// Extremes certificate on the statistics the gates built. S-SD and

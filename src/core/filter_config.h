@@ -31,7 +31,10 @@ bool ParseOperatorName(const std::string& s, Operator* op);
 
 /// Switches for the acceleration techniques of Section 5.1.
 struct FilterConfig {
-  /// Statistic-based pruning on min/mean/max ("P").
+  /// Statistic-based pruning ("P"): the min and max conditions of
+  /// Theorem 11, overall and per query instance, on the profile's extremes.
+  /// The paper's gate also compares the probability-weighted means; this
+  /// one does not (DESIGN §5).
   bool stat_pruning = true;
   /// Convex-hull reduction of query instances ("G"). SS-SD's per-q tests
   /// read every query instance, so SS-SD ignores this switch.
@@ -64,7 +67,7 @@ struct FilterStats {
   long flow_runs = 0;         ///< Dinic runs (networks no certificate decided)
   long mbr_validations = 0;   ///< dominance validated from MBRs alone
   long stat_validations = 0;  ///< order certified by per-q extremes
-  long stat_prunes = 0;       ///< refuted by min/mean/max statistics
+  long stat_prunes = 0;       ///< refuted by the min/max statistic gate
   long cover_prunes = 0;      ///< refuted via a covering operator
   long exact_checks = 0;      ///< fell through to the exact algorithm
   long dominance_checks = 0;  ///< total pairwise checks requested

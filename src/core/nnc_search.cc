@@ -303,7 +303,7 @@ NncResult NncSearch::Run(
         // strict MBR dominator always has a smaller MBR key, so it keeps
         // MBR order.
         if (options_.op != Operator::kFPlusSd &&
-            DominanceOracle::MinDistance(options_.op, *profile) > item.key) {
+            profile->MinAll() > item.key) {
           run_mem.Add(sizeof(Parked) + sizeof(HeapItem));
           const double exact_key = profile->MinAll();
           parked.push_back(
@@ -355,8 +355,6 @@ NncResult NncSearch::Run(
     // simply skipped — the surviving set is still a superset of exact.
     try {
       constexpr double kGateEps = 1e-9;
-      // The gate reads only the statistics the operator's checks read.
-      const bool reads_mean = DominanceOracle::ReadsMean(options_.op);
       std::vector<int> dominators(members.size(), 0);
       for (size_t j = 0; j < members.size(); ++j) {
         ObjectProfile& pj = *members[j].profile;
@@ -370,10 +368,7 @@ NncResult NncSearch::Run(
           if (i == j) continue;
           ObjectProfile& pi = *members[i].profile;
           if (pi.MinAll() > pj.MinAll() + kGateEps) break;
-          if ((reads_mean && pi.MeanAll() > pj.MeanAll() + kGateEps) ||
-              pi.MaxAll() > pj.MaxAll() + kGateEps) {
-            continue;
-          }
+          if (pi.MaxAll() > pj.MaxAll() + kGateEps) continue;
           if (oracle.Dominates(options_.op, pi, pj)) ++dominators[j];
         }
         if (dominators[j] >= options_.k) dead[j] = 1;

@@ -66,77 +66,27 @@ void ObjectProfile::EnsureExtremes() {
   if (stats_ != nullptr) {
     stats_->dist_evals += static_cast<long>(nq - matrix_rows_) * m;
   }
-  std::vector<double> mn(nq, std::numeric_limits<double>::infinity());
-  std::vector<double> mx(nq, 0.0);
+  ExtremesView extremes;
+  extremes.min_q.assign(nq, std::numeric_limits<double>::infinity());
+  extremes.max_q.assign(nq, 0.0);
+  extremes.min_all = std::numeric_limits<double>::infinity();
   const kernels::KernelSet& ks = ctx_->kernels();
   for (int qi = 0; qi < nq; ++qi) {
+    double& mn = extremes.min_q[qi];
+    double& mx = extremes.max_q[qi];
     if (RowRead(qi)) {
       for (const double d : Row(qi)) {
-        mn[qi] = std::min(mn[qi], d);
-        mx[qi] = std::max(mx[qi], d);
+        mn = std::min(mn, d);
+        mx = std::max(mx, d);
       }
     } else {
       ks.row_extremes(ctx_->points()[qi].data(), object_->soa_coords(),
-                      object_->soa_stride(), m, &mn[qi], &mx[qi]);
+                      object_->soa_stride(), m, &mn, &mx);
     }
+    extremes.min_all = std::min(extremes.min_all, mn);
+    extremes.max_all = std::max(extremes.max_all, mx);
   }
-  SetExtremes(std::move(mn), std::move(mx));
-}
-
-void ObjectProfile::SetExtremes(std::vector<double> min_q,
-                                std::vector<double> max_q) {
-  ExtremesView& extremes = extremes_.emplace();
-  extremes.min_all = std::numeric_limits<double>::infinity();
-  for (size_t qi = 0; qi < min_q.size(); ++qi) {
-    extremes.min_all = std::min(extremes.min_all, min_q[qi]);
-    extremes.max_all = std::max(extremes.max_all, max_q[qi]);
-  }
-  extremes.min_q = std::move(min_q);
-  extremes.max_q = std::move(max_q);
-}
-
-void ObjectProfile::EnsureMean() {
-  const int nq = ctx_->num_instances();
-  const int m = num_instances();
-  // With no extremes yet, one fused pass builds all three statistics, and
-  // is charged and counted as one; after the extremes the mean costs a
-  // pass of its own. Either pass folds the matrix rows already read and
-  // evaluates only the others.
-  const bool build_extremes = !extremes_.has_value();
-  ChargeView((build_extremes ? 3L : 1L) * nq *
-                 static_cast<long>(sizeof(double)),
-             "profile.stats");
-  if (stats_ != nullptr) {
-    stats_->dist_evals += static_cast<long>(nq - matrix_rows_) * m;
-  }
-  // Distances and the probability-weighted mean fold in (qi, ui) order, so
-  // a row fold and the fused kernel give bit-identical results.
-  MeanView mean;
-  mean.mean_q.assign(nq, 0.0);
-  std::vector<double> mn(build_extremes ? nq : 1,
-                         std::numeric_limits<double>::infinity());
-  std::vector<double> mx(build_extremes ? nq : 1, 0.0);
-  const kernels::KernelSet& ks = ctx_->kernels();
-  for (int qi = 0; qi < nq; ++qi) {
-    const int slot = build_extremes ? qi : 0;
-    if (RowRead(qi)) {
-      const std::span<const double> row = Row(qi);
-      for (int ui = 0; ui < m; ++ui) {
-        mn[slot] = std::min(mn[slot], row[ui]);
-        mx[slot] = std::max(mx[slot], row[ui]);
-        mean.mean_q[qi] += row[ui] * object_->Prob(ui);
-      }
-    } else {
-      ks.fused_row_stats(ctx_->points()[qi].data(), object_->soa_coords(),
-                         object_->soa_stride(), m, object_->probs().data(),
-                         &mn[slot], &mean.mean_q[qi], &mx[slot]);
-    }
-  }
-  if (build_extremes) SetExtremes(std::move(mn), std::move(mx));
-  for (int qi = 0; qi < nq; ++qi) {
-    mean.mean_all += mean.mean_q[qi] * ctx_->probs()[qi];
-  }
-  mean_ = std::move(mean);
+  extremes_ = std::move(extremes);
 }
 
 void ObjectProfile::EnsureSortedAll() {

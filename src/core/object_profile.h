@@ -2,21 +2,18 @@
 //
 // Every dominance check consumes some view of the pairwise distances
 // between an object's instances and the query's instances: overall and
-// per-query-instance statistics (statistic pruning), the sorted all-pairs
-// distribution U_Q (S-SD), per-q sorted distributions U_q (SS-SD), or
-// raw matrix rows (<=_Q tests in P-SD). Each view is materialized at most
-// once and only when a check actually needs it — the statistic gates read
-// only the per-q statistics and F-SD only their extremes, so a pair they
+// per-query-instance extremes (statistic pruning, F-SD), the sorted
+// all-pairs distribution U_Q (S-SD), per-q sorted distributions U_q
+// (SS-SD), or raw matrix rows (<=_Q tests in P-SD). Each view is
+// materialized at most once and only when a check actually needs it — the
+// statistic gates and F-SD read only the per-q extremes, so a pair they
 // decide never pays for a sorted view, which is the effect the Fig. 16
 // ablation measures.
 //
-// The statistics come in two parts. MinQs/MaxQs/MinAll/MaxAll build only
-// the extremes: one min/max pass per query instance, charged as 2·|Q|
-// doubles under "profile.stats". MeanQs/MeanAll add the probability-
-// weighted mean: when nothing is built yet, one fused pass builds all
-// three (3·|Q| doubles, one distance pass); after the extremes, a mean
-// pass charges |Q| more. Callers that will read the mean read it first
-// (DominanceOracle::MinDistance) so they pay one distance pass.
+// The statistics are the extremes alone: MinQs/MaxQs/MinAll/MaxAll, built
+// together by one min/max pass per query instance (the row_extremes
+// kernel) and charged as 2·|Q| doubles under "profile.stats". No
+// statistic reads the probability-weighted mean (DESIGN §5).
 //
 // Every sorted view — the all-pairs order, the per-q rows and the rank
 // rows — lists distances ascending with ties broken by index, and all
@@ -28,9 +25,9 @@
 //
 // The views are computed by the batched distance kernels dispatched on the
 // QueryContext (geom/kernels.h) over the object's padded SoA coordinate
-// block, and the statistics use the one-pass row kernels: a profile that
-// only ever answers statistic pruning never materializes — or charges the
-// memory budget for — the full matrix.
+// block, and the statistics use the one-pass row-extremes kernel: a
+// profile that only ever answers statistic pruning never materializes — or
+// charges the memory budget for — the full matrix.
 //
 // The matrix fills row by row. Row(qi) computes just row qi of the one
 // |Q| x m buffer; MatrixData() fills the rows still missing. Each row is
@@ -168,24 +165,21 @@ class ObjectProfile {
     return matrix_.data();
   }
 
-  // Overall statistics of U_Q (Theorem 11 pruning).
+  // Overall extremes of U_Q (Theorem 11 pruning).
   double MinAll() { return Extremes().min_all; }
-  double MeanAll() { return Mean().mean_all; }
   double MaxAll() { return Extremes().max_all; }
 
-  // Per-query-instance statistics of U_q.
+  // Per-query-instance extremes of U_q.
   double MinQ(int qi) { return Extremes().min_q[qi]; }
-  double MeanQ(int qi) { return Mean().mean_q[qi]; }
   double MaxQ(int qi) { return Extremes().max_q[qi]; }
 
-  // Whole per-q statistic vectors, indexed by qi (one lazy-init branch for
+  // Whole per-q extreme vectors, indexed by qi (one lazy-init branch for
   // a loop over many query instances).
   std::span<const double> MinQs() { return Extremes().min_q; }
-  std::span<const double> MeanQs() { return Mean().mean_q; }
   std::span<const double> MaxQs() { return Extremes().max_q; }
 
-  /// Whether the extremes above are built (with or without the mean), so
-  /// reading them costs nothing more.
+  /// Whether the extremes above are built, so reading them costs nothing
+  /// more.
   bool has_stats() const { return extremes_.has_value(); }
 
   /// Sorted all-pairs distances (values ascending, parallel probabilities).
@@ -224,11 +218,6 @@ class ObjectProfile {
     double min_all = 0.0, max_all = 0.0;
     std::vector<double> min_q, max_q;
   };
-  /// Per-q probability-weighted means with the overall one.
-  struct MeanView {
-    double mean_all = 0.0;
-    std::vector<double> mean_q;
-  };
   /// Sorted distances (values ascending, parallel probabilities): all
   /// pairs for U_Q, one row per query instance for the U_q.
   struct SortedAllView {
@@ -241,10 +230,6 @@ class ObjectProfile {
   const ExtremesView& Extremes() {
     if (!extremes_.has_value()) EnsureExtremes();
     return *extremes_;
-  }
-  const MeanView& Mean() {
-    if (!mean_.has_value()) EnsureMean();
-    return *mean_;
   }
   const SortedAllView& SortedAll() {
     if (!sorted_all_.has_value()) EnsureSortedAll();
@@ -267,9 +252,6 @@ class ObjectProfile {
 
   // Each Ensure* charges, counts and builds one absent view.
   void EnsureExtremes();
-  void EnsureMean();
-  /// Sets the extremes view from the per-q minima and maxima.
-  void SetExtremes(std::vector<double> min_q, std::vector<double> max_q);
   void EnsureSortedAll();
   void EnsureSortedPerQ();
   void EnsureDistribution();
@@ -296,7 +278,6 @@ class ObjectProfile {
   int matrix_rows_ = 0;
   // The other views, each absent until first read.
   std::optional<ExtremesView> extremes_;
-  std::optional<MeanView> mean_;
   std::optional<SortedAllView> sorted_all_;
   std::optional<SortedPerQView> sorted_per_q_;
   std::optional<DiscreteDistribution> distribution_;

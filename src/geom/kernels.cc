@@ -51,39 +51,6 @@ void BatchDistanceImpl(const double* q, const double* block, size_t stride,
   }
 }
 
-// Chunk size of the fused statistics pass: distances for up to this many
-// instances are computed batched into a stack buffer, then folded into the
-// accumulators sequentially. Large enough to amortize the loop overhead,
-// small enough to live in L1.
-constexpr int kStatChunk = 128;
-
-template <int D, Metric M>
-void FusedRowStatsImpl(const double* q, const double* block, size_t stride,
-                       int m, const double* w, double* min_out,
-                       double* mean_out, double* max_out) {
-  double buf[kStatChunk];
-  double mn = std::numeric_limits<double>::infinity();
-  double mx = 0.0;
-  double mean = 0.0;
-  for (int base = 0; base < m; base += kStatChunk) {
-    const int n = std::min(kStatChunk, m - base);
-    // Column offset: component k of instance base+j is at
-    // block[k*stride + base + j] == (block + base)[k*stride + j].
-    BatchDistanceImpl<D, M>(q, block + base, stride, n, buf);
-    // The mean is accumulated strictly sequentially in instance order —
-    // the exact order of the matrix scan this pass replaces — so the
-    // result is bit-identical. min/max are order-independent.
-    for (int j = 0; j < n; ++j) {
-      mn = std::min(mn, buf[j]);
-      mx = std::max(mx, buf[j]);
-      mean += buf[j] * w[base + j];
-    }
-  }
-  *min_out = mn;
-  *mean_out = mean;
-  *max_out = mx;
-}
-
 // Independent min/max lanes of the row-extremes kernel: one vector's worth
 // of instances per step, so the compiler keeps each lane in a register.
 constexpr int kExtremeLanes = 8;
@@ -242,7 +209,6 @@ constexpr KernelSet MakeKernelSet() {
   set.dim = D;
   set.metric = M;
   set.batch_distance = &BatchDistanceImpl<D, M>;
-  set.fused_row_stats = &FusedRowStatsImpl<D, M>;
   set.row_extremes = &RowExtremesImpl<D, M>;
   set.box_min = &PointBoxMinImpl<D, M>;
   set.box_max = &PointBoxMaxImpl<D, M>;

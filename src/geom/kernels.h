@@ -23,15 +23,12 @@
 //    twice.
 //  - sqrt is applied per element (IEEE-correctly-rounded scalar or vector
 //    sqrt are bit-identical).
-//  - The fused statistic kernels accumulate the probability-weighted mean
-//    strictly sequentially in instance order — the same order as the
-//    matrix-scan they replace — using a small stack chunk, so they never
-//    materialize the row yet produce bit-identical min/mean/max.
-//  - The row-extremes kernel folds min and max over independent lanes on
-//    the unrooted sums (squared L2, or L1) and roots the two results once.
-//    min and max are order-independent on non-negative doubles, and the
-//    correctly rounded sqrt is monotone, so both are bit-identical to the
-//    fused kernel's min and max.
+//  - The row-extremes kernel, the profile's one statistics pass, folds
+//    min and max over 8 independent lanes on the unrooted sums (squared
+//    L2, or L1) and roots the two results once. min and max are
+//    order-independent on non-negative doubles, and the correctly rounded
+//    sqrt is monotone, so both are bit-identical to a scalar min/max fold
+//    of the rooted row.
 // kernels_test asserts all of this with EXPECT_EQ against the scalar
 // references (PointDistance, and the point-box / point-set oracles in
 // tests/test_util.h) for every dimension, both metrics, and ragged block
@@ -65,16 +62,9 @@ inline constexpr size_t PaddedCount(int m) {
 using BatchDistanceFn = void (*)(const double* q, const double* block,
                                  size_t stride, int m, double* out);
 
-/// Fused one-pass row statistics: *min_out = min_j dist(q, x_j),
-/// *max_out = max_j, *mean_out = sum_j dist(q, x_j) * w[j] accumulated
-/// sequentially in j order — without materializing the row.
-using FusedRowStatsFn = void (*)(const double* q, const double* block,
-                                 size_t stride, int m, const double* w,
-                                 double* min_out, double* mean_out,
-                                 double* max_out);
-
-/// Row extremes alone: *min_out = min_j dist(q, x_j), *max_out = max_j,
-/// bit-identical to FusedRowStatsFn's min and max (no mean, no weights).
+/// Row extremes without materializing the row: *min_out = min_j
+/// dist(q, x_j), *max_out = max_j, bit-identical to a scalar fold of
+/// BatchDistanceFn's row.
 using RowExtremesFn = void (*)(const double* q, const double* block,
                                size_t stride, int m, double* min_out,
                                double* max_out);
@@ -95,7 +85,6 @@ struct KernelSet {
   int dim = 0;
   Metric metric = Metric::kL2;
   BatchDistanceFn batch_distance = nullptr;
-  FusedRowStatsFn fused_row_stats = nullptr;
   RowExtremesFn row_extremes = nullptr;
   PointBoxDistFn box_min = nullptr;
   PointBoxDistFn box_max = nullptr;

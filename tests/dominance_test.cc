@@ -573,7 +573,7 @@ TEST(DistributionExtremes, StatsAreBitEqualToSortedExtremes) {
           trial % 2 == 0 ? RandomObject(0, dim, m, 10.0, 6.0, rng)
                          : RandomWeightedObject(0, dim, m, 10.0, 6.0, rng);
       const QueryContext ctx(q);
-      // Stats first: the fused kernel computes them without a matrix;
+      // Stats first: the extremes kernel computes them without a matrix;
       // the distribution then builds the matrix.
       ObjectProfile stats_first(u, ctx, nullptr);
       const double min_before = stats_first.MinAll();

@@ -4,15 +4,13 @@
 // candidate sets, golden files, and the engine determinism tests all
 // assume that a distance is the same double on every code path. The unit
 // tests here compare each kernel with EXPECT_EQ against its reference —
-// PointDistance for the batched and fused row kernels, the test_util.h
-// oracles for the row-extremes, point-box and point-set kernels — for
-// every dimension 1..8, both metrics, and ragged block tails. The end-to-end test runs
+// PointDistance for the batched row kernel, the test_util.h oracles for
+// the row-extremes, point-box and point-set kernels — for every dimension
+// 1..8, both metrics, and ragged block tails. The end-to-end test runs
 // concurrent queries through the shared dispatch tables.
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <limits>
 #include <random>
 #include <thread>
 #include <vector>
@@ -32,8 +30,8 @@
 namespace osd {
 namespace {
 
-// Ragged and aligned instance counts: below / at / above the pad granule,
-// plus multi-chunk sizes straddling the fused-pass chunk boundary.
+// Ragged and aligned instance counts: below / at / above the pad granule
+// and the extremes kernel's lane width, plus long rows.
 const int kCounts[] = {1, 2, 3, 7, 8, 9, 31, 64, 65, 127, 128, 129, 200};
 
 UncertainObject RandomObject(int id, int dim, int m, std::mt19937_64& rng) {
@@ -101,36 +99,6 @@ TEST(KernelsTest, BatchDistanceBitExactAllDimsMetricsAndTails) {
   }
 }
 
-TEST(KernelsTest, FusedRowStatsBitExactAgainstScalarFold) {
-  std::mt19937_64 rng(3);
-  for (Metric metric : {Metric::kL2, Metric::kL1}) {
-    for (int dim = 1; dim <= Point::kMaxDim; ++dim) {
-      const kernels::KernelSet& ks = kernels::Get(dim, metric);
-      for (int m : kCounts) {
-        const UncertainObject obj = RandomObject(0, dim, m, rng);
-        const Point q = RandomPoint(dim, rng);
-        double mn = -1.0, mean = -1.0, mx = -1.0;
-        ks.fused_row_stats(q.data(), obj.soa_coords(), obj.soa_stride(), m,
-                           obj.probs().data(), &mn, &mean, &mx);
-        // Scalar reference: the exact fold order of the matrix scan in
-        // ObjectProfile::EnsureMean.
-        double rmn = std::numeric_limits<double>::infinity();
-        double rmx = 0.0;
-        double rmean = 0.0;
-        for (int j = 0; j < m; ++j) {
-          const double d = PointDistance(q, obj.Instance(j), metric);
-          rmn = std::min(rmn, d);
-          rmx = std::max(rmx, d);
-          rmean += d * obj.Prob(j);
-        }
-        EXPECT_EQ(mn, rmn) << "dim=" << dim << " m=" << m;
-        EXPECT_EQ(mx, rmx) << "dim=" << dim << " m=" << m;
-        EXPECT_EQ(mean, rmean) << "dim=" << dim << " m=" << m;
-      }
-    }
-  }
-}
-
 // The extremes kernel folds unrooted sums over independent lanes and
 // roots twice per row; it must still return the rooted per-instance min
 // and max, bit for bit. kCounts covers m = 1, partial lane groups and
@@ -152,12 +120,6 @@ TEST(KernelsTest, RowExtremesBitExactAgainstScalarReference) {
                            << " dim=" << dim << " m=" << m;
         EXPECT_EQ(mx, rmx) << "metric=" << static_cast<int>(metric)
                            << " dim=" << dim << " m=" << m;
-        // And bit-equal to the fused kernel's extremes.
-        double fmn = -1.0, fmean = -1.0, fmx = -1.0;
-        ks.fused_row_stats(q.data(), obj.soa_coords(), obj.soa_stride(), m,
-                           obj.probs().data(), &fmn, &fmean, &fmx);
-        EXPECT_EQ(mn, fmn);
-        EXPECT_EQ(mx, fmx);
       }
     }
   }

@@ -250,8 +250,7 @@ TEST_F(MemBudgetTest, StatisticOnlyProfileNeverChargesMatrix) {
   const UncertainObject& obj = dataset.object(0);
   QueryContext ctx(dataset.object(1));
   const int nq = ctx.num_instances();
-  const long per_q_bytes = nq * static_cast<long>(sizeof(double));
-  const long stat_bytes = 3 * per_q_bytes;
+  const long stat_bytes = 2L * nq * static_cast<long>(sizeof(double));
   memory::QueryBudgetScope scope(64L << 20, nullptr);
   {
     ObjectProfile profile(obj, ctx, nullptr);
@@ -259,10 +258,7 @@ TEST_F(MemBudgetTest, StatisticOnlyProfileNeverChargesMatrix) {
     (void)profile.MaxQ(0);
     // The extremes pass charges only the two per-q extreme vectors —
     // never the |Q| x m matrix.
-    EXPECT_EQ(scope.charged_bytes(), 2 * per_q_bytes);
-    (void)profile.MeanAll();
-    EXPECT_EQ(scope.charged_bytes(), stat_bytes)
-        << "adding the mean charges one per-q vector more";
+    EXPECT_EQ(scope.charged_bytes(), stat_bytes);
     (void)profile.Dist(0, 0);
     EXPECT_EQ(scope.charged_bytes(),
               stat_bytes + static_cast<long>(nq) * obj.num_instances() *
@@ -286,7 +282,7 @@ TEST_F(MemBudgetTest, BudgetBreachYieldsSupersetForEveryOperator) {
     const NncResult exact = NncSearch(dataset, options).Run(entry.query);
     ASSERT_EQ(exact.termination, NncTermination::kComplete);
 
-    // Calibrate a cap below the operator's measured working set (the fused
+    // Calibrate a cap below the operator's measured working set (the
     // statistic pass means some operators now fit in a few hundred bytes,
     // so no fixed cap breaches all four): the traversal must breach
     // mid-flight and drain to a certified superset.
@@ -364,16 +360,17 @@ TEST_F(MemBudgetTest, BreachWhileAnObjectIsParkedKeepsItAndReleasesAll) {
 }
 
 TEST_F(MemBudgetTest, ParkedEntriesAreChargedToTheRun) {
-  // A lone wide object: its first pop builds only its statistics (three
-  // |Q|-long vectors), then parks it, and its exact pop emits it. A cap of
-  // exactly the statistics breaches at the park; a cap with room for the
-  // park breaches at the emission, with the parked entry still held. Both
-  // charges belong to the traversal's "nnc.run" account.
+  // A lone wide object: its first pop builds only its statistics (two
+  // |Q|-long extreme vectors: 32 B, 48 while they carried the mean), then
+  // parks it, and its exact pop emits it. A cap of exactly the statistics
+  // breaches at the park; a cap with room for the park breaches at the
+  // emission, with the parked entry still held. Both charges belong to the
+  // traversal's "nnc.run" account.
   Rng rng(5);
   const Dataset dataset(test::ParkingObjects(0, rng));
   const UncertainObject query =
       UncertainObject::Uniform(-1, 2, {50.0, 50.0, 51.0, 51.0});
-  const long stat_bytes = 3L * 2 * static_cast<long>(sizeof(double));
+  const long stat_bytes = 2L * 2 * static_cast<long>(sizeof(double));
   NncOptions options;
   options.op = Operator::kSSd;
 

@@ -1,6 +1,8 @@
 // Tests for the object model: probability normalization, MBRs, lazy local
 // R-trees, dataset construction and the per-query profile views.
 
+#include <algorithm>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -113,7 +115,6 @@ TEST(ObjectProfileTest, StatsAndSortedViews) {
   EXPECT_DOUBLE_EQ(profile.Dist(1, 1), 7.0);
   EXPECT_DOUBLE_EQ(profile.MinAll(), 1.0);
   EXPECT_DOUBLE_EQ(profile.MaxAll(), 9.0);
-  EXPECT_DOUBLE_EQ(profile.MeanAll(), (1 + 3 + 9 + 7) / 4.0);
   EXPECT_DOUBLE_EQ(profile.MinQ(1), 7.0);
   EXPECT_DOUBLE_EQ(profile.MaxQ(0), 3.0);
   const auto sorted = profile.SortedValues();
@@ -124,42 +125,59 @@ TEST(ObjectProfileTest, StatsAndSortedViews) {
   EXPECT_DOUBLE_EQ(q1_sorted[1], 9.0);
   EXPECT_EQ(stats.dist_evals, 4);  // matrix computed exactly once
   const auto dist = profile.Distribution();
-  EXPECT_DOUBLE_EQ(dist.Mean(), profile.MeanAll());
+  EXPECT_DOUBLE_EQ(dist.Mean(), (1 + 3 + 9 + 7) / 4.0);
+  EXPECT_EQ(dist.Min(), profile.MinAll());
+  EXPECT_EQ(dist.Max(), profile.MaxAll());
 }
 
-// The extremes and the mean are built by separate passes when the
-// extremes come first. The mean pass must leave the extremes' storage in
-// place — spans taken before it stay valid (ASan checks the re-read) —
-// and every statistic must be bit-equal to a profile that read the mean
-// first.
-TEST(ObjectProfileTest, MeanAfterExtremesKeepsEarlierSpans) {
+// The statistics are one extremes pass: whichever of MinAll, MaxAll,
+// MinQs and MaxQs is read first builds them all, charged as 2·|Q| doubles
+// and counted as |Q|·m distances once, and every later read is free. The
+// values are bit-equal to a scalar min/max fold of the matrix rows.
+TEST(ObjectProfileTest, StatisticsAreOneExtremesPass) {
   Rng rng(17);
   const UncertainObject q = test::RandomObject(-1, 2, 5, 50.0, 10.0, rng);
   const UncertainObject u = test::RandomObject(0, 2, 37, 50.0, 10.0, rng);
   const QueryContext ctx(q);
-  const long pass = 5L * 37;
-  FilterStats fused_stats;
-  ObjectProfile fused(u, ctx, &fused_stats);
-  const std::vector<double> mean_q(fused.MeanQs().begin(),
-                                   fused.MeanQs().end());
-  const std::vector<double> min_q(fused.MinQs().begin(), fused.MinQs().end());
-  const std::vector<double> max_q(fused.MaxQs().begin(), fused.MaxQs().end());
-  EXPECT_EQ(fused_stats.dist_evals, pass) << "mean first: one pass";
-
-  FilterStats stats;
-  ObjectProfile profile(u, ctx, &stats);
-  const std::span<const double> first = profile.MinQs();
-  const std::span<const double> first_max = profile.MaxQs();
-  EXPECT_EQ(stats.dist_evals, pass);
-  EXPECT_EQ(std::vector<double>(profile.MeanQs().begin(),
-                                profile.MeanQs().end()),
-            mean_q);
-  EXPECT_EQ(stats.dist_evals, 2 * pass) << "the mean pass counts";
-  EXPECT_EQ(std::vector<double>(first.begin(), first.end()), min_q);
-  EXPECT_EQ(std::vector<double>(first_max.begin(), first_max.end()), max_q);
-  EXPECT_EQ(profile.MeanAll(), fused.MeanAll());
-  EXPECT_EQ(profile.MinAll(), fused.MinAll());
-  EXPECT_EQ(profile.MaxAll(), fused.MaxAll());
+  const int nq = ctx.num_instances();
+  const int m = u.num_instances();
+  ObjectProfile rows(u, ctx, nullptr);
+  std::vector<double> min_q(nq), max_q(nq);
+  double min_all = std::numeric_limits<double>::infinity();
+  double max_all = 0.0;
+  for (int qi = 0; qi < nq; ++qi) {
+    min_q[qi] = std::numeric_limits<double>::infinity();
+    max_q[qi] = 0.0;
+    for (const double d : rows.Row(qi)) {
+      min_q[qi] = std::min(min_q[qi], d);
+      max_q[qi] = std::max(max_q[qi], d);
+    }
+    min_all = std::min(min_all, min_q[qi]);
+    max_all = std::max(max_all, max_q[qi]);
+  }
+  auto copy = [](std::span<const double> v) {
+    return std::vector<double>(v.begin(), v.end());
+  };
+  std::vector<int> order = {0, 1, 2, 3};
+  do {
+    FilterStats stats;
+    memory::QueryBudgetScope scope(64L << 20, nullptr);
+    ObjectProfile p(u, ctx, &stats);
+    EXPECT_FALSE(p.has_stats());
+    for (const int reader : order) {
+      switch (reader) {
+        case 0: EXPECT_EQ(p.MinAll(), min_all); break;
+        case 1: EXPECT_EQ(p.MaxAll(), max_all); break;
+        case 2: EXPECT_EQ(copy(p.MinQs()), min_q); break;
+        case 3: EXPECT_EQ(copy(p.MaxQs()), max_q); break;
+      }
+      EXPECT_TRUE(p.has_stats());
+      EXPECT_EQ(stats.dist_evals, static_cast<long>(nq) * m)
+          << "one pass, whatever is read first";
+      EXPECT_EQ(scope.charged_bytes(),
+                2L * nq * static_cast<long>(sizeof(double)));
+    }
+  } while (std::next_permutation(order.begin(), order.end()));
 }
 
 // The row-lazy matrix: rows read one at a time and then completed by
@@ -180,7 +198,6 @@ TEST(ObjectProfileTest, RowsReadFirstCompleteToAFreshMatrix) {
   auto copy = [](std::span<const double> v) {
     return std::vector<double>(v.begin(), v.end());
   };
-  const std::vector<double> mean_q = copy(fresh.MeanQs());
   const std::vector<double> min_q = copy(fresh.MinQs());
   const std::vector<double> max_q = copy(fresh.MaxQs());
   const std::vector<std::vector<int>> subsets = {
@@ -201,19 +218,13 @@ TEST(ObjectProfileTest, RowsReadFirstCompleteToAFreshMatrix) {
       EXPECT_EQ(stats.dist_evals, rows * m) << "a row counts once";
       EXPECT_EQ(scope.charged_bytes(), rows * row_bytes);
     }
-    // The extremes first and then a mean pass, or one fused pass: each
-    // pass evaluates only the rows not read.
-    const bool extremes_first = subset.size() % 2 == 1;
-    if (extremes_first) {
-      EXPECT_EQ(copy(p.MinQs()), min_q);
-    }
-    EXPECT_EQ(copy(p.MeanQs()), mean_q);
+    // One extremes pass evaluates only the rows not read.
     EXPECT_EQ(copy(p.MinQs()), min_q);
     EXPECT_EQ(copy(p.MaxQs()), max_q);
     const long unread = (nq - rows) * m;
-    long evals = rows * m + (extremes_first ? 2 : 1) * unread;
+    long evals = rows * m + unread;
     EXPECT_EQ(stats.dist_evals, evals);
-    const long stat_bytes = 3L * nq * static_cast<long>(sizeof(double));
+    const long stat_bytes = 2L * nq * static_cast<long>(sizeof(double));
     EXPECT_EQ(std::vector<double>(p.MatrixData(), p.MatrixData() + nq * m),
               full);
     evals += unread;
