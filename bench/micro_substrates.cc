@@ -214,7 +214,7 @@ const std::vector<Network>& NbaNetworks() {
           if (pu == pv) continue;
           FilterStats stats;
           DominanceOracle oracle(ctx, FilterConfig::All(), &stats);
-          oracle.PSd(*pu, *pv);
+          oracle.Dominates(Operator::kPSd, *pu, *pv);
           if (stats.exact_checks == 0) continue;
           const std::span<const int64_t> u_mass = pu->ScaledProbs();
           const std::span<const int64_t> v_mass = pv->ScaledProbs();

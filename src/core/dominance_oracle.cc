@@ -31,6 +31,23 @@ bool DominanceOracle::Dominates(Operator op, ObjectProfile& u,
   if (stats_ != nullptr) ++stats_->dominance_checks;
   OSD_FAILPOINT("dominance.check");
   OSD_TRACE_SPAN(obs::SpanKind::kDominanceCheck);
+  // F+-SD needs no instance data at all.
+  if (op == Operator::kFPlusSd) {
+    return MbrStrictlyDominatesM(u.object().mbr(), v.object().mbr(),
+                                 ctx_->mbr(), ctx_->metric());
+  }
+  // Cover (Theorem 4) puts every point of u's box more than 1e-9 closer to
+  // every q than every point of v's box, so u.MaxQs()[q] < v.MinQs()[q] -
+  // 1e-9 at each q. Until v's statistics exist this O(d) test may settle v
+  // without building them. Once they exist it decides nothing the cascades
+  // would not: the stat gate never refutes a covered pair, the extremes
+  // certificate holds (F-SD: the order holds), and DistributionsDiffer
+  // returns at its MinAll check. Without the gate, a covered pair would
+  // reach the exact stage, so the test then runs on every pair.
+  if (config_.cover_rules && (!config_.stat_pruning || !v.has_stats()) &&
+      CoverValidates(u, v)) {
+    return true;
+  }
   switch (op) {
     case Operator::kSSd:
       return SSd(u, v);
@@ -41,15 +58,9 @@ bool DominanceOracle::Dominates(Operator op, ObjectProfile& u,
     case Operator::kFSd:
       return FSd(u, v);
     case Operator::kFPlusSd:
-      return FPlusSd(u.object(), v.object());
+      break;
   }
   return false;
-}
-
-bool DominanceOracle::FPlusSd(const UncertainObject& u,
-                              const UncertainObject& v) const {
-  return MbrStrictlyDominatesM(u.mbr(), v.mbr(), ctx_->mbr(),
-                               ctx_->metric());
 }
 
 bool DominanceOracle::SSdOrderHolds(ObjectProfile& u, ObjectProfile& v) {
@@ -131,11 +142,10 @@ bool DominanceOracle::ExtremesCertify(Operator op, ObjectProfile& u,
 }
 
 bool DominanceOracle::SSd(ObjectProfile& u, ObjectProfile& v) {
-  if (config_.cover_rules && CoverValidates(u, v)) return true;
   // S-SD implies the min/max order (Theorem 11), so the O(1) statistic
-  // gate is the only filter between cover validation and the exact
-  // merge-scan: behind it, node-level envelopes cost more than they decide
-  // (DESIGN §5). The extremes certificate reads what the gate built.
+  // gate is the only filter before the exact merge-scan: behind it,
+  // node-level envelopes cost more than they decide (DESIGN §5). The
+  // extremes certificate reads what the gate built.
   if (config_.stat_pruning && StatRefutesAll(u, v)) return false;
   if (config_.stat_pruning && ExtremesCertify(Operator::kSSd, u, v)) {
     return DistributionsDiffer(u, v);
@@ -147,10 +157,9 @@ bool DominanceOracle::SSd(ObjectProfile& u, ObjectProfile& v) {
 }
 
 bool DominanceOracle::SsSd(ObjectProfile& u, ObjectProfile& v) {
-  if (config_.cover_rules && CoverValidates(u, v)) return true;
   // SS-SD implies the min/max order overall and at every q
-  // (Theorem 11), so the O(|Q|) statistic gate is the only filter between
-  // cover validation and the exact per-q scans, as in S-SD.
+  // (Theorem 11), so the O(|Q|) statistic gate is the only filter before
+  // the exact per-q scans, as in S-SD.
   if (config_.stat_pruning &&
       (StatRefutesAll(u, v) || StatRefutesPerQ(u, v))) {
     return false;
@@ -175,13 +184,9 @@ bool DominanceOracle::ExtremesOrderHolds(ObjectProfile& u, ObjectProfile& v,
   return true;
 }
 
-bool DominanceOracle::OrdersMembers(Operator op) {
-  return op == Operator::kPSd || op == Operator::kFSd;
-}
-
 double DominanceOracle::MemberKey(Operator op, ObjectProfile& u) {
-  if (op == Operator::kPSd) return u.num_instances();
-  OSD_DCHECK(op == Operator::kFSd);
+  if (op == Operator::kFPlusSd) return 0.0;
+  if (op != Operator::kFSd) return u.MaxAll();
   // reach(u): u's largest farthest-instance distance over QIdx().
   const std::span<const double> umax = u.MaxQs();
   double reach = 0.0;
@@ -190,7 +195,14 @@ double DominanceOracle::MemberKey(Operator op, ObjectProfile& u) {
 }
 
 double DominanceOracle::MemberKeyBound(Operator op, ObjectProfile& v) {
-  if (op != Operator::kFSd) return std::numeric_limits<double>::infinity();
+  if (op == Operator::kFPlusSd ||
+      (op != Operator::kFSd && !config_.stat_pruning)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  // S-SD, SS-SD and P-SD imply the max condition of Theorem 11, and
+  // StatRefutesAll refutes every u past this bound by the same comparison
+  // in doubles.
+  if (op != Operator::kFSd) return v.MaxAll() + kEps;
   // If u ⪯_F v, the F-SD order holds at the q where u's max is largest:
   // reach(u) = umax[q] <= vmin[q] + kEps <= max over QIdx() of vmin + kEps.
   // Rounded addition is monotone, so the bound holds in doubles too.
@@ -201,19 +213,9 @@ double DominanceOracle::MemberKeyBound(Operator op, ObjectProfile& v) {
 }
 
 bool DominanceOracle::FSd(ObjectProfile& u, ObjectProfile& v) {
-  // Cover validation implies the per-q order, so the verdict is "order
-  // holds and (cover or distributions differ)" whichever test runs first.
-  // Until v's statistics exist the O(d) cover test may save building
-  // them; once they do, the per-q order refutes almost every pair and the
-  // cover test only confirms the survivors.
-  const bool cover_first = !v.has_stats();
-  if (config_.cover_rules && cover_first && CoverValidates(u, v)) return true;
   {
     OSD_TRACE_SPAN(obs::SpanKind::kExactCheck);
     if (!ExtremesOrderHolds(u, v, QIdx(), kEps)) return false;
-  }
-  if (config_.cover_rules && !cover_first && CoverValidates(u, v)) {
-    return true;
   }
   if (stats_ != nullptr) ++stats_->exact_checks;
   return DistributionsDiffer(u, v);
@@ -327,7 +329,6 @@ bool DominanceOracle::PSdExactOrder(ObjectProfile& u, ObjectProfile& v,
 }
 
 bool DominanceOracle::PSd(ObjectProfile& u, ObjectProfile& v) {
-  if (config_.cover_rules && CoverValidates(u, v)) return true;
   // P-SD implies SS-SD implies S-SD implies the min/max order
   // (Theorem 11), so the O(|Q|) statistic gate may refute before any
   // rank view or network is built for the pair. F-SD implies P-SD: when

@@ -3,20 +3,24 @@
 // Implements Section 5.1 of the paper:
 //  - S-SD / SS-SD: single merge-scan over sorted pairwise distances
 //    (worst-case optimal, Theorem 10), statistic-based pruning on the
-//    min/max conditions of Theorem 11, an extremes certificate and cover
-//    validation (Theorem 4). No operator runs the paper's level-by-level
-//    filter on local R-trees (Section 5.1.1, DESIGN §5): each goes from
-//    its statistic gate straight to the exact scans.
+//    min/max conditions of Theorem 11 and an extremes certificate. No
+//    operator runs the paper's level-by-level filter on local R-trees
+//    (Section 5.1.1, DESIGN §5): each goes from its statistic gate
+//    straight to the exact scans.
 //  - P-SD: reduction to max-flow (Theorem 12) over the admissible-pair
-//    bipartite network, with convex-hull reduction of the query, cover
-//    validation, an extremes certificate and a per-query-instance Hall
-//    certificate that refutes on the flow's own masses before any network
-//    is built. P-SD builds no node-level networks.
+//    bipartite network, with convex-hull reduction of the query, an
+//    extremes certificate and a per-query-instance Hall certificate that
+//    refutes on the flow's own masses before any network is built. P-SD
+//    builds no node-level networks.
 //  - F-SD: per-hull-instance farthest/nearest comparisons on the
-//    profile's per-q extremes (MaxQs against MinQs), with cover validation
-//    before them until the dominated side's statistics exist and after
-//    them from then on.
+//    profile's per-q extremes (MaxQs against MinQs).
 //  - F+-SD: the MBR-level test of [Emrich et al. 2010].
+//
+// The four instance operators share one cover rule (Theorem 4): cover
+// validation runs before an operator's own tests while the dominated
+// side has no statistics, and on every pair when the statistic gate is
+// off. Once the statistics exist, a covered pair passes every operator's
+// cheap tests anyway (DESIGN §5).
 //
 // All operators enforce the U_Q != V_Q side condition from Definitions
 // 2/3/5 (we also apply it to F-SD so identical objects never eliminate
@@ -48,16 +52,9 @@ class DominanceOracle {
   DominanceOracle(const QueryContext& ctx, FilterConfig config,
                   FilterStats* stats);
 
-  /// Does `u` dominate `v` under `op`?
+  /// Does `u` dominate `v` under `op`? The one entry point: it runs the
+  /// cover rule, then the operator's own cascade.
   bool Dominates(Operator op, ObjectProfile& u, ObjectProfile& v);
-
-  bool SSd(ObjectProfile& u, ObjectProfile& v);
-  bool SsSd(ObjectProfile& u, ObjectProfile& v);
-  bool PSd(ObjectProfile& u, ObjectProfile& v);
-  bool FSd(ObjectProfile& u, ObjectProfile& v);
-
-  /// F+-SD needs no instance data at all.
-  bool FPlusSd(const UncertainObject& u, const UncertainObject& v) const;
 
   /// Cover (Theorem 4) with the checks' 1e-9 tolerance: for every q in
   /// the query's MBR, every point of `ubox` is closer to q than every point
@@ -81,20 +78,18 @@ class DominanceOracle {
   bool PSdRows(ObjectProfile& u, ObjectProfile& v,
                std::span<const int> counts, std::vector<uint64_t>* rows);
 
-  /// Whether an object's check under `op` tries the members in ascending
-  /// MemberKey() (stable on emission order) rather than in emission order.
-  /// Any k dominators settle the verdict, so the order changes only the
-  /// work. P-SD and F-SD only.
-  static bool OrdersMembers(Operator op);
-
-  /// A member's key in that order. P-SD: its instance count, since a P-SD
-  /// confirmation is an nu x nv network. F-SD: its reach, the largest
-  /// MaxQs() over QIdx().
+  /// A member's key in the order an object's check tries the members
+  /// (ascending, stable on emission order). Any k dominators settle the
+  /// verdict, so the order changes only the work. S-SD, SS-SD and P-SD:
+  /// its MaxAll(). F-SD: its reach, the largest MaxQs() over QIdx().
+  /// F+-SD: 0, so the order is emission order and no statistics are built.
   double MemberKey(Operator op, ObjectProfile& u);
 
   /// No member with a key above this can dominate v under `op`, so the
-  /// ordered scan stops at the first one. F-SD: the largest MinQs() of v
-  /// over QIdx(), plus the F-SD order's tolerance; +inf under P-SD.
+  /// scan stops at the first one. S-SD, SS-SD and P-SD: v's MaxAll() plus
+  /// the stat gate's tolerance, where the gate would refute every member
+  /// past it (+inf with the gate off). F-SD: the largest MinQs() of v over
+  /// QIdx(), plus the F-SD order's tolerance. F+-SD: +inf.
   double MemberKeyBound(Operator op, ObjectProfile& v);
 
   /// The U_Q != V_Q side condition: the all-pairs distance distributions
@@ -108,6 +103,12 @@ class DominanceOracle {
   /// Query-instance indices used by <=_Q style tests: CH(Q) when the
   /// geometric filter is on, all instances otherwise.
   const std::vector<int>& QIdx() const;
+
+  /// Each operator's cascade after the cover rule.
+  bool SSd(ObjectProfile& u, ObjectProfile& v);
+  bool SsSd(ObjectProfile& u, ObjectProfile& v);
+  bool PSd(ObjectProfile& u, ObjectProfile& v);
+  bool FSd(ObjectProfile& u, ObjectProfile& v);
 
   /// Exact S-SD order (without the distribution-inequality condition).
   bool SSdOrderHolds(ObjectProfile& u, ObjectProfile& v);

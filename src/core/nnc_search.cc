@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -108,15 +109,15 @@ NncResult NncSearch::Run(
     int dominators;
   };
   std::vector<Parked> parked;
-  // An object's check tries members in emission order, except under the
-  // operators with a member order (DominanceOracle::OrdersMembers): there
-  // it tries them in ascending MemberKey(), stable on emission order, and
-  // stops at the first key above the checked object's MemberKeyBound().
+  // An object's check tries the members in ascending MemberKey(), stable
+  // on emission order, and stops at the first key above the checked
+  // object's MemberKeyBound(). Each entry carries its member's profile, so
+  // the scan reads nothing else per member.
   struct Keyed {
     double key;
     int member;
+    ObjectProfile* profile;
   };
-  const bool ordered = DominanceOracle::OrdersMembers(options_.op);
   std::vector<Keyed> member_order;
 
   // Live-size accounting for everything the traversal owns: the frontier
@@ -127,51 +128,39 @@ NncResult NncSearch::Run(
   memory::ScopedCharge run_mem("nnc.run");
 
   // v's dominators among members [from, members.size()), added to
-  // `dominators` and counted up to k.
+  // `dominators` and counted up to k. The bound needs v's statistics, so
+  // it is read once they exist: until then each check's cover test may
+  // settle v without building them.
   auto count_dominators = [&](ObjectProfile& v, size_t from,
                               int dominators) {
-    auto settles = [&](size_t i) {
-      return oracle.Dominates(options_.op, *members[i].profile, v) &&
-             ++dominators >= options_.k;
-    };
-    if (!ordered) {
-      for (size_t i = from; i < members.size(); ++i) {
-        if (settles(i)) break;
-      }
-      return dominators;
-    }
-    // F-SD: while v has no statistics, the first unchecked member's check
-    // runs the O(d) cover test first, which may settle v without building
-    // them. The bound below needs them.
-    size_t first = members.size();
-    if (options_.op == Operator::kFSd && from < members.size() &&
-        !v.has_stats()) {
-      first = from;
-      if (settles(first)) return dominators;
-    }
-    const double bound = oracle.MemberKeyBound(options_.op, v);
+    double bound = std::numeric_limits<double>::infinity();
+    bool bounded = false;
     for (const Keyed& e : member_order) {
+      if (static_cast<size_t>(e.member) < from) continue;
+      if (!bounded && v.has_stats()) {
+        bound = oracle.MemberKeyBound(options_.op, v);
+        bounded = true;
+      }
       if (e.key > bound) break;
-      const size_t i = static_cast<size_t>(e.member);
-      if (i >= from && i != first && settles(i)) break;
+      if (oracle.Dominates(options_.op, *e.profile, v) &&
+          ++dominators >= options_.k) {
+        break;
+      }
     }
     return dominators;
   };
   // Confirms an object as a candidate. `profile` is moved from only after
   // the charge, so a breach leaves the caller's profile intact.
   auto emit = [&](int object_index, std::unique_ptr<ObjectProfile>& profile) {
-    run_mem.Add(sizeof(Member) + sizeof(NncEmission) +
-                (ordered ? sizeof(Keyed) : 0));
-    if (ordered) {
-      const Keyed entry{oracle.MemberKey(options_.op, *profile),
-                        static_cast<int>(members.size())};
-      member_order.insert(
-          std::upper_bound(member_order.begin(), member_order.end(), entry,
-                           [](const Keyed& a, const Keyed& b) {
-                             return a.key < b.key;
-                           }),
-          entry);
-    }
+    run_mem.Add(sizeof(Member) + sizeof(NncEmission) + sizeof(Keyed));
+    const Keyed entry{oracle.MemberKey(options_.op, *profile),
+                      static_cast<int>(members.size()), profile.get()};
+    member_order.insert(
+        std::upper_bound(member_order.begin(), member_order.end(), entry,
+                         [](const Keyed& a, const Keyed& b) {
+                           return a.key < b.key;
+                         }),
+        entry);
     members.push_back({object_index, std::move(profile)});
     const double t = elapsed();
     result.timeline.push_back({object_index, t});

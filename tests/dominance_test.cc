@@ -211,20 +211,7 @@ TEST(DominanceWeighted, NonUniformProbabilitiesAgreeWithBruteForce) {
         UncertainObject::FromWeighted(0, 2, std::move(coords), std::move(weights));
     for (Operator op :
          {Operator::kSSd, Operator::kSsSd, Operator::kPSd, Operator::kFSd}) {
-      bool expected = false;
-      switch (op) {
-        case Operator::kSSd:
-          expected = BruteSSd(u, v, q);
-          break;
-        case Operator::kSsSd:
-          expected = BruteSsSd(u, v, q);
-          break;
-        case Operator::kPSd:
-          expected = BrutePSd(u, v, q);
-          break;
-        default:
-          expected = BruteFSd(u, v, q);
-      }
+      const bool expected = test::BruteUnder(op, u, v, q, Metric::kL2);
       if (expected) ++positives;
       EXPECT_EQ(Check(op, u, v, q), expected)
           << OperatorName(op) << " trial " << trial;
@@ -233,28 +220,28 @@ TEST(DominanceWeighted, NonUniformProbabilitiesAgreeWithBruteForce) {
   EXPECT_GT(positives, 10);
 }
 
-// Every ordered pair checked twice through one oracle: once with v's
-// per-q statistics cold, so that cover validation runs before the per-q
-// order, and once with them warm, so that the per-q order runs first and
-// cover validation only confirms. Both verdicts must match brute force,
-// and the two orders must validate and reach the exact check on the same
-// pairs. The dominating side reuses one profile per object, the pattern
-// of NncSearch::Run. L2 tests only hull query points; L1 tests all of
-// them, and so does geometric = false.
-TEST(DominanceProfileReuse, FSdAgreesWithBruteForceAcrossAllPairs) {
+// Every ordered pair checked twice through one oracle under each instance
+// operator: once with v's statistics cold, so that cover validation runs
+// before the operator's cascade, and once with them warm, so that it does
+// not run. Both verdicts must match brute force, and a warm v never moves
+// mbr_validations: once v's statistics exist, each cascade settles a
+// covered pair on its own. The dominating side reuses one profile per
+// object, the pattern of NncSearch::Run. L2 tests only hull query points;
+// L1 tests all of them, and so does geometric = false.
+TEST(DominanceProfileReuse, InstanceOperatorsAgreeWithBruteForceAcrossAllPairs) {
   Rng rng(1515);
   int positives = 0;
-  int validated = 0;        // cover validation decided the pair
-  int confirmed = 0;        // the per-q order held and the cover test did not
+  int validated = 0;        // cover validation decided a cold pair
+  int confirmed = 0;        // F-SD: the per-q order held and dominates
   int side_condition = 0;   // ... and U_Q == V_Q refuted it
   for (Metric metric : {Metric::kL2, Metric::kL1}) {
     for (bool geometric : {true, false}) {
       for (int trial = 0; trial < 4; ++trial) {
         const UncertainObject q = RandomObject(-1, 2, 6, 10.0, 3.0, rng);
-        // Objects at assorted distances from the query, so that F-SD
-        // both holds and fails among them. Object 0 has one instance and
-        // a twin at the same point: the per-q order holds both ways
-        // between them, and only U_Q != V_Q refutes.
+        // Objects at assorted distances from the query, so that every
+        // operator both holds and fails among them. Object 0 has one
+        // instance and a twin at the same point: every order holds both
+        // ways between them, and only U_Q != V_Q refutes.
         std::vector<UncertainObject> objects;
         for (int i = 0; i < 12; ++i) {
           const int m = i == 0 ? 1 : 1 + static_cast<int>(rng.UniformInt(0, 11));
@@ -279,47 +266,48 @@ TEST(DominanceProfileReuse, FSdAgreesWithBruteForceAcrossAllPairs) {
         for (const UncertainObject& o : objects) {
           profiles.push_back(std::make_unique<ObjectProfile>(o, ctx, &stats));
         }
-        for (int i = 0; i < n; ++i) {
-          for (int j = 0; j < n; ++j) {
-            if (i == j) continue;
-            const bool expected =
-                test::BruteFSdUnder(objects[i], objects[j], q, metric);
-            positives += expected;
-            ObjectProfile cold(objects[j], ctx, &stats);
-            ObjectProfile warm(objects[j], ctx, &stats);
-            (void)warm.MinQs();
-            ASSERT_FALSE(cold.has_stats());
-            ASSERT_TRUE(warm.has_stats());
-            const FilterStats s0 = stats;
-            const bool cold_verdict =
-                oracle.Dominates(Operator::kFSd, *profiles[i], cold);
-            const FilterStats s1 = stats;
-            const bool warm_verdict =
-                oracle.Dominates(Operator::kFSd, *profiles[i], warm);
-            const FilterStats s2 = stats;
-            const std::string where =
-                std::string("L1=") + (metric == Metric::kL1 ? "1" : "0") +
-                " geometric=" + (geometric ? "1" : "0") + " trial " +
-                std::to_string(trial) + " pair " + std::to_string(i) + "," +
-                std::to_string(j);
-            EXPECT_EQ(cold_verdict, expected) << "cold " << where;
-            EXPECT_EQ(warm_verdict, expected) << "warm " << where;
-            const long cold_validations =
-                s1.mbr_validations - s0.mbr_validations;
-            const long cold_exact = s1.exact_checks - s0.exact_checks;
-            EXPECT_EQ(s2.mbr_validations - s1.mbr_validations,
-                      cold_validations)
-                << where;
-            EXPECT_EQ(s2.exact_checks - s1.exact_checks, cold_exact) << where;
-            validated += static_cast<int>(cold_validations);
-            if (cold_exact > 0) ++(expected ? confirmed : side_condition);
+        for (Operator op : {Operator::kSSd, Operator::kSsSd, Operator::kPSd,
+                            Operator::kFSd}) {
+          for (int i = 0; i < n; ++i) {
+            for (int j = 0; j < n; ++j) {
+              if (i == j) continue;
+              const bool expected =
+                  test::BruteUnder(op, objects[i], objects[j], q, metric);
+              positives += expected;
+              ObjectProfile cold(objects[j], ctx, &stats);
+              ObjectProfile warm(objects[j], ctx, &stats);
+              (void)warm.MinQs();
+              ASSERT_FALSE(cold.has_stats());
+              ASSERT_TRUE(warm.has_stats());
+              const FilterStats s0 = stats;
+              const bool cold_verdict =
+                  oracle.Dominates(op, *profiles[i], cold);
+              const FilterStats s1 = stats;
+              const bool warm_verdict =
+                  oracle.Dominates(op, *profiles[i], warm);
+              const FilterStats s2 = stats;
+              const std::string where =
+                  std::string(OperatorName(op)) +
+                  " L1=" + (metric == Metric::kL1 ? "1" : "0") +
+                  " geometric=" + (geometric ? "1" : "0") + " trial " +
+                  std::to_string(trial) + " pair " + std::to_string(i) +
+                  "," + std::to_string(j);
+              EXPECT_EQ(cold_verdict, expected) << "cold " << where;
+              EXPECT_EQ(warm_verdict, expected) << "warm " << where;
+              EXPECT_EQ(s2.mbr_validations, s1.mbr_validations) << where;
+              validated +=
+                  static_cast<int>(s1.mbr_validations - s0.mbr_validations);
+              if (op == Operator::kFSd && s1.exact_checks > s0.exact_checks) {
+                ++(expected ? confirmed : side_condition);
+              }
+            }
           }
         }
       }
     }
   }
   EXPECT_GT(positives, 200);
-  // Each way the cascade can decide a pair was exercised in both orders.
+  // Each way the cascade can decide a cold pair was exercised.
   EXPECT_GT(validated, 100);
   EXPECT_GT(confirmed, 0);
   EXPECT_GT(side_condition, 0);
@@ -814,7 +802,7 @@ PSdOutcome RunPSd(const UncertainObject& u, const UncertainObject& v,
     DominanceOracle oracle(ctx, cfg, &stats);
     ObjectProfile pu(u, ctx, &stats);
     ObjectProfile pv(v, ctx, &stats);
-    out.dominates = oracle.PSd(pu, pv);
+    out.dominates = oracle.Dominates(Operator::kPSd, pu, pv);
     out.certified = stats.cover_prunes > 0;
     if (out.certified) {
       EXPECT_EQ(stats.exact_checks, 0);
@@ -831,7 +819,7 @@ PSdOutcome RunPSd(const UncertainObject& u, const UncertainObject& v,
   DominanceOracle oracle(ctx, FilterConfig::BruteForce(), &stats);
   ObjectProfile pu(u, ctx, &stats);
   ObjectProfile pv(v, ctx, &stats);
-  out.brute_force = oracle.PSd(pu, pv);
+  out.brute_force = oracle.Dominates(Operator::kPSd, pu, pv);
   EXPECT_EQ(stats.cover_prunes, 0) << "brute force runs no certificate";
   return out;
 }

@@ -45,16 +45,7 @@ TEST_P(TieFuzz, NncExactUnderMassiveTies) {
                         Operator::kFSd}) {
       auto brute = [op](const UncertainObject& u, const UncertainObject& v,
                         const UncertainObject& q) {
-        switch (op) {
-          case Operator::kSSd:
-            return test::BruteSSd(u, v, q);
-          case Operator::kSsSd:
-            return test::BruteSsSd(u, v, q);
-          case Operator::kPSd:
-            return test::BrutePSd(u, v, q);
-          default:
-            return test::BruteFSd(u, v, q);
-        }
+        return test::BruteUnder(op, u, v, q, Metric::kL2);
       };
       const auto expected = test::BruteNnc(objects, query, brute);
       const Dataset dataset(objects);
@@ -82,80 +73,163 @@ UncertainObject TenthLattice(int id, int dim, int m, int span, Rng& rng) {
   return UncertainObject::Uniform(id, dim, std::move(coords));
 }
 
-// The F-SD member scan stops at the first member whose reach (its largest
-// farthest distance over the hull) exceeds the checked object's bound (its
-// largest nearest distance, plus the order's 1e-9 tolerance). When u's
-// farthest and v's nearest distance are equal in the reals, u's reach can
-// land an ulp above v's untolerated bound although u dominates v: the
-// cutoff is sound only with the tolerance. Each run must also meet that
-// edge, or it tests nothing.
-class FSdCutoffFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(FSdCutoffFuzz, MatchesBruteForceAtTheToleranceEdge) {
-  Rng rng(GetParam() * 13 + 5);
-  int edge_pairs = 0;
-  for (int trial = 0; trial < 6; ++trial) {
-    const int dim = 1 + static_cast<int>(rng.UniformInt(0, 1));
-    std::vector<UncertainObject> objects;
-    const int n = 25 + static_cast<int>(rng.UniformInt(0, 15));
-    for (int i = 0; i < n; ++i) {
-      const int m = 1 + static_cast<int>(rng.UniformInt(0, 2));
-      objects.push_back(TenthLattice(i, dim, m, 6, rng));
-    }
-    const UncertainObject query = TenthLattice(
-        -1, dim, 1 + static_cast<int>(rng.UniformInt(0, 2)), 6, rng);
-    const Dataset dataset(objects);
-    for (Metric metric : {Metric::kL2, Metric::kL1}) {
-      auto brute = [metric](const UncertainObject& u, const UncertainObject& v,
-                            const UncertainObject& q) {
-        return test::BruteFSdUnder(u, v, q, metric);
-      };
-      // Dominating pairs whose reach and bound, over every query
-      // instance, differ in doubles without the tolerance.
-      auto extreme = [&](const UncertainObject& o, bool farthest) {
-        double out = 0.0;
-        for (int qi = 0; qi < query.num_instances(); ++qi) {
-          double best = farthest ? 0.0 : std::numeric_limits<double>::max();
-          for (int j = 0; j < o.num_instances(); ++j) {
-            const double d =
-                PointDistance(query.Instance(qi), o.Instance(j), metric);
-            best = farthest ? std::max(best, d) : std::min(best, d);
-          }
-          out = std::max(out, best);
+// Pairs 10^6 away from the query, serve_rw's write scale, whose MBR gap
+// sits within a few 1e-9 of the cover margin. Per axis direction: u has 2-3
+// instances on a segment along the axis, most mass on the farthest, and v
+// is u moved outwards by its extent plus a shift s, most mass on the
+// nearest. v's nearest instance is then s beyond u's farthest: the boxes'
+// gap crosses the 1e-9 cover margin as s varies, where the L2 cover test's
+// squared gaps (~1e12) round the most. S-SD and SS-SD hold iff s >= 0, so
+// a cover test that accepts a pair below the margin shows against brute
+// force. P-SD and F-SD get s >= 0 only: below 0 their 1e-9 order and the
+// brute force's 1e-12 differ by design. Positions are random, so no other
+// comparison comes within 1e-9 of a tie.
+std::vector<UncertainObject> FarPairs(Operator op, int dim, Rng& rng) {
+  const bool exact_order = op == Operator::kSSd || op == Operator::kSsSd;
+  std::vector<UncertainObject> out;
+  for (int axis = 0; axis < dim; ++axis) {
+    for (double sign : {1.0, -1.0}) {
+      const int m = 2 + static_cast<int>(rng.UniformInt(0, 1));
+      const double base = 1e6 + rng.Uniform(0.0, 1.0);
+      std::vector<double> along = {0.0};
+      for (int i = 1; i < m; ++i) along.push_back(rng.Uniform(0.1, 0.4));
+      std::sort(along.begin(), along.end());
+      const double extent = along.back();
+      const double shift =
+          0.5e-9 * static_cast<double>(rng.UniformInt(exact_order ? -4 : 0, 8));
+      std::vector<double> across(dim);
+      for (double& c : across) c = rng.Uniform(0.0, 0.6);
+      std::vector<double> ucoords, vcoords, uweights, vweights;
+      for (int i = 0; i < m; ++i) {
+        for (int d = 0; d < dim; ++d) {
+          ucoords.push_back(d == axis ? sign * (base + along[i]) : across[d]);
+          vcoords.push_back(
+              d == axis ? sign * (base + extent + shift + along[i])
+                        : across[d]);
         }
-        return out;
-      };
-      for (const UncertainObject& u : objects) {
-        for (const UncertainObject& v : objects) {
-          if (&u != &v && extreme(u, true) > extreme(v, false) &&
-              brute(u, v, query)) {
-            ++edge_pairs;
-          }
-        }
+        uweights.push_back(i + 1 == m ? 8.0 : 1.0);
+        vweights.push_back(i == 0 ? 8.0 : 1.0);
       }
-      for (int k : {1, 3}) {
-        const auto expected = test::BruteKNnc(objects, query, brute, k);
-        for (bool geometric : {true, false}) {
-          NncOptions options;
-          options.op = Operator::kFSd;
-          options.metric = metric;
-          options.k = k;
-          options.filters.geometric = geometric;
-          const auto result = NncSearch(dataset, options).Run(query);
-          EXPECT_EQ(std::set<int>(result.candidates.begin(),
-                                  result.candidates.end()),
-                    std::set<int>(expected.begin(), expected.end()))
-              << "trial " << trial << " L" << (metric == Metric::kL2 ? 2 : 1)
-              << " k=" << k << " geometric=" << geometric;
+      const int id = static_cast<int>(out.size());
+      out.push_back(UncertainObject::FromWeighted(id, dim, std::move(ucoords),
+                                                  std::move(uweights)));
+      out.push_back(UncertainObject::FromWeighted(
+          id + 1, dim, std::move(vcoords), std::move(vweights)));
+    }
+  }
+  return out;
+}
+
+// An object's check tries the members in ascending key and stops at the
+// first key above the checked object's bound. S-SD, SS-SD and P-SD: the
+// key is MaxAll(), the bound MaxAll() plus the stat gate's 1e-9. F-SD: the
+// key is the reach (the largest farthest distance over the hull), the
+// bound the largest nearest distance plus the order's 1e-9. P-SD and F-SD
+// compare instance distances with a 1e-9 tolerance, so when u's key and
+// v's bound are equal in the reals, u's key can land an ulp above v's
+// untolerated bound although u dominates v: the cutoff is sound only with
+// the tolerance, and both operators must meet that edge, or the fuzz tests
+// nothing. S-SD and SS-SD compare distances exactly (their tolerance is on
+// mass), so no dominator lies above even the untolerated bound. The second
+// input holds the cover rule to brute force at 10^6.
+class CutoffFuzz : public ::testing::TestWithParam<Operator> {};
+
+TEST_P(CutoffFuzz, MatchesBruteForceAtTheToleranceEdge) {
+  const Operator op = GetParam();
+  int edge_pairs = 0;
+  int covered = 0;    // far pairs past the cover margin
+  int uncovered = 0;  // ... and short of it
+  for (int seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed * 13 + 5);
+    for (int trial = 0; trial < 16; ++trial) {
+      const int dim = 1 + static_cast<int>(rng.UniformInt(0, 1));
+      std::vector<UncertainObject> lattice;
+      const int n = 10 + static_cast<int>(rng.UniformInt(0, 30));
+      for (int i = 0; i < n; ++i) {
+        const int m = 1 + static_cast<int>(rng.UniformInt(0, 2));
+        lattice.push_back(TenthLattice(i, dim, m, 6, rng));
+      }
+      const UncertainObject query = TenthLattice(
+          -1, dim, 1 + static_cast<int>(rng.UniformInt(0, 2)), 6, rng);
+      for (bool far : {false, true}) {
+        const std::vector<UncertainObject> objects =
+            far ? FarPairs(op, dim, rng) : lattice;
+        const Dataset dataset(objects);
+        for (Metric metric : {Metric::kL2, Metric::kL1}) {
+          auto brute = [op, metric](const UncertainObject& u,
+                                    const UncertainObject& v,
+                                    const UncertainObject& q) {
+            return test::BruteUnder(op, u, v, q, metric);
+          };
+          // Per query instance, an object's largest (farthest) or smallest
+          // (nearest) instance distance; then the largest over the query.
+          auto extreme = [&](const UncertainObject& o, bool farthest) {
+            double out = 0.0;
+            for (int qi = 0; qi < query.num_instances(); ++qi) {
+              double best =
+                  farthest ? 0.0 : std::numeric_limits<double>::max();
+              for (int j = 0; j < o.num_instances(); ++j) {
+                const double d =
+                    PointDistance(query.Instance(qi), o.Instance(j), metric);
+                best = farthest ? std::max(best, d) : std::min(best, d);
+              }
+              out = std::max(out, best);
+            }
+            return out;
+          };
+          const bool reach = op == Operator::kFSd;
+          for (const UncertainObject& u : objects) {
+            for (const UncertainObject& v : objects) {
+              if (&u != &v && extreme(u, true) > extreme(v, !reach) &&
+                  brute(u, v, query)) {
+                ++edge_pairs;
+              }
+            }
+          }
+          for (size_t i = 0; far && i < objects.size(); i += 2) {
+            ++(MbrStrictlyDominatesM(objects[i].mbr(), objects[i + 1].mbr(),
+                                     query.mbr(), metric, 1e-9)
+                   ? covered
+                   : uncovered);
+          }
+          for (int k : {1, 3}) {
+            const auto expected = test::BruteKNnc(objects, query, brute, k);
+            for (bool geometric : {true, false}) {
+              NncOptions options;
+              options.op = op;
+              options.metric = metric;
+              options.k = k;
+              options.filters.geometric = geometric;
+              const auto result = NncSearch(dataset, options).Run(query);
+              EXPECT_EQ(std::set<int>(result.candidates.begin(),
+                                      result.candidates.end()),
+                        std::set<int>(expected.begin(), expected.end()))
+                  << "seed " << seed << " trial " << trial
+                  << (far ? " far" : " lattice") << " L"
+                  << (metric == Metric::kL2 ? 2 : 1) << " k=" << k
+                  << " geometric=" << geometric;
+            }
+          }
         }
       }
     }
   }
-  EXPECT_GT(edge_pairs, 0);
+  if (op == Operator::kPSd || op == Operator::kFSd) {
+    EXPECT_GT(edge_pairs, 0);
+  } else {
+    EXPECT_EQ(edge_pairs, 0);
+  }
+  EXPECT_GT(covered, 0);
+  EXPECT_GT(uncovered, 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FSdCutoffFuzz,
-                         ::testing::Values(1, 2, 3, 4, 5));
+INSTANTIATE_TEST_SUITE_P(
+    Operators, CutoffFuzz,
+    ::testing::Values(Operator::kSSd, Operator::kSsSd, Operator::kPSd,
+                      Operator::kFSd),
+    [](const ::testing::TestParamInfo<Operator>& info) {
+      return std::string(OperatorName(info.param));
+    });
 
 TEST(TieFuzzDirected, CoLocatedObjectsWithDifferentMixtures) {
   // Objects sharing support points but with different probability splits:

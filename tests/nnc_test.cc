@@ -361,13 +361,11 @@ TEST(NncSearchTest, EmitsInExactMinDistanceOrder) {
 
 // Counter pin for F-SD under the default filters: the candidates (in
 // emission order) and every FilterStats counter of one seeded run.
-// Cascade: cover validation and the per-q order on the per-q extremes
-// (MaxQs against MinQs), the cover test first while the dominated side has
-// no statistics yet and after the order from then on, then U_Q != V_Q.
-// Cover validation implies the order, so both sequences validate the same
-// pairs: mbr_validations counts them, exact_checks the pairs that pass the
-// order without validating, and dist_evals the statistics built. node_ops
-// counts the traversal's entry pruning alone.
+// Cascade: cover validation while the dominated side has no statistics
+// yet, then the per-q order on the per-q extremes (MaxQs against MinQs),
+// then U_Q != V_Q. mbr_validations counts the pairs cover settles,
+// exact_checks the pairs that pass the order, and dist_evals the
+// statistics built. node_ops counts the traversal's entry pruning alone.
 // A moved counter means the meaning of a Fig. 12/16 statistic moved with
 // it.
 //
@@ -382,6 +380,15 @@ TEST(NncSearchTest, EmitsInExactMinDistanceOrder) {
 // order. Only the first unchecked member's check still runs while the
 // object has no statistics, so the pairs refuted by the order alone are
 // skipped and nothing else moves (dominance_checks 186 -> 119).
+//
+// One cover rule for every instance operator: cover runs only while the
+// object has no statistics, and the first member checked is the first in
+// reach order, not in emission order. That member covers the object more
+// often, so more objects are settled before their statistics are built
+// (mbr_validations 78 -> 83, dist_evals 2292 -> 1500, dominance_checks
+// 119 -> 116), and the pairs that pass the order once statistics exist
+// are exact checks whether or not they are covered (exact_checks
+// 10 -> 5).
 TEST(NncSearchTest, FSdCountersArePinned) {
   const NncResult r = PinnedRun(Operator::kFSd, 5.0);
   EXPECT_EQ(r.candidates, (std::vector<int>{283, 50, 220, 61, 133, 145, 186,
@@ -391,17 +398,17 @@ TEST(NncSearchTest, FSdCountersArePinned) {
   EXPECT_EQ(r.objects_examined, 102);
   EXPECT_EQ(r.entries_pruned, 3);
   const FilterStats& s = r.stats;
-  EXPECT_EQ(s.dist_evals, 2292);
+  EXPECT_EQ(s.dist_evals, 1500);
   EXPECT_EQ(s.scan_steps, 0);
   EXPECT_EQ(s.pair_tests, 0);
   EXPECT_EQ(s.node_ops, 3);
   EXPECT_EQ(s.flow_runs, 0);
   EXPECT_EQ(s.stat_validations, 0);
-  EXPECT_EQ(s.mbr_validations, 78);
+  EXPECT_EQ(s.mbr_validations, 83);
   EXPECT_EQ(s.stat_prunes, 0);
   EXPECT_EQ(s.cover_prunes, 0);
-  EXPECT_EQ(s.exact_checks, 10);
-  EXPECT_EQ(s.dominance_checks, 119);
+  EXPECT_EQ(s.exact_checks, 5);
+  EXPECT_EQ(s.dominance_checks, 116);
 }
 
 // The same pin for P-SD, SS-SD and S-SD, on wider objects so that every
@@ -415,10 +422,11 @@ TEST(NncSearchTest, FSdCountersArePinned) {
 // statistic gate, so fewer pairs reach each cascade than when the
 // traversal followed MBR keys.
 TEST(NncSearchTest, PSdCountersArePinned) {
-  // Cascade: cover validation, stat gate, projected Hall certificate,
-  // exact network. The certificate refutes only pairs the exact network
-  // refutes, so every pair it decides (cover_prunes, its scan_steps)
-  // would otherwise be an exact check; pair_tests and exact_checks count
+  // Cascade: cover validation (only while the object has no statistics),
+  // stat gate, projected Hall certificate, exact network. The certificate
+  // refutes only pairs the exact network refutes, so every pair it
+  // decides (cover_prunes, its scan_steps) would otherwise be an exact
+  // check; pair_tests and exact_checks count
   // the pairs left to the exact network, flow_runs the networks its
   // certificates leave to Dinic. node_ops counts the traversal's entry
   // pruning alone. The traversal tries members with fewer instances
@@ -441,6 +449,17 @@ TEST(NncSearchTest, PSdCountersArePinned) {
   // the means alone refuted goes on to the Hall certificate, which refutes
   // it (stat_prunes 67 -> 66, cover_prunes 8 -> 9, scan_steps
   // 3596 -> 3627, and dist_evals 6357 -> 6372 for its hull rows).
+  //
+  // The traversal tries members in ascending MaxAll() and stops at the
+  // first above the object's MaxAll() + 1e-9, where the stat gate would
+  // refute every member (stat_prunes 66 -> 36, dominance_checks
+  // 169 -> 134). Cover validation runs only while the object has no
+  // statistics: a member with a small MaxAll() covers it more often
+  // (mbr_validations 50 -> 59), and a covered pair checked later is
+  // settled by the extremes certificate (stat_validations 9 -> 16). Fewer
+  // pairs reach the Hall certificate and the network (cover_prunes
+  // 9 -> 4, exact_checks 35 -> 19, scan_steps 3627 -> 2691, pair_tests
+  // 1723 -> 755, dist_evals 6372 -> 4463 for the hull rows they read).
   const NncResult r = PinnedRun(Operator::kPSd, 10.0);
   EXPECT_EQ(r.candidates, (std::vector<int>{50, 145, 61, 220, 133, 186, 1,
                                              73, 283, 327, 34}));
@@ -448,24 +467,25 @@ TEST(NncSearchTest, PSdCountersArePinned) {
   EXPECT_EQ(r.objects_examined, 102);
   EXPECT_EQ(r.entries_pruned, 3);
   const FilterStats& s = r.stats;
-  EXPECT_EQ(s.dist_evals, 6372);
-  EXPECT_EQ(s.scan_steps, 3627);
-  EXPECT_EQ(s.pair_tests, 1723);
+  EXPECT_EQ(s.dist_evals, 4463);
+  EXPECT_EQ(s.scan_steps, 2691);
+  EXPECT_EQ(s.pair_tests, 755);
   EXPECT_EQ(s.node_ops, 3);
   EXPECT_EQ(s.flow_runs, 0);
-  EXPECT_EQ(s.stat_validations, 9);
-  EXPECT_EQ(s.mbr_validations, 50);
-  EXPECT_EQ(s.stat_prunes, 66);
-  EXPECT_EQ(s.cover_prunes, 9);
-  EXPECT_EQ(s.exact_checks, 35);
-  EXPECT_EQ(s.dominance_checks, 169);
+  EXPECT_EQ(s.stat_validations, 16);
+  EXPECT_EQ(s.mbr_validations, 59);
+  EXPECT_EQ(s.stat_prunes, 36);
+  EXPECT_EQ(s.cover_prunes, 4);
+  EXPECT_EQ(s.exact_checks, 19);
+  EXPECT_EQ(s.dominance_checks, 134);
 }
 
 TEST(NncSearchTest, SsSdCountersArePinned) {
-  // Cascade: cover validation, stat gate, exact per-q scans. SS-SD has
-  // no Hall certificate, so cover_prunes is 0, and node_ops counts the
-  // traversal's entry pruning alone; every pair the
-  // gates leave is an exact check, metered in scan_steps. The near-tie
+  // Cascade: cover validation (only while the object has no statistics),
+  // stat gate, exact per-q scans. SS-SD has no Hall certificate, so
+  // cover_prunes is 0, and node_ops counts the traversal's entry pruning
+  // alone; every pair the gates leave is an exact check, metered in
+  // scan_steps. The near-tie
   // cleanup skips pairs the old full cleanup gated or checked
   // (dominance_checks 187 -> 139, stat_prunes 82 -> 43, dist_evals
   // 10098 -> 6306). The extremes certificate after the stat gate settles
@@ -476,6 +496,12 @@ TEST(NncSearchTest, SsSdCountersArePinned) {
   // means: the one pair the means alone refuted is an exact check
   // (stat_prunes 43 -> 42, exact_checks 21 -> 22, scan_steps
   // 3530 -> 3554, and dist_evals 4956 -> 5046 for the matrices it reads).
+  // The traversal tries members in ascending MaxAll() and stops at the
+  // first above the object's MaxAll() + 1e-9 (stat_prunes 42 -> 26,
+  // dominance_checks 139 -> 123); a dominator found earlier in that order
+  // leaves one exact check on a different pair (scan_steps 3554 -> 3549,
+  // dist_evals 5046 -> 4992). Cover validation only while the object has
+  // no statistics moves nothing here.
   const NncResult r = PinnedRun(Operator::kSsSd, 10.0);
   EXPECT_EQ(r.candidates,
             (std::vector<int>{50, 145, 61, 220, 133, 186, 73, 283, 327}));
@@ -483,29 +509,33 @@ TEST(NncSearchTest, SsSdCountersArePinned) {
   EXPECT_EQ(r.objects_examined, 102);
   EXPECT_EQ(r.entries_pruned, 3);
   const FilterStats& s = r.stats;
-  EXPECT_EQ(s.dist_evals, 5046);
-  EXPECT_EQ(s.scan_steps, 3554);
+  EXPECT_EQ(s.dist_evals, 4992);
+  EXPECT_EQ(s.scan_steps, 3549);
   EXPECT_EQ(s.pair_tests, 0);
   EXPECT_EQ(s.node_ops, 3);
   EXPECT_EQ(s.flow_runs, 0);
   EXPECT_EQ(s.stat_validations, 16);
   EXPECT_EQ(s.mbr_validations, 59);
-  EXPECT_EQ(s.stat_prunes, 42);
+  EXPECT_EQ(s.stat_prunes, 26);
   EXPECT_EQ(s.cover_prunes, 0);
   EXPECT_EQ(s.exact_checks, 22);
-  EXPECT_EQ(s.dominance_checks, 139);
+  EXPECT_EQ(s.dominance_checks, 123);
 }
 
 TEST(NncSearchTest, SSdCountersArePinned) {
-  // Cascade: cover validation, stat gate, exact merge-scan, the same as
-  // SS-SD's. node_ops counts the traversal's entry pruning alone, and the
-  // 19 pairs the deleted CDF envelope decided are exact checks now
+  // Cascade: cover validation (only while the object has no statistics),
+  // stat gate, exact merge-scan, the same as SS-SD's. node_ops counts the
+  // traversal's entry pruning alone, and the 19 pairs the deleted CDF
+  // envelope decided are exact checks now
   // (exact_checks 26 -> 45, scan_steps 3937 -> 7951, node_ops 4620 -> 3;
   // dist_evals 6902 -> 6708, the envelope's leaf distances gone). The
   // extremes certificate after the stat gate settles 16 pairs
   // (stat_validations 0 -> 16, exact_checks 45 -> 29, scan_steps
   // 7951 -> 4489, and dist_evals 6708 -> 5358 for the matrices they no
-  // longer build).
+  // longer build). The traversal tries members in ascending MaxAll() and
+  // stops at the first above the object's MaxAll() + 1e-9, so the three
+  // members the stat gate refuted on MaxAll are skipped (stat_prunes
+  // 3 -> 0, dominance_checks 107 -> 104).
   const NncResult r = PinnedRun(Operator::kSSd, 10.0);
   EXPECT_EQ(r.candidates, (std::vector<int>{50, 145, 61, 220, 133}));
   EXPECT_EQ(r.termination, NncTermination::kComplete);
@@ -519,10 +549,10 @@ TEST(NncSearchTest, SSdCountersArePinned) {
   EXPECT_EQ(s.flow_runs, 0);
   EXPECT_EQ(s.stat_validations, 16);
   EXPECT_EQ(s.mbr_validations, 59);
-  EXPECT_EQ(s.stat_prunes, 3);
+  EXPECT_EQ(s.stat_prunes, 0);
   EXPECT_EQ(s.cover_prunes, 0);
   EXPECT_EQ(s.exact_checks, 29);
-  EXPECT_EQ(s.dominance_checks, 107);
+  EXPECT_EQ(s.dominance_checks, 104);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/filter_config.h"
 #include "geom/metric.h"
 #include "nnfun/n1_functions.h"
 #include "object/dataset.h"
@@ -122,27 +123,39 @@ inline bool BruteLeqSt(const DiscreteDistribution& x,
   return true;
 }
 
-inline bool BruteSSd(const UncertainObject& u, const UncertainObject& v,
-                     const UncertainObject& q) {
-  if (DistributionsEqual(u, v, q)) return false;
-  return BruteLeqSt(DistanceDistribution(u, q), DistanceDistribution(v, q));
+// Each operator's brute force takes a metric under a separate name (not a
+// defaulted parameter), so that the L2 form stays usable as a
+// three-argument dominance callback.
+inline bool BruteSSdUnder(const UncertainObject& u, const UncertainObject& v,
+                          const UncertainObject& q, Metric metric) {
+  if (DistributionsEqual(u, v, q, metric)) return false;
+  return BruteLeqSt(DistanceDistribution(u, q, metric),
+                    DistanceDistribution(v, q, metric));
 }
 
-inline bool BruteSsSd(const UncertainObject& u, const UncertainObject& v,
-                      const UncertainObject& q) {
-  if (DistributionsEqual(u, v, q)) return false;
+inline bool BruteSSd(const UncertainObject& u, const UncertainObject& v,
+                     const UncertainObject& q) {
+  return BruteSSdUnder(u, v, q, Metric::kL2);
+}
+
+inline bool BruteSsSdUnder(const UncertainObject& u, const UncertainObject& v,
+                           const UncertainObject& q, Metric metric) {
+  if (DistributionsEqual(u, v, q, metric)) return false;
   for (int qi = 0; qi < q.num_instances(); ++qi) {
     const Point qp = q.Instance(qi);
-    if (!BruteLeqSt(DistanceDistribution(u, qp),
-                    DistanceDistribution(v, qp))) {
+    if (!BruteLeqSt(DistanceDistribution(u, qp, metric),
+                    DistanceDistribution(v, qp, metric))) {
       return false;
     }
   }
   return true;
 }
 
-// F-SD under any metric. A separate name (not a defaulted parameter) so
-// that BruteFSd stays usable as a three-argument dominance callback.
+inline bool BruteSsSd(const UncertainObject& u, const UncertainObject& v,
+                      const UncertainObject& q) {
+  return BruteSsSdUnder(u, v, q, Metric::kL2);
+}
+
 inline bool BruteFSdUnder(const UncertainObject& u, const UncertainObject& v,
                           const UncertainObject& q, Metric metric) {
   if (DistributionsEqual(u, v, q, metric)) return false;
@@ -170,8 +183,9 @@ inline bool BruteFSd(const UncertainObject& u, const UncertainObject& v,
 // the Hall condition BrutePSd enumerates). Simple Edmonds-Karp on an
 // adjacency matrix; BrutePSd's objects above 20 instances come here.
 inline bool BrutePSdByFlow(const UncertainObject& u, const UncertainObject& v,
-                           const UncertainObject& q) {
-  if (DistributionsEqual(u, v, q)) return false;
+                           const UncertainObject& q,
+                           Metric metric = Metric::kL2) {
+  if (DistributionsEqual(u, v, q, metric)) return false;
   const int nu = u.num_instances();
   const int nv = v.num_instances();
   // Nodes: source 0, U 1..nu, V nu+1..nu+nv, sink nu+nv+1.
@@ -187,8 +201,8 @@ inline bool BrutePSdByFlow(const UncertainObject& u, const UncertainObject& v,
       bool leq = true;
       for (int qi = 0; qi < q.num_instances() && leq; ++qi) {
         const Point qp = q.Instance(qi);
-        leq = Distance(qp, u.Instance(i)) <=
-              Distance(qp, v.Instance(j)) + 1e-12;
+        leq = PointDistance(qp, u.Instance(i), metric) <=
+              PointDistance(qp, v.Instance(j), metric) + 1e-12;
       }
       if (leq) cap[1 + i][1 + nu + j] = 2.0;
     }
@@ -224,20 +238,20 @@ inline bool BrutePSdByFlow(const UncertainObject& u, const UncertainObject& v,
 // a dominating match exists iff, for every subset T of V's instances,
 // p(T) <= p(N(T)). Enumerates the subsets for up to 20 instances per
 // object, and checks the max-flow form above that.
-inline bool BrutePSd(const UncertainObject& u, const UncertainObject& v,
-                     const UncertainObject& q) {
+inline bool BrutePSdUnder(const UncertainObject& u, const UncertainObject& v,
+                          const UncertainObject& q, Metric metric) {
   const int nu = u.num_instances();
   const int nv = v.num_instances();
-  if (nu > 20 || nv > 20) return BrutePSdByFlow(u, v, q);
-  if (DistributionsEqual(u, v, q)) return false;
+  if (nu > 20 || nv > 20) return BrutePSdByFlow(u, v, q, metric);
+  if (DistributionsEqual(u, v, q, metric)) return false;
   std::vector<uint32_t> neighbors(nv, 0);
   for (int j = 0; j < nv; ++j) {
     for (int i = 0; i < nu; ++i) {
       bool leq = true;
       for (int qi = 0; qi < q.num_instances() && leq; ++qi) {
         const Point qp = q.Instance(qi);
-        if (Distance(qp, u.Instance(i)) >
-            Distance(qp, v.Instance(j)) + 1e-12) {
+        if (PointDistance(qp, u.Instance(i), metric) >
+            PointDistance(qp, v.Instance(j), metric) + 1e-12) {
           leq = false;
         }
       }
@@ -261,6 +275,27 @@ inline bool BrutePSd(const UncertainObject& u, const UncertainObject& v,
     if (demand > supply + 1e-9) return false;
   }
   return true;
+}
+
+inline bool BrutePSd(const UncertainObject& u, const UncertainObject& v,
+                     const UncertainObject& q) {
+  return BrutePSdUnder(u, v, q, Metric::kL2);
+}
+
+/// The brute force of an instance operator (not F+-SD) under `metric`.
+inline bool BruteUnder(Operator op, const UncertainObject& u,
+                       const UncertainObject& v, const UncertainObject& q,
+                       Metric metric) {
+  switch (op) {
+    case Operator::kSSd:
+      return BruteSSdUnder(u, v, q, metric);
+    case Operator::kSsSd:
+      return BruteSsSdUnder(u, v, q, metric);
+    case Operator::kPSd:
+      return BrutePSdUnder(u, v, q, metric);
+    default:
+      return BruteFSdUnder(u, v, q, metric);
+  }
 }
 
 /// Random object: `m` instances uniform in a box of the given edge around
